@@ -10,17 +10,23 @@
 //! per-request samples again shows up here as an events/sec drop or a
 //! `peak_sample_bytes` jump long before any virtual-time metric moves.
 //!
-//! Three checks ride along:
+//! The replay runs at 1, 2 and 4 advance workers and prints each run's
+//! host-side barrier profile (`Cluster::advance_profile`): barriers run,
+//! with host seconds at barriers and in the final parallel drain.
+//!
+//! Four checks ride along:
 //!
 //! 1. A lockstep-oracle spot check on a trace prefix: `Cluster::run` must
 //!    produce the bit-identical report to `Cluster::run_lockstep`.
-//! 2. Every request completes — the schedule is tuned below fleet capacity,
+//! 2. Every worker count produces the 1-worker report bit for bit.
+//! 3. Every request completes — the schedule is tuned below fleet capacity,
 //!    so a capacity regression (or a router sending everything to one
 //!    replica) fails the bench instead of silently inflating the backlog.
-//! 3. Streaming mode's peak resident sample count stays bounded by the
+//! 4. Streaming mode's peak resident sample count stays bounded by the
 //!    *concurrent* request population, not the trace length.
 //!
-//! Writes `BENCH_fleet.json` at the repository root (uploaded as a CI
+//! Writes `BENCH_fleet.json` at the repository root, with events/s and the
+//! barrier profile per worker count under `fleet.scaling` (uploaded as a CI
 //! artifact, gated by `perf_gate --fleet`).
 //!
 //! Run with `cargo bench -p pod-bench --bench trace_replay`.
@@ -37,6 +43,9 @@ use std::time::Instant;
 const REPLICAS: usize = 16;
 const CHUNK: usize = 1024;
 const SEED: u64 = 42;
+/// Worker counts the replay runs at. Every count must give the 1-worker
+/// report bit for bit, and `perf_gate --fleet` gates each point.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Diurnal rate curve with a flash burst spliced into every step: `steps`
 /// cosine-shaped segments per `period_secs` cycle, each ending in
@@ -128,28 +137,49 @@ fn main() {
         event.aggregate.completed
     );
 
-    // The replay itself, wall-clock timed. Trace generation is excluded —
-    // the gate measures the cluster core, not the Poisson sampler.
-    let mut cluster = Cluster::new(ClusterConfig::new(base, REPLICAS, router));
-    let start = Instant::now();
-    let report = cluster.run(trace);
-    let wall_secs = start.elapsed().as_secs_f64();
+    // The replay itself, wall-clock timed at each worker count. Trace
+    // generation and cloning are excluded — the gate measures the cluster
+    // core, not the Poisson sampler.
+    // Each cluster is dropped after its run: the replicas' request records
+    // for a multi-million-request trace are the bench's largest allocation.
+    let mut runs = Vec::with_capacity(WORKER_COUNTS.len());
+    let mut peak_samples = 0;
+    for workers in WORKER_COUNTS {
+        let mut cluster = Cluster::new(ClusterConfig::new(base.clone(), REPLICAS, router));
+        cluster.set_advance_workers(workers);
+        let specs = trace.clone();
+        let start = Instant::now();
+        let report = cluster.run(specs);
+        let wall_secs = start.elapsed().as_secs_f64();
+        peak_samples = cluster
+            .replicas()
+            .iter()
+            .map(|r| r.peak_token_samples())
+            .sum();
+        runs.push((workers, report, wall_secs, cluster.advance_profile()));
+    }
+    drop(trace);
+    let report = &runs[0].1;
 
-    // Check 2: the fleet kept up — every request finished.
+    // Check 2: the worker count changes host time only — every replay is
+    // the 1-worker replay bit for bit.
+    for (workers, other, _, _) in &runs[1..] {
+        assert_eq!(
+            other, report,
+            "{workers}-worker replay diverged from the 1-worker replay"
+        );
+    }
+
+    // Check 3: the fleet kept up — every request finished.
     assert_eq!(
         report.aggregate.completed, num_requests,
         "fleet fell behind the trace: {} of {num_requests} completed",
         report.aggregate.completed
     );
 
-    // Check 3: constant-memory reporting. Peak resident samples track the
+    // Check 4: constant-memory reporting. Peak resident samples track the
     // concurrent request population (tens of thousands at 280 qps), not the
     // multi-million-request trace.
-    let peak_samples: usize = cluster
-        .replicas()
-        .iter()
-        .map(|r| r.peak_token_samples())
-        .sum();
     let peak_sample_bytes = peak_samples * std::mem::size_of::<f64>();
     // Every finished request holds one token time per output token; TBT has
     // one sample per inter-token gap, so this is the exact-mode buffer size.
@@ -162,15 +192,33 @@ fn main() {
     );
 
     let events = report.aggregate.iterations;
-    let events_per_sec = events as f64 / wall_secs;
-    let requests_per_sec = num_requests as f64 / wall_secs;
     println!(
-        "replayed {num_requests} requests / {:.2} virtual hours in {wall_secs:.2} s wall \
-         ({:.0} events/s, {:.0} requests/s)",
+        "replayed {num_requests} requests / {:.2} virtual hours ({events} events)",
         report.aggregate.makespan / 3600.0,
-        events_per_sec,
-        requests_per_sec
     );
+    println!(
+        "{:>7} {:>8} {:>12} {:>14} {:>10} {:>10} {:>9}",
+        "workers", "wall_s", "events/s", "requests/s", "barriers", "barrier_s", "drain_s"
+    );
+    let mut scaling = Vec::with_capacity(runs.len());
+    for (workers, _, wall_secs, profile) in &runs {
+        let events_per_sec = events as f64 / wall_secs;
+        let requests_per_sec = num_requests as f64 / wall_secs;
+        println!(
+            "{workers:>7} {wall_secs:>8.2} {events_per_sec:>12.0} {requests_per_sec:>14.0} \
+             {:>10} {:>10.3} {:>9.3}",
+            profile.barriers,
+            profile.barrier_ns as f64 * 1e-9,
+            profile.drain_ns as f64 * 1e-9,
+        );
+        scaling.push(JsonValue::obj(vec![
+            ("advance_workers", JsonValue::Num(*workers as f64)),
+            ("wall_secs", JsonValue::Num(*wall_secs)),
+            ("events_per_sec", JsonValue::Num(events_per_sec)),
+            ("requests_per_sec", JsonValue::Num(requests_per_sec)),
+            ("advance_profile", profile.to_json()),
+        ]));
+    }
     println!(
         "peak resident samples: {peak_samples} ({:.1} MiB) vs {:.1} MiB buffered exactly",
         peak_sample_bytes as f64 / (1024.0 * 1024.0),
@@ -205,14 +253,8 @@ fn main() {
                     "virtual_span_secs",
                     JsonValue::Num(report.aggregate.makespan),
                 ),
-                ("wall_secs", JsonValue::Num(wall_secs)),
                 ("events", JsonValue::Num(events as f64)),
-                ("events_per_sec", JsonValue::Num(events_per_sec)),
-                ("requests_per_sec", JsonValue::Num(requests_per_sec)),
-                (
-                    "advance_workers",
-                    JsonValue::Num(cluster.advance_workers() as f64),
-                ),
+                ("scaling", JsonValue::Arr(scaling)),
                 (
                     "peak_sample_bytes",
                     JsonValue::Num(peak_sample_bytes as f64),

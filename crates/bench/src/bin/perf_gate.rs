@@ -106,6 +106,27 @@ fn fleet_goodput_per_minute(doc: &JsonValue, file: &str) -> Result<f64, String> 
     mean_cell_metric(doc, "report.aggregate.slo.goodput_per_minute", file)
 }
 
+/// The `fleet.scaling` points of a `BENCH_fleet.json` document: replay
+/// events per second at each `advance_workers` value, in file order.
+fn fleet_scaling(doc: &JsonValue, file: &str) -> Result<Vec<(usize, f64)>, String> {
+    let JsonValue::Arr(points) = doc
+        .get_path("fleet.scaling")
+        .ok_or_else(|| format!("{file} has no 'fleet.scaling'"))?
+    else {
+        return Err(format!("{file}: 'fleet.scaling' is not an array"));
+    };
+    if points.is_empty() {
+        return Err(format!("{file}: 'fleet.scaling' is empty"));
+    }
+    points
+        .iter()
+        .map(|point| {
+            let workers = metric(point, "advance_workers", file)? as usize;
+            Ok((workers, metric(point, "events_per_sec", file)?))
+        })
+        .collect()
+}
+
 /// The end-of-run recap line: every gated metric's delta, pass or fail —
 /// printed in **every** mode (engine-only, `--cluster`, `--slo`,
 /// `--disagg`), so green CI logs always show where the trend is heading.
@@ -295,20 +316,43 @@ fn run(args: &[String]) -> Result<bool, String> {
     if let [fleet_base_path, fleet_fresh_path] = fleet_paths.as_slice() {
         // The trace-replay gate is host throughput, not simulated
         // throughput: simulator events processed per wall-clock second while
-        // replaying the committed fleet trace (`BENCH_fleet.json`). This is
-        // what catches "someone serialized the event-driven core".
-        let base = metric(
-            &load(fleet_base_path)?,
-            "fleet.events_per_sec",
-            fleet_base_path,
-        )?;
-        let now = metric(
-            &load(fleet_fresh_path)?,
-            "fleet.events_per_sec",
-            fleet_fresh_path,
-        )?;
+        // replaying the committed fleet trace (`BENCH_fleet.json`) at each
+        // advance-worker count. Each point is gated against the baseline at
+        // the same worker count, which catches "someone serialized the
+        // event-driven core"; each multi-worker point is also gated against
+        // the fresh 1-worker point, which catches "more workers got slower".
+        let base = fleet_scaling(&load(fleet_base_path)?, fleet_base_path)?;
+        let now = fleet_scaling(&load(fleet_fresh_path)?, fleet_fresh_path)?;
         println!("fleet gate: fresh {fleet_fresh_path} vs baseline {fleet_base_path}");
-        ok &= check("fleet.events_per_sec", base, now, max_drop, &mut deltas);
+        for &(workers, events_per_sec) in &now {
+            let (_, base_eps) = base
+                .iter()
+                .find(|(w, _)| *w == workers)
+                .ok_or_else(|| format!("{fleet_base_path} has no {workers}-worker point"))?;
+            ok &= check(
+                &format!("fleet.events_per_sec@{workers}w"),
+                *base_eps,
+                events_per_sec,
+                max_drop,
+                &mut deltas,
+            );
+        }
+        if let Some((workers, _)) = base.iter().find(|(w, _)| !now.iter().any(|(n, _)| n == w)) {
+            return Err(format!("{fleet_fresh_path} has no {workers}-worker point"));
+        }
+        let (_, one) = now
+            .iter()
+            .find(|(w, _)| *w == 1)
+            .ok_or_else(|| format!("{fleet_fresh_path} has no 1-worker point"))?;
+        for &(workers, events_per_sec) in now.iter().filter(|(w, _)| *w > 1) {
+            ok &= check(
+                &format!("fleet.events_per_sec@{workers}w vs 1w"),
+                *one,
+                events_per_sec,
+                max_drop,
+                &mut deltas,
+            );
+        }
     }
     if let [trace_base_path, trace_fresh_path] = trace_paths.as_slice() {
         // The tracing gate is two-sided: traced-replay host throughput must
@@ -603,10 +647,21 @@ mod tests {
         assert!(run(&args(&empty)).is_err());
     }
 
-    fn fleet_trend(events_per_sec: f64) -> String {
+    /// A fleet trend with one `(advance_workers, events_per_sec)` point
+    /// per entry.
+    fn fleet_trend(points: &[(usize, f64)]) -> String {
+        let scaling = points
+            .iter()
+            .map(|&(workers, eps)| {
+                JsonValue::obj(vec![
+                    ("advance_workers", JsonValue::Num(workers as f64)),
+                    ("events_per_sec", JsonValue::Num(eps)),
+                ])
+            })
+            .collect();
         JsonValue::obj(vec![(
             "fleet",
-            JsonValue::obj(vec![("events_per_sec", JsonValue::Num(events_per_sec))]),
+            JsonValue::obj(vec![("scaling", JsonValue::Arr(scaling))]),
         )])
         .to_string_pretty()
     }
@@ -615,26 +670,53 @@ mod tests {
     fn fleet_metric_gates_replay_throughput() {
         let eng_base = write_tmp("perf_gate_f_eng_base.json", &trend(1000.0, 500.0));
         let eng_fresh = write_tmp("perf_gate_f_eng_fresh.json", &trend(1000.0, 500.0));
-        let fl_base = write_tmp("perf_gate_fl_base.json", &fleet_trend(200_000.0));
-        // 20% drop: passes at the default 30%.
-        let fl_ok = write_tmp("perf_gate_fl_ok.json", &fleet_trend(160_000.0));
-        // 50% drop: fails — the doctored baseline the CI wiring was
-        // verified against.
-        let fl_bad = write_tmp("perf_gate_fl_bad.json", &fleet_trend(100_000.0));
-        let args = |fresh: &str| {
+        let fl_base = write_tmp(
+            "perf_gate_fl_base.json",
+            &fleet_trend(&[(1, 200_000.0), (2, 200_000.0), (4, 200_000.0)]),
+        );
+        // 20% drop at every worker count: passes at the default 30%.
+        let fl_ok = write_tmp(
+            "perf_gate_fl_ok.json",
+            &fleet_trend(&[(1, 160_000.0), (2, 160_000.0), (4, 170_000.0)]),
+        );
+        // 50% drop at 2 workers: fails — the doctored baseline the CI
+        // wiring was verified against.
+        let fl_bad = write_tmp(
+            "perf_gate_fl_bad.json",
+            &fleet_trend(&[(1, 200_000.0), (2, 100_000.0), (4, 200_000.0)]),
+        );
+        let args = |base: &str, fresh: &str| {
             vec![
                 eng_base.clone(),
                 eng_fresh.clone(),
                 "--fleet".to_string(),
-                fl_base.clone(),
+                base.to_string(),
                 fresh.to_string(),
             ]
         };
-        assert_eq!(run(&args(&fl_ok)), Ok(true));
-        assert_eq!(run(&args(&fl_bad)), Ok(false));
-        // A malformed fleet file is an error, not a silent pass.
+        assert_eq!(run(&args(&fl_base, &fl_ok)), Ok(true));
+        assert_eq!(run(&args(&fl_base, &fl_bad)), Ok(false));
+        // A doctored baseline already carrying the slow 2-worker point: the
+        // per-count gate passes, but 2 workers fall more than --max-drop
+        // below the fresh 1-worker point, so the scaling gate fails.
+        assert_eq!(run(&args(&fl_bad, &fl_bad)), Ok(false));
+        // A malformed fleet file, a fresh point the baseline lacks, or a
+        // baseline point the fresh file lacks, is an error, not a silent
+        // pass.
         let empty = write_tmp("perf_gate_fl_empty.json", "{}\n");
-        assert!(run(&args(&empty)).is_err());
+        assert!(run(&args(&fl_base, &empty)).is_err());
+        let extra = write_tmp(
+            "perf_gate_fl_extra.json",
+            &fleet_trend(&[(1, 200_000.0), (8, 200_000.0)]),
+        );
+        assert!(run(&args(&fl_base, &extra)).is_err());
+        let no_one = write_tmp("perf_gate_fl_no_one.json", &fleet_trend(&[(2, 200_000.0)]));
+        assert!(run(&args(&fl_base, &no_one)).is_err());
+        let no_four = write_tmp(
+            "perf_gate_fl_no_four.json",
+            &fleet_trend(&[(1, 200_000.0), (2, 200_000.0)]),
+        );
+        assert!(run(&args(&fl_base, &no_four)).is_err());
     }
 
     fn trace_trend(events_per_sec_on: f64, overhead_ratio: f64) -> String {

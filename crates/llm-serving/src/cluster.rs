@@ -15,8 +15,9 @@
 //! The run loop is an **event-driven core**: between barriers (request
 //! routing, migration deliveries, autoscaler checks) a min-heap of
 //! per-replica next-event times picks out only the replicas with due work,
-//! and those advance in parallel across a scoped worker pool
-//! ([`Cluster::set_advance_workers`]). A sequential full-sweep twin
+//! and those advance on the calling thread; the final drain spreads the
+//! fleet across scoped worker threads ([`Cluster::set_advance_workers`]).
+//! A sequential full-sweep twin
 //! ([`Cluster::run_lockstep`]) is kept as the differential oracle; both
 //! produce bit-identical reports. For fleet-scale trace replay,
 //! [`ServingConfig::streaming_metrics`] switches reporting to mergeable
@@ -33,6 +34,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Prompt length (tokens) above which the decode-aware router treats a
 /// request as a "long prefill" and steers it away from decode-heavy
@@ -559,6 +561,9 @@ pub struct Cluster {
     /// Worker threads for parallel replica advancement between barriers
     /// (see [`Cluster::set_advance_workers`]).
     advance_workers: usize,
+    /// Host-side barrier counters of the last run (see
+    /// [`Cluster::advance_profile`]).
+    advance_profile: AdvanceProfile,
     /// Fleet-level trace recorder (autoscaler events), present iff the base
     /// config carries a [`crate::TraceConfig`]. Per-request events live in
     /// the replicas' own recorders; [`Cluster::flight_recording`] merges
@@ -592,19 +597,56 @@ fn pop_due(deliveries: &mut Vec<Delivery>, t: f64) -> Option<Delivery> {
     Some(deliveries.swap_remove(best))
 }
 
-/// Default worker count for parallel replica advancement: the
-/// `POD_CLUSTER_THREADS` environment variable when set, otherwise the
-/// machine's available parallelism.
+/// Default worker count for the parallel drain: the machine's available
+/// parallelism. Barriers run on the calling thread at every worker count,
+/// so more workers are never slower than one.
 fn default_advance_workers() -> usize {
-    std::env::var("POD_CLUSTER_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Host-side cost of the event-driven core's barriers during the last
+/// [`Cluster::run`] (see [`Cluster::advance_profile`]).
+///
+/// A barrier is one advance of the fleet (or one side of a disaggregated
+/// fleet) to a routing, delivery or autoscaler instant; barriers always
+/// run on the calling thread. The final drain, the one parallel dispatch,
+/// is counted apart. These are wall-clock host numbers, so they vary run
+/// to run and are kept out of [`ClusterReport`], which is bit-identical at
+/// every worker count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdvanceProfile {
+    /// Barriers advanced.
+    pub barriers: u64,
+    /// Host ns spent advancing replicas at barriers.
+    pub barrier_ns: u64,
+    /// Host ns spent draining the fleet after the last arrival.
+    pub drain_ns: u64,
+}
+
+impl AdvanceProfile {
+    fn merge(self, other: AdvanceProfile) -> AdvanceProfile {
+        AdvanceProfile {
+            barriers: self.barriers + other.barriers,
+            barrier_ns: self.barrier_ns + other.barrier_ns,
+            drain_ns: self.drain_ns + other.drain_ns,
+        }
+    }
+
+    /// The profile as a JSON object (host ns and barrier counts).
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj(vec![
+            ("barriers", JsonValue::Num(self.barriers as f64)),
+            ("barrier_ns", JsonValue::Num(self.barrier_ns as f64)),
+            ("drain_ns", JsonValue::Num(self.drain_ns as f64)),
+        ])
+    }
+}
+
+/// A host duration in whole ns.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// One `(next_event_time, replica)` entry in the fleet's event queue.
@@ -703,18 +745,23 @@ impl ReplicaHeap {
 /// * **lockstep** (`heap: None`) — sweep every member sequentially, exactly
 ///   as the pre-event-driven cluster did; the differential oracle.
 /// * **event-driven** (`heap: Some`) — pop only the members whose next
-///   event is due from the [`ReplicaHeap`] and advance those, in parallel
-///   across the cluster's worker threads. Replicas interact only at
-///   barriers (routing, autoscaler checks, migration deliveries), so
-///   advancing the due set concurrently is deterministic and bit-identical
-///   to the sweep: skipped replicas would have been state no-ops (see
-///   [`ServingEngine::next_event_time`]).
+///   event is due from the [`ReplicaHeap`] and advance those. Replicas
+///   interact only at barriers (routing, autoscaler checks, migration
+///   deliveries), so advancing just the due set is deterministic and
+///   bit-identical to the sweep: skipped replicas would have been state
+///   no-ops (see [`ServingEngine::next_event_time`]).
+///
+/// Barriers run on the calling thread in both modes. A barrier's due set
+/// is a few replicas with a few microseconds of work between them, far
+/// less than a thread hand-off costs, so only the final drain — every
+/// member's whole remaining queue — is spread across worker threads.
 #[derive(Debug)]
 struct Advancer {
     members: Vec<usize>,
     heap: Option<ReplicaHeap>,
     /// Scratch for the due set (reused across barriers).
     due: Vec<usize>,
+    profile: AdvanceProfile,
 }
 
 impl Advancer {
@@ -732,6 +779,7 @@ impl Advancer {
             members,
             heap,
             due: Vec::new(),
+            profile: AdvanceProfile::default(),
         }
     }
 
@@ -753,8 +801,9 @@ impl Advancer {
     }
 
     /// Advance members to barrier time `t`: all of them (lockstep) or just
-    /// the due set (event-driven, in parallel across `workers` threads).
-    fn advance(&mut self, replicas: &mut [ServingEngine], t: f64, workers: usize) {
+    /// the due set (event-driven), recording the barrier in the profile.
+    fn advance(&mut self, replicas: &mut [ServingEngine], t: f64) {
+        let start = Instant::now();
         match &mut self.heap {
             None => {
                 for &i in &self.members {
@@ -763,19 +812,21 @@ impl Advancer {
             }
             Some(heap) => {
                 heap.drain_due(t, &mut self.due);
-                par_for_each(select_muts(replicas, &self.due), workers, |r| {
-                    r.advance_to(t)
-                });
                 for &i in &self.due {
+                    replicas[i].advance_to(t);
                     heap.refresh(i, replicas[i].next_event_time());
                 }
             }
         }
+        self.profile.barriers += 1;
+        self.profile.barrier_ns += nanos(start.elapsed());
     }
 
-    /// Run every member until drained — in parallel in event-driven mode
-    /// (the engines are independent), sequentially in lockstep.
+    /// Run every member until drained — in one parallel dispatch across
+    /// `workers` threads in event-driven mode (the engines are
+    /// independent), sequentially in lockstep.
     fn drain(&mut self, replicas: &mut [ServingEngine], workers: usize) {
+        let start = Instant::now();
         match &mut self.heap {
             None => {
                 for &i in &self.members {
@@ -791,6 +842,7 @@ impl Advancer {
                 }
             }
         }
+        self.profile.drain_ns += nanos(start.elapsed());
     }
 }
 
@@ -884,6 +936,7 @@ impl Cluster {
             roles: config.roles,
             migration: config.migration,
             advance_workers: default_advance_workers(),
+            advance_profile: AdvanceProfile::default(),
             tracer: config
                 .base
                 .tracing
@@ -927,19 +980,28 @@ impl Cluster {
         Some(recording)
     }
 
-    /// Set the number of worker threads used to advance due replicas
-    /// between barriers (clamped to at least 1). Defaults to the
-    /// `POD_CLUSTER_THREADS` environment variable, falling back to the
-    /// machine's available parallelism. Replicas interact only at
+    /// Set the number of worker threads that drain the fleet after the
+    /// last arrival (clamped to at least 1). Defaults to the machine's
+    /// available parallelism. Barriers always advance their due replicas
+    /// on the calling thread: their work is far lighter than a thread
+    /// hand-off, so extra workers never slow them. Replicas interact only at
     /// barriers, so every worker count produces bit-identical results —
-    /// pinned by tests; tune this purely for wall-clock.
+    /// pinned by tests; this only changes wall-clock.
     pub fn set_advance_workers(&mut self, workers: usize) {
         self.advance_workers = workers.max(1);
     }
 
-    /// Worker threads currently used for parallel replica advancement.
+    /// Worker threads currently available for the parallel drain.
     pub fn advance_workers(&self) -> usize {
         self.advance_workers
+    }
+
+    /// Host-side barrier counters of the last [`Cluster::run`] (or
+    /// [`Cluster::run_lockstep`]): barriers advanced and the host ns they
+    /// and the final drain took. Wall-clock numbers, so they are not part
+    /// of the [`ClusterReport`].
+    pub fn advance_profile(&self) -> AdvanceProfile {
+        self.advance_profile
     }
 
     /// Indices of replicas currently accepting new requests.
@@ -1037,6 +1099,7 @@ impl Cluster {
         self.peak_active = self.replicas.len();
         self.out_streak = 0;
         self.in_streak = 0;
+        self.advance_profile = AdvanceProfile::default();
         self.tracer = base
             .tracing
             .as_ref()
@@ -1051,8 +1114,9 @@ impl Cluster {
     /// The run loop is **event-driven**: a min-heap of per-replica
     /// next-event times ([`ServingEngine::next_event_time`]) is interleaved
     /// with arrivals, migration deliveries and autoscaler checks, so only
-    /// replicas with work due before a barrier are stepped — and those are
-    /// stepped in parallel across [`Cluster::advance_workers`] threads.
+    /// replicas with work due before a barrier are stepped, on the calling
+    /// thread. The final drain is one parallel dispatch across
+    /// [`Cluster::advance_workers`] threads.
     /// Outcomes are bit-for-bit identical to the sequential full-sweep loop
     /// ([`Cluster::run_lockstep`]) for every worker count: the event queue
     /// changes when host work happens, never what virtual time things
@@ -1094,35 +1158,46 @@ impl Cluster {
         });
 
         let disaggregated = self.roles.iter().any(|r| *r != ReplicaRole::Colocated);
-        match (self.autoscaler, disaggregated) {
+        self.advance_profile = match (self.autoscaler, disaggregated) {
             (None, false) => self.run_colocated(&specs, &order, event_driven),
             (None, true) => self.run_disaggregated(&specs, &order, event_driven),
             (Some(scaler), _) => self.run_autoscaled(&specs, &order, scaler, event_driven),
-        }
+        };
         self.report()
     }
 
     /// The colocated serving loop: arrivals route over the whole fleet and
     /// every replica serves its requests end-to-end.
-    fn run_colocated(&mut self, specs: &[RequestSpec], order: &[usize], event_driven: bool) {
+    fn run_colocated(
+        &mut self,
+        specs: &[RequestSpec],
+        order: &[usize],
+        event_driven: bool,
+    ) -> AdvanceProfile {
         let members: Vec<usize> = (0..self.replicas.len()).collect();
         let mut fleet = Advancer::new(members, event_driven, &self.replicas);
         for &i in order {
             let spec = specs[i];
-            fleet.advance(&mut self.replicas, spec.arrival, self.advance_workers);
+            fleet.advance(&mut self.replicas, spec.arrival);
             let target = self.route(&spec);
             self.replicas[target].submit(spec);
             self.assigned[target] += 1;
             fleet.notify(target, &self.replicas);
         }
         fleet.drain(&mut self.replicas, self.advance_workers);
+        fleet.profile
     }
 
     /// The disaggregated serving loop: arrivals land on prefill-capable
     /// replicas, completed prefills ship their KV chains through the
     /// migration model, and decode replicas resume the requests when the
     /// chains arrive — all on the shared virtual clock.
-    fn run_disaggregated(&mut self, specs: &[RequestSpec], order: &[usize], event_driven: bool) {
+    fn run_disaggregated(
+        &mut self,
+        specs: &[RequestSpec],
+        order: &[usize],
+        event_driven: bool,
+    ) -> AdvanceProfile {
         let bytes_per_token = self.replicas[0]
             .config()
             .model
@@ -1169,10 +1244,11 @@ impl Cluster {
                 .then(a.seq.cmp(&b.seq))
         });
         for d in std::mem::take(&mut deliveries) {
-            decode_side.advance(&mut self.replicas, d.at, self.advance_workers);
+            decode_side.advance(&mut self.replicas, d.at);
             self.deliver(d, &mut decode_side);
         }
         decode_side.drain(&mut self.replicas, self.advance_workers);
+        prompt_side.profile.merge(decode_side.profile)
     }
 
     /// Advance the fleet to simulated time `t`, moving any KV chains whose
@@ -1189,13 +1265,13 @@ impl Cluster {
         prompt_side: &mut Advancer,
         decode_side: &mut Advancer,
     ) {
-        prompt_side.advance(&mut self.replicas, t, self.advance_workers);
+        prompt_side.advance(&mut self.replicas, t);
         self.collect_exports(bytes_per_token, deliveries, seq);
         while let Some(d) = pop_due(deliveries, t) {
-            decode_side.advance(&mut self.replicas, d.at, self.advance_workers);
+            decode_side.advance(&mut self.replicas, d.at);
             self.deliver(d, decode_side);
         }
-        decode_side.advance(&mut self.replicas, t, self.advance_workers);
+        decode_side.advance(&mut self.replicas, t);
     }
 
     /// Pull completed prefills off every prefill-only replica and schedule
@@ -1243,7 +1319,7 @@ impl Cluster {
         order: &[usize],
         scaler: AutoscalerConfig,
         event_driven: bool,
-    ) {
+    ) -> AdvanceProfile {
         // One advancer over the whole (growing) fleet. Retired replicas are
         // drained, so advancing them is a no-op and they simply never
         // surface in the event queue.
@@ -1253,11 +1329,11 @@ impl Cluster {
         for &i in order {
             let spec = specs[i];
             while next_check <= spec.arrival {
-                fleet.advance(&mut self.replicas, next_check, self.advance_workers);
+                fleet.advance(&mut self.replicas, next_check);
                 self.autoscale_check(next_check, &scaler, true, &mut fleet);
                 next_check += scaler.interval;
             }
-            fleet.advance(&mut self.replicas, spec.arrival, self.advance_workers);
+            fleet.advance(&mut self.replicas, spec.arrival);
             let target = self.route(&spec);
             self.replicas[target].submit(spec);
             self.assigned[target] += 1;
@@ -1277,10 +1353,11 @@ impl Cluster {
             if !unfinished {
                 break;
             }
-            fleet.advance(&mut self.replicas, next_check, self.advance_workers);
+            fleet.advance(&mut self.replicas, next_check);
             self.autoscale_check(next_check, &scaler, false, &mut fleet);
             next_check += scaler.interval;
         }
+        fleet.profile
     }
 
     /// One autoscaling decision at time `now`: retire drained replicas,
@@ -2218,6 +2295,27 @@ mod tests {
             parallel.to_json().to_string_pretty(),
             serial.to_json().to_string_pretty()
         );
+    }
+
+    #[test]
+    fn advance_profile_counts_every_barrier_and_resets_per_run() {
+        let specs = Workload::internal().generate(12, 1.0, 5);
+        let mut cluster = Cluster::new(ClusterConfig::new(
+            base(),
+            3,
+            RouterPolicy::LeastOutstandingTokens,
+        ));
+        assert_eq!(cluster.advance_profile(), AdvanceProfile::default());
+        // One barrier per arrival in the colocated loop, counted once per
+        // run rather than accumulated across runs.
+        for _ in 0..2 {
+            cluster.run(specs.clone());
+            let profile = cluster.advance_profile();
+            assert_eq!(profile.barriers, specs.len() as u64);
+            assert!(profile.drain_ns > 0);
+        }
+        cluster.run_lockstep(specs.clone());
+        assert_eq!(cluster.advance_profile().barriers, specs.len() as u64);
     }
 
     #[test]

@@ -108,8 +108,8 @@ pub use blocks::{
     blocks_for, BlockId, BlockPool, Cursor, KvChain, PrefixIndex, PrefixMatch, BLOCK_TOKENS,
 };
 pub use cluster::{
-    AutoscalerConfig, Cluster, ClusterConfig, ClusterReport, KvMigration, ReplicaRole, RoleReport,
-    RouterPolicy, LONG_PREFILL_TOKENS,
+    AdvanceProfile, AutoscalerConfig, Cluster, ClusterConfig, ClusterReport, KvMigration,
+    ReplicaRole, RoleReport, RouterPolicy, LONG_PREFILL_TOKENS,
 };
 pub use engine::{
     AdmissionPolicy, FairQueueConfig, IterationOutcome, IterationStats, KvCachePolicy,
