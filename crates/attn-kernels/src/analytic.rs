@@ -152,7 +152,7 @@ impl AttentionEstimator {
 
     /// Create an estimator that prices every batch exactly, without the
     /// ~1.5%-resolution decode-side quantization. Used to validate the
-    /// memoized fast path and by the `POD_PRICE_CACHE=0` escape hatch.
+    /// memoized fast path and by serving engines whose price cache is off.
     pub fn exact(cfg: AttentionConfig, gpu: GpuConfig) -> Self {
         AttentionEstimator {
             memo: None,

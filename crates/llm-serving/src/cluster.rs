@@ -19,15 +19,17 @@
 //! fleet across scoped worker threads ([`Cluster::set_advance_workers`]).
 //! A sequential full-sweep twin
 //! ([`Cluster::run_lockstep`]) is kept as the differential oracle; both
-//! produce bit-identical reports. For fleet-scale trace replay,
-//! [`ServingConfig::streaming_metrics`] switches reporting to mergeable
-//! quantile sketches ([`crate::QuantileSketch`]) so report memory stays
-//! constant in trace length.
+//! produce bit-identical reports. Fleet reports are graded by the same
+//! accumulator as a single engine's: by default it folds every replica's
+//! request records, in replica order, into exact sample stores; for
+//! fleet-scale trace replay [`ServingConfig::streaming_metrics`] switches
+//! it to mergeable quantile sketches ([`crate::QuantileSketch`]) so report
+//! memory stays constant in trace length.
 
 use crate::engine::{PrefillHandoff, ServingEngine};
 use crate::json::JsonValue;
-use crate::metrics::{ReportAccumulator, ServingReport};
-use crate::request::{Request, RequestSpec};
+use crate::metrics::{ReportAccumulator, ServingCounters, ServingReport};
+use crate::request::RequestSpec;
 use crate::trace::{FlightRecording, TraceEventKind, TraceRecorder};
 use crate::ServingConfig;
 use std::cmp::Reverse;
@@ -1451,24 +1453,25 @@ impl Cluster {
     }
 
     /// Aggregate the given replicas' work into one [`ServingReport`]:
-    /// latency statistics over every request they served, counter fields
-    /// summed, makespan = the last of them to finish.
+    /// latency statistics over every request they served, engine counters
+    /// summed, makespan = the last of them to finish. Either way it is one
+    /// [`ReportAccumulator`] fed in replica-index order.
     ///
-    /// With streaming metrics enabled ([`ServingConfig::streaming_metrics`])
-    /// the fleet statistics come from merging the replicas' quantile-sketch
-    /// accumulators in replica-index order — constant memory, and
-    /// bit-identical for every advancement interleaving or worker count
-    /// because sketch merge is bucket-count addition. Otherwise every
-    /// request record is gathered and the exact percentiles are computed,
-    /// as before.
-    fn aggregate_over(&self, idxs: &[usize], per_replica: &[ServingReport]) -> ServingReport {
-        let subset: Vec<&ServingReport> = idxs.iter().map(|&i| &per_replica[i]).collect();
-        let makespan = subset.iter().map(|r| r.makespan).fold(0.0, f64::max);
-        let label = self.replicas[0].config().system_label();
-        let iterations = subset.iter().map(|r| r.iterations).sum();
-        let hybrid_iterations = subset.iter().map(|r| r.hybrid_iterations).sum();
-        let mut aggregate = if self.replicas[0].config().streaming_metrics {
-            let mut acc = ReportAccumulator::new();
+    /// By default the replicas' request records are graded straight into an
+    /// exact accumulator, in list order within each replica, with no record
+    /// copied. With streaming metrics ([`ServingConfig::streaming_metrics`])
+    /// the replicas' quantile-sketch accumulators are merged instead:
+    /// constant memory, and bit-identical for every advancement interleaving
+    /// or worker count because sketch merge is bucket-count addition.
+    fn aggregate_over(&self, idxs: &[usize]) -> ServingReport {
+        let mut makespan = 0.0f64;
+        let mut counters = ServingCounters::default();
+        for &i in idxs {
+            makespan = makespan.max(self.replicas[i].clock());
+            counters += self.replicas[i].counters();
+        }
+        let acc = if self.replicas[0].config().streaming_metrics {
+            let mut acc = ReportAccumulator::sketch();
             for &i in idxs {
                 acc.merge(
                     self.replicas[i]
@@ -1476,41 +1479,21 @@ impl Cluster {
                         .expect("streaming replicas carry accumulators"),
                 );
             }
-            acc.finalize(&label, makespan, iterations, hybrid_iterations)
+            acc
         } else {
-            let requests: Vec<Request> = idxs
-                .iter()
-                .flat_map(|&i| self.replicas[i].requests().iter().cloned())
-                .collect();
-            ServingReport::from_requests(&label, &requests, makespan, iterations, hybrid_iterations)
+            let mut acc = ReportAccumulator::exact();
+            acc.observe_all(idxs.iter().flat_map(|&i| self.replicas[i].requests()));
+            acc
         };
-        aggregate.price_cache_hits = subset.iter().map(|r| r.price_cache_hits).sum();
-        aggregate.price_cache_misses = subset.iter().map(|r| r.price_cache_misses).sum();
-        aggregate.busy_time = subset.iter().map(|r| r.busy_time).sum();
-        aggregate.prefill_tokens_scheduled =
-            subset.iter().map(|r| r.prefill_tokens_scheduled).sum();
-        aggregate.cached_prefix_tokens = subset.iter().map(|r| r.cached_prefix_tokens).sum();
-        aggregate.blocks_reused = subset.iter().map(|r| r.blocks_reused).sum();
-        aggregate.cow_copies = subset.iter().map(|r| r.cow_copies).sum();
-        aggregate.decode_kv_tokens_deduped =
-            subset.iter().map(|r| r.decode_kv_tokens_deduped).sum();
-        aggregate.spec_rounds = subset.iter().map(|r| r.spec_rounds).sum();
-        aggregate.draft_tokens_accepted = subset.iter().map(|r| r.draft_tokens_accepted).sum();
-        aggregate.draft_tokens_rejected = subset.iter().map(|r| r.draft_tokens_rejected).sum();
-        aggregate.preemptions = subset.iter().map(|r| r.preemptions).sum();
-        aggregate.blocks_evicted = subset.iter().map(|r| r.blocks_evicted).sum();
-        aggregate.migrated_out_requests = subset.iter().map(|r| r.migrated_out_requests).sum();
-        aggregate.migrated_in_requests = subset.iter().map(|r| r.migrated_in_requests).sum();
-        aggregate.migrated_tokens = subset.iter().map(|r| r.migrated_tokens).sum();
-        aggregate.migration_stall_time = subset.iter().map(|r| r.migration_stall_time).sum();
-        aggregate
+        let label = self.replicas[0].config().system_label();
+        acc.finalize(&label, makespan, &counters)
     }
 
     /// Aggregate what the fleet has served so far into a [`ClusterReport`].
     pub fn report(&self) -> ClusterReport {
         let per_replica: Vec<ServingReport> = self.replicas.iter().map(|r| r.report()).collect();
         let all: Vec<usize> = (0..self.replicas.len()).collect();
-        let aggregate = self.aggregate_over(&all, &per_replica);
+        let aggregate = self.aggregate_over(&all);
 
         // Per-role breakdown, in role-declaration order of first appearance
         // (deterministic for a fixed fleet). One entry per role present.
@@ -1529,7 +1512,7 @@ impl Cluster {
             per_role.push(RoleReport {
                 role: role.label().to_string(),
                 replicas: idxs.len(),
-                report: self.aggregate_over(&idxs, &per_replica),
+                report: self.aggregate_over(&idxs),
             });
         }
 
@@ -1713,7 +1696,7 @@ impl ClusterReport {
 mod tests {
     use super::*;
     use crate::workload::{RateSchedule, Workload};
-    use crate::{ModelConfig, ServingConfig};
+    use crate::{AdmissionPolicy, ModelConfig, Request, ServingConfig, TenantId};
     use gpu_sim::GpuConfig;
 
     fn base() -> ServingConfig {
@@ -2316,6 +2299,63 @@ mod tests {
         }
         cluster.run_lockstep(specs.clone());
         assert_eq!(cluster.advance_profile().barriers, specs.len() as u64);
+    }
+
+    /// The exact-mode fleet fold equals the batch grade it replaced: one
+    /// `from_requests` over the replicas' concatenated records, with the
+    /// counter fields summed from `per_replica`, for the aggregate and for
+    /// every role (class order included).
+    #[test]
+    fn exact_cluster_fold_matches_concatenated_records() {
+        let schedule = RateSchedule::bursty(1.0, 8.0, 20.0, 10.0);
+        let specs: Vec<RequestSpec> = crate::workload::SloMix::interactive_batch()
+            .apply(Workload::internal().generate_trace(72, &schedule, 61), 61)
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| s.with_tenant(TenantId(i as u32 % 2)))
+            .collect();
+        let mut cluster = Cluster::new(ClusterConfig::disaggregated(
+            base().with_admission(AdmissionPolicy::DeadlineShed),
+            1,
+            2,
+            RouterPolicy::decode_aware(),
+            KvMigration::commodity(),
+        ));
+        let report = cluster.run(specs);
+        let agg = &report.aggregate;
+        assert!(agg.shed_requests > 0, "the burst must shed");
+        assert_eq!((agg.slo_classes.len(), agg.tenants.len()), (2, 2));
+
+        let reference = |idxs: &[usize]| {
+            let records: Vec<Request> = idxs
+                .iter()
+                .flat_map(|&i| cluster.replicas[i].requests().iter().cloned())
+                .collect();
+            let subset: Vec<&ServingReport> =
+                idxs.iter().map(|&i| &report.per_replica[i]).collect();
+            let mut r = ServingReport::from_requests(
+                &cluster.replicas[0].config().system_label(),
+                &records,
+                subset.iter().map(|r| r.makespan).fold(0.0, f64::max),
+                subset.iter().map(|r| r.iterations).sum(),
+                subset.iter().map(|r| r.hybrid_iterations).sum(),
+            );
+            macro_rules! sum_fields {
+                ($($f:ident),*) => { $(r.$f = subset.iter().map(|s| s.$f).sum();)* };
+            }
+            sum_fields! {
+                price_cache_hits, price_cache_misses, busy_time, prefill_tokens_scheduled,
+                cached_prefix_tokens, blocks_reused, cow_copies, decode_kv_tokens_deduped,
+                spec_rounds, draft_tokens_accepted, draft_tokens_rejected, preemptions,
+                blocks_evicted, migrated_out_requests, migrated_in_requests, migrated_tokens,
+                migration_stall_time
+            }
+            r
+        };
+        assert_eq!(*agg, reference(&[0, 1, 2]));
+        assert_eq!(report.per_role.len(), 2);
+        assert_eq!(report.per_role[0].report, reference(&[0]));
+        assert_eq!(report.per_role[1].report, reference(&[1, 2]));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::blocks::{blocks_for, BlockId, Cursor, KvChain, BLOCK_TOKENS};
 use crate::kvcache::KvCacheManager;
 use crate::linear::IterationCostModel;
-use crate::metrics::{ReportAccumulator, ServingReport};
+use crate::metrics::{ReportAccumulator, ServingCounters, ServingReport};
 use crate::model::ModelConfig;
 use crate::request::{Phase, Priority, Request, RequestSpec, TenantId};
 use crate::scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
@@ -30,15 +30,6 @@ use std::collections::{HashMap, VecDeque};
 /// (a trivially correct eviction policy — in practice serving sweeps produce
 /// a few hundred distinct signatures, far below this).
 const PRICE_CACHE_MAX_ENTRIES: usize = 1 << 16;
-
-/// Whether the batch-price cache is enabled by default. The `POD_PRICE_CACHE`
-/// environment variable is the escape hatch: set it to `0` to price every
-/// iteration exactly (e.g. when validating the quantization error).
-fn price_cache_default() -> bool {
-    std::env::var("POD_PRICE_CACHE")
-        .map(|v| v != "0")
-        .unwrap_or(true)
-}
 
 use attn_kernels::quantize_tokens;
 
@@ -327,8 +318,8 @@ pub struct ServingConfig {
     /// HBM after weights).
     pub kv_capacity_tokens: Option<usize>,
     /// Whether the engine memoizes iteration prices by quantized batch
-    /// signature. Defaults to on; set the `POD_PRICE_CACHE=0` environment
-    /// variable (or this field) to price every iteration exactly.
+    /// signature. Defaults to on; set it to `false` to price every iteration
+    /// exactly (e.g. when validating the quantization error).
     pub price_cache: bool,
     /// KV-cache residency policy (conservative admission vs. paged blocks
     /// with prefix sharing and preemption).
@@ -346,13 +337,14 @@ pub struct ServingConfig {
     /// SLO-aware admission control (shed vs. serve requests whose deadlines
     /// are already unmeetable). Defaults to [`AdmissionPolicy::AdmitAll`].
     pub admission: AdmissionPolicy,
-    /// Streaming constant-memory metrics: fold each request into a
-    /// [`crate::ReportAccumulator`] the moment it finishes and drop its
-    /// per-token sample buffer. Counts, means, maxima and SLO tallies stay
-    /// exact; report percentiles come from [`crate::QuantileSketch`]es
-    /// (within that type's documented error bound) instead of exact
-    /// selection. Off by default — the exact sample-buffered path is
-    /// bit-for-bit pinned by the golden tests; fleet-scale trace replay
+    /// Which sample store the report's one grader uses. Off (the default):
+    /// requests keep their token times and are graded at report time into
+    /// exact stores, the output the golden tests pin bit for bit. On:
+    /// each request is graded into [`crate::QuantileSketch`] stores the
+    /// moment it finishes or is shed, and its per-token sample buffer is
+    /// dropped, so memory stays constant in trace length. Counts, means,
+    /// maxima and SLO tallies are the same either way; on, percentiles are
+    /// within the sketch's documented error bound. Fleet-scale trace replay
     /// turns this on.
     pub streaming_metrics: bool,
     /// How decode rounds mint tokens: plain autoregressive (the default,
@@ -387,7 +379,7 @@ impl ServingConfig {
             attention: AttentionStrategy::FaSerial,
             max_batch_size: 256,
             kv_capacity_tokens: None,
-            price_cache: price_cache_default(),
+            price_cache: true,
             kv_policy: KvCachePolicy::Conservative,
             decode_dedup: false,
             admission: AdmissionPolicy::AdmitAll,
@@ -407,7 +399,7 @@ impl ServingConfig {
             attention: AttentionStrategy::FaSerial,
             max_batch_size: 256,
             kv_capacity_tokens: None,
-            price_cache: price_cache_default(),
+            price_cache: true,
             kv_policy: KvCachePolicy::Conservative,
             decode_dedup: false,
             admission: AdmissionPolicy::AdmitAll,
@@ -651,34 +643,10 @@ struct EngineState {
     tables: Vec<RequestKv>,
     kv: KvCacheManager,
     clock: f64,
-    iterations: usize,
-    hybrid_iterations: usize,
-    busy_time: f64,
     price_cache: HashMap<BatchSignature, f64>,
-    cache_hits: usize,
-    cache_misses: usize,
-    /// Prefill tokens actually scheduled (cached-prefix tokens never are).
-    prefill_tokens_scheduled: usize,
-    /// Prompt tokens satisfied from the prefix cache at admissions.
-    cached_prefix_tokens: usize,
-    /// Cached blocks acquired (shared) across all admissions.
-    blocks_reused: usize,
-    /// Copy-on-write block copies made at admissions.
-    cow_copies: usize,
-    /// Decode KV tokens whose HBM reads were deduped away by prefix-shared
-    /// decode grouping, summed over iterations (0 unless
-    /// [`ServingConfig::decode_dedup`] is active).
-    decode_kv_tokens_deduped: usize,
-    /// Decode preemptions (swap-outs) forced by pool exhaustion.
-    preemptions: usize,
-    /// Speculative draft-then-verify rounds executed (one per decode per
-    /// iteration in speculative mode; 0 otherwise).
-    spec_rounds: usize,
-    /// Draft tokens verification accepted, summed over all rounds.
-    draft_tokens_accepted: usize,
-    /// Draft tokens verification rejected and rolled back, summed over all
-    /// rounds.
-    draft_tokens_rejected: usize,
+    /// The report's engine-side tallies (`blocks_evicted` lives in `kv` and
+    /// is filled in by [`ServingEngine::counters`]).
+    counters: ServingCounters,
     /// Requests that completed prefill and are parked for migration pickup
     /// (prefill-export mode only), with their already-serialized KV chains.
     /// The KV residency is released the moment a request parks — the
@@ -688,15 +656,6 @@ struct EngineState {
     /// Migrated-in requests waiting on transfer completion / residency,
     /// ordered by `available_at` (ties keep insertion order).
     pending_imports: VecDeque<PendingImport>,
-    /// Requests handed off to a decode replica from here.
-    migrated_out: usize,
-    /// Requests that resumed decoding here after a handoff.
-    migrated_in: usize,
-    /// KV tokens shipped out of this replica across all handoffs.
-    migrated_tokens_out: usize,
-    /// Total seconds migrated-in requests spent between first token (on the
-    /// source) and decode admission here (transfer + residency queueing).
-    migration_stall_time: f64,
     /// Streaming-metrics accumulator (`Some` exactly when the config's
     /// `streaming_metrics` is on): finished and shed requests fold in here
     /// the moment they happen, after which their token-time buffers are
@@ -726,7 +685,7 @@ struct EngineState {
 }
 
 impl EngineState {
-    fn new(kv_capacity: usize, streaming_metrics: bool, tracing: Option<&TraceConfig>) -> Self {
+    fn new(kv_capacity: usize, config: &ServingConfig) -> Self {
         EngineState {
             requests: Vec::new(),
             arrivals: VecDeque::new(),
@@ -736,33 +695,16 @@ impl EngineState {
             tables: Vec::new(),
             kv: KvCacheManager::new(kv_capacity),
             clock: 0.0,
-            iterations: 0,
-            hybrid_iterations: 0,
-            busy_time: 0.0,
             price_cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            prefill_tokens_scheduled: 0,
-            cached_prefix_tokens: 0,
-            blocks_reused: 0,
-            cow_copies: 0,
-            decode_kv_tokens_deduped: 0,
-            preemptions: 0,
-            spec_rounds: 0,
-            draft_tokens_accepted: 0,
-            draft_tokens_rejected: 0,
+            counters: ServingCounters::default(),
             pending_export: Vec::new(),
             pending_imports: VecDeque::new(),
-            migrated_out: 0,
-            migrated_in: 0,
-            migrated_tokens_out: 0,
-            migration_stall_time: 0.0,
-            accumulator: streaming_metrics.then(ReportAccumulator::new),
+            accumulator: config.streaming_metrics.then(ReportAccumulator::sketch),
             live_token_samples: 0,
             peak_token_samples: 0,
             fair_vtime: Vec::new(),
             fair_floor: 0.0,
-            recorder: tracing.map(|cfg| TraceRecorder::new(cfg.clone())),
+            recorder: config.tracing.clone().map(TraceRecorder::new),
         }
     }
 
@@ -815,7 +757,7 @@ impl EngineState {
             .take_while(|&&r| self.reserved[r])
             .count();
         self.waiting.insert(at, rid);
-        self.preemptions += 1;
+        self.counters.preemptions += 1;
     }
 
     /// Ensure every request that will decode this iteration has a block for
@@ -1033,32 +975,25 @@ impl ServingEngine {
     pub fn new(config: ServingConfig) -> Self {
         // `price_cache` gates both memoization layers: the engine's
         // batch-signature cache and the estimator's side-cost memo.
-        let cost = if config.price_cache {
-            IterationCostModel::new(config.model.clone(), config.gpu.clone())
-        } else {
-            IterationCostModel::exact(config.model.clone(), config.gpu.clone())
+        let cost_model = |model: ModelConfig| {
+            if config.price_cache {
+                IterationCostModel::new(model, config.gpu.clone())
+            } else {
+                IterationCostModel::exact(model, config.gpu.clone())
+            }
         };
+        let cost = cost_model(config.model.clone());
         // The drafter is priced through the same estimator stack as the
         // target, just over a scaled-down model. A free drafter (scale 0)
         // resolves to no model and costs exactly nothing.
         let draft_cost = match &config.decode_mode {
             DecodeMode::Autoregressive => None,
-            DecodeMode::Speculative { draft, .. } => draft.resolve(&config.model).map(|model| {
-                if config.price_cache {
-                    IterationCostModel::new(model, config.gpu.clone())
-                } else {
-                    IterationCostModel::exact(model, config.gpu.clone())
-                }
-            }),
+            DecodeMode::Speculative { draft, .. } => draft.resolve(&config.model).map(cost_model),
         };
         let kv_capacity = config
             .kv_capacity_tokens
             .unwrap_or_else(|| config.model.kv_cache_capacity_tokens(&config.gpu));
-        let state = EngineState::new(
-            kv_capacity,
-            config.streaming_metrics,
-            config.tracing.as_ref(),
-        );
+        let state = EngineState::new(kv_capacity, &config);
         ServingEngine {
             config,
             cost,
@@ -1103,7 +1038,7 @@ impl ServingEngine {
     /// difference between [`clock`](Self::clock) and this is time the replica
     /// sat idle waiting for arrivals.
     pub fn busy_time(&self) -> f64 {
-        self.state.busy_time
+        self.state.counters.busy_time
     }
 
     /// Submit one request for serving and return its id within this engine.
@@ -1183,8 +1118,8 @@ impl ServingEngine {
                 export_time - st.requests[rid].prefill_start_time.unwrap_or(export_time);
             let request = st.requests[rid].clone();
             st.requests[rid].migrated_out = true;
-            st.migrated_out += 1;
-            st.migrated_tokens_out += chain.tokens;
+            st.counters.migrated_out_requests += 1;
+            st.counters.migrated_tokens += chain.tokens;
             out.push(PrefillHandoff {
                 request,
                 chain,
@@ -1552,8 +1487,8 @@ impl ServingEngine {
                     .first_token_time
                     .expect("migrated requests completed prefill");
             imp.request.migration_stall = stall;
-            st.migration_stall_time += stall;
-            st.migrated_in += 1;
+            st.counters.migration_stall_time += stall;
+            st.counters.migrated_in_requests += 1;
             st.live_token_samples += imp.request.token_times.len();
             let tokens = imp.chain.tokens;
             st.requests.push(imp.request);
@@ -1629,11 +1564,7 @@ impl ServingEngine {
                 let capacity_blocks = st.kv.capacity_tokens() / BLOCK_TOKENS;
                 let (requests, waiting, running) = (&mut st.requests, &st.waiting, &st.running);
                 let (kv, reserved, tables) = (&mut st.kv, &mut st.reserved, &mut st.tables);
-                let (cached_ctr, reused_ctr, cow_ctr) = (
-                    &mut st.cached_prefix_tokens,
-                    &mut st.blocks_reused,
-                    &mut st.cow_copies,
-                );
+                let counters = &mut st.counters;
                 let recorder = &mut st.recorder;
                 match self.config.kv_policy {
                     KvCachePolicy::Conservative => plan_batch(
@@ -1726,9 +1657,9 @@ impl ServingEngine {
                             let needed = blocks_for(target + 1) - m.blocks.len();
                             let outcome = match kv.alloc_blocks(needed) {
                                 Some(fresh) => {
-                                    *cached_ctr += m.cached_tokens;
-                                    *reused_ctr += m.blocks.len();
-                                    *cow_ctr += usize::from(m.cow_source.is_some());
+                                    counters.cached_prefix_tokens += m.cached_tokens;
+                                    counters.blocks_reused += m.blocks.len();
+                                    counters.cow_copies += usize::from(m.cow_source.is_some());
                                     if let Some(rec) = recorder.as_mut() {
                                         rec.record(
                                             now_clock,
@@ -1790,7 +1721,7 @@ impl ServingEngine {
                 let t = st.clock;
                 st.trace(t, || TraceEventKind::Shed { request: rid });
                 if let Some(acc) = st.accumulator.as_mut() {
-                    acc.observe_shed(&st.requests[rid]);
+                    acc.observe(&st.requests[rid]);
                 }
                 st.waiting.retain(|&r| r != rid);
                 // Always re-plan: the freed prefill slot must be offered to
@@ -1857,7 +1788,7 @@ impl ServingEngine {
             (0, 0)
         };
         if dedup_tokens > 0 {
-            st.decode_kv_tokens_deduped += dedup_tokens;
+            st.counters.decode_kv_tokens_deduped += dedup_tokens;
             let t = st.clock;
             st.trace(t, || TraceEventKind::KvDedup {
                 groups: dedup_groups,
@@ -1871,11 +1802,11 @@ impl ServingEngine {
             let sig = BatchSignature::of_plan(&plan, &st.requests, dedup_tokens);
             match st.price_cache.get(&sig) {
                 Some(&cached) => {
-                    st.cache_hits += 1;
+                    st.counters.price_cache_hits += 1;
                     cached
                 }
                 None => {
-                    st.cache_misses += 1;
+                    st.counters.price_cache_misses += 1;
                     let priced = self
                         .cost
                         .iteration_time(&sig.canonical_batch(), self.config.attention);
@@ -1906,10 +1837,10 @@ impl ServingEngine {
         let dt = if draft_dt > 0.0 { dt + draft_dt } else { dt };
         let started_at = st.clock;
         st.clock += dt;
-        st.iterations += 1;
-        st.busy_time += dt;
+        st.counters.iterations += 1;
+        st.counters.busy_time += dt;
         if plan.is_hybrid() {
-            st.hybrid_iterations += 1;
+            st.counters.hybrid_iterations += 1;
         }
 
         // Speculative rounds: draw each decode's acceptance outcome up
@@ -1982,9 +1913,9 @@ impl ServingEngine {
                     req.draft_accepted += o.accepted;
                     req.draft_rejected += rejected;
                 }
-                st.spec_rounds += 1;
-                st.draft_tokens_accepted += o.accepted;
-                st.draft_tokens_rejected += rejected;
+                st.counters.spec_rounds += 1;
+                st.counters.draft_tokens_accepted += o.accepted;
+                st.counters.draft_tokens_rejected += rejected;
                 if paged && o.minted < o.width {
                     let keep = blocks_for(st.requests[rid].context_len())
                         .max(st.tables[rid].indexed)
@@ -2046,11 +1977,9 @@ impl ServingEngine {
         // and drop its token-time buffer — nothing downstream needs it.
         // (Prefill-export parkings are not in `finished`; their buffers ride
         // the handoff to the decode replica, which observes the request.)
-        if st.accumulator.is_some() {
+        if let Some(acc) = st.accumulator.as_mut() {
             for &rid in &finished {
-                if let Some(acc) = st.accumulator.as_mut() {
-                    acc.observe_finished(&st.requests[rid]);
-                }
+                acc.observe(&st.requests[rid]);
                 let dropped = std::mem::take(&mut st.requests[rid].token_times);
                 st.live_token_samples -= dropped.len();
             }
@@ -2103,7 +2032,7 @@ impl ServingEngine {
         // stats and the Sarathi chunk accounting can never drift apart
         // (`decode_tokens`, the net minted count, was computed above).
         let prefill_tokens = plan.scheduled_tokens() - plan.decodes.len() - plan.spec_tokens;
-        st.prefill_tokens_scheduled += prefill_tokens;
+        st.counters.prefill_tokens_scheduled += prefill_tokens;
         // Fair queueing bills scheduled prefill work to the owning tenant's
         // virtual-token counter, weighted (cached-prefix tokens were never
         // scheduled and are free; decode tokens are not contended the same
@@ -2224,42 +2153,25 @@ impl ServingEngine {
     /// mid-run (unfinished requests are excluded from the latency stats).
     pub fn report(&self) -> ServingReport {
         let st = &self.state;
-        let mut report = match &st.accumulator {
+        let acc = match &st.accumulator {
             // Streaming mode: the accumulator already folded every finished
-            // and shed request (token buffers are gone), so the report comes
-            // from it instead of a batch pass over the records.
-            Some(acc) => acc.finalize(
-                &self.config.system_label(),
-                st.clock,
-                st.iterations,
-                st.hybrid_iterations,
-            ),
-            None => ServingReport::from_requests(
-                &self.config.system_label(),
-                &st.requests,
-                st.clock,
-                st.iterations,
-                st.hybrid_iterations,
-            ),
+            // and shed request (token buffers are gone).
+            Some(acc) => acc.clone(),
+            None => {
+                let mut acc = ReportAccumulator::exact();
+                acc.observe_all(&st.requests);
+                acc
+            }
         };
-        report.price_cache_hits = st.cache_hits;
-        report.price_cache_misses = st.cache_misses;
-        report.busy_time = st.busy_time;
-        report.prefill_tokens_scheduled = st.prefill_tokens_scheduled;
-        report.cached_prefix_tokens = st.cached_prefix_tokens;
-        report.blocks_reused = st.blocks_reused;
-        report.cow_copies = st.cow_copies;
-        report.decode_kv_tokens_deduped = st.decode_kv_tokens_deduped;
-        report.spec_rounds = st.spec_rounds;
-        report.draft_tokens_accepted = st.draft_tokens_accepted;
-        report.draft_tokens_rejected = st.draft_tokens_rejected;
-        report.preemptions = st.preemptions;
-        report.blocks_evicted = st.kv.blocks_evicted();
-        report.migrated_out_requests = st.migrated_out;
-        report.migrated_in_requests = st.migrated_in;
-        report.migrated_tokens = st.migrated_tokens_out;
-        report.migration_stall_time = st.migration_stall_time;
-        report
+        acc.finalize(&self.config.system_label(), st.clock, &self.counters())
+    }
+
+    /// The report's engine-side tallies so far.
+    pub(crate) fn counters(&self) -> ServingCounters {
+        ServingCounters {
+            blocks_evicted: self.state.kv.blocks_evicted(),
+            ..self.state.counters
+        }
     }
 
     /// Serve `specs` to completion and return the aggregated report.
@@ -2283,11 +2195,7 @@ impl ServingEngine {
             draft_cost: self.draft_cost.clone(),
             kv_capacity: self.kv_capacity,
             export_prefills: self.export_prefills,
-            state: EngineState::new(
-                self.kv_capacity,
-                self.config.streaming_metrics,
-                self.config.tracing.as_ref(),
-            ),
+            state: EngineState::new(self.kv_capacity, &self.config),
         };
         for spec in specs {
             engine.submit(spec);

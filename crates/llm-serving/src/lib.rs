@@ -118,9 +118,7 @@ pub use engine::{
 pub use json::{JsonParseError, JsonValue};
 pub use kvcache::KvCacheManager;
 pub use linear::{IterationBreakdown, IterationCostModel};
-pub use metrics::{
-    percentile, ReportAccumulator, ServingReport, SloClassReport, SummaryStats, TenantReport,
-};
+pub use metrics::{percentile, ServingReport, SloClassReport, SummaryStats, TenantReport};
 pub use model::{ModelConfig, ParamCounts};
 pub use request::{
     Phase, Priority, PromptContent, Request, RequestSpec, RequestSpecBuilder, SloSpec, TenantId,

@@ -85,7 +85,8 @@ impl IterationCostModel {
     }
 
     /// Create a cost model that prices attention exactly, bypassing the
-    /// estimator's side-cost memoization (the `POD_PRICE_CACHE=0` path).
+    /// estimator's side-cost memoization (the engine's path when
+    /// `ServingConfig::price_cache` is off).
     pub fn exact(model: ModelConfig, gpu: GpuConfig) -> Self {
         let estimator = AttentionEstimator::exact(model.attention, gpu.clone());
         IterationCostModel {

@@ -3,6 +3,7 @@
 use crate::json::JsonValue;
 use crate::request::{Request, TenantId};
 use crate::sketch::QuantileSketch;
+use std::ops::AddAssign;
 
 /// Summary statistics over a set of latency samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -32,21 +33,25 @@ impl SummaryStats {
     /// into reports and trend files; NaN sums to a NaN mean, so one O(1)
     /// check at the aggregate covers every sample).
     pub fn from_samples(samples: &[f64]) -> Self {
+        Self::from_samples_in_place(&mut samples.to_vec())
+    }
+
+    /// [`SummaryStats::from_samples`] without the copy: reorders `samples`.
+    pub(crate) fn from_samples_in_place(samples: &mut [f64]) -> Self {
         if samples.is_empty() {
             return SummaryStats::default();
         }
-        let mut scratch: Vec<f64> = samples.to_vec();
         let mut sum = 0.0;
         let mut max = f64::NEG_INFINITY;
-        for &v in &scratch {
+        for &v in samples.iter() {
             sum += v;
             max = max.max(v);
         }
-        let mean = sum / scratch.len() as f64;
+        let mean = sum / samples.len() as f64;
         assert!(!mean.is_nan(), "latency samples must not be NaN");
-        let (p50, p99) = percentile_pair(&mut scratch, 0.50, 0.99);
+        let (p50, p99) = percentile_pair(samples, 0.50, 0.99);
         SummaryStats {
-            count: scratch.len(),
+            count: samples.len(),
             mean,
             p50,
             p99,
@@ -120,6 +125,14 @@ fn percentile_pair(samples: &mut [f64], q_lo: f64, q_hi: f64) -> (f64, f64) {
     }
 }
 
+/// `num / den`, or `empty` when nothing was counted (`den == 0`).
+fn ratio(num: usize, den: usize, empty: f64) -> f64 {
+    if den == 0 {
+        return empty;
+    }
+    num as f64 / den as f64
+}
+
 /// Percentile of an already-sorted slice using nearest-rank interpolation.
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -159,10 +172,7 @@ impl SloClassReport {
     /// Fraction of this class's finished requests that met their SLO
     /// (1.0 when none finished).
     pub fn attainment(&self) -> f64 {
-        if self.finished == 0 {
-            return 1.0;
-        }
-        self.met as f64 / self.finished as f64
+        ratio(self.met, self.finished, 1.0)
     }
 
     /// Serialize as a JSON object.
@@ -218,10 +228,7 @@ impl TenantReport {
     /// Fraction of this tenant's finished SLO'd requests that met their SLO
     /// (1.0 when none carried an SLO).
     pub fn attainment(&self) -> f64 {
-        if self.slo_requests == 0 {
-            return 1.0;
-        }
-        self.slo_met as f64 / self.slo_requests as f64
+        ratio(self.slo_met, self.slo_requests, 1.0)
     }
 
     /// Goodput in requests for this tenant: finished requests minus SLO
@@ -353,7 +360,10 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
-    /// Build a report from finished (and possibly unfinished) requests.
+    /// Build a report from finished (and possibly unfinished) requests,
+    /// graded in list order with exact percentiles by the same grader the
+    /// engine and cluster use. Engine-side counters other than the
+    /// iteration counts are zero.
     pub fn from_requests(
         system: &str,
         requests: &[Request],
@@ -361,171 +371,14 @@ impl ServingReport {
         iterations: usize,
         hybrid_iterations: usize,
     ) -> Self {
-        let finished: Vec<&Request> = requests
-            .iter()
-            .filter(|r| r.finish_time.is_some())
-            .collect();
-        let mut ttfts: Vec<f64> = Vec::with_capacity(finished.len());
-        let mut latencies: Vec<f64> = Vec::with_capacity(finished.len());
-        let total_tokens: usize = finished.iter().map(|r| r.token_times.len()).sum();
-        let mut tbts: Vec<f64> = Vec::with_capacity(total_tokens);
-        let mut with_decode = 0usize;
-        let mut stalls_200 = 0usize;
-        let mut stalls_500 = 0usize;
-        let mut slo_requests = 0usize;
-        let mut slo_met = 0usize;
-        let mut slo_ttft_violations = 0usize;
-        let mut slo_tbt_violations = 0usize;
-        let mut ttft_slacks: Vec<f64> = Vec::new();
-        let mut classes: Vec<SloClassReport> = Vec::new();
-        let class_entry = |classes: &mut Vec<SloClassReport>, name: &str| -> usize {
-            match classes.iter().position(|c| c.class == name) {
-                Some(i) => i,
-                None => {
-                    classes.push(SloClassReport {
-                        class: name.to_string(),
-                        ..SloClassReport::default()
-                    });
-                    classes.len() - 1
-                }
-            }
-        };
-        // Per-tenant rows are kept sorted by id as they appear, alongside a
-        // per-tenant TTFT sample buffer summarized at the end.
-        let mut tenant_tallies: Vec<(TenantReport, Vec<f64>)> = Vec::new();
-        let tenant_entry = |tallies: &mut Vec<(TenantReport, Vec<f64>)>, id: TenantId| -> usize {
-            match tallies.binary_search_by_key(&id, |t| t.0.tenant) {
-                Ok(i) => i,
-                Err(i) => {
-                    tallies.insert(
-                        i,
-                        (
-                            TenantReport {
-                                tenant: id,
-                                ..TenantReport::default()
-                            },
-                            Vec::new(),
-                        ),
-                    );
-                    i
-                }
-            }
-        };
-        // Single pass over every request, in list order (so `slo_classes`
-        // really is ordered by first appearance, shed or finished): collect
-        // each finished request's token gaps once and track the per-request
-        // maximum gap, instead of rebuilding the gap vector for each derived
-        // statistic; count shed requests (which never finish) as they occur.
-        let mut shed_requests = 0usize;
-        for r in requests {
-            if r.shed_time.is_some() {
-                shed_requests += 1;
-                if let Some(slo) = r.spec.slo {
-                    let i = class_entry(&mut classes, slo.class);
-                    classes[i].shed += 1;
-                }
-                let ti = tenant_entry(&mut tenant_tallies, r.spec.tenant);
-                tenant_tallies[ti].0.shed += 1;
-                continue;
-            }
-            if r.finish_time.is_none() {
-                continue;
-            }
-            ttfts.extend(r.ttft());
-            latencies.extend(r.latency());
-            let ti = tenant_entry(&mut tenant_tallies, r.spec.tenant);
-            tenant_tallies[ti].0.finished += 1;
-            tenant_tallies[ti].0.preemptions_suffered += r.restarts;
-            tenant_tallies[ti].0.preemptions_inflicted += r.preemptions_inflicted;
-            tenant_tallies[ti].1.extend(r.ttft());
-            let mut max_gap = f64::NEG_INFINITY;
-            for w in r.token_times.windows(2) {
-                let gap = w[1] - w[0];
-                max_gap = max_gap.max(gap);
-                tbts.push(gap);
-            }
-            if max_gap > f64::NEG_INFINITY {
-                with_decode += 1;
-                if max_gap > 0.2 {
-                    stalls_200 += 1;
-                }
-                if max_gap > 0.5 {
-                    stalls_500 += 1;
-                }
-            }
-            if let Some(slo) = r.spec.slo {
-                slo_requests += 1;
-                let ttft_ok = r.meets_ttft();
-                // `max_gap` was just computed, so the TBT criterion is free
-                // here (NEG_INFINITY = no decode gaps = trivially met);
-                // equivalent to [`Request::meets_tbt`] without re-walking
-                // the token times.
-                let tbt_ok = max_gap <= slo.tbt_target;
-                ttft_slacks.extend(r.ttft_slack());
-                let i = class_entry(&mut classes, slo.class);
-                classes[i].finished += 1;
-                if !ttft_ok {
-                    slo_ttft_violations += 1;
-                    classes[i].ttft_violations += 1;
-                }
-                if !tbt_ok {
-                    slo_tbt_violations += 1;
-                    classes[i].tbt_violations += 1;
-                }
-                if ttft_ok && tbt_ok {
-                    slo_met += 1;
-                    classes[i].met += 1;
-                }
-                tenant_tallies[ti].0.slo_requests += 1;
-                if ttft_ok && tbt_ok {
-                    tenant_tallies[ti].0.slo_met += 1;
-                }
-            }
-        }
-        let with_decode = with_decode.max(1);
-        ServingReport {
-            system: system.to_string(),
-            makespan,
-            completed: finished.len(),
+        let mut acc = ReportAccumulator::exact();
+        acc.observe_all(requests);
+        let counters = ServingCounters {
             iterations,
             hybrid_iterations,
-            ttft: SummaryStats::from_samples(&ttfts),
-            tbt: SummaryStats::from_samples(&tbts),
-            request_latency: SummaryStats::from_samples(&latencies),
-            stall_fraction_200ms: stalls_200 as f64 / with_decode as f64,
-            stall_fraction_500ms: stalls_500 as f64 / with_decode as f64,
-            price_cache_hits: 0,
-            price_cache_misses: 0,
-            busy_time: 0.0,
-            prefill_tokens_scheduled: 0,
-            cached_prefix_tokens: 0,
-            blocks_reused: 0,
-            cow_copies: 0,
-            decode_kv_tokens_deduped: 0,
-            spec_rounds: 0,
-            draft_tokens_accepted: 0,
-            draft_tokens_rejected: 0,
-            preemptions: 0,
-            blocks_evicted: 0,
-            migrated_out_requests: 0,
-            migrated_in_requests: 0,
-            migrated_tokens: 0,
-            migration_stall_time: 0.0,
-            shed_requests,
-            slo_requests,
-            slo_met,
-            slo_ttft_violations,
-            slo_tbt_violations,
-            ttft_slack: SummaryStats::from_samples(&ttft_slacks),
-            slo_classes: classes,
-            tenants: tenant_tallies
-                .into_iter()
-                .map(|(mut rep, ttfts)| {
-                    rep.ttft = SummaryStats::from_samples(&ttfts);
-                    rep
-                })
-                .collect(),
-        }
+            ..ServingCounters::default()
+        };
+        acc.finalize(system, makespan, &counters)
     }
 
     /// Serialize the full report as a JSON object — the one format the bench
@@ -647,10 +500,7 @@ impl ServingReport {
     /// they show up in [`ServingReport::shed_requests`] and as missing
     /// goodput instead.
     pub fn slo_attainment(&self) -> f64 {
-        if self.slo_requests == 0 {
-            return 1.0;
-        }
-        self.slo_met as f64 / self.slo_requests as f64
+        ratio(self.slo_met, self.slo_requests, 1.0)
     }
 
     /// Goodput in requests: completed requests that met their SLO (requests
@@ -673,10 +523,7 @@ impl ServingReport {
     /// cache was disabled or the run had no iterations).
     pub fn price_cache_hit_rate(&self) -> f64 {
         let total = self.price_cache_hits + self.price_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.price_cache_hits as f64 / total as f64
+        ratio(self.price_cache_hits, total, 0.0)
     }
 
     /// Fraction of prompt-prefill work satisfied from the prefix cache:
@@ -684,10 +531,7 @@ impl ServingReport {
     /// when prefix caching was off or nothing ran.
     pub fn prefix_hit_rate(&self) -> f64 {
         let total = self.cached_prefix_tokens + self.prefill_tokens_scheduled;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cached_prefix_tokens as f64 / total as f64
+        ratio(self.cached_prefix_tokens, total, 0.0)
     }
 
     /// Offline-throughput metric the paper reports in Figure 12: completed
@@ -700,64 +544,171 @@ impl ServingReport {
     }
 }
 
-/// Streaming, constant-memory counterpart of
-/// [`ServingReport::from_requests`], for fleet-scale trace replay.
+/// Engine-side tallies a [`ServingReport`] carries besides its graded
+/// request statistics; each field means the same as the [`ServingReport`]
+/// field of that name. Every engine keeps one and the cluster sums them
+/// with `+=` in replica order, so a new counter is a field here, a line in
+/// `add_assign` and one in [`ReportAccumulator::finalize`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct ServingCounters {
+    pub(crate) iterations: usize,
+    pub(crate) hybrid_iterations: usize,
+    pub(crate) busy_time: f64,
+    pub(crate) price_cache_hits: usize,
+    pub(crate) price_cache_misses: usize,
+    pub(crate) prefill_tokens_scheduled: usize,
+    pub(crate) cached_prefix_tokens: usize,
+    pub(crate) blocks_reused: usize,
+    pub(crate) cow_copies: usize,
+    pub(crate) decode_kv_tokens_deduped: usize,
+    pub(crate) spec_rounds: usize,
+    pub(crate) draft_tokens_accepted: usize,
+    pub(crate) draft_tokens_rejected: usize,
+    pub(crate) preemptions: usize,
+    pub(crate) blocks_evicted: usize,
+    pub(crate) migrated_out_requests: usize,
+    pub(crate) migrated_in_requests: usize,
+    pub(crate) migrated_tokens: usize,
+    pub(crate) migration_stall_time: f64,
+}
+
+impl AddAssign for ServingCounters {
+    fn add_assign(&mut self, o: Self) {
+        self.iterations += o.iterations;
+        self.hybrid_iterations += o.hybrid_iterations;
+        self.busy_time += o.busy_time;
+        self.price_cache_hits += o.price_cache_hits;
+        self.price_cache_misses += o.price_cache_misses;
+        self.prefill_tokens_scheduled += o.prefill_tokens_scheduled;
+        self.cached_prefix_tokens += o.cached_prefix_tokens;
+        self.blocks_reused += o.blocks_reused;
+        self.cow_copies += o.cow_copies;
+        self.decode_kv_tokens_deduped += o.decode_kv_tokens_deduped;
+        self.spec_rounds += o.spec_rounds;
+        self.draft_tokens_accepted += o.draft_tokens_accepted;
+        self.draft_tokens_rejected += o.draft_tokens_rejected;
+        self.preemptions += o.preemptions;
+        self.blocks_evicted += o.blocks_evicted;
+        self.migrated_out_requests += o.migrated_out_requests;
+        self.migrated_in_requests += o.migrated_in_requests;
+        self.migrated_tokens += o.migrated_tokens;
+        self.migration_stall_time += o.migration_stall_time;
+    }
+}
+
+/// One distribution's samples: kept whole for exact selection, or folded
+/// into a mergeable [`QuantileSketch`] for constant memory.
+#[derive(Debug, Clone, PartialEq)]
+enum SampleStore {
+    Exact(Vec<f64>),
+    Sketch(QuantileSketch),
+}
+
+impl SampleStore {
+    /// An empty store of the same kind.
+    fn empty_like(&self) -> Self {
+        match self {
+            SampleStore::Exact(_) => SampleStore::Exact(Vec::new()),
+            SampleStore::Sketch(_) => SampleStore::Sketch(QuantileSketch::new()),
+        }
+    }
+
+    fn observe(&mut self, value: f64) {
+        match self {
+            SampleStore::Exact(samples) => samples.push(value),
+            SampleStore::Sketch(sketch) => sketch.observe(value),
+        }
+    }
+
+    /// Make room for `additional` more samples (a no-op for sketches).
+    fn reserve(&mut self, additional: usize) {
+        if let SampleStore::Exact(samples) = self {
+            samples.reserve_exact(additional);
+        }
+    }
+
+    /// Add `other`'s sketch buckets.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both stores are sketches: exact stores are filled in
+    /// list order instead, never merged.
+    fn merge(&mut self, other: &SampleStore) {
+        match (self, other) {
+            (SampleStore::Sketch(a), SampleStore::Sketch(b)) => a.merge(b),
+            _ => panic!("only sketch sample stores merge"),
+        }
+    }
+
+    /// Exact stores select their percentiles in place; sketches read theirs
+    /// from the buckets.
+    fn summary(self) -> SummaryStats {
+        match self {
+            SampleStore::Exact(mut samples) => SummaryStats::from_samples_in_place(&mut samples),
+            SampleStore::Sketch(sketch) => sketch.summary(),
+        }
+    }
+}
+
+/// The one grader of serving requests: TTFT, TBT and latency distributions,
+/// stall fractions, SLO attainment and the shed and tenant tallies.
 ///
-/// In streaming mode the engine feeds every request into the accumulator
-/// the moment it finishes (or is shed) and then drops the request's
-/// per-token sample buffer, so memory stays O(sketch buckets) instead of
-/// O(total tokens). Counts, means, maxima, stall fractions and all SLO
-/// tallies are exact; only the `p50`/`p99` fields of the four
-/// [`SummaryStats`] distributions are approximate, within the
-/// [`QuantileSketch`] error bound (see that type's module docs).
-///
-/// Accumulators merge bucket-wise ([`ReportAccumulator::merge`]), which is
-/// how the cluster layer derives fleet-wide percentiles without ever
-/// concatenating sample buffers. The grading rules mirror `from_requests`
-/// line for line; `streaming_reports_match_exact_counters` below pins the
-/// two paths together.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReportAccumulator {
-    ttft: QuantileSketch,
-    tbt: QuantileSketch,
-    latency: QuantileSketch,
-    slack: QuantileSketch,
-    finished: usize,
+/// One grader, two sample stores. [`ReportAccumulator::exact`] keeps every
+/// sample and selects exact percentiles: [`ServingReport::from_requests`],
+/// the engine's default report and the cluster aggregate fold request
+/// records into it in list order, and the golden tests pin that output bit
+/// for bit. [`ReportAccumulator::sketch`] backs the four distributions and
+/// each tenant's TTFT with [`QuantileSketch`]es instead. With
+/// [`ServingConfig::streaming_metrics`](crate::ServingConfig::streaming_metrics)
+/// the engine feeds it each request the moment it finishes or is shed and
+/// then drops the request's per-token buffer, so memory stays O(sketch
+/// buckets) instead of O(total tokens). Counts, means, maxima, stall
+/// fractions and SLO tallies are exact either way; only the sketch
+/// `p50`/`p99` are approximate, within the [`QuantileSketch`] error bound.
+/// Sketch accumulators merge bucket-wise ([`ReportAccumulator::merge`]),
+/// which is how the cluster derives streaming fleet percentiles.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ReportAccumulator {
+    ttft: SampleStore,
+    tbt: SampleStore,
+    latency: SampleStore,
+    slack: SampleStore,
+    /// Finished requests with at least one decode gap, and those among them
+    /// whose largest gap exceeded 200 ms and 500 ms.
     with_decode: usize,
     stalls_200: usize,
     stalls_500: usize,
-    shed: usize,
-    slo_requests: usize,
-    slo_met: usize,
-    slo_ttft_violations: usize,
-    slo_tbt_violations: usize,
+    /// Per-class rows in first-appearance order; the report's SLO totals
+    /// are their sums.
     classes: Vec<SloClassReport>,
-    tenants: Vec<TenantAcc>,
-}
-
-/// Streaming per-tenant tallies: exact counters plus one TTFT sketch, kept
-/// sorted by tenant id (so merge order never changes the output ordering).
-#[derive(Debug, Clone, PartialEq, Default)]
-struct TenantAcc {
-    tenant: TenantId,
-    finished: usize,
-    shed: usize,
-    slo_requests: usize,
-    slo_met: usize,
-    preemptions_suffered: usize,
-    preemptions_inflicted: usize,
-    ttft: QuantileSketch,
+    /// Per-tenant rows sorted by id, each with its TTFT samples; the
+    /// report's completed and shed counts are their sums.
+    tenants: Vec<(TenantReport, SampleStore)>,
 }
 
 impl ReportAccumulator {
     /// An empty accumulator with default-accuracy sketches.
-    pub fn new() -> Self {
-        ReportAccumulator::default()
+    pub(crate) fn sketch() -> Self {
+        Self::with_store(SampleStore::Sketch(QuantileSketch::new()))
     }
 
-    /// Requests observed as finished so far.
-    pub fn finished(&self) -> usize {
-        self.finished
+    /// An empty accumulator that keeps every sample.
+    pub(crate) fn exact() -> Self {
+        Self::with_store(SampleStore::Exact(Vec::new()))
+    }
+
+    fn with_store(store: SampleStore) -> Self {
+        ReportAccumulator {
+            ttft: store.empty_like(),
+            tbt: store.empty_like(),
+            latency: store.empty_like(),
+            slack: store,
+            with_decode: 0,
+            stalls_200: 0,
+            stalls_500: 0,
+            classes: Vec::new(),
+            tenants: Vec::new(),
+        }
     }
 
     fn class_entry(&mut self, name: &str) -> usize {
@@ -774,36 +725,44 @@ impl ReportAccumulator {
     }
 
     fn tenant_entry(&mut self, id: TenantId) -> usize {
-        match self.tenants.binary_search_by_key(&id, |t| t.tenant) {
+        match self.tenants.binary_search_by_key(&id, |t| t.0.tenant) {
             Ok(i) => i,
             Err(i) => {
-                self.tenants.insert(
-                    i,
-                    TenantAcc {
-                        tenant: id,
-                        ..TenantAcc::default()
-                    },
-                );
+                let row = TenantReport {
+                    tenant: id,
+                    ..TenantReport::default()
+                };
+                self.tenants.insert(i, (row, self.ttft.empty_like()));
                 i
             }
         }
     }
 
-    /// Fold one finished request into the running distributions. Must be
-    /// called exactly once per finished request, while its `token_times`
-    /// are still intact; the caller may drop them afterwards.
-    pub fn observe_finished(&mut self, r: &Request) {
-        debug_assert!(r.finish_time.is_some() && r.shed_time.is_none());
-        self.finished += 1;
-        if let Some(t) = r.ttft() {
-            self.ttft.observe(t);
+    /// Grade one request. A shed request moves only the shed tallies, a
+    /// finished one is graded, and any other (in flight, or exported to a
+    /// decode replica) is skipped. Call it at most once per request, while a
+    /// finished request's `token_times` are intact.
+    pub(crate) fn observe(&mut self, r: &Request) {
+        if r.shed_time.is_some() {
+            if let Some(slo) = r.spec.slo {
+                let i = self.class_entry(slo.class);
+                self.classes[i].shed += 1;
+            }
+            let ti = self.tenant_entry(r.spec.tenant);
+            self.tenants[ti].0.shed += 1;
+            return;
+        }
+        if r.finish_time.is_none() {
+            return;
         }
         let ti = self.tenant_entry(r.spec.tenant);
-        self.tenants[ti].finished += 1;
-        self.tenants[ti].preemptions_suffered += r.restarts;
-        self.tenants[ti].preemptions_inflicted += r.preemptions_inflicted;
+        let (tenant, tenant_ttft) = &mut self.tenants[ti];
+        tenant.finished += 1;
+        tenant.preemptions_suffered += r.restarts;
+        tenant.preemptions_inflicted += r.preemptions_inflicted;
         if let Some(t) = r.ttft() {
-            self.tenants[ti].ttft.observe(t);
+            self.ttft.observe(t);
+            tenant_ttft.observe(t);
         }
         if let Some(l) = r.latency() {
             self.latency.observe(l);
@@ -816,152 +775,140 @@ impl ReportAccumulator {
         }
         if max_gap > f64::NEG_INFINITY {
             self.with_decode += 1;
-            if max_gap > 0.2 {
-                self.stalls_200 += 1;
-            }
-            if max_gap > 0.5 {
-                self.stalls_500 += 1;
-            }
+            self.stalls_200 += usize::from(max_gap > 0.2);
+            self.stalls_500 += usize::from(max_gap > 0.5);
         }
         if let Some(slo) = r.spec.slo {
-            self.slo_requests += 1;
             let ttft_ok = r.meets_ttft();
-            // Same shortcut as `from_requests`: `max_gap` doubles as the TBT
-            // criterion (NEG_INFINITY = no decode gaps = trivially met).
+            // `max_gap` doubles as the TBT criterion (NEG_INFINITY = no
+            // decode gaps = trivially met), equivalent to
+            // [`Request::meets_tbt`] without re-walking the token times.
             let tbt_ok = max_gap <= slo.tbt_target;
+            let met = usize::from(ttft_ok && tbt_ok);
             if let Some(s) = r.ttft_slack() {
                 self.slack.observe(s);
             }
             let i = self.class_entry(slo.class);
-            self.classes[i].finished += 1;
-            if !ttft_ok {
-                self.slo_ttft_violations += 1;
-                self.classes[i].ttft_violations += 1;
-            }
-            if !tbt_ok {
-                self.slo_tbt_violations += 1;
-                self.classes[i].tbt_violations += 1;
-            }
-            if ttft_ok && tbt_ok {
-                self.slo_met += 1;
-                self.classes[i].met += 1;
-            }
-            self.tenants[ti].slo_requests += 1;
-            if ttft_ok && tbt_ok {
-                self.tenants[ti].slo_met += 1;
-            }
+            let class = &mut self.classes[i];
+            class.finished += 1;
+            class.met += met;
+            class.ttft_violations += usize::from(!ttft_ok);
+            class.tbt_violations += usize::from(!tbt_ok);
+            let tenant = &mut self.tenants[ti].0;
+            tenant.slo_requests += 1;
+            tenant.slo_met += met;
         }
     }
 
-    /// Fold one shed request in (it never finishes; only shed tallies move).
-    pub fn observe_shed(&mut self, r: &Request) {
-        debug_assert!(r.shed_time.is_some());
-        self.shed += 1;
-        if let Some(slo) = r.spec.slo {
-            let i = self.class_entry(slo.class);
-            self.classes[i].shed += 1;
+    /// [`ReportAccumulator::observe`] each of `requests` in order, after
+    /// sizing exact sample buffers for all of them so none regrows.
+    pub(crate) fn observe_all<'a, I>(&mut self, requests: I)
+    where
+        I: IntoIterator<Item = &'a Request>,
+        I::IntoIter: Clone,
+    {
+        let requests = requests.into_iter();
+        let (graded, gaps) = requests
+            .clone()
+            .filter(|r| r.shed_time.is_none() && r.finish_time.is_some())
+            .fold((0, 0), |(n, gaps), r| {
+                (n + 1, gaps + r.token_times.len().saturating_sub(1))
+            });
+        self.ttft.reserve(graded);
+        self.latency.reserve(graded);
+        self.tbt.reserve(gaps);
+        for r in requests {
+            self.observe(r);
         }
-        let ti = self.tenant_entry(r.spec.tenant);
-        self.tenants[ti].shed += 1;
     }
 
-    /// Fold another accumulator in. Sketch merges are bucket-wise counter
-    /// additions, so fleet percentiles are independent of merge order; the
-    /// cluster merges in replica-index order for deterministic means and
-    /// class ordering (classes append by first appearance across the merge
-    /// sequence).
-    pub fn merge(&mut self, other: &ReportAccumulator) {
+    /// Fold another sketch accumulator in. Sketch merges are bucket-wise
+    /// counter additions, so fleet percentiles are independent of merge
+    /// order; the cluster merges in replica-index order for deterministic
+    /// means and class ordering (classes append by first appearance across
+    /// the merge sequence).
+    pub(crate) fn merge(&mut self, other: &ReportAccumulator) {
         self.ttft.merge(&other.ttft);
         self.tbt.merge(&other.tbt);
         self.latency.merge(&other.latency);
         self.slack.merge(&other.slack);
-        self.finished += other.finished;
         self.with_decode += other.with_decode;
         self.stalls_200 += other.stalls_200;
         self.stalls_500 += other.stalls_500;
-        self.shed += other.shed;
-        self.slo_requests += other.slo_requests;
-        self.slo_met += other.slo_met;
-        self.slo_ttft_violations += other.slo_ttft_violations;
-        self.slo_tbt_violations += other.slo_tbt_violations;
         for c in &other.classes {
             let i = self.class_entry(&c.class);
-            self.classes[i].finished += c.finished;
-            self.classes[i].met += c.met;
-            self.classes[i].ttft_violations += c.ttft_violations;
-            self.classes[i].tbt_violations += c.tbt_violations;
-            self.classes[i].shed += c.shed;
+            let class = &mut self.classes[i];
+            class.finished += c.finished;
+            class.met += c.met;
+            class.ttft_violations += c.ttft_violations;
+            class.tbt_violations += c.tbt_violations;
+            class.shed += c.shed;
         }
-        for t in &other.tenants {
+        for (t, ttft) in &other.tenants {
             let i = self.tenant_entry(t.tenant);
-            self.tenants[i].ttft.merge(&t.ttft);
-            self.tenants[i].finished += t.finished;
-            self.tenants[i].shed += t.shed;
-            self.tenants[i].slo_requests += t.slo_requests;
-            self.tenants[i].slo_met += t.slo_met;
-            self.tenants[i].preemptions_suffered += t.preemptions_suffered;
-            self.tenants[i].preemptions_inflicted += t.preemptions_inflicted;
+            let (tenant, tenant_ttft) = &mut self.tenants[i];
+            tenant_ttft.merge(ttft);
+            tenant.finished += t.finished;
+            tenant.shed += t.shed;
+            tenant.slo_requests += t.slo_requests;
+            tenant.slo_met += t.slo_met;
+            tenant.preemptions_suffered += t.preemptions_suffered;
+            tenant.preemptions_inflicted += t.preemptions_inflicted;
         }
     }
 
-    /// Produce the report. Engine-level counters (price cache, busy time,
-    /// migration, ...) are zeroed exactly as in `from_requests`; the engine
-    /// and cluster overwrite them from their own exact tallies.
-    pub fn finalize(
-        &self,
+    /// Produce the report, its engine-side fields taken from `counters`.
+    /// Consumes the accumulator, so exact stores select in place.
+    pub(crate) fn finalize(
+        self,
         system: &str,
         makespan: f64,
-        iterations: usize,
-        hybrid_iterations: usize,
+        counters: &ServingCounters,
     ) -> ServingReport {
-        let with_decode = self.with_decode.max(1);
+        let class_sum = |f: fn(&SloClassReport) -> usize| self.classes.iter().map(f).sum();
+        let tenant_sum = |f: fn(&TenantReport) -> usize| self.tenants.iter().map(|t| f(&t.0)).sum();
+        let c = counters;
         ServingReport {
             system: system.to_string(),
             makespan,
-            completed: self.finished,
-            iterations,
-            hybrid_iterations,
+            completed: tenant_sum(|t| t.finished),
+            iterations: c.iterations,
+            hybrid_iterations: c.hybrid_iterations,
             ttft: self.ttft.summary(),
             tbt: self.tbt.summary(),
             request_latency: self.latency.summary(),
-            stall_fraction_200ms: self.stalls_200 as f64 / with_decode as f64,
-            stall_fraction_500ms: self.stalls_500 as f64 / with_decode as f64,
-            price_cache_hits: 0,
-            price_cache_misses: 0,
-            busy_time: 0.0,
-            prefill_tokens_scheduled: 0,
-            cached_prefix_tokens: 0,
-            blocks_reused: 0,
-            cow_copies: 0,
-            decode_kv_tokens_deduped: 0,
-            spec_rounds: 0,
-            draft_tokens_accepted: 0,
-            draft_tokens_rejected: 0,
-            preemptions: 0,
-            blocks_evicted: 0,
-            migrated_out_requests: 0,
-            migrated_in_requests: 0,
-            migrated_tokens: 0,
-            migration_stall_time: 0.0,
-            shed_requests: self.shed,
-            slo_requests: self.slo_requests,
-            slo_met: self.slo_met,
-            slo_ttft_violations: self.slo_ttft_violations,
-            slo_tbt_violations: self.slo_tbt_violations,
+            stall_fraction_200ms: ratio(self.stalls_200, self.with_decode, 0.0),
+            stall_fraction_500ms: ratio(self.stalls_500, self.with_decode, 0.0),
+            price_cache_hits: c.price_cache_hits,
+            price_cache_misses: c.price_cache_misses,
+            busy_time: c.busy_time,
+            prefill_tokens_scheduled: c.prefill_tokens_scheduled,
+            cached_prefix_tokens: c.cached_prefix_tokens,
+            blocks_reused: c.blocks_reused,
+            cow_copies: c.cow_copies,
+            decode_kv_tokens_deduped: c.decode_kv_tokens_deduped,
+            spec_rounds: c.spec_rounds,
+            draft_tokens_accepted: c.draft_tokens_accepted,
+            draft_tokens_rejected: c.draft_tokens_rejected,
+            preemptions: c.preemptions,
+            blocks_evicted: c.blocks_evicted,
+            migrated_out_requests: c.migrated_out_requests,
+            migrated_in_requests: c.migrated_in_requests,
+            migrated_tokens: c.migrated_tokens,
+            migration_stall_time: c.migration_stall_time,
+            shed_requests: tenant_sum(|t| t.shed),
+            slo_requests: class_sum(|c| c.finished),
+            slo_met: class_sum(|c| c.met),
+            slo_ttft_violations: class_sum(|c| c.ttft_violations),
+            slo_tbt_violations: class_sum(|c| c.tbt_violations),
             ttft_slack: self.slack.summary(),
-            slo_classes: self.classes.clone(),
+            slo_classes: self.classes,
             tenants: self
                 .tenants
-                .iter()
-                .map(|t| TenantReport {
-                    tenant: t.tenant,
-                    finished: t.finished,
-                    shed: t.shed,
-                    slo_requests: t.slo_requests,
-                    slo_met: t.slo_met,
-                    preemptions_suffered: t.preemptions_suffered,
-                    preemptions_inflicted: t.preemptions_inflicted,
-                    ttft: t.ttft.summary(),
+                .into_iter()
+                .map(|(mut row, ttft)| {
+                    row.ttft = ttft.summary();
+                    row
                 })
                 .collect(),
         }
@@ -1157,10 +1104,9 @@ mod tests {
         assert_eq!(report.shed_requests, 0);
     }
 
-    /// The streaming accumulator and the exact batch path grade requests by
-    /// the same rules: every integer tally, mean, and max agree exactly, and
-    /// the sketch percentiles sit within their documented bound of the exact
-    /// ones.
+    /// The sketch and exact sample stores under the one grader: every
+    /// integer tally, mean, and max agree exactly, and the sketch
+    /// percentiles sit within their documented bound of the exact ones.
     #[test]
     fn streaming_reports_match_exact_counters() {
         use crate::request::SloSpec;
@@ -1193,15 +1139,16 @@ mod tests {
             requests.push(r);
         }
         let exact = ServingReport::from_requests("test", &requests, 60.0, 10, 5);
-        let mut acc = ReportAccumulator::new();
+        let mut acc = ReportAccumulator::sketch();
         for r in &requests {
-            if r.shed_time.is_some() {
-                acc.observe_shed(r);
-            } else if r.finish_time.is_some() {
-                acc.observe_finished(r);
-            }
+            acc.observe(r);
         }
-        let streamed = acc.finalize("test", 60.0, 10, 5);
+        let counters = ServingCounters {
+            iterations: 10,
+            hybrid_iterations: 5,
+            ..ServingCounters::default()
+        };
+        let streamed = acc.finalize("test", 60.0, &counters);
         assert_eq!(streamed.completed, exact.completed);
         assert_eq!(streamed.shed_requests, exact.shed_requests);
         assert_eq!(streamed.slo_requests, exact.slo_requests);

@@ -24,7 +24,7 @@
 //!   always on and pay a constant memory bill, keeping the last *N* events
 //!   of history for when something goes wrong — the fuzz harness dumps the
 //!   recorder automatically on any invariant violation.
-//! * **Constant-memory timelines.** Periodic samples of batch occupancy, KV
+//! * **Constant-memory timelines.** Periodic samples of running requests, KV
 //!   utilization and queue depth additionally fold into
 //!   [`QuantileSketch`]es ([`TimelineSummary`]), so the *distribution* of a
 //!   timeline survives even after the ring has dropped its oldest samples.
@@ -608,14 +608,18 @@ impl TraceEvent {
 /// run's timeline survives the ring buffer dropping its oldest samples.
 #[derive(Debug, Clone)]
 pub struct TimelineSummary {
-    /// Decode-batch occupancy (running requests) per sample.
-    pub batch_occupancy: QuantileSketch,
-    /// KV pool utilization per sample.
+    /// Running requests (resident, in their decode phase) per sample: a
+    /// count of requests, not a fraction of `max_batch_size`. It can exceed
+    /// the decode batch when the scheduler caps decodes per iteration.
+    pub running_requests: QuantileSketch,
+    /// KV pool utilization per sample: the fraction in `[0, 1]` of pool
+    /// blocks referenced by live requests.
     pub kv_utilization: QuantileSketch,
-    /// Admission queue depth (waiting requests) per sample.
+    /// Admission queue depth per sample: a count of waiting requests.
     pub queue_depth: QuantileSketch,
-    /// Prefill share of the sampled iteration's scheduled tokens
-    /// (`prefill / (prefill + decode)`; 0 for decode-only batches).
+    /// Prefill share of the sampled iteration's scheduled tokens per
+    /// sample: the ratio `prefill / (prefill + decode)` in `[0, 1]`
+    /// (iterations that scheduled no tokens are not observed).
     pub prefill_share: QuantileSketch,
     /// Samples folded in.
     pub samples: u64,
@@ -631,7 +635,7 @@ impl TimelineSummary {
     /// An empty summary.
     pub fn new() -> Self {
         TimelineSummary {
-            batch_occupancy: QuantileSketch::new(),
+            running_requests: QuantileSketch::new(),
             kv_utilization: QuantileSketch::new(),
             queue_depth: QuantileSketch::new(),
             prefill_share: QuantileSketch::new(),
@@ -647,7 +651,7 @@ impl TimelineSummary {
         prefill: usize,
         decode: usize,
     ) {
-        self.batch_occupancy.observe(running as f64);
+        self.running_requests.observe(running as f64);
         self.kv_utilization.observe(kv_util);
         self.queue_depth.observe(waiting as f64);
         let scheduled = prefill + decode;
@@ -661,7 +665,7 @@ impl TimelineSummary {
     /// Fold another summary into this one (bucket-count addition — order
     /// independent, like the report accumulators).
     pub fn merge(&mut self, other: &TimelineSummary) {
-        self.batch_occupancy.merge(&other.batch_occupancy);
+        self.running_requests.merge(&other.running_requests);
         self.kv_utilization.merge(&other.kv_utilization);
         self.queue_depth.merge(&other.queue_depth);
         self.prefill_share.merge(&other.prefill_share);
@@ -684,7 +688,7 @@ impl TimelineSummary {
         };
         JsonValue::obj(vec![
             ("samples", JsonValue::Num(self.samples as f64)),
-            ("batch_occupancy", stats(&self.batch_occupancy)),
+            ("running_requests", stats(&self.running_requests)),
             ("kv_utilization", stats(&self.kv_utilization)),
             ("queue_depth", stats(&self.queue_depth)),
             ("prefill_share", stats(&self.prefill_share)),
@@ -1328,7 +1332,7 @@ mod tests {
         }
         let tl = rec.timeline();
         assert_eq!(tl.samples, 10);
-        assert_eq!(tl.batch_occupancy.count(), 10);
+        assert_eq!(tl.running_requests.count(), 10);
         assert!((tl.prefill_share.mean() - 0.5).abs() < 1e-9);
         let json = tl.to_json();
         assert!(json.get_path("queue_depth.p99").is_some());

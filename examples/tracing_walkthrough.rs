@@ -63,14 +63,14 @@ fn main() {
         outcomes.finished, outcomes.shed, outcomes.migrated_out, outcomes.migrated_in
     );
 
-    // 2. The timeline summary: constant-memory distributions of batch
-    //    occupancy and KV utilization sampled every 2 virtual seconds.
+    // 2. The timeline summary: constant-memory distributions of running
+    //    requests and KV utilization sampled every 2 virtual seconds.
     let timeline = &recording.timeline;
     println!(
-        "timeline: {} samples, batch occupancy p50 {:.0} / p99 {:.0}, kv util p99 {:.2}",
+        "timeline: {} samples, running requests p50 {:.0} / p99 {:.0}, kv util p99 {:.2}",
         timeline.samples,
-        timeline.batch_occupancy.quantile(0.5),
-        timeline.batch_occupancy.quantile(0.99),
+        timeline.running_requests.quantile(0.5),
+        timeline.running_requests.quantile(0.99),
         timeline.kv_utilization.quantile(0.99),
     );
 
