@@ -33,6 +33,23 @@
 //! resident unit that a naive implementation performs four times per
 //! interval. Per-unit work is attributed to kernels and op-classes once, at
 //! drain time, which is exact because shares are piecewise constant.
+//!
+//! # Incremental placement
+//!
+//! The CTA scheduler runs before every interval, but most intervals retire
+//! no CTA. A kernel's placement loop in one fill stops only when it has
+//! dispatched every CTA or a whole pass over the SMs placed nothing, so a
+//! kernel still placing at the next fill was blocked on *every* SM when its
+//! loop ended. Each test is `used + needed > limit` for threads, shared
+//! memory, registers, the resident-CTA limit and the kernel's own cap, and
+//! between two fills an SM's usage only grows, except on the SMs where
+//! `retire_complete` released a CTA. Every other SM therefore still
+//! rejects the kernel, and the fill tests only the released SMs for it. A
+//! kernel activated in this fill has never been tested and sees every SM.
+//! Both walk their candidates in the same rotated order from the cursor and
+//! advance it once per pass, so every placement, every
+//! [`CtaDispatcher::dispatch`](crate::CtaDispatcher::dispatch) call and the
+//! cursor match a scan of all SMs exactly.
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
@@ -255,9 +272,22 @@ impl ActiveSet {
         }
     }
 
-    /// Advance all drained-work accumulators by `dt` and return the
-    /// `(flops, bytes)` moved during the interval.
-    fn advance(&mut self, dt: f64, shares: &Shares) -> (f64, f64) {
+    /// Advance all drained-work accumulators by `dt`, pop every stream/tail
+    /// that drained by `now` (attributing the finished work to its kernel and
+    /// op-class), and return the `(flops, bytes)` moved during the interval.
+    ///
+    /// One pass over the SMs: each SM's accumulator advances just before its
+    /// heap is settled. Settling an SM touches no other SM's heap, so every
+    /// share, and the SM-ordered `flops` sum, is what separate advance and
+    /// settle passes would compute.
+    fn advance(
+        &mut self,
+        dt: f64,
+        now: f64,
+        shares: &Shares,
+        kernels: &mut [KernelState],
+        op_classes: &mut BTreeMap<OpClass, OpClassReport>,
+    ) -> (f64, f64) {
         let mut flops = 0.0;
         let mut bytes = 0.0;
         let m = self.mem_heap.len();
@@ -266,25 +296,6 @@ impl ActiveSet {
             self.mem_drained += share * dt;
             bytes = m as f64 * share * dt;
         }
-        for (sm, heap) in self.compute_heaps.iter().enumerate() {
-            let d = heap.len();
-            if d > 0 {
-                let share = shares.compute_share(d);
-                self.sm_flops_drained[sm] += share * dt;
-                flops += d as f64 * share * dt;
-            }
-        }
-        (flops, bytes)
-    }
-
-    /// Pop every stream/tail that drained by `now`, attributing the finished
-    /// work to its kernel and op-class.
-    fn process_events(
-        &mut self,
-        now: f64,
-        kernels: &mut [KernelState],
-        op_classes: &mut BTreeMap<OpClass, OpClassReport>,
-    ) {
         let mem_eps = WORK_EPS + self.mem_drained.abs() * ACC_REL_EPS;
         while let Some(&Reverse(Key(tok, uid))) = self.mem_heap.peek() {
             if tok - self.mem_drained > mem_eps {
@@ -299,6 +310,12 @@ impl ActiveSet {
             self.maybe_finish_unit(uid, now);
         }
         for sm in 0..self.compute_heaps.len() {
+            let d = self.compute_heaps[sm].len();
+            if d > 0 {
+                let share = shares.compute_share(d);
+                self.sm_flops_drained[sm] += share * dt;
+                flops += d as f64 * share * dt;
+            }
             let eps = WORK_EPS + self.sm_flops_drained[sm].abs() * ACC_REL_EPS;
             while let Some(&Reverse(Key(tok, uid))) = self.compute_heaps[sm].peek() {
                 if tok - self.sm_flops_drained[sm] > eps {
@@ -329,13 +346,14 @@ impl ActiveSet {
                 self.retire_queue.push(cta);
             }
         }
+        (flops, bytes)
     }
 
     /// Release the resources of every CTA whose last unit finished.
     fn retire_complete(
         &mut self,
         now: f64,
-        sms: &mut [SmState],
+        placement: &mut Placement,
         kernels: &mut [KernelState],
         op_classes: &mut BTreeMap<OpClass, OpClassReport>,
     ) {
@@ -345,7 +363,7 @@ impl ActiveSet {
                 continue;
             }
             c.retired = true;
-            sms[c.sm].release(&c.footprint, c.kernel_id);
+            placement.release(c.sm, &c.footprint, c.kernel_id);
             let ks = &mut kernels[c.kernel_id];
             ks.completed += 1;
             ks.end = now;
@@ -353,6 +371,39 @@ impl ActiveSet {
             entry.finish_time = entry.finish_time.max(now);
             self.live_ctas -= 1;
         }
+    }
+}
+
+/// The hardware CTA scheduler's view of the device: what each SM holds, where
+/// the next placement pass starts, and which SMs freed resources since the
+/// last [`Engine::fill`].
+#[derive(Debug)]
+struct Placement {
+    sms: Vec<SmState>,
+    /// SM at which the next placement pass starts; advances by one per pass.
+    cursor: usize,
+    /// Every SM id, ascending: where a kernel activated in this `fill` may fit.
+    all: Vec<usize>,
+    /// SMs that released a CTA since the last `fill` (ascending and
+    /// deduplicated once `fill` starts placing): the only SMs where a kernel
+    /// that was already blocked can fit now.
+    released: Vec<usize>,
+}
+
+impl Placement {
+    fn new(num_sms: usize) -> Self {
+        Placement {
+            sms: vec![SmState::default(); num_sms],
+            cursor: 0,
+            all: (0..num_sms).collect(),
+            released: Vec::new(),
+        }
+    }
+
+    /// Return one CTA's resources to `sm` and mark the SM for the next fill.
+    fn release(&mut self, sm: usize, footprint: &Footprint, kernel_id: usize) {
+        self.sms[sm].release(footprint, kernel_id);
+        self.released.push(sm);
     }
 }
 
@@ -488,11 +539,10 @@ impl Engine {
     pub fn run(&self, streams: Vec<Stream>) -> Result<ExecutionReport, SimError> {
         let mut streams = streams;
         let num_sms = self.gpu.num_sms;
-        let mut sms: Vec<SmState> = vec![SmState::default(); num_sms];
+        let mut placement = Placement::new(num_sms);
         let mut kernels: Vec<KernelState> = Vec::new();
         let mut head_kernel: Vec<Option<usize>> = vec![None; streams.len()];
         let mut time = 0.0_f64;
-        let mut cursor = 0usize;
 
         let energy_model = EnergyModel::new(&self.gpu);
         let mut energy = 0.0_f64;
@@ -515,12 +565,11 @@ impl Engine {
                 &mut streams,
                 &mut head_kernel,
                 &mut kernels,
-                &mut sms,
+                &mut placement,
                 &mut active,
                 &mut op_classes,
                 &mut total_ctas,
                 time,
-                &mut cursor,
             )?;
 
             // Kernels with zero CTAs (or whose CTAs were all instantly
@@ -543,18 +592,17 @@ impl Engine {
                 return Err(SimError::Stalled { kernel: name });
             }
 
-            // --- advance to the next drain/expiry event ---
+            // --- advance to the next drain/expiry event, settle drained
+            // streams and expired tails, release completed CTAs ---
             let dt = active.next_event_dt(time, &shares);
-            let (interval_flops, interval_bytes) = active.advance(dt, &shares);
             time += dt;
+            let (interval_flops, interval_bytes) =
+                active.advance(dt, time, &shares, &mut kernels, &mut op_classes);
             intervals += 1;
             energy += energy_model.interval_energy(dt, interval_flops, interval_bytes);
             total_flops += interval_flops;
             total_bytes += interval_bytes;
-
-            // --- settle drained streams, expired tails, completed CTAs ---
-            active.process_events(time, &mut kernels, &mut op_classes);
-            active.retire_complete(time, &mut sms, &mut kernels, &mut op_classes);
+            active.retire_complete(time, &mut placement, &mut kernels, &mut op_classes);
 
             // --- pop finished kernels off their streams ---
             Self::pop_finished(&mut streams, &mut head_kernel, &kernels);
@@ -609,20 +657,24 @@ impl Engine {
 
     /// Activate stream heads and place as many pending CTAs as fit, in
     /// submission-priority order, breadth-first across SMs.
+    ///
+    /// A kernel activated here tests every SM; a kernel that was already
+    /// placing at the previous fill tests only the SMs released since then
+    /// (see "Incremental placement" in the module docs).
     #[allow(clippy::too_many_arguments)]
     fn fill(
         &self,
         streams: &mut [Stream],
         head_kernel: &mut [Option<usize>],
         kernels: &mut Vec<KernelState>,
-        sms: &mut [SmState],
+        placement: &mut Placement,
         active: &mut ActiveSet,
         op_classes: &mut BTreeMap<OpClass, OpClassReport>,
         total_ctas: &mut usize,
         time: f64,
-        cursor: &mut usize,
     ) -> Result<(), SimError> {
         let num_sms = self.gpu.num_sms;
+        let first_new = kernels.len();
 
         // Activate the head kernel of every stream that does not have one.
         for si in 0..streams.len() {
@@ -669,6 +721,8 @@ impl Engine {
         // a later kernel only receives SMs the earlier kernels left idle,
         // which is why CUDA streams alone do not guarantee SM-level
         // co-location (§3.1 of the paper).
+        placement.released.sort_unstable();
+        placement.released.dedup();
         for si in 0..streams.len() {
             let Some(kid) = head_kernel[si] else { continue };
             if kernels[kid].fully_dispatched {
@@ -679,16 +733,23 @@ impl Engine {
             let head = streams[si]
                 .head_mut()
                 .expect("active head kernel missing from stream");
+            let candidates = if kid >= first_new {
+                &placement.all
+            } else {
+                &placement.released
+            };
             loop {
                 let mut placed_any = false;
-                for off in 0..num_sms {
+                // The candidates from the cursor up, then wrapping around.
+                let split = candidates.partition_point(|&sm| sm < placement.cursor);
+                for &sm_id in candidates[split..].iter().chain(&candidates[..split]) {
                     if head.remaining() == 0 {
                         break;
                     }
-                    let sm_id = (*cursor + off) % num_sms;
-                    if sms[sm_id].can_fit(&self.gpu, &footprint, kid, cap) {
+                    let sm = &mut placement.sms[sm_id];
+                    if sm.can_fit(&self.gpu, &footprint, kid, cap) {
                         let work: CtaWork = head.dispatcher.dispatch(sm_id);
-                        sms[sm_id].allocate(&footprint, kid);
+                        sm.allocate(&footprint, kid);
                         let dominant = work.dominant_op();
                         op_classes.entry(dominant).or_default().ctas += 1;
                         active.add_cta(&work, kid, sm_id, footprint, dominant, time);
@@ -701,7 +762,7 @@ impl Engine {
                         placed_any = true;
                     }
                 }
-                *cursor = (*cursor + 1) % num_sms;
+                placement.cursor = (placement.cursor + 1) % num_sms;
                 if head.remaining() == 0 {
                     kernels[kid].fully_dispatched = true;
                     break;
@@ -711,6 +772,7 @@ impl Engine {
                 }
             }
         }
+        placement.released.clear();
         Ok(())
     }
 }

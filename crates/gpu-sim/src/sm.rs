@@ -2,7 +2,6 @@
 
 use crate::config::GpuConfig;
 use crate::work::Footprint;
-use std::collections::HashMap;
 
 /// Tracks the resources currently reserved on one streaming multiprocessor.
 #[derive(Debug, Clone, Default)]
@@ -15,8 +14,10 @@ pub(crate) struct SmState {
     pub used_registers: usize,
     /// Total resident CTAs.
     pub resident: usize,
-    /// Resident CTAs per kernel id (for per-kernel occupancy caps).
-    pub per_kernel: HashMap<usize, usize>,
+    /// `(kernel id, resident CTAs)` for each kernel with a CTA here (for
+    /// per-kernel occupancy caps). An SM hosts a handful of kernels at most,
+    /// so a linear scan beats hashing.
+    pub per_kernel: Vec<(usize, usize)>,
 }
 
 impl SmState {
@@ -43,11 +44,19 @@ impl SmState {
             return false;
         }
         if let Some(cap) = kernel_cap {
-            if self.per_kernel.get(&kernel_id).copied().unwrap_or(0) + 1 > cap {
+            if self.resident_of(kernel_id) + 1 > cap {
                 return false;
             }
         }
         true
+    }
+
+    /// CTAs of `kernel_id` resident on this SM.
+    fn resident_of(&self, kernel_id: usize) -> usize {
+        self.per_kernel
+            .iter()
+            .find(|&&(k, _)| k == kernel_id)
+            .map_or(0, |&(_, n)| n)
     }
 
     /// Reserve resources for one CTA of `kernel_id`.
@@ -56,7 +65,10 @@ impl SmState {
         self.used_shared_mem += fp.shared_mem;
         self.used_registers += fp.threads * fp.registers_per_thread;
         self.resident += 1;
-        *self.per_kernel.entry(kernel_id).or_insert(0) += 1;
+        match self.per_kernel.iter_mut().find(|(k, _)| *k == kernel_id) {
+            Some((_, n)) => *n += 1,
+            None => self.per_kernel.push((kernel_id, 1)),
+        }
     }
 
     /// Release resources held by one CTA of `kernel_id`.
@@ -71,13 +83,14 @@ impl SmState {
         self.used_shared_mem -= fp.shared_mem;
         self.used_registers -= fp.threads * fp.registers_per_thread;
         self.resident -= 1;
-        let count = self
+        let i = self
             .per_kernel
-            .get_mut(&kernel_id)
+            .iter()
+            .position(|&(k, _)| k == kernel_id)
             .expect("releasing a CTA of a kernel not resident on this SM");
-        *count -= 1;
-        if *count == 0 {
-            self.per_kernel.remove(&kernel_id);
+        self.per_kernel[i].1 -= 1;
+        if self.per_kernel[i].1 == 0 {
+            self.per_kernel.swap_remove(i);
         }
     }
 }

@@ -135,19 +135,26 @@ impl PrefixIndex {
         }
     }
 
-    /// Child of `cursor` whose content is exactly `tokens`, if cached.
-    fn child_matching(&self, cursor: Cursor, tokens: &BlockTokens) -> Option<u32> {
-        let idx = *self.children_of(cursor).get(&hash_block(tokens))?;
+    /// Child of `cursor` whose content is exactly `tokens` (hashing to
+    /// `key`), if cached.
+    fn child_matching(&self, cursor: Cursor, key: u64, tokens: &BlockTokens) -> Option<u32> {
+        let idx = *self.children_of(cursor).get(&key)?;
         // Verify content, not just the 64-bit hash, so a collision can never
         // silently splice two different prefixes together.
         (self.node(idx).tokens == *tokens).then_some(idx)
     }
 
-    /// Insert a child under `cursor`. Returns `None` (leaving the trie
-    /// unchanged) if an equal-keyed child already exists — the caller's block
-    /// then simply stays private.
-    fn insert_child(&mut self, cursor: Cursor, tokens: BlockTokens, block: u32) -> Option<u32> {
-        let key = hash_block(&tokens);
+    /// Insert a child with content `tokens` (hashing to `key`) under
+    /// `cursor`. Returns `None` (leaving the trie unchanged) if an
+    /// equal-keyed child already exists — the caller's block then simply
+    /// stays private.
+    fn insert_child(
+        &mut self,
+        cursor: Cursor,
+        key: u64,
+        tokens: BlockTokens,
+        block: u32,
+    ) -> Option<u32> {
         if self.children_of(cursor).contains_key(&key) {
             return None;
         }
@@ -393,8 +400,7 @@ impl BlockPool {
 
     /// Evict the least-recently-used evictable leaf, returning its block id.
     fn evict_one(&mut self) -> Option<u32> {
-        let &(stamp, leaf) = self.evictable.iter().next()?;
-        self.evictable.remove(&(stamp, leaf));
+        let (_, leaf) = self.evictable.pop_first()?;
         let (block, parent) = self.index.remove_leaf(leaf);
         debug_assert_eq!(self.states[block as usize].refs, 0);
         self.states[block as usize].node = NO_NODE;
@@ -471,7 +477,8 @@ impl BlockPool {
         let mut matched = 0usize;
         while matched + BLOCK_TOKENS <= limit_tokens {
             let tokens = block_tokens(content, matched / BLOCK_TOKENS);
-            match self.index.child_matching(cursor, &tokens) {
+            let key = hash_block(&tokens);
+            match self.index.child_matching(cursor, key, &tokens) {
                 Some(idx) => {
                     cursor = Cursor(idx);
                     matched += BLOCK_TOKENS;
@@ -545,7 +552,8 @@ impl BlockPool {
         let stamp = self.tick;
         while m.cached_tokens + BLOCK_TOKENS <= limit_tokens {
             let tokens = block_tokens(content, m.cached_tokens / BLOCK_TOKENS);
-            let Some(idx) = self.index.child_matching(m.cursor, &tokens) else {
+            let key = hash_block(&tokens);
+            let Some(idx) = self.index.child_matching(m.cursor, key, &tokens) else {
                 break;
             };
             let block = self.index.node(idx).block;
@@ -609,7 +617,8 @@ impl BlockPool {
         let mut registered = 0usize;
         for (i, &BlockId(block)) in blocks.iter().enumerate() {
             let tokens = block_tokens(content, start_block + i);
-            if self.index.child_matching(cursor, &tokens).is_some() {
+            let key = hash_block(&tokens);
+            if self.index.child_matching(cursor, key, &tokens).is_some() {
                 // An equal chain already exists; following it would leave the
                 // caller with a cursor into blocks it does not reference.
                 break;
@@ -620,7 +629,7 @@ impl BlockPool {
                 let lu = self.index.node(cursor.0).last_use;
                 self.evictable.remove(&(lu, cursor.0));
             }
-            match self.index.insert_child(cursor, tokens, block) {
+            match self.index.insert_child(cursor, key, tokens, block) {
                 Some(idx) => {
                     debug_assert_eq!(self.states[block as usize].node, NO_NODE);
                     self.states[block as usize].node = idx;
