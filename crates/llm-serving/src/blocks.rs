@@ -8,6 +8,12 @@
 //!   reference counts. A block is **free** (on the free list), **referenced**
 //!   (held by at least one live request) or **cached** (refcount zero but
 //!   still holding the KV of a previously computed prefix — reclaimable).
+//! * Requests hold blocks in one of two ways. **Named** blocks are ids a
+//!   request's block table lists, so they can grow, be shared and be
+//!   indexed (the paged policy). A **counted** grant is a number of
+//!   interchangeable blocks held without identity (the conservative policy's
+//!   whole-request reservation): O(1) accounting, never indexed. Both kinds
+//!   draw on the one capacity, so they may share a pool.
 //! * [`PrefixIndex`] is a radix trie over block-granular token fingerprints:
 //!   each node is one full block of `BLOCK_TOKENS` tokens, keyed by the
 //!   fingerprint hash of its content, child edges extending the prefix. A
@@ -219,10 +225,9 @@ pub struct PrefixMatch {
 /// pool-independent description of one request's resident context that a
 /// disaggregated prefill→decode handoff ships across the fleet. Block
 /// *identities* are pool-local, so a chain carries only its shape — token
-/// and block counts — and is re-materialized by [`BlockPool::adopt_chain`]
-/// as freshly allocated private blocks on the receiving pool. The bytes on
-/// the wire are modeled by the cluster's migration cost model, not stored
-/// here.
+/// and block counts — and the receiving replica re-materializes it as a
+/// fresh grant, never entered into its prefix index. The bytes on the wire
+/// are modeled by the cluster's migration cost model, not stored here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvChain {
     /// Context tokens the chain holds (prompt + tokens generated so far).
@@ -259,9 +264,13 @@ pub struct BlockPool {
     evictable: BTreeSet<(u64, u32)>,
     /// Logical clock advanced on every prefix walk (LRU recency).
     tick: u64,
-    /// Blocks with refcount > 0 (kept incrementally so usage queries are
-    /// O(1)).
+    /// Named blocks with refcount > 0 (kept incrementally so usage queries
+    /// are O(1)).
     referenced: usize,
+    /// Blocks held by counted grants. They are backed by the free
+    /// population: `take_free` never hands out the last `counted` free
+    /// blocks.
+    counted: usize,
     blocks_evicted: usize,
 }
 
@@ -280,6 +289,7 @@ impl BlockPool {
             evictable: BTreeSet::new(),
             tick: 0,
             referenced: 0,
+            counted: 0,
             blocks_evicted: 0,
         }
     }
@@ -289,14 +299,18 @@ impl BlockPool {
         self.capacity_blocks
     }
 
-    /// Blocks available without eviction (explicitly freed + never used).
+    /// Blocks available without eviction: explicitly freed and never used
+    /// ones, less those backing counted grants.
     pub fn free_blocks(&self) -> usize {
-        self.free.len() + (self.capacity_blocks - self.virgin as usize)
+        self.free.len() + (self.capacity_blocks - self.virgin as usize) - self.counted
     }
 
     /// Take a free block: explicitly freed ones first (LIFO), then the next
-    /// never-used id.
+    /// never-used id. The blocks backing counted grants are not free.
     fn take_free(&mut self) -> Option<u32> {
+        if self.free_blocks() == 0 {
+            return None;
+        }
         if let Some(id) = self.free.pop() {
             return Some(id);
         }
@@ -320,9 +334,18 @@ impl BlockPool {
         self.capacity_blocks - self.free_blocks() - self.referenced_blocks()
     }
 
-    /// Blocks held by live requests (refcount > 0).
+    /// Blocks held by live requests: named blocks with refcount > 0 plus
+    /// counted grants.
     pub fn referenced_blocks(&self) -> usize {
-        self.referenced
+        self.referenced + self.counted
+    }
+
+    /// Fraction of the capacity held by live requests (0 for an empty pool).
+    pub fn utilization(&self) -> f64 {
+        if self.capacity_blocks == 0 {
+            return 0.0;
+        }
+        self.referenced_blocks() as f64 / self.capacity_blocks as f64
     }
 
     /// A lower bound on the blocks an allocation could obtain right now:
@@ -372,7 +395,7 @@ impl BlockPool {
         // iteration while the pool is full): at most every non-referenced
         // block could be obtained, so asking for more can never succeed and
         // must not churn through a doomed evict-and-roll-back pass.
-        if n > self.capacity_blocks - self.referenced {
+        if n > self.capacity_blocks - self.referenced_blocks() {
             return None;
         }
         let mut out = Vec::with_capacity(n);
@@ -438,32 +461,39 @@ impl BlockPool {
         }
     }
 
-    /// Serialize a request's block chain for a cross-replica KV handoff:
-    /// release every block locally (indexed blocks stay cached for other
-    /// sharers) and return the pool-independent [`KvChain`] descriptor a
-    /// decode replica re-materializes via [`BlockPool::adopt_chain`].
-    /// `tokens` is the context the chain holds (prompt + generated so far);
-    /// the transfer *cost* of those tokens is the cluster migration model's
-    /// job, not the pool's.
-    pub fn export_chain(&mut self, blocks: &[BlockId], tokens: usize) -> KvChain {
-        let chain = KvChain {
-            tokens,
-            blocks: blocks.len(),
-        };
-        self.release(blocks);
-        chain
+    /// Grant `n` counted blocks: capacity held without block identity.
+    /// Cached prefixes are evicted (LRU, leaf-first) until free blocks back
+    /// the grant. Returns `false` — and grants nothing — if even eviction
+    /// cannot make room; as with [`BlockPool::alloc`], blocks evicted before
+    /// the shortfall was found stay evicted. With no named blocks in the
+    /// pool this is a plain O(1) counter.
+    pub fn alloc_counted(&mut self, n: usize) -> bool {
+        if n > self.capacity_blocks - self.referenced_blocks() {
+            return false;
+        }
+        while self.free_blocks() < n {
+            match self.evict_one() {
+                Some(id) => self.free.push(id),
+                None => return false,
+            }
+        }
+        self.counted += n;
+        true
     }
 
-    /// Re-materialize a migrated chain on this pool: allocate `chain.blocks`
-    /// fresh private blocks (evicting cached prefixes LRU-first as needed),
-    /// standing in for the KV pages the transfer delivered. Returns `None` —
-    /// and allocates nothing — when even eviction cannot make room; the
-    /// import retries once residents free capacity. Adopted blocks are
-    /// private (never entered into the prefix index): block fingerprints are
-    /// pool-local, so a migrated chain cannot be proven equal to a cached
-    /// one here.
-    pub fn adopt_chain(&mut self, chain: KvChain) -> Option<Vec<BlockId>> {
-        self.alloc(chain.blocks)
+    /// Return `n` counted blocks to the free population.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more blocks are released than counted grants hold, which
+    /// would indicate an accounting bug in the caller.
+    pub fn release_counted(&mut self, n: usize) {
+        assert!(
+            n <= self.counted,
+            "releasing {n} blocks but only {} are in use",
+            self.counted
+        );
+        self.counted -= n;
     }
 
     /// Longest cached prefix of `content`'s stream available right now,
@@ -897,6 +927,176 @@ mod tests {
         // The duplicates were private: they return to the free list.
         assert_eq!(pool.free_blocks(), 6);
         assert_eq!(pool.cached_blocks(), 2);
+    }
+
+    #[test]
+    fn reserve_and_release_round_trip() {
+        let mut pool = BlockPool::new(1024);
+        assert_eq!(pool.capacity_blocks() * BLOCK_TOKENS, 1024);
+        assert!(pool.alloc_counted(blocks_for(100)));
+        // 100 tokens round up to 7 blocks.
+        assert_eq!(pool.referenced_blocks() * BLOCK_TOKENS, 112);
+        pool.release_counted(blocks_for(100));
+        assert_eq!(pool.referenced_blocks(), 0);
+    }
+
+    #[test]
+    fn admission_fails_when_full() {
+        let mut pool = BlockPool::new(160);
+        assert!(pool.alloc_counted(blocks_for(128)));
+        assert!(blocks_for(64) > pool.available_blocks());
+        assert!(!pool.alloc_counted(blocks_for(64)));
+        assert!(pool.alloc_counted(blocks_for(32)));
+        assert_eq!(pool.free_blocks(), 0);
+    }
+
+    #[test]
+    fn utilization_is_a_fraction() {
+        let mut pool = BlockPool::new(320);
+        assert_eq!(pool.utilization(), 0.0);
+        pool.alloc_counted(blocks_for(160));
+        assert!((pool.utilization() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "releasing")]
+    fn over_release_panics() {
+        let mut pool = BlockPool::new(320);
+        pool.release_counted(blocks_for(32));
+    }
+
+    #[test]
+    fn blocks_round_up() {
+        assert_eq!(blocks_for(1), 1);
+        assert_eq!(blocks_for(16), 1);
+        assert_eq!(blocks_for(17), 2);
+    }
+
+    /// Regression for the silent-truncation fix: capacity that is not a
+    /// multiple of [`BLOCK_TOKENS`] rounds down explicitly, and every
+    /// accounting quantity agrees with the rounded capacity.
+    #[test]
+    fn capacity_rounds_down_to_a_block_multiple() {
+        for (given, expect) in [(1000, 992), (15, 0), (16, 16), (17, 16), (0, 0)] {
+            let pool = BlockPool::new(given);
+            let capacity_tokens = pool.capacity_blocks() * BLOCK_TOKENS;
+            assert_eq!(capacity_tokens, expect, "capacity_tokens({given})");
+            assert_eq!(
+                pool.free_blocks() * BLOCK_TOKENS,
+                expect,
+                "free_tokens({given})"
+            );
+            assert_eq!(capacity_tokens % BLOCK_TOKENS, 0);
+        }
+        // A sub-block pool grants nothing, gracefully.
+        let mut tiny = BlockPool::new(BLOCK_TOKENS - 1);
+        assert!(blocks_for(1) > tiny.available_blocks());
+        assert!(!tiny.alloc_counted(blocks_for(1)));
+        assert_eq!(tiny.utilization(), 0.0);
+    }
+
+    /// Property: over arbitrary admit/free cycles of counted grants, block
+    /// accounting never leaks — used + free always equals capacity, a grant
+    /// succeeds exactly when it fits, a failed grant changes nothing, and
+    /// once every grant is released the pool is exactly empty again.
+    #[test]
+    fn random_admit_free_cycles_never_leak_blocks() {
+        let mut rng = SplitMix64::seed_from_u64(0xB10C5);
+        for case in 0..50 {
+            let capacity_tokens = (1 + rng.next_usize(64)) * BLOCK_TOKENS;
+            let mut pool = BlockPool::new(capacity_tokens);
+            let used_tokens = |pool: &BlockPool| pool.referenced_blocks() * BLOCK_TOKENS;
+            let mut live: Vec<usize> = Vec::new();
+            for step in 0..200 {
+                let admit = live.is_empty() || rng.next_usize(2) == 0;
+                if admit {
+                    let tokens = 1 + rng.next_usize(capacity_tokens + 32);
+                    let before_used = used_tokens(&pool);
+                    let fits = blocks_for(tokens) <= pool.available_blocks();
+                    let reserved = pool.alloc_counted(blocks_for(tokens));
+                    assert_eq!(
+                        fits, reserved,
+                        "case {case} step {step}: availability and the grant disagree"
+                    );
+                    if reserved {
+                        live.push(tokens);
+                    } else {
+                        assert_eq!(
+                            used_tokens(&pool),
+                            before_used,
+                            "case {case} step {step}: failed grant must not change usage"
+                        );
+                    }
+                } else {
+                    let tokens = live.swap_remove(rng.next_usize(live.len()));
+                    pool.release_counted(blocks_for(tokens));
+                }
+                let expected_used: usize = live.iter().map(|&t| blocks_for(t) * BLOCK_TOKENS).sum();
+                assert_eq!(
+                    used_tokens(&pool),
+                    expected_used,
+                    "case {case} step {step}: usage must equal the live grants"
+                );
+                assert_eq!(
+                    used_tokens(&pool) + pool.free_blocks() * BLOCK_TOKENS,
+                    capacity_tokens,
+                    "case {case} step {step}: used + free must equal capacity"
+                );
+                assert!(pool.utilization() <= 1.0);
+            }
+            for tokens in live.drain(..) {
+                pool.release_counted(blocks_for(tokens));
+            }
+            assert_eq!(used_tokens(&pool), 0, "case {case}: blocks leaked");
+            assert_eq!(pool.utilization(), 0.0);
+        }
+    }
+
+    /// Counted and named grants draw on one capacity: the O(1) reject in
+    /// `alloc` counts granted blocks, `take_free` never hands out the free
+    /// blocks that back a grant (eviction supplies named blocks instead),
+    /// and a counted grant evicts cached prefixes when free blocks run out.
+    #[test]
+    fn counted_and_named_grants_share_one_pool() {
+        let mut pool = BlockPool::new(BLOCK_TOKENS * 8);
+        // A 4-block chain is computed, indexed and released: 4 cached
+        // blocks, 4 never-used ones.
+        let chain = pool.alloc(4).unwrap();
+        pool.extend_index(Cursor::root(), content(21), 0, &chain);
+        pool.release(&chain);
+        assert_eq!((pool.cached_blocks(), pool.free_blocks()), (4, 4));
+
+        // A counted grant of 4 is backed by the 4 free blocks.
+        assert!(pool.alloc_counted(4));
+        assert_eq!(pool.referenced_blocks(), 4);
+        assert_eq!(pool.free_blocks(), 0);
+        assert_eq!(pool.blocks_evicted(), 0);
+
+        // Named blocks must come from eviction, not from the granted ones.
+        let named = pool.alloc(2).expect("two cached leaves are evictable");
+        assert_eq!(pool.blocks_evicted(), 2);
+        assert_eq!(
+            pool.peek_prefix(content(21), 4 * BLOCK_TOKENS),
+            2 * BLOCK_TOKENS
+        );
+        // O(1) reject: 6 of 8 blocks are held, so 3 can never fit, and the
+        // doomed request evicts nothing.
+        assert!(pool.alloc(3).is_none());
+        assert!(!pool.alloc_counted(3));
+        assert_eq!(pool.blocks_evicted(), 2);
+
+        // A counted grant evicts the remaining cached prefix.
+        assert!(pool.alloc_counted(2));
+        assert_eq!(pool.blocks_evicted(), 4);
+        assert_eq!(pool.referenced_blocks(), 8);
+        assert_eq!(pool.utilization(), 1.0);
+
+        // Releasing both kinds returns every block to the free population.
+        pool.release(&named);
+        pool.release_counted(6);
+        assert_eq!(pool.referenced_blocks(), 0);
+        assert_eq!(pool.free_blocks(), 8);
+        assert_eq!(pool.cached_blocks(), 0);
     }
 
     /// Property: over random alloc / index / match / release traffic the

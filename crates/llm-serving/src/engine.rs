@@ -11,8 +11,7 @@
 //! [`crate::Cluster`] interleaves many engines on a shared virtual clock
 //! through the same `step` entry point.
 
-use crate::blocks::{blocks_for, BlockId, Cursor, KvChain, BLOCK_TOKENS};
-use crate::kvcache::KvCacheManager;
+use crate::blocks::{blocks_for, BlockId, BlockPool, Cursor, KvChain, PrefixMatch, BLOCK_TOKENS};
 use crate::linear::IterationCostModel;
 use crate::metrics::{ReportAccumulator, ServingCounters, ServingReport};
 use crate::model::ModelConfig;
@@ -108,18 +107,22 @@ impl BatchSignature {
     }
 }
 
-/// How the engine manages KV-cache residency.
+/// How the engine manages KV-cache residency. Both policies hold blocks in
+/// one [`crate::BlockPool`] through the same admission, adoption, growth,
+/// release and export paths; they differ only in the size of a request's
+/// grant and in whether its blocks are named or counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvCachePolicy {
     /// Sarathi-Serve's conservative rule: a request is admitted only when
-    /// its full prompt **plus expected output** fits, and is never preempted.
-    /// The historical default; golden tests pin it bit-for-bit.
+    /// its full prompt **plus expected output** fits, held as one counted
+    /// grant (interchangeable blocks without identity, O(1) to take and
+    /// return), so it never grows and is never preempted. The historical
+    /// default; golden tests pin it bit-for-bit.
     Conservative,
-    /// Paged residency over the block subsystem ([`crate::BlockPool`]):
-    /// admission allocates blocks for the prompt only, decode tokens grow
-    /// the allocation on demand, and when growth exhausts the pool the most
-    /// recently started decode is preempted (swap-out) and later restored by
-    /// recomputing its KV.
+    /// Paged residency: admission takes named blocks for the prompt only,
+    /// decode tokens grow the request's block table on demand, and when
+    /// growth exhausts the pool the most recently started decode is
+    /// preempted (swap-out) and later restored by recomputing its KV.
     Paged {
         /// Whether prompts are matched against the radix prefix index so
         /// shared prefixes skip prefill (with copy-on-write on divergence
@@ -127,6 +130,15 @@ pub enum KvCachePolicy {
         /// policy is pure on-demand paging + preemption.
         prefix_caching: bool,
     },
+}
+
+/// The blocks a request's residency grant spans, and whether they are
+/// named (listed in its block table: growable, shareable, indexable) or
+/// counted (held without identity).
+#[derive(Debug, Clone, Copy)]
+struct Grant {
+    blocks: usize,
+    named: bool,
 }
 
 impl KvCachePolicy {
@@ -151,6 +163,39 @@ impl KvCachePolicy {
                 prefix_caching: true
             }
         )
+    }
+
+    /// The grant `req` needs to become resident, on admission (`import` is
+    /// `None`) or when adopting a migrated-in KV chain — the one place the
+    /// engine's KV paths consult the policy.
+    ///
+    /// * Conservative: the whole prompt plus expected output, counted.
+    /// * Paged: named blocks for the prefill target *plus the first decode
+    ///   token after it* (any prefix-cache hit supplies the leading ones).
+    ///   Completing the prefill mints that token, and without room for its
+    ///   KV a restored request self-preempts forever: the preemption frees
+    ///   exactly the blocks re-admission then re-allocates, while (under
+    ///   the vLLM scheduler) the restore prefill pauses every other decode,
+    ///   so nothing ever progresses. Requiring the extra block up front
+    ///   turns that livelock into a Defer, letting the running decodes
+    ///   drain and free real capacity; it stays within the feasibility
+    ///   bound, since target + 1 <= prompt + output. An adopted chain gets
+    ///   the same +1, so a fresh import cannot preempt itself on first
+    ///   growth, and never fewer blocks than the chain itself.
+    fn grant(&self, req: &Request, import: Option<&KvChain>) -> Grant {
+        match self {
+            KvCachePolicy::Conservative => Grant {
+                blocks: blocks_for(req.spec.total_tokens()),
+                named: false,
+            },
+            KvCachePolicy::Paged { .. } => Grant {
+                blocks: match import {
+                    None => blocks_for(req.target_prefill() + 1),
+                    Some(chain) => blocks_for(req.context_len() + 1).max(chain.blocks),
+                },
+                named: true,
+            },
+        }
     }
 }
 
@@ -300,8 +345,8 @@ impl FairQueueConfig {
 /// ([`ClusterConfig::with_roles`](crate::ClusterConfig::with_roles),
 /// [`ClusterConfig::with_autoscaler`](crate::ClusterConfig::with_autoscaler),
 /// [`ClusterConfig::with_fair_queue`](crate::ClusterConfig::with_fair_queue)),
-/// as does per-request construction via
-/// [`RequestSpec::builder`](crate::RequestSpec::builder).
+/// as does per-request construction via [`RequestSpec::new`](crate::RequestSpec::new)
+/// and its `with_*` setters.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// The model being served.
@@ -609,13 +654,17 @@ struct PendingImport {
     chain: KvChain,
 }
 
-/// Per-request paged-KV state: its block table and how far its chain is
-/// registered in the prefix index.
+/// One request's KV residency: the grant it holds — named blocks (paged) or
+/// a counted block grant (conservative) — and how far its named chain is
+/// registered in the prefix index. Empty (the default) while the request
+/// holds nothing: queued, preempted, finished or exported.
 #[derive(Debug, Clone, Default)]
-struct RequestKv {
-    /// Blocks backing this request's context, in stream order. The leading
-    /// `shared` entries were acquired from the prefix cache.
+struct Residency {
+    /// Named blocks backing this request's context, in stream order. The
+    /// leading `shared` entries were acquired from the prefix cache.
     blocks: Vec<BlockId>,
+    /// Blocks of a counted grant.
+    counted: usize,
     /// Trie position after the last indexed block.
     cursor: Cursor,
     /// Leading blocks registered in the prefix index (shared or own).
@@ -625,6 +674,39 @@ struct RequestKv {
     /// Indexing hit an existing equal chain (a concurrent identical prompt
     /// won the race); further blocks stay private.
     index_stalled: bool,
+}
+
+impl Residency {
+    /// Whether the request holds a grant: it was admitted (or adopted from
+    /// a migration) and has not released it since.
+    fn is_held(&self) -> bool {
+        self.counted > 0 || !self.blocks.is_empty()
+    }
+
+    /// Blocks the grant spans, named or counted.
+    fn held_blocks(&self) -> usize {
+        self.counted + self.blocks.len()
+    }
+
+    /// Take `n` more blocks from `pool`: named ones are appended to the
+    /// block table, counted ones to the count. Returns `false`, taking
+    /// nothing, when even eviction cannot make room.
+    fn take(&mut self, pool: &mut BlockPool, n: usize, named: bool) -> bool {
+        if !named {
+            let granted = pool.alloc_counted(n);
+            if granted {
+                self.counted += n;
+            }
+            return granted;
+        }
+        match pool.alloc(n) {
+            Some(fresh) => {
+                self.blocks.extend(fresh);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// Mutable simulation state of one replica: queues, KV cache, clock and the
@@ -637,15 +719,13 @@ struct EngineState {
     arrivals: VecDeque<usize>,
     waiting: VecDeque<usize>,
     running: Vec<usize>,
-    reserved: Vec<bool>,
-    /// Paged-KV bookkeeping, parallel to `requests` (unused under the
-    /// conservative policy).
-    tables: Vec<RequestKv>,
-    kv: KvCacheManager,
+    /// KV residency, parallel to `requests`.
+    tables: Vec<Residency>,
+    pool: BlockPool,
     clock: f64,
     price_cache: HashMap<BatchSignature, f64>,
-    /// The report's engine-side tallies (`blocks_evicted` lives in `kv` and
-    /// is filled in by [`ServingEngine::counters`]).
+    /// The report's engine-side tallies (`blocks_evicted` lives in `pool`
+    /// and is filled in by [`ServingEngine::counters`]).
     counters: ServingCounters,
     /// Requests that completed prefill and are parked for migration pickup
     /// (prefill-export mode only), with their already-serialized KV chains.
@@ -691,9 +771,8 @@ impl EngineState {
             arrivals: VecDeque::new(),
             waiting: VecDeque::new(),
             running: Vec::new(),
-            reserved: Vec::new(),
             tables: Vec::new(),
-            kv: KvCacheManager::new(kv_capacity),
+            pool: BlockPool::new(kv_capacity),
             clock: 0.0,
             price_cache: HashMap::new(),
             counters: ServingCounters::default(),
@@ -731,22 +810,37 @@ impl EngineState {
         &mut self.fair_vtime[i].1
     }
 
+    /// Return `rid`'s whole grant, named and counted alike, to the pool,
+    /// leaving its residency empty.
+    fn release_residency(&mut self, rid: usize) -> Residency {
+        let table = std::mem::take(&mut self.tables[rid]);
+        self.pool.release(&table.blocks);
+        self.pool.release_counted(table.counted);
+        table
+    }
+
+    /// Release `rid`'s grant, tracing the named blocks it frees (a counted
+    /// grant is not block traffic and emits no KV event).
+    fn free_residency(&mut self, rid: usize) {
+        let freed = self.release_residency(rid).blocks.len();
+        if freed > 0 {
+            let t = self.clock;
+            self.trace(t, || TraceEventKind::KvFree {
+                request: rid,
+                blocks: freed,
+            });
+        }
+    }
+
     /// Preempt a decoding request: reclaim its blocks (indexed ones stay
     /// cached for its own restore or other sharers), move it to the front of
     /// the waiting queue, and mark the full recompute it owes.
     fn preempt(&mut self, rid: usize) {
-        let table = std::mem::take(&mut self.tables[rid]);
         let t = self.clock;
         self.trace(t, || TraceEventKind::Preempt { request: rid });
-        let freed = table.blocks.len();
-        self.trace(t, || TraceEventKind::KvFree {
-            request: rid,
-            blocks: freed,
-        });
-        self.kv.release_blocks(&table.blocks);
+        self.free_residency(rid);
         self.requests[rid].preempt();
         self.running.retain(|&r| r != rid);
-        self.reserved[rid] = false;
         // Re-queue ahead of unadmitted work but *behind* any already-admitted
         // (mid-prefill) request: that one holds blocks, and only the queue
         // front ever gets scheduled — parking an unadmittable victim in front
@@ -754,7 +848,7 @@ impl EngineState {
         let at = self
             .waiting
             .iter()
-            .take_while(|&&r| self.reserved[r])
+            .take_while(|&&r| self.tables[r].is_held())
             .count();
         self.waiting.insert(at, rid);
         self.counters.preemptions += 1;
@@ -767,29 +861,22 @@ impl EngineState {
     /// started decodes when the pool is exhausted (LIFO victim selection:
     /// the youngest decode loses the least recomputation). `spec_k = 0`
     /// (autoregressive) grows by exactly one token, bit-for-bit the
-    /// pre-speculation arithmetic.
+    /// pre-speculation arithmetic. A counted grant already spans the whole
+    /// output, so it never grows.
     fn grow_decode_blocks(&mut self, decode_cap: usize, spec_k: usize) {
         let mut i = 0;
         while i < self.running.len().min(decode_cap) {
             let rid = self.running[i];
             let width = self.requests[rid].spec_width(spec_k);
             let needed = blocks_for(self.requests[rid].context_len() + width);
-            if self.tables[rid].blocks.len() >= needed {
+            let held = self.tables[rid].held_blocks();
+            if held >= needed || self.tables[rid].take(&mut self.pool, needed - held, true) {
                 i += 1;
-                continue;
-            }
-            let short = needed - self.tables[rid].blocks.len();
-            match self.kv.alloc_blocks(short) {
-                Some(fresh) => {
-                    self.tables[rid].blocks.extend(fresh);
-                    i += 1;
-                }
-                None => {
-                    // Shed the newest decode and retry; if that is the very
-                    // request being grown, it preempts itself.
-                    let victim = *self.running.last().expect("rid is in running");
-                    self.preempt(victim);
-                }
+            } else {
+                // Shed the newest decode and retry; if that is the very
+                // request being grown, it preempts itself.
+                let victim = *self.running.last().expect("rid is in running");
+                self.preempt(victim);
             }
         }
     }
@@ -867,7 +954,7 @@ impl EngineState {
         let table = &mut self.tables[rid];
         if computed_full > table.indexed {
             let want = computed_full - table.indexed;
-            let (cursor, registered) = self.kv.extend_index(
+            let (cursor, registered) = self.pool.extend_index(
                 table.cursor,
                 req.spec.content,
                 table.indexed,
@@ -876,34 +963,6 @@ impl EngineState {
             table.cursor = cursor;
             table.indexed += registered;
             table.index_stalled = registered < want;
-        }
-    }
-
-    /// Release a finished request's residency according to the KV policy.
-    fn release_finished(&mut self, rid: usize, policy: KvCachePolicy) {
-        match policy {
-            KvCachePolicy::Conservative => {
-                if self.reserved[rid] {
-                    self.kv.release(self.requests[rid].spec.total_tokens());
-                    self.reserved[rid] = false;
-                }
-            }
-            KvCachePolicy::Paged { prefix_caching } => {
-                if prefix_caching {
-                    // Index the decode region too, so multi-turn follow-ups
-                    // whose prompts embed this response hit the cache.
-                    self.index_computed_blocks(rid);
-                }
-                let table = std::mem::take(&mut self.tables[rid]);
-                let t = self.clock;
-                let freed = table.blocks.len();
-                self.trace(t, || TraceEventKind::KvFree {
-                    request: rid,
-                    blocks: freed,
-                });
-                self.kv.release_blocks(&table.blocks);
-                self.reserved[rid] = false;
-            }
         }
     }
 }
@@ -1054,8 +1113,7 @@ impl ServingEngine {
         assert!(!spec.arrival.is_nan(), "arrival times must not be NaN");
         let id = self.state.requests.len();
         self.state.requests.push(Request::new(id, spec));
-        self.state.reserved.push(false);
-        self.state.tables.push(RequestKv::default());
+        self.state.tables.push(Residency::default());
         // Keep the pending-arrival queue sorted; insertion after equal
         // arrivals preserves submission order for ties, matching the stable
         // sort the closed-world `run` historically used.
@@ -1084,7 +1142,7 @@ impl ServingEngine {
         let mut specs = Vec::new();
         let mut kept = VecDeque::new();
         for &rid in &st.waiting {
-            if st.reserved[rid] {
+            if st.tables[rid].is_held() {
                 kept.push_back(rid);
             } else {
                 st.requests[rid].reassigned = true;
@@ -1220,9 +1278,9 @@ impl ServingEngine {
                 .sum::<usize>()
     }
 
-    /// Fraction of the KV cache currently reserved.
+    /// Fraction of the KV cache currently held by resident requests.
     pub fn kv_utilization(&self) -> f64 {
-        self.state.kv.utilization()
+        self.state.pool.utilization()
     }
 
     /// The earliest simulated time at which [`ServingEngine::step`] could
@@ -1291,12 +1349,12 @@ impl ServingEngine {
             return 0;
         }
         self.state
-            .kv
+            .pool
             .peek_prefix(spec.content, spec.prompt_tokens.saturating_sub(1))
     }
 
     /// Fair-queueing selection: give the waiting-queue slot right after any
-    /// admitted (reserved, mid-prefill) prefix to the best candidate —
+    /// admitted (resident, mid-prefill) prefix to the best candidate —
     /// highest [`Priority`] first, then the tenant with the smallest
     /// virtual-token counter, then the smallest tenant id, then queue order.
     /// Every other waiting request keeps its relative order. A no-op without
@@ -1308,7 +1366,11 @@ impl ServingEngine {
             return;
         }
         let st = &mut self.state;
-        let start = st.waiting.iter().take_while(|&&r| st.reserved[r]).count();
+        let start = st
+            .waiting
+            .iter()
+            .take_while(|&&r| st.tables[r].is_held())
+            .count();
         if st.waiting.len().saturating_sub(start) < 2 {
             return;
         }
@@ -1371,28 +1433,27 @@ impl ServingEngine {
             return false;
         }
         let st = &mut self.state;
-        // Only act for the schedulable front: a reserved (mid-prefill)
+        // Only act for the schedulable front: a resident (mid-prefill)
         // request ahead of the candidate owns the prefill slot, and evicting
         // decodes for a request that cannot be consulted yet wastes work.
         let Some(&cand) = st.waiting.front() else {
             return false;
         };
-        if st.reserved[cand] {
+        if st.tables[cand].is_held() {
             return false;
         }
         // Never preempt for a request that cannot fit even in an empty pool
-        // (the feasibility rule paged admission defers on).
-        let capacity_blocks = st.kv.capacity_tokens() / BLOCK_TOKENS;
+        // (the feasibility rule admission defers on).
+        let capacity_blocks = st.pool.capacity_blocks();
         if blocks_for(st.requests[cand].spec.total_tokens()) > capacity_blocks {
             return false;
         }
         let pri = st.requests[cand].spec.priority;
-        // Same sizing as paged admission: the prefill target plus the first
-        // decode token it mints (prefix-cache hits can only shrink this, so
-        // the check may over-evict by at most the cached share).
-        let needed = blocks_for(st.requests[cand].target_prefill() + 1) * BLOCK_TOKENS;
+        // The grant admission takes (prefix-cache hits can only shrink it,
+        // so the check may over-evict by at most the cached share).
+        let needed = self.config.kv_policy.grant(&st.requests[cand], None).blocks;
         let mut any = false;
-        while st.kv.free_tokens() < needed {
+        while capacity_blocks - st.pool.referenced_blocks() < needed {
             let victim = st
                 .running
                 .iter()
@@ -1420,63 +1481,92 @@ impl ServingEngine {
     /// runnable the outcome says why ([`IterationOutcome::IdleUntil`] /
     /// [`IterationOutcome::Drained`] / [`IterationOutcome::Blocked`]) and no
     /// further time passes.
+    ///
+    /// Each phase of the iteration is one method over the engine state, run
+    /// in this order.
     pub fn step(&mut self, now: f64) -> IterationOutcome {
-        let st = &mut self.state;
-        st.clock = st.clock.max(now);
+        self.state.clock = self.state.clock.max(now);
         // Eviction watermark for the per-iteration KvEvict delta (a plain
         // counter read; the delta is only consulted when tracing is on).
-        let evicted_before = st.kv.blocks_evicted();
+        let evicted_before = self.state.pool.blocks_evicted();
+        self.enqueue_arrivals();
+        self.adopt_imports();
+        self.cobatch_and_grow();
+        // Multi-tenant fair queueing: decide which waiting request owns the
+        // admission slot this iteration, and — with priority preemption on —
+        // evict lower-priority decodes to make room for it. Victims re-queue
+        // at the front, so the selection re-runs to restore the winner (it
+        // outranks its own victims by construction).
+        self.fair_reorder();
+        if self.priority_preempt() {
+            self.fair_reorder();
+        }
+        let plan = self.plan();
+        if plan.is_empty() {
+            return self.idle_outcome();
+        }
+        let dt = self.price(&plan);
+        let (stats, finished) = self.apply(&plan, dt);
+        self.kv_effects(&plan, &finished);
+        self.finish_and_stream(&finished);
+        self.export_prefill(&plan);
+        self.trace_iteration(&plan, &stats, evicted_before);
+        IterationOutcome::Ran(stats)
+    }
 
-        // Admit arrivals that have happened by now.
+    /// Whether prefix-shared decode (KV dedup) is on. It is only meaningful
+    /// where sharing can be proven: the paged policy's prefix index.
+    fn dedup_on(&self) -> bool {
+        self.config.decode_dedup && self.config.kv_policy.prefix_caching()
+    }
+
+    /// Phase: move arrivals that have happened by now to the waiting queue.
+    fn enqueue_arrivals(&mut self) {
+        let st = &mut self.state;
         while let Some(&id) = st.arrivals.front() {
-            if st.requests[id].spec.arrival <= st.clock {
-                st.waiting.push_back(id);
-                st.arrivals.pop_front();
-                let t = st.clock;
-                let spec = st.requests[id].spec;
-                st.trace(t, || TraceEventKind::Enqueue {
-                    request: id,
-                    tenant: spec.tenant,
-                    priority: spec.priority,
-                    prompt_tokens: spec.prompt_tokens,
-                    output_tokens: spec.output_tokens,
-                });
-            } else {
+            if st.requests[id].spec.arrival > st.clock {
                 break;
             }
+            st.waiting.push_back(id);
+            st.arrivals.pop_front();
+            let t = st.clock;
+            let spec = st.requests[id].spec;
+            st.trace(t, || TraceEventKind::Enqueue {
+                request: id,
+                tenant: spec.tenant,
+                priority: spec.priority,
+                prompt_tokens: spec.prompt_tokens,
+                output_tokens: spec.output_tokens,
+            });
         }
+    }
 
-        // Adopt migrated-in KV chains whose transfer has completed: allocate
-        // residency and resume the request's decode here. Delivery order is
-        // FIFO — a failed allocation holds later imports back too, so
-        // admission is deterministic and the longest-waiting chain lands
-        // first once capacity frees up.
-        while st
+    /// Phase: adopt migrated-in KV chains whose transfer has completed —
+    /// take the policy's grant for each and resume the request's decode
+    /// here. Delivery order is FIFO: a failed grant holds later imports back
+    /// too, so admission is deterministic and the longest-waiting chain
+    /// lands first once capacity frees up.
+    fn adopt_imports(&mut self) {
+        let st = &mut self.state;
+        while let Some(front) = st
             .pending_imports
             .front()
-            .is_some_and(|imp| imp.available_at <= st.clock)
+            .filter(|imp| imp.available_at <= st.clock)
         {
-            let front = st.pending_imports.front().expect("front checked above");
-            let adopted = match self.config.kv_policy {
-                KvCachePolicy::Conservative => st
-                    .kv
-                    .reserve(front.request.spec.total_tokens())
-                    .then(Vec::new),
-                KvCachePolicy::Paged { .. } => {
-                    // Mirror paged admission's +1 rule: room for the chain
-                    // plus the next minted token, so a fresh import cannot
-                    // immediately preempt itself on first growth.
-                    let blocks =
-                        blocks_for(front.request.context_len() + 1).max(front.chain.blocks);
-                    st.kv.adopt_chain(KvChain {
-                        tokens: front.chain.tokens,
-                        blocks,
-                    })
-                }
+            let grant = self
+                .config
+                .kv_policy
+                .grant(&front.request, Some(&front.chain));
+            // Adopted chains stay private: block fingerprints are pool-local,
+            // so the migrated KV cannot be proven equal to anything in this
+            // replica's prefix index.
+            let mut table = Residency {
+                index_stalled: true,
+                ..Residency::default()
             };
-            let Some(blocks) = adopted else {
+            if !table.take(&mut st.pool, grant.blocks, grant.named) {
                 break;
-            };
+            }
             let mut imp = st.pending_imports.pop_front().expect("front exists");
             let rid = st.requests.len();
             imp.request.id = rid;
@@ -1492,15 +1582,7 @@ impl ServingEngine {
             st.live_token_samples += imp.request.token_times.len();
             let tokens = imp.chain.tokens;
             st.requests.push(imp.request);
-            st.reserved.push(true);
-            st.tables.push(RequestKv {
-                blocks,
-                // Adopted chains stay private: block fingerprints are
-                // pool-local, so the migrated KV cannot be proven equal to
-                // anything in this replica's prefix index.
-                index_stalled: true,
-                ..RequestKv::default()
-            });
+            st.tables.push(table);
             st.running.push(rid);
             let t = st.clock;
             st.trace(t, || TraceEventKind::HandoffImport {
@@ -1509,279 +1591,137 @@ impl ServingEngine {
                 stall,
             });
         }
+    }
 
-        // Prefix-shared decode (KV dedup) is only meaningful where sharing
-        // can be proven: the paged policy's prefix index.
-        let dedup_on = self.config.decode_dedup && self.config.kv_policy.prefix_caching();
-
-        // Speculation depth this engine decodes at (0 = autoregressive,
-        // which leaves every downstream budget, signature and price
-        // bit-for-bit untouched).
-        let spec_k = self.config.decode_mode.spec_k();
-
-        // Scheduler hint: co-batch same-prefix decodes so dedup groups
-        // actually form under the Sarathi decode cap (taking the first
-        // `max_batch_size` of an interleaved running set would split
-        // groups). Must precede decode growth so the growth set matches the
-        // co-batched decode set.
-        if dedup_on && st.running.len() > 1 {
-            st.cobatch_shared_prefixes();
+    /// Phase: co-batching and decode growth, before batch formation.
+    ///
+    /// Co-batch same-prefix decodes so dedup groups actually form under the
+    /// Sarathi decode cap (taking the first `max_batch_size` of an
+    /// interleaved running set would split groups). This precedes growth so
+    /// the growth set matches the co-batched decode set. Growth then gives
+    /// every request that will decode this iteration blocks for its next
+    /// token, preempting the newest decodes if the pool is exhausted. The
+    /// growth set must match the scheduler's decode set exactly: Sarathi
+    /// caps decodes at `max_batch_size`, while the vLLM policy decodes every
+    /// running request.
+    fn cobatch_and_grow(&mut self) {
+        if self.dedup_on() && self.state.running.len() > 1 {
+            self.state.cobatch_shared_prefixes();
         }
-
-        // Under the paged policy, decode growth happens before batch
-        // formation: every request that will decode this iteration gets a
-        // block for its next token, preempting the newest decodes if the
-        // pool is exhausted. The growth set must match the scheduler's
-        // decode set exactly: Sarathi caps decodes at `max_batch_size`,
-        // while the vLLM policy decodes every running request.
-        if matches!(self.config.kv_policy, KvCachePolicy::Paged { .. }) {
-            let decode_cap = match self.config.scheduler {
-                SchedulerKind::Vllm => usize::MAX,
-                SchedulerKind::Sarathi { .. } => self.config.max_batch_size,
-            };
-            st.grow_decode_blocks(decode_cap, spec_k);
-        }
-
-        // Multi-tenant fair queueing: decide which waiting request owns the
-        // admission slot this iteration, and — with priority preemption on —
-        // evict lower-priority decodes to make room for it. Victims re-queue
-        // at the front, so the selection re-runs to restore the winner (it
-        // outranks its own victims by construction).
-        self.fair_reorder();
-        if self.priority_preempt() {
-            self.fair_reorder();
-        }
-        let st = &mut self.state;
-
-        // Plan the iteration. Shedding re-plans without advancing time: a
-        // shed frees the prefill slot, so the next waiting request gets its
-        // admission consult in the *same* iteration (each shed strictly
-        // shrinks the waiting queue, so the loop terminates).
-        let plan = loop {
-            let plan = {
-                let admission = self.config.admission;
-                let now_clock = st.clock;
-                let capacity_blocks = st.kv.capacity_tokens() / BLOCK_TOKENS;
-                let (requests, waiting, running) = (&mut st.requests, &st.waiting, &st.running);
-                let (kv, reserved, tables) = (&mut st.kv, &mut st.reserved, &mut st.tables);
-                let counters = &mut st.counters;
-                let recorder = &mut st.recorder;
-                match self.config.kv_policy {
-                    KvCachePolicy::Conservative => plan_batch(
-                        self.config.scheduler,
-                        requests,
-                        waiting,
-                        running,
-                        &mut |req: &Request| {
-                            if reserved[req.id] {
-                                return AdmissionDecision::Admit { cached_tokens: 0 };
-                            }
-                            if admission.should_shed(req, now_clock) {
-                                return AdmissionDecision::Shed;
-                            }
-                            if kv.reserve(req.spec.total_tokens()) {
-                                reserved[req.id] = true;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        now_clock,
-                                        TraceEventKind::Admit {
-                                            request: req.id,
-                                            cached_tokens: 0,
-                                        },
-                                    );
-                                }
-                                AdmissionDecision::Admit { cached_tokens: 0 }
-                            } else {
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        now_clock,
-                                        TraceEventKind::Defer { request: req.id },
-                                    );
-                                }
-                                AdmissionDecision::Defer
-                            }
-                        },
-                        self.config.max_batch_size,
-                        spec_k,
-                    ),
-                    KvCachePolicy::Paged { prefix_caching } => plan_batch(
-                        self.config.scheduler,
-                        requests,
-                        waiting,
-                        running,
-                        &mut |req: &Request| {
-                            if reserved[req.id] {
-                                return AdmissionDecision::Admit { cached_tokens: 0 };
-                            }
-                            if admission.should_shed(req, now_clock) {
-                                return AdmissionDecision::Shed;
-                            }
-                            // Feasibility: to *finish*, the request must at some
-                            // point hold blocks for its whole prompt + output.
-                            // Admitting one that never can would decode until
-                            // growth exhausts the pool and then preempt/recompute
-                            // forever; deferring it surfaces the same Blocked
-                            // outcome (with the same total-tokens sizing number)
-                            // the conservative policy reports.
-                            if blocks_for(req.spec.total_tokens()) > capacity_blocks {
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        now_clock,
-                                        TraceEventKind::Defer { request: req.id },
-                                    );
-                                }
-                                return AdmissionDecision::Defer;
-                            }
-                            // Match the prompt (or, after a preemption, the full
-                            // recompute target) against the prefix index, capped
-                            // one below the target so at least one token is
-                            // always computed; then allocate the uncached rest.
-                            let target = req.target_prefill();
-                            let m = if prefix_caching {
-                                kv.acquire_prefix(req.spec.content, target - 1)
-                            } else {
-                                Default::default()
-                            };
-                            // Allocate for the prefill target *plus the first
-                            // decode token after it*: completing the prefill
-                            // mints that token, and without room for its KV a
-                            // restored request self-preempts forever — the
-                            // preemption frees exactly the blocks re-admission
-                            // then re-allocates, while (under the vLLM
-                            // scheduler) the restore prefill pauses every other
-                            // decode, so nothing ever progresses. Requiring the
-                            // extra block up front turns that livelock into a
-                            // Defer, letting the running decodes drain and free
-                            // real capacity. Still within the feasibility bound:
-                            // target + 1 <= prompt + output.
-                            let needed = blocks_for(target + 1) - m.blocks.len();
-                            let outcome = match kv.alloc_blocks(needed) {
-                                Some(fresh) => {
-                                    counters.cached_prefix_tokens += m.cached_tokens;
-                                    counters.blocks_reused += m.blocks.len();
-                                    counters.cow_copies += usize::from(m.cow_source.is_some());
-                                    if let Some(rec) = recorder.as_mut() {
-                                        rec.record(
-                                            now_clock,
-                                            TraceEventKind::Admit {
-                                                request: req.id,
-                                                cached_tokens: m.cached_tokens,
-                                            },
-                                        );
-                                        rec.record(
-                                            now_clock,
-                                            TraceEventKind::KvAlloc {
-                                                request: req.id,
-                                                blocks: needed,
-                                                reused: m.blocks.len(),
-                                                cow: m.cow_source.is_some(),
-                                            },
-                                        );
-                                    }
-                                    let table = &mut tables[req.id];
-                                    table.shared = m.blocks.len();
-                                    table.indexed = m.blocks.len();
-                                    table.cursor = m.cursor;
-                                    table.blocks = m.blocks;
-                                    table.blocks.extend(fresh);
-                                    reserved[req.id] = true;
-                                    AdmissionDecision::Admit {
-                                        cached_tokens: m.cached_tokens,
-                                    }
-                                }
-                                None => {
-                                    // Roll back the prefix acquisition; the
-                                    // request retries next iteration.
-                                    kv.release_blocks(&m.blocks);
-                                    if let Some(rec) = recorder.as_mut() {
-                                        rec.record(
-                                            now_clock,
-                                            TraceEventKind::Defer { request: req.id },
-                                        );
-                                    }
-                                    AdmissionDecision::Defer
-                                }
-                            };
-                            // The CoW source was pinned by acquire_prefix so the
-                            // allocation above could not evict it mid-admission;
-                            // the copy has now happened (or the admission was
-                            // rolled back), so drop the pin either way.
-                            if let Some(cow) = m.cow_source {
-                                kv.release_blocks(&[cow]);
-                            }
-                            outcome
-                        },
-                        self.config.max_batch_size,
-                        spec_k,
-                    ),
-                }
-            };
-            if let Some(rid) = plan.shed {
-                st.requests[rid].shed_time = Some(st.clock);
-                let t = st.clock;
-                st.trace(t, || TraceEventKind::Shed { request: rid });
-                if let Some(acc) = st.accumulator.as_mut() {
-                    acc.observe(&st.requests[rid]);
-                }
-                st.waiting.retain(|&r| r != rid);
-                // Always re-plan: the freed prefill slot must be offered to
-                // the next waiting request in this same iteration (dropping
-                // only the shed request from an otherwise-formed plan would
-                // waste the whole chunk budget on a decodes-only batch).
-                continue;
-            }
-            break plan;
+        let decode_cap = match self.config.scheduler {
+            SchedulerKind::Vllm => usize::MAX,
+            SchedulerKind::Sarathi { .. } => self.config.max_batch_size,
         };
+        self.state
+            .grow_decode_blocks(decode_cap, self.config.decode_mode.spec_k());
+    }
 
-        if plan.is_empty() {
-            // A due-but-unadmitted import with no resident work left to free
-            // capacity can never fit: the migration analog of the oversized-
-            // request deadlock.
-            let import_due = st
-                .pending_imports
-                .front()
-                .is_some_and(|imp| imp.available_at <= st.clock);
-            if import_due && st.waiting.is_empty() && st.running.is_empty() {
-                return IterationOutcome::Blocked {
-                    needed_tokens: st
-                        .pending_imports
-                        .front()
-                        .map(|imp| imp.request.spec.total_tokens())
-                        .unwrap_or(0),
-                    capacity_tokens: self.kv_capacity,
-                };
-            }
-            let next_arrival = st.arrivals.front().map(|&id| st.requests[id].spec.arrival);
-            let next_import = st
-                .pending_imports
-                .front()
-                .map(|imp| imp.available_at)
-                .filter(|&t| t > st.clock);
-            let wake = match (next_arrival, next_import) {
-                (Some(a), Some(m)) => Some(a.min(m)),
-                (a, m) => a.or(m),
+    /// Phase: plan the iteration, consulting [`admit`] for the front of the
+    /// waiting queue. Shedding re-plans without advancing time: a shed frees
+    /// the prefill slot, so the next waiting request gets its admission
+    /// consult in the *same* iteration (each shed strictly shrinks the
+    /// waiting queue, so the loop terminates).
+    fn plan(&mut self) -> BatchPlan {
+        let config = &self.config;
+        let st = &mut self.state;
+        loop {
+            let now = st.clock;
+            let (pool, tables) = (&mut st.pool, &mut st.tables);
+            let (counters, recorder) = (&mut st.counters, &mut st.recorder);
+            let plan = plan_batch(
+                config.scheduler,
+                &mut st.requests,
+                &st.waiting,
+                &st.running,
+                &mut |req: &Request| {
+                    admit(
+                        config,
+                        pool,
+                        &mut tables[req.id],
+                        counters,
+                        recorder,
+                        req,
+                        now,
+                    )
+                },
+                config.max_batch_size,
+                config.decode_mode.spec_k(),
+            );
+            let Some(rid) = plan.shed else {
+                return plan;
             };
-            if let Some(t) = wake {
-                return IterationOutcome::IdleUntil(t);
+            st.requests[rid].shed_time = Some(st.clock);
+            let t = st.clock;
+            st.trace(t, || TraceEventKind::Shed { request: rid });
+            if let Some(acc) = st.accumulator.as_mut() {
+                acc.observe(&st.requests[rid]);
             }
-            if st.waiting.is_empty() && st.running.is_empty() {
-                return IterationOutcome::Drained;
-            }
+            st.waiting.retain(|&r| r != rid);
+            // Always re-plan: the freed prefill slot must be offered to the
+            // next waiting request in this same iteration (dropping only the
+            // shed request from an otherwise-formed plan would waste the
+            // whole chunk budget on a decodes-only batch).
+        }
+    }
+
+    /// Phase: why an empty plan ran nothing — idle until the next arrival or
+    /// import delivery, drained, or blocked on a request that can never fit.
+    fn idle_outcome(&self) -> IterationOutcome {
+        let st = &self.state;
+        // A due-but-unadmitted import with no resident work left to free
+        // capacity can never fit: the migration analog of the oversized-
+        // request deadlock.
+        let import_due = st
+            .pending_imports
+            .front()
+            .is_some_and(|imp| imp.available_at <= st.clock);
+        if import_due && st.waiting.is_empty() && st.running.is_empty() {
             return IterationOutcome::Blocked {
                 needed_tokens: st
-                    .waiting
+                    .pending_imports
                     .front()
-                    .map(|&r| st.requests[r].spec.total_tokens())
+                    .map(|imp| imp.request.spec.total_tokens())
                     .unwrap_or(0),
                 capacity_tokens: self.kv_capacity,
             };
         }
+        let next_arrival = st.arrivals.front().map(|&id| st.requests[id].spec.arrival);
+        let next_import = st
+            .pending_imports
+            .front()
+            .map(|imp| imp.available_at)
+            .filter(|&t| t > st.clock);
+        let wake = match (next_arrival, next_import) {
+            (Some(a), Some(m)) => Some(a.min(m)),
+            (a, m) => a.or(m),
+        };
+        if let Some(t) = wake {
+            return IterationOutcome::IdleUntil(t);
+        }
+        if st.waiting.is_empty() && st.running.is_empty() {
+            return IterationOutcome::Drained;
+        }
+        IterationOutcome::Blocked {
+            needed_tokens: st
+                .waiting
+                .front()
+                .map(|&r| st.requests[r].spec.total_tokens())
+                .unwrap_or(0),
+            capacity_tokens: self.kv_capacity,
+        }
+    }
 
-        // Shared-prefix decode dedup: group this iteration's decodes by
-        // their shared-block chains and compute the KV traffic the grouped
-        // pass saves. With dedup off this stays (0, 0) and every signature,
-        // price and trace below is bit-for-bit what a dedup-unaware engine
-        // produces.
+    /// Phase: price the planned iteration, returning its duration.
+    ///
+    /// Shared-prefix decode dedup first groups this iteration's decodes by
+    /// their shared-block chains and computes the KV traffic the grouped
+    /// pass saves; with dedup off it stays 0 and every signature, price and
+    /// trace is bit-for-bit what a dedup-unaware engine produces. With the
+    /// price cache on, only novel (quantized) batch shapes reach the cost
+    /// model; repeats are a map lookup.
+    fn price(&mut self, plan: &BatchPlan) -> f64 {
+        let dedup_on = self.dedup_on();
+        let st = &mut self.state;
         let (dedup_groups, dedup_tokens) = if dedup_on && !plan.decodes.is_empty() {
             st.shared_decode_dedup(&plan.decodes)
         } else {
@@ -1795,11 +1735,8 @@ impl ServingEngine {
                 tokens: dedup_tokens,
             });
         }
-
-        // Price the iteration. With the cache on, only novel (quantized)
-        // batch shapes reach the cost model; repeats are a map lookup.
         let dt = if self.config.price_cache {
-            let sig = BatchSignature::of_plan(&plan, &st.requests, dedup_tokens);
+            let sig = BatchSignature::of_plan(plan, &st.requests, dedup_tokens);
             match st.price_cache.get(&sig) {
                 Some(&cached) => {
                     st.counters.price_cache_hits += 1;
@@ -1818,7 +1755,7 @@ impl ServingEngine {
                 }
             }
         } else {
-            let batch = to_hybrid_batch(&plan, &st.requests, dedup_tokens);
+            let batch = to_hybrid_batch(plan, &st.requests, dedup_tokens);
             self.cost.iteration_time(&batch, self.config.attention)
         };
         // Draft proposal time: `k` decode passes of the drafter over this
@@ -1829,12 +1766,24 @@ impl ServingEngine {
         // verify work already inside `dt`.
         let draft_dt = draft_proposal_time(
             self.draft_cost.as_ref(),
-            spec_k,
+            self.config.decode_mode.spec_k(),
             self.config.attention,
-            &plan,
+            plan,
             &st.requests,
         );
-        let dt = if draft_dt > 0.0 { dt + draft_dt } else { dt };
+        if draft_dt > 0.0 {
+            dt + draft_dt
+        } else {
+            dt
+        }
+    }
+
+    /// Phase: advance the clock by `dt` and apply the plan to request
+    /// lifecycles and queues, including the speculative bookkeeping and the
+    /// prefill billing. Returns the iteration's stats and the requests that
+    /// finished.
+    fn apply(&mut self, plan: &BatchPlan, dt: f64) -> (IterationStats, Vec<usize>) {
+        let st = &mut self.state;
         let started_at = st.clock;
         st.clock += dt;
         st.counters.iterations += 1;
@@ -1867,12 +1816,11 @@ impl ServingEngine {
                 .collect(),
         };
 
-        // Apply the iteration's effects to request lifecycles and queues.
         let prefill_tt_before = plan
             .prefill
             .map(|(rid, _)| st.requests[rid].token_times.len());
         let finished = apply_plan(
-            &plan,
+            plan,
             &spec_outcomes,
             st.clock,
             &mut st.requests,
@@ -1901,62 +1849,96 @@ impl ServingEngine {
         // accept/reject counters, release the KV tail a rollback stranded
         // (those blocks were allocated by this iteration's speculative
         // growth and are never indexed or shared — the refcount-conserving
-        // truncation path), and trace each round.
-        if !spec_outcomes.is_empty() {
-            let paged = matches!(self.config.kv_policy, KvCachePolicy::Paged { .. });
-            for (i, &rid) in plan.decodes.iter().enumerate() {
-                let o = spec_outcomes[i];
-                let rejected = o.width - o.accepted;
-                {
-                    let req = &mut st.requests[rid];
-                    req.spec_rounds += 1;
-                    req.draft_accepted += o.accepted;
-                    req.draft_rejected += rejected;
+        // truncation path; a counted grant has no tail), and trace each
+        // round.
+        for (&rid, o) in plan.decodes.iter().zip(&spec_outcomes) {
+            let rejected = o.width - o.accepted;
+            let req = &mut st.requests[rid];
+            req.spec_rounds += 1;
+            req.draft_accepted += o.accepted;
+            req.draft_rejected += rejected;
+            st.counters.spec_rounds += 1;
+            st.counters.draft_tokens_accepted += o.accepted;
+            st.counters.draft_tokens_rejected += rejected;
+            if o.minted < o.width {
+                let table = &mut st.tables[rid];
+                let keep = blocks_for(st.requests[rid].context_len())
+                    .max(table.indexed)
+                    .max(table.shared);
+                if table.blocks.len() > keep {
+                    st.pool.release(&table.blocks.split_off(keep));
                 }
-                st.counters.spec_rounds += 1;
-                st.counters.draft_tokens_accepted += o.accepted;
-                st.counters.draft_tokens_rejected += rejected;
-                if paged && o.minted < o.width {
-                    let keep = blocks_for(st.requests[rid].context_len())
-                        .max(st.tables[rid].indexed)
-                        .max(st.tables[rid].shared);
-                    if st.tables[rid].blocks.len() > keep {
-                        let tail = st.tables[rid].blocks.split_off(keep);
-                        st.kv.release_blocks(&tail);
-                    }
-                }
-                let t = st.clock;
-                st.trace(t, || TraceEventKind::SpecRound {
-                    request: rid,
-                    width: o.width,
-                    accepted: o.accepted,
-                    minted: o.minted,
-                });
             }
+            let t = st.clock;
+            st.trace(t, || TraceEventKind::SpecRound {
+                request: rid,
+                width: o.width,
+                accepted: o.accepted,
+                minted: o.minted,
+            });
         }
 
-        // KV-cache effects, per policy: register newly computed full blocks
-        // in the prefix index, then release finished residencies (a finished
-        // request's indexed blocks stay cached until evicted).
-        if self.config.kv_policy.prefix_caching() {
-            if let Some((rid, _)) = plan.prefill {
+        // Token accounting via the plan's own budget arithmetic, so the
+        // stats and the Sarathi chunk accounting can never drift apart.
+        let prefill_tokens = plan.scheduled_tokens() - plan.decodes.len() - plan.spec_tokens;
+        st.counters.prefill_tokens_scheduled += prefill_tokens;
+        // Fair queueing bills scheduled prefill work to the owning tenant's
+        // virtual-token counter, weighted (cached-prefix tokens were never
+        // scheduled and are free; decode tokens are not contended the same
+        // way — the chunk budget is what tenants fight over).
+        if let (Some(fq), Some((rid, _))) = (&self.config.fair_queue, plan.prefill) {
+            if prefill_tokens > 0 {
+                let tenant = st.requests[rid].spec.tenant;
+                let weight = fq.weight(tenant);
+                *st.fair_vtime_entry(tenant) += prefill_tokens as f64 / weight;
+            }
+        }
+        let stats = IterationStats {
+            started_at,
+            completed_at: st.clock,
+            duration: dt,
+            hybrid: plan.is_hybrid(),
+            prefill_tokens,
+            decode_tokens,
+            newly_finished: finished.len(),
+        };
+        (stats, finished)
+    }
+
+    /// Phase: KV effects — register newly computed full blocks in the prefix
+    /// index, then release finished residencies (a finished request's
+    /// indexed blocks stay cached until evicted).
+    fn kv_effects(&mut self, plan: &BatchPlan, finished: &[usize]) {
+        let prefix_caching = self.config.kv_policy.prefix_caching();
+        let st = &mut self.state;
+        if prefix_caching {
+            let prefill = plan.prefill.map(|(rid, _)| rid);
+            for &rid in prefill.iter().chain(&plan.decodes) {
                 if !finished.contains(&rid) {
                     st.index_computed_blocks(rid);
                 }
             }
-            for &rid in &plan.decodes {
-                if !finished.contains(&rid) {
-                    st.index_computed_blocks(rid);
-                }
+        }
+        for &rid in finished {
+            if prefix_caching {
+                // Index the decode region too, so multi-turn follow-ups
+                // whose prompts embed this response hit the cache.
+                st.index_computed_blocks(rid);
             }
+            st.free_residency(rid);
         }
-        for &rid in &finished {
-            st.release_finished(rid, self.config.kv_policy);
-        }
+    }
 
+    /// Phase: trace each finished request, then (streaming metrics) fold it
+    /// into the accumulator and drop its token-time buffer — nothing
+    /// downstream needs it. Prefill-export parkings are not finished: their
+    /// buffers ride the handoff to the decode replica, which observes the
+    /// request.
+    fn finish_and_stream(&mut self, finished: &[usize]) {
+        let st = &mut self.state;
         // Finish events, before streaming metrics drop any request buffers.
         if st.recorder.is_some() {
-            for &rid in &finished {
+            for &rid in finished {
                 let req = &st.requests[rid];
                 let prompt_tokens = req.spec.prompt_tokens;
                 let generated = req.generated;
@@ -1972,138 +1954,98 @@ impl ServingEngine {
                 });
             }
         }
-
-        // Streaming metrics: fold each finished request into the accumulator
-        // and drop its token-time buffer — nothing downstream needs it.
-        // (Prefill-export parkings are not in `finished`; their buffers ride
-        // the handoff to the decode replica, which observes the request.)
         if let Some(acc) = st.accumulator.as_mut() {
-            for &rid in &finished {
+            for &rid in finished {
                 acc.observe(&st.requests[rid]);
                 let dropped = std::mem::take(&mut st.requests[rid].token_times);
                 st.live_token_samples -= dropped.len();
             }
         }
+    }
 
-        // Prefill-export mode: a request that just completed its prefill
-        // (first token minted, TTFT stamped, blocks indexed above so the
-        // local prefix cache keeps serving future sharers) parks for
-        // migration pickup instead of decoding here. Its KV residency is
-        // serialized into the handoff chain and released *now* — the
-        // transfer is overlappable communication, not source HBM — so a
-        // backlog of parked exports can never wedge admission. Requests that
-        // finished outright at prefill (single-token outputs) have nothing
-        // to migrate.
-        if self.export_prefills {
-            if let Some((rid, _)) = plan.prefill {
-                if st.requests[rid].phase() == Phase::Decoding {
-                    st.running.retain(|&r| r != rid);
-                    let tokens = st.requests[rid].context_len();
-                    let chain = match self.config.kv_policy {
-                        KvCachePolicy::Conservative => {
-                            if st.reserved[rid] {
-                                st.kv.release(st.requests[rid].spec.total_tokens());
-                                st.reserved[rid] = false;
-                            }
-                            KvChain {
-                                tokens,
-                                blocks: blocks_for(tokens),
-                            }
-                        }
-                        KvCachePolicy::Paged { .. } => {
-                            let table = std::mem::take(&mut st.tables[rid]);
-                            st.reserved[rid] = false;
-                            st.kv.export_chain(&table.blocks, tokens)
-                        }
-                    };
-                    let (chain_tokens, chain_blocks) = (chain.tokens, chain.blocks);
-                    st.pending_export.push((rid, chain));
-                    let t = st.clock;
-                    st.trace(t, || TraceEventKind::HandoffExport {
-                        request: rid,
-                        tokens: chain_tokens,
-                        blocks: chain_blocks,
-                    });
-                }
-            }
+    /// Phase (prefill-export mode only): a request that just completed its
+    /// prefill (first token minted, TTFT stamped, blocks indexed so the
+    /// local prefix cache keeps serving future sharers) parks for migration
+    /// pickup instead of decoding here. Its grant is serialized into the
+    /// handoff chain and released *now* — the transfer is overlappable
+    /// communication, not source HBM — so a backlog of parked exports can
+    /// never wedge admission. Requests that finished outright at prefill
+    /// (single-token outputs) have nothing to migrate.
+    fn export_prefill(&mut self, plan: &BatchPlan) {
+        let st = &mut self.state;
+        let Some((rid, _)) = plan.prefill.filter(|_| self.export_prefills) else {
+            return;
+        };
+        if st.requests[rid].phase() != Phase::Decoding {
+            return;
         }
+        st.running.retain(|&r| r != rid);
+        let tokens = st.requests[rid].context_len();
+        let table = st.release_residency(rid);
+        // The chain carries the context's blocks. A fresh prefill's named
+        // grant (target + 1 tokens) is exactly that; a counted grant spans
+        // the whole output, more than the chain needs.
+        debug_assert!(table.counted > 0 || table.blocks.len() == blocks_for(tokens));
+        let chain = KvChain {
+            tokens,
+            blocks: blocks_for(tokens),
+        };
+        st.pending_export.push((rid, chain));
+        let t = st.clock;
+        st.trace(t, || TraceEventKind::HandoffExport {
+            request: rid,
+            tokens: chain.tokens,
+            blocks: chain.blocks,
+        });
+    }
 
-        // Token accounting via the plan's own budget arithmetic, so the
-        // stats and the Sarathi chunk accounting can never drift apart
-        // (`decode_tokens`, the net minted count, was computed above).
-        let prefill_tokens = plan.scheduled_tokens() - plan.decodes.len() - plan.spec_tokens;
-        st.counters.prefill_tokens_scheduled += prefill_tokens;
-        // Fair queueing bills scheduled prefill work to the owning tenant's
-        // virtual-token counter, weighted (cached-prefix tokens were never
-        // scheduled and are free; decode tokens are not contended the same
-        // way — the chunk budget is what tenants fight over).
-        if let (Some(fq), Some((rid, _))) = (&self.config.fair_queue, plan.prefill) {
-            if prefill_tokens > 0 {
-                let tenant = st.requests[rid].spec.tenant;
-                let weight = fq.weight(tenant);
-                *st.fair_vtime_entry(tenant) += prefill_tokens as f64 / weight;
-            }
+    /// Phase: iteration-level trace events — any evictions the iteration's
+    /// allocations forced, the priced batch, and (when a timeline boundary
+    /// was crossed) one sample of replica occupancy. All inside one
+    /// `is_some` branch so tracing off never builds an event.
+    fn trace_iteration(&mut self, plan: &BatchPlan, stats: &IterationStats, evicted_before: usize) {
+        let st = &mut self.state;
+        if st.recorder.is_none() {
+            return;
         }
-        // Iteration-level trace events: the priced batch, any evictions the
-        // iteration's allocations forced, and — when a timeline boundary was
-        // crossed — one sample of replica occupancy. All inside one
-        // `is_some` branch so tracing off never builds an event.
-        if st.recorder.is_some() {
-            let evicted = st.kv.blocks_evicted() - evicted_before;
-            let clock = st.clock;
-            if evicted > 0 {
-                st.trace(clock, || TraceEventKind::KvEvict { blocks: evicted });
+        let evicted = st.pool.blocks_evicted() - evicted_before;
+        let clock = st.clock;
+        if evicted > 0 {
+            st.trace(clock, || TraceEventKind::KvEvict { blocks: evicted });
+        }
+        let stats = *stats;
+        st.trace(clock, || TraceEventKind::Iteration {
+            started_at: stats.started_at,
+            duration: stats.duration,
+            hybrid: stats.hybrid,
+            prefill_request: plan.prefill.map(|(rid, _)| rid),
+            chunk: plan.prefill.map_or(0, |(_, c)| c),
+            decodes: plan.decodes.len(),
+            prefill_tokens: stats.prefill_tokens,
+            decode_tokens: stats.decode_tokens,
+            newly_finished: stats.newly_finished,
+        });
+        let due = st
+            .recorder
+            .as_mut()
+            .is_some_and(|rec| rec.timeline_due(clock));
+        if due {
+            let mut backlog: std::collections::BTreeMap<TenantId, usize> =
+                std::collections::BTreeMap::new();
+            for &r in &st.waiting {
+                *backlog.entry(st.requests[r].spec.tenant).or_insert(0) += 1;
             }
-            let prefill_request = plan.prefill.map(|(rid, _)| rid);
-            let chunk = plan.prefill.map_or(0, |(_, c)| c);
-            let decode_count = plan.decodes.len();
-            let newly_finished = finished.len();
-            let hybrid = plan.is_hybrid();
-            st.trace(clock, || TraceEventKind::Iteration {
-                started_at,
-                duration: dt,
-                hybrid,
-                prefill_request,
-                chunk,
-                decodes: decode_count,
-                prefill_tokens,
-                decode_tokens,
-                newly_finished,
+            let (running, waiting) = (st.running.len(), st.waiting.len());
+            let kv_utilization = st.pool.utilization();
+            st.trace(clock, || TraceEventKind::TimelineSample {
+                running,
+                waiting,
+                kv_utilization,
+                prefill_tokens: stats.prefill_tokens,
+                decode_tokens: stats.decode_tokens,
+                tenant_backlog: backlog.into_iter().collect(),
             });
-            let due = st
-                .recorder
-                .as_mut()
-                .is_some_and(|rec| rec.timeline_due(clock));
-            if due {
-                let running = st.running.len();
-                let waiting = st.waiting.len();
-                let kv_utilization = st.kv.utilization();
-                let mut backlog: std::collections::BTreeMap<TenantId, usize> =
-                    std::collections::BTreeMap::new();
-                for &r in &st.waiting {
-                    *backlog.entry(st.requests[r].spec.tenant).or_insert(0) += 1;
-                }
-                let tenant_backlog: Vec<(TenantId, usize)> = backlog.into_iter().collect();
-                st.trace(clock, || TraceEventKind::TimelineSample {
-                    running,
-                    waiting,
-                    kv_utilization,
-                    prefill_tokens,
-                    decode_tokens,
-                    tenant_backlog,
-                });
-            }
         }
-
-        IterationOutcome::Ran(IterationStats {
-            started_at,
-            completed_at: st.clock,
-            duration: dt,
-            hybrid: plan.is_hybrid(),
-            prefill_tokens,
-            decode_tokens,
-            newly_finished: finished.len(),
-        })
     }
 
     /// Step until this engine can make no progress before simulated time `t`:
@@ -2169,7 +2111,7 @@ impl ServingEngine {
     /// The report's engine-side tallies so far.
     pub(crate) fn counters(&self) -> ServingCounters {
         ServingCounters {
-            blocks_evicted: self.state.kv.blocks_evicted(),
+            blocks_evicted: self.state.pool.blocks_evicted(),
             ..self.state.counters
         }
     }
@@ -2210,6 +2152,97 @@ impl ServingEngine {
     pub fn price_batch(&self, batch: &HybridBatch) -> f64 {
         self.cost.iteration_time(batch, self.config.attention)
     }
+}
+
+/// Admission consult for the front of the waiting queue, under either KV
+/// policy: a request that holds its grant stays admitted; otherwise it is
+/// shed (its deadline is already unmeetable), takes its policy grant —
+/// after matching the prefix index, when enabled — or defers until the pool
+/// has room. A counted grant emits no KV alloc event.
+fn admit(
+    config: &ServingConfig,
+    pool: &mut BlockPool,
+    table: &mut Residency,
+    counters: &mut ServingCounters,
+    recorder: &mut Option<TraceRecorder>,
+    req: &Request,
+    now: f64,
+) -> AdmissionDecision {
+    if table.is_held() {
+        return AdmissionDecision::Admit { cached_tokens: 0 };
+    }
+    if config.admission.should_shed(req, now) {
+        return AdmissionDecision::Shed;
+    }
+    let defer = |recorder: &mut Option<TraceRecorder>| {
+        if let Some(rec) = recorder.as_mut() {
+            rec.record(now, TraceEventKind::Defer { request: req.id });
+        }
+        AdmissionDecision::Defer
+    };
+    // Feasibility: to *finish*, the request must at some point hold blocks
+    // for its whole prompt + output. Admitting one that never can would
+    // decode until growth exhausts the pool and then preempt/recompute
+    // forever; deferring it surfaces the Blocked outcome with the same
+    // total-tokens sizing number under both policies.
+    if blocks_for(req.spec.total_tokens()) > pool.capacity_blocks() {
+        return defer(recorder);
+    }
+    // Match the prompt (or, after a preemption, the full recompute target)
+    // against the prefix index, capped one below the target so at least one
+    // token is always computed; then take the uncached rest of the grant.
+    let grant = config.kv_policy.grant(req, None);
+    let m = if config.kv_policy.prefix_caching() {
+        pool.acquire_prefix(req.spec.content, req.target_prefill() - 1)
+    } else {
+        PrefixMatch::default()
+    };
+    let (reused, cow) = (m.blocks.len(), m.cow_source);
+    let needed = grant.blocks - reused;
+    table.blocks = m.blocks;
+    let decision = if table.take(pool, needed, grant.named) {
+        counters.cached_prefix_tokens += m.cached_tokens;
+        counters.blocks_reused += reused;
+        counters.cow_copies += usize::from(cow.is_some());
+        if let Some(rec) = recorder.as_mut() {
+            rec.record(
+                now,
+                TraceEventKind::Admit {
+                    request: req.id,
+                    cached_tokens: m.cached_tokens,
+                },
+            );
+            if grant.named {
+                rec.record(
+                    now,
+                    TraceEventKind::KvAlloc {
+                        request: req.id,
+                        blocks: needed,
+                        reused,
+                        cow: cow.is_some(),
+                    },
+                );
+            }
+        }
+        table.shared = reused;
+        table.indexed = reused;
+        table.cursor = m.cursor;
+        AdmissionDecision::Admit {
+            cached_tokens: m.cached_tokens,
+        }
+    } else {
+        // Roll back the prefix acquisition; the request retries next
+        // iteration.
+        pool.release(&std::mem::take(&mut table.blocks));
+        defer(recorder)
+    };
+    // The CoW source was pinned by acquire_prefix so the grant above could
+    // not evict it mid-admission; the copy has now happened (or the
+    // admission was rolled back), so drop the pin either way.
+    if let Some(cow) = cow {
+        pool.release(&[cow]);
+    }
+    decision
 }
 
 /// The historical deadlock panic, shared by `run_until_drained` and

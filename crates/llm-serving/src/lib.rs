@@ -13,7 +13,7 @@
 //!   plus the attention estimator from [`attn_kernels`], switchable between
 //!   FA_Serial (the baselines) and POD (the paper's system).
 //! * [`ServingEngine`] — a **step-able** replica simulator: admits requests
-//!   against a paged KV cache ([`KvCacheManager`]), forms hybrid batches,
+//!   against a KV block pool ([`BlockPool`]), forms hybrid batches,
 //!   prices every iteration and tracks TTFT, TBT, request latency, stalls and
 //!   throughput ([`ServingReport`]). Drive it to completion with
 //!   [`ServingEngine::run`], or one iteration at a time with
@@ -25,8 +25,10 @@
 //!   imbalance in [`ClusterReport`].
 //! * [`BlockPool`] / [`PrefixIndex`] — the prefix-sharing paged KV-cache
 //!   block subsystem: ref-counted blocks, a radix trie over token-fingerprint
-//!   chunks, copy-on-write on divergence and LRU eviction. Enabled per
-//!   config via [`KvCachePolicy::Paged`]; requests carry [`PromptContent`]
+//!   chunks, copy-on-write on divergence and LRU eviction. The conservative
+//!   default holds counted grants in the same pool; named, prefix-matched
+//!   blocks are enabled per config via [`KvCachePolicy::Paged`]; requests
+//!   carry [`PromptContent`]
 //!   stream identities, shared-prefix traces come from
 //!   [`SharedPrefixWorkload`], and [`RouterPolicy::PrefixAffinity`] routes
 //!   on cached-prefix length.
@@ -92,7 +94,6 @@ mod blocks;
 mod cluster;
 mod engine;
 mod json;
-mod kvcache;
 mod linear;
 mod metrics;
 mod model;
@@ -116,13 +117,10 @@ pub use engine::{
     PrefillHandoff, ServingConfig, ServingEngine,
 };
 pub use json::{JsonParseError, JsonValue};
-pub use kvcache::KvCacheManager;
 pub use linear::{IterationBreakdown, IterationCostModel};
 pub use metrics::{percentile, ServingReport, SloClassReport, SummaryStats, TenantReport};
 pub use model::{ModelConfig, ParamCounts};
-pub use request::{
-    Phase, Priority, PromptContent, Request, RequestSpec, RequestSpecBuilder, SloSpec, TenantId,
-};
+pub use request::{Phase, Priority, PromptContent, Request, RequestSpec, SloSpec, TenantId};
 pub use rng::SplitMix64;
 pub use scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
 pub use sketch::{QuantileSketch, SketchMergeError, DEFAULT_RELATIVE_ERROR};

@@ -175,9 +175,8 @@ impl Priority {
 /// Specification of a request as generated by a workload: when it arrives and
 /// how many prompt/output tokens it has.
 ///
-/// Construct one with [`RequestSpec::builder`]; the positional
-/// [`RequestSpec::new`] plus `with_*` chain remains as a shim for older call
-/// sites and is bit-for-bit equivalent.
+/// Construct one with [`RequestSpec::new`] and chain the `with_*` setters
+/// for optional attributes.
 ///
 /// # `Copy` audit
 ///
@@ -212,35 +211,18 @@ pub struct RequestSpec {
 }
 
 impl RequestSpec {
-    /// Start building a request specification — the canonical construction
-    /// path. Optional attributes chain fluently:
+    /// A new request specification with every optional attribute at its
+    /// default. Optional attributes chain:
     ///
     /// ```
     /// use llm_serving::{Priority, RequestSpec, SloSpec, TenantId};
     ///
-    /// let spec = RequestSpec::builder(0.5, 4096, 128)
-    ///     .slo(SloSpec::new("interactive", 2.0, 0.2))
-    ///     .tenant(TenantId(3))
-    ///     .priority(Priority::High)
-    ///     .build();
+    /// let spec = RequestSpec::new(0.5, 4096, 128)
+    ///     .with_slo(SloSpec::new("interactive", 2.0, 0.2))
+    ///     .with_tenant(TenantId(3))
+    ///     .with_priority(Priority::High);
     /// assert_eq!(spec.tenant, TenantId(3));
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt or output length is zero.
-    pub fn builder(arrival: f64, prompt_tokens: usize, output_tokens: usize) -> RequestSpecBuilder {
-        RequestSpecBuilder {
-            spec: RequestSpec::new(arrival, prompt_tokens, output_tokens),
-        }
-    }
-
-    /// A new request specification with every optional attribute at its
-    /// default.
-    ///
-    /// Kept as a shim for existing call sites; prefer
-    /// [`RequestSpec::builder`], which reaches the same defaults and the
-    /// newer attributes (tenant, priority) through one fluent surface.
     ///
     /// # Panics
     ///
@@ -265,36 +247,27 @@ impl RequestSpec {
         }
     }
 
-    /// The same specification with an explicit token-stream identity.
-    ///
-    /// Shim for older call sites; prefer
-    /// [`RequestSpecBuilder::content`].
+    /// The same specification with an explicit token-stream identity for
+    /// prefix sharing.
     pub fn with_content(mut self, content: PromptContent) -> Self {
         self.content = content;
         self
     }
 
     /// The same specification with a latency SLO attached.
-    ///
-    /// Shim for older call sites; prefer [`RequestSpecBuilder::slo`].
     pub fn with_slo(mut self, slo: SloSpec) -> Self {
         self.slo = Some(slo);
         self
     }
 
-    /// The same specification billed to `tenant`.
-    ///
-    /// Shim-style convenience mirroring [`RequestSpec::with_slo`]; prefer
-    /// [`RequestSpecBuilder::tenant`] for new code.
+    /// The same specification billed to `tenant` (its prefill work counts
+    /// against that tenant's fair share).
     pub fn with_tenant(mut self, tenant: TenantId) -> Self {
         self.tenant = tenant;
         self
     }
 
-    /// The same specification at `priority`.
-    ///
-    /// Shim-style convenience mirroring [`RequestSpec::with_slo`]; prefer
-    /// [`RequestSpecBuilder::priority`] for new code.
+    /// The same specification at scheduling priority class `priority`.
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
@@ -309,44 +282,6 @@ impl RequestSpec {
     /// cache when it finishes.
     pub fn total_tokens(&self) -> usize {
         self.prompt_tokens + self.output_tokens
-    }
-}
-
-/// Fluent builder returned by [`RequestSpec::builder`]. Every setter is
-/// chainable; [`RequestSpecBuilder::build`] yields the finished spec.
-#[derive(Debug, Clone)]
-pub struct RequestSpecBuilder {
-    spec: RequestSpec,
-}
-
-impl RequestSpecBuilder {
-    /// Token-stream identity for prefix sharing.
-    pub fn content(mut self, content: PromptContent) -> Self {
-        self.spec.content = content;
-        self
-    }
-
-    /// Latency SLO the request is graded against.
-    pub fn slo(mut self, slo: SloSpec) -> Self {
-        self.spec.slo = Some(slo);
-        self
-    }
-
-    /// Tenant the request bills its prefill work to.
-    pub fn tenant(mut self, tenant: TenantId) -> Self {
-        self.spec.tenant = tenant;
-        self
-    }
-
-    /// Scheduling priority class.
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.spec.priority = priority;
-        self
-    }
-
-    /// Finish building the specification.
-    pub fn build(self) -> RequestSpec {
-        self.spec
     }
 }
 
@@ -528,8 +463,8 @@ impl Request {
     /// Record that `tokens` leading prompt tokens were satisfied from the
     /// prefix cache at admission: they advance prefill progress without ever
     /// being scheduled. The cap of one-less-than-the-target is the caller's
-    /// job ([`crate::KvCacheManager`] enforces it), so at least one token is
-    /// always computed and TTFT stays well defined.
+    /// job (the engine's admission caps its prefix match there), so at least
+    /// one token is always computed and TTFT stays well defined.
     pub fn note_cached_prefix(&mut self, tokens: usize) {
         debug_assert!(self.prefilled + tokens < self.target_prefill());
         self.prefilled += tokens;
@@ -829,37 +764,38 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_positional_shims_bit_for_bit() {
+    fn with_setters_set_one_attribute_each() {
         let slo = SloSpec::new("interactive", 2.0, 0.3);
         let content = PromptContent::shared(7, 32, 100);
-        let built = RequestSpec::builder(1.5, 4096, 128)
-            .content(content)
-            .slo(slo)
-            .build();
-        let shimmed = RequestSpec::new(1.5, 4096, 128)
+        let spec = RequestSpec::new(1.5, 4096, 128)
             .with_content(content)
             .with_slo(slo);
-        assert_eq!(built, shimmed);
+        assert_eq!(spec.content, content);
+        assert_eq!(spec.slo, Some(slo));
+        assert_eq!((spec.arrival, spec.prompt_tokens), (1.5, 4096));
         // Defaults: the default tenant at normal priority.
-        assert_eq!(built.tenant, TenantId::DEFAULT);
-        assert_eq!(built.priority, Priority::Normal);
-        // The tenancy attributes round-trip through both surfaces.
-        let a = RequestSpec::builder(0.0, 10, 2)
-            .tenant(TenantId(9))
-            .priority(Priority::High)
-            .build();
-        let b = RequestSpec::new(0.0, 10, 2)
+        assert_eq!(spec.tenant, TenantId::DEFAULT);
+        assert_eq!(spec.priority, Priority::Normal);
+        // The tenancy attributes change nothing else.
+        let a = RequestSpec::new(0.0, 10, 2)
             .with_tenant(TenantId(9))
             .with_priority(Priority::High);
-        assert_eq!(a, b);
         assert_eq!(a.tenant, TenantId(9));
         assert_eq!(a.priority, Priority::High);
+        assert_eq!(
+            RequestSpec {
+                tenant: TenantId::DEFAULT,
+                priority: Priority::Normal,
+                ..a
+            },
+            RequestSpec::new(0.0, 10, 2)
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one output token")]
-    fn builder_rejects_zero_output() {
-        let _ = RequestSpec::builder(0.0, 10, 0);
+    fn zero_output_rejected() {
+        let _ = RequestSpec::new(0.0, 10, 0);
     }
 
     #[test]

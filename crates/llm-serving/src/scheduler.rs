@@ -255,7 +255,7 @@ fn plan_sarathi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kvcache::KvCacheManager;
+    use crate::blocks::{blocks_for, BlockPool};
     use crate::request::RequestSpec;
 
     fn setup(n: usize, prompt: usize, output: usize) -> (Vec<Request>, Vec<bool>) {
@@ -266,17 +266,17 @@ mod tests {
         (requests, reserved)
     }
 
-    /// The conservative admission rule the engine uses: reserve the full
-    /// prompt + output on first sight, nothing on later calls.
+    /// The conservative admission rule the engine uses: a counted grant of
+    /// the full prompt + output on first sight, nothing on later calls.
     fn conservative<'a>(
-        kv: &'a mut KvCacheManager,
+        kv: &'a mut BlockPool,
         reserved: &'a mut [bool],
     ) -> impl FnMut(&Request) -> AdmissionDecision + 'a {
         move |req: &Request| {
             if reserved[req.id] {
                 return AdmissionDecision::Admit { cached_tokens: 0 };
             }
-            if kv.reserve(req.spec.total_tokens()) {
+            if kv.alloc_counted(blocks_for(req.spec.total_tokens())) {
                 reserved[req.id] = true;
                 AdmissionDecision::Admit { cached_tokens: 0 }
             } else {
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn vllm_prioritizes_prefills_and_pauses_decodes() {
         let (mut requests, mut reserved) = setup(3, 1000, 100);
-        let mut kv = KvCacheManager::new(100_000);
+        let mut kv = BlockPool::new(100_000);
         let waiting: VecDeque<usize> = vec![0].into();
         let running = vec![1, 2];
         let plan = plan_batch(
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn vllm_falls_back_to_decodes_when_kv_is_full() {
         let (mut requests, mut reserved) = setup(2, 10_000, 100);
-        let mut kv = KvCacheManager::new(1_000);
+        let mut kv = BlockPool::new(1_000);
         let waiting: VecDeque<usize> = vec![0].into();
         let running = vec![1];
         let plan = plan_batch(
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn sarathi_builds_hybrid_batches_within_the_token_budget() {
         let (mut requests, mut reserved) = setup(5, 4096, 100);
-        let mut kv = KvCacheManager::new(1_000_000);
+        let mut kv = BlockPool::new(1_000_000);
         let waiting: VecDeque<usize> = vec![0].into();
         let running = vec![1, 2, 3, 4];
         let plan = plan_batch(
@@ -353,7 +353,7 @@ mod tests {
         let (mut requests, mut reserved) = setup(1, 300, 10);
         requests[0].record_prefill(200, 1.0);
         reserved[0] = true;
-        let mut kv = KvCacheManager::new(10_000);
+        let mut kv = BlockPool::new(10_000);
         let waiting: VecDeque<usize> = vec![0].into();
         let plan = plan_batch(
             SchedulerKind::Sarathi { chunk_size: 512 },
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn sarathi_skips_prefill_when_decodes_consume_the_budget() {
         let (mut requests, mut reserved) = setup(70, 1000, 100);
-        let mut kv = KvCacheManager::new(1_000_000);
+        let mut kv = BlockPool::new(1_000_000);
         let waiting: VecDeque<usize> = vec![0].into();
         let running: Vec<usize> = (1..65).collect();
         let plan = plan_batch(
@@ -438,7 +438,7 @@ mod tests {
         for r in &mut requests[1..5] {
             r.record_prefill(4096, 0.5);
         }
-        let mut kv = KvCacheManager::new(1_000_000);
+        let mut kv = BlockPool::new(1_000_000);
         let waiting: VecDeque<usize> = vec![0].into();
         let running = vec![1, 2, 3, 4];
         let plan = plan_batch(
@@ -487,7 +487,7 @@ mod tests {
     #[test]
     fn empty_state_gives_empty_plan() {
         let (mut requests, mut reserved) = setup(1, 10, 10);
-        let mut kv = KvCacheManager::new(1000);
+        let mut kv = BlockPool::new(1000);
         let plan = plan_batch(
             SchedulerKind::Vllm,
             &mut requests,

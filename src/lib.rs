@@ -35,10 +35,9 @@ pub use pod_attention;
 // to know which workspace crate owns them. One `use pod_repro::{...}` covers
 // the whole user-facing API, including the multi-tenant fairness surface
 // (`TenantId` / `Priority` / `FairQueueConfig` / `TenantMix`) and the
-// request/config builders (`RequestSpec::builder`, the `with_*` chains on
-// `ServingConfig` / `ClusterConfig`).
+// `with_*` chains on `RequestSpec`, `ServingConfig` and `ClusterConfig`.
 pub use llm_serving::{
     Cluster, ClusterConfig, ClusterReport, FairQueueConfig, IterationOutcome, KvMigration,
-    Priority, RateSchedule, ReplicaRole, RequestSpec, RequestSpecBuilder, RouterPolicy,
-    ServingConfig, ServingEngine, ServingReport, TenantId, TenantMix, TenantReport, TenantTraffic,
+    Priority, RateSchedule, ReplicaRole, RequestSpec, RouterPolicy, ServingConfig, ServingEngine,
+    ServingReport, TenantId, TenantMix, TenantReport, TenantTraffic,
 };

@@ -13,8 +13,8 @@ use attn_kernels::{
 use gpu_sim::CtaDispatcher;
 use gpu_sim::{CtaWork, Engine, Footprint, GpuConfig, KernelLaunch, OpClass};
 use llm_serving::{
-    offline_long_context, KvCacheManager, ModelConfig, ServingConfig, ServingEngine, SplitMix64,
-    SummaryStats, Workload,
+    blocks_for, offline_long_context, BlockPool, ModelConfig, ServingConfig, ServingEngine,
+    SplitMix64, SummaryStats, Workload,
 };
 use pod_attention::{PodAttention, SchedulingPolicy, SmAwareScheduler};
 
@@ -312,34 +312,38 @@ fn cached_serving_tracks_exact_serving() {
     }
 }
 
-/// The KV-cache manager never over-commits and reserve/release round trips
-/// restore the free space exactly.
+/// Counted grants in the KV block pool never over-commit and grant/release
+/// round trips restore the free space exactly.
 #[test]
 fn kv_cache_never_overcommits() {
     let mut rng = SplitMix64::seed_from_u64(57);
     for case in 0..CASES {
         let capacity = 64 * 1024;
-        let mut kv = KvCacheManager::new(capacity);
+        let mut kv = BlockPool::new(capacity);
         let mut live: Vec<usize> = Vec::new();
         let ops = 1 + rng.next_usize(63);
         for _ in 0..ops {
             let tokens = 1 + rng.next_usize(4095);
             if rng.next_f64() < 0.5 && !live.is_empty() {
                 let t = live.pop().expect("non-empty");
-                kv.release(t);
+                kv.release_counted(blocks_for(t));
             }
-            if kv.reserve(tokens) {
+            if kv.alloc_counted(blocks_for(tokens)) {
                 live.push(tokens);
             }
             assert!(
-                kv.used_tokens() <= kv.capacity_tokens(),
+                kv.referenced_blocks() <= kv.capacity_blocks(),
                 "case {case}: overcommitted"
             );
         }
         for t in live.drain(..) {
-            kv.release(t);
+            kv.release_counted(blocks_for(t));
         }
-        assert_eq!(kv.used_tokens(), 0, "case {case}: leaked reservations");
+        assert_eq!(
+            kv.referenced_blocks(),
+            0,
+            "case {case}: leaked reservations"
+        );
     }
 }
 

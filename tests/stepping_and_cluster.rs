@@ -8,9 +8,13 @@
 
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    offline_long_context, Cluster, ClusterConfig, IterationOutcome, ModelConfig, RateSchedule,
-    RouterPolicy, ServingConfig, ServingEngine, ServingReport, Workload,
+    offline_long_context, Cluster, ClusterConfig, ClusterReport, FairQueueConfig, FlightRecording,
+    IterationOutcome, KvMigration, ModelConfig, Priority, RateSchedule, RequestSpec, RouterPolicy,
+    ServingConfig, ServingEngine, ServingReport, SharedPrefixWorkload, TenantId, TraceConfig,
+    Workload,
 };
+use llm_serving::{AcceptanceModel, DraftModelConfig};
+use std::collections::BTreeMap;
 
 fn llama3() -> ModelConfig {
     ModelConfig::llama3_8b()
@@ -21,6 +25,9 @@ fn gpu() -> GpuConfig {
 }
 
 /// Golden field values as `f64::to_bits` patterns plus exact counters.
+/// `trace` lists a traced run's event counts by kind (empty when the case
+/// runs untraced).
+#[derive(Debug, PartialEq)]
 struct Golden {
     makespan: u64,
     completed: usize,
@@ -34,98 +41,227 @@ struct Golden {
     stall200: u64,
     hits: usize,
     misses: usize,
+    prefill_tokens: usize,
+    preemptions: usize,
+    inflicted: usize,
+    blocks_evicted: usize,
+    cached_prefix_tokens: usize,
+    blocks_reused: usize,
+    cow_copies: usize,
+    deduped: usize,
+    spec_rounds: usize,
+    draft_rejected: usize,
+    migrated_out: usize,
+    migrated_in: usize,
+    migrated_tokens: usize,
+    migration_stall: u64,
+    trace: &'static str,
 }
 
-fn assert_matches_golden(tag: &str, r: &ServingReport, g: &Golden) {
-    assert_eq!(r.makespan.to_bits(), g.makespan, "{tag}: makespan");
-    assert_eq!(r.completed, g.completed, "{tag}: completed");
-    assert_eq!(r.iterations, g.iterations, "{tag}: iterations");
-    assert_eq!(r.hybrid_iterations, g.hybrid, "{tag}: hybrid iterations");
-    assert_eq!(r.ttft.p50.to_bits(), g.ttft_p50, "{tag}: TTFT p50");
-    assert_eq!(r.ttft.p99.to_bits(), g.ttft_p99, "{tag}: TTFT p99");
-    assert_eq!(r.tbt.p50.to_bits(), g.tbt_p50, "{tag}: TBT p50");
-    assert_eq!(r.tbt.max.to_bits(), g.tbt_max, "{tag}: TBT max");
-    assert_eq!(
-        r.request_latency.p50.to_bits(),
-        g.lat_p50,
-        "{tag}: latency p50"
-    );
-    assert_eq!(
-        r.stall_fraction_200ms.to_bits(),
-        g.stall200,
-        "{tag}: stall fraction"
-    );
-    assert_eq!(r.price_cache_hits, g.hits, "{tag}: cache hits");
-    assert_eq!(r.price_cache_misses, g.misses, "{tag}: cache misses");
+impl Golden {
+    /// The pinned fields of `r` (and of `recording`, when traced). The trace
+    /// string is leaked so the value has the literal's shape.
+    fn of(r: &ServingReport, recording: Option<FlightRecording>) -> Golden {
+        let trace = recording.map_or(String::new(), |rec| {
+            let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+            for ev in rec.replicas.iter().flatten().chain(&rec.cluster) {
+                *counts.entry(ev.kind.label()).or_insert(0) += 1;
+            }
+            let parts: Vec<String> = counts.iter().map(|(k, n)| format!("{k}={n}")).collect();
+            parts.join(" ")
+        });
+        Golden {
+            makespan: r.makespan.to_bits(),
+            completed: r.completed,
+            iterations: r.iterations,
+            hybrid: r.hybrid_iterations,
+            ttft_p50: r.ttft.p50.to_bits(),
+            ttft_p99: r.ttft.p99.to_bits(),
+            tbt_p50: r.tbt.p50.to_bits(),
+            tbt_max: r.tbt.max.to_bits(),
+            lat_p50: r.request_latency.p50.to_bits(),
+            stall200: r.stall_fraction_200ms.to_bits(),
+            hits: r.price_cache_hits,
+            misses: r.price_cache_misses,
+            prefill_tokens: r.prefill_tokens_scheduled,
+            preemptions: r.preemptions,
+            inflicted: r.tenants.iter().map(|t| t.preemptions_inflicted).sum(),
+            blocks_evicted: r.blocks_evicted,
+            cached_prefix_tokens: r.cached_prefix_tokens,
+            blocks_reused: r.blocks_reused,
+            cow_copies: r.cow_copies,
+            deduped: r.decode_kv_tokens_deduped,
+            spec_rounds: r.spec_rounds,
+            draft_rejected: r.draft_tokens_rejected,
+            migrated_out: r.migrated_out_requests,
+            migrated_in: r.migrated_in_requests,
+            migrated_tokens: r.migrated_tokens,
+            migration_stall: r.migration_stall_time.to_bits(),
+            trace: Box::leak(trace.into_boxed_str()),
+        }
+    }
+}
+
+/// Compare every case and fail once, printing the new block of each
+/// mismatched case verbatim (a deliberate model change re-records them).
+fn assert_goldens(cases: Vec<(&str, Golden, Golden)>) {
+    let mut report = String::new();
+    for (tag, got, want) in cases {
+        if got != want {
+            report += &format!("{tag}: golden mismatch; new values:\n{got:#?}\n");
+        }
+    }
+    assert!(report.is_empty(), "{report}");
+}
+
+fn traced(config: ServingConfig) -> ServingConfig {
+    config.with_tracing(TraceConfig::new().with_capacity(1 << 20))
+}
+
+/// Run `specs` on one traced engine.
+fn engine_case(config: ServingConfig, specs: Vec<RequestSpec>) -> Golden {
+    let mut engine = ServingEngine::new(traced(config));
+    for spec in specs {
+        engine.submit(spec);
+    }
+    engine.run_until_drained();
+    assert_eq!(engine.kv_utilization(), 0.0, "drained pool holds blocks");
+    Golden::of(&engine.report(), engine.flight_recording())
+}
+
+/// Run `specs` on a traced one-prefill, one-decode disaggregated fleet.
+fn disaggregated_case(base: ServingConfig, specs: Vec<RequestSpec>) -> Golden {
+    let mut cluster = Cluster::new(ClusterConfig::disaggregated(
+        traced(base),
+        1,
+        1,
+        RouterPolicy::RoundRobin,
+        KvMigration::infiniband(),
+    ));
+    let report: ClusterReport = cluster.run(specs);
+    Golden::of(&report.aggregate, cluster.flight_recording())
 }
 
 /// `run()` (now a loop over `step`) reproduces the pre-refactor closed-world
-/// engine bit-for-bit on an online Sarathi+POD workload.
+/// engine bit-for-bit on an online Sarathi+POD workload, and every KV
+/// residency path — paged growth and preemption, prefix caching with
+/// eviction, speculative rollback, disaggregated export and adoption under
+/// each policy, and priority preemption — keeps its pinned outputs and
+/// trace-event counts.
 #[test]
 fn run_reproduces_pre_stepping_reports_bit_for_bit() {
     let online = Workload::internal().generate(40, 0.8, 17);
     let offline = offline_long_context(16, 8 * 1024, 128);
+    let mut cases = Vec::new();
 
     let pod =
         ServingEngine::new(ServingConfig::sarathi_pod(llama3(), gpu(), 1024)).run(online.clone());
-    assert_matches_golden(
+    cases.push((
         "sarathi_pod_online",
-        &pod,
-        &Golden {
-            makespan: 4634273427453257495,
-            completed: 40,
-            iterations: 5907,
-            hybrid: 417,
-            ttft_p50: 4602988723638504496,
-            ttft_p99: 4609199801803860468,
-            tbt_p50: 4575574502164525056,
-            tbt_max: 4589340709345344256,
-            lat_p50: 4614310424491164702,
-            stall200: 0,
-            hits: 5397,
-            misses: 510,
-        },
-    );
+        Golden::of(&pod, None),
+        SARATHI_POD_ONLINE,
+    ));
 
     let sarathi = ServingEngine::new(ServingConfig::sarathi(llama3(), gpu(), 1024)).run(offline);
-    assert_matches_golden(
+    cases.push((
         "sarathi_offline",
-        &sarathi,
-        &Golden {
-            makespan: 4619641717820506628,
-            completed: 16,
-            iterations: 270,
-            hybrid: 135,
-            ttft_p50: 4614167509303138966,
-            ttft_p99: 4618387286776373393,
-            tbt_p50: 4578181879319054848,
-            tbt_max: 4587707149233108736,
-            lat_p50: 4619086305298313794,
-            stall200: 0,
-            hits: 118,
-            misses: 152,
-        },
-    );
+        Golden::of(&sarathi, None),
+        SARATHI_OFFLINE,
+    ));
 
-    let vllm = ServingEngine::new(ServingConfig::vllm(llama3(), gpu())).run(online);
-    assert_matches_golden(
-        "vllm_online",
-        &vllm,
-        &Golden {
-            makespan: 4634281936496695202,
-            completed: 40,
-            iterations: 5555,
-            hybrid: 0,
-            ttft_p50: 4602566335034308640,
-            ttft_p99: 4608898658765648423,
-            tbt_p50: 4575480349117739008,
-            tbt_max: 4611104788700718688,
-            lat_p50: 4615029678595120562,
-            stall200: 4604705439004963635,
-            hits: 5426,
-            misses: 129,
-        },
-    );
+    let vllm = ServingEngine::new(ServingConfig::vllm(llama3(), gpu())).run(online.clone());
+    cases.push(("vllm_online", Golden::of(&vllm, None), VLLM_ONLINE));
+
+    // Paged without prefix caching, on a pool small enough that decode
+    // growth preempts.
+    let mut paged = ServingConfig::sarathi_pod(llama3(), gpu(), 1024).with_paged_kv(false);
+    paged.kv_capacity_tokens = Some(29_000);
+    let pressure = Workload::internal().generate(24, 2.0, 5);
+    cases.push((
+        "paged_pressure",
+        engine_case(paged, pressure.clone()),
+        PAGED_PRESSURE,
+    ));
+
+    // The conservative policy on the same pool: admission defers.
+    let mut tight = ServingConfig::sarathi_pod(llama3(), gpu(), 1024);
+    tight.kv_capacity_tokens = Some(29_000);
+    cases.push((
+        "conservative_pressure",
+        engine_case(tight, pressure),
+        CONSERVATIVE_PRESSURE,
+    ));
+
+    // Prefix caching with decode dedup on shared-prefix traffic, on a pool
+    // small enough that cached prefixes are evicted. Prefixes end mid-block,
+    // so admissions copy on write.
+    let mut prefix = ServingConfig::sarathi_pod(llama3(), gpu(), 1024)
+        .with_paged_kv(true)
+        .with_decode_dedup(true);
+    prefix.kv_capacity_tokens = Some(40_000);
+    let shared =
+        SharedPrefixWorkload::new(Workload::internal(), 4, 2050, 0.6, 0.35).generate(48, 2.0, 21);
+    cases.push((
+        "prefix_eviction",
+        engine_case(prefix.clone(), shared.clone()),
+        PREFIX_EVICTION,
+    ));
+
+    // Speculative paged decode with rejection-heavy rollback under pressure.
+    let mut spec = ServingConfig::sarathi_pod(llama3(), gpu(), 512)
+        .with_paged_kv(true)
+        .with_speculative(
+            6,
+            DraftModelConfig::scaled(0.2),
+            AcceptanceModel::new(0.35, 99),
+        );
+    spec.kv_capacity_tokens = Some(5_000);
+    let mut short =
+        SharedPrefixWorkload::new(Workload::internal(), 2, 257, 0.6, 0.3).generate(24, 3.0, 11);
+    for s in &mut short {
+        s.prompt_tokens = s.prompt_tokens.min(1_024);
+        s.output_tokens = 600;
+    }
+    cases.push(("spec_rollback", engine_case(spec, short), SPEC_ROLLBACK));
+
+    // Disaggregated prefill/decode under each policy.
+    let conservative = ServingConfig::sarathi_pod(llama3(), gpu(), 1024);
+    cases.push((
+        "disagg_conservative",
+        disaggregated_case(conservative, online.clone()),
+        DISAGG_CONSERVATIVE,
+    ));
+    cases.push((
+        "disagg_paged",
+        disaggregated_case(prefix, shared),
+        DISAGG_PAGED,
+    ));
+
+    // Fair queueing with priority preemption: high-priority arrivals evict
+    // low-priority resident decodes from a full paged pool.
+    let mut fair = ServingConfig::sarathi(llama3(), gpu(), 1024)
+        .with_paged_kv(false)
+        .with_fair_queue(FairQueueConfig::new().with_priority_preemption(true));
+    fair.kv_capacity_tokens = Some(20_000);
+    let mut mixed: Vec<RequestSpec> = (0..4)
+        .map(|i| {
+            RequestSpec::new(0.1 * i as f64, 4_000, 1_500)
+                .with_tenant(TenantId(0))
+                .with_priority(Priority::Low)
+        })
+        .collect();
+    mixed.extend((0..4).map(|i| {
+        RequestSpec::new(1.5 + i as f64, 3_000, 64)
+            .with_tenant(TenantId(1))
+            .with_priority(Priority::High)
+    }));
+    cases.push((
+        "priority_preempt",
+        engine_case(fair, mixed),
+        PRIORITY_PREEMPT,
+    ));
+
+    assert_goldens(cases);
 }
 
 /// Driving `step()` by hand produces a report identical to `run()` — same
@@ -244,3 +380,303 @@ fn pod_advantage_survives_scaling_out() {
         );
     }
 }
+
+const SARATHI_POD_ONLINE: Golden = Golden {
+    makespan: 4634273427453257495,
+    completed: 40,
+    iterations: 5907,
+    hybrid: 417,
+    ttft_p50: 4602988723638504496,
+    ttft_p99: 4609199801803860468,
+    tbt_p50: 4575574502164525056,
+    tbt_max: 4589340709345344256,
+    lat_p50: 4614310424491164702,
+    stall200: 0,
+    hits: 5397,
+    misses: 510,
+    prefill_tokens: 449931,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "",
+};
+
+const SARATHI_OFFLINE: Golden = Golden {
+    makespan: 4619641717820506628,
+    completed: 16,
+    iterations: 270,
+    hybrid: 135,
+    ttft_p50: 4614167509303138966,
+    ttft_p99: 4618387286776373393,
+    tbt_p50: 4578181879319054848,
+    tbt_max: 4587707149233108736,
+    lat_p50: 4619086305298313794,
+    stall200: 0,
+    hits: 118,
+    misses: 152,
+    prefill_tokens: 131072,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "",
+};
+
+const VLLM_ONLINE: Golden = Golden {
+    makespan: 4634281936496695202,
+    completed: 40,
+    iterations: 5555,
+    hybrid: 0,
+    ttft_p50: 4602566335034308640,
+    ttft_p99: 4608898658765648423,
+    tbt_p50: 4575480349117739008,
+    tbt_max: 4611104788700718688,
+    lat_p50: 4615029678595120562,
+    stall200: 4604705439004963635,
+    hits: 5426,
+    misses: 129,
+    prefill_tokens: 449931,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "",
+};
+
+const CONSERVATIVE_PRESSURE: Golden = Golden {
+    makespan: 4633633803309335049,
+    completed: 24,
+    iterations: 7371,
+    hybrid: 189,
+    ttft_p50: 4625976219281987470,
+    ttft_p99: 4631772851862895228,
+    tbt_p50: 4574416414983069696,
+    tbt_max: 4589031357706799104,
+    lat_p50: 4628520706565468904,
+    stall200: 0,
+    hits: 7116,
+    misses: 255,
+    prefill_tokens: 260393,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=24 defer=6703 enqueue=24 finish=24 iteration=7371 timeline=59",
+};
+
+const PAGED_PRESSURE: Golden = Golden {
+    makespan: 4633653239913596265,
+    completed: 24,
+    iterations: 7244,
+    hybrid: 213,
+    ttft_p50: 4625976219281987470,
+    ttft_p99: 4631586472104870607,
+    tbt_p50: 4574437975031570432,
+    tbt_max: 4617786616112900696,
+    lat_p50: 4628606680690652952,
+    stall200: 4590669220166325589,
+    hits: 6964,
+    misses: 280,
+    prefill_tokens: 283875,
+    preemptions: 2,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=26 defer=6552 enqueue=24 finish=24 iteration=7244 kv_alloc=26 kv_free=26 preempt=2 timeline=60",
+};
+
+const PREFIX_EVICTION: Golden = Golden {
+    makespan: 4634766735935531862,
+    completed: 48,
+    iterations: 6941,
+    hybrid: 536,
+    ttft_p50: 4625791673946745778,
+    ttft_p99: 4629963154123422690,
+    tbt_p50: 4575127896583626752,
+    tbt_max: 4608991773680649280,
+    lat_p50: 4626761908984330748,
+    stall200: 4592170420042115755,
+    hits: 6312,
+    misses: 629,
+    prefill_tokens: 534454,
+    preemptions: 5,
+    inflicted: 0,
+    blocks_evicted: 31863,
+    cached_prefix_tokens: 90466,
+    blocks_reused: 5653,
+    cow_copies: 9,
+    deduped: 1861632,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=53 defer=4662 enqueue=48 finish=48 iteration=6941 kv_alloc=53 kv_dedup=909 kv_evict=959 kv_free=53 preempt=5 timeline=71",
+};
+
+const SPEC_ROLLBACK: Golden = Golden {
+    makespan: 4628208777041841161,
+    completed: 24,
+    iterations: 2873,
+    hybrid: 85,
+    ttft_p50: 4619385724809115988,
+    ttft_p99: 4625308500772194128,
+    tbt_p50: 4576275344155054080,
+    tbt_max: 4611594584806897928,
+    lat_p50: 4622582976196310475,
+    stall200: 4599676419421066581,
+    hits: 2551,
+    misses: 322,
+    prefill_tokens: 26408,
+    preemptions: 21,
+    inflicted: 0,
+    blocks_evicted: 2176,
+    cached_prefix_tokens: 22042,
+    blocks_reused: 1376,
+    cow_copies: 12,
+    deduped: 0,
+    spec_rounds: 9337,
+    draft_rejected: 50746,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=45 defer=2212 enqueue=24 finish=24 iteration=2873 kv_alloc=45 kv_evict=740 kv_free=45 preempt=21 spec_round=9337 timeline=26",
+};
+
+const DISAGG_CONSERVATIVE: Golden = Golden {
+    makespan: 4634209560081717517,
+    completed: 40,
+    iterations: 8444,
+    hybrid: 0,
+    ttft_p50: 4602853702193872688,
+    ttft_p99: 4609163844361065542,
+    tbt_p50: 4575041656389623808,
+    tbt_max: 4590616695810963072,
+    lat_p50: 4612869624169559430,
+    stall200: 0,
+    hits: 8275,
+    misses: 169,
+    prefill_tokens: 449931,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 40,
+    migrated_in: 40,
+    migrated_tokens: 449971,
+    migration_stall: 4608897647845595852,
+    trace: "admit=40 enqueue=40 finish=40 handoff_export=40 handoff_import=40 iteration=8444 timeline=104",
+};
+
+const DISAGG_PAGED: Golden = Golden {
+    makespan: 4632654224347721076,
+    completed: 48,
+    iterations: 7593,
+    hybrid: 24,
+    ttft_p50: 4610722349576007736,
+    ttft_p99: 4614659146477686989,
+    tbt_p50: 4575035006820933632,
+    tbt_max: 4624120738626411160,
+    lat_p50: 4622024028899963706,
+    stall200: 4606431818862122325,
+    hits: 7396,
+    misses: 197,
+    prefill_tokens: 554380,
+    preemptions: 3,
+    inflicted: 0,
+    blocks_evicted: 32106,
+    cached_prefix_tokens: 51906,
+    blocks_reused: 3243,
+    cow_copies: 9,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 48,
+    migrated_in: 48,
+    migrated_tokens: 577622,
+    migration_stall: 4643861505973288801,
+    trace: "admit=51 defer=839 enqueue=48 finish=48 handoff_export=48 handoff_import=48 iteration=7593 kv_alloc=51 kv_evict=172 kv_free=51 preempt=3 timeline=79",
+};
+
+const PRIORITY_PREEMPT: Golden = Golden {
+    makespan: 4625021798930300944,
+    completed: 8,
+    iterations: 2177,
+    hybrid: 44,
+    ttft_p50: 4594255050578604110,
+    ttft_p99: 4599765216640900495,
+    tbt_p50: 4574272986401641984,
+    tbt_max: 4614224602180227008,
+    lat_p50: 4618385554244683163,
+    stall200: 4593671619917905920,
+    hits: 2092,
+    misses: 85,
+    prefill_tokens: 45758,
+    preemptions: 4,
+    inflicted: 3,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=12 defer=633 enqueue=8 finish=8 iteration=2177 kv_alloc=12 kv_free=12 preempt=4 timeline=15",
+};
