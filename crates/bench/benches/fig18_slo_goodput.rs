@@ -16,8 +16,8 @@
 //! 3. Does the backlog-driven autoscaler hold the SLO through overload at a
 //!    lower replica-seconds cost than pinning the fleet at its maximum?
 //!
-//! Writes `BENCH_slo.json` at the repository root (gated by
-//! `perf_gate --slo` in CI) and asserts the orderings: POD goodput >=
+//! Writes `BENCH_slo.json` at the repository root (every value gated
+//! exactly by `perf_gate` in CI) and asserts the orderings: POD goodput >=
 //! Sarathi at every load point, shedding never loses goodput on the POD
 //! backend, autoscaling improves SLO attainment at the highest load, and a
 //! pinned (min == max) autoscaler is **bit-for-bit** identical to no

@@ -14,8 +14,8 @@
 //! per-token transfer over a configurable link, optionally overlapped with
 //! the prefill computation that produces the KV.
 //!
-//! Writes `BENCH_disagg.json` at the repository root (gated by
-//! `perf_gate --disagg` in CI) and asserts the two orderings the paper's
+//! Writes `BENCH_disagg.json` at the repository root (every value gated
+//! exactly by `perf_gate` in CI) and asserts the two orderings the paper's
 //! argument needs:
 //!
 //! 1. at realistic migration bandwidth, the POD colocated fleet's goodput

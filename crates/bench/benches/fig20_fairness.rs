@@ -22,8 +22,8 @@
 //! queueing is **bit-for-bit** identical to FCFS (the inertness pin behind
 //! every existing golden).
 //!
-//! Writes `BENCH_fairness.json` at the repository root (gated by
-//! `perf_gate --fairness` in CI).
+//! Writes `BENCH_fairness.json` at the repository root (every value gated
+//! exactly by `perf_gate` in CI).
 //!
 //! Run with `cargo bench -p pod-bench --bench fig20_fairness`.
 

@@ -13,9 +13,9 @@
 //!    conservative KV policy, where no block identity exists to group by?
 //!
 //! Writes `BENCH_decode.json` at the repository root (uploaded as a CI
-//! artifact alongside the other trend files); `perf_gate --decode` gates the
-//! mean TBT speedup so a modeling regression that erodes the dedup win
-//! fails CI.
+//! artifact alongside the other trend files); `perf_gate` gates every value
+//! exactly, so a modeling change that moves the dedup win, the mean TBT
+//! speedup included, fails CI unless it re-baselines the file.
 //!
 //! Run with `cargo bench -p pod-bench --bench fig21_shared_decode`.
 

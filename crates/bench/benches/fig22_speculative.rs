@@ -17,9 +17,10 @@
 //!    the bench-level echo of the golden pins on `DecodeMode::Autoregressive`.
 //!
 //! Writes `BENCH_spec.json` at the repository root (uploaded as a CI
-//! artifact alongside the other trend files); `perf_gate --spec` gates the
-//! POD-at-saturation makespan speedup so a modeling regression that erodes
-//! the speculation win fails CI.
+//! artifact alongside the other trend files); `perf_gate` gates every value
+//! exactly, so a modeling change that moves the speculation win, the
+//! POD-at-saturation makespan speedup included, fails CI unless it
+//! re-baselines the file.
 //!
 //! Run with `cargo bench -p pod-bench --bench fig22_speculative`.
 

@@ -3,7 +3,7 @@
 //! streaming (constant-memory) metrics, and measures *host* throughput —
 //! wall-clock seconds and simulated iterations (events) per second.
 //!
-//! This is the benchmark behind `perf_gate --fleet`: unlike the figure
+//! This is the benchmark behind `perf_gate`'s fleet rows: unlike the figure
 //! benches, which assert orderings in *virtual* time, this one gates how fast
 //! the simulator itself chews through a fleet trace. Someone serializing the
 //! event-driven core, reintroducing the lockstep sweep, or buffering
@@ -25,9 +25,12 @@
 //! 4. Streaming mode's peak resident sample count stays bounded by the
 //!    *concurrent* request population, not the trace length.
 //!
-//! Writes `BENCH_fleet.json` at the repository root, with events/s and the
-//! barrier profile per worker count under `fleet.scaling` (uploaded as a CI
-//! artifact, gated by `perf_gate --fleet`).
+//! Writes `BENCH_fleet.json` at the repository root. The wall-clock numbers
+//! sit under `host.scaling.<workers>`: events/s, its ratio to the 1-worker
+//! point (`speedup_vs_1_worker`), and the barrier profile. `perf_gate`
+//! gates events/s at each worker count against the baseline and each ratio
+//! against a fixed floor; every other value is virtual and must match the
+//! baseline exactly.
 //!
 //! Run with `cargo bench -p pod-bench --bench trace_replay`.
 
@@ -44,7 +47,7 @@ const REPLICAS: usize = 16;
 const CHUNK: usize = 1024;
 const SEED: u64 = 42;
 /// Worker counts the replay runs at. Every count must give the 1-worker
-/// report bit for bit, and `perf_gate --fleet` gates each point.
+/// report bit for bit, and `perf_gate` gates each point.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Diurnal rate curve with a flash burst spliced into every step: `steps`
@@ -200,6 +203,7 @@ fn main() {
         "{:>7} {:>8} {:>12} {:>14} {:>10} {:>10} {:>9}",
         "workers", "wall_s", "events/s", "requests/s", "barriers", "barrier_s", "drain_s"
     );
+    let one_worker_eps = events as f64 / runs[0].2;
     let mut scaling = Vec::with_capacity(runs.len());
     for (workers, _, wall_secs, profile) in &runs {
         let events_per_sec = events as f64 / wall_secs;
@@ -211,13 +215,17 @@ fn main() {
             profile.barrier_ns as f64 * 1e-9,
             profile.drain_ns as f64 * 1e-9,
         );
-        scaling.push(JsonValue::obj(vec![
-            ("advance_workers", JsonValue::Num(*workers as f64)),
+        let point = JsonValue::obj(vec![
             ("wall_secs", JsonValue::Num(*wall_secs)),
             ("events_per_sec", JsonValue::Num(events_per_sec)),
+            (
+                "speedup_vs_1_worker",
+                JsonValue::Num(events_per_sec / one_worker_eps),
+            ),
             ("requests_per_sec", JsonValue::Num(requests_per_sec)),
             ("advance_profile", profile.to_json()),
-        ]));
+        ]);
+        scaling.push((workers.to_string(), point));
     }
     println!(
         "peak resident samples: {peak_samples} ({:.1} MiB) vs {:.1} MiB buffered exactly",
@@ -254,7 +262,6 @@ fn main() {
                     JsonValue::Num(report.aggregate.makespan),
                 ),
                 ("events", JsonValue::Num(events as f64)),
-                ("scaling", JsonValue::Arr(scaling)),
                 (
                     "peak_sample_bytes",
                     JsonValue::Num(peak_sample_bytes as f64),
@@ -266,6 +273,10 @@ fn main() {
             ]),
         ),
         ("report", report.to_json()),
+        (
+            "host",
+            JsonValue::obj(vec![("scaling", JsonValue::Obj(scaling))]),
+        ),
     ]);
     let path = repo_root_path("BENCH_fleet.json");
     std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_fleet.json");

@@ -171,18 +171,21 @@ impl KvCachePolicy {
     ///
     /// * Conservative: the whole prompt plus expected output, counted.
     /// * Paged: named blocks for the prefill target *plus the first decode
-    ///   token after it* (any prefix-cache hit supplies the leading ones).
-    ///   Completing the prefill mints that token, and without room for its
-    ///   KV a restored request self-preempts forever: the preemption frees
-    ///   exactly the blocks re-admission then re-allocates, while (under
-    ///   the vLLM scheduler) the restore prefill pauses every other decode,
-    ///   so nothing ever progresses. Requiring the extra block up front
-    ///   turns that livelock into a Defer, letting the running decodes
-    ///   drain and free real capacity; it stays within the feasibility
-    ///   bound, since target + 1 <= prompt + output. An adopted chain gets
-    ///   the same +1, so a fresh import cannot preempt itself on first
+    ///   round after it* (any prefix-cache hit supplies the leading ones):
+    ///   one token autoregressively, the whole drafted width
+    ///   (`spec_width(spec_k)`) under speculation. Completing the prefill
+    ///   mints that round, and without room for its KV a restored request
+    ///   self-preempts forever: the preemption frees exactly the blocks
+    ///   re-admission then re-allocates, while (under the vLLM scheduler)
+    ///   the restore prefill pauses every other decode, so nothing ever
+    ///   progresses. Requiring the extra room up front turns that livelock
+    ///   into a Defer, letting the running decodes drain and free real
+    ///   capacity; it stays within the feasibility bound, since the width
+    ///   never exceeds the remaining output. An adopted chain gets the same
+    ///   extra room, so a fresh import cannot preempt itself on first
     ///   growth, and never fewer blocks than the chain itself.
-    fn grant(&self, req: &Request, import: Option<&KvChain>) -> Grant {
+    fn grant(&self, req: &Request, import: Option<&KvChain>, spec_k: usize) -> Grant {
+        let width = req.spec_width(spec_k);
         match self {
             KvCachePolicy::Conservative => Grant {
                 blocks: blocks_for(req.spec.total_tokens()),
@@ -190,8 +193,8 @@ impl KvCachePolicy {
             },
             KvCachePolicy::Paged { .. } => Grant {
                 blocks: match import {
-                    None => blocks_for(req.target_prefill() + 1),
-                    Some(chain) => blocks_for(req.context_len() + 1).max(chain.blocks),
+                    None => blocks_for(req.target_prefill() + width),
+                    Some(chain) => blocks_for(req.context_len() + width).max(chain.blocks),
                 },
                 named: true,
             },
@@ -1077,6 +1080,17 @@ impl ServingEngine {
         self.export_prefills
     }
 
+    /// The draft width KV grants reserve room for (see
+    /// [`KvCachePolicy::grant`]). A prefill-only replica exports every
+    /// prefill and never decodes, so its grants keep the single token.
+    fn grant_spec_k(&self) -> usize {
+        if self.export_prefills {
+            0
+        } else {
+            self.config.decode_mode.spec_k()
+        }
+    }
+
     /// The configuration in effect.
     pub fn config(&self) -> &ServingConfig {
         &self.config
@@ -1432,6 +1446,7 @@ impl ServingEngine {
         if !preempt_on {
             return false;
         }
+        let grant_spec_k = self.grant_spec_k();
         let st = &mut self.state;
         // Only act for the schedulable front: a resident (mid-prefill)
         // request ahead of the candidate owns the prefill slot, and evicting
@@ -1451,7 +1466,11 @@ impl ServingEngine {
         let pri = st.requests[cand].spec.priority;
         // The grant admission takes (prefix-cache hits can only shrink it,
         // so the check may over-evict by at most the cached share).
-        let needed = self.config.kv_policy.grant(&st.requests[cand], None).blocks;
+        let needed = self
+            .config
+            .kv_policy
+            .grant(&st.requests[cand], None, grant_spec_k)
+            .blocks;
         let mut any = false;
         while capacity_blocks - st.pool.referenced_blocks() < needed {
             let victim = st
@@ -1547,16 +1566,17 @@ impl ServingEngine {
     /// too, so admission is deterministic and the longest-waiting chain
     /// lands first once capacity frees up.
     fn adopt_imports(&mut self) {
+        let grant_spec_k = self.grant_spec_k();
         let st = &mut self.state;
         while let Some(front) = st
             .pending_imports
             .front()
             .filter(|imp| imp.available_at <= st.clock)
         {
-            let grant = self
-                .config
-                .kv_policy
-                .grant(&front.request, Some(&front.chain));
+            let grant =
+                self.config
+                    .kv_policy
+                    .grant(&front.request, Some(&front.chain), grant_spec_k);
             // Adopted chains stay private: block fingerprints are pool-local,
             // so the migrated KV cannot be proven equal to anything in this
             // replica's prefix index.
@@ -1622,10 +1642,15 @@ impl ServingEngine {
     /// consult in the *same* iteration (each shed strictly shrinks the
     /// waiting queue, so the loop terminates).
     fn plan(&mut self) -> BatchPlan {
+        let grant_spec_k = self.grant_spec_k();
         let config = &self.config;
         let st = &mut self.state;
         loop {
-            let now = st.clock;
+            let ctx = AdmitCtx {
+                config,
+                grant_spec_k,
+                now: st.clock,
+            };
             let (pool, tables) = (&mut st.pool, &mut st.tables);
             let (counters, recorder) = (&mut st.counters, &mut st.recorder);
             let plan = plan_batch(
@@ -1633,17 +1658,7 @@ impl ServingEngine {
                 &mut st.requests,
                 &st.waiting,
                 &st.running,
-                &mut |req: &Request| {
-                    admit(
-                        config,
-                        pool,
-                        &mut tables[req.id],
-                        counters,
-                        recorder,
-                        req,
-                        now,
-                    )
-                },
+                &mut |req: &Request| admit(ctx, pool, &mut tables[req.id], counters, recorder, req),
                 config.max_batch_size,
                 config.decode_mode.spec_k(),
             );
@@ -1983,8 +1998,9 @@ impl ServingEngine {
         let tokens = st.requests[rid].context_len();
         let table = st.release_residency(rid);
         // The chain carries the context's blocks. A fresh prefill's named
-        // grant (target + 1 tokens) is exactly that; a counted grant spans
-        // the whole output, more than the chain needs.
+        // grant (target + 1 tokens: no draft width on a prefill-only
+        // replica) is exactly that; a counted grant spans the whole output,
+        // more than the chain needs.
         debug_assert!(table.counted > 0 || table.blocks.len() == blocks_for(tokens));
         let chain = KvChain {
             tokens,
@@ -2154,20 +2170,34 @@ impl ServingEngine {
     }
 }
 
+/// The replica-wide inputs of an [`admit`] consult: the configuration, the
+/// draft width grants reserve ([`ServingEngine::grant_spec_k`]) and the
+/// clock.
+#[derive(Clone, Copy)]
+struct AdmitCtx<'a> {
+    config: &'a ServingConfig,
+    grant_spec_k: usize,
+    now: f64,
+}
+
 /// Admission consult for the front of the waiting queue, under either KV
 /// policy: a request that holds its grant stays admitted; otherwise it is
 /// shed (its deadline is already unmeetable), takes its policy grant —
 /// after matching the prefix index, when enabled — or defers until the pool
 /// has room. A counted grant emits no KV alloc event.
 fn admit(
-    config: &ServingConfig,
+    ctx: AdmitCtx,
     pool: &mut BlockPool,
     table: &mut Residency,
     counters: &mut ServingCounters,
     recorder: &mut Option<TraceRecorder>,
     req: &Request,
-    now: f64,
 ) -> AdmissionDecision {
+    let AdmitCtx {
+        config,
+        grant_spec_k,
+        now,
+    } = ctx;
     if table.is_held() {
         return AdmissionDecision::Admit { cached_tokens: 0 };
     }
@@ -2191,7 +2221,7 @@ fn admit(
     // Match the prompt (or, after a preemption, the full recompute target)
     // against the prefix index, capped one below the target so at least one
     // token is always computed; then take the uncached rest of the grant.
-    let grant = config.kv_policy.grant(req, None);
+    let grant = config.kv_policy.grant(req, None, grant_spec_k);
     let m = if config.kv_policy.prefix_caching() {
         pool.acquire_prefix(req.spec.content, req.target_prefill() - 1)
     } else {

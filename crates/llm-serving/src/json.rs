@@ -273,7 +273,11 @@ impl JsonValue {
     /// error, as in RFC 8259 §8.2).
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            src: input,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -327,6 +331,7 @@ impl<W: io::Write> fmt::Write for IoFmt<'_, W> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -502,13 +507,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+                    // Consume one UTF-8 character. The input is a &str and
+                    // `pos` only ever advances by whole characters, so it
+                    // sits on a char boundary; decoding just the next
+                    // character keeps parsing linear in the input length.
+                    let c = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("pos is on a char boundary before the closing quote");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -1,10 +1,10 @@
 //! Golden snapshots of the report JSON **field sets**.
 //!
-//! `BENCH_engine.json` / `BENCH_cluster.json` / `BENCH_slo.json` feed the CI
-//! perf gate by dotted path, so a serialization refactor that drops or
-//! renames a metric breaks the gate *silently* — the gate only errors on the
-//! specific paths it reads, long after the artifact shape drifted for every
-//! other consumer. These tests pin the full path set of
+//! The report JSON is what the `BENCH_*.json` trend files embed, and the CI
+//! perf gate compares those files key by key. A serialization refactor that
+//! drops or renames a metric would only surface there, as a key added or
+//! removed in every trend file after a full bench regeneration. These tests
+//! catch it at `cargo test` time instead: they pin the full path set of
 //! [`ServingReport::to_json`] and [`ClusterReport::to_json`] against
 //! committed snapshots and print a field-level diff on mismatch.
 //!
@@ -227,8 +227,8 @@ fn chrome_trace_field_set_is_pinned() {
     assert_matches_snapshot("chrome_trace_fields.txt", &doc.field_paths());
 }
 
-/// The perf gate's exact dotted paths must stay readable from a fresh
-/// report — the end-to-end property the snapshots exist to protect.
+/// The headline paths the docs and benches quote (goodput, attainment,
+/// tail TTFT/TBT) must stay readable as numbers from a fresh report.
 #[test]
 fn perf_gate_paths_resolve_in_fresh_reports() {
     let report = full_featured_serving_report();

@@ -16,9 +16,9 @@
 
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    blocks_for, AcceptanceModel, BlockPool, Cluster, ClusterConfig, DraftModelConfig, ModelConfig,
-    PromptContent, RequestSpec, RouterPolicy, ServingConfig, ServingEngine, SharedPrefixWorkload,
-    Workload, BLOCK_TOKENS,
+    blocks_for, AcceptanceModel, BlockPool, Cluster, ClusterConfig, DraftModelConfig,
+    IterationOutcome, ModelConfig, PromptContent, RequestSpec, RouterPolicy, ServingConfig,
+    ServingEngine, SharedPrefixWorkload, Workload, BLOCK_TOKENS,
 };
 
 /// The engine's speculative grow/rollback cycle, distilled: a request at
@@ -223,4 +223,48 @@ fn speculative_cluster_runs_are_worker_count_independent() {
     let one = fingerprint(1);
     let seven = fingerprint(7);
     assert_eq!(one, seven, "worker count changed the speculative schedule");
+}
+
+/// A restored speculative request must be admitted with room for its whole
+/// first drafted round, not just one decode token. With only `+1` reserved,
+/// the restore prefill completed, growth then asked for the full draft
+/// width, and the request preempted itself on every iteration: 45 of these
+/// 60 requests finished and the rest cycled forever. The step budget turns
+/// a regression into a failure instead of a hang; the fixed run drains in
+/// a few thousand steps.
+#[test]
+fn restored_speculative_request_does_not_preempt_itself_forever() {
+    let mut config = ServingConfig::vllm(ModelConfig::llama3_8b(), GpuConfig::a100_80gb())
+        .with_paged_kv(false)
+        .with_speculative(
+            4,
+            DraftModelConfig::scaled(0.2),
+            AcceptanceModel::new(0.5, 5),
+        );
+    config.kv_capacity_tokens = Some(45_000);
+    let mut engine = ServingEngine::new(config);
+    for spec in
+        SharedPrefixWorkload::new(Workload::internal(), 3, 1000, 0.7, 0.4).generate(60, 2.0, 9)
+    {
+        engine.submit(spec);
+    }
+    let (mut now, mut steps) = (0.0, 0usize);
+    loop {
+        match engine.step(now) {
+            IterationOutcome::Ran(stats) => now = stats.completed_at,
+            IterationOutcome::IdleUntil(t) => now = t,
+            IterationOutcome::Drained => break,
+            IterationOutcome::Blocked { .. } => panic!("every request fits the pool"),
+        }
+        steps += 1;
+        assert!(
+            steps < 20_000,
+            "livelock: {} of 60 finished, {} preemptions after {steps} steps",
+            engine.report().completed,
+            engine.report().preemptions
+        );
+    }
+    let report = engine.report();
+    assert_eq!(report.completed, 60);
+    assert_eq!(engine.kv_utilization(), 0.0, "engine leaked blocks");
 }

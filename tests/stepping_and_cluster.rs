@@ -562,24 +562,24 @@ const PREFIX_EVICTION: Golden = Golden {
 };
 
 const SPEC_ROLLBACK: Golden = Golden {
-    makespan: 4628208777041841161,
+    makespan: 4628207962126238977,
     completed: 24,
     iterations: 2873,
-    hybrid: 85,
-    ttft_p50: 4619385724809115988,
-    ttft_p99: 4625308500772194128,
+    hybrid: 74,
+    ttft_p50: 4619384128612208908,
+    ttft_p99: 4625307685856591944,
     tbt_p50: 4576275344155054080,
-    tbt_max: 4611594584806897928,
-    lat_p50: 4622582976196310475,
+    tbt_max: 4611593503160407468,
+    lat_p50: 4622582098858966936,
     stall200: 4599676419421066581,
-    hits: 2551,
-    misses: 322,
-    prefill_tokens: 26408,
-    preemptions: 21,
+    hits: 2556,
+    misses: 317,
+    prefill_tokens: 26254,
+    preemptions: 10,
     inflicted: 0,
     blocks_evicted: 2176,
-    cached_prefix_tokens: 22042,
-    blocks_reused: 1376,
+    cached_prefix_tokens: 9882,
+    blocks_reused: 616,
     cow_copies: 12,
     deduped: 0,
     spec_rounds: 9337,
@@ -588,7 +588,7 @@ const SPEC_ROLLBACK: Golden = Golden {
     migrated_in: 0,
     migrated_tokens: 0,
     migration_stall: 0,
-    trace: "admit=45 defer=2212 enqueue=24 finish=24 iteration=2873 kv_alloc=45 kv_evict=740 kv_free=45 preempt=21 spec_round=9337 timeline=26",
+    trace: "admit=34 defer=2223 enqueue=24 finish=24 iteration=2873 kv_alloc=34 kv_evict=737 kv_free=34 preempt=10 spec_round=9337 timeline=26",
 };
 
 const DISAGG_CONSERVATIVE: Golden = Golden {
