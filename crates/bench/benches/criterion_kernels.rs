@@ -8,17 +8,17 @@
 //! C0 batch's interval count, the quick-mode Figure 12 sweep's price-cache
 //! hit rate and cached-vs-exact makespan deviation) sit at the top level;
 //! every wall-clock number (engine intervals/second, batches priced/second,
-//! host seconds per simulate call, the cached-vs-uncached sweep speedup)
-//! sits under `host`, so future changes have a perf trajectory to compare
-//! against.
+//! KV blocks allocated/second under eviction, host seconds per simulate
+//! call, the cached-vs-uncached sweep speedup) sits under `host`, so future
+//! changes have a perf trajectory to compare against.
 //!
 //! Run with `cargo bench -p pod-bench --bench criterion_kernels`.
 
 use attn_kernels::{AttentionConfig, AttentionEstimator, AttentionStrategy, HybridBatch};
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    offline_long_context, ModelConfig, QuantileSketch, ServingConfig, ServingEngine, ServingReport,
-    SummaryStats,
+    offline_long_context, BlockPool, ModelConfig, PromptContent, QuantileSketch, ServingConfig,
+    ServingEngine, ServingReport, SummaryStats, BLOCK_TOKENS,
 };
 use pod_attention::PodAttention;
 use pod_bench::microbench::{bench, repo_root_path, BenchResult, Json};
@@ -56,6 +56,37 @@ fn run_fig12_quick(price_cache: bool) -> (f64, Vec<ServingReport>) {
         }
     }
     (start.elapsed().as_secs_f64(), reports)
+}
+
+/// Blocks in the pool of the eviction-heavy KV pool loop.
+const KV_POOL_BLOCKS: usize = 4096;
+/// Blocks per admitted chain in that loop.
+const KV_CHAIN_BLOCKS: usize = 32;
+/// Chains admitted per timed iteration of that loop.
+const KV_CHAINS_PER_ITER: usize = 64;
+
+/// The prefix cache at steady state: a full pool of cached chains, each
+/// admission matching a two-block shared system prompt (plus a copy-on-write
+/// head of its third block) and allocating the rest of its chain by evicting
+/// LRU leaves, then indexing the chain and releasing it into the cache.
+/// Returns the blocks it allocated (the same count once the pool is full).
+fn kv_pool_churn(pool: &mut BlockPool, lineage: &mut u64) -> usize {
+    let mut allocated = 0;
+    for _ in 0..KV_CHAINS_PER_ITER {
+        *lineage += 1;
+        let content = PromptContent::shared(1, 2 * BLOCK_TOKENS + 5, *lineage);
+        let m = pool.acquire_prefix(content, KV_CHAIN_BLOCKS * BLOCK_TOKENS - 1);
+        let mut table = m.blocks;
+        let shared = table.len();
+        assert!(pool.alloc_into(KV_CHAIN_BLOCKS - shared, &mut table));
+        allocated += KV_CHAIN_BLOCKS - shared;
+        if let Some(cow) = m.cow_source {
+            pool.release(&[cow]);
+        }
+        pool.extend_index(m.cursor, content, shared, &table[shared..]);
+        pool.release(&table);
+    }
+    allocated
 }
 
 fn main() {
@@ -153,6 +184,19 @@ fn main() {
     let sketch_samples_per_sec = samples.len() as f64 * r_sketch.iters_per_sec();
     results.push(r_sketch);
 
+    // --- KV block pool under eviction ---
+    let mut pool = BlockPool::new(KV_POOL_BLOCKS * BLOCK_TOKENS);
+    let mut lineage = 0;
+    while pool.blocks_evicted() == 0 {
+        kv_pool_churn(&mut pool, &mut lineage);
+    }
+    let blocks_per_iter = kv_pool_churn(&mut pool, &mut lineage);
+    let r_pool = bench("kv_pool/admit_index_release_evicting", BUDGET, 10, || {
+        kv_pool_churn(&mut pool, &mut lineage)
+    });
+    let kv_pool_blocks_per_sec = blocks_per_iter as f64 * r_pool.iters_per_sec();
+    results.push(r_pool);
+
     // --- end-to-end serving, small and fixed-size ---
     results.push(bench("serving/8_requests_end_to_end", BUDGET, 5, || {
         ServingEngine::new(ServingConfig::sarathi_pod(
@@ -247,6 +291,10 @@ fn main() {
                             Json::Num(priced_per_sec_exact),
                         ),
                     ]),
+                ),
+                (
+                    "kv_pool",
+                    Json::obj(vec![("blocks_per_sec", Json::Num(kv_pool_blocks_per_sec))]),
                 ),
                 (
                     "metrics",

@@ -14,11 +14,16 @@
 //!   interchangeable blocks held without identity (the conservative policy's
 //!   whole-request reservation): O(1) accounting, never indexed. Both kinds
 //!   draw on the one capacity, so they may share a pool.
-//! * [`PrefixIndex`] is a radix trie over block-granular token fingerprints:
-//!   each node is one full block of `BLOCK_TOKENS` tokens, keyed by the
-//!   fingerprint hash of its content, child edges extending the prefix. A
-//!   request's prompt walks the trie and every matched node is a block of KV
-//!   it does not have to prefill.
+//! * [`PrefixIndex`] is a radix trie over full blocks: each node is one block
+//!   of `BLOCK_TOKENS` tokens extending its parent's prefix. A request's
+//!   prompt walks the trie and every matched node is a block of KV it does
+//!   not have to prefill. Edges are keyed by an **exact block key**: a
+//!   [`PromptContent`] stream's tokens are a bijective mix of its tag and
+//!   position, and siblings sit at the same positions, so a block's content
+//!   is fully described by the tags it spans — `(head tag, tail tag, split)`.
+//!   Equal keys mean equal tokens, so no match is ever a hash collision. All
+//!   edges live in one pool-wide map from `(parent, key)` to child, and each
+//!   node links its children through intrusive first-child/sibling ids.
 //! * **Copy-on-write on divergence:** when the walk ends mid-block — the
 //!   request's next tokens agree with a cached block for only part of its
 //!   span — the cached block is copied into a private block and the common
@@ -27,14 +32,20 @@
 //! * **LRU eviction:** cached blocks whose trie node is a leaf are evictable,
 //!   oldest-use first. Evicting a leaf may turn its parent into an evictable
 //!   leaf, so long-dead conversations drain from the tail inward, exactly
-//!   like RadixAttention's leaf-first LRU.
+//!   like RadixAttention's leaf-first LRU. The evictable set is a min-heap
+//!   over `(last_use, node id)` with lazy deletion: a node leaving the set
+//!   only clears its membership flag, and its stale heap entry is skipped
+//!   when popped.
 //!
 //! Everything is deterministic: ties break on allocation order, the LRU is a
 //! total order over `(last_use, node id)`, and no hash-map iteration order
 //! ever reaches a decision.
 
 use crate::request::PromptContent;
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Tokens per KV-cache block (the paged-attention page size).
 pub const BLOCK_TOKENS: usize = 16;
@@ -77,25 +88,123 @@ impl Default for Cursor {
     }
 }
 
-/// Fingerprints of one full block of tokens.
-type BlockTokens = [u64; BLOCK_TOKENS];
+/// The exact content of one full block of a [`PromptContent::Tokens`]
+/// stream: positions `[0, split)` carry `head`'s tokens, the rest `tail`'s.
+///
+/// A token is `mix64(tag ^ position · φ)` and `mix64` is a bijection, so at
+/// one position two streams agree exactly when their tags do. Sibling blocks
+/// sit at the same positions, so comparing keys compares tokens. Keys are
+/// canonical — a block under one tag is `(tag, tag, 0)` — so equal content
+/// always means an equal key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BlockKey {
+    head: u64,
+    tail: u64,
+    split: u8,
+}
+
+impl BlockKey {
+    /// Key of block `block_idx` of `content`'s stream.
+    fn of(content: PromptContent, block_idx: usize) -> Self {
+        let PromptContent::Tokens {
+            prefix_tag,
+            prefix_tokens,
+            lineage_tag,
+        } = content
+        else {
+            panic!("block keys require shareable content");
+        };
+        let split = prefix_tokens.saturating_sub(block_idx * BLOCK_TOKENS);
+        let uniform = |tag| BlockKey {
+            head: tag,
+            tail: tag,
+            split: 0,
+        };
+        if split == 0 || prefix_tag == lineage_tag {
+            uniform(lineage_tag)
+        } else if split >= BLOCK_TOKENS {
+            uniform(prefix_tag)
+        } else {
+            BlockKey {
+                head: prefix_tag,
+                tail: lineage_tag,
+                split: split as u8,
+            }
+        }
+    }
+
+    fn tag_at(self, offset: usize) -> u64 {
+        if offset < usize::from(self.split) {
+            self.head
+        } else {
+            self.tail
+        }
+    }
+
+    /// Number of leading tokens the two blocks share. Both keys' tags are
+    /// constant between their splits, so the first disagreement, if any, is
+    /// at `0` or at one of the splits.
+    fn common_prefix(self, other: BlockKey) -> usize {
+        let (lo, hi) = if self.split <= other.split {
+            (self.split, other.split)
+        } else {
+            (other.split, self.split)
+        };
+        [0, usize::from(lo), usize::from(hi)]
+            .into_iter()
+            .find(|&at| self.tag_at(at) != other.tag_at(at))
+            .unwrap_or(BLOCK_TOKENS)
+    }
+}
+
+/// A multiply-rotate hasher for trie edges: their keys are a node id and
+/// workload tags, so SipHash's flooding resistance buys nothing here.
+#[derive(Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; the table indexes by them.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Child node by `(parent node, block key)`; the parent of a root child is
+/// [`NO_NODE`].
+type EdgeMap = HashMap<(u32, BlockKey), u32, BuildHasherDefault<EdgeHasher>>;
 
 /// One radix-trie node: a full block of tokens extending its parent's prefix.
 #[derive(Debug, Clone)]
 struct TrieNode {
     /// Parent node, or [`NO_NODE`] when the parent is the root.
     parent: u32,
-    /// Hash of `tokens` — this node's edge key in its parent's child map.
-    key: u64,
+    /// This node's content — its edge key under `parent`.
+    key: BlockKey,
     /// The pool block holding this node's KV.
     block: u32,
-    /// The token fingerprints themselves, kept to resolve hash collisions
-    /// and to measure partial (copy-on-write) matches.
-    tokens: BlockTokens,
-    /// Children by content hash of the next block.
-    children: HashMap<u64, u32>,
+    /// Intrusive child list: the newest child, and this node's neighbours
+    /// among its parent's children ([`NO_NODE`] where there is none).
+    first_child: u32,
+    prev_sibling: u32,
+    next_sibling: u32,
     /// Logical time of the last walk through this node (LRU key).
     last_use: u64,
+    /// Whether `(last_use, id)` is in the pool's evictable set.
+    evictable: bool,
 }
 
 /// A radix trie mapping block-granular token prefixes to cached block ids.
@@ -103,22 +212,35 @@ struct TrieNode {
 /// The index stores *structure only* — which prefixes exist and which block
 /// holds each — while [`BlockPool`] owns reference counts and the eviction
 /// order. Nodes are slab-allocated so ids are stable and deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PrefixIndex {
     nodes: Vec<Option<TrieNode>>,
     free_nodes: Vec<u32>,
-    root_children: HashMap<u64, u32>,
+    edges: EdgeMap,
+    /// Newest child of the root, or [`NO_NODE`] when the index is empty.
+    root_first: u32,
+}
+
+impl Default for PrefixIndex {
+    fn default() -> Self {
+        PrefixIndex {
+            nodes: Vec::new(),
+            free_nodes: Vec::new(),
+            edges: EdgeMap::default(),
+            root_first: NO_NODE,
+        }
+    }
 }
 
 impl PrefixIndex {
     /// Number of live nodes (cached or referenced prefix blocks).
     pub fn len(&self) -> usize {
-        self.nodes.iter().flatten().count()
+        self.nodes.len() - self.free_nodes.len()
     }
 
     /// Whether the index holds no prefixes at all.
     pub fn is_empty(&self) -> bool {
-        self.root_children.is_empty()
+        self.root_first == NO_NODE
     }
 
     fn node(&self, idx: u32) -> &TrieNode {
@@ -133,57 +255,76 @@ impl PrefixIndex {
             .expect("trie node id is live")
     }
 
-    fn children_of(&self, cursor: Cursor) -> &HashMap<u64, u32> {
-        if cursor.0 == NO_NODE {
-            &self.root_children
+    fn first_child(&self, parent: u32) -> u32 {
+        if parent == NO_NODE {
+            self.root_first
         } else {
-            &self.node(cursor.0).children
+            self.node(parent).first_child
         }
     }
 
-    /// Child of `cursor` whose content is exactly `tokens` (hashing to
-    /// `key`), if cached.
-    fn child_matching(&self, cursor: Cursor, key: u64, tokens: &BlockTokens) -> Option<u32> {
-        let idx = *self.children_of(cursor).get(&key)?;
-        // Verify content, not just the 64-bit hash, so a collision can never
-        // silently splice two different prefixes together.
-        (self.node(idx).tokens == *tokens).then_some(idx)
+    fn set_first_child(&mut self, parent: u32, child: u32) {
+        if parent == NO_NODE {
+            self.root_first = child;
+        } else {
+            self.node_mut(parent).first_child = child;
+        }
     }
 
-    /// Insert a child with content `tokens` (hashing to `key`) under
-    /// `cursor`. Returns `None` (leaving the trie unchanged) if an
-    /// equal-keyed child already exists — the caller's block then simply
-    /// stays private.
+    /// Whether the evictable-heap entry `(last_use, idx)` still names a
+    /// member: entries are deleted lazily, so a popped one may be stale.
+    fn is_current(&self, (last_use, idx): (u64, u32)) -> bool {
+        self.nodes[idx as usize]
+            .as_ref()
+            .is_some_and(|n| n.evictable && n.last_use == last_use)
+    }
+
+    /// Child of `cursor` holding exactly the block `key`, if cached.
+    fn child(&self, cursor: Cursor, key: BlockKey) -> Option<u32> {
+        self.edges.get(&(cursor.0, key)).copied()
+    }
+
+    /// Ids of `cursor`'s children, newest first.
+    fn children(&self, cursor: Cursor) -> impl Iterator<Item = u32> + '_ {
+        let first = self.first_child(cursor.0);
+        std::iter::successors((first != NO_NODE).then_some(first), |&c| {
+            let next = self.node(c).next_sibling;
+            (next != NO_NODE).then_some(next)
+        })
+    }
+
+    /// Insert a child holding block `key` under `cursor`. Returns `None`,
+    /// leaving the trie unchanged, if an equal child already exists.
     fn insert_child(
         &mut self,
         cursor: Cursor,
-        key: u64,
-        tokens: BlockTokens,
+        key: BlockKey,
         block: u32,
+        last_use: u64,
     ) -> Option<u32> {
-        if self.children_of(cursor).contains_key(&key) {
+        let Entry::Vacant(slot) = self.edges.entry((cursor.0, key)) else {
             return None;
-        }
-        let idx = match self.free_nodes.pop() {
-            Some(i) => i,
-            None => {
-                self.nodes.push(None);
-                (self.nodes.len() - 1) as u32
-            }
         };
+        let idx = self.free_nodes.pop().unwrap_or_else(|| {
+            self.nodes.push(None);
+            (self.nodes.len() - 1) as u32
+        });
+        slot.insert(idx);
+        let next = self.first_child(cursor.0);
         self.nodes[idx as usize] = Some(TrieNode {
             parent: cursor.0,
             key,
             block,
-            tokens,
-            children: HashMap::new(),
-            last_use: 0,
+            first_child: NO_NODE,
+            prev_sibling: NO_NODE,
+            next_sibling: next,
+            last_use,
+            evictable: false,
         });
-        if cursor.0 == NO_NODE {
-            self.root_children.insert(key, idx);
-        } else {
-            self.node_mut(cursor.0).children.insert(key, idx);
+        if next != NO_NODE {
+            self.node_mut(next).prev_sibling = idx;
         }
+        self.set_first_child(cursor.0, idx);
         Some(idx)
     }
 
@@ -192,12 +333,16 @@ impl PrefixIndex {
         let node = self.nodes[idx as usize]
             .take()
             .expect("evicting a live node");
-        debug_assert!(node.children.is_empty(), "only leaves are evictable");
-        if node.parent == NO_NODE {
-            self.root_children.remove(&node.key);
+        debug_assert_eq!(node.first_child, NO_NODE, "only leaves are evictable");
+        if node.prev_sibling == NO_NODE {
+            self.set_first_child(node.parent, node.next_sibling);
         } else {
-            self.node_mut(node.parent).children.remove(&node.key);
+            self.node_mut(node.prev_sibling).next_sibling = node.next_sibling;
         }
+        if node.next_sibling != NO_NODE {
+            self.node_mut(node.next_sibling).prev_sibling = node.prev_sibling;
+        }
+        self.edges.remove(&(node.parent, node.key));
         self.free_nodes.push(idx);
         (node.block, Cursor(node.parent))
     }
@@ -259,9 +404,14 @@ pub struct BlockPool {
     /// Explicitly freed blocks, reused LIFO (deterministic).
     free: Vec<u32>,
     index: PrefixIndex,
-    /// Evictable trie leaves ordered by `(last_use, node id)` — a total
-    /// order, so eviction is deterministic.
-    evictable: BTreeSet<(u64, u32)>,
+    /// Evictable trie leaves as a min-heap over `(last_use, node id)` — a
+    /// total order, so eviction is deterministic. Entries are deleted
+    /// lazily: a node is a member while its `evictable` flag is set and its
+    /// `last_use` matches the entry. A member's `last_use` only changes
+    /// after it leaves the set, so pops come out in exact set order.
+    evictable: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Nodes whose `evictable` flag is set.
+    evictable_len: usize,
     /// Logical clock advanced on every prefix walk (LRU recency).
     tick: u64,
     /// Named blocks with refcount > 0 (kept incrementally so usage queries
@@ -286,7 +436,8 @@ impl BlockPool {
             virgin: 0,
             free: Vec::new(),
             index: PrefixIndex::default(),
-            evictable: BTreeSet::new(),
+            evictable: BinaryHeap::new(),
+            evictable_len: 0,
             tick: 0,
             referenced: 0,
             counted: 0,
@@ -356,18 +507,21 @@ impl BlockPool {
     pub fn available_blocks(&self) -> usize {
         // Walk up from every evictable leaf, counting the leaf plus the
         // maximal run of exclusive (single-child, unreferenced) ancestors —
-        // exactly the set one sequence of leaf evictions can free.
-        let mut seen = std::collections::HashSet::new();
+        // exactly the set one sequence of leaf evictions can free. The count
+        // does not depend on the order the leaves are visited in.
+        let mut seen = HashSet::new();
         let mut count = 0usize;
-        for &(_, leaf) in &self.evictable {
-            if !seen.insert(leaf) {
+        for &Reverse(entry) in &self.evictable {
+            let leaf = entry.1;
+            if !self.index.is_current(entry) || !seen.insert(leaf) {
                 continue;
             }
             count += 1;
             let mut at = self.index.node(leaf).parent;
             while at != NO_NODE && seen.insert(at) {
                 let node = self.index.node(at);
-                if node.children.len() == 1 && self.states[node.block as usize].refs == 0 {
+                let only_child = self.index.node(node.first_child).next_sibling == NO_NODE;
+                if only_child && self.states[node.block as usize].refs == 0 {
                     count += 1;
                     at = node.parent;
                 } else {
@@ -386,44 +540,83 @@ impl BlockPool {
     }
 
     /// Allocate `n` private blocks, evicting cached prefixes (LRU,
-    /// leaf-first) as needed. Returns `None` — and allocates nothing — if
+    /// leaf-first) as needed; [`BlockPool::alloc_into`] into a fresh table.
+    pub fn alloc(&mut self, n: usize) -> Option<Vec<BlockId>> {
+        let mut table = Vec::with_capacity(n);
+        self.alloc_into(n, &mut table).then_some(table)
+    }
+
+    /// Append `n` private blocks to `table`, evicting cached prefixes (LRU,
+    /// leaf-first) as needed. Returns `false` — and appends nothing — if
     /// even eviction cannot free enough; blocks evicted before the shortfall
     /// was discovered stay evicted (their cached prefixes are gone, the
     /// capacity returns to the free list).
-    pub fn alloc(&mut self, n: usize) -> Option<Vec<BlockId>> {
+    pub fn alloc_into(&mut self, n: usize, table: &mut Vec<BlockId>) -> bool {
         // O(1) reject for the common can't-fit case (admission retries every
         // iteration while the pool is full): at most every non-referenced
         // block could be obtained, so asking for more can never succeed and
         // must not churn through a doomed evict-and-roll-back pass.
         if n > self.capacity_blocks - self.referenced_blocks() {
-            return None;
+            return false;
         }
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let id = match self.take_free().or_else(|| self.evict_one()) {
-                Some(id) => id,
-                None => {
-                    // Roll back: nothing is handed out on failure.
-                    for BlockId(id) in out {
-                        self.states[id as usize].refs = 0;
-                        self.referenced -= 1;
-                        self.free.push(id);
-                    }
-                    return None;
+        let start = table.len();
+        table.reserve(n);
+        for _ in 0..n {
+            let Some(id) = self.take_free().or_else(|| self.evict_one()) else {
+                // Roll back: nothing is handed out on failure.
+                for BlockId(id) in table.drain(start..) {
+                    self.states[id as usize].refs = 0;
+                    self.referenced -= 1;
+                    self.free.push(id);
                 }
+                return false;
             };
             debug_assert_eq!(self.states[id as usize].refs, 0);
             debug_assert_eq!(self.states[id as usize].node, NO_NODE);
             self.states[id as usize].refs = 1;
             self.referenced += 1;
-            out.push(BlockId(id));
+            table.push(BlockId(id));
         }
-        Some(out)
+        true
+    }
+
+    /// Add node `idx` to the evictable set.
+    fn make_evictable(&mut self, idx: u32) {
+        let node = self.index.node_mut(idx);
+        if !node.evictable {
+            node.evictable = true;
+            self.evictable.push(Reverse((node.last_use, idx)));
+            self.evictable_len += 1;
+        }
+    }
+
+    /// Take node `idx` out of the evictable set (a no-op for non-members).
+    /// Its heap entry goes stale; once stale entries outnumber members the
+    /// heap is rebuilt from the members alone.
+    fn unmake_evictable(&mut self, idx: u32) {
+        let node = self.index.node_mut(idx);
+        if !node.evictable {
+            return;
+        }
+        node.evictable = false;
+        self.evictable_len -= 1;
+        if self.evictable.len() > 2 * self.evictable_len {
+            let index = &self.index;
+            self.evictable
+                .retain(|&Reverse(entry)| index.is_current(entry));
+        }
     }
 
     /// Evict the least-recently-used evictable leaf, returning its block id.
     fn evict_one(&mut self) -> Option<u32> {
-        let (_, leaf) = self.evictable.pop_first()?;
+        let leaf = loop {
+            let Reverse(entry) = self.evictable.pop()?;
+            if self.index.is_current(entry) {
+                break entry.1;
+            }
+        };
+        // Removing the node leaves any duplicate entry of it stale.
+        self.evictable_len -= 1;
         let (block, parent) = self.index.remove_leaf(leaf);
         debug_assert_eq!(self.states[block as usize].refs, 0);
         self.states[block as usize].node = NO_NODE;
@@ -431,8 +624,8 @@ impl BlockPool {
         // The parent may now be an evictable leaf itself.
         if parent.0 != NO_NODE {
             let p = self.index.node(parent.0);
-            if p.children.is_empty() && self.states[p.block as usize].refs == 0 {
-                self.evictable.insert((p.last_use, parent.0));
+            if p.first_child == NO_NODE && self.states[p.block as usize].refs == 0 {
+                self.make_evictable(parent.0);
             }
         }
         Some(block)
@@ -450,13 +643,11 @@ impl BlockPool {
                 continue;
             }
             self.referenced -= 1;
-            if state.node == NO_NODE {
+            let node = state.node;
+            if node == NO_NODE {
                 self.free.push(id);
-            } else {
-                let node = self.index.node(state.node);
-                if node.children.is_empty() {
-                    self.evictable.insert((node.last_use, state.node));
-                }
+            } else if self.index.node(node).first_child == NO_NODE {
+                self.make_evictable(node);
             }
         }
     }
@@ -506,9 +697,8 @@ impl BlockPool {
         let mut cursor = Cursor::root();
         let mut matched = 0usize;
         while matched + BLOCK_TOKENS <= limit_tokens {
-            let tokens = block_tokens(content, matched / BLOCK_TOKENS);
-            let key = hash_block(&tokens);
-            match self.index.child_matching(cursor, key, &tokens) {
+            let key = BlockKey::of(content, matched / BLOCK_TOKENS);
+            match self.index.child(cursor, key) {
                 Some(idx) => {
                     cursor = Cursor(idx);
                     matched += BLOCK_TOKENS;
@@ -522,10 +712,11 @@ impl BlockPool {
                 .0
     }
 
-    /// Longest common leading run between `content`'s tokens from stream
-    /// position `from` and any child of `cursor`, capped at `limit`. Returns
-    /// `(length, child node)`. Deterministic: best length wins, ties break on
-    /// the smallest node id, so hash-map order never matters.
+    /// Longest common leading run between `content`'s tokens from the
+    /// block-aligned stream position `from` and any child of `cursor`,
+    /// capped at `limit`. Returns `(length, child node)`. Deterministic: best
+    /// length wins, ties break on the smallest node id, so the order of the
+    /// child list never matters.
     fn partial_match_len(
         &self,
         cursor: Cursor,
@@ -537,28 +728,31 @@ impl BlockPool {
         if span == 0 {
             return (0, None);
         }
-        let want: Vec<u64> = (0..span)
-            .map(|i| content.token_at(from + i).expect("shareable content"))
-            .collect();
+        let want = BlockKey::of(content, from / BLOCK_TOKENS);
         let mut best = (0usize, None);
-        for &child in self.index.children_of(cursor).values() {
-            let node = self.index.node(child);
-            let common = want
-                .iter()
-                .zip(node.tokens.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
+        for child in self.index.children(cursor) {
+            let common = want.common_prefix(self.index.node(child).key).min(span);
             let better = common > best.0
                 || (common == best.0 && common > 0 && best.1.is_some_and(|b| child < b));
             if better {
                 best = (common, Some(child));
             }
         }
-        if best.0 == 0 {
-            (0, None)
-        } else {
-            best
+        best
+    }
+
+    /// Take one reference on the block of trie node `idx` and stamp its
+    /// recency; a cached node leaves the evictable set first.
+    fn acquire_node(&mut self, idx: u32, stamp: u64) -> BlockId {
+        let block = self.index.node(idx).block;
+        let state = &mut self.states[block as usize];
+        if state.refs == 0 {
+            self.referenced += 1;
+            self.unmake_evictable(idx);
         }
+        self.states[block as usize].refs += 1;
+        self.index.node_mut(idx).last_use = stamp;
+        BlockId(block)
     }
 
     /// Walk the prefix index for `content` and acquire every matched block
@@ -581,41 +775,20 @@ impl BlockPool {
         self.tick += 1;
         let stamp = self.tick;
         while m.cached_tokens + BLOCK_TOKENS <= limit_tokens {
-            let tokens = block_tokens(content, m.cached_tokens / BLOCK_TOKENS);
-            let key = hash_block(&tokens);
-            let Some(idx) = self.index.child_matching(m.cursor, key, &tokens) else {
+            let key = BlockKey::of(content, m.cached_tokens / BLOCK_TOKENS);
+            let Some(idx) = self.index.child(m.cursor, key) else {
                 break;
             };
-            let block = self.index.node(idx).block;
-            let state = &mut self.states[block as usize];
-            if state.refs == 0 {
-                self.referenced += 1;
-                // Leaving the cached set: no longer evictable.
-                let old = self.index.node(idx).last_use;
-                self.evictable.remove(&(old, idx));
-            }
-            state.refs += 1;
-            self.index.node_mut(idx).last_use = stamp;
-            m.blocks.push(BlockId(block));
+            m.blocks.push(self.acquire_node(idx, stamp));
             m.cached_tokens += BLOCK_TOKENS;
             m.cursor = Cursor(idx);
         }
         let (extra, child) =
             self.partial_match_len(m.cursor, content, m.cached_tokens, limit_tokens);
-        if extra > 0 {
-            let child = child.expect("partial match has a source node");
-            let block = self.index.node(child).block;
+        if let Some(child) = child {
             // Pin the source exactly like a full match, so it survives any
             // same-admission allocation; the caller releases it post-copy.
-            let state = &mut self.states[block as usize];
-            if state.refs == 0 {
-                self.referenced += 1;
-                let old = self.index.node(child).last_use;
-                self.evictable.remove(&(old, child));
-            }
-            self.states[block as usize].refs += 1;
-            self.index.node_mut(child).last_use = stamp;
-            m.cow_source = Some(BlockId(block));
+            m.cow_source = Some(self.acquire_node(child, stamp));
             m.cached_tokens += extra;
         }
         m
@@ -625,9 +798,8 @@ impl BlockPool {
     /// starting at block index `start_block` of `content`'s stream — in the
     /// prefix index, resuming from `cursor`. Returns the new cursor and how
     /// many of `blocks` were registered (callers must not advance their
-    /// indexing watermark past a short count: the chain is shared or
-    /// collided there, and indexing from a stale cursor would splice wrong
-    /// prefixes together).
+    /// indexing watermark past a short count: the chain is shared there, and
+    /// indexing from a stale cursor would splice wrong prefixes together).
     ///
     /// The caller must hold references to the blocks along `cursor`'s path
     /// (the engine always does: they are the request's acquired or own
@@ -644,60 +816,29 @@ impl BlockPool {
         blocks: &[BlockId],
     ) -> (Cursor, usize) {
         debug_assert!(content.is_shareable());
-        let mut registered = 0usize;
         for (i, &BlockId(block)) in blocks.iter().enumerate() {
-            let tokens = block_tokens(content, start_block + i);
-            let key = hash_block(&tokens);
-            if self.index.child_matching(cursor, key, &tokens).is_some() {
+            let key = BlockKey::of(content, start_block + i);
+            let Some(idx) = self.index.insert_child(cursor, key, block, self.tick) else {
                 // An equal chain already exists; following it would leave the
                 // caller with a cursor into blocks it does not reference.
-                break;
-            }
+                return (cursor, i);
+            };
             // Defensive: a cursor node gaining a child can no longer be an
             // evictable leaf.
             if cursor.0 != NO_NODE {
-                let lu = self.index.node(cursor.0).last_use;
-                self.evictable.remove(&(lu, cursor.0));
+                self.unmake_evictable(cursor.0);
             }
-            match self.index.insert_child(cursor, key, tokens, block) {
-                Some(idx) => {
-                    debug_assert_eq!(self.states[block as usize].node, NO_NODE);
-                    self.states[block as usize].node = idx;
-                    self.index.node_mut(idx).last_use = self.tick;
-                    cursor = Cursor(idx);
-                    registered += 1;
-                }
-                // Hash collision with different content: leave both private.
-                None => break,
-            }
+            debug_assert_eq!(self.states[block as usize].node, NO_NODE);
+            self.states[block as usize].node = idx;
+            cursor = Cursor(idx);
         }
-        (cursor, registered)
+        (cursor, blocks.len())
     }
 
     /// Number of prefixes currently indexed (diagnostics).
     pub fn indexed_blocks(&self) -> usize {
         self.index.len()
     }
-}
-
-/// Fingerprints of block `block_idx` of `content`'s stream.
-fn block_tokens(content: PromptContent, block_idx: usize) -> BlockTokens {
-    let base = block_idx * BLOCK_TOKENS;
-    std::array::from_fn(|i| {
-        content
-            .token_at(base + i)
-            .expect("block_tokens requires shareable content")
-    })
-}
-
-/// Hash of a block's token fingerprints (FNV-1a over the 64-bit ids).
-fn hash_block(tokens: &BlockTokens) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &t in tokens {
-        h ^= t;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -707,6 +848,104 @@ mod tests {
 
     fn content(lineage: u64) -> PromptContent {
         PromptContent::unique(lineage)
+    }
+
+    /// Token fingerprints of block `block_idx` of `content`'s stream.
+    fn block_tokens(content: PromptContent, block_idx: usize) -> Vec<u64> {
+        let base = block_idx * BLOCK_TOKENS;
+        (base..base + BLOCK_TOKENS)
+            .map(|p| content.token_at(p).expect("shareable content"))
+            .collect()
+    }
+
+    /// Block keys are exact: two contents' keys for one block index are
+    /// equal exactly when their 16 token fingerprints are, and the key-level
+    /// common prefix equals the token-level one. Tags come from a tiny
+    /// alphabet so equal tags and equal blocks are common; the prefix
+    /// boundary falls before, inside and after the block.
+    #[test]
+    fn block_keys_match_exactly_when_tokens_do() {
+        let mut rng = SplitMix64::seed_from_u64(0x6B_E75);
+        let mut random_content = |block_idx: usize| {
+            let base = block_idx * BLOCK_TOKENS;
+            let prefix_tokens = (base + rng.next_usize(BLOCK_TOKENS + 3)).saturating_sub(1);
+            PromptContent::shared(
+                1 + rng.next_usize(3) as u64,
+                prefix_tokens,
+                1 + rng.next_usize(3) as u64,
+            )
+        };
+        // (straddling, fully prefix, fully lineage, equal tags) cases seen.
+        let mut seen = [0usize; 4];
+        let mut equal_blocks = 0usize;
+        for trial in 0..20_000 {
+            let block_idx = trial % 4;
+            let (a, b) = (random_content(block_idx), random_content(block_idx));
+            let (ka, kb) = (BlockKey::of(a, block_idx), BlockKey::of(b, block_idx));
+            let (ta, tb) = (block_tokens(a, block_idx), block_tokens(b, block_idx));
+            assert_eq!(ka == kb, ta == tb, "{a:?} vs {b:?} at block {block_idx}");
+            let common = ta.iter().zip(&tb).take_while(|(x, y)| x == y).count();
+            assert_eq!(ka.common_prefix(kb), common, "{a:?} vs {b:?}");
+            equal_blocks += usize::from(ta == tb);
+            let PromptContent::Tokens {
+                prefix_tag,
+                prefix_tokens,
+                lineage_tag,
+            } = a
+            else {
+                unreachable!()
+            };
+            let base = block_idx * BLOCK_TOKENS;
+            let case = if prefix_tag == lineage_tag {
+                3
+            } else if prefix_tokens <= base {
+                2
+            } else if prefix_tokens >= base + BLOCK_TOKENS {
+                1
+            } else {
+                0
+            };
+            seen[case] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 1_000), "cases seen: {seen:?}");
+        assert!(equal_blocks > 1_000, "equal blocks: {equal_blocks}");
+    }
+
+    /// A walk that ends mid-block copies the child sharing the most leading
+    /// tokens, whichever order the children were indexed in: a block under
+    /// the shared prefix then the lineage beats one that leaves the prefix
+    /// earlier, and a fresh lineage shares only the prefix-tagged head.
+    #[test]
+    fn partial_match_picks_the_longest_tag_run() {
+        let mut pool = BlockPool::new(BLOCK_TOKENS * 16);
+        // Three one-block chains under prefix tag 5: the prefix covers 3, 9
+        // and 12 tokens of block 0, then lineages 1, 2 and 3.
+        let chains: Vec<Vec<BlockId>> = [(3, 1), (9, 2), (12, 3)]
+            .into_iter()
+            .map(|(prefix, lineage)| {
+                let blocks = pool.alloc(1).unwrap();
+                let c = PromptContent::shared(5, prefix, lineage);
+                assert_eq!(pool.extend_index(Cursor::root(), c, 0, &blocks).1, 1);
+                blocks
+            })
+            .collect();
+        // Prefix over 9 tokens, then lineage 2: all 14 limit tokens match
+        // the second chain.
+        let m = pool.acquire_prefix(PromptContent::shared(5, 9, 2), 14);
+        assert_eq!((m.cow_source, m.cached_tokens), (Some(chains[1][0]), 14));
+        pool.release(&[m.cow_source.unwrap()]);
+        // A 10-token prefix with a new lineage shares 9 tokens with the
+        // second chain and 10 with the third.
+        let probe = PromptContent::shared(5, 10, 4);
+        assert_eq!(pool.peek_prefix(probe, 15), 10);
+        let m = pool.acquire_prefix(probe, 15);
+        assert_eq!(m.cow_source, Some(chains[2][0]));
+        pool.release(&[m.cow_source.unwrap()]);
+        // A uniform block under the prefix tag shares the longest head.
+        assert_eq!(pool.peek_prefix(PromptContent::unique(5), 15), 12);
+        for chain in &chains {
+            pool.release(chain);
+        }
     }
 
     #[test]

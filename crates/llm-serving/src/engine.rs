@@ -691,6 +691,13 @@ impl Residency {
         self.counted + self.blocks.len()
     }
 
+    /// Identity of the shared-prefix chain acquired at admission, in O(1):
+    /// a referenced block backs exactly one trie node, so the last shared
+    /// block fixes the whole path. Callers skip tables with `shared == 0`.
+    fn shared_chain_key(&self) -> (usize, BlockId) {
+        (self.shared, self.blocks[self.shared - 1])
+    }
+
     /// Take `n` more blocks from `pool`: named ones are appended to the
     /// block table, counted ones to the count. Returns `false`, taking
     /// nothing, when even eviction cannot make room.
@@ -702,13 +709,7 @@ impl Residency {
             }
             return granted;
         }
-        match pool.alloc(n) {
-            Some(fresh) => {
-                self.blocks.extend(fresh);
-                true
-            }
-            None => false,
-        }
+        pool.alloc_into(n, &mut self.blocks)
     }
 }
 
@@ -893,7 +894,7 @@ impl EngineState {
     /// the growth set, the Sarathi decode cap and the LIFO preemption victim
     /// all consistent with the co-batched order.
     fn cobatch_shared_prefixes(&mut self) {
-        let mut group_of: HashMap<&[BlockId], usize> = HashMap::new();
+        let mut group_of: HashMap<(usize, BlockId), usize> = HashMap::new();
         let mut next_group = 0usize;
         let mut ranked: Vec<(usize, usize, usize)> = Vec::with_capacity(self.running.len());
         for (i, &rid) in self.running.iter().enumerate() {
@@ -903,13 +904,11 @@ impl EngineState {
                 next_group += 1;
                 g
             } else {
-                *group_of
-                    .entry(&table.blocks[..table.shared])
-                    .or_insert_with(|| {
-                        let g = next_group;
-                        next_group += 1;
-                        g
-                    })
+                *group_of.entry(table.shared_chain_key()).or_insert_with(|| {
+                    let g = next_group;
+                    next_group += 1;
+                    g
+                })
             };
             ranked.push((group, i, rid));
         }
@@ -926,20 +925,20 @@ impl EngineState {
     /// tokens` summed over those groups. Requests whose admission acquired
     /// no cached blocks (`shared == 0`) never group.
     fn shared_decode_dedup(&self, decodes: &[usize]) -> (usize, usize) {
-        let mut chains: HashMap<&[BlockId], usize> = HashMap::new();
+        let mut chains: HashMap<(usize, BlockId), usize> = HashMap::new();
         for &rid in decodes {
             let table = &self.tables[rid];
             if table.shared == 0 {
                 continue;
             }
-            *chains.entry(&table.blocks[..table.shared]).or_insert(0) += 1;
+            *chains.entry(table.shared_chain_key()).or_insert(0) += 1;
         }
         let mut groups = 0usize;
         let mut tokens = 0usize;
-        for (chain, members) in chains {
+        for ((shared, _), members) in chains {
             if members > 1 {
                 groups += 1;
-                tokens += (members - 1) * chain.len() * BLOCK_TOKENS;
+                tokens += (members - 1) * shared * BLOCK_TOKENS;
             }
         }
         (groups, tokens)
