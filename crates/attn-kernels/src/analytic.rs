@@ -14,7 +14,7 @@ use crate::config::AttentionConfig;
 use crate::cost::KERNEL_LAUNCH_OVERHEAD;
 use crate::decode::DecodeKernel;
 use crate::prefill::{PrefillKernel, SplitPolicy};
-use gpu_sim::{EngineOptions, GpuConfig};
+use gpu_sim::{GpuConfig, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -133,7 +133,6 @@ pub struct AnalyticCost {
 pub struct AttentionEstimator {
     cfg: AttentionConfig,
     gpu: GpuConfig,
-    opts: EngineOptions,
     /// Side-cost memo tables; `None` means exact (unmemoized) pricing.
     memo: Option<RefCell<SideMemo>>,
 }
@@ -145,7 +144,6 @@ impl AttentionEstimator {
         AttentionEstimator {
             cfg,
             gpu,
-            opts: EngineOptions::default(),
             memo: Some(RefCell::new(SideMemo::default())),
         }
     }
@@ -388,13 +386,13 @@ impl AttentionEstimator {
 
     /// Compute throughput achievable by `ctas` concurrent CTAs.
     fn effective_compute(&self, ctas: usize) -> f64 {
-        let per_cta = self.opts.max_cta_compute_fraction * self.gpu.sm_compute_flops();
+        let per_cta = MAX_CTA_COMPUTE_FRACTION * self.gpu.sm_compute_flops();
         (ctas as f64 * per_cta).min(self.gpu.tensor_flops)
     }
 
     /// HBM bandwidth achievable by `ctas` concurrent CTAs.
     fn effective_bandwidth(&self, ctas: usize) -> f64 {
-        let per_cta = self.opts.max_cta_bandwidth_fraction * self.gpu.hbm_bandwidth;
+        let per_cta = MAX_CTA_BANDWIDTH_FRACTION * self.gpu.hbm_bandwidth;
         (ctas as f64 * per_cta).min(self.gpu.hbm_bandwidth)
     }
 

@@ -5,11 +5,11 @@
 //!
 //! * each SM's tensor-core throughput is divided equally among the resident
 //!   work units on that SM that still have compute work (capped by
-//!   [`EngineOptions::max_cta_compute_fraction`], modelling the fact that a
+//!   [`MAX_CTA_COMPUTE_FRACTION`], modelling the fact that a
 //!   single CTA cannot fully saturate an SM's tensor pipes);
 //! * device HBM bandwidth is divided equally among all resident work units
 //!   that still have memory work (capped by
-//!   [`EngineOptions::max_cta_bandwidth_fraction`], modelling per-SM
+//!   [`MAX_CTA_BANDWIDTH_FRACTION`], modelling per-SM
 //!   load/store throughput limits).
 //!
 //! An interval ends when some unit drains one of its resource streams (which
@@ -72,25 +72,13 @@ const TIME_EPS: f64 = 1e-15;
 /// produce (~1e11) this is a tenth of a byte / FLOP — physically negligible.
 const ACC_REL_EPS: f64 = 1e-12;
 
-/// Tunable fidelity parameters of the contention engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineOptions {
-    /// Maximum fraction of one SM's peak tensor throughput a single work unit
-    /// can consume. Models the issue-rate limit of one CTA.
-    pub max_cta_compute_fraction: f64,
-    /// Maximum fraction of device HBM bandwidth a single work unit can
-    /// consume. Models per-SM load/store and memory-level-parallelism limits.
-    pub max_cta_bandwidth_fraction: f64,
-}
+/// Maximum fraction of one SM's peak tensor throughput a single work unit
+/// can consume. Models the issue-rate limit of one CTA.
+pub const MAX_CTA_COMPUTE_FRACTION: f64 = 0.9;
 
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            max_cta_compute_fraction: 0.9,
-            max_cta_bandwidth_fraction: 0.02,
-        }
-    }
-}
+/// Maximum fraction of device HBM bandwidth a single work unit can consume.
+/// Models per-SM load/store and memory-level-parallelism limits.
+pub const MAX_CTA_BANDWIDTH_FRACTION: f64 = 0.02;
 
 /// Min-heap key: an `(f64, unit-id)` pair with a total order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -464,31 +452,17 @@ struct KernelState {
 #[derive(Debug, Clone)]
 pub struct Engine {
     gpu: GpuConfig,
-    opts: EngineOptions,
 }
 
 impl Engine {
-    /// Create an engine for the given device with default fidelity options.
+    /// Create an engine for the given device.
     pub fn new(gpu: GpuConfig) -> Self {
-        Engine {
-            gpu,
-            opts: EngineOptions::default(),
-        }
-    }
-
-    /// Create an engine with explicit [`EngineOptions`].
-    pub fn with_options(gpu: GpuConfig, opts: EngineOptions) -> Self {
-        Engine { gpu, opts }
+        Engine { gpu }
     }
 
     /// The device this engine simulates.
     pub fn gpu(&self) -> &GpuConfig {
         &self.gpu
-    }
-
-    /// The fidelity options in effect.
-    pub fn options(&self) -> EngineOptions {
-        self.opts
     }
 
     /// Convenience: run a single kernel on its own stream.
@@ -554,9 +528,9 @@ impl Engine {
 
         let shares = Shares {
             sm_peak: self.gpu.sm_compute_flops(),
-            compute_cap: self.opts.max_cta_compute_fraction * self.gpu.sm_compute_flops(),
+            compute_cap: MAX_CTA_COMPUTE_FRACTION * self.gpu.sm_compute_flops(),
             hbm: self.gpu.hbm_bandwidth,
-            mem_cap: self.opts.max_cta_bandwidth_fraction * self.gpu.hbm_bandwidth,
+            mem_cap: MAX_CTA_BANDWIDTH_FRACTION * self.gpu.hbm_bandwidth,
         };
         let mut active = ActiveSet::new(num_sms);
 

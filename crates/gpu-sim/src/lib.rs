@@ -54,7 +54,7 @@ mod stream;
 mod work;
 
 pub use config::{GpuConfig, GpuConfigBuilder};
-pub use engine::{Engine, EngineOptions};
+pub use engine::{Engine, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
 pub use error::SimError;
 pub use kernel::{CtaDispatcher, KernelLaunch, ListDispatcher};
 pub use metrics::{EnergyModel, ExecutionReport, KernelReport, OpClassReport};

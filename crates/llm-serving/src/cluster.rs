@@ -12,11 +12,18 @@
 //! into a [`ClusterReport`] with fleet-level latency percentiles and a
 //! replica-imbalance measure.
 //!
-//! The run loop is an **event-driven core**: between barriers (request
-//! routing, migration deliveries, autoscaler checks) a min-heap of
-//! per-replica next-event times picks out only the replicas with due work,
-//! and those advance on the calling thread; the final drain spreads the
-//! fleet across scoped worker threads ([`Cluster::set_advance_workers`]).
+//! The run loop is an **event-driven core**, one loop for every fleet
+//! shape. A fleet has a prompt side (colocated and prefill-only replicas)
+//! and a decode side (decode-only replicas); a colocated or autoscaled
+//! fleet is one whose decode side is empty. Every arrival and every
+//! autoscaler check is the same barrier: advance the prompt side, collect
+//! the KV chains its finished prefills export, land the deliveries due by
+//! then on the decode side (one min-heap on delivery time, export order
+//! breaking ties), then advance the decode side. Within a side, a min-heap
+//! of per-replica next-event times picks out only the replicas with due
+//! work, and those advance on the calling thread; an empty side is not a
+//! barrier. The final drain spreads each side across scoped worker threads
+//! ([`Cluster::set_advance_workers`]).
 //! A sequential full-sweep twin
 //! ([`Cluster::run_lockstep`]) is kept as the differential oracle; both
 //! produce bit-identical reports. Fleet reports are graded by the same
@@ -33,6 +40,7 @@ use crate::request::RequestSpec;
 use crate::trace::{FlightRecording, TraceEventKind, TraceRecorder};
 use crate::ServingConfig;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -282,7 +290,9 @@ impl Default for KvMigration {
 pub struct AutoscalerConfig {
     /// Lower bound on active replicas (never drains below this).
     pub min_replicas: usize,
-    /// Upper bound on replicas ever spawned concurrently.
+    /// Upper bound on *active* replicas: scale-out stops at this many.
+    /// Draining replicas do not count against it, so while one drains the
+    /// fleet can briefly hold more than `max_replicas` replicas.
     pub max_replicas: usize,
     /// Seconds of virtual time between autoscaling checks.
     pub interval: f64,
@@ -542,12 +552,15 @@ impl ClusterConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cluster {
+    /// The fleet as configured; every run rebuilds the state below from it
+    /// ([`Cluster::build`]).
+    config: ClusterConfig,
     replicas: Vec<ServingEngine>,
-    router: RouterPolicy,
+    /// Per-replica roles (parallel to `replicas`; autoscaler-spawned
+    /// replicas are always colocated).
+    roles: Vec<ReplicaRole>,
     rr_next: usize,
     assigned: Vec<usize>,
-    autoscaler: Option<AutoscalerConfig>,
-    initial_replicas: usize,
     lifecycle: Vec<ReplicaLife>,
     scale_out_events: usize,
     scale_in_events: usize,
@@ -555,11 +568,6 @@ pub struct Cluster {
     /// Scale-pressure streaks (consecutive over/under-threshold checks).
     out_streak: usize,
     in_streak: usize,
-    /// Per-replica roles (parallel to `replicas`; autoscaler-spawned
-    /// replicas are always colocated).
-    roles: Vec<ReplicaRole>,
-    /// KV-migration cost model for prefill→decode handoffs.
-    migration: KvMigration,
     /// Worker threads for parallel replica advancement between barriers
     /// (see [`Cluster::set_advance_workers`]).
     advance_workers: usize,
@@ -571,32 +579,6 @@ pub struct Cluster {
     /// the replicas' own recorders; [`Cluster::flight_recording`] merges
     /// both in replica-index order.
     tracer: Option<TraceRecorder>,
-}
-
-/// A KV chain in flight between replicas: delivered to a decode replica at
-/// `at` (export time + migration stall). `seq` breaks time ties
-/// deterministically, in export order.
-#[derive(Debug)]
-struct Delivery {
-    at: f64,
-    seq: usize,
-    handoff: PrefillHandoff,
-}
-
-/// Remove and return the earliest delivery due at or before `t` (by
-/// `(at, seq)`), if any.
-fn pop_due(deliveries: &mut Vec<Delivery>, t: f64) -> Option<Delivery> {
-    let best = deliveries
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.at <= t)
-        .min_by(|(_, a), (_, b)| {
-            a.at.partial_cmp(&b.at)
-                .expect("delivery times are never NaN")
-                .then(a.seq.cmp(&b.seq))
-        })
-        .map(|(i, _)| i)?;
-    Some(deliveries.swap_remove(best))
 }
 
 /// Default worker count for the parallel drain: the machine's available
@@ -611,12 +593,12 @@ fn default_advance_workers() -> usize {
 /// Host-side cost of the event-driven core's barriers during the last
 /// [`Cluster::run`] (see [`Cluster::advance_profile`]).
 ///
-/// A barrier is one advance of the fleet (or one side of a disaggregated
-/// fleet) to a routing, delivery or autoscaler instant; barriers always
-/// run on the calling thread. The final drain, the one parallel dispatch,
-/// is counted apart. These are wall-clock host numbers, so they vary run
-/// to run and are kept out of [`ClusterReport`], which is bit-identical at
-/// every worker count.
+/// A barrier is one advance of a non-empty side of the fleet to a routing,
+/// delivery or autoscaler instant (a colocated fleet has one side, so one
+/// barrier per arrival or check); barriers always run on the calling
+/// thread. The final drain, the one parallel dispatch, is counted apart.
+/// These are wall-clock host numbers, so they vary run to run and are kept
+/// out of [`ClusterReport`], which is bit-identical at every worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceProfile {
     /// Barriers advanced.
@@ -651,36 +633,34 @@ fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One `(next_event_time, replica)` entry in the fleet's event queue.
-/// Ordered by time (total order, no NaNs reach the heap), with the replica
-/// index as a deterministic tiebreak.
+/// An entry of one of the fleet's min-heaps (under [`Reverse`]): `item`
+/// due at time `at`, ordered by `(at, tie)` in a total order (no NaNs reach
+/// a heap). The replica event queue keys each replica's epoch by replica
+/// index; the delivery queue keys each in-flight KV chain by export order.
 #[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+struct Timed<T> {
     at: f64,
-    idx: usize,
-    epoch: u64,
+    tie: usize,
+    item: T,
 }
 
-impl PartialEq for HeapEntry {
+impl<T> PartialEq for Timed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
-impl Eq for HeapEntry {}
+impl<T> Eq for Timed<T> {}
 
-impl PartialOrd for HeapEntry {
+impl<T> PartialOrd for Timed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for HeapEntry {
+impl<T> Ord for Timed<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .total_cmp(&other.at)
-            .then(self.idx.cmp(&other.idx))
-            .then(self.epoch.cmp(&other.epoch))
+        self.at.total_cmp(&other.at).then(self.tie.cmp(&other.tie))
     }
 }
 
@@ -691,7 +671,8 @@ impl Ord for HeapEntry {
 /// one **live** entry per replica exists at any time.
 #[derive(Debug)]
 struct ReplicaHeap {
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// `(next event, replica)` entries carrying the replica's epoch.
+    heap: BinaryHeap<Reverse<Timed<u64>>>,
     epochs: Vec<u64>,
 }
 
@@ -712,10 +693,10 @@ impl ReplicaHeap {
         self.epochs[idx] += 1;
         if let Some(at) = next_event {
             debug_assert!(!at.is_nan(), "event times are never NaN");
-            self.heap.push(Reverse(HeapEntry {
+            self.heap.push(Reverse(Timed {
                 at,
-                idx,
-                epoch: self.epochs[idx],
+                tie: idx,
+                item: self.epochs[idx],
             }));
         }
     }
@@ -731,11 +712,11 @@ impl ReplicaHeap {
                 break;
             }
             self.heap.pop();
-            if self.epochs[top.idx] == top.epoch {
+            if self.epochs[top.tie] == top.item {
                 // Live entry: retire it (the caller re-refreshes after
                 // advancing) so duplicates are impossible.
-                self.epochs[top.idx] += 1;
-                due.push(top.idx);
+                self.epochs[top.tie] += 1;
+                due.push(top.tie);
             }
         }
         due.sort_unstable();
@@ -803,8 +784,12 @@ impl Advancer {
     }
 
     /// Advance members to barrier time `t`: all of them (lockstep) or just
-    /// the due set (event-driven), recording the barrier in the profile.
+    /// the due set (event-driven), recording the barrier in the profile. An
+    /// advancer without members records nothing.
     fn advance(&mut self, replicas: &mut [ServingEngine], t: f64) {
+        if self.members.is_empty() {
+            return;
+        }
         let start = Instant::now();
         match &mut self.heap {
             None => {
@@ -828,6 +813,9 @@ impl Advancer {
     /// `workers` threads in event-driven mode (the engines are
     /// independent), sequentially in lockstep.
     fn drain(&mut self, replicas: &mut [ServingEngine], workers: usize) {
+        if self.members.is_empty() {
+            return;
+        }
         let start = Instant::now();
         match &mut self.heap {
             None => {
@@ -845,6 +833,44 @@ impl Advancer {
             }
         }
         self.profile.drain_ns += nanos(start.elapsed());
+    }
+}
+
+/// One run's moving parts. The prompt side (colocated and prefill-only
+/// replicas) and the decode side (decode-only replicas) advance
+/// independently between barriers, so each has its own [`Advancer`];
+/// completed prefills cross from one to the other as deliveries. A
+/// colocated or autoscaled fleet is one whose decode side is empty and
+/// which exports nothing.
+#[derive(Debug)]
+struct Fleet {
+    prompt: Advancer,
+    decode: Advancer,
+    /// Prefill-only replicas: the only ones whose prefills export.
+    exporters: Vec<usize>,
+    /// KV chains in flight, each due at its export time plus migration
+    /// stall; ties break in export order.
+    deliveries: BinaryHeap<Reverse<Timed<PrefillHandoff>>>,
+    /// Handoffs exported so far (the next delivery's tiebreak).
+    exported: usize,
+}
+
+impl Fleet {
+    fn new(replicas: &[ServingEngine], roles: &[ReplicaRole], event_driven: bool) -> Self {
+        let having = |keep: fn(&ReplicaRole) -> bool| -> Vec<usize> {
+            (0..roles.len()).filter(|&i| keep(&roles[i])).collect()
+        };
+        Fleet {
+            prompt: Advancer::new(having(ReplicaRole::accepts_prompts), event_driven, replicas),
+            decode: Advancer::new(
+                having(|r| *r == ReplicaRole::DecodeOnly),
+                event_driven,
+                replicas,
+            ),
+            exporters: having(|r| *r == ReplicaRole::PrefillOnly),
+            deliveries: BinaryHeap::new(),
+            exported: 0,
+        }
     }
 }
 
@@ -914,7 +940,14 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.replicas > 0, "a cluster needs at least one replica");
         config.validate_roles();
-        let replicas: Vec<ServingEngine> = config
+        Cluster::build(config, default_advance_workers())
+    }
+
+    /// A fresh fleet for `config`: new engines, router cursor, lifecycle
+    /// and autoscaler counters. Construction and every run's reset both
+    /// start here.
+    fn build(config: ClusterConfig, advance_workers: usize) -> Self {
+        let replicas = config
             .roles
             .iter()
             .map(|role| {
@@ -924,27 +957,24 @@ impl Cluster {
             })
             .collect();
         Cluster {
-            router: config.router,
+            replicas,
+            roles: config.roles.clone(),
             rr_next: 0,
             assigned: vec![0; config.replicas],
-            autoscaler: config.autoscaler,
-            initial_replicas: config.replicas,
             lifecycle: vec![ReplicaLife::new(0.0); config.replicas],
             scale_out_events: 0,
             scale_in_events: 0,
             peak_active: config.replicas,
             out_streak: 0,
             in_streak: 0,
-            roles: config.roles,
-            migration: config.migration,
-            advance_workers: default_advance_workers(),
+            advance_workers,
             advance_profile: AdvanceProfile::default(),
             tracer: config
                 .base
                 .tracing
                 .as_ref()
                 .map(|cfg| TraceRecorder::new(cfg.clone())),
-            replicas,
+            config,
         }
     }
 
@@ -1023,13 +1053,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Indices of decode-only replicas (migration targets).
-    fn decode_indices(&self) -> Vec<usize> {
-        (0..self.replicas.len())
-            .filter(|&i| self.roles[i] == ReplicaRole::DecodeOnly)
-            .collect()
-    }
-
     /// Pick the replica for `spec` given current replica state, without
     /// submitting it. This **advances router state** (the round-robin
     /// cursor): call it once per request, exactly as [`Cluster::run`] does,
@@ -1043,7 +1066,7 @@ impl Cluster {
     /// Route among an explicit candidate set (the active replicas).
     fn route_among(&mut self, candidates: &[usize], spec: &RequestSpec) -> usize {
         assert!(!candidates.is_empty(), "no active replica to route to");
-        match self.router {
+        match self.config.router {
             RouterPolicy::RoundRobin => {
                 let idx = candidates[self.rr_next % candidates.len()];
                 self.rr_next = (self.rr_next + 1) % candidates.len();
@@ -1086,26 +1109,7 @@ impl Cluster {
     /// Reset the fleet to its initial state (fresh engines, router cursor,
     /// lifecycle and autoscaler counters).
     fn reset(&mut self) {
-        let base = self.replicas[0].config().clone();
-        self.replicas.truncate(self.initial_replicas);
-        self.roles.truncate(self.initial_replicas);
-        for (replica, role) in self.replicas.iter_mut().zip(&self.roles) {
-            *replica = ServingEngine::new(base.clone());
-            replica.set_export_prefills(*role == ReplicaRole::PrefillOnly);
-        }
-        self.rr_next = 0;
-        self.assigned = vec![0; self.replicas.len()];
-        self.lifecycle = vec![ReplicaLife::new(0.0); self.replicas.len()];
-        self.scale_out_events = 0;
-        self.scale_in_events = 0;
-        self.peak_active = self.replicas.len();
-        self.out_streak = 0;
-        self.in_streak = 0;
-        self.advance_profile = AdvanceProfile::default();
-        self.tracer = base
-            .tracing
-            .as_ref()
-            .map(|cfg| TraceRecorder::new(cfg.clone()));
+        *self = Cluster::build(self.config.clone(), self.advance_workers);
     }
 
     /// Serve `specs` to completion: route every request at its arrival time
@@ -1148,6 +1152,10 @@ impl Cluster {
         self.run_inner(specs, false)
     }
 
+    /// The one serving loop for every fleet shape: each arrival (and, with
+    /// an autoscaler, each check before it) is a [`Cluster::barrier`], then
+    /// the request is routed and submitted; after the last arrival the
+    /// fleet drains.
     fn run_inner(&mut self, specs: Vec<RequestSpec>, event_driven: bool) -> ClusterReport {
         self.reset();
 
@@ -1159,220 +1167,127 @@ impl Cluster {
                 .expect("arrival times must not be NaN")
         });
 
-        let disaggregated = self.roles.iter().any(|r| *r != ReplicaRole::Colocated);
-        self.advance_profile = match (self.autoscaler, disaggregated) {
-            (None, false) => self.run_colocated(&specs, &order, event_driven),
-            (None, true) => self.run_disaggregated(&specs, &order, event_driven),
-            (Some(scaler), _) => self.run_autoscaled(&specs, &order, scaler, event_driven),
-        };
+        let mut fleet = Fleet::new(&self.replicas, &self.roles, event_driven);
+        let scaler = self.config.autoscaler;
+        let mut next_check = scaler.map_or(0.0, |s| s.interval);
+        for &i in &order {
+            let spec = specs[i];
+            if let Some(scaler) = &scaler {
+                while next_check <= spec.arrival {
+                    self.autoscale_check(next_check, scaler, true, &mut fleet);
+                    next_check += scaler.interval;
+                }
+            }
+            self.barrier(spec.arrival, &mut fleet);
+            let target = self.route(&spec);
+            self.assign(target, spec, &mut fleet.prompt);
+        }
+
+        match &scaler {
+            // Keep checking so slack scale-ins retire replicas (the
+            // replica-seconds cost metric depends on *when* they retire).
+            // Every pass advances the clock by one interval, so this
+            // terminates once the backlog is served. Scale-out is
+            // suppressed here: the closed world knows no further arrivals
+            // exist, and a replica spawned now could never receive work
+            // (routing happens at arrival or drain reclaim) — it would only
+            // idle and inflate replica_seconds.
+            Some(scaler) => {
+                while (0..self.replicas.len()).any(|i| {
+                    self.lifecycle[i].state != ReplicaState::Retired
+                        && !self.replicas[i].is_drained()
+                }) {
+                    self.autoscale_check(next_check, scaler, false, &mut fleet);
+                    next_check += scaler.interval;
+                }
+            }
+            // The prompt side receives no further work, and deliveries
+            // create decode-side work only, so one parallel pass drains the
+            // prompt side and surfaces every remaining export. The
+            // deliveries then land in time order, each with the decode side
+            // advanced to its instant, and the decode side drains.
+            None => {
+                fleet.prompt.drain(&mut self.replicas, self.advance_workers);
+                self.collect_exports(&mut fleet);
+                self.deliver_due(f64::INFINITY, &mut fleet);
+                fleet.decode.drain(&mut self.replicas, self.advance_workers);
+            }
+        }
+        self.advance_profile = fleet.prompt.profile.merge(fleet.decode.profile);
         self.report()
     }
 
-    /// The colocated serving loop: arrivals route over the whole fleet and
-    /// every replica serves its requests end-to-end.
-    fn run_colocated(
-        &mut self,
-        specs: &[RequestSpec],
-        order: &[usize],
-        event_driven: bool,
-    ) -> AdvanceProfile {
-        let members: Vec<usize> = (0..self.replicas.len()).collect();
-        let mut fleet = Advancer::new(members, event_driven, &self.replicas);
-        for &i in order {
-            let spec = specs[i];
-            fleet.advance(&mut self.replicas, spec.arrival);
-            let target = self.route(&spec);
-            self.replicas[target].submit(spec);
-            self.assigned[target] += 1;
-            fleet.notify(target, &self.replicas);
-        }
-        fleet.drain(&mut self.replicas, self.advance_workers);
-        fleet.profile
-    }
-
-    /// The disaggregated serving loop: arrivals land on prefill-capable
-    /// replicas, completed prefills ship their KV chains through the
-    /// migration model, and decode replicas resume the requests when the
-    /// chains arrive — all on the shared virtual clock.
-    fn run_disaggregated(
-        &mut self,
-        specs: &[RequestSpec],
-        order: &[usize],
-        event_driven: bool,
-    ) -> AdvanceProfile {
-        let bytes_per_token = self.replicas[0]
-            .config()
-            .model
-            .attention
-            .kv_bytes_per_token() as f64;
-        let mut deliveries: Vec<Delivery> = Vec::new();
-        let mut seq = 0usize;
-
-        // The two sides of the fleet advance independently between
-        // migration barriers, so each gets its own event queue: prompt-side
-        // (prefill-only plus any colocated replicas) and decode-side.
-        let prompt_members: Vec<usize> = (0..self.replicas.len())
-            .filter(|&i| self.roles[i].accepts_prompts())
-            .collect();
-        let mut prompt_side = Advancer::new(prompt_members, event_driven, &self.replicas);
-        let mut decode_side = Advancer::new(self.decode_indices(), event_driven, &self.replicas);
-
-        for &i in order {
-            let spec = specs[i];
-            self.pump_migrations(
-                spec.arrival,
-                bytes_per_token,
-                &mut deliveries,
-                &mut seq,
-                &mut prompt_side,
-                &mut decode_side,
-            );
-            let target = self.route(&spec);
-            self.replicas[target].submit(spec);
-            self.assigned[target] += 1;
-            prompt_side.notify(target, &self.replicas);
-        }
-
-        // Drain. Prefill-capable replicas receive no further work — and
-        // deliveries create decode-side work only — so one pass drains the
-        // prefill side and surfaces every remaining export. The deliveries
-        // then drive the decode side in (time, seq) order, each landing
-        // with decode state advanced to its delivery instant.
-        prompt_side.drain(&mut self.replicas, self.advance_workers);
-        self.collect_exports(bytes_per_token, &mut deliveries, &mut seq);
-        deliveries.sort_by(|a, b| {
-            a.at.partial_cmp(&b.at)
-                .expect("delivery times are never NaN")
-                .then(a.seq.cmp(&b.seq))
-        });
-        for d in std::mem::take(&mut deliveries) {
-            decode_side.advance(&mut self.replicas, d.at);
-            self.deliver(d, &mut decode_side);
-        }
-        decode_side.drain(&mut self.replicas, self.advance_workers);
-        prompt_side.profile.merge(decode_side.profile)
-    }
-
     /// Advance the fleet to simulated time `t`, moving any KV chains whose
-    /// prefill completed along the way: prefill-capable replicas advance
-    /// first (producing exports), then every delivery due by `t` lands on a
+    /// prefill completed along the way: the prompt side advances first
+    /// (producing exports), then every delivery due by `t` lands on a
     /// decode replica at its delivery instant, then the decode side catches
-    /// up to `t`.
-    fn pump_migrations(
-        &mut self,
-        t: f64,
-        bytes_per_token: f64,
-        deliveries: &mut Vec<Delivery>,
-        seq: &mut usize,
-        prompt_side: &mut Advancer,
-        decode_side: &mut Advancer,
-    ) {
-        prompt_side.advance(&mut self.replicas, t);
-        self.collect_exports(bytes_per_token, deliveries, seq);
-        while let Some(d) = pop_due(deliveries, t) {
-            decode_side.advance(&mut self.replicas, d.at);
-            self.deliver(d, decode_side);
-        }
-        decode_side.advance(&mut self.replicas, t);
+    /// up to `t`. With an empty decode side this is one prompt-side advance.
+    fn barrier(&mut self, t: f64, fleet: &mut Fleet) {
+        fleet.prompt.advance(&mut self.replicas, t);
+        self.collect_exports(fleet);
+        self.deliver_due(t, fleet);
+        fleet.decode.advance(&mut self.replicas, t);
+    }
+
+    /// Submit `spec` to replica `target` and re-read its next event.
+    fn assign(&mut self, target: usize, spec: RequestSpec, side: &mut Advancer) {
+        self.replicas[target].submit(spec);
+        self.assigned[target] += 1;
+        side.notify(target, &self.replicas);
     }
 
     /// Pull completed prefills off every prefill-only replica and schedule
     /// their deliveries: a handoff of `T` tokens arrives `stall` seconds
     /// after its export, per the [`KvMigration`] model.
-    fn collect_exports(
-        &mut self,
-        bytes_per_token: f64,
-        deliveries: &mut Vec<Delivery>,
-        seq: &mut usize,
-    ) {
-        for i in 0..self.replicas.len() {
-            if self.roles[i] != ReplicaRole::PrefillOnly {
-                continue;
-            }
+    fn collect_exports(&mut self, fleet: &mut Fleet) {
+        for &i in &fleet.exporters {
             for handoff in self.replicas[i].take_ready_handoffs() {
-                let kv_bytes = handoff.chain.tokens as f64 * bytes_per_token;
-                let stall = self.migration.stall_secs(kv_bytes, handoff.prefill_window);
-                deliveries.push(Delivery {
+                let bytes_per_token = self.config.base.model.attention.kv_bytes_per_token();
+                let kv_bytes = handoff.chain.tokens as f64 * bytes_per_token as f64;
+                let stall = self
+                    .config
+                    .migration
+                    .stall_secs(kv_bytes, handoff.prefill_window);
+                fleet.deliveries.push(Reverse(Timed {
                     at: handoff.export_time + stall,
-                    seq: *seq,
-                    handoff,
-                });
-                *seq += 1;
+                    tie: fleet.exported,
+                    item: handoff,
+                }));
+                fleet.exported += 1;
             }
         }
     }
 
-    /// Land one delivery on the least-loaded decode replica.
-    fn deliver(&mut self, d: Delivery, decode_side: &mut Advancer) {
-        let targets = self.decode_indices();
-        let target = *targets
-            .iter()
-            .min_by_key(|&&j| (self.replicas[j].outstanding_tokens(), j))
-            .expect("validated fleets have a decode replica for every prefill replica");
-        self.replicas[target].import_handoff(d.handoff, d.at);
-        decode_side.notify(target, &self.replicas);
+    /// Land every delivery due by `t`, earliest first (export order breaking
+    /// ties), each on the least-loaded decode replica with the decode side
+    /// advanced to the delivery instant.
+    fn deliver_due(&mut self, t: f64, fleet: &mut Fleet) {
+        while let Some(top) = fleet.deliveries.peek_mut().filter(|d| d.0.at <= t) {
+            let Reverse(d) = PeekMut::pop(top);
+            fleet.decode.advance(&mut self.replicas, d.at);
+            let target = *fleet
+                .decode
+                .members
+                .iter()
+                .min_by_key(|&&j| (self.replicas[j].outstanding_tokens(), j))
+                .expect("validated fleets have a decode replica for every prefill replica");
+            self.replicas[target].import_handoff(d.item, d.at);
+            fleet.decode.notify(target, &self.replicas);
+        }
     }
 
-    /// The autoscaled serving loop: arrivals and scaling checks interleave
-    /// on the shared virtual clock.
-    fn run_autoscaled(
-        &mut self,
-        specs: &[RequestSpec],
-        order: &[usize],
-        scaler: AutoscalerConfig,
-        event_driven: bool,
-    ) -> AdvanceProfile {
-        // One advancer over the whole (growing) fleet. Retired replicas are
-        // drained, so advancing them is a no-op and they simply never
-        // surface in the event queue.
-        let members: Vec<usize> = (0..self.replicas.len()).collect();
-        let mut fleet = Advancer::new(members, event_driven, &self.replicas);
-        let mut next_check = scaler.interval;
-        for &i in order {
-            let spec = specs[i];
-            while next_check <= spec.arrival {
-                fleet.advance(&mut self.replicas, next_check);
-                self.autoscale_check(next_check, &scaler, true, &mut fleet);
-                next_check += scaler.interval;
-            }
-            fleet.advance(&mut self.replicas, spec.arrival);
-            let target = self.route(&spec);
-            self.replicas[target].submit(spec);
-            self.assigned[target] += 1;
-            fleet.notify(target, &self.replicas);
-        }
-        // Drain: keep checking so slack scale-ins retire replicas (the
-        // replica-seconds cost metric depends on *when* they retire). Every
-        // pass advances the clock by one interval, so this terminates once
-        // the backlog is served. Scale-out is suppressed here: the closed
-        // world knows no further arrivals exist, and a replica spawned now
-        // could never receive work (routing happens at arrival or drain
-        // reclaim) — it would only idle and inflate replica_seconds.
-        loop {
-            let unfinished = (0..self.replicas.len()).any(|i| {
-                self.lifecycle[i].state != ReplicaState::Retired && !self.replicas[i].is_drained()
-            });
-            if !unfinished {
-                break;
-            }
-            fleet.advance(&mut self.replicas, next_check);
-            self.autoscale_check(next_check, &scaler, false, &mut fleet);
-            next_check += scaler.interval;
-        }
-        fleet.profile
-    }
-
-    /// One autoscaling decision at time `now`: retire drained replicas,
-    /// update the pressure streaks, and scale out/in if a streak sustained.
-    /// `allow_scale_out` is false during the post-arrival drain, where a new
-    /// replica could never be routed any work.
+    /// One autoscaling decision at time `now`: a barrier, then retire
+    /// drained replicas, update the pressure streaks, and scale out/in if a
+    /// streak sustained. `allow_scale_out` is false during the post-arrival
+    /// drain, where a new replica could never be routed any work.
     fn autoscale_check(
         &mut self,
         now: f64,
         scaler: &AutoscalerConfig,
         allow_scale_out: bool,
-        fleet: &mut Advancer,
+        fleet: &mut Fleet,
     ) {
+        self.barrier(now, fleet);
         // Draining replicas whose in-flight work finished retire now.
         for i in 0..self.replicas.len() {
             if self.lifecycle[i].state == ReplicaState::Draining && self.replicas[i].is_drained() {
@@ -1405,8 +1320,8 @@ impl Cluster {
             && self.out_streak >= scaler.sustain
             && active.len() < scaler.max_replicas
         {
-            let base = self.replicas[0].config().clone();
-            self.replicas.push(ServingEngine::new(base));
+            self.replicas
+                .push(ServingEngine::new(self.config.base.clone()));
             self.roles.push(ReplicaRole::Colocated);
             self.lifecycle.push(ReplicaLife::new(now));
             self.assigned.push(0);
@@ -1422,7 +1337,9 @@ impl Cluster {
             self.peak_active = self.peak_active.max(active.len() + 1);
             self.out_streak = 0;
             self.in_streak = 0;
-            fleet.add_member(self.replicas.len() - 1, &self.replicas);
+            fleet
+                .prompt
+                .add_member(self.replicas.len() - 1, &self.replicas);
         } else if self.in_streak >= scaler.sustain && active.len() > scaler.min_replicas {
             // Drain the least-loaded active replica; ties prefer the newest
             // (highest index), keeping the original fleet core stable.
@@ -1441,13 +1358,11 @@ impl Cluster {
             // router over the surviving active replicas; in-flight prefills
             // and decodes finish where they are.
             let reclaimed = self.replicas[victim].reclaim_unstarted();
-            fleet.notify(victim, &self.replicas);
+            fleet.prompt.notify(victim, &self.replicas);
             let survivors = self.active_indices();
             for spec in reclaimed {
                 let target = self.route_among(&survivors, &spec);
-                self.replicas[target].submit(spec);
-                self.assigned[target] += 1;
-                fleet.notify(target, &self.replicas);
+                self.assign(target, spec, &mut fleet.prompt);
             }
         }
     }
@@ -1538,11 +1453,11 @@ impl Cluster {
             .sum();
 
         ClusterReport {
-            router: self.router.label(),
+            router: self.config.router.label(),
             busy_imbalance,
             assigned_per_replica: self.assigned.clone(),
             roles: self.roles.iter().map(|r| r.label().to_string()).collect(),
-            migration: self.migration.label(),
+            migration: self.config.migration.label(),
             per_role,
             per_replica,
             aggregate,
@@ -2289,12 +2204,14 @@ mod tests {
             RouterPolicy::LeastOutstandingTokens,
         ));
         assert_eq!(cluster.advance_profile(), AdvanceProfile::default());
-        // One barrier per arrival in the colocated loop, counted once per
-        // run rather than accumulated across runs.
-        for _ in 0..2 {
+        // One barrier per arrival: a colocated fleet's decode side is empty
+        // and never counts one. Counted once per run rather than
+        // accumulated across runs, at every worker count.
+        for workers in [1, 4, 4] {
+            cluster.set_advance_workers(workers);
             cluster.run(specs.clone());
             let profile = cluster.advance_profile();
-            assert_eq!(profile.barriers, specs.len() as u64);
+            assert_eq!(profile.barriers, specs.len() as u64, "{workers} workers");
             assert!(profile.drain_ns > 0);
         }
         cluster.run_lockstep(specs.clone());

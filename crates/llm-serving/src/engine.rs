@@ -2162,8 +2162,10 @@ impl ServingEngine {
         (report, engine.state.requests)
     }
 
-    /// Per-iteration breakdown for a given plan state (used by the Figure 4
-    /// harness): builds the hybrid batch the plan describes and prices it.
+    /// Total iteration time of `batch` in seconds under this engine's cost
+    /// model and attention strategy (side costs memoized unless
+    /// [`ServingConfig::price_cache`] is off). Only the pricing
+    /// microbenchmarks in `criterion_kernels` call it.
     pub fn price_batch(&self, batch: &HybridBatch) -> f64 {
         self.cost.iteration_time(batch, self.config.attention)
     }

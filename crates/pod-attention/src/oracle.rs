@@ -8,7 +8,7 @@
 //! bandwidth.
 
 use attn_kernels::{AttentionConfig, DecodeKernel, HybridBatch, PrefillKernel, SplitPolicy};
-use gpu_sim::{EngineOptions, GpuConfig};
+use gpu_sim::{GpuConfig, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
 
 /// Perfect-overlap lower bound on the attention runtime of `batch` (seconds).
 ///
@@ -16,7 +16,6 @@ use gpu_sim::{EngineOptions, GpuConfig};
 /// comparison isolates *overlap*, not tiling differences) and the same
 /// per-CTA throughput caps as the contention engine.
 pub fn oracle_time(batch: &HybridBatch, cfg: &AttentionConfig, gpu: &GpuConfig) -> f64 {
-    let opts = EngineOptions::default();
     let mut flops = 0.0;
     let mut bytes = 0.0;
     let mut ctas = 0usize;
@@ -37,10 +36,10 @@ pub fn oracle_time(batch: &HybridBatch, cfg: &AttentionConfig, gpu: &GpuConfig) 
     if ctas == 0 {
         return 0.0;
     }
-    let compute_rate = (ctas as f64 * opts.max_cta_compute_fraction * gpu.sm_compute_flops())
-        .min(gpu.tensor_flops);
+    let compute_rate =
+        (ctas as f64 * MAX_CTA_COMPUTE_FRACTION * gpu.sm_compute_flops()).min(gpu.tensor_flops);
     let mem_rate =
-        (ctas as f64 * opts.max_cta_bandwidth_fraction * gpu.hbm_bandwidth).min(gpu.hbm_bandwidth);
+        (ctas as f64 * MAX_CTA_BANDWIDTH_FRACTION * gpu.hbm_bandwidth).min(gpu.hbm_bandwidth);
     (flops / compute_rate).max(bytes / mem_rate)
 }
 

@@ -8,10 +8,10 @@
 
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    offline_long_context, Cluster, ClusterConfig, ClusterReport, FairQueueConfig, FlightRecording,
-    IterationOutcome, KvMigration, ModelConfig, Priority, RateSchedule, RequestSpec, RouterPolicy,
-    ServingConfig, ServingEngine, ServingReport, SharedPrefixWorkload, TenantId, TraceConfig,
-    Workload,
+    offline_long_context, AutoscalerConfig, Cluster, ClusterConfig, ClusterReport, FairQueueConfig,
+    FlightRecording, IterationOutcome, KvMigration, ModelConfig, Priority, RateSchedule,
+    ReplicaRole, RequestSpec, RouterPolicy, ServingConfig, ServingEngine, ServingReport,
+    SharedPrefixWorkload, TenantId, TraceConfig, Workload,
 };
 use llm_serving::{AcceptanceModel, DraftModelConfig};
 use std::collections::BTreeMap;
@@ -102,16 +102,44 @@ impl Golden {
     }
 }
 
-/// Compare every case and fail once, printing the new block of each
-/// mismatched case verbatim (a deliberate model change re-records them).
-fn assert_goldens(cases: Vec<(&str, Golden, Golden)>) {
+/// A fleet run's pinned outputs: the aggregate [`Golden`] plus the
+/// fleet-shape fields an aggregate cannot show (where requests went, how
+/// the autoscaler moved and what the fleet cost).
+#[derive(Debug, PartialEq)]
+struct FleetGolden {
+    aggregate: Golden,
+    assigned: &'static [usize],
+    scale_out: usize,
+    scale_in: usize,
+    peak: usize,
+    replica_seconds: u64,
+}
+
+/// Run `specs` on `config` with tracing on and pin the fleet's outputs.
+fn fleet_case(mut config: ClusterConfig, specs: Vec<RequestSpec>) -> FleetGolden {
+    config.base = traced(config.base);
+    let mut cluster = Cluster::new(config);
+    let report = cluster.run(specs);
+    FleetGolden {
+        aggregate: Golden::of(&report.aggregate, cluster.flight_recording()),
+        assigned: Box::leak(report.assigned_per_replica.into_boxed_slice()),
+        scale_out: report.scale_out_events,
+        scale_in: report.scale_in_events,
+        peak: report.peak_replicas,
+        replica_seconds: report.replica_seconds.to_bits(),
+    }
+}
+
+/// Each mismatched case's new block, printed verbatim (a deliberate model
+/// change re-records them).
+fn mismatches<T: PartialEq + std::fmt::Debug>(cases: Vec<(&str, T, T)>) -> String {
     let mut report = String::new();
     for (tag, got, want) in cases {
         if got != want {
             report += &format!("{tag}: golden mismatch; new values:\n{got:#?}\n");
         }
     }
-    assert!(report.is_empty(), "{report}");
+    report
 }
 
 fn traced(config: ServingConfig) -> ServingConfig {
@@ -147,7 +175,9 @@ fn disaggregated_case(base: ServingConfig, specs: Vec<RequestSpec>) -> Golden {
 /// residency path — paged growth and preemption, prefix caching with
 /// eviction, speculative rollback, disaggregated export and adoption under
 /// each policy, and priority preemption — keeps its pinned outputs and
-/// trace-event counts.
+/// trace-event counts. Two fleet cases pin the cluster loop itself: an
+/// autoscaled fleet that grows and shrinks, and a mixed fleet whose
+/// colocated replica serves beside a disaggregated pair.
 #[test]
 fn run_reproduces_pre_stepping_reports_bit_for_bit() {
     let online = Workload::internal().generate(40, 0.8, 17);
@@ -228,7 +258,7 @@ fn run_reproduces_pre_stepping_reports_bit_for_bit() {
     let conservative = ServingConfig::sarathi_pod(llama3(), gpu(), 1024);
     cases.push((
         "disagg_conservative",
-        disaggregated_case(conservative, online.clone()),
+        disaggregated_case(conservative.clone(), online.clone()),
         DISAGG_CONSERVATIVE,
     ));
     cases.push((
@@ -261,7 +291,46 @@ fn run_reproduces_pre_stepping_reports_bit_for_bit() {
         PRIORITY_PREEMPT,
     ));
 
-    assert_goldens(cases);
+    // An autoscaled colocated fleet: a burst scales it out from one
+    // replica, the calm tail drains replicas back in.
+    let burst =
+        Workload::internal().generate_trace(100, &RateSchedule::bursty(8.0, 0.2, 30.0, 90.0), 33);
+    let autoscaled = fleet_case(
+        ClusterConfig::new(
+            conservative.clone(),
+            1,
+            RouterPolicy::LeastOutstandingTokens,
+        )
+        .with_autoscaler(AutoscalerConfig {
+            interval: 2.0,
+            scale_out_backlog: 30_000,
+            ..AutoscalerConfig::new(1, 6)
+        }),
+        burst,
+    );
+    assert!(autoscaled.scale_out > 0 && autoscaled.scale_in > 0);
+
+    // A mixed fleet: a colocated replica beside two prefill-only replicas
+    // that hand off to one decode-only replica over a slow link, so
+    // deliveries interleave with arrivals.
+    let mixed_roles = vec![
+        ReplicaRole::Colocated,
+        ReplicaRole::PrefillOnly,
+        ReplicaRole::PrefillOnly,
+        ReplicaRole::DecodeOnly,
+    ];
+    let mixed_fleet = fleet_case(
+        ClusterConfig::new(conservative, 4, RouterPolicy::decode_aware())
+            .with_roles(mixed_roles, KvMigration::commodity().with_overlap()),
+        Workload::internal().generate(48, 2.0, 29),
+    );
+
+    let fleet_cases = vec![
+        ("autoscaled_fleet", autoscaled, AUTOSCALED_FLEET),
+        ("mixed_fleet", mixed_fleet, MIXED_FLEET),
+    ];
+    let report = mismatches(cases) + &mismatches(fleet_cases);
+    assert!(report.is_empty(), "{report}");
 }
 
 /// Driving `step()` by hand produces a report identical to `run()` — same
@@ -679,4 +748,78 @@ const PRIORITY_PREEMPT: Golden = Golden {
     migrated_tokens: 0,
     migration_stall: 0,
     trace: "admit=12 defer=633 enqueue=8 finish=8 iteration=2177 kv_alloc=12 kv_free=12 preempt=4 timeline=15",
+};
+
+const AUTOSCALED_FLEET: FleetGolden = FleetGolden {
+    aggregate: Golden {
+        makespan: 4629177431247897350,
+        completed: 100,
+        iterations: 5330,
+        hybrid: 1078,
+        ttft_p50: 4616643717078714059,
+        ttft_p99: 4622351515999618822,
+        tbt_p50: 4578206938503688192,
+        tbt_max: 4589803572165877760,
+        lat_p50: 4622520214831960356,
+        stall200: 0,
+        hits: 4141,
+        misses: 1189,
+        prefill_tokens: 1092225,
+        preemptions: 0,
+        inflicted: 0,
+        blocks_evicted: 0,
+        cached_prefix_tokens: 0,
+        blocks_reused: 0,
+        cow_copies: 0,
+        deduped: 0,
+        spec_rounds: 0,
+        draft_rejected: 0,
+        migrated_out: 0,
+        migrated_in: 0,
+        migrated_tokens: 0,
+        migration_stall: 0,
+        trace: "admit=100 enqueue=100 finish=100 iteration=5330 scale_in=3 scale_out=3 timeline=85",
+    },
+    assigned: &[39, 28, 21, 12],
+    scale_out: 3,
+    scale_in: 3,
+    peak: 4,
+    replica_seconds: 4635606845671305010,
+};
+
+const MIXED_FLEET: FleetGolden = FleetGolden {
+    aggregate: Golden {
+        makespan: 4629623836225975463,
+        completed: 48,
+        iterations: 7498,
+        hybrid: 85,
+        ttft_p50: 4602382807125809130,
+        ttft_p99: 4609556886268376896,
+        tbt_p50: 4574912296098611200,
+        tbt_max: 4590377300693439104,
+        lat_p50: 4611759150536120619,
+        stall200: 0,
+        hits: 7197,
+        misses: 301,
+        prefill_tokens: 533258,
+        preemptions: 0,
+        inflicted: 0,
+        blocks_evicted: 0,
+        cached_prefix_tokens: 0,
+        blocks_reused: 0,
+        cow_copies: 0,
+        deduped: 0,
+        spec_rounds: 0,
+        draft_rejected: 0,
+        migrated_out: 39,
+        migrated_in: 39,
+        migrated_tokens: 409360,
+        migration_stall: 4599868705320992728,
+        trace: "admit=48 enqueue=48 finish=48 handoff_export=39 handoff_import=39 iteration=7498 timeline=94",
+    },
+    assigned: &[9, 24, 15, 0],
+    scale_out: 0,
+    scale_in: 0,
+    peak: 4,
+    replica_seconds: 4638631035480716455,
 };
