@@ -58,28 +58,32 @@ fn run_fig12_quick(price_cache: bool) -> (f64, Vec<ServingReport>) {
     (start.elapsed().as_secs_f64(), reports)
 }
 
-/// Blocks in the pool of the eviction-heavy KV pool loop.
+/// Blocks in the pool of the eviction-heavy KV pool loops.
 const KV_POOL_BLOCKS: usize = 4096;
-/// Blocks per admitted chain in that loop.
-const KV_CHAIN_BLOCKS: usize = 32;
-/// Chains admitted per timed iteration of that loop.
+/// Chains admitted per timed iteration of those loops.
 const KV_CHAINS_PER_ITER: usize = 64;
 
-/// The prefix cache at steady state: a full pool of cached chains, each
-/// admission matching a two-block shared system prompt (plus a copy-on-write
-/// head of its third block) and allocating the rest of its chain by evicting
-/// LRU leaves, then indexing the chain and releasing it into the cache.
-/// Returns the blocks it allocated (the same count once the pool is full).
-fn kv_pool_churn(pool: &mut BlockPool, lineage: &mut u64) -> usize {
+/// The prefix cache at steady state: a full pool of cached `chain_blocks`
+/// chains, each admission matching what it can of `content(lineage)` (a
+/// shared system prompt, say, plus a copy-on-write head of the next block)
+/// and allocating the rest of its chain by evicting LRU leaves, then
+/// indexing the chain and releasing it into the cache. Returns the blocks it
+/// allocated (the same count once the pool is full).
+fn kv_pool_churn(
+    pool: &mut BlockPool,
+    lineage: &mut u64,
+    chain_blocks: usize,
+    content: fn(u64) -> PromptContent,
+) -> usize {
     let mut allocated = 0;
     for _ in 0..KV_CHAINS_PER_ITER {
         *lineage += 1;
-        let content = PromptContent::shared(1, 2 * BLOCK_TOKENS + 5, *lineage);
-        let m = pool.acquire_prefix(content, KV_CHAIN_BLOCKS * BLOCK_TOKENS - 1);
+        let content = content(*lineage);
+        let m = pool.acquire_prefix(content, chain_blocks * BLOCK_TOKENS - 1);
         let mut table = m.blocks;
         let shared = table.len();
-        assert!(pool.alloc_into(KV_CHAIN_BLOCKS - shared, &mut table));
-        allocated += KV_CHAIN_BLOCKS - shared;
+        assert!(pool.alloc_into(chain_blocks - shared, &mut table));
+        allocated += chain_blocks - shared;
         if let Some(cow) = m.cow_source {
             pool.release(&[cow]);
         }
@@ -185,17 +189,28 @@ fn main() {
     results.push(r_sketch);
 
     // --- KV block pool under eviction ---
-    let mut pool = BlockPool::new(KV_POOL_BLOCKS * BLOCK_TOKENS);
-    let mut lineage = 0;
-    while pool.blocks_evicted() == 0 {
-        kv_pool_churn(&mut pool, &mut lineage);
-    }
-    let blocks_per_iter = kv_pool_churn(&mut pool, &mut lineage);
-    let r_pool = bench("kv_pool/admit_index_release_evicting", BUDGET, 10, || {
-        kv_pool_churn(&mut pool, &mut lineage)
+    // 32-block chains behind a two-block system prompt drain as long
+    // single-child runs; 4-block unique prompts fan the root out to every
+    // cached chain.
+    let mut kv_pool_loop = |name, chain_blocks, content: fn(u64) -> PromptContent| {
+        let mut pool = BlockPool::new(KV_POOL_BLOCKS * BLOCK_TOKENS);
+        let mut lineage = 0;
+        while pool.blocks_evicted() == 0 {
+            kv_pool_churn(&mut pool, &mut lineage, chain_blocks, content);
+        }
+        let blocks_per_iter = kv_pool_churn(&mut pool, &mut lineage, chain_blocks, content);
+        let r = bench(name, BUDGET, 10, || {
+            kv_pool_churn(&mut pool, &mut lineage, chain_blocks, content)
+        });
+        let blocks_per_sec = blocks_per_iter as f64 * r.iters_per_sec();
+        results.push(r);
+        blocks_per_sec
+    };
+    let kv_pool_blocks_per_sec = kv_pool_loop("kv_pool/admit_index_release_evicting", 32, |l| {
+        PromptContent::shared(1, 2 * BLOCK_TOKENS + 5, l)
     });
-    let kv_pool_blocks_per_sec = blocks_per_iter as f64 * r_pool.iters_per_sec();
-    results.push(r_pool);
+    let kv_pool_wide_blocks_per_sec =
+        kv_pool_loop("kv_pool/unique_prompts_wide_root", 4, PromptContent::unique);
 
     // --- end-to-end serving, small and fixed-size ---
     results.push(bench("serving/8_requests_end_to_end", BUDGET, 5, || {
@@ -294,7 +309,13 @@ fn main() {
                 ),
                 (
                     "kv_pool",
-                    Json::obj(vec![("blocks_per_sec", Json::Num(kv_pool_blocks_per_sec))]),
+                    Json::obj(vec![
+                        ("blocks_per_sec", Json::Num(kv_pool_blocks_per_sec)),
+                        (
+                            "wide_blocks_per_sec",
+                            Json::Num(kv_pool_wide_blocks_per_sec),
+                        ),
+                    ]),
                 ),
                 (
                     "metrics",

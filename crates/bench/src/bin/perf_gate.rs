@@ -35,6 +35,7 @@ const HOST_GATES: &[(&str, &str, Rule)] = &[
     ("engine", "engine.intervals_per_sec", Slack),
     ("engine", "pricing.batches_priced_per_sec_memoized", Slack),
     ("engine", "kv_pool.blocks_per_sec", Slack),
+    ("engine", "kv_pool.wide_blocks_per_sec", Slack),
     ("fleet", "scaling.1.events_per_sec", Slack),
     ("fleet", "scaling.2.events_per_sec", Slack),
     ("fleet", "scaling.4.events_per_sec", Slack),

@@ -21,9 +21,12 @@
 //!   [`PromptContent`] stream's tokens are a bijective mix of its tag and
 //!   position, and siblings sit at the same positions, so a block's content
 //!   is fully described by the tags it spans — `(head tag, tail tag, split)`.
-//!   Equal keys mean equal tokens, so no match is ever a hash collision. All
-//!   edges live in one pool-wide map from `(parent, key)` to child, and each
-//!   node links its children through intrusive first-child/sibling ids.
+//!   Equal keys mean equal tokens, so no match is ever a hash collision. Each
+//!   node links its children through intrusive first-child/sibling ids. A
+//!   node is **fanned** once it holds two children at once; from then until
+//!   its last child leaves, its children also sit in one pool-wide map from
+//!   `(parent, key)` to child. An unfanned node has at most one child, found
+//!   by comparing its key, so single-child chains never hash.
 //! * **Copy-on-write on divergence:** when the walk ends mid-block — the
 //!   request's next tokens agree with a cached block for only part of its
 //!   span — the cached block is copied into a private block and the common
@@ -35,7 +38,9 @@
 //!   like RadixAttention's leaf-first LRU. The evictable set is a min-heap
 //!   over `(last_use, node id)` with lazy deletion: a node leaving the set
 //!   only clears its membership flag, and its stale heap entry is skipped
-//!   when popped.
+//!   when popped. A parent that becomes an evictable leaf mid-eviction and
+//!   sorts below the heap's top is the set's minimum, so it is evicted next
+//!   without a push and a pop.
 //!
 //! Everything is deterministic: ties break on allocation order, the LRU is a
 //! total order over `(last_use, node id)`, and no hash-map iteration order
@@ -205,6 +210,9 @@ struct TrieNode {
     last_use: u64,
     /// Whether `(last_use, id)` is in the pool's evictable set.
     evictable: bool,
+    /// Whether this node's children sit in the edge map: set the first time
+    /// it holds two children at once, cleared when its last child leaves.
+    fanned: bool,
 }
 
 /// A radix trie mapping block-granular token prefixes to cached block ids.
@@ -216,9 +224,13 @@ struct TrieNode {
 pub struct PrefixIndex {
     nodes: Vec<Option<TrieNode>>,
     free_nodes: Vec<u32>,
+    /// Edges out of fanned nodes only: an unfanned node has at most one
+    /// child, found through `first_child`.
     edges: EdgeMap,
     /// Newest child of the root, or [`NO_NODE`] when the index is empty.
     root_first: u32,
+    /// The root's `fanned` flag.
+    root_fanned: bool,
 }
 
 impl Default for PrefixIndex {
@@ -228,6 +240,7 @@ impl Default for PrefixIndex {
             free_nodes: Vec::new(),
             edges: EdgeMap::default(),
             root_first: NO_NODE,
+            root_fanned: false,
         }
     }
 }
@@ -256,10 +269,16 @@ impl PrefixIndex {
     }
 
     fn first_child(&self, parent: u32) -> u32 {
+        self.links(parent).0
+    }
+
+    /// `parent`'s newest child and its `fanned` flag.
+    fn links(&self, parent: u32) -> (u32, bool) {
         if parent == NO_NODE {
-            self.root_first
+            (self.root_first, self.root_fanned)
         } else {
-            self.node(parent).first_child
+            let node = self.node(parent);
+            (node.first_child, node.fanned)
         }
     }
 
@@ -268,6 +287,14 @@ impl PrefixIndex {
             self.root_first = child;
         } else {
             self.node_mut(parent).first_child = child;
+        }
+    }
+
+    fn set_fanned(&mut self, parent: u32, fanned: bool) {
+        if parent == NO_NODE {
+            self.root_fanned = fanned;
+        } else {
+            self.node_mut(parent).fanned = fanned;
         }
     }
 
@@ -281,7 +308,11 @@ impl PrefixIndex {
 
     /// Child of `cursor` holding exactly the block `key`, if cached.
     fn child(&self, cursor: Cursor, key: BlockKey) -> Option<u32> {
-        self.edges.get(&(cursor.0, key)).copied()
+        match self.links(cursor.0) {
+            (_, true) => self.edges.get(&(cursor.0, key)).copied(),
+            (NO_NODE, false) => None,
+            (only, false) => (self.node(only).key == key).then_some(only),
+        }
     }
 
     /// Ids of `cursor`'s children, newest first.
@@ -302,17 +333,36 @@ impl PrefixIndex {
         block: u32,
         last_use: u64,
     ) -> Option<u32> {
-        let Entry::Vacant(slot) = self.edges.entry((cursor.0, key)) else {
-            return None;
+        let parent = cursor.0;
+        let (next, fanned) = self.links(parent);
+        if !fanned && next != NO_NODE {
+            // A second child: the parent fans out, and its first child joins
+            // the edge map with it.
+            let only = self.node(next).key;
+            if only == key {
+                return None;
+            }
+            self.edges.insert((parent, only), next);
+            self.set_fanned(parent, true);
+        }
+        // With a child already there, the parent is fanned from here on.
+        let slot = if next == NO_NODE {
+            None
+        } else {
+            match self.edges.entry((parent, key)) {
+                Entry::Occupied(_) => return None,
+                Entry::Vacant(slot) => Some(slot),
+            }
         };
         let idx = self.free_nodes.pop().unwrap_or_else(|| {
             self.nodes.push(None);
             (self.nodes.len() - 1) as u32
         });
-        slot.insert(idx);
-        let next = self.first_child(cursor.0);
+        if let Some(slot) = slot {
+            slot.insert(idx);
+        }
         self.nodes[idx as usize] = Some(TrieNode {
-            parent: cursor.0,
+            parent,
             key,
             block,
             first_child: NO_NODE,
@@ -320,11 +370,12 @@ impl PrefixIndex {
             next_sibling: next,
             last_use,
             evictable: false,
+            fanned: false,
         });
         if next != NO_NODE {
             self.node_mut(next).prev_sibling = idx;
         }
-        self.set_first_child(cursor.0, idx);
+        self.set_first_child(parent, idx);
         Some(idx)
     }
 
@@ -342,7 +393,13 @@ impl PrefixIndex {
         if node.next_sibling != NO_NODE {
             self.node_mut(node.next_sibling).prev_sibling = node.prev_sibling;
         }
-        self.edges.remove(&(node.parent, node.key));
+        let (first, fanned) = self.links(node.parent);
+        if fanned {
+            self.edges.remove(&(node.parent, node.key));
+            if first == NO_NODE {
+                self.set_fanned(node.parent, false);
+            }
+        }
         self.free_nodes.push(idx);
         (node.block, Cursor(node.parent))
     }
@@ -561,22 +618,29 @@ impl BlockPool {
         }
         let start = table.len();
         table.reserve(n);
-        for _ in 0..n {
-            let Some(id) = self.take_free().or_else(|| self.evict_one()) else {
-                // Roll back: nothing is handed out on failure.
-                for BlockId(id) in table.drain(start..) {
-                    self.states[id as usize].refs = 0;
-                    self.referenced -= 1;
-                    self.free.push(id);
-                }
-                return false;
-            };
-            debug_assert_eq!(self.states[id as usize].refs, 0);
-            debug_assert_eq!(self.states[id as usize].node, NO_NODE);
-            self.states[id as usize].refs = 1;
-            self.referenced += 1;
+        let taken = n.min(self.free_blocks());
+        for _ in 0..taken {
+            let id = self.take_free().expect("free_blocks counts this block");
             table.push(BlockId(id));
         }
+        // Evicted blocks land on the free list, in eviction order, after the
+        // blocks the rest of the pool keeps there.
+        let kept = self.free.len();
+        if !self.evict(n - taken) {
+            // Roll back: nothing is handed out on failure. The table's
+            // blocks return to the free list ahead of the evicted ones.
+            let evicted = self.free.split_off(kept);
+            self.free.extend(table.drain(start..).map(|BlockId(id)| id));
+            self.free.extend(evicted);
+            return false;
+        }
+        table.extend(self.free.drain(kept..).map(BlockId));
+        for &BlockId(id) in &table[start..] {
+            let state = &mut self.states[id as usize];
+            debug_assert_eq!((state.refs, state.node), (0, NO_NODE));
+            state.refs = 1;
+        }
+        self.referenced += n;
         true
     }
 
@@ -607,28 +671,52 @@ impl BlockPool {
         }
     }
 
-    /// Evict the least-recently-used evictable leaf, returning its block id.
-    fn evict_one(&mut self) -> Option<u32> {
-        let leaf = loop {
-            let Reverse(entry) = self.evictable.pop()?;
-            if self.index.is_current(entry) {
-                break entry.1;
+    /// Evict `n` cached blocks, least recently used leaf first, pushing each
+    /// onto the free list. Returns `false` if the evictable set runs dry
+    /// first; the blocks evicted until then stay evicted.
+    ///
+    /// A parent left a cached leaf by its child's eviction is evicted next
+    /// without entering the heap when `(last_use, id)` sorts below the heap's
+    /// top: the top is at or below every member (a stale top only makes the
+    /// test stricter), so the parent is the set's minimum, and a chain drains
+    /// inward with no heap traffic at all.
+    fn evict(&mut self, n: usize) -> bool {
+        let mut next = None;
+        for left in (0..n).rev() {
+            let leaf = match next.take() {
+                Some(parent) => parent,
+                None => loop {
+                    let Some(Reverse(entry)) = self.evictable.pop() else {
+                        return false;
+                    };
+                    if self.index.is_current(entry) {
+                        // Removing the node leaves any duplicate entry stale.
+                        self.evictable_len -= 1;
+                        break entry.1;
+                    }
+                },
+            };
+            let (block, Cursor(parent)) = self.index.remove_leaf(leaf);
+            debug_assert_eq!(self.states[block as usize].refs, 0);
+            self.states[block as usize].node = NO_NODE;
+            self.blocks_evicted += 1;
+            self.free.push(block);
+            // The parent may now be an evictable leaf itself.
+            if parent == NO_NODE {
+                continue;
             }
-        };
-        // Removing the node leaves any duplicate entry of it stale.
-        self.evictable_len -= 1;
-        let (block, parent) = self.index.remove_leaf(leaf);
-        debug_assert_eq!(self.states[block as usize].refs, 0);
-        self.states[block as usize].node = NO_NODE;
-        self.blocks_evicted += 1;
-        // The parent may now be an evictable leaf itself.
-        if parent.0 != NO_NODE {
-            let p = self.index.node(parent.0);
-            if p.first_child == NO_NODE && self.states[p.block as usize].refs == 0 {
-                self.make_evictable(parent.0);
+            let p = self.index.node(parent);
+            if p.first_child != NO_NODE || self.states[p.block as usize].refs != 0 {
+                continue;
+            }
+            let below_top = |&Reverse(top): &Reverse<(u64, u32)>| (p.last_use, parent) < top;
+            if left > 0 && self.evictable.peek().map_or(true, below_top) {
+                next = Some(parent);
+            } else {
+                self.make_evictable(parent);
             }
         }
-        Some(block)
+        true
     }
 
     /// Release one reference on every block in `blocks`. Blocks that were
@@ -662,11 +750,8 @@ impl BlockPool {
         if n > self.capacity_blocks - self.referenced_blocks() {
             return false;
         }
-        while self.free_blocks() < n {
-            match self.evict_one() {
-                Some(id) => self.free.push(id),
-                None => return false,
-            }
+        if !self.evict(n.saturating_sub(self.free_blocks())) {
+            return false;
         }
         self.counted += n;
         true
@@ -945,6 +1030,86 @@ mod tests {
         assert_eq!(pool.peek_prefix(PromptContent::unique(5), 15), 12);
         for chain in &chains {
             pool.release(chain);
+        }
+    }
+
+    /// One node — the root, then an interior node — goes through 0 → 1 → 2
+    /// → 3 → 1 → 0 → 2 children, by indexing and evicting. At every step
+    /// every child is found by full and copy-on-write matches, re-indexing
+    /// an equal child stops short, and the edge map holds exactly the
+    /// children of the node once it has fanned out.
+    #[test]
+    fn fan_out_transitions_keep_every_child_reachable() {
+        for depth in [0, 1] {
+            let mut pool = BlockPool::new(BLOCK_TOKENS * 16);
+            // Child `i` is block `depth` of stream `i`; the streams share
+            // their first `depth` blocks under tag 99.
+            let stream = |i: u64| PromptContent::shared(99, depth * BLOCK_TOKENS, 100 + i);
+            let path = pool.alloc(depth).unwrap();
+            let (node, _) = pool.extend_index(Cursor::root(), stream(0), 0, &path);
+            let mut children: Vec<(u64, BlockId)> = Vec::new();
+            let check = |pool: &mut BlockPool, children: &[(u64, BlockId)], fanned: bool| {
+                let full = (depth + 1) * BLOCK_TOKENS;
+                for &(i, block) in children {
+                    assert_eq!(pool.peek_prefix(stream(i), full), full);
+                    let m = pool.acquire_prefix(stream(i), full);
+                    assert_eq!(m.blocks, [&path[..], &[block]].concat());
+                    pool.release(&m.blocks);
+                    let cow = pool.acquire_prefix(stream(i), full - 5);
+                    assert_eq!((cow.blocks.len(), cow.cow_source), (depth, Some(block)));
+                    assert_eq!(cow.cached_tokens, full - 5);
+                    pool.release(&cow.blocks);
+                    pool.release(&[block]);
+                    let dup = pool.alloc(1).unwrap();
+                    assert_eq!(pool.extend_index(node, stream(i), depth, &dup), (node, 0));
+                    pool.release(&dup);
+                }
+                assert_eq!(pool.peek_prefix(stream(7), 2 * full), depth * BLOCK_TOKENS);
+                assert_eq!(pool.indexed_blocks(), depth + children.len());
+                assert_eq!(pool.index.links(node.0).1, fanned);
+                let edges = if fanned { children.len() } else { 0 };
+                assert_eq!(pool.index.edges.len(), edges);
+            };
+            let index = |pool: &mut BlockPool, children: &mut Vec<(u64, BlockId)>, i: u64| {
+                let block = pool.alloc(1).unwrap();
+                assert_eq!(pool.extend_index(node, stream(i), depth, &block).1, 1);
+                pool.release(&block);
+                children.push((i, block[0]));
+            };
+            // Evict all children but `keep`, the most recently used.
+            let evict_all_but =
+                |pool: &mut BlockPool, children: &mut Vec<(u64, BlockId)>, keep: Option<u64>| {
+                    let kept: Vec<_> = children
+                        .iter()
+                        .copied()
+                        .filter(|c| Some(c.0) == keep)
+                        .collect();
+                    for &(i, _) in &kept {
+                        let m = pool.acquire_prefix(stream(i), BLOCK_TOKENS * (depth + 1));
+                        pool.release(&m.blocks);
+                    }
+                    let evicted = pool.blocks_evicted();
+                    let filler = pool.alloc(pool.free_blocks() + children.len() - kept.len());
+                    pool.release(&filler.unwrap());
+                    assert_eq!(pool.blocks_evicted() - evicted, children.len() - kept.len());
+                    *children = kept;
+                };
+            check(&mut pool, &children, false);
+            index(&mut pool, &mut children, 1);
+            check(&mut pool, &children, false);
+            index(&mut pool, &mut children, 2);
+            check(&mut pool, &children, true);
+            index(&mut pool, &mut children, 3);
+            check(&mut pool, &children, true);
+            evict_all_but(&mut pool, &mut children, Some(2));
+            check(&mut pool, &children, true);
+            evict_all_but(&mut pool, &mut children, None);
+            check(&mut pool, &children, false);
+            index(&mut pool, &mut children, 4);
+            check(&mut pool, &children, false);
+            index(&mut pool, &mut children, 5);
+            check(&mut pool, &children, true);
+            pool.release(&path);
         }
     }
 

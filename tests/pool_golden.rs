@@ -11,6 +11,12 @@
 //! every `extend_index` count, every `peek_prefix` probe and the pool
 //! counters after each operation. A change to the pool's internals must leave
 //! them intact; a mismatch prints the new block verbatim.
+//!
+//! A second test checks the eviction order differentially: every allocation
+//! of `n` blocks must hand out the same ids, and leave the same counters, as
+//! `n` one-block allocations on a copy of the pool. A one-block allocation
+//! evicts a single leaf off the LRU heap, so it never takes the shortcut that
+//! drains a chain without the heap.
 
 use llm_serving::{
     blocks_for, BlockId, BlockPool, Cursor, PromptContent, SplitMix64, BLOCK_TOKENS,
@@ -55,6 +61,12 @@ struct Traffic {
     parked: Vec<(PromptContent, usize)>,
     counted: Vec<usize>,
     next_lineage: u64,
+    /// Longest prompt, in blocks.
+    max_blocks: usize,
+    /// Check each allocation against one-block allocations on a copy.
+    differential: bool,
+    /// Allocations that evicted more than one block.
+    multi_evictions: usize,
     admits: usize,
     refusals: usize,
     cow_matches: usize,
@@ -71,6 +83,9 @@ impl Traffic {
             parked: Vec::new(),
             counted: Vec::new(),
             next_lineage: 1_000,
+            max_blocks: 12,
+            differential: false,
+            multi_evictions: 0,
             admits: 0,
             refusals: 0,
             cow_matches: 0,
@@ -101,6 +116,69 @@ impl Traffic {
         }
     }
 
+    /// `pool.alloc(n)`; in differential runs, also `n` one-block allocations
+    /// on a copy of the pool, which must agree with it.
+    fn alloc(&mut self, n: usize) -> Option<Vec<BlockId>> {
+        let mut singles = self.shadow(n);
+        let evicted = self.pool.blocks_evicted();
+        let batch = self.pool.alloc(n);
+        if let Some(singles) = &mut singles {
+            let mut got = Vec::new();
+            while got.len() < n {
+                let Some(one) = singles.alloc(1) else { break };
+                got.extend(one);
+            }
+            if batch.is_none() {
+                // A failed allocation hands nothing out.
+                singles.release(&got);
+                got.clear();
+            }
+            assert_eq!(batch.as_deref().unwrap_or_default(), &got[..], "alloc({n})");
+            self.assert_agrees(singles, n);
+        }
+        self.multi_evictions += usize::from(self.pool.blocks_evicted() > evicted + 1);
+        batch
+    }
+
+    /// `pool.alloc_counted(n)`; in differential runs, also `n` one-block
+    /// grants on a copy of the pool, which must agree with it.
+    fn alloc_counted(&mut self, n: usize) -> bool {
+        let mut singles = self.shadow(n);
+        let evicted = self.pool.blocks_evicted();
+        let granted = self.pool.alloc_counted(n);
+        if let Some(singles) = &mut singles {
+            let got = (0..n).take_while(|_| singles.alloc_counted(1)).count();
+            if !granted {
+                singles.release_counted(got);
+            }
+            assert_eq!(granted, got == n, "alloc_counted({n})");
+            self.assert_agrees(singles, n);
+        }
+        self.multi_evictions += usize::from(self.pool.blocks_evicted() > evicted + 1);
+        granted
+    }
+
+    /// A copy of the pool to replay an `n`-block request on one block at a
+    /// time, in differential runs. A request for more blocks than are not
+    /// referenced is refused before it evicts anything, so it has no
+    /// one-block counterpart.
+    fn shadow(&self, n: usize) -> Option<BlockPool> {
+        let fits = n <= self.pool.capacity_blocks() - self.pool.referenced_blocks();
+        (self.differential && fits).then(|| self.pool.clone())
+    }
+
+    fn assert_agrees(&self, singles: &BlockPool, n: usize) {
+        let counters = |p: &BlockPool| {
+            let (e, c, i) = (p.blocks_evicted(), p.cached_blocks(), p.indexed_blocks());
+            (e, c, i, p.free_blocks())
+        };
+        assert_eq!(
+            counters(&self.pool),
+            counters(singles),
+            "counters after {n} blocks"
+        );
+    }
+
     /// Index the request's newly computed full blocks, as the engine does
     /// after each prefill chunk or decode.
     fn index(&mut self, i: usize) {
@@ -126,7 +204,7 @@ impl Traffic {
         self.digest.add(m.cached_tokens as u64);
         self.digest
             .add(m.cow_source.map_or(u64::MAX, |b| b.index() as u64));
-        let fresh = self.pool.alloc(blocks_for(tokens) - m.blocks.len());
+        let fresh = self.alloc(blocks_for(tokens) - m.blocks.len());
         self.digest.add(u64::from(fresh.is_some()));
         if let Some(cow) = m.cow_source {
             self.cow_matches += 1;
@@ -157,14 +235,14 @@ impl Traffic {
         match self.rng.next_usize(10) {
             0..=2 => {
                 let content = self.content();
-                let tokens = 1 + self.rng.next_usize(12 * BLOCK_TOKENS);
+                let tokens = 1 + self.rng.next_usize(self.max_blocks * BLOCK_TOKENS);
                 self.admit(content, tokens);
             }
             3 | 4 if !self.live.is_empty() => {
                 let i = self.rng.next_usize(self.live.len());
                 let grown = self.live[i].tokens + 1 + self.rng.next_usize(40);
                 let need = blocks_for(grown).saturating_sub(self.live[i].blocks.len());
-                match self.pool.alloc(need) {
+                match self.alloc(need) {
                     Some(fresh) => {
                         self.digest.blocks(&fresh);
                         self.live[i].blocks.extend(fresh);
@@ -196,7 +274,7 @@ impl Traffic {
                     self.pool.release_counted(n);
                 } else {
                     let n = 1 + self.rng.next_usize(8);
-                    let granted = self.pool.alloc_counted(n);
+                    let granted = self.alloc_counted(n);
                     self.digest.add(u64::from(granted));
                     if granted {
                         self.counted.push(n);
@@ -263,4 +341,34 @@ fn pool_traffic_matches_golden() {
 400/5: digest f346c2bad692cbda evicted 3115 cached 251 indexed 251 admits 1289 refusals 334 cow 1083 restores 400
 ";
     assert_eq!(got, golden, "golden mismatch; new values:\n{got}");
+}
+
+/// Allocating `n` blocks at once evicts the same leaves, in the same order,
+/// as `n` one-block allocations. The traffic runs long chains that drain
+/// inward, indexes many blocks per logical tick (so `last_use` ties break on
+/// node id), fans out under shared system prompts and mixes in counted
+/// grants, which evict through the same loop.
+#[test]
+fn batch_eviction_matches_one_block_allocations() {
+    let mut multi_evictions = 0;
+    for (capacity_blocks, seed) in [(48, 11), (128, 12), (300, 13)] {
+        let mut t = Traffic {
+            max_blocks: 40,
+            differential: true,
+            ..Traffic::new(capacity_blocks, seed)
+        };
+        for _ in 0..2_000 {
+            t.step();
+        }
+        assert!(
+            t.pool.blocks_evicted() > 5 * capacity_blocks,
+            "{}",
+            t.summary()
+        );
+        multi_evictions += t.multi_evictions;
+    }
+    assert!(
+        multi_evictions > 1_000,
+        "multi-block evictions: {multi_evictions}"
+    );
 }
