@@ -40,9 +40,6 @@ pub struct DecodeKernel {
     pub threads: usize,
     /// Fraction of peak HBM bandwidth the kernel's access pattern achieves.
     pub bandwidth_efficiency: f64,
-    /// Whether the kernel applies FlashDecoding-style KV splitting when the
-    /// grid does not fill the GPU.
-    pub split_kv: bool,
     /// Query-row padding behaviour.
     pub padding: QueryPadding,
 }
@@ -54,7 +51,6 @@ impl DecodeKernel {
             tile: TileShape::fa_decode(),
             threads: 128,
             bandwidth_efficiency: 0.88,
-            split_kv: true,
             padding: QueryPadding::GroupGranularity,
         }
     }
@@ -68,7 +64,6 @@ impl DecodeKernel {
             tile: TileShape::new(16, 64),
             threads: 128,
             bandwidth_efficiency: 0.95,
-            split_kv: true,
             padding: QueryPadding::GroupGranularity,
         }
     }
@@ -81,7 +76,6 @@ impl DecodeKernel {
             tile: TileShape::pod_decode(),
             threads: 128,
             bandwidth_efficiency: 0.88,
-            split_kv: true,
             padding: QueryPadding::GroupGranularity,
         }
     }
@@ -95,12 +89,6 @@ impl DecodeKernel {
     /// Pad queries to the full tile (Figure 10's design-space exploration).
     pub fn with_full_tile_padding(mut self) -> Self {
         self.padding = QueryPadding::FullTile;
-        self
-    }
-
-    /// Disable KV splitting.
-    pub fn without_split_kv(mut self) -> Self {
-        self.split_kv = false;
         self
     }
 
@@ -118,7 +106,7 @@ impl DecodeKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> usize {
-        if !self.split_kv || batch_size == 0 {
+        if batch_size == 0 {
             return 1;
         }
         let base = batch_size * cfg.kv_heads_per_gpu();

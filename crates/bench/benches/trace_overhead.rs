@@ -99,8 +99,8 @@ fn main() {
     // The flight-recorder configuration under test: a bounded ring per
     // replica (most-recent 8192 events survive) and a timeline sample per
     // virtual minute. Capacity does not change emission cost — every event
-    // is filtered and ring-pushed either way — so this measures the steady
-    // recording regime, not an unbounded buffer.
+    // is ring-pushed either way — so this measures the steady recording
+    // regime, not an unbounded buffer.
     let trace_cfg = TraceConfig::new()
         .with_capacity(8192)
         .with_timeline_interval(60.0);

@@ -91,11 +91,6 @@ impl GpuConfig {
         self.tensor_flops / self.num_sms as f64
     }
 
-    /// Peak CUDA-core throughput of a single SM, in FLOP/s.
-    pub fn sm_cuda_core_flops(&self) -> f64 {
-        self.cuda_core_flops / self.num_sms as f64
-    }
-
     /// Time (seconds) to execute `flops` tensor FLOPs at full device peak.
     pub fn compute_time(&self, flops: f64) -> f64 {
         flops / self.tensor_flops

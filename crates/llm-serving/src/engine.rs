@@ -1074,11 +1074,6 @@ impl ServingEngine {
         self.export_prefills = export;
     }
 
-    /// Whether this replica exports completed prefills instead of decoding.
-    pub fn exports_prefills(&self) -> bool {
-        self.export_prefills
-    }
-
     /// The draft width KV grants reserve room for (see
     /// [`KvCachePolicy::grant`]). A prefill-only replica exports every
     /// prefill and never decodes, so its grants keep the single token.
@@ -1229,11 +1224,6 @@ impl ServingEngine {
                 chain: handoff.chain,
             },
         );
-    }
-
-    /// Completed prefills parked for migration pickup.
-    pub fn ready_handoffs(&self) -> usize {
-        self.state.pending_export.len()
     }
 
     /// Migrated-in requests whose transfer or residency is still pending.

@@ -126,8 +126,8 @@ pub use scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
 pub use sketch::{QuantileSketch, SketchMergeError, DEFAULT_RELATIVE_ERROR};
 pub use speculative::{AcceptanceModel, DecodeMode, DraftModelConfig};
 pub use trace::{
-    FlightRecording, SpanOutcomes, TimelineSummary, TraceCategory, TraceConfig, TraceEvent,
-    TraceEventKind, TraceFilter, TraceRecorder,
+    FlightRecording, SpanOutcomes, TimelineSummary, TraceConfig, TraceEvent, TraceEventKind,
+    TraceRecorder,
 };
 pub use workload::{
     offline_long_context, pd_ratio_workload, RateSchedule, RateSegment, SharedPrefixWorkload,

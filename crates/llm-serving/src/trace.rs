@@ -36,11 +36,17 @@
 //! the in-repo [`JsonValue`] writer:
 //!
 //! * [`FlightRecording::to_chrome_json`] — Chrome `trace_event` JSON:
-//!   complete spans per request and per iteration, instants for
-//!   shed/preempt/evict, and counter tracks for the timelines. Load the
-//!   file in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//!   complete spans per request and per iteration, counter tracks for the
+//!   timelines, and an instant for every other event except admissions,
+//!   defers, allocs and frees. Load the file in `chrome://tracing` or
+//!   [Perfetto](https://ui.perfetto.dev).
 //! * [`FlightRecording::to_jsonl`] — one compact JSON object per event, for
 //!   grep/jq-style analysis and byte-exact determinism tests.
+//!
+//! Each event kind declares its fields once, in `TraceEventKind::fields`:
+//! the JSONL record is `t`, `type` and those fields, and every Chrome
+//! instant is derived from them by one rule (see `chrome_instant`). A new
+//! kind needs a variant, a [`TraceEventKind::label`] arm and a `fields` arm.
 
 use crate::json::JsonValue;
 use crate::request::{Priority, TenantId};
@@ -61,11 +67,9 @@ pub struct TraceConfig {
     /// full, the oldest event is dropped (flight-recorder semantics; the
     /// drop count is reported). Must be at least 1.
     pub capacity: usize,
-    /// Which event categories are recorded. Defaults to everything.
-    pub filter: TraceFilter,
     /// Virtual seconds between timeline samples. Samples are taken on the
     /// first iteration completing at or after each interval boundary, so an
-    /// idle replica emits none.
+    /// idle replica emits none. Must be positive and finite.
     pub timeline_interval: f64,
 }
 
@@ -73,14 +77,13 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             capacity: DEFAULT_TRACE_CAPACITY,
-            filter: TraceFilter::all(),
             timeline_interval: DEFAULT_TIMELINE_INTERVAL,
         }
     }
 }
 
 impl TraceConfig {
-    /// Everything on, default capacity.
+    /// Default capacity and timeline interval.
     pub fn new() -> Self {
         TraceConfig::default()
     }
@@ -93,12 +96,6 @@ impl TraceConfig {
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "the flight recorder needs capacity >= 1");
         self.capacity = capacity;
-        self
-    }
-
-    /// The same configuration recording only the given categories.
-    pub fn with_filter(mut self, filter: TraceFilter) -> Self {
-        self.filter = filter;
         self
     }
 
@@ -115,93 +112,6 @@ impl TraceConfig {
         );
         self.timeline_interval = interval;
         self
-    }
-}
-
-/// Event taxonomy: every [`TraceEventKind`] belongs to exactly one category,
-/// and [`TraceFilter`] selects which categories the recorder keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceCategory {
-    /// Request lifecycle: enqueue, admit/defer/shed, preempt, finish.
-    Lifecycle,
-    /// Engine iterations: one event per priced batch.
-    Iteration,
-    /// KV block traffic: alloc, free, copy-on-write, eviction.
-    Kv,
-    /// Disaggregated handoffs: export and import, with migration stall.
-    Migration,
-    /// Cluster autoscaler actions.
-    Autoscaler,
-    /// Periodic timeline samples.
-    Timeline,
-}
-
-/// Which event categories the flight recorder keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceFilter {
-    /// Keep [`TraceCategory::Lifecycle`] events.
-    pub lifecycle: bool,
-    /// Keep [`TraceCategory::Iteration`] events.
-    pub iteration: bool,
-    /// Keep [`TraceCategory::Kv`] events.
-    pub kv: bool,
-    /// Keep [`TraceCategory::Migration`] events.
-    pub migration: bool,
-    /// Keep [`TraceCategory::Autoscaler`] events.
-    pub autoscaler: bool,
-    /// Keep [`TraceCategory::Timeline`] events.
-    pub timeline: bool,
-}
-
-impl Default for TraceFilter {
-    fn default() -> Self {
-        TraceFilter::all()
-    }
-}
-
-impl TraceFilter {
-    /// Every category on.
-    pub fn all() -> Self {
-        TraceFilter {
-            lifecycle: true,
-            iteration: true,
-            kv: true,
-            migration: true,
-            autoscaler: true,
-            timeline: true,
-        }
-    }
-
-    /// Every category off (combine with field updates to opt in).
-    pub fn none() -> Self {
-        TraceFilter {
-            lifecycle: false,
-            iteration: false,
-            kv: false,
-            migration: false,
-            autoscaler: false,
-            timeline: false,
-        }
-    }
-
-    /// Only request-lifecycle events — the cheapest useful trace.
-    pub fn lifecycle_only() -> Self {
-        TraceFilter {
-            lifecycle: true,
-            ..TraceFilter::none()
-        }
-    }
-
-    /// Whether `category` passes this filter.
-    pub fn keeps(&self, category: TraceCategory) -> bool {
-        match category {
-            TraceCategory::Lifecycle => self.lifecycle,
-            TraceCategory::Iteration => self.iteration,
-            TraceCategory::Kv => self.kv,
-            TraceCategory::Migration => self.migration,
-            TraceCategory::Autoscaler => self.autoscaler,
-            TraceCategory::Timeline => self.timeline,
-        }
     }
 }
 
@@ -390,32 +300,6 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
-    /// The category this event belongs to (what [`TraceFilter`] selects on).
-    pub fn category(&self) -> TraceCategory {
-        match self {
-            TraceEventKind::Enqueue { .. }
-            | TraceEventKind::Admit { .. }
-            | TraceEventKind::Defer { .. }
-            | TraceEventKind::Shed { .. }
-            | TraceEventKind::Preempt { .. }
-            | TraceEventKind::Finish { .. } => TraceCategory::Lifecycle,
-            TraceEventKind::Iteration { .. } | TraceEventKind::SpecRound { .. } => {
-                TraceCategory::Iteration
-            }
-            TraceEventKind::KvAlloc { .. }
-            | TraceEventKind::KvFree { .. }
-            | TraceEventKind::KvEvict { .. }
-            | TraceEventKind::KvDedup { .. } => TraceCategory::Kv,
-            TraceEventKind::HandoffExport { .. } | TraceEventKind::HandoffImport { .. } => {
-                TraceCategory::Migration
-            }
-            TraceEventKind::ScaleOut { .. } | TraceEventKind::ScaleIn { .. } => {
-                TraceCategory::Autoscaler
-            }
-            TraceEventKind::TimelineSample { .. } => TraceCategory::Timeline,
-        }
-    }
-
     /// Stable event-type label (the `"type"` field of the JSON encodings).
     pub fn label(&self) -> &'static str {
         match self {
@@ -438,19 +322,14 @@ impl TraceEventKind {
             TraceEventKind::TimelineSample { .. } => "timeline",
         }
     }
-}
 
-impl TraceEvent {
-    /// Serialize as a flat JSON object (`t`, `type`, then the kind's
-    /// fields). This is the JSONL record shape; the Chrome exporter derives
-    /// its own shapes from the same data.
-    pub fn to_json(&self) -> JsonValue {
-        let mut fields: Vec<(&str, JsonValue)> = vec![
-            ("t", JsonValue::Num(self.t)),
-            ("type", JsonValue::str(self.kind.label())),
-        ];
+    /// The kind's fields in record order: the one place each kind's schema
+    /// is declared. The JSONL record is `t`, `type`, then these; a Chrome
+    /// instant's `args` are these minus `request`.
+    pub(crate) fn fields(&self) -> Vec<(&'static str, JsonValue)> {
+        let mut fields = Vec::new();
         let num = |n: usize| JsonValue::Num(n as f64);
-        match &self.kind {
+        match self {
             TraceEventKind::Enqueue {
                 request,
                 tenant,
@@ -599,6 +478,20 @@ impl TraceEvent {
                 ));
             }
         }
+        fields
+    }
+}
+
+impl TraceEvent {
+    /// Serialize as a flat JSON object (`t`, `type`, then the kind's
+    /// fields). This is the JSONL record shape; the Chrome exporter derives
+    /// its instants from the same fields.
+    pub fn to_json(&self) -> JsonValue {
+        let mut fields = vec![
+            ("t", JsonValue::Num(self.t)),
+            ("type", JsonValue::str(self.kind.label())),
+        ];
+        fields.extend(self.kind.fields());
         JsonValue::obj(fields)
     }
 }
@@ -713,10 +606,20 @@ pub struct TraceRecorder {
 
 impl TraceRecorder {
     /// A recorder with an empty ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacity is zero or the timeline interval is not
+    /// positive and finite. The fields are public, so a struct literal can
+    /// skip the checks in `with_capacity` and `with_timeline_interval`.
     pub fn new(config: TraceConfig) -> Self {
         assert!(
             config.capacity > 0,
             "the flight recorder needs capacity >= 1"
+        );
+        assert!(
+            config.timeline_interval > 0.0 && config.timeline_interval.is_finite(),
+            "timeline intervals must be positive and finite"
         );
         let next_sample = config.timeline_interval;
         TraceRecorder {
@@ -733,12 +636,8 @@ impl TraceRecorder {
         &self.config
     }
 
-    /// Record one event (dropping the oldest if the ring is full), unless
-    /// its category is filtered out.
+    /// Record one event, dropping the oldest if the ring is full.
     pub fn record(&mut self, t: f64, kind: TraceEventKind) {
-        if !self.config.filter.keeps(kind.category()) {
-            return;
-        }
         if let TraceEventKind::TimelineSample {
             running,
             waiting,
@@ -768,7 +667,7 @@ impl TraceRecorder {
     /// a long iteration spanning several intervals yields one sample, not a
     /// burst.
     pub fn timeline_due(&mut self, t: f64) -> bool {
-        if !self.config.filter.keeps(TraceCategory::Timeline) || t < self.next_sample {
+        if t < self.next_sample {
             return false;
         }
         let interval = self.config.timeline_interval;
@@ -917,8 +816,10 @@ impl FlightRecording {
     ///   `args`;
     /// * a complete span per iteration on `tid = 0` carrying the batch
     ///   composition and priced cost;
-    /// * instants (`ph: "i"`) for shed, preempt and KV evictions;
-    /// * counter tracks (`ph: "C"`) from the timeline samples.
+    /// * counter tracks (`ph: "C"`) from the timeline samples;
+    /// * an instant (`ph: "i"`) for every other event except admissions,
+    ///   defers, allocs and frees, named by its label, on the request's lane
+    ///   when it has one, with the event's other fields as `args`.
     ///
     /// Timestamps are the virtual clock in microseconds (the unit the
     /// format requires).
@@ -1015,22 +916,9 @@ fn chrome_process(out: &mut Vec<JsonValue>, pid: usize, name: &str, events: &[Tr
             TraceEventKind::Enqueue { request, .. } => {
                 open.insert(*request, (ev.t, "enqueue"));
             }
-            TraceEventKind::HandoffImport { request, stall, .. } => {
+            TraceEventKind::HandoffImport { request, .. } => {
                 open.insert(*request, (ev.t, "import"));
-                out.push(chrome_event(
-                    "handoff_import",
-                    "i",
-                    pid,
-                    request_tid(*request),
-                    us(ev.t),
-                    vec![
-                        ("s", JsonValue::str("t")),
-                        (
-                            "args",
-                            JsonValue::obj(vec![("stall", JsonValue::Num(*stall))]),
-                        ),
-                    ],
-                ));
+                out.push(chrome_instant(pid, ev));
             }
             TraceEventKind::Finish {
                 request,
@@ -1051,14 +939,7 @@ fn chrome_process(out: &mut Vec<JsonValue>, pid: usize, name: &str, events: &[Tr
                 ],
             ),
             TraceEventKind::Shed { request } => {
-                out.push(chrome_event(
-                    "shed",
-                    "i",
-                    pid,
-                    request_tid(*request),
-                    us(ev.t),
-                    vec![("s", JsonValue::str("t"))],
-                ));
+                out.push(chrome_instant(pid, ev));
                 close(out, &mut open, *request, ev.t, "shed", Vec::new());
             }
             TraceEventKind::HandoffExport {
@@ -1071,76 +952,6 @@ fn chrome_process(out: &mut Vec<JsonValue>, pid: usize, name: &str, events: &[Tr
                 "migrated_out",
                 vec![("tokens", JsonValue::Num(*tokens as f64))],
             ),
-            TraceEventKind::Preempt { request } => {
-                out.push(chrome_event(
-                    "preempt",
-                    "i",
-                    pid,
-                    request_tid(*request),
-                    us(ev.t),
-                    vec![("s", JsonValue::str("t"))],
-                ));
-            }
-            TraceEventKind::KvDedup { groups, tokens } => {
-                out.push(chrome_event(
-                    "kv_dedup",
-                    "i",
-                    pid,
-                    0.0,
-                    us(ev.t),
-                    vec![
-                        ("s", JsonValue::str("p")),
-                        (
-                            "args",
-                            JsonValue::obj(vec![
-                                ("groups", JsonValue::Num(*groups as f64)),
-                                ("tokens", JsonValue::Num(*tokens as f64)),
-                            ]),
-                        ),
-                    ],
-                ));
-            }
-            TraceEventKind::SpecRound {
-                request,
-                width,
-                accepted,
-                minted,
-            } => {
-                out.push(chrome_event(
-                    "spec_round",
-                    "i",
-                    pid,
-                    request_tid(*request),
-                    us(ev.t),
-                    vec![
-                        ("s", JsonValue::str("t")),
-                        (
-                            "args",
-                            JsonValue::obj(vec![
-                                ("width", JsonValue::Num(*width as f64)),
-                                ("accepted", JsonValue::Num(*accepted as f64)),
-                                ("minted", JsonValue::Num(*minted as f64)),
-                            ]),
-                        ),
-                    ],
-                ));
-            }
-            TraceEventKind::KvEvict { blocks } => {
-                out.push(chrome_event(
-                    "kv_evict",
-                    "i",
-                    pid,
-                    0.0,
-                    us(ev.t),
-                    vec![
-                        ("s", JsonValue::str("p")),
-                        (
-                            "args",
-                            JsonValue::obj(vec![("blocks", JsonValue::Num(*blocks as f64))]),
-                        ),
-                    ],
-                ));
-            }
             TraceEventKind::Iteration {
                 started_at,
                 duration,
@@ -1181,86 +992,73 @@ fn chrome_process(out: &mut Vec<JsonValue>, pid: usize, name: &str, events: &[Tr
                 decode_tokens,
                 ..
             } => {
-                out.push(chrome_event(
+                let counter = |name: &str, args: Vec<(&str, JsonValue)>| {
+                    chrome_event(
+                        name,
+                        "C",
+                        pid,
+                        0.0,
+                        us(ev.t),
+                        vec![("args", JsonValue::obj(args))],
+                    )
+                };
+                out.push(counter(
                     "queue",
-                    "C",
-                    pid,
-                    0.0,
-                    us(ev.t),
-                    vec![(
-                        "args",
-                        JsonValue::obj(vec![
-                            ("running", JsonValue::Num(*running as f64)),
-                            ("waiting", JsonValue::Num(*waiting as f64)),
-                        ]),
-                    )],
+                    vec![
+                        ("running", JsonValue::Num(*running as f64)),
+                        ("waiting", JsonValue::Num(*waiting as f64)),
+                    ],
                 ));
-                out.push(chrome_event(
+                out.push(counter(
                     "kv_utilization",
-                    "C",
-                    pid,
-                    0.0,
-                    us(ev.t),
-                    vec![(
-                        "args",
-                        JsonValue::obj(vec![("utilization", JsonValue::Num(*kv_utilization))]),
-                    )],
+                    vec![("utilization", JsonValue::Num(*kv_utilization))],
                 ));
-                out.push(chrome_event(
+                out.push(counter(
                     "scheduled_tokens",
-                    "C",
-                    pid,
-                    0.0,
-                    us(ev.t),
-                    vec![(
-                        "args",
-                        JsonValue::obj(vec![
-                            ("prefill", JsonValue::Num(*prefill_tokens as f64)),
-                            ("decode", JsonValue::Num(*decode_tokens as f64)),
-                        ]),
-                    )],
-                ));
-            }
-            TraceEventKind::ScaleOut { replicas } => {
-                out.push(chrome_event(
-                    "scale_out",
-                    "i",
-                    pid,
-                    0.0,
-                    us(ev.t),
                     vec![
-                        ("s", JsonValue::str("g")),
-                        (
-                            "args",
-                            JsonValue::obj(vec![("replicas", JsonValue::Num(*replicas as f64))]),
-                        ),
+                        ("prefill", JsonValue::Num(*prefill_tokens as f64)),
+                        ("decode", JsonValue::Num(*decode_tokens as f64)),
                     ],
                 ));
             }
-            TraceEventKind::ScaleIn { replica } => {
-                out.push(chrome_event(
-                    "scale_in",
-                    "i",
-                    pid,
-                    0.0,
-                    us(ev.t),
-                    vec![
-                        ("s", JsonValue::str("g")),
-                        (
-                            "args",
-                            JsonValue::obj(vec![("replica", JsonValue::Num(*replica as f64))]),
-                        ),
-                    ],
-                ));
-            }
-            // Admissions, defers, allocs and frees carry no span of their
-            // own; the JSONL export keeps their full detail.
+            // Admissions, defers, allocs and frees carry no Chrome record;
+            // the JSONL export keeps their full detail.
             TraceEventKind::Admit { .. }
             | TraceEventKind::Defer { .. }
             | TraceEventKind::KvAlloc { .. }
             | TraceEventKind::KvFree { .. } => {}
+            _ => out.push(chrome_instant(pid, ev)),
         }
     }
+}
+
+/// The Chrome instant (`ph: "i"`) of an event without a span or counter of
+/// its own, derived from its JSONL fields: named by its label, on the
+/// request's lane with thread scope when it has a `request` field, else on
+/// lane 0 with global scope for autoscaler actions and process scope
+/// otherwise; `args` are the remaining fields, omitted when empty.
+fn chrome_instant(pid: usize, ev: &TraceEvent) -> JsonValue {
+    let mut args = ev.kind.fields();
+    let request = args
+        .iter()
+        .position(|(key, _)| *key == "request")
+        .map(|i| args.remove(i).1);
+    let (tid, scope) = match request {
+        Some(JsonValue::Num(request)) => (request + 1.0, "t"),
+        _ if matches!(
+            ev.kind,
+            TraceEventKind::ScaleOut { .. } | TraceEventKind::ScaleIn { .. }
+        ) =>
+        {
+            (0.0, "g")
+        }
+        _ => (0.0, "p"),
+    };
+    let mut extra = vec![("s", JsonValue::str(scope))];
+    if !args.is_empty() {
+        extra.push(("args", JsonValue::obj(args)));
+    }
+    chrome_event(ev.kind.label(), "i", pid, tid, us(ev.t), extra)
 }
 
 #[cfg(test)]
@@ -1287,18 +1085,6 @@ mod tests {
         assert_eq!(rec.dropped(), 2);
         let first = rec.events().front().expect("ring is non-empty");
         assert_eq!(first.t, 2.0, "the two oldest events were dropped");
-    }
-
-    #[test]
-    fn filter_drops_whole_categories() {
-        let mut rec =
-            TraceRecorder::new(TraceConfig::new().with_filter(TraceFilter::lifecycle_only()));
-        rec.record(0.0, enqueue(0));
-        rec.record(1.0, TraceEventKind::KvEvict { blocks: 4 });
-        assert_eq!(rec.events().len(), 1);
-        assert_eq!(rec.events()[0].kind.label(), "enqueue");
-        // Filtered events are not "dropped" — the ring never saw them.
-        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]
@@ -1410,5 +1196,14 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
         let _ = TraceConfig::new().with_capacity(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "timeline intervals must be positive and finite")]
+    fn recorder_rejects_a_non_positive_timeline_interval() {
+        let _ = TraceRecorder::new(TraceConfig {
+            timeline_interval: 0.0,
+            ..TraceConfig::new()
+        });
     }
 }

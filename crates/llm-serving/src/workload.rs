@@ -67,15 +67,6 @@ impl Workload {
         requests
     }
 
-    /// Generate `count` requests that all arrive at time zero (offline
-    /// serving).
-    pub fn generate_offline(&self, count: usize, seed: u64) -> Vec<RequestSpec> {
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        (0..count)
-            .map(|_| self.sample_request(0.0, &mut rng))
-            .collect()
-    }
-
     /// Generate `count` requests whose arrivals follow a **time-varying**
     /// Poisson process with the piecewise-constant rate of `schedule`
     /// (repeating cyclically), deterministically from `seed`. With a

@@ -115,16 +115,6 @@ impl SmAwareScheduler {
         self.fallthroughs
     }
 
-    /// Number of prefill CTAs not yet dispatched.
-    pub fn prefill_remaining(&self) -> usize {
-        self.prefill_work.len()
-    }
-
-    /// Number of decode CTAs not yet dispatched.
-    pub fn decode_remaining(&self) -> usize {
-        self.decode_work.len()
-    }
-
     /// The ticket test of Figure 9 (lines 5–8): which operation does this
     /// ticket select?
     ///

@@ -5,7 +5,7 @@
 //! enabled. We dump the recording three ways — span-outcome tallies checked
 //! against the report, a Chrome `trace_event` file for `chrome://tracing` /
 //! Perfetto, and a compact JSONL excerpt — then rerun the same trace with a
-//! tiny ring and a lifecycle-only filter to show the bounded-memory knobs.
+//! tiny ring to show the flight recorder's bounded memory.
 //! Tracing off is the default and is bit-for-bit inert; everything below is
 //! pure observation of a simulation that runs identically without it.
 //!
@@ -14,7 +14,7 @@
 use gpu_sim::GpuConfig;
 use llm_serving::{
     Cluster, ClusterConfig, KvMigration, ModelConfig, RouterPolicy, ServingConfig, SloMix,
-    TraceConfig, TraceFilter, Workload,
+    TraceConfig, Workload,
 };
 
 fn main() {
@@ -90,14 +90,10 @@ fn main() {
         println!("  {line}");
     }
 
-    // 4. Flight-recorder knobs: a 256-event ring with a lifecycle-only
-    //    filter retains just the most recent request outcomes — bounded
-    //    memory however long the trace runs.
-    let small = base.with_tracing(
-        TraceConfig::new()
-            .with_capacity(256)
-            .with_filter(TraceFilter::lifecycle_only()),
-    );
+    // 4. Flight-recorder ring: a 256-event ring per replica retains just
+    //    the most recent events — bounded memory however long the trace
+    //    runs.
+    let small = base.with_tracing(TraceConfig::new().with_capacity(256));
     let mut bounded = Cluster::new(ClusterConfig::disaggregated(
         small,
         1,
@@ -108,7 +104,7 @@ fn main() {
     let bounded_report = bounded.run(specs);
     let bounded_rec = bounded.flight_recording().expect("tracing was enabled");
     println!(
-        "\nbounded ring: {} events retained, {} overwritten (lifecycle only)",
+        "\nbounded ring: {} events retained, {} overwritten",
         bounded_rec.event_count(),
         bounded_rec.dropped
     );

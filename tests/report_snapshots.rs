@@ -109,29 +109,35 @@ fn cluster_report_field_set_is_pinned() {
 }
 
 /// One event of every [`TraceEventKind`] variant, in a plausible lifecycle
-/// order. Keep this list exhaustive when adding variants — it is what pins
-/// the exporter schemas below.
+/// order: it is what pins the exporter schemas below. Each example is picked
+/// by a `match` on the one before it with no wildcard arm, so a new variant
+/// fails to compile until it joins the chain.
 fn one_of_every_trace_event() -> Vec<TraceEventKind> {
-    vec![
-        TraceEventKind::Enqueue {
+    std::iter::successors(next_trace_event(None), |prev| next_trace_event(Some(prev))).collect()
+}
+
+fn next_trace_event(prev: Option<&TraceEventKind>) -> Option<TraceEventKind> {
+    use TraceEventKind as K;
+    Some(match prev {
+        None => K::Enqueue {
             request: 0,
             tenant: TenantId(1),
             priority: Priority::High,
             prompt_tokens: 512,
             output_tokens: 64,
         },
-        TraceEventKind::Defer { request: 0 },
-        TraceEventKind::Admit {
+        Some(K::Enqueue { .. }) => K::Defer { request: 0 },
+        Some(K::Defer { .. }) => K::Admit {
             request: 0,
             cached_tokens: 128,
         },
-        TraceEventKind::KvAlloc {
+        Some(K::Admit { .. }) => K::KvAlloc {
             request: 0,
             blocks: 4,
             reused: 2,
             cow: true,
         },
-        TraceEventKind::Iteration {
+        Some(K::KvAlloc { .. }) => K::Iteration {
             started_at: 0.5,
             duration: 0.25,
             hybrid: true,
@@ -142,31 +148,41 @@ fn one_of_every_trace_event() -> Vec<TraceEventKind> {
             decode_tokens: 3,
             newly_finished: 1,
         },
-        TraceEventKind::KvEvict { blocks: 2 },
-        TraceEventKind::Preempt { request: 0 },
-        TraceEventKind::HandoffExport {
+        Some(K::Iteration { .. }) => K::KvEvict { blocks: 2 },
+        Some(K::KvEvict { .. }) => K::KvDedup {
+            groups: 1,
+            tokens: 256,
+        },
+        Some(K::KvDedup { .. }) => K::SpecRound {
+            request: 0,
+            width: 4,
+            accepted: 2,
+            minted: 3,
+        },
+        Some(K::SpecRound { .. }) => K::Preempt { request: 0 },
+        Some(K::Preempt { .. }) => K::HandoffExport {
             request: 0,
             tokens: 512,
             blocks: 4,
         },
-        TraceEventKind::HandoffImport {
+        Some(K::HandoffExport { .. }) => K::HandoffImport {
             request: 0,
             tokens: 512,
             stall: 0.03,
         },
-        TraceEventKind::Shed { request: 1 },
-        TraceEventKind::Finish {
+        Some(K::HandoffImport { .. }) => K::Shed { request: 1 },
+        Some(K::Shed { .. }) => K::Finish {
             request: 0,
             prompt_tokens: 512,
             generated: 64,
             ttft: 0.8,
             latency: 2.5,
         },
-        TraceEventKind::KvFree {
+        Some(K::Finish { .. }) => K::KvFree {
             request: 0,
             blocks: 4,
         },
-        TraceEventKind::TimelineSample {
+        Some(K::KvFree { .. }) => K::TimelineSample {
             running: 3,
             waiting: 1,
             kv_utilization: 0.5,
@@ -174,9 +190,10 @@ fn one_of_every_trace_event() -> Vec<TraceEventKind> {
             decode_tokens: 3,
             tenant_backlog: vec![(TenantId(1), 1)],
         },
-        TraceEventKind::ScaleOut { replicas: 2 },
-        TraceEventKind::ScaleIn { replica: 1 },
-    ]
+        Some(K::TimelineSample { .. }) => K::ScaleOut { replicas: 2 },
+        Some(K::ScaleOut { .. }) => K::ScaleIn { replica: 1 },
+        Some(K::ScaleIn { .. }) => return None,
+    })
 }
 
 /// A synthetic recording covering every event kind: replica 0 carries the
@@ -186,8 +203,10 @@ fn full_coverage_recording() -> FlightRecording {
     let mut cluster = TraceRecorder::new(TraceConfig::new());
     for (i, kind) in one_of_every_trace_event().into_iter().enumerate() {
         let t = i as f64 * 0.1;
-        match kind.category() {
-            llm_serving::TraceCategory::Autoscaler => cluster.record(t, kind),
+        match kind {
+            TraceEventKind::ScaleOut { .. } | TraceEventKind::ScaleIn { .. } => {
+                cluster.record(t, kind)
+            }
             _ => replica.record(t, kind),
         }
     }
