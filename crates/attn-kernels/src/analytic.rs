@@ -8,19 +8,17 @@
 //! roofline reasoning the engine applies. The kernel-level figures use the
 //! full simulation; the estimator is validated against it in tests.
 
-use crate::batch::{DecodeRequest, HybridBatch, PrefillChunk};
+use crate::batch::{DecodeRequest, HybridBatch};
 use crate::batched::BatchedPrefillKernel;
 use crate::config::AttentionConfig;
 use crate::cost::KERNEL_LAUNCH_OVERHEAD;
 use crate::decode::DecodeKernel;
 use crate::prefill::{PrefillKernel, SplitPolicy};
 use gpu_sim::{GpuConfig, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
-use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Quantize a token (or CTA) count to ~1.5% relative resolution: 64 steps per
-/// power of two, exact below 64. Used to form memoization keys for batch
-/// shapes whose cost is smooth in the quantized quantity.
+/// power of two, exact below 64. Used to form pricing keys for batch shapes
+/// whose cost is smooth in the quantized quantity.
 pub fn quantize_tokens(x: usize) -> usize {
     if x == 0 {
         return 0;
@@ -29,26 +27,8 @@ pub fn quantize_tokens(x: usize) -> usize {
     ((x + g / 2) / g) * g
 }
 
-/// Bound on memo entries per side before the table is cleared (a trivially
-/// correct eviction policy; real sweeps stay far below this).
-const MEMO_MAX_ENTRIES: usize = 1 << 16;
-
 /// `(compute time, memory time, flops, bytes)` of one side of a hybrid batch.
 type SideCost = (f64, f64, f64, f64);
-
-/// Memoized side costs. The prefill key `(chunk_len, prior_len, flashinfer,
-/// limited_splits)` is exact — the side cost is a pure function of it. The
-/// decode key keeps the request count exact (it determines the CTA grid and
-/// therefore wave boundaries) and quantizes the total context, the maximum
-/// context and the shared-prefix dedup tokens to ~1.5% resolution, pricing
-/// one canonical batch per equivalence class. Batches declaring no sharing
-/// quantize to a dedup bucket of 0, so the dedup dimension adds no keys (and
-/// changes no prices) for dedup-unaware callers.
-#[derive(Debug, Clone, Default)]
-struct SideMemo {
-    prefill: HashMap<(usize, usize, bool, bool), SideCost>,
-    decode: HashMap<(usize, usize, usize, usize, bool, bool), SideCost>,
-}
 
 /// How the attention of a hybrid batch is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,7 +95,8 @@ pub struct AnalyticCost {
     pub bytes: f64,
 }
 
-/// Closed-form estimator of hybrid-batch attention time.
+/// Closed-form estimator of hybrid-batch attention time: a pure function of
+/// the batch, holding no cache, so one estimator can be shared across threads.
 ///
 /// # Examples
 ///
@@ -133,34 +114,44 @@ pub struct AnalyticCost {
 pub struct AttentionEstimator {
     cfg: AttentionConfig,
     gpu: GpuConfig,
-    /// Side-cost memo tables; `None` means exact (unmemoized) pricing.
-    memo: Option<RefCell<SideMemo>>,
+    /// Price the decode side from its quantized aggregate (see
+    /// [`AttentionEstimator::new`]) rather than request by request.
+    quantized: bool,
 }
 
+// Fails to compile if a field ever stops the estimator being shared across
+// threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<AttentionEstimator>();
+};
+
 impl AttentionEstimator {
-    /// Create an estimator for a model/device pair with side-cost
-    /// memoization enabled (the default; see [`AttentionEstimator::exact`]).
+    /// Create an estimator for a model/device pair that prices the decode
+    /// side in O(1) from its `(count, total context, max context, dedup
+    /// tokens)` aggregate, with every token quantity quantized to ~1.5%
+    /// resolution (the default; see [`AttentionEstimator::exact`]).
     pub fn new(cfg: AttentionConfig, gpu: GpuConfig) -> Self {
         AttentionEstimator {
             cfg,
             gpu,
-            memo: Some(RefCell::new(SideMemo::default())),
+            quantized: true,
         }
     }
 
-    /// Create an estimator that prices every batch exactly, without the
-    /// ~1.5%-resolution decode-side quantization. Used to validate the
-    /// memoized fast path and by serving engines whose price cache is off.
+    /// Create an estimator that prices every batch exactly, request by
+    /// request, without the decode-side quantization. Used to validate the
+    /// quantized fast path and by serving engines whose price cache is off.
     pub fn exact(cfg: AttentionConfig, gpu: GpuConfig) -> Self {
         AttentionEstimator {
-            memo: None,
+            quantized: false,
             ..AttentionEstimator::new(cfg, gpu)
         }
     }
 
-    /// Whether side-cost memoization is enabled.
-    pub fn is_memoized(&self) -> bool {
-        self.memo.is_some()
+    /// Whether the decode side is priced from its quantized aggregate.
+    pub fn is_quantized(&self) -> bool {
+        self.quantized
     }
 
     /// The attention configuration this estimator uses.
@@ -186,9 +177,7 @@ impl AttentionEstimator {
     }
 
     /// Roofline time of the prefill chunk alone: (compute, memory, flops,
-    /// bytes). Memoized by exact chunk shape when memoization is on — serving
-    /// sweeps price the same `(chunk_len, prior)` pair once per run instead
-    /// of once per co-scheduled decode-set variation.
+    /// bytes), always exact.
     fn prefill_side(
         &self,
         batch: &HybridBatch,
@@ -198,28 +187,6 @@ impl AttentionEstimator {
         let Some(chunk) = &batch.prefill else {
             return (0.0, 0.0, 0.0, 0.0);
         };
-        if let Some(memo) = &self.memo {
-            let key = (chunk.chunk_len, chunk.prior_len, flashinfer, limited_splits);
-            if let Some(&cost) = memo.borrow().prefill.get(&key) {
-                return cost;
-            }
-            let cost = self.prefill_side_raw(chunk, flashinfer, limited_splits);
-            let mut memo = memo.borrow_mut();
-            if memo.prefill.len() >= MEMO_MAX_ENTRIES {
-                memo.prefill.clear();
-            }
-            memo.prefill.insert(key, cost);
-            return cost;
-        }
-        self.prefill_side_raw(chunk, flashinfer, limited_splits)
-    }
-
-    fn prefill_side_raw(
-        &self,
-        chunk: &PrefillChunk,
-        flashinfer: bool,
-        limited_splits: bool,
-    ) -> SideCost {
         let mut kernel = if flashinfer {
             PrefillKernel::flashinfer()
         } else {
@@ -239,15 +206,15 @@ impl AttentionEstimator {
     }
 
     /// Roofline time of the decode batch alone: (compute, memory, flops,
-    /// bytes). Memoized by the `(count, quantized total context, quantized
-    /// max context, quantized dedup tokens)` aggregate when memoization is
-    /// on; each equivalence class is priced once, as a canonical decode set
-    /// with the same aggregates. The count is kept *exact*: the CTA grid is
-    /// `count × kv_heads × splits` and [`quantization_factor`] is a step
-    /// function in whole waves, so rounding the count can flip a
-    /// wave-quantization boundary and mis-price the batch by the cost of a
-    /// partial wave (~10%) rather than the ~1.5% resolution of the token
-    /// buckets.
+    /// bytes). When quantized, priced from the `(count, quantized total
+    /// context, quantized max context, quantized dedup tokens)` aggregate: a
+    /// pure function of that key, so equal keys price bit-identically. The
+    /// count is kept *exact*: the CTA grid is `count × kv_heads × splits` and
+    /// [`quantization_factor`] is a step function in whole waves, so rounding
+    /// the count can flip a wave-quantization boundary and mis-price the
+    /// batch by the cost of a partial wave (~10%) rather than the ~1.5%
+    /// resolution of the token buckets. A batch declaring no sharing has a
+    /// dedup bucket of 0.
     ///
     /// [`quantization_factor`]: AttentionEstimator::quantization_factor
     fn decode_side(&self, batch: &HybridBatch, flashinfer: bool, pod_tile: bool) -> SideCost {
@@ -261,10 +228,9 @@ impl AttentionEstimator {
     /// tokens the batch declares. Verify queries ride the decode's single
     /// pass over KV — memory time and bytes are untouched — but each extra
     /// query scores against the same context as the decode it extends, so
-    /// attention compute grows by `(count + extra) / count`. Applied
-    /// *outside* the memo, so speculation adds no decode-memo keys and a
-    /// batch declaring zero is bit-for-bit unaffected (the scaling is
-    /// skipped entirely).
+    /// attention compute grows by `(count + extra) / count`. Applied to the
+    /// base cost with the batch's verify count as given, so a batch declaring
+    /// zero is bit-for-bit unaffected (the scaling is skipped entirely).
     fn apply_spec_verify(&self, cost: SideCost, batch: &HybridBatch) -> SideCost {
         if batch.spec_verify_tokens == 0 {
             return cost;
@@ -275,10 +241,10 @@ impl AttentionEstimator {
         (tc * scale, tm, flops * scale, bytes)
     }
 
-    /// The memoized (or exact) decode-side cost before speculative-verify
+    /// The quantized (or exact) decode-side cost before speculative-verify
     /// scaling: the body of [`AttentionEstimator::decode_side`].
     fn decode_side_base(&self, batch: &HybridBatch, flashinfer: bool, pod_tile: bool) -> SideCost {
-        if let Some(memo) = &self.memo {
+        if self.quantized {
             let count = batch.decodes.len();
             let (mut total, mut max_ctx) = (0usize, 0usize);
             for d in &batch.decodes {
@@ -295,31 +261,14 @@ impl AttentionEstimator {
             // Capping restores consistency within the same resolution.
             let qmax = quantize_tokens(max_ctx);
             let qtotal = quantize_tokens(total).min(count.saturating_mul(qmax));
-            let key = (
-                count,
-                qtotal,
-                qmax,
-                quantize_tokens(dedup),
-                flashinfer,
-                pod_tile,
-            );
-            if let Some(&cost) = memo.borrow().decode.get(&key) {
-                return cost;
-            }
-            let cost = self.decode_side_aggregate(key.0, key.1, key.2, key.3, flashinfer, pod_tile);
-            let mut memo = memo.borrow_mut();
-            if memo.decode.len() >= MEMO_MAX_ENTRIES {
-                memo.decode.clear();
-            }
-            memo.decode.insert(key, cost);
-            return cost;
+            let qdedup = quantize_tokens(dedup);
+            return self.decode_side_aggregate(count, qtotal, qmax, qdedup, flashinfer, pod_tile);
         }
         self.decode_side_raw(&batch.decodes, batch.kv_dedup_tokens, flashinfer, pod_tile)
     }
 
     /// Price a decode batch from its `(count, total, max, dedup)` aggregate
-    /// alone — O(1) instead of O(count): the miss path of the decode-side
-    /// memo.
+    /// alone — O(1) instead of O(count): the quantized path.
     fn decode_side_aggregate(
         &self,
         count: usize,
@@ -534,7 +483,7 @@ fn overhead_if(present: bool) -> f64 {
 /// aggregate: one request carries the maximum context, the rest share the
 /// remainder evenly. This is the single definition of the equivalence class
 /// shared by [`DecodeKernel::aggregate_work`] (which prices it in closed
-/// form) and the serving layer's batch-price cache (which materializes it);
+/// form) and the serving layer's batch-price memo (which materializes it);
 /// for uniform batches it reproduces the original batch exactly.
 pub fn canonical_decodes(
     count: usize,
@@ -680,17 +629,17 @@ mod tests {
         }
     }
 
-    /// The memoized fast path agrees with exact pricing within the decode
+    /// The quantized fast path agrees with exact pricing within the decode
     /// quantization resolution, for every strategy, including heterogeneous
     /// decode contexts.
     #[test]
     fn memoized_estimates_track_exact_estimates() {
         let cfg = AttentionConfig::llama3_8b();
         let gpu = GpuConfig::a100_80gb();
-        let memoized = AttentionEstimator::new(cfg, gpu.clone());
+        let quantized = AttentionEstimator::new(cfg, gpu.clone());
         let exact = AttentionEstimator::exact(cfg, gpu);
-        assert!(memoized.is_memoized());
-        assert!(!exact.is_memoized());
+        assert!(quantized.is_quantized());
+        assert!(!exact.is_quantized());
         let mut heterogeneous = HybridBatch::uniform(1024, 9 * 1024, 0, 0);
         for i in 0..70 {
             heterogeneous.push_decode(4 * 1024 + 137 * i);
@@ -703,34 +652,34 @@ mod tests {
             // Wave-quantization boundary: 217 decodes x 4 KV heads = 868
             // CTAs, one CTA into a partial wave. Rounding the count to 216
             // (exactly 4 waves) used to mis-price this batch by ~11%; the
-            // memo key keeps the count exact precisely for this case.
+            // quantized key keeps the count exact precisely for this case.
             HybridBatch::uniform(512, 4096, 217, 2085),
             HybridBatch::uniform(512, 4096, 216, 2085),
         ] {
             for strategy in AttentionStrategy::all() {
-                let fast = memoized.estimate(&batch, strategy).total_time;
+                let fast = quantized.estimate(&batch, strategy).total_time;
                 let slow = exact.estimate(&batch, strategy).total_time;
                 let rel = (fast - slow).abs() / slow.max(1e-12);
                 assert!(
                     rel < 0.03,
-                    "{strategy}: memoized {fast} vs exact {slow} ({:.2}% off)",
+                    "{strategy}: quantized {fast} vs exact {slow} ({:.2}% off)",
                     rel * 100.0
                 );
             }
         }
     }
 
-    /// Uniform power-of-two batches quantize exactly, so the memoized path is
+    /// Uniform power-of-two batches quantize exactly, so the quantized path is
     /// bit-identical on the paper's Table 1 configurations.
     #[test]
     fn memoization_is_exact_on_uniform_batches() {
         let cfg = AttentionConfig::llama3_8b();
         let gpu = GpuConfig::a100_80gb();
-        let memoized = AttentionEstimator::new(cfg, gpu.clone());
+        let quantized = AttentionEstimator::new(cfg, gpu.clone());
         let exact = AttentionEstimator::exact(cfg, gpu);
         let batch = HybridBatch::config_c0();
         for strategy in [AttentionStrategy::FaSerial, AttentionStrategy::Pod] {
-            let fast = memoized.estimate(&batch, strategy);
+            let fast = quantized.estimate(&batch, strategy);
             let slow = exact.estimate(&batch, strategy);
             // Identical up to float associativity (the aggregate path
             // multiplies per-unit work by counts instead of summing a grid).
@@ -781,13 +730,13 @@ mod tests {
         }
     }
 
-    /// The memoized fast path tracks exact pricing on dedup-declaring
+    /// The quantized fast path tracks exact pricing on dedup-declaring
     /// batches too (the dedup bucket quantizes like the token buckets).
     #[test]
     fn memoized_dedup_estimates_track_exact_estimates() {
         let cfg = AttentionConfig::llama3_8b();
         let gpu = GpuConfig::a100_80gb();
-        let memoized = AttentionEstimator::new(cfg, gpu.clone());
+        let quantized = AttentionEstimator::new(cfg, gpu.clone());
         let exact = AttentionEstimator::exact(cfg, gpu);
         let mut heterogeneous = HybridBatch::uniform(512, 4096, 0, 0);
         for i in 0..48 {
@@ -799,12 +748,12 @@ mod tests {
             heterogeneous.with_kv_dedup(24 * 1024),
         ] {
             for strategy in AttentionStrategy::all() {
-                let fast = memoized.estimate(&batch, strategy).total_time;
+                let fast = quantized.estimate(&batch, strategy).total_time;
                 let slow = exact.estimate(&batch, strategy).total_time;
                 let rel = (fast - slow).abs() / slow.max(1e-12);
                 assert!(
                     rel < 0.03,
-                    "{strategy}: memoized {fast} vs exact {slow} ({:.2}% off)",
+                    "{strategy}: quantized {fast} vs exact {slow} ({:.2}% off)",
                     rel * 100.0
                 );
             }
@@ -861,28 +810,28 @@ mod tests {
         );
     }
 
-    /// Speculative-verify scaling happens outside the memo: memoized and
-    /// exact estimates agree on spec-declaring batches, and pricing a
+    /// Speculative-verify scaling is applied after quantization: quantized
+    /// and exact estimates agree on spec-declaring batches, and pricing a
     /// spec batch does not perturb the price of its plain twin.
     #[test]
     fn memoized_spec_estimates_track_exact_estimates() {
         let cfg = AttentionConfig::llama3_8b();
         let gpu = GpuConfig::a100_80gb();
-        let memoized = AttentionEstimator::new(cfg, gpu.clone());
+        let quantized = AttentionEstimator::new(cfg, gpu.clone());
         let exact = AttentionEstimator::exact(cfg, gpu);
         let base = HybridBatch::uniform(512, 5000, 33, 7777);
         let spec = base.clone().with_spec_verify(33 * 5);
         for strategy in AttentionStrategy::all() {
-            let before = memoized.estimate(&base, strategy).total_time;
-            let fast = memoized.estimate(&spec, strategy).total_time;
+            let before = quantized.estimate(&base, strategy).total_time;
+            let fast = quantized.estimate(&spec, strategy).total_time;
             let slow = exact.estimate(&spec, strategy).total_time;
             let rel = (fast - slow).abs() / slow.max(1e-12);
             assert!(
                 rel < 0.03,
-                "{strategy}: memoized {fast} vs exact {slow} ({:.2}% off)",
+                "{strategy}: quantized {fast} vs exact {slow} ({:.2}% off)",
                 rel * 100.0
             );
-            let after = memoized.estimate(&base, strategy).total_time;
+            let after = quantized.estimate(&base, strategy).total_time;
             assert_eq!(before.to_bits(), after.to_bits(), "{strategy}");
         }
     }

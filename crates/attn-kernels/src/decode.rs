@@ -184,7 +184,7 @@ impl DecodeKernel {
     ///
     /// Agrees with summing [`DecodeKernel::build_units`] over the same
     /// canonical batch, without materializing the grid — the attention
-    /// estimator's memoized fast path calls this on cache misses.
+    /// estimator's quantized fast path calls this.
     ///
     /// `dedup_tokens` is clamped to `total_context - max_context`: one full
     /// pass over the largest request's context can never be elided, which

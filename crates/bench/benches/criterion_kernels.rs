@@ -17,8 +17,8 @@
 use attn_kernels::{AttentionConfig, AttentionEstimator, AttentionStrategy, HybridBatch};
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    offline_long_context, BlockPool, ModelConfig, PromptContent, QuantileSketch, ServingConfig,
-    ServingEngine, ServingReport, SummaryStats, BLOCK_TOKENS,
+    offline_long_context, BlockPool, IterationCostModel, ModelConfig, PromptContent,
+    QuantileSketch, ServingConfig, ServingEngine, ServingReport, SummaryStats, BLOCK_TOKENS,
 };
 use pod_attention::PodAttention;
 use pod_bench::microbench::{bench, repo_root_path, BenchResult, Json};
@@ -123,14 +123,14 @@ fn main() {
         },
     ));
 
-    // --- closed-form estimator (memoized and exact) ---
-    let est_memo = AttentionEstimator::new(cfg, gpu.clone());
+    // --- closed-form estimator (quantized and exact) ---
+    let est_quantized = AttentionEstimator::new(cfg, gpu.clone());
     let est_exact = AttentionEstimator::exact(cfg, gpu.clone());
     results.push(bench(
-        "estimator/pod_hybrid_batch_memoized",
+        "estimator/pod_hybrid_batch_quantized",
         BUDGET,
         100,
-        || est_memo.estimate(black_box(&c0_like), AttentionStrategy::Pod),
+        || est_quantized.estimate(black_box(&c0_like), AttentionStrategy::Pod),
     ));
     results.push(bench(
         "estimator/pod_hybrid_batch_exact",
@@ -139,18 +139,25 @@ fn main() {
         || est_exact.estimate(black_box(&c0_like), AttentionStrategy::Pod),
     ));
 
-    // --- batch pricing through the serving cost model ---
-    let mut cached_cfg = ServingConfig::sarathi_pod(ModelConfig::llama3_8b(), gpu.clone(), 1024);
-    cached_cfg.price_cache = true;
-    let mut exact_cfg = cached_cfg.clone();
-    exact_cfg.price_cache = false;
-    let cached_engine = ServingEngine::new(cached_cfg);
-    let exact_engine = ServingEngine::new(exact_cfg);
+    // --- batch pricing through the serving cost model: the batch-price
+    // memo (a hit after the first call) and the exact path ---
+    let price = |cost: &mut IterationCostModel, batch: &HybridBatch| {
+        cost.price(
+            batch.prefill.map(|c| (c.chunk_len, c.prior_len)),
+            batch.decodes.iter().map(|d| d.context_len),
+            batch.kv_dedup_tokens,
+            batch.spec_verify_tokens,
+            AttentionStrategy::Pod,
+        )
+        .0
+    };
+    let mut memo_cost = IterationCostModel::new(ModelConfig::llama3_8b(), gpu.clone());
+    let mut exact_cost = IterationCostModel::exact(ModelConfig::llama3_8b(), gpu.clone());
     let r_price_memo = bench("pricing/price_batch_memoized", BUDGET, 1000, || {
-        cached_engine.price_batch(black_box(&c0_like))
+        price(&mut memo_cost, black_box(&c0_like))
     });
     let r_price_exact = bench("pricing/price_batch_exact", BUDGET, 1000, || {
-        exact_engine.price_batch(black_box(&c0_like))
+        price(&mut exact_cost, black_box(&c0_like))
     });
     let priced_per_sec_memo = r_price_memo.iters_per_sec();
     let priced_per_sec_exact = r_price_exact.iters_per_sec();

@@ -19,93 +19,9 @@ use crate::request::{Phase, Priority, Request, RequestSpec, TenantId};
 use crate::scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
 use crate::speculative::{AcceptanceModel, DecodeMode};
 use crate::trace::{FlightRecording, TraceConfig, TraceEventKind, TraceRecorder};
-use attn_kernels::{
-    canonical_decodes, AttentionStrategy, DecodeRequest, HybridBatch, PrefillChunk,
-};
+use attn_kernels::{AttentionStrategy, DecodeRequest, HybridBatch};
 use gpu_sim::GpuConfig;
 use std::collections::{HashMap, VecDeque};
-
-/// Upper bound on resident price-cache entries; reaching it clears the cache
-/// (a trivially correct eviction policy — in practice serving sweeps produce
-/// a few hundred distinct signatures, far below this).
-const PRICE_CACHE_MAX_ENTRIES: usize = 1 << 16;
-
-use attn_kernels::quantize_tokens;
-
-/// Quantized signature of a hybrid batch, the key of the price cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct BatchSignature {
-    /// Prefill chunk length (0 when the batch has no prefill).
-    chunk_len: usize,
-    /// Quantized prior context of the prefill chunk.
-    prior_bucket: usize,
-    /// Number of decode requests.
-    decode_count: usize,
-    /// Quantized total decode context (the dominant decode cost term).
-    decode_total_bucket: usize,
-    /// Quantized maximum decode context (drives decode-kernel splits).
-    decode_max_bucket: usize,
-    /// Quantized shared-prefix decode KV tokens deduped this iteration
-    /// (always 0 when dedup is off, so dedup-free runs key and price
-    /// exactly as before the dimension existed).
-    decode_dedup_bucket: usize,
-    /// Quantized extra speculative-verify query tokens carried by the
-    /// decode side (always 0 in autoregressive mode, so speculation-free
-    /// runs key and price exactly as before the dimension existed).
-    spec_bucket: usize,
-}
-
-impl BatchSignature {
-    /// Compute the signature of the batch a plan describes without
-    /// materializing the batch itself. `dedup_tokens` is the iteration's
-    /// shared-prefix decode KV dedup total (0 unless the engine computed
-    /// sharing groups for this plan).
-    fn of_plan(plan: &BatchPlan, requests: &[Request], dedup_tokens: usize) -> Self {
-        let (chunk_len, prior_bucket) = match plan.prefill {
-            Some((rid, chunk)) => (chunk, quantize_tokens(requests[rid].prefilled)),
-            None => (0, 0),
-        };
-        let mut total_ctx = 0usize;
-        let mut max_ctx = 0usize;
-        for &rid in &plan.decodes {
-            let ctx = requests[rid].context_len().max(1);
-            total_ctx += ctx;
-            max_ctx = max_ctx.max(ctx);
-        }
-        BatchSignature {
-            chunk_len,
-            prior_bucket,
-            decode_count: plan.decodes.len(),
-            decode_total_bucket: quantize_tokens(total_ctx),
-            decode_max_bucket: quantize_tokens(max_ctx),
-            decode_dedup_bucket: quantize_tokens(dedup_tokens),
-            spec_bucket: quantize_tokens(plan.spec_tokens),
-        }
-    }
-
-    /// The canonical batch this signature represents: the batch every member
-    /// of the equivalence class is priced as. The decode set comes from
-    /// [`canonical_decodes`] — the same equivalence-class definition the
-    /// estimator's decode-side memo prices in closed form — so both cache
-    /// layers agree on what a signature means.
-    fn canonical_batch(&self) -> HybridBatch {
-        let prefill = if self.chunk_len > 0 {
-            Some(PrefillChunk::new(self.chunk_len, self.prior_bucket))
-        } else {
-            None
-        };
-        HybridBatch {
-            prefill,
-            decodes: canonical_decodes(
-                self.decode_count,
-                self.decode_total_bucket,
-                self.decode_max_bucket,
-            ),
-            kv_dedup_tokens: self.decode_dedup_bucket,
-            spec_verify_tokens: self.spec_bucket,
-        }
-    }
-}
 
 /// How the engine manages KV-cache residency. Both policies hold blocks in
 /// one [`crate::BlockPool`] through the same admission, adoption, growth,
@@ -365,9 +281,11 @@ pub struct ServingConfig {
     /// Override for the KV-cache capacity in tokens (defaults to what fits in
     /// HBM after weights).
     pub kv_capacity_tokens: Option<usize>,
-    /// Whether the engine memoizes iteration prices by quantized batch
-    /// signature. Defaults to on; set it to `false` to price every iteration
-    /// exactly (e.g. when validating the quantization error).
+    /// Whether the engine's cost model memoizes iteration prices by quantized
+    /// batch signature ([`IterationCostModel::new`]). Defaults to on; set it
+    /// to `false` to price every iteration exactly
+    /// ([`IterationCostModel::exact`]), e.g. when validating the quantization
+    /// error.
     pub price_cache: bool,
     /// KV-cache residency policy (conservative admission vs. paged blocks
     /// with prefix sharing and preemption).
@@ -713,9 +631,9 @@ impl Residency {
     }
 }
 
-/// Mutable simulation state of one replica: queues, KV cache, clock and the
-/// price cache. Kept separate from the engine's immutable configuration so
-/// `step` can borrow the cost model and the state independently.
+/// Mutable simulation state of one replica: queues, KV cache and clock.
+/// Kept separate from the engine's configuration and cost models so `step`
+/// can borrow the cost model and the state independently.
 #[derive(Debug, Clone)]
 struct EngineState {
     requests: Vec<Request>,
@@ -727,7 +645,6 @@ struct EngineState {
     tables: Vec<Residency>,
     pool: BlockPool,
     clock: f64,
-    price_cache: HashMap<BatchSignature, f64>,
     /// The report's engine-side tallies (`blocks_evicted` lives in `pool`
     /// and is filled in by [`ServingEngine::counters`]).
     counters: ServingCounters,
@@ -778,7 +695,6 @@ impl EngineState {
             tables: Vec::new(),
             pool: BlockPool::new(kv_capacity),
             clock: 0.0,
-            price_cache: HashMap::new(),
             counters: ServingCounters::default(),
             pending_export: Vec::new(),
             pending_imports: VecDeque::new(),
@@ -1034,8 +950,6 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Create an engine from a configuration, with an empty request queue.
     pub fn new(config: ServingConfig) -> Self {
-        // `price_cache` gates both memoization layers: the engine's
-        // batch-signature cache and the estimator's side-cost memo.
         let cost_model = |model: ModelConfig| {
             if config.price_cache {
                 IterationCostModel::new(model, config.gpu.clone())
@@ -1720,9 +1634,8 @@ impl ServingEngine {
     /// Shared-prefix decode dedup first groups this iteration's decodes by
     /// their shared-block chains and computes the KV traffic the grouped
     /// pass saves; with dedup off it stays 0 and every signature, price and
-    /// trace is bit-for-bit what a dedup-unaware engine produces. With the
-    /// price cache on, only novel (quantized) batch shapes reach the cost
-    /// model; repeats are a map lookup.
+    /// trace is bit-for-bit what a dedup-unaware engine produces. The cost
+    /// model prices the plan's aggregates (see [`IterationCostModel::price`]).
     fn price(&mut self, plan: &BatchPlan) -> f64 {
         let dedup_on = self.dedup_on();
         let st = &mut self.state;
@@ -1739,32 +1652,25 @@ impl ServingEngine {
                 tokens: dedup_tokens,
             });
         }
-        let dt = if self.config.price_cache {
-            let sig = BatchSignature::of_plan(plan, &st.requests, dedup_tokens);
-            match st.price_cache.get(&sig) {
-                Some(&cached) => {
-                    st.counters.price_cache_hits += 1;
-                    cached
-                }
-                None => {
-                    st.counters.price_cache_misses += 1;
-                    let priced = self
-                        .cost
-                        .iteration_time(&sig.canonical_batch(), self.config.attention);
-                    if st.price_cache.len() >= PRICE_CACHE_MAX_ENTRIES {
-                        st.price_cache.clear();
-                    }
-                    st.price_cache.insert(sig, priced);
-                    priced
-                }
-            }
-        } else {
-            let batch = to_hybrid_batch(plan, &st.requests, dedup_tokens);
-            self.cost.iteration_time(&batch, self.config.attention)
-        };
+        let requests = &st.requests;
+        let (dt, hit) = self.cost.price(
+            plan.prefill
+                .map(|(rid, chunk)| (chunk, requests[rid].prefilled)),
+            plan.decodes
+                .iter()
+                .map(|&rid| requests[rid].context_len().max(1)),
+            dedup_tokens,
+            plan.spec_tokens,
+            self.config.attention,
+        );
+        match hit {
+            Some(true) => st.counters.price_cache_hits += 1,
+            Some(false) => st.counters.price_cache_misses += 1,
+            None => {}
+        }
         // Draft proposal time: `k` decode passes of the drafter over this
-        // iteration's decode set, added outside the price cache (the
-        // drafter's own cost model memoizes internally). Zero — and
+        // iteration's decode set, priced unmemoized over the real contexts
+        // and added outside the batch-price memo. Zero — and
         // bit-for-bit absent — in autoregressive mode or with a free
         // drafter, so speculation can never be priced cheaper than the
         // verify work already inside `dt`.
@@ -2127,37 +2033,24 @@ impl ServingEngine {
     }
 
     /// Serve `specs` to completion and return both the report and the
-    /// per-request records (for custom analyses). Runs on a fresh copy of the
-    /// engine state, so `run` can be called repeatedly (and on an engine that
-    /// is also being stepped) without interference.
+    /// per-request records (for custom analyses). Runs on a fresh engine of
+    /// the same configuration (empty state and price memo), so `run` can be
+    /// called repeatedly (and on an engine that is also being stepped)
+    /// without interference.
     ///
     /// # Panics
     ///
     /// Panics if a single request can never fit in the KV cache (a
     /// configuration error rather than a load condition).
     pub fn run_detailed(&self, specs: Vec<RequestSpec>) -> (ServingReport, Vec<Request>) {
-        let mut engine = ServingEngine {
-            config: self.config.clone(),
-            cost: self.cost.clone(),
-            draft_cost: self.draft_cost.clone(),
-            kv_capacity: self.kv_capacity,
-            export_prefills: self.export_prefills,
-            state: EngineState::new(self.kv_capacity, &self.config),
-        };
+        let mut engine = ServingEngine::new(self.config.clone());
+        engine.export_prefills = self.export_prefills;
         for spec in specs {
             engine.submit(spec);
         }
         engine.run_until_drained();
         let report = engine.report();
         (report, engine.state.requests)
-    }
-
-    /// Total iteration time of `batch` in seconds under this engine's cost
-    /// model and attention strategy (side costs memoized unless
-    /// [`ServingConfig::price_cache`] is off). Only the pricing
-    /// microbenchmarks in `criterion_kernels` call it.
-    pub fn price_batch(&self, batch: &HybridBatch) -> f64 {
-        self.cost.iteration_time(batch, self.config.attention)
     }
 }
 
@@ -2272,24 +2165,6 @@ fn panic_blocked(needed_tokens: usize, capacity_tokens: usize) -> ! {
     panic!(
         "serving deadlock: a request needs more KV-cache capacity ({needed_tokens} tokens) than the GPU offers ({capacity_tokens} tokens)"
     );
-}
-
-fn to_hybrid_batch(plan: &BatchPlan, requests: &[Request], dedup_tokens: usize) -> HybridBatch {
-    let prefill = plan.prefill.map(|(rid, chunk)| {
-        let req = &requests[rid];
-        PrefillChunk::new(chunk, req.prefilled)
-    });
-    let decodes = plan
-        .decodes
-        .iter()
-        .map(|&rid| DecodeRequest::new(requests[rid].context_len().max(1)))
-        .collect();
-    HybridBatch {
-        prefill,
-        decodes,
-        kv_dedup_tokens: dedup_tokens,
-        spec_verify_tokens: plan.spec_tokens,
-    }
 }
 
 /// One decode's speculative-round outcome, drawn before the mint.
@@ -2564,45 +2439,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn signatures_collapse_equivalent_plans_only() {
-        let specs = [RequestSpec::new(0.0, 4096, 64); 4];
-        let mut requests: Vec<Request> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Request::new(i, *s))
-            .collect();
-        requests[1].record_prefill(4096, 0.0);
-        requests[2].record_prefill(4096, 0.0);
-        let plan_a = BatchPlan {
-            prefill: Some((0, 512)),
-            decodes: vec![1, 2],
-            shed: None,
-            spec_tokens: 0,
-        };
-        let plan_b = BatchPlan {
-            prefill: Some((0, 512)),
-            decodes: vec![2, 1],
-            shed: None,
-            spec_tokens: 0,
-        };
-        let plan_c = BatchPlan {
-            prefill: Some((0, 256)),
-            decodes: vec![1, 2],
-            shed: None,
-            spec_tokens: 0,
-        };
-        let sig_a = BatchSignature::of_plan(&plan_a, &requests, 0);
-        let sig_b = BatchSignature::of_plan(&plan_b, &requests, 0);
-        let sig_c = BatchSignature::of_plan(&plan_c, &requests, 0);
-        assert_eq!(sig_a, sig_b, "decode order must not matter");
-        assert_ne!(sig_a, sig_c, "chunk length must matter");
-        // The canonical batch reproduces the aggregates.
-        let batch = sig_a.canonical_batch();
-        assert_eq!(batch.decode_batch_size(), 2);
-        assert_eq!(batch.prefill.unwrap().chunk_len, 512);
     }
 
     #[test]

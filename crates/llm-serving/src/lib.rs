@@ -11,7 +11,8 @@
 //!   Sarathi-Serve's chunked-prefill stall-free scheduler.
 //! * [`IterationCostModel`] — a roofline cost model for the linear operators
 //!   plus the attention estimator from [`attn_kernels`], switchable between
-//!   FA_Serial (the baselines) and POD (the paper's system).
+//!   FA_Serial (the baselines) and POD (the paper's system). It owns the one
+//!   batch-price memo the engine prices iterations through.
 //! * [`ServingEngine`] — a **step-able** replica simulator: admits requests
 //!   against a KV block pool ([`BlockPool`]), forms hybrid batches,
 //!   prices every iteration and tracks TTFT, TBT, request latency, stalls and

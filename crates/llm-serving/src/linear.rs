@@ -1,5 +1,6 @@
 //! Roofline cost model for the linear (non-attention) operators of a
-//! transformer iteration, plus the per-iteration breakdown used by Figure 4.
+//! transformer iteration, the per-iteration breakdown used by Figure 4, and
+//! the serving loop's one batch-price memo.
 //!
 //! Hybrid batching's benefit for linear operators is that the model weights
 //! are read from HBM once per iteration and reused for the prefill chunk's
@@ -7,8 +8,12 @@
 //! of query tokens in the batch.
 
 use crate::model::ModelConfig;
-use attn_kernels::{AttentionEstimator, AttentionStrategy, HybridBatch};
+use attn_kernels::{
+    canonical_decodes, quantize_tokens, AttentionEstimator, AttentionStrategy, DecodeRequest,
+    HybridBatch, PrefillChunk,
+};
 use gpu_sim::GpuConfig;
+use std::collections::HashMap;
 
 /// Achieved fraction of tensor-core peak for dense GEMMs (cuBLAS-like).
 const GEMM_COMPUTE_EFFICIENCY: f64 = 0.75;
@@ -20,6 +25,83 @@ const LINEAR_OP_OVERHEAD: f64 = 4.0e-6;
 const ALLREDUCE_BASE_LATENCY: f64 = 12.0e-6;
 /// Interconnect bandwidth available for tensor-parallel all-reduce (bytes/s).
 const ALLREDUCE_BANDWIDTH: f64 = 250e9;
+
+/// Upper bound on resident batch-price memo entries; reaching it clears the
+/// memo (a trivially correct eviction policy — in practice serving sweeps
+/// produce a few thousand distinct signatures, far below this).
+const PRICE_CACHE_MAX_ENTRIES: usize = 1 << 16;
+
+/// Quantized signature of a hybrid batch, the key of the batch-price memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BatchSignature {
+    /// The attention strategy the batch is priced under.
+    strategy: AttentionStrategy,
+    /// Prefill chunk length (0 when the batch has no prefill).
+    chunk_len: usize,
+    /// Quantized prior context of the prefill chunk.
+    prior_bucket: usize,
+    /// Number of decode requests.
+    decode_count: usize,
+    /// Quantized total decode context (the dominant decode cost term).
+    decode_total_bucket: usize,
+    /// Quantized maximum decode context (drives decode-kernel splits).
+    decode_max_bucket: usize,
+    /// Quantized shared-prefix decode KV tokens deduped this iteration
+    /// (always 0 when dedup is off).
+    decode_dedup_bucket: usize,
+    /// Quantized extra speculative-verify query tokens carried by the
+    /// decode side (always 0 in autoregressive mode).
+    spec_bucket: usize,
+}
+
+impl BatchSignature {
+    /// The signature of the batch given by its raw aggregates (see
+    /// [`IterationCostModel::price`]), without materializing the batch.
+    fn of(
+        prefill: Option<(usize, usize)>,
+        decode_contexts: impl IntoIterator<Item = usize>,
+        kv_dedup_tokens: usize,
+        spec_verify_tokens: usize,
+        strategy: AttentionStrategy,
+    ) -> Self {
+        let (chunk_len, prior_bucket) =
+            prefill.map_or((0, 0), |(chunk, prior)| (chunk, quantize_tokens(prior)));
+        let (mut decode_count, mut total_ctx, mut max_ctx) = (0usize, 0usize, 0usize);
+        for ctx in decode_contexts {
+            decode_count += 1;
+            total_ctx += ctx;
+            max_ctx = max_ctx.max(ctx);
+        }
+        BatchSignature {
+            strategy,
+            chunk_len,
+            prior_bucket,
+            decode_count,
+            decode_total_bucket: quantize_tokens(total_ctx),
+            decode_max_bucket: quantize_tokens(max_ctx),
+            decode_dedup_bucket: quantize_tokens(kv_dedup_tokens),
+            spec_bucket: quantize_tokens(spec_verify_tokens),
+        }
+    }
+
+    /// The canonical batch this signature represents: the batch every member
+    /// of the equivalence class is priced as. The decode set comes from
+    /// [`canonical_decodes`], the same equivalence-class definition the
+    /// quantized estimator prices in closed form.
+    fn canonical_batch(&self) -> HybridBatch {
+        HybridBatch {
+            prefill: (self.chunk_len > 0)
+                .then(|| PrefillChunk::new(self.chunk_len, self.prior_bucket)),
+            decodes: canonical_decodes(
+                self.decode_count,
+                self.decode_total_bucket,
+                self.decode_max_bucket,
+            ),
+            kv_dedup_tokens: self.decode_dedup_bucket,
+            spec_verify_tokens: self.spec_bucket,
+        }
+    }
+}
 
 /// Time contributions of one full model iteration, split the way Figure 4
 /// reports them.
@@ -70,35 +152,77 @@ pub struct IterationCostModel {
     model: ModelConfig,
     gpu: GpuConfig,
     estimator: AttentionEstimator,
+    /// Iteration prices by quantized batch signature; stays empty on an
+    /// exact model.
+    prices: HashMap<BatchSignature, f64>,
 }
 
 impl IterationCostModel {
-    /// Create a cost model for a model/device pair. Attention costs use the
-    /// memoized estimator fast path (see [`IterationCostModel::exact`]).
+    /// Create a cost model for a model/device pair that prices attention
+    /// with the quantized estimator and memoizes [`IterationCostModel::price`]
+    /// by quantized batch signature (see [`IterationCostModel::exact`]).
     pub fn new(model: ModelConfig, gpu: GpuConfig) -> Self {
         let estimator = AttentionEstimator::new(model.attention, gpu.clone());
         IterationCostModel {
             model,
             gpu,
             estimator,
+            prices: HashMap::new(),
         }
     }
 
-    /// Create a cost model that prices attention exactly, bypassing the
-    /// estimator's side-cost memoization (the engine's path when
+    /// Create a cost model that prices every batch exactly, with neither
+    /// quantization nor memo (the engine's path when
     /// `ServingConfig::price_cache` is off).
     pub fn exact(model: ModelConfig, gpu: GpuConfig) -> Self {
-        let estimator = AttentionEstimator::exact(model.attention, gpu.clone());
         IterationCostModel {
-            model,
-            gpu,
-            estimator,
+            estimator: AttentionEstimator::exact(model.attention, gpu.clone()),
+            ..IterationCostModel::new(model, gpu)
         }
     }
 
-    /// The model this cost model describes.
-    pub fn model(&self) -> &ModelConfig {
-        &self.model
+    /// Price one serving iteration from its raw aggregates: the prefill
+    /// chunk as `(chunk_len, prior_len)`, each decode's context, the
+    /// shared-prefix decode KV tokens deduped and the speculative-verify
+    /// tokens. A memoizing model prices each quantized signature once, as
+    /// its canonical batch, and returns `Some(hit)`; an exact model prices
+    /// the batch itself and returns `None`.
+    pub fn price(
+        &mut self,
+        prefill: Option<(usize, usize)>,
+        decode_contexts: impl IntoIterator<Item = usize>,
+        kv_dedup_tokens: usize,
+        spec_verify_tokens: usize,
+        strategy: AttentionStrategy,
+    ) -> (f64, Option<bool>) {
+        if !self.estimator.is_quantized() {
+            let batch = HybridBatch {
+                prefill: prefill.map(|(chunk, prior)| PrefillChunk::new(chunk, prior)),
+                decodes: decode_contexts
+                    .into_iter()
+                    .map(DecodeRequest::new)
+                    .collect(),
+                kv_dedup_tokens,
+                spec_verify_tokens,
+            };
+            return (self.iteration_time(&batch, strategy), None);
+        }
+        let sig = BatchSignature::of(
+            prefill,
+            decode_contexts,
+            kv_dedup_tokens,
+            spec_verify_tokens,
+            strategy,
+        );
+        if let Some(&cached) = self.prices.get(&sig) {
+            return (cached, Some(true));
+        }
+        let priced = self.iteration_time(&sig.canonical_batch(), strategy);
+        if self.prices.len() >= PRICE_CACHE_MAX_ENTRIES {
+            self.prices.clear();
+        }
+        self.prices.insert(sig, priced);
+        (priced, Some(false))
     }
 
     /// Time of one dense linear operator over `tokens` query tokens with
@@ -200,6 +324,66 @@ mod tests {
 
     fn model() -> IterationCostModel {
         IterationCostModel::new(ModelConfig::llama3_8b(), GpuConfig::a100_80gb())
+    }
+
+    #[test]
+    fn signatures_collapse_equivalent_plans_only() {
+        let pod = AttentionStrategy::Pod;
+        let sig_a = BatchSignature::of(Some((512, 0)), [4097, 3000], 0, 0, pod);
+        let sig_b = BatchSignature::of(Some((512, 0)), [3000, 4097], 0, 0, pod);
+        let sig_c = BatchSignature::of(Some((256, 0)), [4097, 3000], 0, 0, pod);
+        assert_eq!(sig_a, sig_b, "decode order must not matter");
+        assert_ne!(sig_a, sig_c, "chunk length must matter");
+        // The canonical batch reproduces the aggregates.
+        let batch = sig_a.canonical_batch();
+        assert_eq!(batch.decode_batch_size(), 2);
+        assert_eq!(batch.prefill.unwrap().chunk_len, 512);
+    }
+
+    /// A memo hit returns the bits a miss computes, and every call on a
+    /// memoizing model is exactly one hit or one miss; an exact model
+    /// counts neither.
+    #[test]
+    fn memo_hits_price_like_misses() {
+        let price = |m: &mut IterationCostModel| {
+            let contexts = (0..48).map(|i| 6 * 1024 + 211 * i);
+            m.price(
+                Some((512, 5000)),
+                contexts,
+                24 * 1024,
+                48 * 3,
+                AttentionStrategy::Pod,
+            )
+        };
+        let mut warm = model();
+        let (first, first_hit) = price(&mut warm);
+        let (again, again_hit) = price(&mut warm);
+        let (fresh, fresh_hit) = price(&mut model());
+        assert_eq!(
+            (first_hit, again_hit, fresh_hit),
+            (Some(false), Some(true), Some(false))
+        );
+        assert_eq!(first.to_bits(), again.to_bits());
+        assert_eq!(again.to_bits(), fresh.to_bits());
+
+        // Three shapes over six calls: each misses once, then hits.
+        let lookups: Vec<Option<bool>> = [512, 1024, 512, 2048, 1024, 512]
+            .into_iter()
+            .map(|chunk| {
+                warm.price(Some((chunk, 0)), [4096; 8], 0, 0, AttentionStrategy::Pod)
+                    .1
+            })
+            .collect();
+        let hits = lookups.iter().filter(|&&h| h == Some(true)).count();
+        let misses = lookups.iter().filter(|&&h| h == Some(false)).count();
+        assert_eq!((hits, misses), (3, 3));
+        assert_eq!(hits + misses, lookups.len());
+
+        let mut exact = IterationCostModel::exact(ModelConfig::llama3_8b(), GpuConfig::a100_80gb());
+        let (exact_price, exact_hit) = price(&mut exact);
+        assert_eq!(exact_hit, None);
+        assert!(exact_price > 0.0);
+        assert!(exact.prices.is_empty());
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub struct ServingReport {
     pub stall_fraction_200ms: f64,
     /// Fraction of requests with at least one decode gap above 500 ms.
     pub stall_fraction_500ms: f64,
-    /// Iterations priced from the batch-price cache.
+    /// Iterations priced from the batch-price memo.
     pub price_cache_hits: usize,
     /// Iterations that had to run the full cost model (novel batch shapes).
     pub price_cache_misses: usize,

@@ -155,26 +155,16 @@ fn spec_extra_tokens(spec_k: usize, requests: &[Request], decodes: &[usize]) -> 
         .sum()
 }
 
-/// Outcome of consulting the admission policy for the front request.
-enum FrontAdmission {
-    Admitted,
-    Deferred,
-    Shed,
-}
-
 /// Ask `admit` about the front request, applying a first-admission prefix
-/// match to the request's prefill progress.
-fn try_admit(req: &mut Request, admit: &mut AdmitFn<'_>) -> FrontAdmission {
-    match admit(req) {
-        AdmissionDecision::Admit { cached_tokens } => {
-            if cached_tokens > 0 {
-                req.note_cached_prefix(cached_tokens);
-            }
-            FrontAdmission::Admitted
+/// match to the request's prefill progress, and return the decision.
+fn try_admit(req: &mut Request, admit: &mut AdmitFn<'_>) -> AdmissionDecision {
+    let decision = admit(req);
+    if let AdmissionDecision::Admit { cached_tokens } = decision {
+        if cached_tokens > 0 {
+            req.note_cached_prefix(cached_tokens);
         }
-        AdmissionDecision::Defer => FrontAdmission::Deferred,
-        AdmissionDecision::Shed => FrontAdmission::Shed,
     }
+    decision
 }
 
 fn plan_vllm(
@@ -189,7 +179,7 @@ fn plan_vllm(
     let mut shed = None;
     if let Some(&front) = waiting.front() {
         match try_admit(&mut requests[front], admit) {
-            FrontAdmission::Admitted => {
+            AdmissionDecision::Admit { .. } => {
                 let chunk = requests[front].remaining_prompt();
                 return BatchPlan {
                     prefill: Some((front, chunk)),
@@ -198,8 +188,8 @@ fn plan_vllm(
                     spec_tokens: 0,
                 };
             }
-            FrontAdmission::Shed => shed = Some(front),
-            FrontAdmission::Deferred => {}
+            AdmissionDecision::Shed => shed = Some(front),
+            AdmissionDecision::Defer => {}
         }
     }
     let decodes = running.to_vec();
@@ -232,15 +222,15 @@ fn plan_sarathi(
     if budget > 0 && decodes.len() < max_batch_size {
         if let Some(&front) = waiting.front() {
             match try_admit(&mut requests[front], admit) {
-                FrontAdmission::Admitted => {
+                AdmissionDecision::Admit { .. } => {
                     debug_assert_ne!(requests[front].phase(), Phase::Finished);
                     let chunk = requests[front].remaining_prompt().min(budget);
                     if chunk > 0 {
                         prefill = Some((front, chunk));
                     }
                 }
-                FrontAdmission::Shed => shed = Some(front),
-                FrontAdmission::Deferred => {}
+                AdmissionDecision::Shed => shed = Some(front),
+                AdmissionDecision::Defer => {}
             }
         }
     }

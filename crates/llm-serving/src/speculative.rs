@@ -18,7 +18,8 @@
 //! * [`DecodeMode`] — `Autoregressive` (the default; bit-for-bit identical
 //!   to the pre-speculation engine) or `Speculative { k, draft, acceptance }`.
 //! * [`DraftModelConfig`] — the draft model as a scale factor on the target
-//!   [`ModelConfig`], priced through the same memoized iteration cost model.
+//!   [`ModelConfig`], priced through the same iteration cost model (outside
+//!   its batch-price memo).
 //! * [`AcceptanceModel`] — a seeded per-request/per-round acceptance law.
 //!   Draws are pure functions of `(seed, request id, round)`, so runs are
 //!   deterministic and replayable regardless of thread count or iteration

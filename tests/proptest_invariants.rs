@@ -160,7 +160,7 @@ fn pod_bounded_by_serial_and_oracle() {
 }
 
 /// The closed-form estimator keeps the same invariant, and FA_Serial is
-/// always at least as slow as POD — with memoization on and off.
+/// always at least as slow as POD — with quantization on and off.
 #[test]
 fn estimator_orderings_hold() {
     let mut rng = SplitMix64::seed_from_u64(11);
@@ -174,18 +174,18 @@ fn estimator_orderings_hold() {
             let serial = est.estimate(&batch, AttentionStrategy::FaSerial);
             let pod = est.estimate(&batch, AttentionStrategy::Pod);
             let streams = est.estimate(&batch, AttentionStrategy::FaStreams);
-            let memo = est.is_memoized();
+            let quantized = est.is_quantized();
             assert!(
                 pod.total_time <= serial.total_time + 1e-12,
-                "case {case} (memo={memo}): pod {} > serial {}",
+                "case {case} (quantized={quantized}): pod {} > serial {}",
                 pod.total_time,
                 serial.total_time
             );
             assert!(
                 streams.total_time <= serial.total_time + 1e-12,
-                "case {case} (memo={memo})"
+                "case {case} (quantized={quantized})"
             );
-            assert!(pod.total_time > 0.0, "case {case} (memo={memo})");
+            assert!(pod.total_time > 0.0, "case {case} (quantized={quantized})");
             assert!(serial.flops >= 0.0 && serial.bytes >= 0.0, "case {case}");
         }
     }

@@ -175,7 +175,9 @@ fn disaggregated_case(base: ServingConfig, specs: Vec<RequestSpec>) -> Golden {
 /// residency path — paged growth and preemption, prefix caching with
 /// eviction, speculative rollback, disaggregated export and adoption under
 /// each policy, and priority preemption — keeps its pinned outputs and
-/// trace-event counts. Two fleet cases pin the cluster loop itself: an
+/// trace-event counts. One case prices every iteration exactly
+/// (`price_cache` off) with dedup and speculative verify live. Two fleet
+/// cases pin the cluster loop itself: an
 /// autoscaled fleet that grows and shrinks, and a mixed fleet whose
 /// colocated replica serves beside a disaggregated pair.
 #[test]
@@ -253,6 +255,27 @@ fn run_reproduces_pre_stepping_reports_bit_for_bit() {
         s.output_tokens = 600;
     }
     cases.push(("spec_rollback", engine_case(spec, short), SPEC_ROLLBACK));
+
+    // The exact pricing path (`price_cache` off) with every pricing input
+    // live: a prefill chunk with its prior, decode dedup over shared
+    // prefixes and speculative verify tokens.
+    let mut exact = ServingConfig::sarathi_pod(llama3(), gpu(), 1024)
+        .with_paged_kv(true)
+        .with_decode_dedup(true)
+        .with_speculative(
+            4,
+            DraftModelConfig::scaled(0.2),
+            AcceptanceModel::new(0.7, 7),
+        );
+    exact.price_cache = false;
+    exact.kv_capacity_tokens = Some(60_000);
+    let shared_spec =
+        SharedPrefixWorkload::new(Workload::internal(), 3, 1500, 0.7, 0.35).generate(32, 2.0, 41);
+    cases.push((
+        "exact_pricing",
+        engine_case(exact, shared_spec),
+        EXACT_PRICING,
+    ));
 
     // Disaggregated prefill/decode under each policy.
     let conservative = ServingConfig::sarathi_pod(llama3(), gpu(), 1024);
@@ -658,6 +681,36 @@ const SPEC_ROLLBACK: Golden = Golden {
     migrated_tokens: 0,
     migration_stall: 0,
     trace: "admit=34 defer=2223 enqueue=24 finish=24 iteration=2873 kv_alloc=34 kv_evict=737 kv_free=34 preempt=10 spec_round=9337 timeline=26",
+};
+
+const EXACT_PRICING: Golden = Golden {
+    makespan: 4628522324260022327,
+    completed: 32,
+    iterations: 1341,
+    hybrid: 306,
+    ttft_p50: 4610809630484653962,
+    ttft_p99: 4620259213792254144,
+    tbt_p50: 0,
+    tbt_max: 4589547127536512000,
+    lat_p50: 4617904552587825253,
+    stall200: 0,
+    hits: 0,
+    misses: 0,
+    prefill_tokens: 306632,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 16182,
+    cached_prefix_tokens: 57056,
+    blocks_reused: 3557,
+    cow_copies: 12,
+    deduped: 191952,
+    spec_rounds: 5051,
+    draft_rejected: 11446,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=32 defer=412 enqueue=32 finish=32 iteration=1341 kv_alloc=32 kv_dedup=129 kv_evict=526 kv_free=32 spec_round=5051 timeline=27",
 };
 
 const DISAGG_CONSERVATIVE: Golden = Golden {
