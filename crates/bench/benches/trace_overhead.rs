@@ -148,6 +148,9 @@ fn main() {
         .expect("traced cluster yields a recording")
         .to_chrome_json();
     let chrome_path = repo_root_path("target/trace_overhead_chrome.json");
+    // `target/` is absent in a checkout built with `CARGO_TARGET_DIR` elsewhere.
+    std::fs::create_dir_all(chrome_path.parent().expect("path has a parent"))
+        .expect("create the chrome trace directory");
     std::fs::write(&chrome_path, chrome.to_string_compact()).expect("write chrome trace");
     println!("wrote {} (load in chrome://tracing)", chrome_path.display());
 

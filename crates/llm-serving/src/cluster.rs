@@ -389,9 +389,9 @@ impl ReplicaLife {
 ///
 /// * [`ClusterConfig::with_roles`] — mixed / disaggregated fleets
 /// * [`ClusterConfig::with_autoscaler`] — backlog-driven fleet sizing
-/// * [`ClusterConfig::with_fair_queue`] — multi-tenant fairness on every
-///   replica (delegates to
-///   [`ServingConfig::with_fair_queue`](crate::ServingConfig::with_fair_queue))
+///
+/// Per-replica options, multi-tenant fairness among them, are set on `base`
+/// (e.g. [`ServingConfig::with_fair_queue`](crate::ServingConfig::with_fair_queue)).
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Per-replica serving configuration (every replica is identical — one
@@ -463,15 +463,6 @@ impl ClusterConfig {
         self.roles = roles;
         self.migration = migration;
         self.validate_roles();
-        self
-    }
-
-    /// The same fleet with multi-tenant fair queueing (and, per the
-    /// [`crate::FairQueueConfig`], priority preemption) on every replica.
-    /// Sugar for rebuilding `base` through
-    /// [`ServingConfig::with_fair_queue`](crate::ServingConfig::with_fair_queue).
-    pub fn with_fair_queue(mut self, fair_queue: crate::FairQueueConfig) -> Self {
-        self.base = self.base.with_fair_queue(fair_queue);
         self
     }
 

@@ -12,6 +12,7 @@
 //! through the same `step` entry point.
 
 use crate::blocks::{blocks_for, BlockId, BlockPool, Cursor, KvChain, PrefixMatch, BLOCK_TOKENS};
+use crate::fairness::{victim, FairQueue, FairQueueConfig};
 use crate::linear::IterationCostModel;
 use crate::metrics::{ReportAccumulator, ServingCounters, ServingReport};
 use crate::model::ModelConfig;
@@ -164,87 +165,6 @@ impl AdmissionPolicy {
     }
 }
 
-/// Multi-tenant fair-queueing configuration: weighted deficit round-robin
-/// over queued prefill work, plus (optionally) priority preemption.
-///
-/// When attached to a config via [`ServingConfig::with_fair_queue`], the
-/// engine keeps a **virtual-token counter per tenant**: every prefill token
-/// scheduled for a tenant's request advances that tenant's counter by
-/// `1 / weight`, and each iteration the waiting-queue front is given to the
-/// tenant with the smallest counter (FIFO within a tenant, smallest
-/// [`TenantId`] on exact ties). Heavy tenants thus accumulate virtual time
-/// fast and yield the chunked-prefill slot; a tenant that was idle re-enters
-/// at the current virtual floor, so credit cannot be banked while away.
-///
-/// With a single tenant (or when no config is attached) the selection
-/// degenerates to plain FCFS and the engine's behavior is **bit-for-bit
-/// identical** to a fairness-free run — the inertness pin the golden tests
-/// and `fig20_fairness` rely on.
-///
-/// `preempt_priorities` additionally lets a strictly higher-[`Priority`]
-/// request at the queue front evict lower-priority running decodes through
-/// the existing paged preemption path (swap-out + recompute) when the block
-/// pool is what blocks its admission. Requires [`KvCachePolicy::Paged`];
-/// under the conservative policy the flag is ignored (there is no preemption
-/// path to reuse). The **admitted** request records each eviction it caused
-/// in [`Request::preemptions_inflicted`]; memory-pressure preemptions (decode
-/// growth against a full pool) have no single inflictor and are attributed
-/// to nobody.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FairQueueConfig {
-    /// `(tenant, weight)` overrides; any tenant not listed has weight 1.
-    /// Larger weight = larger guaranteed share of prefill slots.
-    weights: Vec<(TenantId, f64)>,
-    /// Whether higher-priority queue fronts may evict lower-priority running
-    /// decodes (paged policy only).
-    pub preempt_priorities: bool,
-}
-
-impl FairQueueConfig {
-    /// Fair queueing with equal weights for every tenant and no priority
-    /// preemption.
-    pub fn new() -> Self {
-        FairQueueConfig::default()
-    }
-
-    /// The same configuration with `tenant`'s weight set to `weight`
-    /// (relative to the default of 1 for unlisted tenants).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not positive and finite.
-    pub fn with_weight(mut self, tenant: TenantId, weight: f64) -> Self {
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "tenant weights must be positive and finite"
-        );
-        match self.weights.binary_search_by_key(&tenant, |&(t, _)| t) {
-            Ok(i) => self.weights[i].1 = weight,
-            Err(i) => self.weights.insert(i, (tenant, weight)),
-        }
-        self
-    }
-
-    /// The same configuration with priority preemption on or off.
-    pub fn with_priority_preemption(mut self, on: bool) -> Self {
-        self.preempt_priorities = on;
-        self
-    }
-
-    /// The weight of `tenant` (1 unless overridden).
-    pub fn weight(&self, tenant: TenantId) -> f64 {
-        self.weights
-            .binary_search_by_key(&tenant, |&(t, _)| t)
-            .map(|i| self.weights[i].1)
-            .unwrap_or(1.0)
-    }
-
-    /// Report-label fragment for a config that carries fair queueing.
-    pub fn label_suffix(&self) -> &'static str {
-        "+fair"
-    }
-}
-
 /// Full configuration of a serving system under test.
 ///
 /// # Builder surface
@@ -262,8 +182,7 @@ impl FairQueueConfig {
 /// [`ClusterConfig`](crate::ClusterConfig) wraps a `ServingConfig` for a
 /// replica fleet and follows the same convention
 /// ([`ClusterConfig::with_roles`](crate::ClusterConfig::with_roles),
-/// [`ClusterConfig::with_autoscaler`](crate::ClusterConfig::with_autoscaler),
-/// [`ClusterConfig::with_fair_queue`](crate::ClusterConfig::with_fair_queue)),
+/// [`ClusterConfig::with_autoscaler`](crate::ClusterConfig::with_autoscaler)),
 /// as does per-request construction via [`RequestSpec::new`](crate::RequestSpec::new)
 /// and its `with_*` setters.
 #[derive(Debug, Clone)]
@@ -359,20 +278,8 @@ impl ServingConfig {
     /// Sarathi-Serve with FlashAttention kernels (the paper's "Sarathi").
     pub fn sarathi(model: ModelConfig, gpu: GpuConfig, chunk_size: usize) -> Self {
         ServingConfig {
-            model,
-            gpu,
             scheduler: SchedulerKind::Sarathi { chunk_size },
-            attention: AttentionStrategy::FaSerial,
-            max_batch_size: 256,
-            kv_capacity_tokens: None,
-            price_cache: true,
-            kv_policy: KvCachePolicy::Conservative,
-            decode_dedup: false,
-            admission: AdmissionPolicy::AdmitAll,
-            streaming_metrics: false,
-            decode_mode: DecodeMode::Autoregressive,
-            fair_queue: None,
-            tracing: None,
+            ..ServingConfig::vllm(model, gpu)
         }
     }
 
@@ -463,44 +370,23 @@ impl ServingConfig {
     /// admission, `"+fair"` for fair-queueing configs, and `"+spec"` for
     /// speculative decode).
     pub fn system_label(&self) -> String {
-        let kv = self.kv_policy.label_suffix();
-        let dedup = if self.decode_dedup && self.kv_policy.prefix_caching() {
-            "+dedup"
-        } else {
-            ""
-        };
-        let adm = self.admission.label_suffix();
-        let fair = self.fair_queue.as_ref().map_or("", |f| f.label_suffix());
-        let spec = if self.decode_mode.is_speculative() {
-            "+spec"
-        } else {
-            ""
-        };
+        let flag = |on: bool, label: &'static str| if on { label } else { "" };
         let attn = match self.attention {
-            AttentionStrategy::Pod => "+POD",
-            AttentionStrategy::FaSerial => "",
-            other => {
-                return format!(
-                    "{}[{}]{}{}{}{}{}",
-                    self.scheduler.label(),
-                    other,
-                    kv,
-                    dedup,
-                    adm,
-                    fair,
-                    spec
-                )
-            }
+            AttentionStrategy::Pod => "+POD".to_string(),
+            AttentionStrategy::FaSerial => String::new(),
+            other => format!("[{other}]"),
         };
         format!(
-            "{}{}{}{}{}{}{}",
+            "{}{attn}{}{}{}{}{}",
             self.scheduler.label(),
-            attn,
-            kv,
-            dedup,
-            adm,
-            fair,
-            spec
+            self.kv_policy.label_suffix(),
+            flag(
+                self.decode_dedup && self.kv_policy.prefix_caching(),
+                "+dedup"
+            ),
+            self.admission.label_suffix(),
+            flag(self.fair_queue.is_some(), "+fair"),
+            flag(self.decode_mode.is_speculative(), "+spec"),
         )
     }
 }
@@ -668,16 +554,9 @@ struct EngineState {
     /// High-water mark of `live_token_samples`. In streaming mode this stays
     /// bounded by in-flight work instead of growing with the whole trace.
     peak_token_samples: usize,
-    /// Per-tenant virtual-token counters for fair queueing, sorted by tenant
-    /// id (empty and untouched unless the config carries a
-    /// [`FairQueueConfig`]). A tenant's counter advances by
-    /// `scheduled prefill tokens / weight`.
-    fair_vtime: Vec<(TenantId, f64)>,
-    /// Monotone floor of the virtual clock: the smallest counter among
-    /// tenants competing at the most recent selection. Tenants activating
-    /// (first request, or returning from idle) are lifted to it so virtual
-    /// time cannot be banked while away.
-    fair_floor: f64,
+    /// Fair-queue state (`Some` exactly when the config carries a
+    /// [`FairQueueConfig`]): per-tenant virtual time and the floor.
+    fair: Option<FairQueue>,
     /// Flight recorder (`Some` exactly when the config carries a
     /// [`TraceConfig`]): every lifecycle / iteration / KV / migration event
     /// lands here, stamped on the virtual clock. Purely observational —
@@ -701,8 +580,7 @@ impl EngineState {
             accumulator: config.streaming_metrics.then(ReportAccumulator::sketch),
             live_token_samples: 0,
             peak_token_samples: 0,
-            fair_vtime: Vec::new(),
-            fair_floor: 0.0,
+            fair: config.fair_queue.clone().map(FairQueue::new),
             recorder: config.tracing.clone().map(TraceRecorder::new),
         }
     }
@@ -715,19 +593,6 @@ impl EngineState {
         if let Some(rec) = self.recorder.as_mut() {
             rec.record(t, kind());
         }
-    }
-
-    /// Mutable virtual-time counter of `tenant`, created at the current
-    /// floor on first sight (the activation lift).
-    fn fair_vtime_entry(&mut self, tenant: TenantId) -> &mut f64 {
-        let i = match self.fair_vtime.binary_search_by_key(&tenant, |&(t, _)| t) {
-            Ok(i) => i,
-            Err(i) => {
-                self.fair_vtime.insert(i, (tenant, self.fair_floor));
-                i
-            }
-        };
-        &mut self.fair_vtime[i].1
     }
 
     /// Return `rid`'s whole grant, named and counted alike, to the pool,
@@ -816,16 +681,13 @@ impl EngineState {
         for (i, &rid) in self.running.iter().enumerate() {
             let table = &self.tables[rid];
             let group = if table.shared == 0 {
-                let g = next_group;
-                next_group += 1;
-                g
+                next_group
             } else {
-                *group_of.entry(table.shared_chain_key()).or_insert_with(|| {
-                    let g = next_group;
-                    next_group += 1;
-                    g
-                })
+                *group_of
+                    .entry(table.shared_chain_key())
+                    .or_insert(next_group)
             };
+            next_group += usize::from(group == next_group);
             ranked.push((group, i, rid));
         }
         // Lexicographic (group, original position): stable by construction.
@@ -1219,10 +1081,7 @@ impl ServingEngine {
         }
         let next_arrival = st.arrivals.front().map(|&id| st.requests[id].spec.arrival);
         let next_import = st.pending_imports.front().map(|imp| imp.available_at);
-        match (next_arrival, next_import) {
-            (Some(a), Some(m)) => Some(a.min(m)),
-            (a, m) => a.or(m),
-        }
+        next_arrival.into_iter().chain(next_import).reduce(f64::min)
     }
 
     /// High-water mark of token-time samples resident in this replica's
@@ -1270,83 +1129,43 @@ impl ServingEngine {
             .peek_prefix(spec.content, spec.prompt_tokens.saturating_sub(1))
     }
 
-    /// Fair-queueing selection: give the waiting-queue slot right after any
-    /// admitted (resident, mid-prefill) prefix to the best candidate —
-    /// highest [`Priority`] first, then the tenant with the smallest
-    /// virtual-token counter, then the smallest tenant id, then queue order.
-    /// Every other waiting request keeps its relative order. A no-op without
-    /// a [`FairQueueConfig`], and order-preserving (hence bit-for-bit inert)
-    /// whenever the FIFO front is already the best candidate — in particular
-    /// always for single-tenant, single-priority traces.
+    /// Fair-queueing selection: move [`FairQueue::select`]'s winner to the
+    /// waiting-queue slot right after any admitted (resident, mid-prefill)
+    /// prefix. Every other waiting request keeps its relative order. A no-op
+    /// without a [`FairQueueConfig`].
     fn fair_reorder(&mut self) {
-        if self.config.fair_queue.is_none() {
-            return;
-        }
         let st = &mut self.state;
+        let Some(fair) = st.fair.as_mut() else {
+            return;
+        };
         let start = st
             .waiting
             .iter()
             .take_while(|&&r| st.tables[r].is_held())
             .count();
-        if st.waiting.len().saturating_sub(start) < 2 {
-            return;
-        }
-        // Activation lift + floor advance: every competing tenant enters the
-        // race at no less than the current floor, and the floor ratchets to
-        // the smallest competing counter so idle tenants cannot bank credit.
-        for pos in start..st.waiting.len() {
-            let tenant = st.requests[st.waiting[pos]].spec.tenant;
-            let floor = st.fair_floor;
-            let v = st.fair_vtime_entry(tenant);
-            *v = v.max(floor);
-        }
-        let min_active = (start..st.waiting.len())
-            .map(|pos| {
-                let t = st.requests[st.waiting[pos]].spec.tenant;
-                *st.fair_vtime_entry(t)
-            })
-            .fold(f64::INFINITY, f64::min);
-        st.fair_floor = st.fair_floor.max(min_active);
-        // Pick the best candidate; strict improvement keeps FIFO on ties.
-        let mut best = start;
-        for pos in start + 1..st.waiting.len() {
-            let (bp, bt): (Priority, TenantId) = {
-                let r = &st.requests[st.waiting[best]];
-                (r.spec.priority, r.spec.tenant)
-            };
-            let (cp, ct) = {
-                let r = &st.requests[st.waiting[pos]];
-                (r.spec.priority, r.spec.tenant)
-            };
-            let bv = *st.fair_vtime_entry(bt);
-            let cv = *st.fair_vtime_entry(ct);
-            if cp > bp || (cp == bp && (cv < bv || (cv == bv && ct < bt))) {
-                best = pos;
-            }
-        }
-        if best != start {
-            let rid = st.waiting.remove(best).expect("best is in bounds");
+        let candidates = st.waiting.range(start..).map(|&r| {
+            let spec = &st.requests[r].spec;
+            (spec.priority, spec.tenant)
+        });
+        let winner = fair.select(candidates);
+        if winner > 0 {
+            let rid = st.waiting.remove(start + winner).expect("winner is queued");
             st.waiting.insert(start, rid);
         }
     }
 
-    /// Priority preemption: when the fair queue's choice sits at the actual
-    /// queue front but the block pool blocks its admission, evict running
-    /// decodes of strictly lower [`Priority`] (lowest class first, most
-    /// recently started among equals — they lose the least recomputation)
-    /// through the paged preemption path until the candidate fits or no
-    /// eligible victim remains. Each eviction is charged to the candidate's
+    /// Priority preemption (paged policy only): when the fair queue's choice
+    /// sits at the actual queue front but the block pool blocks its
+    /// admission, preempt fairness [`victim`]s of strictly lower
+    /// [`Priority`] until the candidate fits or no victim remains. Each
+    /// eviction is charged to the candidate's
     /// [`Request::preemptions_inflicted`]. Returns whether anything was
     /// preempted (victims re-queue at the front, so the caller must re-run
     /// the fair selection).
     fn priority_preempt(&mut self) -> bool {
-        let preempt_on = self
-            .config
-            .fair_queue
-            .as_ref()
-            .is_some_and(|f| f.preempt_priorities)
-            && matches!(self.config.kv_policy, KvCachePolicy::Paged { .. });
-        if !preempt_on {
+        let fair = self.state.fair.as_ref();
+        let paged = matches!(self.config.kv_policy, KvCachePolicy::Paged { .. });
+        if !paged || !fair.is_some_and(FairQueue::preempts_priorities) {
             return false;
         }
         let grant_spec_k = self.grant_spec_k();
@@ -1354,19 +1173,17 @@ impl ServingEngine {
         // Only act for the schedulable front: a resident (mid-prefill)
         // request ahead of the candidate owns the prefill slot, and evicting
         // decodes for a request that cannot be consulted yet wastes work.
-        let Some(&cand) = st.waiting.front() else {
+        let front = st.waiting.front().filter(|&&r| !st.tables[r].is_held());
+        let Some(&cand) = front else {
             return false;
         };
-        if st.tables[cand].is_held() {
-            return false;
-        }
         // Never preempt for a request that cannot fit even in an empty pool
         // (the feasibility rule admission defers on).
         let capacity_blocks = st.pool.capacity_blocks();
         if blocks_for(st.requests[cand].spec.total_tokens()) > capacity_blocks {
             return false;
         }
-        let pri = st.requests[cand].spec.priority;
+        let pri: Priority = st.requests[cand].spec.priority;
         // The grant admission takes (prefix-cache hits can only shrink it,
         // so the check may over-evict by at most the cached share).
         let needed = self
@@ -1376,14 +1193,11 @@ impl ServingEngine {
             .blocks;
         let mut any = false;
         while capacity_blocks - st.pool.referenced_blocks() < needed {
-            let victim = st
+            let running = st
                 .running
                 .iter()
-                .rev()
-                .filter(|&&r| st.requests[r].spec.priority < pri)
-                .min_by_key(|&&r| st.requests[r].spec.priority)
-                .copied();
-            let Some(v) = victim else {
+                .map(|&r| (r, st.requests[r].spec.priority));
+            let Some(v) = victim(running, pri) else {
                 break;
             };
             st.preempt(v);
@@ -1414,11 +1228,8 @@ impl ServingEngine {
         self.enqueue_arrivals();
         self.adopt_imports();
         self.cobatch_and_grow();
-        // Multi-tenant fair queueing: decide which waiting request owns the
-        // admission slot this iteration, and — with priority preemption on —
-        // evict lower-priority decodes to make room for it. Victims re-queue
-        // at the front, so the selection re-runs to restore the winner (it
-        // outranks its own victims by construction).
+        // Victims of priority preemption re-queue at the front; re-selecting
+        // restores the winner, which outranks its own victims.
         self.fair_reorder();
         if self.priority_preempt() {
             self.fair_reorder();
@@ -1609,11 +1420,7 @@ impl ServingEngine {
             .front()
             .map(|imp| imp.available_at)
             .filter(|&t| t > st.clock);
-        let wake = match (next_arrival, next_import) {
-            (Some(a), Some(m)) => Some(a.min(m)),
-            (a, m) => a.or(m),
-        };
-        if let Some(t) = wake {
+        if let Some(t) = next_arrival.into_iter().chain(next_import).reduce(f64::min) {
             return IterationOutcome::IdleUntil(t);
         }
         if st.waiting.is_empty() && st.running.is_empty() {
@@ -1792,16 +1599,8 @@ impl ServingEngine {
         // stats and the Sarathi chunk accounting can never drift apart.
         let prefill_tokens = plan.scheduled_tokens() - plan.decodes.len() - plan.spec_tokens;
         st.counters.prefill_tokens_scheduled += prefill_tokens;
-        // Fair queueing bills scheduled prefill work to the owning tenant's
-        // virtual-token counter, weighted (cached-prefix tokens were never
-        // scheduled and are free; decode tokens are not contended the same
-        // way — the chunk budget is what tenants fight over).
-        if let (Some(fq), Some((rid, _))) = (&self.config.fair_queue, plan.prefill) {
-            if prefill_tokens > 0 {
-                let tenant = st.requests[rid].spec.tenant;
-                let weight = fq.weight(tenant);
-                *st.fair_vtime_entry(tenant) += prefill_tokens as f64 / weight;
-            }
+        if let (Some(fair), Some((rid, _))) = (st.fair.as_mut(), plan.prefill) {
+            fair.bill(st.requests[rid].spec.tenant, prefill_tokens);
         }
         let stats = IterationStats {
             started_at,

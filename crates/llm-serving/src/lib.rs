@@ -51,13 +51,15 @@
 //!   duplicated across a handoff) and `migrated_*` / `migration_stall_time`
 //!   metrics plus per-role [`RoleReport`] aggregation.
 //! * [`TenantId`] / [`Priority`] / [`FairQueueConfig`] — multi-tenant
-//!   fairness: requests carry a tenant and an optional priority class,
-//!   admission runs weighted fair queueing over queued prefill work (so one
-//!   tenant's flash crowd can't monopolize the chunked-prefill slots),
-//!   priority classes preempt running decodes through the paged preemption
-//!   path, and reports break goodput, attainment, TTFT and preemptions
-//!   down per tenant ([`TenantReport`]). Adversarial multi-tenant traces
-//!   come from [`TenantMix`].
+//!   fairness: requests carry a tenant and an optional priority class; the
+//!   fairness module's fair queue runs virtual-time weighted fair queueing
+//!   over queued prefill work (per-tenant counters billed scheduled prefill
+//!   tokens over weight, so one tenant's flash crowd can't monopolize the
+//!   chunked-prefill slot), and with priority preemption a higher class
+//!   evicts the lowest-class, newest running decodes through the paged
+//!   preemption path. Reports break goodput, attainment, TTFT and
+//!   preemptions down per tenant ([`TenantReport`]). Adversarial
+//!   multi-tenant traces come from [`TenantMix`].
 //! * [`trace`] ([`TraceConfig`] / [`FlightRecording`]) — request-lifecycle
 //!   tracing: a zero-cost-when-off, deterministic flight recorder capturing
 //!   every enqueue/admit/shed/preempt/migrate/finish, per-iteration batch
@@ -94,6 +96,7 @@
 mod blocks;
 mod cluster;
 mod engine;
+mod fairness;
 mod json;
 mod linear;
 mod metrics;
@@ -114,9 +117,10 @@ pub use cluster::{
     ReplicaRole, RoleReport, RouterPolicy, LONG_PREFILL_TOKENS,
 };
 pub use engine::{
-    AdmissionPolicy, FairQueueConfig, IterationOutcome, IterationStats, KvCachePolicy,
-    PrefillHandoff, ServingConfig, ServingEngine,
+    AdmissionPolicy, IterationOutcome, IterationStats, KvCachePolicy, PrefillHandoff,
+    ServingConfig, ServingEngine,
 };
+pub use fairness::FairQueueConfig;
 pub use json::{JsonParseError, JsonValue};
 pub use linear::{IterationBreakdown, IterationCostModel};
 pub use metrics::{percentile, ServingReport, SloClassReport, SummaryStats, TenantReport};

@@ -422,7 +422,7 @@ impl TenantMix {
 
     /// The noisy-neighbor scenario: `well_behaved` tenants each send
     /// `count_each` interactive requests at a steady `qps_each`, while one
-    /// extra tenant (the highest id) sends `2 * count_each` requests with
+    /// extra tenant (the highest id) sends `3 * count_each` requests with
     /// 4x-heavier prompts in flash-crowd bursts at `burst_qps`. Under FCFS
     /// the bursts monopolize the chunked-prefill slots; fair queueing is
     /// supposed to contain the damage to the noisy tenant itself.

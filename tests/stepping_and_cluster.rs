@@ -11,7 +11,7 @@ use llm_serving::{
     offline_long_context, AutoscalerConfig, Cluster, ClusterConfig, ClusterReport, FairQueueConfig,
     FlightRecording, IterationOutcome, KvMigration, ModelConfig, Priority, RateSchedule,
     ReplicaRole, RequestSpec, RouterPolicy, ServingConfig, ServingEngine, ServingReport,
-    SharedPrefixWorkload, TenantId, TraceConfig, Workload,
+    SharedPrefixWorkload, TenantId, TenantMix, TraceConfig, Workload,
 };
 use llm_serving::{AcceptanceModel, DraftModelConfig};
 use std::collections::BTreeMap;
@@ -312,6 +312,34 @@ fn run_reproduces_pre_stepping_reports_bit_for_bit() {
         "priority_preempt",
         engine_case(fair, mixed),
         PRIORITY_PREEMPT,
+    ));
+
+    // Weighted multi-tenant fair queueing on the conservative policy: a
+    // bursty noisy neighbor beside two steady tenants, one of them weighted
+    // up, with a sprinkle of high-priority requests. Pins the weights, the
+    // floor lift of tenants returning from idle, the priority-first
+    // selection, and that priority preemption is ignored without paged KV.
+    let weighted = ServingConfig::sarathi(llama3(), gpu(), 1024).with_fair_queue(
+        FairQueueConfig::new()
+            .with_weight(TenantId(0), 3.0)
+            .with_priority_preemption(true),
+    );
+    let noisy: Vec<RequestSpec> = TenantMix::noisy_neighbor(2, 2.0, 24.0, 16)
+        .generate(7)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            if i % 7 == 3 {
+                s.with_priority(Priority::High)
+            } else {
+                s
+            }
+        })
+        .collect();
+    cases.push((
+        "weighted_fair_conservative",
+        engine_case(weighted, noisy),
+        WEIGHTED_FAIR_CONSERVATIVE,
     ));
 
     // An autoscaled colocated fleet: a burst scales it out from one
@@ -801,6 +829,36 @@ const PRIORITY_PREEMPT: Golden = Golden {
     migrated_tokens: 0,
     migration_stall: 0,
     trace: "admit=12 defer=633 enqueue=8 finish=8 iteration=2177 kv_alloc=12 kv_free=12 preempt=4 timeline=15",
+};
+
+const WEIGHTED_FAIR_CONSERVATIVE: Golden = Golden {
+    makespan: 4626764806594412508,
+    completed: 80,
+    iterations: 1369,
+    hybrid: 371,
+    ttft_p50: 4608972774368238252,
+    ttft_p99: 4622205617579386921,
+    tbt_p50: 4584769785596925440,
+    tbt_max: 4588173783389538688,
+    lat_p50: 4617766519523793695,
+    stall200: 0,
+    hits: 928,
+    misses: 441,
+    prefill_tokens: 341794,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=80 enqueue=80 finish=80 iteration=1369 timeline=21",
 };
 
 const AUTOSCALED_FLEET: FleetGolden = FleetGolden {
