@@ -115,6 +115,53 @@ struct UnitRec {
     done: bool,
 }
 
+/// Every op class, in `OpClass` order (the report map's key order).
+const OP_CLASSES: [OpClass; 5] = [
+    OpClass::Prefill,
+    OpClass::Decode,
+    OpClass::ComputeBound,
+    OpClass::MemoryBound,
+    OpClass::Other,
+];
+
+/// Per-op-class totals in a flat array indexed by `OpClass as usize`; a class
+/// appears in the report once anything has been charged to it.
+#[derive(Debug, Default)]
+struct OpTotals {
+    totals: [OpClassReport; OP_CLASSES.len()],
+    seen: [bool; OP_CLASSES.len()],
+}
+
+impl OpTotals {
+    fn at(&mut self, op: OpClass) -> &mut OpClassReport {
+        self.seen[op as usize] = true;
+        &mut self.totals[op as usize]
+    }
+
+    fn into_map(self) -> BTreeMap<OpClass, OpClassReport> {
+        OP_CLASSES
+            .into_iter()
+            .filter(|&op| self.seen[op as usize])
+            .map(|op| (op, self.totals[op as usize]))
+            .collect()
+    }
+}
+
+/// One SM's compute pool: its drained-work accumulator, plus the per-unit
+/// share, total FLOP rate and smallest pending drain key that hold until its
+/// heap is next pushed or popped.
+#[derive(Debug, Clone, Copy, Default)]
+struct SmPool {
+    /// FLOPs drained per compute-active unit on this SM.
+    drained: f64,
+    /// `Shares::compute_share(demand)`.
+    share: f64,
+    /// `demand * share`.
+    rate: f64,
+    /// Key at the top of the SM's compute heap.
+    top: f64,
+}
+
 /// One CTA resident on (or retired from) the device.
 #[derive(Debug, Clone)]
 struct CtaRec {
@@ -127,15 +174,19 @@ struct CtaRec {
 }
 
 /// Incrementally-maintained state of everything currently executing: unit and
-/// CTA slabs, per-pool drained-work accumulators and the drain-event heaps.
+/// CTA slabs, per-pool drained-work accumulators, the drain-event heaps and
+/// the per-op-class totals.
 #[derive(Debug)]
 struct ActiveSet {
+    shares: Shares,
     units: Vec<UnitRec>,
     ctas: Vec<CtaRec>,
     /// Bytes drained per memory-active unit since the start of the run.
     mem_drained: f64,
-    /// FLOPs drained per compute-active unit on each SM.
-    sm_flops_drained: Vec<f64>,
+    /// Per-SM compute pools, kept current by [`ActiveSet::sync_sm`].
+    pools: Vec<SmPool>,
+    /// Bitset of SMs with compute demand (a non-empty compute heap).
+    busy: Vec<u64>,
     /// Pending compute drains per SM; `compute_heaps[sm].len()` *is* that
     /// SM's compute demand.
     compute_heaps: Vec<BinaryHeap<Reverse<Key>>>,
@@ -147,20 +198,52 @@ struct ActiveSet {
     retire_queue: Vec<usize>,
     /// Dispatched but not yet retired CTAs.
     live_ctas: usize,
+    op_classes: OpTotals,
+}
+
+/// The set bits of word `w` of a bitset, as ascending indices. The word is
+/// copied, so the bitset may change while the bits are walked.
+fn set_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            w * 64 + bit
+        })
+    })
 }
 
 impl ActiveSet {
-    fn new(num_sms: usize) -> Self {
+    fn new(num_sms: usize, shares: Shares) -> Self {
         ActiveSet {
+            shares,
             units: Vec::new(),
             ctas: Vec::new(),
             mem_drained: 0.0,
-            sm_flops_drained: vec![0.0; num_sms],
+            pools: vec![SmPool::default(); num_sms],
+            busy: vec![0; num_sms.div_ceil(64)],
             compute_heaps: (0..num_sms).map(|_| BinaryHeap::new()).collect(),
             mem_heap: BinaryHeap::new(),
             tail_heap: BinaryHeap::new(),
             retire_queue: Vec::new(),
             live_ctas: 0,
+            op_classes: OpTotals::default(),
+        }
+    }
+
+    /// Refresh `sm`'s pool and busy bit after its compute heap changed.
+    fn sync_sm(&mut self, sm: usize) {
+        let heap = &self.compute_heaps[sm];
+        let bit = 1u64 << (sm % 64);
+        match heap.peek() {
+            Some(&Reverse(Key(tok, _))) => {
+                let pool = &mut self.pools[sm];
+                pool.share = self.shares.compute_share(heap.len());
+                pool.rate = heap.len() as f64 * pool.share;
+                pool.top = tok;
+                self.busy[sm / 64] |= bit;
+            }
+            None => self.busy[sm / 64] &= !bit,
         }
     }
 
@@ -184,6 +267,7 @@ impl ActiveSet {
             retired: false,
         });
         self.live_ctas += 1;
+        self.op_classes.at(dominant_op).ctas += 1;
         for u in &work.units {
             let uid = self.units.len();
             let mut rec = UnitRec {
@@ -202,7 +286,7 @@ impl ActiveSet {
             };
             if u.flops > WORK_EPS {
                 rec.compute_pending = true;
-                self.compute_heaps[sm].push(Reverse(Key(self.sm_flops_drained[sm] + u.flops, uid)));
+                self.compute_heaps[sm].push(Reverse(Key(self.pools[sm].drained + u.flops, uid)));
             }
             if u.bytes > WORK_EPS {
                 rec.mem_pending = true;
@@ -212,6 +296,7 @@ impl ActiveSet {
             self.units.push(rec);
             self.maybe_finish_unit(uid, now);
         }
+        self.sync_sm(sm);
     }
 
     /// If both resource streams of `uid` have drained, charge the
@@ -238,16 +323,16 @@ impl ActiveSet {
 
     /// Time until the next drain/expiry event given the current shares, or
     /// `0.0` if nothing is pending (only instantly-complete CTAs remain).
-    fn next_event_dt(&self, now: f64, shares: &Shares) -> f64 {
+    fn next_event_dt(&self, now: f64) -> f64 {
         let mut dt = f64::INFINITY;
         if let Some(&Reverse(Key(tok, _))) = self.mem_heap.peek() {
-            let share = shares.mem_share(self.mem_heap.len());
+            let share = self.shares.mem_share(self.mem_heap.len());
             dt = dt.min((tok - self.mem_drained).max(0.0) / share);
         }
-        for (sm, heap) in self.compute_heaps.iter().enumerate() {
-            if let Some(&Reverse(Key(tok, _))) = heap.peek() {
-                let share = shares.compute_share(heap.len());
-                dt = dt.min((tok - self.sm_flops_drained[sm]).max(0.0) / share);
+        for (w, &word) in self.busy.iter().enumerate() {
+            for sm in set_bits(w, word) {
+                let p = &self.pools[sm];
+                dt = dt.min((p.top - p.drained).max(0.0) / p.share);
             }
         }
         if let Some(&Reverse(Key(t, _))) = self.tail_heap.peek() {
@@ -264,23 +349,16 @@ impl ActiveSet {
     /// that drained by `now` (attributing the finished work to its kernel and
     /// op-class), and return the `(flops, bytes)` moved during the interval.
     ///
-    /// One pass over the SMs: each SM's accumulator advances just before its
-    /// heap is settled. Settling an SM touches no other SM's heap, so every
-    /// share, and the SM-ordered `flops` sum, is what separate advance and
-    /// settle passes would compute.
-    fn advance(
-        &mut self,
-        dt: f64,
-        now: f64,
-        shares: &Shares,
-        kernels: &mut [KernelState],
-        op_classes: &mut BTreeMap<OpClass, OpClassReport>,
-    ) -> (f64, f64) {
+    /// One pass over the busy SMs, ascending: each SM's accumulator advances
+    /// just before its heap is settled. Settling an SM touches no other SM's
+    /// heap, so every share, and the SM-ordered `flops` sum, is what separate
+    /// advance and settle passes over all SMs would compute.
+    fn advance(&mut self, dt: f64, now: f64, kernels: &mut [KernelState]) -> (f64, f64) {
         let mut flops = 0.0;
         let mut bytes = 0.0;
         let m = self.mem_heap.len();
         if m > 0 {
-            let share = shares.mem_share(m);
+            let share = self.shares.mem_share(m);
             self.mem_drained += share * dt;
             bytes = m as f64 * share * dt;
         }
@@ -294,28 +372,32 @@ impl ActiveSet {
             u.mem_pending = false;
             u.busy_memory = now - u.start;
             kernels[self.ctas[u.cta].kernel_id].bytes += u.bytes;
-            op_classes.entry(u.op).or_default().bytes += u.bytes;
+            self.op_classes.at(u.op).bytes += u.bytes;
             self.maybe_finish_unit(uid, now);
         }
-        for sm in 0..self.compute_heaps.len() {
-            let d = self.compute_heaps[sm].len();
-            if d > 0 {
-                let share = shares.compute_share(d);
-                self.sm_flops_drained[sm] += share * dt;
-                flops += d as f64 * share * dt;
-            }
-            let eps = WORK_EPS + self.sm_flops_drained[sm].abs() * ACC_REL_EPS;
-            while let Some(&Reverse(Key(tok, uid))) = self.compute_heaps[sm].peek() {
-                if tok - self.sm_flops_drained[sm] > eps {
-                    break;
+        for w in 0..self.busy.len() {
+            for sm in set_bits(w, self.busy[w]) {
+                let p = &mut self.pools[sm];
+                p.drained += p.share * dt;
+                flops += p.rate * dt;
+                let drained = p.drained;
+                let eps = WORK_EPS + drained.abs() * ACC_REL_EPS;
+                if p.top - drained > eps {
+                    continue;
                 }
-                self.compute_heaps[sm].pop();
-                let u = &mut self.units[uid];
-                u.compute_pending = false;
-                u.busy_compute = now - u.start;
-                kernels[self.ctas[u.cta].kernel_id].flops += u.flops;
-                op_classes.entry(u.op).or_default().flops += u.flops;
-                self.maybe_finish_unit(uid, now);
+                while let Some(&Reverse(Key(tok, uid))) = self.compute_heaps[sm].peek() {
+                    if tok - drained > eps {
+                        break;
+                    }
+                    self.compute_heaps[sm].pop();
+                    let u = &mut self.units[uid];
+                    u.compute_pending = false;
+                    u.busy_compute = now - u.start;
+                    kernels[self.ctas[u.cta].kernel_id].flops += u.flops;
+                    self.op_classes.at(u.op).flops += u.flops;
+                    self.maybe_finish_unit(uid, now);
+                }
+                self.sync_sm(sm);
             }
         }
         while let Some(&Reverse(Key(t, uid))) = self.tail_heap.peek() {
@@ -338,13 +420,7 @@ impl ActiveSet {
     }
 
     /// Release the resources of every CTA whose last unit finished.
-    fn retire_complete(
-        &mut self,
-        now: f64,
-        placement: &mut Placement,
-        kernels: &mut [KernelState],
-        op_classes: &mut BTreeMap<OpClass, OpClassReport>,
-    ) {
+    fn retire_complete(&mut self, now: f64, placement: &mut Placement, kernels: &mut [KernelState]) {
         while let Some(cid) = self.retire_queue.pop() {
             let c = &mut self.ctas[cid];
             if c.retired {
@@ -355,8 +431,8 @@ impl ActiveSet {
             let ks = &mut kernels[c.kernel_id];
             ks.completed += 1;
             ks.end = now;
-            let entry = op_classes.entry(c.dominant_op).or_default();
-            entry.finish_time = entry.finish_time.max(now);
+            let class = self.op_classes.at(c.dominant_op);
+            class.finish_time = class.finish_time.max(now);
             self.live_ctas -= 1;
         }
     }
@@ -524,7 +600,6 @@ impl Engine {
         let mut total_bytes = 0.0_f64;
         let mut total_ctas = 0usize;
         let mut intervals = 0usize;
-        let mut op_classes: BTreeMap<OpClass, OpClassReport> = BTreeMap::new();
 
         let shares = Shares {
             sm_peak: self.gpu.sm_compute_flops(),
@@ -532,7 +607,7 @@ impl Engine {
             hbm: self.gpu.hbm_bandwidth,
             mem_cap: MAX_CTA_BANDWIDTH_FRACTION * self.gpu.hbm_bandwidth,
         };
-        let mut active = ActiveSet::new(num_sms);
+        let mut active = ActiveSet::new(num_sms, shares);
 
         loop {
             self.fill(
@@ -541,7 +616,6 @@ impl Engine {
                 &mut kernels,
                 &mut placement,
                 &mut active,
-                &mut op_classes,
                 &mut total_ctas,
                 time,
             )?;
@@ -568,15 +642,14 @@ impl Engine {
 
             // --- advance to the next drain/expiry event, settle drained
             // streams and expired tails, release completed CTAs ---
-            let dt = active.next_event_dt(time, &shares);
+            let dt = active.next_event_dt(time);
             time += dt;
-            let (interval_flops, interval_bytes) =
-                active.advance(dt, time, &shares, &mut kernels, &mut op_classes);
+            let (interval_flops, interval_bytes) = active.advance(dt, time, &mut kernels);
             intervals += 1;
             energy += energy_model.interval_energy(dt, interval_flops, interval_bytes);
             total_flops += interval_flops;
             total_bytes += interval_bytes;
-            active.retire_complete(time, &mut placement, &mut kernels, &mut op_classes);
+            active.retire_complete(time, &mut placement, &mut kernels);
 
             // --- pop finished kernels off their streams ---
             Self::pop_finished(&mut streams, &mut head_kernel, &kernels);
@@ -600,7 +673,7 @@ impl Engine {
             total_bytes,
             energy_joules: energy,
             kernels: kernel_reports,
-            op_classes,
+            op_classes: active.op_classes.into_map(),
             peak_flops: self.gpu.tensor_flops,
             peak_bandwidth: self.gpu.hbm_bandwidth,
             total_ctas,
@@ -643,7 +716,6 @@ impl Engine {
         kernels: &mut Vec<KernelState>,
         placement: &mut Placement,
         active: &mut ActiveSet,
-        op_classes: &mut BTreeMap<OpClass, OpClassReport>,
         total_ctas: &mut usize,
         time: f64,
     ) -> Result<(), SimError> {
@@ -725,7 +797,6 @@ impl Engine {
                         let work: CtaWork = head.dispatcher.dispatch(sm_id);
                         sm.allocate(&footprint, kid);
                         let dominant = work.dominant_op();
-                        op_classes.entry(dominant).or_default().ctas += 1;
                         active.add_cta(&work, kid, sm_id, footprint, dominant, time);
                         let ks = &mut kernels[kid];
                         ks.dispatched += 1;

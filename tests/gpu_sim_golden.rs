@@ -11,25 +11,39 @@ use fusion_lab::HybridAttentionRunner;
 use gpu_sim::{
     CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, OpClass, Stream, WorkUnit,
 };
+use pod_attention::CtasPerSm;
 
-/// The pinned fields of one report, one per line, floats as hex bits.
+/// Every field of one report, one per line, floats as hex bits.
 fn fingerprint(r: &ExecutionReport) -> String {
     let mut s = format!(
-        "makespan {:016x}\nintervals {}\ntotal_ctas {}\ntotal_flops {:016x}\ntotal_bytes {:016x}\nenergy {:016x}\n",
+        "makespan {:016x}\nintervals {}\ntotal_ctas {}\ntotal_flops {:016x}\ntotal_bytes {:016x}\nenergy {:016x}\npeaks {:016x} {:016x}\n",
         r.makespan.to_bits(),
         r.intervals,
         r.total_ctas,
         r.total_flops.to_bits(),
         r.total_bytes.to_bits(),
         r.energy_joules.to_bits(),
+        r.peak_flops.to_bits(),
+        r.peak_bandwidth.to_bits(),
     );
     for k in &r.kernels {
         s += &format!(
-            "kernel {} ctas {} start {:016x} end {:016x}\n",
+            "kernel {} ctas {} start {:016x} end {:016x} flops {:016x} bytes {:016x}\n",
             k.name,
             k.ctas,
             k.start.to_bits(),
-            k.end.to_bits()
+            k.end.to_bits(),
+            k.flops.to_bits(),
+            k.bytes.to_bits()
+        );
+    }
+    for (op, c) in &r.op_classes {
+        s += &format!(
+            "op {op} ctas {} flops {:016x} bytes {:016x} finish {:016x}\n",
+            c.ctas,
+            c.flops.to_bits(),
+            c.bytes.to_bits(),
+            c.finish_time.to_bits()
         );
     }
     s
@@ -162,6 +176,75 @@ fn fa_serial_launch() {
     check(&report, FA_SERIAL_LAUNCH);
 }
 
+/// The Llama-2-7B shapes that dominate a Figure 11 sweep's host cost.
+fn llama2(batch: HybridBatch) -> (HybridAttentionRunner, HybridBatch) {
+    (
+        HybridAttentionRunner::new(AttentionConfig::llama2_7b(), GpuConfig::a100_80gb()),
+        batch,
+    )
+}
+
+/// 4 CTAs/SM: 1,432 CTAs, every decode CTA packing two units.
+#[test]
+fn pod_four_ctas_per_sm_llama2() {
+    let (runner, batch) = llama2(HybridBatch::uniform(1024, 20 * 1024, 51, 20 * 1024));
+    let plan = runner.pod().plan(&batch);
+    assert_eq!(plan.ctas_per_sm, CtasPerSm::Four);
+    assert_eq!(plan.prefill_ctas + plan.decode_slots, 1432);
+    assert_eq!(plan.virtual_decode_ctas, 2 * plan.decode_slots);
+    let report = runner.execute(&batch, AttentionStrategy::Pod).unwrap();
+    check(&report, POD_FOUR_CTAS_PER_SM_LLAMA2);
+}
+
+/// 3,584 one-unit decode CTAs behind a short prefill.
+#[test]
+fn fa_serial_wide_decode_llama2() {
+    let (runner, batch) = llama2(HybridBatch::uniform(512, 4096, 224, 4096));
+    let report = runner.execute(&batch, AttentionStrategy::FaSerial).unwrap();
+    check(&report, FA_SERIAL_WIDE_DECODE_LLAMA2);
+}
+
+/// FNV-1a over bytes: a digest that is stable across toolchains.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every report field, under all six strategies, over 36 Figure 11 shapes:
+/// 3 models x context 4K/12K/20K x chunk 512/2048 x 16/224 decodes. One
+/// digest stands for 216 fingerprints; a mismatch means some field moved.
+#[test]
+fn fig11_subgrid_digest() {
+    let gpu = GpuConfig::a100_80gb();
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut intervals = 0;
+    for cfg in [
+        AttentionConfig::yi_6b(),
+        AttentionConfig::llama2_7b(),
+        AttentionConfig::llama3_8b(),
+    ] {
+        let runner = HybridAttentionRunner::new(cfg, gpu.clone());
+        for kib in [4, 12, 20] {
+            for chunk in [512, 2048] {
+                for decodes in [16, 224] {
+                    let batch = HybridBatch::uniform(chunk, kib * 1024, decodes, kib * 1024);
+                    for strategy in AttentionStrategy::all() {
+                        let report = runner.execute(&batch, strategy).unwrap();
+                        intervals += report.intervals;
+                        hash = fnv1a(hash, fingerprint(&report).as_bytes());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (format!("{hash:016x}"), intervals),
+        (FIG11_SUBGRID_DIGEST.to_owned(), FIG11_SUBGRID_INTERVALS),
+        "digest mismatch"
+    );
+}
+
 const TWO_CAPPED_STREAMS: &str = "\
 makespan 3f54999190813430
 intervals 1800
@@ -169,8 +252,11 @@ total_ctas 900
 total_flops 4249893c1fabc205
 total_bytes 41e26572a2ebe4f9
 energy 3fdbe232c134e55c
-kernel compute ctas 400 start 0000000000000000 end 3f4fab448fcd2453
-kernel memory ctas 500 start 0000000000000000 end 3f54999190813430
+peaks 42f1bc3292b80000 427dabddee600000
+kernel compute ctas 400 start 0000000000000000 end 3f4fab448fcd2453 flops 424967b1b372a504 bytes 41aa03c865d5a6e7
+kernel memory ctas 500 start 0000000000000000 end 3f54999190813430 flops 41d0c5361c8e8a8d bytes 41e0c5361c8e8a89
+op prefill ctas 400 flops 424967b1b372a504 bytes 41aa03c865d5a6e7 finish 3f4fab448fcd2453
+op decode ctas 500 flops 41d0c5361c8e8a8d bytes 41e0c5361c8e8a89 finish 3f54999190813430
 ";
 const KERNEL_ACTIVATING_MID_RUN: &str = "\
 makespan 3f52fa860aa0a72b
@@ -179,9 +265,13 @@ total_ctas 520
 total_flops 423b3c9bfdb25621
 total_bytes 41ddcd2c06abdc8f
 energy 3fd634a4514565af
-kernel short ctas 70 start 0000000000000000 end 3f1e3de809179307
-kernel long ctas 150 start 0000000000000000 end 3f52fa860aa0a72b
-kernel next ctas 300 start 3f1e3de809179307 end 3f45460a82271166
+peaks 42f1bc3292b80000 427dabddee600000
+kernel short ctas 70 start 0000000000000000 end 3f1e3de809179307 flops 420a70c8ae7cb454 bytes 415ab3f000000000
+kernel long ctas 150 start 0000000000000000 end 3f52fa860aa0a72b flops 4136e36000000000 bytes 41dccd9656abdc8c
+kernel next ctas 300 start 3f1e3de809179307 end 3f45460a82271166 flops 4237ee6c0482bf9a bytes 418c9c3800000000
+op compute ctas 300 flops 4237ee6c0482bf9a bytes 418c9c3800000000 finish 3f45460a82271166
+op memory ctas 150 flops 4136e36000000000 bytes 41dccd9656abdc8c finish 3f52fa860aa0a72b
+op other ctas 70 flops 420a70c8ae7cb454 bytes 415ab3f000000000 finish 3f1e3de809179307
 ";
 const SERIAL_FRACTION_TAILS: &str = "\
 makespan 3f5028774f34f6dd
@@ -190,7 +280,10 @@ total_ctas 260
 total_flops 4240f9032a075a27
 total_bytes 41d7d344c166be3c
 energy 3fd4293aa5260965
-kernel tails ctas 260 start 0000000000000000 end 3f5028774f34f6dd
+peaks 42f1bc3292b80000 427dabddee600000
+kernel tails ctas 260 start 0000000000000000 end 3f5028774f34f6dd flops 4240f9032a075a25 bytes 41d7d344c166be40
+op prefill ctas 260 flops 4240f4abf3c4d9ed bytes 41a153d4e9bf15fc finish 3f5028774f34f6dd
+op decode ctas 0 flops 41a15cd90a00df22 bytes 41d5a8ca242edb7e finish 0000000000000000
 ";
 const POD_FUSED_LAUNCH: &str = "\
 makespan 3f56ef8c55c5044a
@@ -199,7 +292,10 @@ total_ctas 480
 total_flops 424649d89d89d89b
 total_bytes 41e5444654e0836a
 energy 3fdd93eaf7920893
-kernel pod_attention ctas 480 start 0000000000000000 end 3f56ef8c55c5044a
+peaks 42f1bc3292b80000 427dabddee600000
+kernel pod_attention ctas 480 start 0000000000000000 end 3f56ef8c55c5044a flops 424649d89d89d8c4 bytes 41e5444654e08389
+op prefill ctas 384 flops 4241c9d89d89d8a6 bytes 4199e1e1e1e1e1f4 finish 3f4bac10833e6048
+op decode ctas 96 flops 4222000000000000 bytes 41e4753745d17478 finish 3f56ef8c55c5044a
 ";
 const FA_SERIAL_LAUNCH: &str = "\
 makespan 3f5f9ec98a317445
@@ -208,6 +304,36 @@ total_ctas 1280
 total_flops 424649d89d89d89e
 total_bytes 41e60082911cbfa8
 energy 3fe1f74954884657
-kernel fa2_prefill ctas 896 start 0000000000000000 end 3f431d18a5a12e8b
-kernel fa_decode ctas 384 start 3f431d18a5a12e8b end 3f5f9ec98a317445
+peaks 42f1bc3292b80000 427dabddee600000
+kernel fa2_prefill ctas 896 start 0000000000000000 end 3f431d18a5a12e8b flops 4241c9d89d89d8a7 bytes 41a8b4b4b4b4b4d4
+kernel fa_decode ctas 384 start 3f431d18a5a12e8b end 3f5f9ec98a317445 flops 4222000000000000 bytes 41e4753745d17478
+op prefill ctas 896 flops 4241c9d89d89d8a7 bytes 41a8b4b4b4b4b4d4 finish 3f431d18a5a12e8b
+op decode ctas 384 flops 4222000000000000 bytes 41e4753745d17478 finish 3f5f9ec98a317445
 ";
+const POD_FOUR_CTAS_PER_SM_LLAMA2: &str = "\
+makespan 3f78a22dec4aa69f
+intervals 590
+total_ctas 1432
+total_flops 4258ce58469ee57e
+total_bytes 4206d6c55cbfa85d
+energy 3ffc83b4db8bc63f
+peaks 42f1bc3292b80000 427dabddee600000
+kernel pod_attention ctas 1432 start 0000000000000000 end 3f78a22dec4aa69f flops 4258ce58469ee58a bytes 4206d6c55cbfa8c1
+op prefill ctas 1024 flops 4250d658469ee58b bytes 41e2e92d2d2d2d24 finish 3f761d56b3afc32c
+op decode ctas 408 flops 423fe00000000000 bytes 42021c7a11745d1c finish 3f78a22dec4aa69f
+";
+const FA_SERIAL_WIDE_DECODE_LLAMA2: &str = "\
+makespan 3f71a478b1f147fd
+intervals 268
+total_ctas 4480
+total_flops 4240eec4ec4ec4ec
+total_bytes 42004f93ceb7719c
+energy 3ff31870d0d5a5f9
+peaks 42f1bc3292b80000 427dabddee600000
+kernel fa2_prefill ctas 896 start 0000000000000000 end 3f1ee4d1f524bd23 flops 4217762762762765 bytes 41a99696969696a4
+kernel fa_decode ctas 3584 start 3f1ee4d1f524bd23 end 3f71a478b1f147fd flops 423c000000000000 bytes 41ffd272e8ba2cb7
+op prefill ctas 896 flops 4217762762762765 bytes 41a99696969696a4 finish 3f1ee4d1f524bd23
+op decode ctas 3584 flops 423c000000000000 bytes 41ffd272e8ba2cb7 finish 3f71a478b1f147fd
+";
+const FIG11_SUBGRID_DIGEST: &str = "9306e796872620d0";
+const FIG11_SUBGRID_INTERVALS: usize = 96947;
