@@ -9,7 +9,9 @@
 //! hit rate and cached-vs-exact makespan deviation) sit at the top level;
 //! every wall-clock number (engine intervals/second, batches priced/second,
 //! KV blocks allocated/second under eviction, host seconds per simulate
-//! call, the cached-vs-uncached sweep speedup) sits under `host`, so future
+//! call, including a wide Llama-2-7B decode that loads the per-CTA path
+//! where the C0 batch loads the per-interval one, the cached-vs-uncached
+//! sweep speedup) sits under `host`, so future
 //! changes have a perf trajectory to compare against.
 //!
 //! Run with `cargo bench -p pod-bench --bench criterion_kernels`.
@@ -122,6 +124,22 @@ fn main() {
                 .expect("serial executes")
         },
     ));
+    // The per-CTA path: a Llama-2-7B FA_Serial pair whose decode kernel
+    // issues 3,584 one-unit CTAs behind a short prefill.
+    let llama2 = PodAttention::new(AttentionConfig::llama2_7b(), gpu.clone());
+    let wide_decode = HybridBatch::uniform(512, 4096, 224, 4096);
+    let r_wide = bench(
+        "engine/fa_serial_simulate_llama2_wide_decode",
+        BUDGET,
+        10,
+        || {
+            llama2
+                .serial_baseline(black_box(&wide_decode))
+                .expect("serial executes")
+        },
+    );
+    let wide_decode_secs_per_call = r_wide.secs_per_iter();
+    results.push(r_wide);
 
     // --- closed-form estimator (quantized and exact) ---
     let est_quantized = AttentionEstimator::new(cfg, gpu.clone());
@@ -298,6 +316,10 @@ fn main() {
                         (
                             "fa_serial_c0_host_secs_per_call",
                             Json::Num(results[1].secs_per_iter()),
+                        ),
+                        (
+                            "fa_serial_llama2_wide_decode_host_secs_per_call",
+                            Json::Num(wide_decode_secs_per_call),
                         ),
                     ]),
                 ),

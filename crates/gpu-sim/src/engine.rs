@@ -34,6 +34,17 @@
 //! interval. Per-unit work is attributed to kernels and op-classes once, at
 //! drain time, which is exact because shares are piecewise constant.
 //!
+//! An SM's share, its total FLOP rate and its heap-top key change only when
+//! its heap is pushed (a CTA lands) or popped (a stream drains), so each SM
+//! keeps them in a flat `SmPool` refreshed at exactly those points, and a
+//! bitset marks the SMs whose heap is non-empty. An interval walks only those
+//! busy SMs, in ascending SM order, and touches an SM's heap only when its
+//! cached top says something drains there. Skipping an idle SM skips no
+//! arithmetic, and the busy SMs are visited in the order a scan of all SMs
+//! would visit them, so the interval-`flops` sum, every accumulator and
+//! every report field stay bit-identical to that scan. Op-class totals live
+//! in a fixed array and become the report's map once, at the end of the run.
+//!
 //! # Incremental placement
 //!
 //! The CTA scheduler runs before every interval, but most intervals retire
@@ -115,35 +126,21 @@ struct UnitRec {
     done: bool,
 }
 
-/// Every op class, in `OpClass` order (the report map's key order).
-const OP_CLASSES: [OpClass; 5] = [
-    OpClass::Prefill,
-    OpClass::Decode,
-    OpClass::ComputeBound,
-    OpClass::MemoryBound,
-    OpClass::Other,
-];
-
-/// Per-op-class totals in a flat array indexed by `OpClass as usize`; a class
-/// appears in the report once anything has been charged to it.
+/// Per-op-class totals in a flat array indexed by `OpClass as usize`, one
+/// slot per variant; a class enters the report once anything is charged to
+/// it.
 #[derive(Debug, Default)]
-struct OpTotals {
-    totals: [OpClassReport; OP_CLASSES.len()],
-    seen: [bool; OP_CLASSES.len()],
-}
+struct OpTotals([Option<(OpClass, OpClassReport)>; 5]);
 
 impl OpTotals {
     fn at(&mut self, op: OpClass) -> &mut OpClassReport {
-        self.seen[op as usize] = true;
-        &mut self.totals[op as usize]
+        &mut self.0[op as usize]
+            .get_or_insert((op, OpClassReport::default()))
+            .1
     }
 
     fn into_map(self) -> BTreeMap<OpClass, OpClassReport> {
-        OP_CLASSES
-            .into_iter()
-            .filter(|&op| self.seen[op as usize])
-            .map(|op| (op, self.totals[op as usize]))
-            .collect()
+        self.0.into_iter().flatten().collect()
     }
 }
 
@@ -420,7 +417,12 @@ impl ActiveSet {
     }
 
     /// Release the resources of every CTA whose last unit finished.
-    fn retire_complete(&mut self, now: f64, placement: &mut Placement, kernels: &mut [KernelState]) {
+    fn retire_complete(
+        &mut self,
+        now: f64,
+        placement: &mut Placement,
+        kernels: &mut [KernelState],
+    ) {
         while let Some(cid) = self.retire_queue.pop() {
             let c = &mut self.ctas[cid];
             if c.retired {

@@ -270,19 +270,22 @@ impl IterationCostModel {
         let params = self.model.layer_params_per_gpu();
 
         let attn = self.estimator.estimate(batch, strategy);
-        let (prefill_attention, decode_attention) =
-            if strategy == AttentionStrategy::Pod || strategy == AttentionStrategy::FiBatched {
-                // Fused execution: attribute the fused time proportionally to the
-                // two operations' standalone costs so the breakdown still sums to
-                // the iteration total.
+        let (prefill_attention, decode_attention) = match strategy {
+            AttentionStrategy::FaSerial | AttentionStrategy::FiSerial => {
+                (attn.prefill_time, attn.decode_time)
+            }
+            // Overlapped execution (fused, batched or on two streams):
+            // attribute the overlapped time proportionally to the two
+            // operations' standalone costs so the breakdown still sums to the
+            // iteration total.
+            _ => {
                 let serial_total = (attn.prefill_time + attn.decode_time).max(1e-12);
                 (
                     attn.total_time * attn.prefill_time / serial_total,
                     attn.total_time * attn.decode_time / serial_total,
                 )
-            } else {
-                (attn.prefill_time, attn.decode_time)
-            };
+            }
+        };
 
         let pre_projection = self.gemm_time(tokens, params.qkv_proj) * layers;
         let post_projection = self.gemm_time(tokens, params.out_proj) * layers;
@@ -324,6 +327,33 @@ mod tests {
 
     fn model() -> IterationCostModel {
         IterationCostModel::new(ModelConfig::llama3_8b(), GpuConfig::a100_80gb())
+    }
+
+    /// Each strategy's attention is priced at its own estimate: the two
+    /// components sum to the estimator's total per layer, so FA_Streams and
+    /// FA_HFuse are not billed as FA_Serial.
+    #[test]
+    fn breakdown_prices_each_strategy_attention() {
+        let m = model();
+        let batch = HybridBatch::uniform(1024, 8 * 1024, 64, 8 * 1024);
+        let layers = m.model.num_layers() as f64;
+        for strategy in AttentionStrategy::all() {
+            let b = m.breakdown(&batch, strategy);
+            let per_layer = (b.prefill_attention + b.decode_attention) / layers;
+            let est = m.estimator.estimate(&batch, strategy).total_time;
+            assert!(
+                (per_layer / est - 1.0).abs() < 1e-12,
+                "{strategy:?}: {per_layer} vs {est}"
+            );
+        }
+        let time = |s| m.iteration_time(&batch, s);
+        let serial = time(AttentionStrategy::FaSerial);
+        let streams = time(AttentionStrategy::FaStreams);
+        let hfuse = time(AttentionStrategy::FaHFuse);
+        assert!(
+            hfuse < streams && streams < serial,
+            "{hfuse} {streams} {serial}"
+        );
     }
 
     #[test]

@@ -113,43 +113,43 @@ impl PodAttention {
         }
     }
 
-    /// The prefill kernel model used for `batch` under the resolved
-    /// CTAs-per-SM mode.
-    fn prefill_kernel_for(&self, batch: &HybridBatch, mode: CtasPerSm) -> PrefillKernel {
-        self.options
-            .prefill_kernel(mode)
-            .with_split_policy(self.effective_split_policy(batch))
-    }
-
     /// Compute the launch plan (CTA counts, resolved mode, ratio) for a batch.
     pub fn plan(&self, batch: &HybridBatch) -> LaunchPlan {
+        self.resolve(batch).0
+    }
+
+    /// The launch plan and the prefill kernel model for the mode it resolved.
+    /// The split policy is decided once and shared by both tile shapes.
+    fn resolve(&self, batch: &HybridBatch) -> (LaunchPlan, PrefillKernel) {
+        let split = self.effective_split_policy(batch);
+        let prefill_kernel_for = |mode| self.options.prefill_kernel(mode).with_split_policy(split);
         // Resolve the CTAs-per-SM mode from the balance of the batch, using
         // the 2-CTA tile as the reference for counting prefill CTAs.
-        let probe_prefill = self
-            .prefill_kernel_for(batch, CtasPerSm::Two)
-            .map_ctas(batch, &self.cfg, &self.gpu);
+        let probe = prefill_kernel_for(CtasPerSm::Two);
+        let probe_prefill = probe.map_ctas(batch, &self.cfg, &self.gpu);
         let decode_kernel = self.options.decode_kernel();
         let virtual_decode = batch.decodes.len() * self.cfg.kv_heads_per_gpu();
         let mode = self
             .options
             .resolve_ctas_per_sm(probe_prefill, virtual_decode);
 
-        let prefill_ctas = if mode == CtasPerSm::Two {
-            probe_prefill
+        let (prefill_kernel, prefill_ctas) = if mode == CtasPerSm::Two {
+            (probe, probe_prefill)
         } else {
-            self.prefill_kernel_for(batch, mode)
-                .map_ctas(batch, &self.cfg, &self.gpu)
+            let kernel = prefill_kernel_for(mode);
+            (kernel, kernel.map_ctas(batch, &self.cfg, &self.gpu))
         };
         let virtual_decode_ctas = decode_kernel_units(&decode_kernel, batch, &self.cfg, &self.gpu);
         let decode_slots = virtual_decode_ctas.div_ceil(mode.virtual_decode_factor().max(1));
         let ratio = self.options.policy.ratios(prefill_ctas, decode_slots);
-        LaunchPlan {
+        let plan = LaunchPlan {
             prefill_ctas,
             decode_slots,
             virtual_decode_ctas,
             ctas_per_sm: mode,
             ratio,
-        }
+        };
+        (plan, prefill_kernel)
     }
 
     /// Build the fused kernel launch for a hybrid batch.
@@ -158,9 +158,8 @@ impl PodAttention {
     /// contains the corresponding specialized kernel's CTAs — fusing is a
     /// no-op but the API stays uniform.
     pub fn build_launch(&self, batch: &HybridBatch) -> KernelLaunch {
-        let plan = self.plan(batch);
+        let (plan, prefill_kernel) = self.resolve(batch);
         let mode = plan.ctas_per_sm;
-        let prefill_kernel = self.prefill_kernel_for(batch, mode);
         let decode_kernel = self.options.decode_kernel();
 
         let prefill_ctas: Vec<CtaWork> = match &batch.prefill {

@@ -176,18 +176,16 @@ fn fa_serial_launch() {
     check(&report, FA_SERIAL_LAUNCH);
 }
 
-/// The Llama-2-7B shapes that dominate a Figure 11 sweep's host cost.
-fn llama2(batch: HybridBatch) -> (HybridAttentionRunner, HybridBatch) {
-    (
-        HybridAttentionRunner::new(AttentionConfig::llama2_7b(), GpuConfig::a100_80gb()),
-        batch,
-    )
+/// Llama-2-7B: its shapes dominate a Figure 11 sweep's host cost.
+fn llama2() -> HybridAttentionRunner {
+    HybridAttentionRunner::new(AttentionConfig::llama2_7b(), GpuConfig::a100_80gb())
 }
 
 /// 4 CTAs/SM: 1,432 CTAs, every decode CTA packing two units.
 #[test]
 fn pod_four_ctas_per_sm_llama2() {
-    let (runner, batch) = llama2(HybridBatch::uniform(1024, 20 * 1024, 51, 20 * 1024));
+    let runner = llama2();
+    let batch = HybridBatch::uniform(1024, 20 * 1024, 51, 20 * 1024);
     let plan = runner.pod().plan(&batch);
     assert_eq!(plan.ctas_per_sm, CtasPerSm::Four);
     assert_eq!(plan.prefill_ctas + plan.decode_slots, 1432);
@@ -199,7 +197,8 @@ fn pod_four_ctas_per_sm_llama2() {
 /// 3,584 one-unit decode CTAs behind a short prefill.
 #[test]
 fn fa_serial_wide_decode_llama2() {
-    let (runner, batch) = llama2(HybridBatch::uniform(512, 4096, 224, 4096));
+    let runner = llama2();
+    let batch = HybridBatch::uniform(512, 4096, 224, 4096);
     let report = runner.execute(&batch, AttentionStrategy::FaSerial).unwrap();
     check(&report, FA_SERIAL_WIDE_DECODE_LLAMA2);
 }
