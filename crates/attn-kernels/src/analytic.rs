@@ -3,13 +3,16 @@
 //! The end-to-end serving experiments (Figures 12 and 15, Tables 5–7)
 //! simulate hundreds of thousands of scheduler iterations, far too many to
 //! run each one through the CTA-level contention engine. This module provides
-//! a closed-form estimate of the attention time of a hybrid batch for each
-//! execution strategy, derived from the same kernel work-models and the same
-//! roofline reasoning the engine applies. The kernel-level figures use the
-//! full simulation; the estimator is validated against it in tests.
+//! a closed-form estimate of the attention time of a hybrid batch under the
+//! two strategies serving deploys — FA_Serial (Sarathi) and POD
+//! (Sarathi+POD) — derived from the same kernel work-models and the same
+//! roofline reasoning the engine applies. The other four strategies of the
+//! kernel study (FA_Streams, FA_HFuse, FI_Serial, FI_Batched) are timed only
+//! by the CTA simulation (`fusion_lab::HybridAttentionRunner`); the estimator
+//! rejects them. The kernel-level figures use the full simulation; the
+//! estimator is validated against it in tests.
 
 use crate::batch::{DecodeRequest, HybridBatch};
-use crate::batched::BatchedPrefillKernel;
 use crate::config::AttentionConfig;
 use crate::cost::KERNEL_LAUNCH_OVERHEAD;
 use crate::decode::DecodeKernel;
@@ -31,17 +34,25 @@ pub fn quantize_tokens(x: usize) -> usize {
 type SideCost = (f64, f64, f64, f64);
 
 /// How the attention of a hybrid batch is executed.
+///
+/// The CTA simulation (`fusion_lab::HybridAttentionRunner`) runs all six
+/// strategies; the closed-form [`AttentionEstimator`], and so serving, prices
+/// only [`FaSerial`](AttentionStrategy::FaSerial) and
+/// [`Pod`](AttentionStrategy::Pod).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttentionStrategy {
     /// FlashAttention prefill kernel followed by FlashAttention decode kernel.
     FaSerial,
-    /// FlashAttention kernels on two CUDA streams.
+    /// FlashAttention kernels on two CUDA streams (CTA simulation only).
     FaStreams,
-    /// FlashAttention kernels fused warp-parallel (HFuse).
+    /// FlashAttention kernels fused warp-parallel, HFuse (CTA simulation
+    /// only).
     FaHFuse,
-    /// FlashInfer prefill kernel followed by FlashInfer decode kernel.
+    /// FlashInfer prefill kernel followed by FlashInfer decode kernel (CTA
+    /// simulation only).
     FiSerial,
-    /// Both operations computed by FlashInfer's prefill kernel (FI_Batched).
+    /// Both operations computed by FlashInfer's prefill kernel, FI_Batched
+    /// (CTA simulation only).
     FiBatched,
     /// POD-Attention: fused CTA-parallel execution with SM-aware scheduling.
     Pod,
@@ -95,8 +106,11 @@ pub struct AnalyticCost {
     pub bytes: f64,
 }
 
-/// Closed-form estimator of hybrid-batch attention time: a pure function of
-/// the batch, holding no cache, so one estimator can be shared across threads.
+/// Closed-form estimator of hybrid-batch attention time under FA_Serial and
+/// POD, the two strategies serving runs: a pure function of the batch,
+/// holding no cache, so one estimator can be shared across threads. The
+/// other strategies are timed only by the CTA simulation
+/// (`fusion_lab::HybridAttentionRunner`).
 ///
 /// # Examples
 ///
@@ -154,45 +168,33 @@ impl AttentionEstimator {
         self.quantized
     }
 
-    /// The attention configuration this estimator uses.
-    pub fn config(&self) -> &AttentionConfig {
-        &self.cfg
-    }
-
-    /// The device this estimator targets.
-    pub fn gpu(&self) -> &GpuConfig {
-        &self.gpu
-    }
-
     /// Estimate the per-layer attention time of `batch` under `strategy`.
+    ///
+    /// # Panics
+    ///
+    /// If `strategy` is not [`AttentionStrategy::FaSerial`] or
+    /// [`AttentionStrategy::Pod`]: the other strategies have no closed form
+    /// here and are timed by the CTA simulation,
+    /// `fusion_lab::HybridAttentionRunner`.
     pub fn estimate(&self, batch: &HybridBatch, strategy: AttentionStrategy) -> AnalyticCost {
         match strategy {
-            AttentionStrategy::FaSerial => self.serial(batch, false),
-            AttentionStrategy::FiSerial => self.serial(batch, true),
-            AttentionStrategy::FaStreams => self.streams(batch),
-            AttentionStrategy::FaHFuse => self.hfuse(batch),
-            AttentionStrategy::FiBatched => self.batched(batch),
+            AttentionStrategy::FaSerial => self.serial(batch),
             AttentionStrategy::Pod => self.pod(batch),
+            other => panic!(
+                "the attention estimator prices only FA_Serial and POD, not {other}; \
+                 time {other} with fusion_lab::HybridAttentionRunner"
+            ),
         }
     }
 
     /// Roofline time of the prefill chunk alone: (compute, memory, flops,
-    /// bytes), always exact.
-    fn prefill_side(
-        &self,
-        batch: &HybridBatch,
-        flashinfer: bool,
-        limited_splits: bool,
-    ) -> SideCost {
+    /// bytes), always exact. POD's prefill limits its KV splits to two waves.
+    fn prefill_side(&self, batch: &HybridBatch, pod: bool) -> SideCost {
         let Some(chunk) = &batch.prefill else {
             return (0.0, 0.0, 0.0, 0.0);
         };
-        let mut kernel = if flashinfer {
-            PrefillKernel::flashinfer()
-        } else {
-            PrefillKernel::flash_attention()
-        };
-        if limited_splits {
+        let mut kernel = PrefillKernel::flash_attention();
+        if pod {
             kernel = kernel.with_split_policy(SplitPolicy::LimitedToTwoWaves);
         }
         // O(query tiles) aggregate: flops, bytes and the CTA count without
@@ -206,7 +208,40 @@ impl AttentionEstimator {
     }
 
     /// Roofline time of the decode batch alone: (compute, memory, flops,
-    /// bytes). When quantized, priced from the `(count, quantized total
+    /// bytes), on POD's decode tile when `pod` is set, scaled for any
+    /// speculative-verify queries.
+    fn decode_side(&self, batch: &HybridBatch, pod: bool) -> SideCost {
+        if batch.decodes.is_empty() {
+            return (0.0, 0.0, 0.0, 0.0);
+        }
+        let kernel = if pod {
+            DecodeKernel::pod()
+        } else {
+            DecodeKernel::flash_attention()
+        };
+        let (flops, bytes, ctas) = self.decode_work(&kernel, batch);
+        let fp = kernel.footprint(&self.cfg);
+        let wave = self.gpu.wave_size(fp.shared_mem, fp.threads).max(1);
+        let tc = flops / self.effective_compute(ctas);
+        let tm = bytes / self.effective_bandwidth(ctas) * self.quantization_factor(ctas, wave);
+        // Speculative-verify queries ride the decode's single pass over KV —
+        // memory time and bytes are untouched — but each extra query scores
+        // against the same context as the decode it extends, so attention
+        // compute grows by `(count + extra) / count`. A batch declaring zero
+        // skips the scaling and is bit-for-bit unaffected.
+        if batch.spec_verify_tokens == 0 {
+            return (tc, tm, flops, bytes);
+        }
+        let count = batch.decodes.len() as f64;
+        let scale = (count + batch.spec_verify_tokens as f64) / count;
+        (tc * scale, tm, flops * scale, bytes)
+    }
+
+    /// `(flops, bytes, ctas)` of a non-empty decode batch on `kernel`, with
+    /// redundant passes over shared-prefix KV elided, bounded by everything
+    /// beyond one pass over the largest request.
+    ///
+    /// When quantized, priced in O(1) from the `(count, quantized total
     /// context, quantized max context, quantized dedup tokens)` aggregate: a
     /// pure function of that key, so equal keys price bit-identically. The
     /// count is kept *exact*: the CTA grid is `count × kv_heads × splits` and
@@ -214,46 +249,20 @@ impl AttentionEstimator {
     /// the count can flip a wave-quantization boundary and mis-price the
     /// batch by the cost of a partial wave (~10%) rather than the ~1.5%
     /// resolution of the token buckets. A batch declaring no sharing has a
-    /// dedup bucket of 0.
+    /// dedup bucket of 0. Otherwise priced exactly, request by request.
     ///
     /// [`quantization_factor`]: AttentionEstimator::quantization_factor
-    fn decode_side(&self, batch: &HybridBatch, flashinfer: bool, pod_tile: bool) -> SideCost {
-        if batch.decodes.is_empty() {
-            return (0.0, 0.0, 0.0, 0.0);
+    fn decode_work(&self, kernel: &DecodeKernel, batch: &HybridBatch) -> (f64, f64, usize) {
+        let (mut total, mut max_ctx) = (0usize, 0usize);
+        for d in &batch.decodes {
+            total += d.context_len;
+            max_ctx = max_ctx.max(d.context_len);
         }
-        self.apply_spec_verify(self.decode_side_base(batch, flashinfer, pod_tile), batch)
-    }
-
-    /// Scale a decode-side cost for the extra speculative-verify query
-    /// tokens the batch declares. Verify queries ride the decode's single
-    /// pass over KV — memory time and bytes are untouched — but each extra
-    /// query scores against the same context as the decode it extends, so
-    /// attention compute grows by `(count + extra) / count`. Applied to the
-    /// base cost with the batch's verify count as given, so a batch declaring
-    /// zero is bit-for-bit unaffected (the scaling is skipped entirely).
-    fn apply_spec_verify(&self, cost: SideCost, batch: &HybridBatch) -> SideCost {
-        if batch.spec_verify_tokens == 0 {
-            return cost;
-        }
-        let count = batch.decodes.len() as f64;
-        let scale = (count + batch.spec_verify_tokens as f64) / count;
-        let (tc, tm, flops, bytes) = cost;
-        (tc * scale, tm, flops * scale, bytes)
-    }
-
-    /// The quantized (or exact) decode-side cost before speculative-verify
-    /// scaling: the body of [`AttentionEstimator::decode_side`].
-    fn decode_side_base(&self, batch: &HybridBatch, flashinfer: bool, pod_tile: bool) -> SideCost {
+        // Dedup can never elide the one mandatory pass over the largest
+        // context; clamping before quantization keeps the key canonical.
+        let dedup = batch.kv_dedup_tokens.min(total.saturating_sub(max_ctx));
         if self.quantized {
             let count = batch.decodes.len();
-            let (mut total, mut max_ctx) = (0usize, 0usize);
-            for d in &batch.decodes {
-                total += d.context_len;
-                max_ctx = max_ctx.max(d.context_len);
-            }
-            // Dedup can never elide the one mandatory pass over the largest
-            // context; clamping before quantization keeps the key canonical.
-            let dedup = batch.kv_dedup_tokens.min(total.saturating_sub(max_ctx));
             // The total and max buckets quantize independently (~1/128
             // relative error each), which can push the quantized total just
             // past `count × quantized max` — an aggregate no real batch can
@@ -262,75 +271,14 @@ impl AttentionEstimator {
             let qmax = quantize_tokens(max_ctx);
             let qtotal = quantize_tokens(total).min(count.saturating_mul(qmax));
             let qdedup = quantize_tokens(dedup);
-            return self.decode_side_aggregate(count, qtotal, qmax, qdedup, flashinfer, pod_tile);
+            return kernel.aggregate_work(count, qtotal, qmax, qdedup, &self.cfg, &self.gpu);
         }
-        self.decode_side_raw(&batch.decodes, batch.kv_dedup_tokens, flashinfer, pod_tile)
-    }
-
-    /// Price a decode batch from its `(count, total, max, dedup)` aggregate
-    /// alone — O(1) instead of O(count): the quantized path.
-    fn decode_side_aggregate(
-        &self,
-        count: usize,
-        total_context: usize,
-        max_context: usize,
-        dedup_tokens: usize,
-        flashinfer: bool,
-        pod_tile: bool,
-    ) -> SideCost {
-        if count == 0 {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        let kernel = decode_kernel(flashinfer, pod_tile);
-        let (flops, bytes, ctas) = kernel.aggregate_work(
-            count,
-            total_context,
-            max_context,
-            dedup_tokens,
-            &self.cfg,
-            &self.gpu,
-        );
-        let fp = kernel.footprint(&self.cfg);
-        let wave = self.gpu.wave_size(fp.shared_mem, fp.threads).max(1);
-        let tc = flops / self.effective_compute(ctas);
-        let tm = bytes / self.effective_bandwidth(ctas) * self.quantization_factor(ctas, wave);
-        (tc, tm, flops, bytes)
-    }
-
-    fn decode_side_raw(
-        &self,
-        decodes: &[DecodeRequest],
-        dedup_tokens: usize,
-        flashinfer: bool,
-        pod_tile: bool,
-    ) -> SideCost {
-        if decodes.is_empty() {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        let kernel = decode_kernel(flashinfer, pod_tile);
-        // As on the prefill side: one grid build serves flops, bytes and the
-        // CTA count.
-        let units = kernel.build_units(decodes, &self.cfg, &self.gpu);
-        let flops: f64 = units.iter().map(|u| u.flops).sum();
-        let mut bytes: f64 = units.iter().map(|u| u.bytes).sum();
-        if dedup_tokens > 0 {
-            // Same shared/unique split as the aggregate path: redundant
-            // passes over shared-prefix KV are elided, bounded by everything
-            // beyond one pass over the largest request.
-            let (mut total, mut max_ctx) = (0usize, 0usize);
-            for d in decodes {
-                total += d.context_len;
-                max_ctx = max_ctx.max(d.context_len);
-            }
-            let dedup = dedup_tokens.min(total.saturating_sub(max_ctx));
+        // One walk of the grid serves flops, bytes and the CTA count.
+        let (flops, mut bytes, ctas) = kernel.work(&batch.decodes, &self.cfg, &self.gpu);
+        if dedup > 0 {
             bytes -= kernel.dedup_bytes_saved(dedup, &self.cfg);
         }
-        let ctas = units.len();
-        let fp = kernel.footprint(&self.cfg);
-        let wave = self.gpu.wave_size(fp.shared_mem, fp.threads).max(1);
-        let tc = flops / self.effective_compute(ctas);
-        let tm = bytes / self.effective_bandwidth(ctas) * self.quantization_factor(ctas, wave);
-        (tc, tm, flops, bytes)
+        (flops, bytes, ctas)
     }
 
     /// Compute throughput achievable by `ctas` concurrent CTAs.
@@ -360,9 +308,9 @@ impl AttentionEstimator {
         (effective_waves / (ctas as f64 / wave as f64)).max(1.0)
     }
 
-    fn serial(&self, batch: &HybridBatch, flashinfer: bool) -> AnalyticCost {
-        let (pc, pm, pf, pb) = self.prefill_side(batch, flashinfer, false);
-        let (dc, dm, df, db) = self.decode_side(batch, flashinfer, false);
+    fn serial(&self, batch: &HybridBatch) -> AnalyticCost {
+        let (pc, pm, pf, pb) = self.prefill_side(batch, false);
+        let (dc, dm, df, db) = self.decode_side(batch, false);
         let prefill_time = pc.max(pm) + overhead_if(batch.has_prefill());
         let decode_time = dc.max(dm) + overhead_if(batch.has_decode());
         AnalyticCost {
@@ -374,79 +322,13 @@ impl AttentionEstimator {
         }
     }
 
-    fn streams(&self, batch: &HybridBatch) -> AnalyticCost {
-        let serial = self.serial(batch, false);
-        if !batch.has_prefill() || !batch.has_decode() {
-            return serial;
-        }
-        // Streams only overlap the tail of the first kernel with the second:
-        // a small, quantization-sized fraction of the shorter operation.
-        let longer = serial.prefill_time.max(serial.decode_time);
-        let shorter = serial.prefill_time.min(serial.decode_time);
-        let total = (longer + 0.85 * shorter).max(longer);
-        AnalyticCost {
-            total_time: total,
-            ..serial
-        }
-    }
-
-    fn hfuse(&self, batch: &HybridBatch) -> AnalyticCost {
-        let serial = self.serial(batch, false);
-        if !batch.has_prefill() || !batch.has_decode() {
-            return serial;
-        }
-        let (pc, pm, _, _) = self.prefill_side(batch, false, false);
-        let (dc, dm, _, _) = self.decode_side(batch, false, false);
-        // Warp-parallel fusion guarantees co-location, so compute and memory
-        // overlap; but each fused CTA is held until its slower half finishes,
-        // which wastes a fraction of the machine proportional to the
-        // imbalance between the two operations (the straggler effect).
-        let ideal = (pc + dc).max(pm + dm);
-        let p = pc.max(pm);
-        let d = dc.max(dm);
-        let imbalance = ((p - d).abs() / (p + d).max(1e-12)).min(1.0);
-        let total = (ideal * (1.0 + 0.45 * imbalance) + KERNEL_LAUNCH_OVERHEAD)
-            .min(serial.total_time * 1.15);
-        AnalyticCost {
-            total_time: total,
-            ..serial
-        }
-    }
-
-    fn batched(&self, batch: &HybridBatch) -> AnalyticCost {
-        // FI_Batched runs everything through the prefill kernel's grid and
-        // has no per-group KV streaming to share, so it ignores
-        // [`HybridBatch::kv_dedup_tokens`] — matching the real kernel, which
-        // gains nothing from prefix-shared decodes. It likewise ignores
-        // [`HybridBatch::spec_verify_tokens`]: the serving layer only forms
-        // speculative batches on the FA/POD strategies it deploys.
-        let kernel = BatchedPrefillKernel::flashinfer();
-        let units = kernel.build_units(batch, &self.cfg, &self.gpu);
-        let flops: f64 = units.iter().map(|u| u.flops).sum();
-        let bytes: f64 = units.iter().map(|u| u.bytes).sum();
-        let ctas = units.len();
-        let fp = kernel.footprint(&self.cfg);
-        let wave = self.gpu.wave_size(fp.shared_mem, fp.threads).max(1);
-        let tc = flops / self.effective_compute(ctas);
-        let tm = bytes / self.effective_bandwidth(ctas);
-        let total = tc.max(tm) * self.quantization_factor(ctas, wave) + KERNEL_LAUNCH_OVERHEAD;
-        let serial = self.serial(batch, true);
-        AnalyticCost {
-            prefill_time: serial.prefill_time,
-            decode_time: serial.decode_time,
-            total_time: total,
-            flops,
-            bytes,
-        }
-    }
-
     fn pod(&self, batch: &HybridBatch) -> AnalyticCost {
-        let serial = self.serial(batch, false);
+        let serial = self.serial(batch);
         if !batch.has_prefill() || !batch.has_decode() {
             return serial;
         }
-        let (pc, pm, pf, pb) = self.prefill_side(batch, false, true);
-        let (dc, dm, df, db) = self.decode_side(batch, false, true);
+        let (pc, pm, pf, pb) = self.prefill_side(batch, true);
+        let (dc, dm, df, db) = self.decode_side(batch, true);
         // CTA-parallel fusion with SM-aware scheduling: prefill keeps the
         // tensor pipes busy while decode streams the KV cache, so the fused
         // time approaches max(total compute, total memory). The overlap
@@ -503,25 +385,37 @@ pub fn canonical_decodes(
     decodes
 }
 
-/// The decode-kernel variant a strategy's flags select.
-fn decode_kernel(flashinfer: bool, pod_tile: bool) -> DecodeKernel {
-    if pod_tile {
-        DecodeKernel::pod()
-    } else if flashinfer {
-        DecodeKernel::flashinfer()
-    } else {
-        DecodeKernel::flash_attention()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::HybridBatch;
     use gpu_sim::Engine;
 
+    /// The strategies the estimator prices.
+    const SERVED: [AttentionStrategy; 2] = [AttentionStrategy::FaSerial, AttentionStrategy::Pod];
+
     fn estimator() -> AttentionEstimator {
         AttentionEstimator::new(AttentionConfig::llama3_8b(), GpuConfig::a100_80gb())
+    }
+
+    fn exact_estimator() -> AttentionEstimator {
+        AttentionEstimator::exact(AttentionConfig::llama3_8b(), GpuConfig::a100_80gb())
+    }
+
+    /// The quantized estimate of `batch` lies within 3% of the exact one
+    /// under every priced strategy.
+    fn assert_tracks_exact(batch: &HybridBatch) {
+        let (quantized, exact) = (estimator(), exact_estimator());
+        for strategy in SERVED {
+            let fast = quantized.estimate(batch, strategy).total_time;
+            let slow = exact.estimate(batch, strategy).total_time;
+            let rel = (fast - slow).abs() / slow.max(1e-12);
+            assert!(
+                rel < 0.03,
+                "{strategy}: quantized {fast} vs exact {slow} ({:.2}% off)",
+                rel * 100.0
+            );
+        }
     }
 
     #[test]
@@ -573,36 +467,12 @@ mod tests {
         }
     }
 
+    /// Strategies without a closed form are rejected by name, pointing at the
+    /// CTA simulation that times them.
     #[test]
-    fn streams_and_hfuse_fall_between_serial_and_pod() {
-        let est = estimator();
-        let batch = HybridBatch::config_c1();
-        let serial = est.estimate(&batch, AttentionStrategy::FaSerial).total_time;
-        let streams = est
-            .estimate(&batch, AttentionStrategy::FaStreams)
-            .total_time;
-        let pod = est.estimate(&batch, AttentionStrategy::Pod).total_time;
-        assert!(streams <= serial);
-        assert!(pod <= streams);
-    }
-
-    #[test]
-    fn fi_batched_degrades_at_long_context() {
-        let est = estimator();
-        let long = HybridBatch::uniform(1024, 16 * 1024, 64, 16 * 1024);
-        let serial = est.estimate(&long, AttentionStrategy::FaSerial).total_time;
-        let batched = est.estimate(&long, AttentionStrategy::FiBatched).total_time;
-        assert!(batched > serial, "batched {batched} vs serial {serial}");
-    }
-
-    #[test]
-    fn fi_serial_modestly_better_than_fa_serial() {
-        let est = estimator();
-        let batch = HybridBatch::config_c0();
-        let fa = est.estimate(&batch, AttentionStrategy::FaSerial).total_time;
-        let fi = est.estimate(&batch, AttentionStrategy::FiSerial).total_time;
-        assert!(fi < fa);
-        assert!(fi > 0.75 * fa);
+    #[should_panic(expected = "prices only FA_Serial and POD, not FA_HFuse")]
+    fn unpriced_strategies_are_rejected() {
+        estimator().estimate(&HybridBatch::config_c1(), AttentionStrategy::FaHFuse);
     }
 
     /// The analytic serial estimate tracks the CTA-level simulation.
@@ -630,16 +500,12 @@ mod tests {
     }
 
     /// The quantized fast path agrees with exact pricing within the decode
-    /// quantization resolution, for every strategy, including heterogeneous
+    /// quantization resolution, for both priced strategies, including heterogeneous
     /// decode contexts.
     #[test]
     fn memoized_estimates_track_exact_estimates() {
-        let cfg = AttentionConfig::llama3_8b();
-        let gpu = GpuConfig::a100_80gb();
-        let quantized = AttentionEstimator::new(cfg, gpu.clone());
-        let exact = AttentionEstimator::exact(cfg, gpu);
-        assert!(quantized.is_quantized());
-        assert!(!exact.is_quantized());
+        assert!(estimator().is_quantized());
+        assert!(!exact_estimator().is_quantized());
         let mut heterogeneous = HybridBatch::uniform(1024, 9 * 1024, 0, 0);
         for i in 0..70 {
             heterogeneous.push_decode(4 * 1024 + 137 * i);
@@ -656,16 +522,7 @@ mod tests {
             HybridBatch::uniform(512, 4096, 217, 2085),
             HybridBatch::uniform(512, 4096, 216, 2085),
         ] {
-            for strategy in AttentionStrategy::all() {
-                let fast = quantized.estimate(&batch, strategy).total_time;
-                let slow = exact.estimate(&batch, strategy).total_time;
-                let rel = (fast - slow).abs() / slow.max(1e-12);
-                assert!(
-                    rel < 0.03,
-                    "{strategy}: quantized {fast} vs exact {slow} ({:.2}% off)",
-                    rel * 100.0
-                );
-            }
+            assert_tracks_exact(&batch);
         }
     }
 
@@ -673,12 +530,9 @@ mod tests {
     /// bit-identical on the paper's Table 1 configurations.
     #[test]
     fn memoization_is_exact_on_uniform_batches() {
-        let cfg = AttentionConfig::llama3_8b();
-        let gpu = GpuConfig::a100_80gb();
-        let quantized = AttentionEstimator::new(cfg, gpu.clone());
-        let exact = AttentionEstimator::exact(cfg, gpu);
+        let (quantized, exact) = (estimator(), exact_estimator());
         let batch = HybridBatch::config_c0();
-        for strategy in [AttentionStrategy::FaSerial, AttentionStrategy::Pod] {
+        for strategy in SERVED {
             let fast = quantized.estimate(&batch, strategy);
             let slow = exact.estimate(&batch, strategy);
             // Identical up to float associativity (the aggregate path
@@ -696,16 +550,15 @@ mod tests {
     }
 
     /// Declaring shared-prefix dedup strictly lowers the estimate of a
-    /// memory-bound decode batch for every strategy that streams decode KV
-    /// per request (FI_Batched has no per-group streaming and ignores it),
-    /// and declaring zero leaves every estimate bit-for-bit unchanged.
+    /// memory-bound decode batch under both priced strategies, and declaring
+    /// zero leaves every estimate bit-for-bit unchanged.
     #[test]
     fn kv_dedup_lowers_decode_estimates_and_zero_is_inert() {
         let est = estimator();
         let base = HybridBatch::uniform(1024, 12 * 1024, 80, 12 * 1024);
         // 40 of the 80 decodes share a 4K-token prefix: 39 redundant passes.
         let deduped = base.clone().with_kv_dedup(39 * 4096);
-        for strategy in AttentionStrategy::all() {
+        for strategy in SERVED {
             let plain = est.estimate(&base, strategy);
             let inert = est.estimate(&base.clone().with_kv_dedup(0), strategy);
             assert_eq!(plain.total_time.to_bits(), inert.total_time.to_bits());
@@ -716,17 +569,13 @@ mod tests {
                 shared.flops.to_bits(),
                 "{strategy}: dedup must not change FLOPs"
             );
-            if strategy == AttentionStrategy::FiBatched {
-                assert_eq!(plain.total_time.to_bits(), shared.total_time.to_bits());
-            } else {
-                assert!(
-                    shared.total_time < plain.total_time,
-                    "{strategy}: {} !< {}",
-                    shared.total_time,
-                    plain.total_time
-                );
-                assert!(shared.bytes < plain.bytes, "{strategy}");
-            }
+            assert!(
+                shared.total_time < plain.total_time,
+                "{strategy}: {} !< {}",
+                shared.total_time,
+                plain.total_time
+            );
+            assert!(shared.bytes < plain.bytes, "{strategy}");
         }
     }
 
@@ -734,10 +583,6 @@ mod tests {
     /// batches too (the dedup bucket quantizes like the token buckets).
     #[test]
     fn memoized_dedup_estimates_track_exact_estimates() {
-        let cfg = AttentionConfig::llama3_8b();
-        let gpu = GpuConfig::a100_80gb();
-        let quantized = AttentionEstimator::new(cfg, gpu.clone());
-        let exact = AttentionEstimator::exact(cfg, gpu);
         let mut heterogeneous = HybridBatch::uniform(512, 4096, 0, 0);
         for i in 0..48 {
             heterogeneous.push_decode(6 * 1024 + 211 * i);
@@ -747,22 +592,13 @@ mod tests {
             HybridBatch::uniform(512, 5000, 33, 7777).with_kv_dedup(16 * 2048),
             heterogeneous.with_kv_dedup(24 * 1024),
         ] {
-            for strategy in AttentionStrategy::all() {
-                let fast = quantized.estimate(&batch, strategy).total_time;
-                let slow = exact.estimate(&batch, strategy).total_time;
-                let rel = (fast - slow).abs() / slow.max(1e-12);
-                assert!(
-                    rel < 0.03,
-                    "{strategy}: quantized {fast} vs exact {slow} ({:.2}% off)",
-                    rel * 100.0
-                );
-            }
+            assert_tracks_exact(&batch);
         }
     }
 
     /// Declaring speculative-verify tokens strictly raises decode *compute*
     /// (each verify query scores against the full context) without touching
-    /// bytes, for every per-request decode strategy; declaring zero leaves
+    /// bytes, under both priced strategies; declaring zero leaves
     /// every estimate bit-for-bit unchanged, and speculation is never priced
     /// cheaper than the plain batch it extends.
     #[test]
@@ -772,16 +608,12 @@ mod tests {
         let base = HybridBatch::uniform(1024, 12 * 1024, 220, 12 * 1024);
         // 220 decodes each verifying 4 drafts: 3 extra queries per decode.
         let spec = base.clone().with_spec_verify(220 * 3);
-        for strategy in AttentionStrategy::all() {
+        for strategy in SERVED {
             let plain = est.estimate(&base, strategy);
             let inert = est.estimate(&base.clone().with_spec_verify(0), strategy);
             assert_eq!(plain.total_time.to_bits(), inert.total_time.to_bits());
             assert_eq!(plain.flops.to_bits(), inert.flops.to_bits());
             let verify = est.estimate(&spec, strategy);
-            if strategy == AttentionStrategy::FiBatched {
-                assert_eq!(plain.total_time.to_bits(), verify.total_time.to_bits());
-                continue;
-            }
             assert_eq!(
                 verify.bytes.to_bits(),
                 plain.bytes.to_bits(),
@@ -815,22 +647,13 @@ mod tests {
     /// spec batch does not perturb the price of its plain twin.
     #[test]
     fn memoized_spec_estimates_track_exact_estimates() {
-        let cfg = AttentionConfig::llama3_8b();
-        let gpu = GpuConfig::a100_80gb();
-        let quantized = AttentionEstimator::new(cfg, gpu.clone());
-        let exact = AttentionEstimator::exact(cfg, gpu);
+        let quantized = estimator();
         let base = HybridBatch::uniform(512, 5000, 33, 7777);
         let spec = base.clone().with_spec_verify(33 * 5);
-        for strategy in AttentionStrategy::all() {
+        assert_tracks_exact(&spec);
+        for strategy in SERVED {
             let before = quantized.estimate(&base, strategy).total_time;
-            let fast = quantized.estimate(&spec, strategy).total_time;
-            let slow = exact.estimate(&spec, strategy).total_time;
-            let rel = (fast - slow).abs() / slow.max(1e-12);
-            assert!(
-                rel < 0.03,
-                "{strategy}: quantized {fast} vs exact {slow} ({:.2}% off)",
-                rel * 100.0
-            );
+            quantized.estimate(&spec, strategy);
             let after = quantized.estimate(&base, strategy).total_time;
             assert_eq!(before.to_bits(), after.to_bits(), "{strategy}");
         }

@@ -127,23 +127,43 @@ impl DecodeKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> Vec<WorkUnit> {
-        if decodes.is_empty() {
-            return Vec::new();
-        }
-        let kv_heads = cfg.kv_heads_per_gpu();
+        let (ctas, walk) = self.grid(decodes, cfg, gpu);
+        let mut units = Vec::with_capacity(ctas);
+        units.extend(walk.map(|(flops, bytes)| WorkUnit::new(OpClass::Decode, flops, bytes)));
+        units
+    }
+
+    /// Exact `(flops, bytes, ctas)` of a decode batch, summed over one walk
+    /// of the grid in unit order: bit-identical to summing
+    /// [`DecodeKernel::build_units`], without materializing it.
+    pub(crate) fn work(
+        &self,
+        decodes: &[DecodeRequest],
+        cfg: &AttentionConfig,
+        gpu: &GpuConfig,
+    ) -> (f64, f64, usize) {
+        let (ctas, walk) = self.grid(decodes, cfg, gpu);
+        let (flops, bytes) = walk.fold((0.0, 0.0), |(f, b), (uf, ub)| (f + uf, b + ub));
+        (flops, bytes, ctas)
+    }
+
+    /// The CTA count of a decode batch's grid and a walk of its per-CTA
+    /// `(flops, bytes)` in launch order, request-major: the one grid
+    /// definition behind [`DecodeKernel::build_units`] and
+    /// [`DecodeKernel::work`].
+    fn grid<'a>(
+        &'a self,
+        decodes: &'a [DecodeRequest],
+        cfg: &'a AttentionConfig,
+        gpu: &GpuConfig,
+    ) -> (usize, impl Iterator<Item = (f64, f64)> + 'a) {
         let max_context = decodes.iter().map(|r| r.context_len).max().unwrap_or(0);
         let splits = self.num_splits(decodes.len(), max_context, cfg, gpu);
-
-        let mut units = Vec::with_capacity(decodes.len() * kv_heads * splits);
-        for req in decodes {
-            let (flops, bytes) = self.unit_work(req.context_len, splits, cfg);
-            for _h in 0..kv_heads {
-                for _s in 0..splits {
-                    units.push(WorkUnit::new(OpClass::Decode, flops, bytes));
-                }
-            }
-        }
-        units
+        let per_request = cfg.kv_heads_per_gpu() * splits;
+        let walk = decodes.iter().flat_map(move |req| {
+            std::iter::repeat(self.unit_work(req.context_len, splits, cfg)).take(per_request)
+        });
+        (decodes.len() * per_request, walk)
     }
 
     /// Tensor FLOPs and HBM bytes of *one* CTA serving one request at
@@ -247,10 +267,7 @@ impl DecodeKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> f64 {
-        self.build_units(decodes, cfg, gpu)
-            .iter()
-            .map(|u| u.flops)
-            .sum()
+        self.work(decodes, cfg, gpu).0
     }
 
     /// Total HBM bytes across the batch.
@@ -260,10 +277,7 @@ impl DecodeKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> f64 {
-        self.build_units(decodes, cfg, gpu)
-            .iter()
-            .map(|u| u.bytes)
-            .sum()
+        self.work(decodes, cfg, gpu).1
     }
 
     /// Build a ready-to-submit [`KernelLaunch`] for a decode batch.

@@ -12,6 +12,12 @@
 //! co-location, contention, utilization — is left to the simulator, exactly
 //! as it is left to the hardware on a real GPU.
 //!
+//! The crate also holds [`AttentionEstimator`], a closed-form price of a
+//! hybrid batch for the serving simulator. It prices the two strategies
+//! serving runs, FA_Serial and POD, from the same work-models; the other
+//! [`AttentionStrategy`] variants are timed only by the CTA simulation
+//! (`fusion_lab::HybridAttentionRunner`).
+//!
 //! # Example: the prefill/decode utilization gap (Figure 1)
 //!
 //! ```

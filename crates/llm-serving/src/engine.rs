@@ -193,7 +193,9 @@ pub struct ServingConfig {
     pub gpu: GpuConfig,
     /// Batch-formation policy.
     pub scheduler: SchedulerKind,
-    /// How hybrid-batch attention is computed.
+    /// How hybrid-batch attention is computed: FA_Serial or POD, the two
+    /// strategies the closed-form estimator prices (see
+    /// [`ServingEngine::new`]).
     pub attention: AttentionStrategy,
     /// Maximum concurrent requests in the decode phase.
     pub max_batch_size: usize,
@@ -371,14 +373,10 @@ impl ServingConfig {
     /// speculative decode).
     pub fn system_label(&self) -> String {
         let flag = |on: bool, label: &'static str| if on { label } else { "" };
-        let attn = match self.attention {
-            AttentionStrategy::Pod => "+POD".to_string(),
-            AttentionStrategy::FaSerial => String::new(),
-            other => format!("[{other}]"),
-        };
         format!(
-            "{}{attn}{}{}{}{}{}",
+            "{}{}{}{}{}{}{}",
             self.scheduler.label(),
+            flag(self.attention == AttentionStrategy::Pod, "+POD"),
             self.kv_policy.label_suffix(),
             flag(
                 self.decode_dedup && self.kv_policy.prefix_caching(),
@@ -811,7 +809,21 @@ pub struct ServingEngine {
 
 impl ServingEngine {
     /// Create an engine from a configuration, with an empty request queue.
+    ///
+    /// # Panics
+    ///
+    /// If `config.attention` is neither FA_Serial nor POD, the only
+    /// strategies the closed-form estimator prices.
     pub fn new(config: ServingConfig) -> Self {
+        let attention = config.attention;
+        assert!(
+            matches!(
+                attention,
+                AttentionStrategy::FaSerial | AttentionStrategy::Pod
+            ),
+            "serving runs FA_Serial or POD attention, not {attention}; time {attention} \
+             with fusion_lab::HybridAttentionRunner"
+        );
         let cost_model = |model: ModelConfig| {
             if config.price_cache {
                 IterationCostModel::new(model, config.gpu.clone())
@@ -2174,6 +2186,16 @@ mod tests {
         config.kv_capacity_tokens = Some(1_000);
         let engine = ServingEngine::new(config);
         let _ = engine.run(vec![RequestSpec::new(0.0, 4096, 64)]);
+    }
+
+    /// A strategy the estimator cannot price fails when the engine is built,
+    /// not at its first iteration.
+    #[test]
+    #[should_panic(expected = "serving runs FA_Serial or POD attention, not FA_Streams")]
+    fn unpriced_attention_is_rejected_at_construction() {
+        let mut config = ServingConfig::sarathi(llama3(), gpu(), 1024);
+        config.attention = AttentionStrategy::FaStreams;
+        let _ = ServingEngine::new(config);
     }
 
     #[test]

@@ -173,17 +173,12 @@ fn estimator_orderings_hold() {
         ] {
             let serial = est.estimate(&batch, AttentionStrategy::FaSerial);
             let pod = est.estimate(&batch, AttentionStrategy::Pod);
-            let streams = est.estimate(&batch, AttentionStrategy::FaStreams);
             let quantized = est.is_quantized();
             assert!(
                 pod.total_time <= serial.total_time + 1e-12,
                 "case {case} (quantized={quantized}): pod {} > serial {}",
                 pod.total_time,
                 serial.total_time
-            );
-            assert!(
-                streams.total_time <= serial.total_time + 1e-12,
-                "case {case} (quantized={quantized})"
             );
             assert!(pod.total_time > 0.0, "case {case} (quantized={quantized})");
             assert!(serial.flops >= 0.0 && serial.bytes >= 0.0, "case {case}");
