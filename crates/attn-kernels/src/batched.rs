@@ -16,7 +16,7 @@ use crate::cost::{
 };
 use crate::prefill::{PrefillKernel, SplitPolicy};
 use crate::tiles::TileShape;
-use gpu_sim::{CtaWork, Footprint, GpuConfig, KernelLaunch, OpClass, WorkUnit};
+use gpu_sim::{Footprint, GpuConfig, KernelLaunch, OpClass, WorkUnit};
 
 /// Work-model of a prefill-style kernel applied to an entire hybrid batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,12 +89,8 @@ impl BatchedPrefillKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> KernelLaunch {
-        let ctas: Vec<CtaWork> = self
-            .build_units(batch, cfg, gpu)
-            .into_iter()
-            .map(|u| CtaWork { units: vec![u] })
-            .collect();
-        KernelLaunch::from_ctas(name, self.footprint(cfg), ctas)
+        let runs = self.build_units(batch, cfg, gpu).into_iter().collect();
+        KernelLaunch::from_runs(name, self.footprint(cfg), runs)
     }
 }
 

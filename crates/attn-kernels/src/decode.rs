@@ -12,7 +12,7 @@ use crate::batch::DecodeRequest;
 use crate::config::AttentionConfig;
 use crate::cost::{attention_flops_per_head, kv_bytes_per_head, q_bytes_per_head};
 use crate::tiles::TileShape;
-use gpu_sim::{CtaWork, Footprint, GpuConfig, KernelLaunch, OpClass, WorkUnit};
+use gpu_sim::{Footprint, GpuConfig, KernelLaunch, OpClass, UnitRuns, WorkUnit};
 
 /// How many query rows the decode kernel actually runs through the tensor
 /// cores per CTA.
@@ -117,24 +117,38 @@ impl DecodeKernel {
         wanted.min(self.tile.kv_tiles(max_context).max(1)).max(1)
     }
 
-    /// Build the per-CTA work units for a batch of decode requests.
+    /// The kernel's grid for a batch of decode requests as unit runs: one
+    /// run per request, of one unit per (KV head, KV split) CTA, in launch
+    /// order. Building it costs O(requests).
     ///
-    /// Each unit corresponds to one CTA of the grid
-    /// `(requests) × (KV heads per GPU) × (KV splits)`.
+    /// The grid is `(requests) × (KV heads per GPU) × (KV splits)` CTAs.
+    pub fn unit_runs(
+        &self,
+        decodes: &[DecodeRequest],
+        cfg: &AttentionConfig,
+        gpu: &GpuConfig,
+    ) -> UnitRuns {
+        let (per_request, walk) = self.grid(decodes, cfg, gpu);
+        let mut runs = UnitRuns::new();
+        for (flops, bytes) in walk {
+            runs.push(WorkUnit::new(OpClass::Decode, flops, bytes), per_request);
+        }
+        runs
+    }
+
+    /// Build the per-CTA work units for a batch of decode requests:
+    /// [`DecodeKernel::unit_runs`] expanded, one unit per CTA.
     pub fn build_units(
         &self,
         decodes: &[DecodeRequest],
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> Vec<WorkUnit> {
-        let (ctas, walk) = self.grid(decodes, cfg, gpu);
-        let mut units = Vec::with_capacity(ctas);
-        units.extend(walk.map(|(flops, bytes)| WorkUnit::new(OpClass::Decode, flops, bytes)));
-        units
+        self.unit_runs(decodes, cfg, gpu).iter().collect()
     }
 
-    /// Exact `(flops, bytes, ctas)` of a decode batch, summed over one walk
-    /// of the grid in unit order: bit-identical to summing
+    /// Exact `(flops, bytes, ctas)` of a decode batch, summed unit by unit
+    /// in launch order: bit-identical to summing
     /// [`DecodeKernel::build_units`], without materializing it.
     pub(crate) fn work(
         &self,
@@ -142,15 +156,22 @@ impl DecodeKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> (f64, f64, usize) {
-        let (ctas, walk) = self.grid(decodes, cfg, gpu);
-        let (flops, bytes) = walk.fold((0.0, 0.0), |(f, b), (uf, ub)| (f + uf, b + ub));
-        (flops, bytes, ctas)
+        let (per_request, walk) = self.grid(decodes, cfg, gpu);
+        let (mut flops, mut bytes) = (0.0, 0.0);
+        for (unit_flops, unit_bytes) in walk {
+            for _ in 0..per_request {
+                flops += unit_flops;
+                bytes += unit_bytes;
+            }
+        }
+        (flops, bytes, decodes.len() * per_request)
     }
 
-    /// The CTA count of a decode batch's grid and a walk of its per-CTA
-    /// `(flops, bytes)` in launch order, request-major: the one grid
-    /// definition behind [`DecodeKernel::build_units`] and
-    /// [`DecodeKernel::work`].
+    /// The CTAs per request of a decode batch's grid and a walk of each
+    /// request's per-CTA `(flops, bytes)` in launch order: the one grid
+    /// definition behind [`DecodeKernel::unit_runs`] and
+    /// [`DecodeKernel::work`]. The walk yields plain pairs, not checked
+    /// [`WorkUnit`]s, so the estimator's exact path stays a tight loop.
     fn grid<'a>(
         &'a self,
         decodes: &'a [DecodeRequest],
@@ -160,10 +181,10 @@ impl DecodeKernel {
         let max_context = decodes.iter().map(|r| r.context_len).max().unwrap_or(0);
         let splits = self.num_splits(decodes.len(), max_context, cfg, gpu);
         let per_request = cfg.kv_heads_per_gpu() * splits;
-        let walk = decodes.iter().flat_map(move |req| {
-            std::iter::repeat(self.unit_work(req.context_len, splits, cfg)).take(per_request)
-        });
-        (decodes.len() * per_request, walk)
+        let walk = decodes
+            .iter()
+            .map(move |req| self.unit_work(req.context_len, splits, cfg));
+        (per_request, walk)
     }
 
     /// Tensor FLOPs and HBM bytes of *one* CTA serving one request at
@@ -288,12 +309,7 @@ impl DecodeKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> KernelLaunch {
-        let ctas: Vec<CtaWork> = self
-            .build_units(decodes, cfg, gpu)
-            .into_iter()
-            .map(|u| CtaWork { units: vec![u] })
-            .collect();
-        KernelLaunch::from_ctas(name, self.footprint(cfg), ctas)
+        KernelLaunch::from_runs(name, self.footprint(cfg), self.unit_runs(decodes, cfg, gpu))
     }
 }
 
@@ -314,6 +330,57 @@ mod tests {
 
     fn gpu() -> GpuConfig {
         GpuConfig::a100_80gb()
+    }
+
+    /// Drain `launch` on a round-robin SM sequence and check that CTA `i`
+    /// performs exactly `want[i]`, bit for bit.
+    fn assert_launch_dispatches(mut launch: KernelLaunch, want: &[WorkUnit], label: &str) {
+        assert_eq!(launch.remaining(), want.len(), "{label}: CTAs");
+        let mut units = Vec::new();
+        for (i, w) in want.iter().enumerate() {
+            units.clear();
+            launch.dispatcher.dispatch(i % 108, &mut units);
+            let got: Vec<_> = units
+                .iter()
+                .map(|u| (u.op, u.flops.to_bits(), u.bytes.to_bits()))
+                .collect();
+            assert_eq!(
+                got,
+                [(w.op, w.flops.to_bits(), w.bytes.to_bits())],
+                "{label}: CTA {i}"
+            );
+        }
+        assert_eq!(launch.remaining(), 0, "{label}");
+    }
+
+    /// The run-built launch dispatches the per-CTA construction: one
+    /// `build_units` unit per CTA, in order, for each model, with and
+    /// without KV splits and with ragged contexts.
+    #[test]
+    fn launch_dispatches_one_built_unit_per_cta() {
+        let ragged: Vec<_> = (0..37)
+            .map(|i| DecodeRequest::new(300 + 997 * i % 9000))
+            .collect();
+        for cfg in [
+            AttentionConfig::yi_6b(),
+            AttentionConfig::llama2_7b(),
+            AttentionConfig::llama3_8b(),
+        ] {
+            for (i, decodes) in [
+                vec![DecodeRequest::new(4096); 5],
+                vec![DecodeRequest::new(16 * 1024); 128],
+                ragged.clone(),
+            ]
+            .iter()
+            .enumerate()
+            {
+                for k in [DecodeKernel::flash_attention(), DecodeKernel::pod()] {
+                    let want = k.build_units(decodes, &cfg, &gpu());
+                    let launch = k.launch("d", decodes, &cfg, &gpu());
+                    assert_launch_dispatches(launch, &want, &format!("{cfg:?} batch {i}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::cost::{
     attention_flops_per_head, hbm_bytes_with_l2, kv_bytes_per_head, q_bytes_per_head,
 };
 use crate::tiles::TileShape;
-use gpu_sim::{CtaWork, Footprint, GpuConfig, KernelLaunch, OpClass, WorkUnit};
+use gpu_sim::{Footprint, GpuConfig, KernelLaunch, OpClass, UnitRuns, WorkUnit};
 
 /// How the number of KV splits for a chunked prefill is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub enum SplitPolicy {
 }
 
 /// Shared per-chunk geometry: the causal KV span of each query tile and the
-/// kernel-wide HBM traffic, computed once for both the unit builder and the
+/// kernel-wide HBM traffic, computed once for both the unit runs and the
 /// O(query tiles) aggregate path.
 #[derive(Debug, Clone)]
 struct PrefillGrid {
@@ -139,39 +139,52 @@ impl PrefillKernel {
         cfg.q_heads_per_gpu() * self.tile.q_tiles(chunk.chunk_len)
     }
 
-    /// Build the per-CTA work units of this kernel for one prefill chunk.
+    /// The kernel's grid for one prefill chunk as unit runs: one run per
+    /// (query head, query tile), of one unit per KV split, in launch order.
     ///
-    /// Each unit corresponds to one CTA of the grid
-    /// `(query heads per GPU) × (query tiles) × (KV splits)` and carries its
-    /// causally-correct share of tensor FLOPs and HBM traffic.
+    /// The grid is `(query heads per GPU) × (query tiles) × (KV splits)`
+    /// CTAs; each carries its causally-correct share of tensor FLOPs and HBM
+    /// traffic. This is the grid's one definition: building it costs
+    /// O(heads × tiles), and [`PrefillKernel::build_units`] and
+    /// [`PrefillKernel::launch`] both take it from here.
+    pub fn unit_runs(
+        &self,
+        chunk: &PrefillChunk,
+        cfg: &AttentionConfig,
+        gpu: &GpuConfig,
+    ) -> UnitRuns {
+        let mut runs = UnitRuns::new();
+        let Some(grid) = self.grid(chunk, cfg, gpu) else {
+            return runs;
+        };
+        let q_heads = cfg.q_heads_per_gpu();
+        let d = cfg.head_dim;
+        let splits = grid.splits;
+        for _head in 0..q_heads {
+            for kv in &grid.tile_kv {
+                let flops_tile = attention_flops_per_head(grid.padded_q, *kv, d) / grid.eff;
+                // This tile's share of the kernel's HBM traffic.
+                let bytes_tile = grid.total_bytes * (*kv / (grid.total_tile_kv * q_heads as f64));
+                let unit = WorkUnit::new(
+                    OpClass::Prefill,
+                    flops_tile / splits as f64,
+                    bytes_tile / splits as f64,
+                );
+                runs.push(unit, splits);
+            }
+        }
+        runs
+    }
+
+    /// Build the per-CTA work units of this kernel for one prefill chunk:
+    /// [`PrefillKernel::unit_runs`] expanded, one unit per CTA.
     pub fn build_units(
         &self,
         chunk: &PrefillChunk,
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> Vec<WorkUnit> {
-        let Some(grid) = self.grid(chunk, cfg, gpu) else {
-            return Vec::new();
-        };
-        let q_heads = cfg.q_heads_per_gpu();
-        let d = cfg.head_dim;
-        let splits = grid.splits;
-        let mut units = Vec::with_capacity(q_heads * grid.tile_kv.len() * splits);
-        for _head in 0..q_heads {
-            for kv in &grid.tile_kv {
-                let flops_tile = attention_flops_per_head(grid.padded_q, *kv, d) / grid.eff;
-                // This tile's share of the kernel's HBM traffic.
-                let bytes_tile = grid.total_bytes * (*kv / (grid.total_tile_kv * q_heads as f64));
-                for _s in 0..splits {
-                    units.push(WorkUnit::new(
-                        OpClass::Prefill,
-                        flops_tile / splits as f64,
-                        bytes_tile / splits as f64,
-                    ));
-                }
-            }
-        }
-        units
+        self.unit_runs(chunk, cfg, gpu).iter().collect()
     }
 
     /// Aggregate `(flops, bytes, ctas)` of the kernel for one chunk, without
@@ -200,7 +213,7 @@ impl PrefillKernel {
     }
 
     /// The per-tile geometry and whole-kernel HBM traffic shared by
-    /// [`PrefillKernel::build_units`] and [`PrefillKernel::aggregate_work`].
+    /// [`PrefillKernel::unit_runs`] and [`PrefillKernel::aggregate_work`].
     /// `None` for an empty chunk.
     fn grid(
         &self,
@@ -274,12 +287,7 @@ impl PrefillKernel {
         cfg: &AttentionConfig,
         gpu: &GpuConfig,
     ) -> KernelLaunch {
-        let ctas: Vec<CtaWork> = self
-            .build_units(chunk, cfg, gpu)
-            .into_iter()
-            .map(|u| CtaWork { units: vec![u] })
-            .collect();
-        KernelLaunch::from_ctas(name, self.footprint(cfg), ctas)
+        KernelLaunch::from_runs(name, self.footprint(cfg), self.unit_runs(chunk, cfg, gpu))
     }
 }
 
@@ -381,6 +389,53 @@ mod tests {
             "memory util {}",
             report.memory_utilization()
         );
+    }
+
+    /// Drain `launch` on a round-robin SM sequence and check that CTA `i`
+    /// performs exactly `want[i]`, bit for bit.
+    fn assert_launch_dispatches(mut launch: KernelLaunch, want: &[WorkUnit], label: &str) {
+        assert_eq!(launch.remaining(), want.len(), "{label}: CTAs");
+        let mut units = Vec::new();
+        for (i, w) in want.iter().enumerate() {
+            units.clear();
+            launch.dispatcher.dispatch(i % 108, &mut units);
+            let got: Vec<_> = units
+                .iter()
+                .map(|u| (u.op, u.flops.to_bits(), u.bytes.to_bits()))
+                .collect();
+            assert_eq!(
+                got,
+                [(w.op, w.flops.to_bits(), w.bytes.to_bits())],
+                "{label}: CTA {i}"
+            );
+        }
+        assert_eq!(launch.remaining(), 0, "{label}");
+    }
+
+    /// The run-built launch dispatches the per-CTA construction: one
+    /// `build_units` unit per CTA, in order, for each model and split policy.
+    #[test]
+    fn launch_dispatches_one_built_unit_per_cta() {
+        for cfg in [
+            AttentionConfig::yi_6b(),
+            AttentionConfig::llama2_7b(),
+            AttentionConfig::llama3_8b(),
+        ] {
+            for (policy, chunk) in [
+                (SplitPolicy::Vanilla, PrefillChunk::new(512, 8192)),
+                (
+                    SplitPolicy::LimitedToTwoWaves,
+                    PrefillChunk::new(1000, 3000),
+                ),
+                (SplitPolicy::None, PrefillChunk::new(4096, 0)),
+                (SplitPolicy::Fixed(3), PrefillChunk::new(100, 0)),
+            ] {
+                let k = PrefillKernel::flash_attention().with_split_policy(policy);
+                let want = k.build_units(&chunk, &cfg, &gpu());
+                let launch = k.launch("p", &chunk, &cfg, &gpu());
+                assert_launch_dispatches(launch, &want, &format!("{cfg:?} {policy:?}"));
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! call, including a wide Llama-2-7B decode that loads the per-CTA path
 //! where the C0 batch loads the per-interval one, the cached-vs-uncached
 //! sweep speedup) sits under `host`, so future
-//! changes have a perf trajectory to compare against.
+//! changes have a perf trajectory to compare against. Each timed subject
+//! reads the median of five slices of its budget, so one slice disturbed by
+//! another process does not move the trend value `perf_gate` gates.
 //!
 //! Run with `cargo bench -p pod-bench --bench criterion_kernels`.
 
@@ -28,8 +30,9 @@ use pod_bench::{heading, par_map};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Timed budget per subject. The numbers feed a trend file, not a paper, so
-/// a few hundred milliseconds per subject is plenty.
+/// Timed budget per subject, split into `microbench::SLICES` slices whose
+/// median is the reading. The numbers feed a trend file, not a paper, so a
+/// few hundred milliseconds per subject is plenty.
 const BUDGET: Duration = Duration::from_millis(300);
 
 fn fig12_quick_setups() -> Vec<(ModelConfig, usize, usize, usize)> {

@@ -2,32 +2,40 @@
 //! JSON value type for machine-readable results (`BENCH_engine.json`).
 //!
 //! The build environment has no access to crates.io, so this stands in for
-//! `criterion`: warm up, then run timed batches until both a minimum
-//! duration and a minimum iteration count are reached, and report the mean
-//! per-iteration time. It deliberately avoids criterion's statistical
-//! machinery — the consumers are regression *trend* files committed by the
-//! bench harness, not microsecond-exact claims.
+//! `criterion`: warm up, then split the timed budget into [`SLICES`] slices,
+//! each running until it reaches its share of both the minimum duration and
+//! the minimum iteration count, and report the median slice's per-iteration
+//! time. It deliberately avoids criterion's statistical machinery — the
+//! consumers are regression *trend* files committed by the bench harness,
+//! not microsecond-exact claims — but a trend gate on one reading fails
+//! whenever another process steals the CPU for part of it, and a median of
+//! slices shrugs off a disturbed slice or two.
 
 use std::time::{Duration, Instant};
+
+/// Timed slices per subject; a subject's reading is the median slice's.
+pub const SLICES: usize = 5;
 
 /// Result of timing one benchmark subject.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
     /// Subject name, e.g. `"engine/pod_c0"`.
     pub name: String,
-    /// Iterations executed during the timed phase.
+    /// Iterations executed during the timed phase, over all slices.
     pub iters: u64,
-    /// Total wall-clock time of the timed phase.
+    /// Total wall-clock time of the timed phase, over all slices.
     pub elapsed: Duration,
+    /// Seconds per iteration of the median slice.
+    pub median_secs_per_iter: f64,
 }
 
 impl BenchResult {
-    /// Mean seconds per iteration.
+    /// Seconds per iteration: the median over the timed slices.
     pub fn secs_per_iter(&self) -> f64 {
-        self.elapsed.as_secs_f64() / self.iters.max(1) as f64
+        self.median_secs_per_iter
     }
 
-    /// Mean iterations per second.
+    /// Iterations per second of the median slice.
     pub fn iters_per_sec(&self) -> f64 {
         let s = self.secs_per_iter();
         if s <= 0.0 {
@@ -49,15 +57,28 @@ impl BenchResult {
             (per_iter * 1e9, "ns")
         };
         format!(
-            "{:<44} {:>10.2} {}/iter  ({} iters)",
+            "{:<44} {:>10.2} {}/iter  ({} iters, median of {SLICES} slices)",
             self.name, scaled, unit, self.iters
         )
     }
 }
 
-/// Time `f`, discarding a warmup phase, until the timed phase has run for at
-/// least `min_time` and `min_iters` iterations. The closure's return value is
-/// passed through [`std::hint::black_box`] so the work is not optimized away.
+/// The median seconds per iteration of `(iterations, elapsed)` slices.
+fn median_secs_per_iter(slices: &[(u64, Duration)]) -> f64 {
+    let mut per_iter: Vec<f64> = slices
+        .iter()
+        .map(|(iters, elapsed)| elapsed.as_secs_f64() / (*iters).max(1) as f64)
+        .collect();
+    per_iter.sort_by(f64::total_cmp);
+    per_iter[per_iter.len() / 2]
+}
+
+/// Time `f`, discarding a warmup phase, in [`SLICES`] timed slices that each
+/// run for at least `min_time / SLICES` and `min_iters / SLICES` (rounded
+/// up) iterations, so the timed phase spans at least `min_time` and
+/// `min_iters` in all; the reading is the median slice's. The closure's
+/// return value is passed through [`std::hint::black_box`] so the work is not
+/// optimized away.
 pub fn bench<R, F: FnMut() -> R>(
     name: &str,
     min_time: Duration,
@@ -73,19 +94,27 @@ pub fn bench<R, F: FnMut() -> R>(
             break;
         }
     }
-    let mut iters = 0u64;
-    let start = Instant::now();
-    loop {
-        std::hint::black_box(f());
-        iters += 1;
-        if iters >= min_iters && start.elapsed() >= min_time {
-            break;
-        }
-    }
+    let slice_time = min_time / SLICES as u32;
+    let slice_iters = min_iters.div_ceil(SLICES as u64).max(1);
+    let slices: Vec<(u64, Duration)> = (0..SLICES)
+        .map(|_| {
+            let mut iters = 0u64;
+            let start = Instant::now();
+            loop {
+                std::hint::black_box(f());
+                iters += 1;
+                if iters >= slice_iters && start.elapsed() >= slice_time {
+                    break;
+                }
+            }
+            (iters, start.elapsed())
+        })
+        .collect();
     BenchResult {
         name: name.to_string(),
-        iters,
-        elapsed: start.elapsed(),
+        iters: slices.iter().map(|s| s.0).sum(),
+        elapsed: slices.iter().map(|s| s.1).sum(),
+        median_secs_per_iter: median_secs_per_iter(&slices),
     }
 }
 
@@ -119,6 +148,20 @@ mod tests {
         assert!(r.secs_per_iter() > 0.0);
         assert!(r.iters_per_sec() > 0.0);
         assert!(r.summary().contains("t"));
+    }
+
+    /// One slice slowed by a neighbour does not move the reading.
+    #[test]
+    fn reading_is_the_median_slice() {
+        let ms = Duration::from_millis;
+        let slices = [
+            (10, ms(10)),
+            (10, ms(1000)),
+            (20, ms(22)),
+            (10, ms(12)),
+            (5, ms(4)),
+        ];
+        assert!((median_secs_per_iter(&slices) - 0.0011).abs() < 1e-12);
     }
 
     #[test]

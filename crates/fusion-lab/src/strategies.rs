@@ -14,7 +14,8 @@
 //! | SM-aware CTA (ours) | yes | yes |
 
 use gpu_sim::{
-    CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, SimError, WorkUnit,
+    CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, SimError, UnitRuns,
+    WorkUnit,
 };
 use pod_attention::SmAwareScheduler;
 
@@ -51,6 +52,26 @@ impl Operation {
     fn total_bytes(&self) -> f64 {
         self.ctas.iter().map(CtaWork::total_bytes).sum()
     }
+
+    /// The CTAs' units as runs, one unit per CTA: the form the SM-aware
+    /// scheduler binds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a CTA holds more than one unit.
+    fn unit_runs(&self) -> UnitRuns {
+        self.ctas
+            .iter()
+            .map(|cta| match cta.units[..] {
+                [unit] => unit,
+                _ => panic!(
+                    "SM-aware CTA fusion binds one-unit CTAs; `{}` has a CTA of {} units",
+                    self.name,
+                    cta.units.len()
+                ),
+            })
+            .collect()
+    }
 }
 
 /// The concurrent-execution methods compared in the paper's case study.
@@ -71,7 +92,7 @@ pub enum FusionStrategy {
     IntraThread,
     /// CTA-parallel fusion plus SM-aware CTA scheduling (POD-Attention's
     /// method): each CTA binds to an operation after placement, guaranteeing
-    /// every SM runs a mix of both.
+    /// every SM runs a mix of both. Each operation's CTAs must hold one unit.
     SmAwareCta,
 }
 
@@ -165,8 +186,8 @@ impl FusionExecutor {
             FusionStrategy::SmAwareCta => {
                 let fp = max_footprint(a.footprint, b.footprint);
                 let scheduler = SmAwareScheduler::new(
-                    a.ctas.clone(),
-                    b.ctas.clone(),
+                    a.unit_runs(),
+                    b.unit_runs(),
                     self.engine.gpu().num_sms,
                     1,
                     1,

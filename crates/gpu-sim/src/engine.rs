@@ -45,6 +45,29 @@
 //! every report field stay bit-identical to that scan. Op-class totals live
 //! in a fixed array and become the report's map once, at the end of the run.
 //!
+//! # Run-length drain heaps
+//!
+//! Attention grids place long stretches of identical units in one fill: at
+//! one instant every such unit gets the same memory key `mem_drained +
+//! bytes`, and the units of a packed decode CTA share one compute key on
+//! their SM. So each heap entry is a run, `(Key(key, first_uid), len)`: the
+//! `len` consecutive unit ids from `first_uid`, all draining at `key`. Each
+//! pool's demand (how many units share it) is a counter kept beside its
+//! heap, no longer the heap's length.
+//!
+//! A unit extends the open run only if its id is the run's next id and its
+//! key is bit-equal; otherwise the open run is pushed and a new one opens.
+//! The open memory run is pushed before `fill` returns, and a CTA's open
+//! compute run before `add_cta` returns, so the heaps are complete whenever
+//! an interval reads them. A run's ids are therefore contiguous, and since a
+//! unit enters each heap once, no other entry's ids fall inside a run. Two
+//! units in the same run have the same key, and no entry sorts between
+//! them, so popping runs in `(key, first_uid)` order and walking each run's
+//! ids in ascending order visits units exactly in the `(key, uid)` order of
+//! one entry per unit. Every per-unit update (`busy_*`, the kernel and
+//! op-class sums, `maybe_finish_unit`) still runs once per unit, in that
+//! order, so every report field is unchanged.
+//!
 //! # Incremental placement
 //!
 //! The CTA scheduler runs before every interval, but most intervals retire
@@ -68,7 +91,7 @@ use crate::kernel::KernelLaunch;
 use crate::metrics::{EnergyModel, ExecutionReport, KernelReport, OpClassReport};
 use crate::sm::SmState;
 use crate::stream::Stream;
-use crate::work::{CtaWork, Footprint, OpClass};
+use crate::work::{dominant_op, Footprint, OpClass, WorkUnit};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -106,6 +129,31 @@ impl PartialOrd for Key {
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+/// A drain-heap entry: the `len` consecutive unit ids from `key.1`, all
+/// draining at `key.0` (see "Run-length drain heaps" in the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Run {
+    key: Key,
+    len: usize,
+}
+
+/// Enter unit `uid`, draining at `tok`, into `open` if it directly follows
+/// that run at a bit-equal key; otherwise push the open run onto `heap` and
+/// open a new one.
+fn enter_run(open: &mut Option<Run>, heap: &mut BinaryHeap<Reverse<Run>>, tok: f64, uid: usize) {
+    if let Some(run) = open
+        .as_mut()
+        .filter(|r| r.key.0.to_bits() == tok.to_bits() && r.key.1 + r.len == uid)
+    {
+        run.len += 1;
+    } else if let Some(done) = open.replace(Run {
+        key: Key(tok, uid),
+        len: 1,
+    }) {
+        heap.push(Reverse(done));
     }
 }
 
@@ -151,6 +199,8 @@ impl OpTotals {
 struct SmPool {
     /// FLOPs drained per compute-active unit on this SM.
     drained: f64,
+    /// Compute-active units on this SM: the run lengths in its heap.
+    demand: usize,
     /// `Shares::compute_share(demand)`.
     share: f64,
     /// `demand * share`.
@@ -184,11 +234,16 @@ struct ActiveSet {
     pools: Vec<SmPool>,
     /// Bitset of SMs with compute demand (a non-empty compute heap).
     busy: Vec<u64>,
-    /// Pending compute drains per SM; `compute_heaps[sm].len()` *is* that
-    /// SM's compute demand.
-    compute_heaps: Vec<BinaryHeap<Reverse<Key>>>,
-    /// Pending memory drains; `mem_heap.len()` is the device memory demand.
-    mem_heap: BinaryHeap<Reverse<Key>>,
+    /// Pending compute drain runs per SM.
+    compute_heaps: Vec<BinaryHeap<Reverse<Run>>>,
+    /// Pending memory drain runs.
+    mem_heap: BinaryHeap<Reverse<Run>>,
+    /// Memory-active units device-wide: the run lengths in `mem_heap` and
+    /// `mem_open`.
+    mem_demand: usize,
+    /// The memory run still growing in the current fill; pushed onto
+    /// `mem_heap` by [`ActiveSet::close_mem_run`] before the fill returns.
+    mem_open: Option<Run>,
     /// Pending barrier-tail expiries, keyed by absolute time.
     tail_heap: BinaryHeap<Reverse<Key>>,
     /// CTAs whose last unit finished, awaiting resource release.
@@ -221,6 +276,8 @@ impl ActiveSet {
             busy: vec![0; num_sms.div_ceil(64)],
             compute_heaps: (0..num_sms).map(|_| BinaryHeap::new()).collect(),
             mem_heap: BinaryHeap::new(),
+            mem_demand: 0,
+            mem_open: None,
             tail_heap: BinaryHeap::new(),
             retire_queue: Vec::new(),
             live_ctas: 0,
@@ -230,13 +287,14 @@ impl ActiveSet {
 
     /// Refresh `sm`'s pool and busy bit after its compute heap changed.
     fn sync_sm(&mut self, sm: usize) {
-        let heap = &self.compute_heaps[sm];
         let bit = 1u64 << (sm % 64);
-        match heap.peek() {
-            Some(&Reverse(Key(tok, _))) => {
+        match self.compute_heaps[sm].peek() {
+            Some(&Reverse(Run {
+                key: Key(tok, _), ..
+            })) => {
                 let pool = &mut self.pools[sm];
-                pool.share = self.shares.compute_share(heap.len());
-                pool.rate = heap.len() as f64 * pool.share;
+                pool.share = self.shares.compute_share(pool.demand);
+                pool.rate = pool.demand as f64 * pool.share;
                 pool.top = tok;
                 self.busy[sm / 64] |= bit;
             }
@@ -244,10 +302,12 @@ impl ActiveSet {
         }
     }
 
-    /// Enter a freshly-dispatched CTA into the active set.
+    /// Enter a freshly-dispatched CTA, performing `units`, into the active
+    /// set. Its compute run is closed before returning; the memory run stays
+    /// open for the next CTA of this fill.
     fn add_cta(
         &mut self,
-        work: &CtaWork,
+        units: &[WorkUnit],
         kernel_id: usize,
         sm: usize,
         footprint: Footprint,
@@ -260,12 +320,13 @@ impl ActiveSet {
             sm,
             footprint,
             dominant_op,
-            live_units: work.units.len(),
+            live_units: units.len(),
             retired: false,
         });
         self.live_ctas += 1;
         self.op_classes.at(dominant_op).ctas += 1;
-        for u in &work.units {
+        let mut compute_open = None;
+        for u in units {
             let uid = self.units.len();
             let mut rec = UnitRec {
                 cta: cta_id,
@@ -283,17 +344,31 @@ impl ActiveSet {
             };
             if u.flops > WORK_EPS {
                 rec.compute_pending = true;
-                self.compute_heaps[sm].push(Reverse(Key(self.pools[sm].drained + u.flops, uid)));
+                let pool = &mut self.pools[sm];
+                pool.demand += 1;
+                let tok = pool.drained + u.flops;
+                enter_run(&mut compute_open, &mut self.compute_heaps[sm], tok, uid);
             }
             if u.bytes > WORK_EPS {
                 rec.mem_pending = true;
-                self.mem_heap
-                    .push(Reverse(Key(self.mem_drained + u.bytes, uid)));
+                self.mem_demand += 1;
+                let tok = self.mem_drained + u.bytes;
+                enter_run(&mut self.mem_open, &mut self.mem_heap, tok, uid);
             }
             self.units.push(rec);
             self.maybe_finish_unit(uid, now);
         }
+        if let Some(run) = compute_open {
+            self.compute_heaps[sm].push(Reverse(run));
+        }
         self.sync_sm(sm);
+    }
+
+    /// Push the open memory run onto the heap; called before a fill returns.
+    fn close_mem_run(&mut self) {
+        if let Some(run) = self.mem_open.take() {
+            self.mem_heap.push(Reverse(run));
+        }
     }
 
     /// If both resource streams of `uid` have drained, charge the
@@ -321,9 +396,13 @@ impl ActiveSet {
     /// Time until the next drain/expiry event given the current shares, or
     /// `0.0` if nothing is pending (only instantly-complete CTAs remain).
     fn next_event_dt(&self, now: f64) -> f64 {
+        debug_assert!(self.mem_open.is_none(), "memory run left open by the fill");
         let mut dt = f64::INFINITY;
-        if let Some(&Reverse(Key(tok, _))) = self.mem_heap.peek() {
-            let share = self.shares.mem_share(self.mem_heap.len());
+        if let Some(&Reverse(Run {
+            key: Key(tok, _), ..
+        })) = self.mem_heap.peek()
+        {
+            let share = self.shares.mem_share(self.mem_demand);
             dt = dt.min((tok - self.mem_drained).max(0.0) / share);
         }
         for (w, &word) in self.busy.iter().enumerate() {
@@ -353,24 +432,31 @@ impl ActiveSet {
     fn advance(&mut self, dt: f64, now: f64, kernels: &mut [KernelState]) -> (f64, f64) {
         let mut flops = 0.0;
         let mut bytes = 0.0;
-        let m = self.mem_heap.len();
+        let m = self.mem_demand;
         if m > 0 {
             let share = self.shares.mem_share(m);
             self.mem_drained += share * dt;
             bytes = m as f64 * share * dt;
         }
         let mem_eps = WORK_EPS + self.mem_drained.abs() * ACC_REL_EPS;
-        while let Some(&Reverse(Key(tok, uid))) = self.mem_heap.peek() {
+        while let Some(&Reverse(Run {
+            key: Key(tok, first),
+            len,
+        })) = self.mem_heap.peek()
+        {
             if tok - self.mem_drained > mem_eps {
                 break;
             }
             self.mem_heap.pop();
-            let u = &mut self.units[uid];
-            u.mem_pending = false;
-            u.busy_memory = now - u.start;
-            kernels[self.ctas[u.cta].kernel_id].bytes += u.bytes;
-            self.op_classes.at(u.op).bytes += u.bytes;
-            self.maybe_finish_unit(uid, now);
+            self.mem_demand -= len;
+            for uid in first..first + len {
+                let u = &mut self.units[uid];
+                u.mem_pending = false;
+                u.busy_memory = now - u.start;
+                kernels[self.ctas[u.cta].kernel_id].bytes += u.bytes;
+                self.op_classes.at(u.op).bytes += u.bytes;
+                self.maybe_finish_unit(uid, now);
+            }
         }
         for w in 0..self.busy.len() {
             for sm in set_bits(w, self.busy[w]) {
@@ -382,17 +468,24 @@ impl ActiveSet {
                 if p.top - drained > eps {
                     continue;
                 }
-                while let Some(&Reverse(Key(tok, uid))) = self.compute_heaps[sm].peek() {
+                while let Some(&Reverse(Run {
+                    key: Key(tok, first),
+                    len,
+                })) = self.compute_heaps[sm].peek()
+                {
                     if tok - drained > eps {
                         break;
                     }
                     self.compute_heaps[sm].pop();
-                    let u = &mut self.units[uid];
-                    u.compute_pending = false;
-                    u.busy_compute = now - u.start;
-                    kernels[self.ctas[u.cta].kernel_id].flops += u.flops;
-                    self.op_classes.at(u.op).flops += u.flops;
-                    self.maybe_finish_unit(uid, now);
+                    self.pools[sm].demand -= len;
+                    for uid in first..first + len {
+                        let u = &mut self.units[uid];
+                        u.compute_pending = false;
+                        u.busy_compute = now - u.start;
+                        kernels[self.ctas[u.cta].kernel_id].flops += u.flops;
+                        self.op_classes.at(u.op).flops += u.flops;
+                        self.maybe_finish_unit(uid, now);
+                    }
                 }
                 self.sync_sm(sm);
             }
@@ -454,6 +547,8 @@ struct Placement {
     /// deduplicated once `fill` starts placing): the only SMs where a kernel
     /// that was already blocked can fit now.
     released: Vec<usize>,
+    /// The units of the CTA being dispatched, reused for every CTA.
+    units: Vec<WorkUnit>,
 }
 
 impl Placement {
@@ -463,6 +558,7 @@ impl Placement {
             cursor: 0,
             all: (0..num_sms).collect(),
             released: Vec::new(),
+            units: Vec::new(),
         }
     }
 
@@ -656,6 +752,10 @@ impl Engine {
             // --- pop finished kernels off their streams ---
             Self::pop_finished(&mut streams, &mut head_kernel, &kernels);
         }
+        debug_assert!(
+            active.mem_demand == 0 && active.pools.iter().all(|p| p.demand == 0),
+            "drain demand left after the last interval"
+        );
 
         let kernel_reports = kernels
             .into_iter()
@@ -796,10 +896,11 @@ impl Engine {
                     }
                     let sm = &mut placement.sms[sm_id];
                     if sm.can_fit(&self.gpu, &footprint, kid, cap) {
-                        let work: CtaWork = head.dispatcher.dispatch(sm_id);
+                        placement.units.clear();
+                        head.dispatcher.dispatch(sm_id, &mut placement.units);
                         sm.allocate(&footprint, kid);
-                        let dominant = work.dominant_op();
-                        active.add_cta(&work, kid, sm_id, footprint, dominant, time);
+                        let units = &placement.units;
+                        active.add_cta(units, kid, sm_id, footprint, dominant_op(units), time);
                         let ks = &mut kernels[kid];
                         ks.dispatched += 1;
                         *total_ctas += 1;
@@ -819,6 +920,7 @@ impl Engine {
                 }
             }
         }
+        active.close_mem_run();
         placement.released.clear();
         Ok(())
     }
@@ -827,7 +929,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::WorkUnit;
+    use crate::work::CtaWork;
 
     fn gpu() -> GpuConfig {
         GpuConfig::a100_80gb()
@@ -1117,6 +1219,102 @@ mod tests {
             .unwrap()
             .makespan;
         assert!(t_serial > t_pipe * 1.1, "{t_serial} vs {t_pipe}");
+    }
+
+    /// Two streams whose units tie on one key: in the first fill kernel `a`
+    /// places one two-unit CTA per SM, then `b` one one-unit CTA per SM, all
+    /// units alike. Every SM's heap holds `a`'s two-unit run and `b`'s unit
+    /// at one compute key, and the memory heap one run across both kernels'
+    /// interleaved id ranges. Each SM splits its tensor throughput three
+    /// ways, HBM is split 324 ways, and every unit finishes when the slower
+    /// side drains.
+    #[test]
+    fn tied_runs_from_two_streams_match_the_hand_worked_case() {
+        let g = gpu();
+        let flops = (1u64 << 30) as f64;
+        let bytes = (1u64 << 22) as f64;
+        let unit = WorkUnit::new(OpClass::Other, flops, bytes);
+        let fp = Footprint::new(128, 48 * 1024);
+        let n = g.num_sms;
+        let a = KernelLaunch::from_ctas("a", fp, vec![CtaWork::fused(vec![unit; 2]); n])
+            .limit_ctas_per_sm(1);
+        let b = KernelLaunch::from_ctas("b", fp, vec![CtaWork::fused(vec![unit]); n])
+            .limit_ctas_per_sm(1);
+        let report = Engine::new(g.clone()).run_concurrent(vec![a, b]).unwrap();
+
+        let compute_share =
+            (g.sm_compute_flops() / 3.0).min(MAX_CTA_COMPUTE_FRACTION * g.sm_compute_flops());
+        let mem_share =
+            (g.hbm_bandwidth / (3 * n) as f64).min(MAX_CTA_BANDWIDTH_FRACTION * g.hbm_bandwidth);
+        let end = (flops / compute_share).max(bytes / mem_share);
+        for (name, units) in [("a", 2 * n), ("b", n)] {
+            let k = report.kernel(name).unwrap();
+            assert_eq!(k.flops, units as f64 * flops, "{name} flops");
+            assert_eq!(k.bytes, units as f64 * bytes, "{name} bytes");
+            assert!(
+                (k.end - end).abs() <= end * 1e-12,
+                "{name} end {} vs {end}",
+                k.end
+            );
+            assert_eq!(k.ctas, n);
+        }
+        assert_eq!(report.intervals, 2);
+    }
+
+    fn active_set() -> ActiveSet {
+        let g = gpu();
+        ActiveSet::new(
+            g.num_sms,
+            Shares {
+                sm_peak: g.sm_compute_flops(),
+                compute_cap: MAX_CTA_COMPUTE_FRACTION * g.sm_compute_flops(),
+                hbm: g.hbm_bandwidth,
+                mem_cap: MAX_CTA_BANDWIDTH_FRACTION * g.hbm_bandwidth,
+            },
+        )
+    }
+
+    fn mem_runs(active: &ActiveSet) -> Vec<(usize, usize)> {
+        let mut runs: Vec<_> = active
+            .mem_heap
+            .iter()
+            .map(|Reverse(r)| (r.key.1, r.len))
+            .collect();
+        runs.sort_unstable();
+        runs
+    }
+
+    /// Units extend a run only with the next id at a bit-equal key; a
+    /// packed CTA's units form one compute run; and the memory run is
+    /// closed at the end of a fill, so a unit with the same key and the
+    /// next id in the next fill opens a run of its own.
+    #[test]
+    fn runs_extend_only_within_a_fill() {
+        let mut active = active_set();
+        let unit = WorkUnit::new(OpClass::Decode, 1e3, 1e6);
+        let other = WorkUnit::new(OpClass::Decode, 1e3, 2e6);
+        let fp = Footprint::default();
+        active.add_cta(&[unit, unit], 0, 0, fp, OpClass::Decode, 0.0);
+        active.add_cta(&[unit], 0, 1, fp, OpClass::Decode, 0.0);
+        active.add_cta(&[other], 0, 2, fp, OpClass::Decode, 0.0);
+        active.add_cta(&[unit], 0, 3, fp, OpClass::Decode, 0.0);
+        // Until the fill closes it, the open run is not in the heap.
+        assert_eq!(mem_runs(&active), [(0, 3), (3, 1)]);
+        assert_eq!(active.mem_demand, 5);
+        active.close_mem_run();
+        assert_eq!(mem_runs(&active), [(0, 3), (3, 1), (4, 1)]);
+        // The next fill: same key, next id, new run.
+        active.add_cta(&[unit], 0, 4, fp, OpClass::Decode, 0.0);
+        active.close_mem_run();
+        assert_eq!(mem_runs(&active), [(0, 3), (3, 1), (4, 1), (5, 1)]);
+        assert_eq!(active.mem_demand, 6);
+        // SM 0 holds one compute run of the packed CTA's two units.
+        let sm0: Vec<_> = active.compute_heaps[0]
+            .iter()
+            .map(|Reverse(r)| r.len)
+            .collect();
+        assert_eq!(sm0, [2]);
+        assert_eq!(active.pools[0].demand, 2);
     }
 
     #[test]

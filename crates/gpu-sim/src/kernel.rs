@@ -5,12 +5,14 @@
 //! hands out the actual work each CTA performs *at the moment the hardware
 //! scheduler places it on an SM*.
 //!
-//! Ordinary kernels ignore the SM they land on ([`ListDispatcher`]); the
-//! POD-Attention kernel implements *SM-aware CTA scheduling* (runtime
-//! operation binding, §4.1 of the paper) by inspecting the SM id and its own
-//! software counters inside [`CtaDispatcher::dispatch`].
+//! Ordinary kernels ignore the SM they land on: the attention kernel models
+//! launch their grids as [`UnitRuns`] ([`KernelLaunch::from_runs`]), and
+//! hand-built CTA lists go through a [`ListDispatcher`]. The POD-Attention
+//! kernel implements *SM-aware CTA scheduling* (runtime operation binding,
+//! §4.1 of the paper) by inspecting the SM id and its own software counters
+//! inside [`CtaDispatcher::dispatch`].
 
-use crate::work::{CtaWork, Footprint};
+use crate::work::{CtaWork, Footprint, UnitRuns, WorkUnit};
 
 /// Decides, at dispatch time, what work the next CTA of a kernel performs.
 ///
@@ -18,16 +20,34 @@ use crate::work::{CtaWork, Footprint};
 /// time it places a CTA of this kernel onto an SM it calls
 /// [`dispatch`](CtaDispatcher::dispatch) with the SM index, mirroring how a
 /// real CTA can read the `%smid` special register after launch.
+///
+/// The engine owns the buffer a CTA's units are written into and clears it
+/// before every call, so dispatching a CTA allocates nothing once the buffer
+/// has grown to the widest CTA.
+///
+/// # Examples
+///
+/// ```
+/// use gpu_sim::{CtaDispatcher, CtaWork, ListDispatcher, OpClass};
+///
+/// let mut d = ListDispatcher::new(vec![CtaWork::single(OpClass::Decode, 1.0, 2.0)]);
+/// let mut units = Vec::new();
+/// d.dispatch(0, &mut units);
+/// assert_eq!(units.len(), 1);
+/// assert_eq!(d.remaining(), 0);
+/// ```
 pub trait CtaDispatcher {
     /// Number of CTAs this kernel still has to launch.
     fn remaining(&self) -> usize;
 
-    /// Produce the work for the next CTA, given the SM it was placed on.
+    /// Push the work units of the next CTA onto `units`, given the SM it was
+    /// placed on. The CTA performs every unit pushed by this call (at least
+    /// one), concurrently.
     ///
-    /// Called exactly `remaining()` times over the lifetime of the kernel.
-    /// Implementations may use `sm_id` and internal counters to perform
-    /// runtime operation binding.
-    fn dispatch(&mut self, sm_id: usize) -> CtaWork;
+    /// Called exactly `remaining()` times over the lifetime of the kernel,
+    /// each time with an empty `units`. Implementations may use `sm_id` and
+    /// internal counters to perform runtime operation binding.
+    fn dispatch(&mut self, sm_id: usize, units: &mut Vec<WorkUnit>);
 }
 
 /// A dispatcher that hands out a fixed list of CTAs in order, ignoring which
@@ -50,10 +70,30 @@ impl CtaDispatcher for ListDispatcher {
         self.ctas.len()
     }
 
-    fn dispatch(&mut self, _sm_id: usize) -> CtaWork {
-        self.ctas
+    fn dispatch(&mut self, _sm_id: usize, units: &mut Vec<WorkUnit>) {
+        let cta = self
+            .ctas
             .pop_front()
-            .expect("dispatch called on an exhausted ListDispatcher")
+            .expect("dispatch called on an exhausted ListDispatcher");
+        units.extend_from_slice(&cta.units);
+    }
+}
+
+/// A dispatcher whose CTAs each perform the next unit of a run list.
+#[derive(Debug, Clone)]
+struct RunDispatcher(UnitRuns);
+
+impl CtaDispatcher for RunDispatcher {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn dispatch(&mut self, _sm_id: usize, units: &mut Vec<WorkUnit>) {
+        assert!(
+            !self.0.is_empty(),
+            "dispatch called on an exhausted run list"
+        );
+        self.0.take_into(1, units);
     }
 }
 
@@ -80,6 +120,13 @@ impl KernelLaunch {
             dispatcher: Box::new(ListDispatcher::new(ctas)),
             max_ctas_per_sm: None,
         }
+    }
+
+    /// Launch a kernel whose CTAs each perform one unit of `runs`, in order.
+    /// Building such a launch costs O(runs), not O(CTAs); the prefill and
+    /// decode kernel models launch this way.
+    pub fn from_runs(name: &str, footprint: Footprint, runs: UnitRuns) -> Self {
+        KernelLaunch::with_dispatcher(name, footprint, Box::new(RunDispatcher(runs)))
     }
 
     /// Launch a kernel with a custom dispatcher (e.g. POD-Attention's
@@ -133,8 +180,13 @@ mod tests {
         ];
         let mut d = ListDispatcher::new(ctas);
         assert_eq!(d.remaining(), 2);
-        assert_eq!(d.dispatch(5).total_flops(), 1.0);
-        assert_eq!(d.dispatch(7).total_flops(), 2.0);
+        let mut units = Vec::new();
+        d.dispatch(5, &mut units);
+        d.dispatch(7, &mut units);
+        assert_eq!(
+            units.iter().map(|u| u.flops).collect::<Vec<_>>(),
+            [1.0, 2.0]
+        );
         assert_eq!(d.remaining(), 0);
     }
 
@@ -142,7 +194,32 @@ mod tests {
     #[should_panic(expected = "exhausted")]
     fn list_dispatcher_panics_when_exhausted() {
         let mut d = ListDispatcher::new(vec![]);
-        let _ = d.dispatch(0);
+        d.dispatch(0, &mut Vec::new());
+    }
+
+    #[test]
+    fn run_launch_hands_out_one_unit_per_cta() {
+        let a = WorkUnit::new(OpClass::Prefill, 1.0, 0.0);
+        let b = WorkUnit::new(OpClass::Prefill, 2.0, 0.0);
+        let mut runs = UnitRuns::new();
+        runs.push(a, 2);
+        runs.push(b, 1);
+        let mut k = KernelLaunch::from_runs("k", Footprint::default(), runs);
+        assert_eq!(k.remaining(), 3);
+        let mut units = Vec::new();
+        for want in [a, a, b] {
+            units.clear();
+            k.dispatcher.dispatch(0, &mut units);
+            assert_eq!(units, [want]);
+        }
+        assert_eq!(k.remaining(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted")]
+    fn run_launch_panics_when_exhausted() {
+        let mut k = KernelLaunch::from_runs("k", Footprint::default(), UnitRuns::new());
+        k.dispatcher.dispatch(0, &mut Vec::new());
     }
 
     #[test]

@@ -59,4 +59,4 @@ pub use error::SimError;
 pub use kernel::{CtaDispatcher, KernelLaunch, ListDispatcher};
 pub use metrics::{EnergyModel, ExecutionReport, KernelReport, OpClassReport};
 pub use stream::Stream;
-pub use work::{CtaWork, Footprint, OpClass, WorkUnit};
+pub use work::{CtaWork, Footprint, OpClass, UnitRuns, WorkUnit};

@@ -105,6 +105,144 @@ impl WorkUnit {
     pub fn is_empty(&self) -> bool {
         self.flops <= 0.0 && self.bytes <= 0.0
     }
+
+    /// True if every field of `other` has the same bits as this unit's.
+    fn same_bits(&self, other: &WorkUnit) -> bool {
+        self.op == other.op
+            && self.flops.to_bits() == other.flops.to_bits()
+            && self.bytes.to_bits() == other.bytes.to_bits()
+            && self.serial_fraction.to_bits() == other.serial_fraction.to_bits()
+    }
+}
+
+/// The operation class contributing the most combined work among `units`,
+/// used for per-class reporting. Ties resolve to the earliest unit's class.
+///
+/// # Panics
+///
+/// Panics if `units` is empty.
+pub(crate) fn dominant_op(units: &[WorkUnit]) -> OpClass {
+    let mut best = units[0].op;
+    let mut best_score = f64::MIN;
+    for u in units {
+        let score = u.flops + u.bytes;
+        if score > best_score {
+            best_score = score;
+            best = u.op;
+        }
+    }
+    best
+}
+
+/// A kernel grid's work units as run-length `(unit, count)` runs, consumed
+/// front to back.
+///
+/// Attention grids repeat one unit many times in a row: every KV split of a
+/// (head, query tile) prefill unit, every (KV head, split) CTA of a decode
+/// request. Holding each such stretch as one run lets a kernel model build
+/// its launch in O(runs) instead of O(CTAs), and lets a dispatcher hand the
+/// engine the next CTA's units without allocating. [`UnitRuns::push`] merges
+/// a run into the previous one when their units are bit-equal, so no two
+/// adjacent runs of a list hold bit-equal units.
+///
+/// # Examples
+///
+/// ```
+/// use gpu_sim::{OpClass, UnitRuns, WorkUnit};
+///
+/// let a = WorkUnit::new(OpClass::Decode, 1e3, 4e6);
+/// let b = WorkUnit::new(OpClass::Decode, 1e3, 2e6);
+/// let mut runs = UnitRuns::new();
+/// runs.push(a, 3);
+/// runs.push(a, 1); // merges: still one run of 4
+/// runs.push(b, 4);
+/// assert_eq!(runs.runs(), &[(a, 4), (b, 4)]);
+///
+/// // A CTA packing three units takes them from the front, straddling runs.
+/// let mut cta = Vec::new();
+/// runs.take_into(3, &mut cta);
+/// runs.take_into(3, &mut cta);
+/// assert_eq!(cta, vec![a, a, a, a, b, b]);
+/// assert_eq!(runs.len(), 2);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UnitRuns {
+    /// Runs in order; those before `head` are fully consumed and the run at
+    /// `head` holds only its unconsumed count.
+    runs: Vec<(WorkUnit, usize)>,
+    /// Index of the first run with units left.
+    head: usize,
+    /// Units not yet consumed.
+    len: usize,
+}
+
+impl UnitRuns {
+    /// An empty run list.
+    pub fn new() -> Self {
+        UnitRuns::default()
+    }
+
+    /// Append `count` copies of `unit`, merging them into the last run when
+    /// its unit is bit-equal. A `count` of zero appends nothing.
+    pub fn push(&mut self, unit: WorkUnit, count: usize) {
+        if count == 0 {
+            return;
+        }
+        self.len += count;
+        match self.runs[self.head..].last_mut() {
+            Some((last, n)) if last.same_bits(&unit) => *n += count,
+            _ => self.runs.push((unit, count)),
+        }
+    }
+
+    /// Units not yet consumed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True once every unit has been consumed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The runs not yet consumed, the first holding its remaining count.
+    pub fn runs(&self) -> &[(WorkUnit, usize)] {
+        &self.runs[self.head..]
+    }
+
+    /// The units not yet consumed, expanded, in order.
+    pub fn iter(&self) -> impl Iterator<Item = WorkUnit> + '_ {
+        self.runs()
+            .iter()
+            .flat_map(|&(u, n)| std::iter::repeat(u).take(n))
+    }
+
+    /// Move the next `n` units (fewer if fewer are left) onto `out`, front
+    /// to back: the units of one CTA that packs `n` of them.
+    pub fn take_into(&mut self, n: usize, out: &mut Vec<WorkUnit>) {
+        let mut want = n.min(self.len);
+        self.len -= want;
+        while want > 0 {
+            let (unit, count) = &mut self.runs[self.head];
+            let k = want.min(*count);
+            out.extend(std::iter::repeat(*unit).take(k));
+            *count -= k;
+            want -= k;
+            if *count == 0 {
+                self.head += 1;
+            }
+        }
+    }
+}
+
+impl FromIterator<WorkUnit> for UnitRuns {
+    fn from_iter<I: IntoIterator<Item = WorkUnit>>(units: I) -> Self {
+        let mut runs = UnitRuns::new();
+        for u in units {
+            runs.push(u, 1);
+        }
+        runs
+    }
 }
 
 /// Resource footprint of a CTA: what the hardware CTA scheduler must reserve
@@ -195,16 +333,7 @@ impl CtaWork {
     /// The operation class contributing the most combined work, used for
     /// per-class reporting. Ties resolve to the first unit's class.
     pub fn dominant_op(&self) -> OpClass {
-        let mut best = self.units[0].op;
-        let mut best_score = f64::MIN;
-        for u in &self.units {
-            let score = u.flops + u.bytes;
-            if score > best_score {
-                best_score = score;
-                best = u.op;
-            }
-        }
-        best
+        dominant_op(&self.units)
     }
 
     /// Lower bound on this CTA's execution time (seconds) if it had exclusive
@@ -289,6 +418,63 @@ mod tests {
         .map(|o| o.label())
         .collect();
         assert_eq!(labels.len(), 5);
+    }
+
+    #[test]
+    fn unit_runs_merge_only_bit_equal_neighbours() {
+        let a = WorkUnit::new(OpClass::Prefill, 2.0, 1.0);
+        let b = WorkUnit::new(OpClass::Decode, 2.0, 1.0);
+        let mut runs = UnitRuns::new();
+        runs.push(a, 2);
+        runs.push(b, 0);
+        runs.push(a.with_serial_fraction(0.5), 1);
+        runs.push(b, 1);
+        runs.push(b, 2);
+        assert_eq!(
+            runs.runs(),
+            &[(a, 2), (a.with_serial_fraction(0.5), 1), (b, 3)]
+        );
+        assert_eq!(runs.len(), 6);
+        let collected: UnitRuns = runs.iter().collect();
+        assert_eq!(collected, runs);
+    }
+
+    #[test]
+    fn unit_runs_drain_front_to_back_across_runs() {
+        let a = WorkUnit::new(OpClass::Decode, 1.0, 8.0);
+        let b = WorkUnit::new(OpClass::Decode, 1.0, 4.0);
+        let mut runs = UnitRuns::new();
+        runs.push(a, 3);
+        runs.push(b, 2);
+        let mut out = Vec::new();
+        runs.take_into(2, &mut out);
+        assert_eq!(out, vec![a, a]);
+        assert_eq!(runs.runs(), &[(a, 1), (b, 2)]);
+        out.clear();
+        runs.take_into(2, &mut out);
+        assert_eq!(out, vec![a, b]);
+        // A unit pushed after the front run drained opens a run of its own
+        // rather than reviving the consumed one.
+        out.clear();
+        runs.take_into(1, &mut out);
+        runs.push(b, 1);
+        assert_eq!(runs.runs(), &[(b, 1)]);
+        runs.take_into(4, &mut out);
+        assert_eq!(out, vec![b, b]);
+        assert!(runs.is_empty());
+        runs.take_into(1, &mut out);
+        assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn dominant_op_of_a_slice_prefers_the_larger_unit() {
+        let units = [
+            WorkUnit::new(OpClass::Decode, 1.0, 1.0),
+            WorkUnit::new(OpClass::Prefill, 5.0, 0.0),
+            WorkUnit::new(OpClass::Other, 5.0, 0.0),
+        ];
+        assert_eq!(dominant_op(&units), OpClass::Prefill);
+        assert_eq!(dominant_op(&units[..1]), OpClass::Decode);
     }
 
     #[test]

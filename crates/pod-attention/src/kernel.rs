@@ -6,9 +6,7 @@ use crate::scheduler::SmAwareScheduler;
 use attn_kernels::{
     AttentionConfig, DecodeKernel, HybridBatch, PrefillKernel, KERNEL_LAUNCH_OVERHEAD,
 };
-use gpu_sim::{
-    CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, SimError, WorkUnit,
-};
+use gpu_sim::{Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, SimError, UnitRuns};
 
 /// POD-Attention: computes the prefill and decode attention of a hybrid batch
 /// in a single fused kernel whose CTAs bind to an operation at runtime, after
@@ -156,37 +154,39 @@ impl PodAttention {
     ///
     /// For degenerate batches (prefill-only or decode-only) the launch simply
     /// contains the corresponding specialized kernel's CTAs — fusing is a
-    /// no-op but the API stays uniform.
+    /// no-op but the API stays uniform. Its grids are built as
+    /// O(heads × query tiles + decode requests) unit runs, not a `Vec` per
+    /// CTA.
     pub fn build_launch(&self, batch: &HybridBatch) -> KernelLaunch {
-        let (plan, prefill_kernel) = self.resolve(batch);
+        let (scheduler, plan) = self.scheduler(batch);
         let mode = plan.ctas_per_sm;
-        let decode_kernel = self.options.decode_kernel();
-
-        let prefill_ctas: Vec<CtaWork> = match &batch.prefill {
-            Some(chunk) => prefill_kernel
-                .build_units(chunk, &self.cfg, &self.gpu)
-                .into_iter()
-                .map(|u| CtaWork { units: vec![u] })
-                .collect(),
-            None => Vec::new(),
-        };
-        let decode_units: Vec<WorkUnit> =
-            decode_kernel.build_units(&batch.decodes, &self.cfg, &self.gpu);
-        let decode_ctas: Vec<CtaWork> = decode_units
-            .chunks(mode.virtual_decode_factor().max(1))
-            .map(|group| CtaWork::fused(group.to_vec()))
-            .collect();
-
         let footprint = Footprint::new(128, self.options.fused_shared_mem(mode, &self.cfg));
+        KernelLaunch::with_dispatcher("pod_attention", footprint, Box::new(scheduler))
+            .limit_ctas_per_sm(mode.limit())
+    }
+
+    /// The fused launch's dispatcher and plan: the prefill grid's runs (one
+    /// unit per CTA) and the decode grid's runs, packed
+    /// [`CtasPerSm::virtual_decode_factor`] units per CTA slot.
+    fn scheduler(&self, batch: &HybridBatch) -> (SmAwareScheduler, LaunchPlan) {
+        let (plan, prefill_kernel) = self.resolve(batch);
+        let prefill = match &batch.prefill {
+            Some(chunk) => prefill_kernel.unit_runs(chunk, &self.cfg, &self.gpu),
+            None => UnitRuns::new(),
+        };
+        let decode = self
+            .options
+            .decode_kernel()
+            .unit_runs(&batch.decodes, &self.cfg, &self.gpu);
         let scheduler = SmAwareScheduler::new(
-            prefill_ctas,
-            decode_ctas,
+            prefill,
+            decode,
             self.gpu.num_sms,
             plan.ratio.0,
             plan.ratio.1,
-        );
-        KernelLaunch::with_dispatcher("pod_attention", footprint, Box::new(scheduler))
-            .limit_ctas_per_sm(mode.limit())
+        )
+        .with_decode_units_per_cta(plan.ctas_per_sm.virtual_decode_factor().max(1));
+        (scheduler, plan)
     }
 
     /// Execute the fused kernel on the simulated GPU and return the report.
@@ -310,6 +310,7 @@ mod tests {
     use super::*;
     use crate::policy::SchedulingPolicy;
     use attn_kernels::SplitPolicy;
+    use gpu_sim::{CtaDispatcher, WorkUnit};
 
     fn pod() -> PodAttention {
         PodAttention::new(AttentionConfig::llama3_8b(), GpuConfig::a100_80gb())
@@ -485,5 +486,191 @@ mod tests {
             limited <= vanilla * 1.02,
             "limited splits {limited} should not be slower than vanilla {vanilla}"
         );
+    }
+
+    /// The fused grid as it was built before unit runs: one CTA per prefill
+    /// unit, decode units packed `factor` per CTA by `chunks`, bound by a
+    /// copy of Figure 9's algorithm over the two CTA lists.
+    struct ListScheduler {
+        prefill: std::collections::VecDeque<gpu_sim::CtaWork>,
+        decode: std::collections::VecDeque<gpu_sim::CtaWork>,
+        ratio: (usize, usize),
+        counters: Vec<usize>,
+        bound_counts: Vec<(usize, usize)>,
+        fallthroughs: usize,
+    }
+
+    impl ListScheduler {
+        fn new(pod: &PodAttention, batch: &HybridBatch) -> Self {
+            let (plan, prefill_kernel) = pod.resolve(batch);
+            let prefill = match &batch.prefill {
+                Some(chunk) => prefill_kernel.build_units(chunk, &pod.cfg, &pod.gpu),
+                None => Vec::new(),
+            };
+            let decode =
+                pod.options
+                    .decode_kernel()
+                    .build_units(&batch.decodes, &pod.cfg, &pod.gpu);
+            let factor = plan.ctas_per_sm.virtual_decode_factor().max(1);
+            ListScheduler {
+                prefill: prefill
+                    .into_iter()
+                    .map(|u| gpu_sim::CtaWork { units: vec![u] })
+                    .collect(),
+                decode: decode
+                    .chunks(factor)
+                    .map(|group| gpu_sim::CtaWork::fused(group.to_vec()))
+                    .collect(),
+                ratio: plan.ratio,
+                counters: vec![0; pod.gpu.num_sms],
+                bound_counts: vec![(0, 0); pod.gpu.num_sms],
+                fallthroughs: 0,
+            }
+        }
+
+        fn dispatch(&mut self, sm: usize) -> gpu_sim::CtaWork {
+            let ticket = self.counters[sm];
+            self.counters[sm] += 1;
+            let (p, d) = self.ratio;
+            let prefill_first = if p + d == 0 {
+                !self.prefill.is_empty()
+            } else {
+                let slot = ticket % (p + d);
+                if p <= d {
+                    slot < p
+                } else {
+                    slot >= d
+                }
+            };
+            let prefill = match prefill_first {
+                true if self.prefill.is_empty() => false,
+                false if self.decode.is_empty() => true,
+                chosen => chosen,
+            };
+            if prefill != prefill_first {
+                self.fallthroughs += 1;
+            }
+            if prefill {
+                self.bound_counts[sm].0 += 1;
+                self.prefill.pop_front().unwrap()
+            } else {
+                self.bound_counts[sm].1 += 1;
+                self.decode.pop_front().unwrap()
+            }
+        }
+    }
+
+    fn bits(units: &[WorkUnit]) -> Vec<(gpu_sim::OpClass, u64, u64, u64)> {
+        units
+            .iter()
+            .map(|u| {
+                (
+                    u.op,
+                    u.flops.to_bits(),
+                    u.bytes.to_bits(),
+                    u.serial_fraction.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Drain `pod`'s dispatcher for `batch` and the list-built reference on
+    /// one pseudo-random SM sequence; every CTA's units, every SM's bound
+    /// counts and the fall-through count must agree. Returns the CTA count.
+    fn assert_dispatch_matches_lists(
+        pod: &PodAttention,
+        batch: &HybridBatch,
+        label: &str,
+    ) -> usize {
+        let (mut runs, plan) = pod.scheduler(batch);
+        let mut lists = ListScheduler::new(pod, batch);
+        let ctas = runs.remaining();
+        assert_eq!(
+            ctas,
+            lists.prefill.len() + lists.decode.len(),
+            "{label}: CTAs"
+        );
+        assert_eq!(ctas, plan.prefill_ctas + plan.decode_slots, "{label}: plan");
+        let mut units = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in 0..ctas {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let sm = (x >> 33) as usize % pod.gpu.num_sms;
+            units.clear();
+            runs.dispatch(sm, &mut units);
+            let want = lists.dispatch(sm);
+            assert_eq!(
+                bits(&units),
+                bits(&want.units),
+                "{label}: CTA {i} on SM {sm}"
+            );
+        }
+        assert_eq!(runs.remaining(), 0, "{label}");
+        assert_eq!(runs.bound_counts(), &lists.bound_counts[..], "{label}");
+        assert_eq!(runs.fallthroughs(), lists.fallthroughs, "{label}");
+        ctas
+    }
+
+    /// Building the fused launch from unit runs dispatches exactly what the
+    /// per-CTA construction did: the three models, a model whose decode
+    /// slots straddle requests, non-uniform contexts, degenerate batches and
+    /// both CTAs/SM modes.
+    #[test]
+    fn run_dispatch_matches_per_cta_construction() {
+        use attn_kernels::DecodeRequest;
+        let gpu = GpuConfig::a100_80gb();
+        // 3 KV heads per GPU: a request's 3 × splits units are not a
+        // multiple of either decode factor, so slots straddle requests.
+        let odd = AttentionConfig {
+            num_q_heads: 30,
+            num_kv_heads: 6,
+            head_dim: 128,
+            dtype_bytes: 2,
+            tensor_parallel: 2,
+            num_layers: 32,
+        };
+        let ragged = |n: usize| HybridBatch {
+            prefill: Some(attn_kernels::PrefillChunk::new(768, 5000)),
+            decodes: (0..n)
+                .map(|i| DecodeRequest::new(300 + 997 * i % 9000))
+                .collect(),
+            kv_dedup_tokens: 0,
+            spec_verify_tokens: 0,
+        };
+        let batches = [
+            HybridBatch::uniform(1024, 12 * 1024, 128, 12 * 1024),
+            HybridBatch::uniform(512, 4096, 224, 4096),
+            HybridBatch::uniform(2048, 2048, 12, 16 * 1024),
+            ragged(37),
+            ragged(12),
+            HybridBatch::prefill_only(2048, 2048),
+            HybridBatch::decode_only(12, 4096),
+            HybridBatch::new(),
+        ];
+        let mut straddled = false;
+        for (name, cfg) in [
+            ("yi_6b", AttentionConfig::yi_6b()),
+            ("llama2_7b", AttentionConfig::llama2_7b()),
+            ("llama3_8b", AttentionConfig::llama3_8b()),
+            ("odd_kv_heads", odd),
+        ] {
+            for mode in [CtasPerSm::Two, CtasPerSm::Four] {
+                let pod = PodAttention::with_options(
+                    cfg,
+                    gpu.clone(),
+                    PodOptions::recommended().with_ctas_per_sm(mode),
+                );
+                for (i, batch) in batches.iter().enumerate() {
+                    let label = format!("{name} {mode} batch {i}");
+                    assert_dispatch_matches_lists(&pod, batch, &label);
+                    let plan = pod.plan(batch);
+                    let per_request = plan.virtual_decode_ctas / batch.decodes.len().max(1);
+                    straddled |= per_request % mode.virtual_decode_factor() != 0;
+                }
+            }
+        }
+        assert!(straddled, "no case packed a slot across two requests");
     }
 }

@@ -8,7 +8,7 @@
 //! bandwidth.
 
 use attn_kernels::{AttentionConfig, DecodeKernel, HybridBatch, PrefillKernel, SplitPolicy};
-use gpu_sim::{GpuConfig, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
+use gpu_sim::{GpuConfig, UnitRuns, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
 
 /// Perfect-overlap lower bound on the attention runtime of `batch` (seconds).
 ///
@@ -19,19 +19,18 @@ pub fn oracle_time(batch: &HybridBatch, cfg: &AttentionConfig, gpu: &GpuConfig) 
     let mut flops = 0.0;
     let mut bytes = 0.0;
     let mut ctas = 0usize;
+    let mut add = |runs: UnitRuns| {
+        let (f, b) = unit_sums(&runs);
+        flops += f;
+        bytes += b;
+        ctas += runs.len();
+    };
     if let Some(chunk) = &batch.prefill {
         let k = PrefillKernel::flash_attention().with_split_policy(SplitPolicy::LimitedToTwoWaves);
-        let units = k.build_units(chunk, cfg, gpu);
-        flops += units.iter().map(|u| u.flops).sum::<f64>();
-        bytes += units.iter().map(|u| u.bytes).sum::<f64>();
-        ctas += units.len();
+        add(k.unit_runs(chunk, cfg, gpu));
     }
     if !batch.decodes.is_empty() {
-        let k = DecodeKernel::pod();
-        let units = k.build_units(&batch.decodes, cfg, gpu);
-        flops += units.iter().map(|u| u.flops).sum::<f64>();
-        bytes += units.iter().map(|u| u.bytes).sum::<f64>();
-        ctas += units.len();
+        add(DecodeKernel::pod().unit_runs(&batch.decodes, cfg, gpu));
     }
     if ctas == 0 {
         return 0.0;
@@ -41,6 +40,19 @@ pub fn oracle_time(batch: &HybridBatch, cfg: &AttentionConfig, gpu: &GpuConfig) 
     let mem_rate =
         (ctas as f64 * MAX_CTA_BANDWIDTH_FRACTION * gpu.hbm_bandwidth).min(gpu.hbm_bandwidth);
     (flops / compute_rate).max(bytes / mem_rate)
+}
+
+/// A grid's `(flops, bytes)`, each unit's value added once per CTA in launch
+/// order: bit-identical to summing the expanded unit list.
+fn unit_sums(runs: &UnitRuns) -> (f64, f64) {
+    let (mut flops, mut bytes) = (0.0, 0.0);
+    for &(u, n) in runs.runs() {
+        for _ in 0..n {
+            flops += u.flops;
+            bytes += u.bytes;
+        }
+    }
+    (flops, bytes)
 }
 
 #[cfg(test)]

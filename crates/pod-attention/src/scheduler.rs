@@ -12,10 +12,13 @@
 //!
 //! In the simulator the same algorithm runs inside a [`gpu_sim::CtaDispatcher`]:
 //! the engine tells the dispatcher which SM the next CTA landed on, mirroring
-//! the `%smid` read.
+//! the `%smid` read. Each operation's work is held as [`UnitRuns`]: a prefill
+//! CTA takes the next prefill unit, a decode slot the next
+//! [`with_decode_units_per_cta`](SmAwareScheduler::with_decode_units_per_cta)
+//! decode units (so a slot may straddle two requests), and building the
+//! scheduler costs O(runs), not O(CTAs).
 
-use gpu_sim::{CtaDispatcher, CtaWork};
-use std::collections::VecDeque;
+use gpu_sim::{CtaDispatcher, UnitRuns, WorkUnit};
 
 /// Which operation a CTA slot was bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +37,11 @@ pub enum BoundOp {
 /// perform.
 #[derive(Debug, Clone)]
 pub struct SmAwareScheduler {
-    prefill_work: VecDeque<CtaWork>,
-    decode_work: VecDeque<CtaWork>,
+    /// Prefill units, one per CTA.
+    prefill_work: UnitRuns,
+    /// Decode units, `decode_units_per_cta` per CTA slot.
+    decode_work: UnitRuns,
+    decode_units_per_cta: usize,
     /// Per-SM ticket counters (`sm_ctr` in Figure 9).
     sm_counters: Vec<usize>,
     /// Interleaving ratio from the scheduling policy.
@@ -55,8 +61,9 @@ pub struct SmAwareScheduler {
 }
 
 impl SmAwareScheduler {
-    /// Create a scheduler over the prefill and decode CTA work lists with the
-    /// interleave ratio `(prefill_ratio, decode_ratio)` (see
+    /// Create a scheduler over the prefill and decode work units, one unit
+    /// per CTA on each side, with the interleave ratio
+    /// `(prefill_ratio, decode_ratio)` (see
     /// [`crate::SchedulingPolicy::ratios`]).
     ///
     /// # Panics
@@ -64,8 +71,8 @@ impl SmAwareScheduler {
     /// Panics if `num_sms` is zero or both ratios are zero while both work
     /// lists are non-empty.
     pub fn new(
-        prefill_work: Vec<CtaWork>,
-        decode_work: Vec<CtaWork>,
+        prefill_work: UnitRuns,
+        decode_work: UnitRuns,
         num_sms: usize,
         prefill_ratio: usize,
         decode_ratio: usize,
@@ -78,8 +85,9 @@ impl SmAwareScheduler {
             );
         }
         SmAwareScheduler {
-            prefill_work: prefill_work.into(),
-            decode_work: decode_work.into(),
+            prefill_work,
+            decode_work,
+            decode_units_per_cta: 1,
             sm_counters: vec![0; num_sms],
             prefill_ratio,
             decode_ratio,
@@ -87,6 +95,19 @@ impl SmAwareScheduler {
             fallthroughs: 0,
             binding_log: None,
         }
+    }
+
+    /// Pack `units` decode units into each decode CTA slot (POD's virtual
+    /// decode CTAs, [`crate::CtasPerSm::virtual_decode_factor`]). The last
+    /// slot takes whatever is left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` is zero.
+    pub fn with_decode_units_per_cta(mut self, units: usize) -> Self {
+        assert!(units > 0, "a decode CTA slot packs at least one unit");
+        self.decode_units_per_cta = units;
+        self
     }
 
     /// Enable the full per-SM op log (used by tests and co-location
@@ -151,10 +172,10 @@ impl SmAwareScheduler {
 
 impl CtaDispatcher for SmAwareScheduler {
     fn remaining(&self) -> usize {
-        self.prefill_work.len() + self.decode_work.len()
+        self.prefill_work.len() + self.decode_work.len().div_ceil(self.decode_units_per_cta)
     }
 
-    fn dispatch(&mut self, sm_id: usize) -> CtaWork {
+    fn dispatch(&mut self, sm_id: usize, units: &mut Vec<WorkUnit>) {
         let sm = sm_id % self.sm_counters.len();
         // Lines 2–6 of Figure 9: read %smid, take a ticket.
         let ticket = self.sm_counters[sm];
@@ -162,7 +183,7 @@ impl CtaDispatcher for SmAwareScheduler {
         let chosen = self.op_for_ticket(ticket);
         // Lines 10–18: if the chosen operation is exhausted, switch. All
         // bookkeeping below records the *executed* operation, so counts, log
-        // and the returned work always agree.
+        // and the dispatched work always agree.
         let op = match chosen {
             BoundOp::Prefill if self.prefill_work.is_empty() => BoundOp::Decode,
             BoundOp::Decode if self.decode_work.is_empty() => BoundOp::Prefill,
@@ -171,21 +192,21 @@ impl CtaDispatcher for SmAwareScheduler {
         if op != chosen {
             self.fallthroughs += 1;
         }
-        let work = match op {
+        let (work, per_cta) = match op {
             BoundOp::Prefill => {
                 self.bound_counts[sm].0 += 1;
-                self.prefill_work.pop_front()
+                (&mut self.prefill_work, 1)
             }
             BoundOp::Decode => {
                 self.bound_counts[sm].1 += 1;
-                self.decode_work.pop_front()
+                (&mut self.decode_work, self.decode_units_per_cta)
             }
         };
-        let work = work.expect("dispatch called with no remaining work");
+        assert!(!work.is_empty(), "dispatch called with no remaining work");
+        work.take_into(per_cta, units);
         if let Some(log) = &mut self.binding_log {
             log[sm].push(op);
         }
-        work
     }
 }
 
@@ -194,29 +215,41 @@ mod tests {
     use super::*;
     use gpu_sim::OpClass;
 
-    fn prefill_cta() -> CtaWork {
-        CtaWork::single(OpClass::Prefill, 1e6, 1e3)
+    fn runs(op: OpClass, n: usize) -> UnitRuns {
+        let mut runs = UnitRuns::new();
+        let (flops, bytes) = match op {
+            OpClass::Prefill => (1e6, 1e3),
+            _ => (1e3, 1e6),
+        };
+        runs.push(WorkUnit::new(op, flops, bytes), n);
+        runs
     }
 
-    fn decode_cta() -> CtaWork {
-        CtaWork::single(OpClass::Decode, 1e3, 1e6)
+    fn prefill(n: usize) -> UnitRuns {
+        runs(OpClass::Prefill, n)
+    }
+
+    fn decode(n: usize) -> UnitRuns {
+        runs(OpClass::Decode, n)
+    }
+
+    /// Dispatch one CTA onto `sm` and return the operation of its units.
+    fn dispatch_op(s: &mut SmAwareScheduler, sm: usize) -> BoundOp {
+        let mut units = Vec::new();
+        s.dispatch(sm, &mut units);
+        assert_eq!(units.len(), 1);
+        match units[0].op {
+            OpClass::Prefill => BoundOp::Prefill,
+            OpClass::Decode => BoundOp::Decode,
+            other => panic!("unexpected op class {other}"),
+        }
     }
 
     #[test]
     fn fifty_fifty_alternates_per_sm() {
-        let mut s = SmAwareScheduler::new(vec![prefill_cta(); 4], vec![decode_cta(); 4], 2, 1, 1)
-            .with_binding_log();
+        let mut s = SmAwareScheduler::new(prefill(4), decode(4), 2, 1, 1).with_binding_log();
         // Four CTAs land on SM 0, four on SM 1.
-        let ops: Vec<BoundOp> = (0..8)
-            .map(|i| {
-                let w = s.dispatch(i % 2);
-                if w.dominant_op() == OpClass::Prefill {
-                    BoundOp::Prefill
-                } else {
-                    BoundOp::Decode
-                }
-            })
-            .collect();
+        let ops: Vec<BoundOp> = (0..8).map(|i| dispatch_op(&mut s, i % 2)).collect();
         // Each SM alternates prefill, decode, prefill, decode.
         assert_eq!(
             s.bindings()[0],
@@ -241,17 +274,8 @@ mod tests {
 
     #[test]
     fn proportional_ratio_is_respected() {
-        let mut s = SmAwareScheduler::new(vec![prefill_cta(); 2], vec![decode_cta(); 6], 1, 1, 3);
-        let seq: Vec<BoundOp> = (0..8)
-            .map(|_| {
-                let w = s.dispatch(0);
-                if w.dominant_op() == OpClass::Prefill {
-                    BoundOp::Prefill
-                } else {
-                    BoundOp::Decode
-                }
-            })
-            .collect();
+        let mut s = SmAwareScheduler::new(prefill(2), decode(6), 1, 1, 3);
+        let seq: Vec<BoundOp> = (0..8).map(|_| dispatch_op(&mut s, 0)).collect();
         assert_eq!(
             seq,
             vec![
@@ -270,14 +294,13 @@ mod tests {
 
     #[test]
     fn exhausted_operation_falls_through_to_the_other() {
-        let mut s = SmAwareScheduler::new(vec![prefill_cta(); 1], vec![decode_cta(); 5], 1, 1, 1);
+        let mut s = SmAwareScheduler::new(prefill(1), decode(5), 1, 1, 1);
         let mut prefill_seen = 0;
         let mut decode_seen = 0;
         for _ in 0..6 {
-            match s.dispatch(0).dominant_op() {
-                OpClass::Prefill => prefill_seen += 1,
-                OpClass::Decode => decode_seen += 1,
-                _ => unreachable!(),
+            match dispatch_op(&mut s, 0) {
+                BoundOp::Prefill => prefill_seen += 1,
+                BoundOp::Decode => decode_seen += 1,
             }
         }
         assert_eq!(prefill_seen, 1);
@@ -288,17 +311,11 @@ mod tests {
     #[test]
     fn every_sm_gets_both_operations() {
         let num_sms = 8;
-        let mut s = SmAwareScheduler::new(
-            vec![prefill_cta(); 16],
-            vec![decode_cta(); 16],
-            num_sms,
-            1,
-            1,
-        )
-        .with_binding_log();
+        let mut s =
+            SmAwareScheduler::new(prefill(16), decode(16), num_sms, 1, 1).with_binding_log();
         // Round-robin placement across SMs, 4 CTAs each.
         for i in 0..32 {
-            let _ = s.dispatch(i % num_sms);
+            dispatch_op(&mut s, i % num_sms);
         }
         for sm in 0..num_sms {
             let ops = &s.bindings()[sm];
@@ -309,9 +326,9 @@ mod tests {
 
     #[test]
     fn decode_only_launch_never_asks_for_prefill() {
-        let mut s = SmAwareScheduler::new(vec![], vec![decode_cta(); 3], 4, 0, 1);
+        let mut s = SmAwareScheduler::new(UnitRuns::new(), decode(3), 4, 0, 1);
         for i in 0..3 {
-            assert_eq!(s.dispatch(i).dominant_op(), OpClass::Decode);
+            assert_eq!(dispatch_op(&mut s, i), BoundOp::Decode);
         }
         assert_eq!(s.remaining(), 0);
     }
@@ -319,17 +336,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "no remaining work")]
     fn dispatch_past_the_end_panics() {
-        let mut s = SmAwareScheduler::new(vec![prefill_cta()], vec![], 1, 1, 0);
-        let _ = s.dispatch(0);
-        let _ = s.dispatch(0);
+        let mut s = SmAwareScheduler::new(prefill(1), UnitRuns::new(), 1, 1, 0);
+        dispatch_op(&mut s, 0);
+        dispatch_op(&mut s, 0);
     }
 
     #[test]
     fn out_of_range_sm_ids_wrap() {
-        let mut s = SmAwareScheduler::new(vec![prefill_cta(); 2], vec![decode_cta(); 2], 2, 1, 1)
-            .with_binding_log();
+        let mut s = SmAwareScheduler::new(prefill(2), decode(2), 2, 1, 1).with_binding_log();
         // SM id 5 wraps to SM 1.
-        let _ = s.dispatch(5);
+        dispatch_op(&mut s, 5);
         assert_eq!(s.bindings()[1].len(), 1);
         assert_eq!(s.bound_counts()[1].0 + s.bound_counts()[1].1, 1);
     }
@@ -339,9 +355,9 @@ mod tests {
     /// across fall-throughs.
     #[test]
     fn counts_track_executed_ops_across_fallthroughs() {
-        let mut s = SmAwareScheduler::new(vec![prefill_cta(); 2], vec![decode_cta(); 6], 1, 1, 1);
+        let mut s = SmAwareScheduler::new(prefill(2), decode(6), 1, 1, 1);
         for _ in 0..8 {
-            let _ = s.dispatch(0);
+            dispatch_op(&mut s, 0);
         }
         assert!(s.bindings().is_empty(), "log must be off by default");
         assert_eq!(s.bound_counts()[0], (2, 6));
@@ -349,5 +365,27 @@ mod tests {
         // prefill CTAs exist: two dispatches fell through to decode.
         assert_eq!(s.fallthroughs(), 2);
         assert_eq!(s.remaining(), 0);
+    }
+
+    /// Packed decode slots take their units front to back across runs, and
+    /// the last slot takes what is left.
+    #[test]
+    fn packed_decode_slots_straddle_runs() {
+        let a = WorkUnit::new(OpClass::Decode, 1.0, 4.0);
+        let b = WorkUnit::new(OpClass::Decode, 1.0, 2.0);
+        let mut decode = UnitRuns::new();
+        decode.push(a, 3);
+        decode.push(b, 4);
+        let mut s =
+            SmAwareScheduler::new(UnitRuns::new(), decode, 1, 0, 1).with_decode_units_per_cta(2);
+        assert_eq!(s.remaining(), 4);
+        let mut slots = Vec::new();
+        while s.remaining() > 0 {
+            let mut units = Vec::new();
+            s.dispatch(0, &mut units);
+            slots.push(units);
+        }
+        assert_eq!(slots, [vec![a, a], vec![a, b], vec![b, b], vec![b]]);
+        assert_eq!(s.bound_counts()[0], (0, 4));
     }
 }

@@ -11,7 +11,7 @@ use attn_kernels::{
     PrefillChunk, PrefillKernel,
 };
 use gpu_sim::CtaDispatcher;
-use gpu_sim::{CtaWork, Engine, Footprint, GpuConfig, KernelLaunch, OpClass};
+use gpu_sim::{CtaWork, Engine, Footprint, GpuConfig, KernelLaunch, OpClass, UnitRuns, WorkUnit};
 use llm_serving::{
     blocks_for, offline_long_context, BlockPool, ModelConfig, ServingConfig, ServingEngine,
     SplitMix64, SummaryStats, Workload,
@@ -205,18 +205,27 @@ fn sm_aware_scheduler_dispatches_everything() {
         };
         let (pr, dr) = policy.ratios(prefill, decode);
         let num_sms = 16;
+        let runs = |op, n| {
+            let mut runs = UnitRuns::new();
+            runs.push(WorkUnit::new(op, 1.0, 1.0), n);
+            runs
+        };
         let mut sched = SmAwareScheduler::new(
-            vec![CtaWork::single(OpClass::Prefill, 1.0, 1.0); prefill],
-            vec![CtaWork::single(OpClass::Decode, 1.0, 1.0); decode],
+            runs(OpClass::Prefill, prefill),
+            runs(OpClass::Decode, decode),
             num_sms,
             pr,
             dr,
         );
         let mut seen_prefill = 0usize;
         let mut seen_decode = 0usize;
+        let mut units = Vec::new();
         for _ in 0..(prefill + decode) {
             let sm = rng.next_usize(num_sms);
-            match sched.dispatch(sm).dominant_op() {
+            units.clear();
+            sched.dispatch(sm, &mut units);
+            assert_eq!(units.len(), 1, "case {case}: one unit per CTA");
+            match units[0].op {
                 OpClass::Prefill => seen_prefill += 1,
                 OpClass::Decode => seen_decode += 1,
                 other => panic!("case {case}: unexpected op class {other}"),
