@@ -1,6 +1,11 @@
 //! Hybrid batch descriptors: one chunked prefill plus a set of ongoing
 //! decodes, as formed by hybrid-batching LLM schedulers (Sarathi-Serve).
 
+use crate::config::AttentionConfig;
+use crate::decode::DecodeKernel;
+use crate::prefill::PrefillKernel;
+use gpu_sim::{GpuConfig, KernelLaunch};
+
 /// The prefill side of a hybrid batch: one chunk of a prompt.
 ///
 /// `chunk_len` new query tokens are processed; their keys/values are appended
@@ -32,12 +37,6 @@ impl PrefillChunk {
     /// Total KV length visible to the last token of this chunk.
     pub fn context_len(&self) -> usize {
         self.prior_len + self.chunk_len
-    }
-
-    /// Average number of keys a query token of this chunk attends to under a
-    /// causal mask.
-    pub fn avg_causal_kv(&self) -> f64 {
-        self.prior_len as f64 + (self.chunk_len as f64 + 1.0) / 2.0
     }
 }
 
@@ -180,16 +179,32 @@ impl HybridBatch {
         self.decodes.len()
     }
 
-    /// Total decode context tokens across the batch.
-    pub fn total_decode_context(&self) -> usize {
-        self.decodes.iter().map(|d| d.context_len).sum()
-    }
-
     /// Total number of *query* tokens processed in this iteration
     /// (prefill chunk tokens, one token per decode, plus any extra
     /// speculative-verify tokens).
     pub fn total_query_tokens(&self) -> usize {
         self.prefill.map_or(0, |p| p.chunk_len) + self.decodes.len() + self.spec_verify_tokens
+    }
+
+    /// The launches of a two-kernel baseline: the `kernels.0` prefill kernel
+    /// over the chunk, named `names.0`, then the `kernels.1` decode kernel
+    /// over the decode requests, named `names.1`. A side the batch lacks
+    /// launches nothing.
+    pub fn two_kernel_launches(
+        &self,
+        kernels: (PrefillKernel, DecodeKernel),
+        names: (&str, &str),
+        cfg: &AttentionConfig,
+        gpu: &GpuConfig,
+    ) -> Vec<KernelLaunch> {
+        let mut launches = Vec::with_capacity(2);
+        if let Some(chunk) = &self.prefill {
+            launches.push(kernels.0.launch(names.0, chunk, cfg, gpu));
+        }
+        if !self.decodes.is_empty() {
+            launches.push(kernels.1.launch(names.1, &self.decodes, cfg, gpu));
+        }
+        launches
     }
 
     /// Add one decode request.
@@ -226,7 +241,6 @@ mod tests {
     fn chunk_context_and_causal_average() {
         let c = PrefillChunk::new(1024, 3072);
         assert_eq!(c.context_len(), 4096);
-        assert!((c.avg_causal_kv() - (3072.0 + 512.5)).abs() < 1e-9);
         let first = PrefillChunk::first(512);
         assert_eq!(first.prior_len, 0);
         assert_eq!(first.context_len(), 512);
@@ -252,7 +266,6 @@ mod tests {
     fn query_token_accounting() {
         let b = HybridBatch::uniform(512, 2048, 10, 4096);
         assert_eq!(b.total_query_tokens(), 522);
-        assert_eq!(b.total_decode_context(), 10 * 4096);
         // Speculative-verify tokens count as query tokens.
         let s = b.with_spec_verify(30);
         assert_eq!(s.total_query_tokens(), 552);
@@ -280,6 +293,6 @@ mod tests {
         b.push_decode(128);
         b.push_decode(256);
         assert_eq!(b.decode_batch_size(), 2);
-        assert_eq!(b.total_decode_context(), 384);
+        assert_eq!(b.decodes[1], DecodeRequest::new(256));
     }
 }

@@ -89,7 +89,7 @@ impl AttentionConfig {
 
     /// Bytes of KV cache one token occupies on one GPU for one layer
     /// (key + value across the GPU's KV heads).
-    pub fn kv_bytes_per_token_per_layer(&self) -> usize {
+    fn kv_bytes_per_token_per_layer(&self) -> usize {
         2 * self.kv_heads_per_gpu() * self.head_dim * self.dtype_bytes
     }
 

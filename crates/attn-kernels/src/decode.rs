@@ -117,6 +117,17 @@ impl DecodeKernel {
         wanted.min(self.tile.kv_tiles(max_context).max(1)).max(1)
     }
 
+    /// CTAs the kernel launches for `decodes`: one per
+    /// (request, KV head, KV split).
+    pub fn num_ctas(
+        &self,
+        decodes: &[DecodeRequest],
+        cfg: &AttentionConfig,
+        gpu: &GpuConfig,
+    ) -> usize {
+        decodes.len() * self.grid(decodes, cfg, gpu).0
+    }
+
     /// The kernel's grid for a batch of decode requests as unit runs: one
     /// run per request, of one unit per (KV head, KV split) CTA, in launch
     /// order. Building it costs O(requests).
@@ -169,9 +180,10 @@ impl DecodeKernel {
 
     /// The CTAs per request of a decode batch's grid and a walk of each
     /// request's per-CTA `(flops, bytes)` in launch order: the one grid
-    /// definition behind [`DecodeKernel::unit_runs`] and
-    /// [`DecodeKernel::work`]. The walk yields plain pairs, not checked
-    /// [`WorkUnit`]s, so the estimator's exact path stays a tight loop.
+    /// definition behind [`DecodeKernel::num_ctas`],
+    /// [`DecodeKernel::unit_runs`] and [`DecodeKernel::work`]. The walk
+    /// yields plain pairs, not checked [`WorkUnit`]s, so the estimator's
+    /// exact path stays a tight loop.
     fn grid<'a>(
         &'a self,
         decodes: &'a [DecodeRequest],
@@ -376,6 +388,7 @@ mod tests {
             {
                 for k in [DecodeKernel::flash_attention(), DecodeKernel::pod()] {
                     let want = k.build_units(decodes, &cfg, &gpu());
+                    assert_eq!(k.num_ctas(decodes, &cfg, &gpu()), want.len());
                     let launch = k.launch("d", decodes, &cfg, &gpu());
                     assert_launch_dispatches(launch, &want, &format!("{cfg:?} batch {i}"));
                 }

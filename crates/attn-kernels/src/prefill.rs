@@ -135,8 +135,18 @@ impl PrefillKernel {
     }
 
     /// CTAs in the grid before KV splitting: one per (query head, query tile).
-    pub fn base_ctas(&self, chunk: &PrefillChunk, cfg: &AttentionConfig) -> usize {
+    fn base_ctas(&self, chunk: &PrefillChunk, cfg: &AttentionConfig) -> usize {
         cfg.q_heads_per_gpu() * self.tile.q_tiles(chunk.chunk_len)
+    }
+
+    /// CTAs in the kernel's grid for one chunk:
+    /// `(query heads per GPU) × (query tiles) × (KV splits)`, zero for an
+    /// empty chunk.
+    pub fn num_ctas(&self, chunk: &PrefillChunk, cfg: &AttentionConfig, gpu: &GpuConfig) -> usize {
+        if chunk.chunk_len == 0 {
+            return 0;
+        }
+        self.base_ctas(chunk, cfg) * self.num_splits(chunk, cfg, gpu)
     }
 
     /// The kernel's grid for one prefill chunk as unit runs: one run per
@@ -208,8 +218,7 @@ impl PrefillKernel {
             .map(|kv| attention_flops_per_head(grid.padded_q, *kv, d) / grid.eff)
             .sum::<f64>()
             * q_heads as f64;
-        let ctas = q_heads * grid.tile_kv.len() * grid.splits;
-        (flops, grid.total_bytes, ctas)
+        (flops, grid.total_bytes, self.num_ctas(chunk, cfg, gpu))
     }
 
     /// The per-tile geometry and whole-kernel HBM traffic shared by
@@ -432,6 +441,7 @@ mod tests {
             ] {
                 let k = PrefillKernel::flash_attention().with_split_policy(policy);
                 let want = k.build_units(&chunk, &cfg, &gpu());
+                assert_eq!(k.num_ctas(&chunk, &cfg, &gpu()), want.len());
                 let launch = k.launch("p", &chunk, &cfg, &gpu());
                 assert_launch_dispatches(launch, &want, &format!("{cfg:?} {policy:?}"));
             }

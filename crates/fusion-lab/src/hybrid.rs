@@ -75,7 +75,12 @@ impl HybridAttentionRunner {
         match strategy {
             AttentionStrategy::FaSerial => self.engine.run_serial(self.fa_launches(batch)),
             AttentionStrategy::FaStreams => self.engine.run_concurrent(self.fa_launches(batch)),
-            AttentionStrategy::FiSerial => self.engine.run_serial(self.fi_launches(batch)),
+            AttentionStrategy::FiSerial => self.engine.run_serial(batch.two_kernel_launches(
+                (PrefillKernel::flashinfer(), DecodeKernel::flashinfer()),
+                ("fi_prefill", "fi_decode"),
+                &self.cfg,
+                &self.gpu,
+            )),
             AttentionStrategy::FiBatched => {
                 self.engine
                     .run_kernel(BatchedPrefillKernel::flashinfer().launch(
@@ -128,45 +133,15 @@ impl HybridAttentionRunner {
     }
 
     fn fa_launches(&self, batch: &HybridBatch) -> Vec<KernelLaunch> {
-        let mut launches = Vec::new();
-        if let Some(chunk) = &batch.prefill {
-            launches.push(PrefillKernel::flash_attention().launch(
-                "fa2_prefill",
-                chunk,
-                &self.cfg,
-                &self.gpu,
-            ));
-        }
-        if !batch.decodes.is_empty() {
-            launches.push(DecodeKernel::flash_attention().launch(
-                "fa_decode",
-                &batch.decodes,
-                &self.cfg,
-                &self.gpu,
-            ));
-        }
-        launches
-    }
-
-    fn fi_launches(&self, batch: &HybridBatch) -> Vec<KernelLaunch> {
-        let mut launches = Vec::new();
-        if let Some(chunk) = &batch.prefill {
-            launches.push(PrefillKernel::flashinfer().launch(
-                "fi_prefill",
-                chunk,
-                &self.cfg,
-                &self.gpu,
-            ));
-        }
-        if !batch.decodes.is_empty() {
-            launches.push(DecodeKernel::flashinfer().launch(
-                "fi_decode",
-                &batch.decodes,
-                &self.cfg,
-                &self.gpu,
-            ));
-        }
-        launches
+        batch.two_kernel_launches(
+            (
+                PrefillKernel::flash_attention(),
+                DecodeKernel::flash_attention(),
+            ),
+            ("fa2_prefill", "fa_decode"),
+            &self.cfg,
+            &self.gpu,
+        )
     }
 
     /// Build the HFuse (warp-parallel fused) launch: the i-th prefill CTA and
@@ -202,42 +177,6 @@ impl HybridAttentionRunner {
     }
 }
 
-/// Result row of a hybrid-batch strategy comparison, used by the figure
-/// harnesses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StrategyTiming {
-    /// The strategy.
-    pub strategy: AttentionStrategy,
-    /// Attention runtime in seconds (including launch overheads).
-    pub time: f64,
-    /// Speedup over FA_Serial (>1 means faster).
-    pub speedup: f64,
-}
-
-/// Time every strategy on one batch and return the rows in
-/// [`AttentionStrategy::all`] order.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if any launch cannot be scheduled.
-pub fn compare_strategies(
-    runner: &HybridAttentionRunner,
-    batch: &HybridBatch,
-) -> Result<Vec<StrategyTiming>, SimError> {
-    let base = runner.time(batch, AttentionStrategy::FaSerial)?;
-    AttentionStrategy::all()
-        .iter()
-        .map(|&strategy| {
-            let time = runner.time(batch, strategy)?;
-            Ok(StrategyTiming {
-                strategy,
-                time,
-                speedup: base / time,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,21 +189,17 @@ mod tests {
     fn pod_is_the_fastest_strategy_on_balanced_batches() {
         let r = runner();
         let batch = HybridBatch::uniform(2048, 12 * 1024, 100, 12 * 1024);
-        let rows = compare_strategies(&r, &batch).unwrap();
-        let pod = rows
-            .iter()
-            .find(|t| t.strategy == AttentionStrategy::Pod)
-            .unwrap();
-        for row in &rows {
+        let pod = r.time(&batch, AttentionStrategy::Pod).unwrap();
+        for strategy in AttentionStrategy::all() {
+            let time = r.time(&batch, strategy).unwrap();
             assert!(
-                pod.time <= row.time * 1.02,
-                "POD ({:.3} ms) slower than {} ({:.3} ms)",
-                pod.time * 1e3,
-                row.strategy,
-                row.time * 1e3
+                pod <= time * 1.02,
+                "POD ({:.3} ms) slower than {strategy} ({:.3} ms)",
+                pod * 1e3,
+                time * 1e3
             );
         }
-        assert!(pod.speedup > 1.1);
+        assert!(r.time(&batch, AttentionStrategy::FaSerial).unwrap() / pod > 1.1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod hybrid;
 mod kernels;
 mod strategies;
 
-pub use hybrid::{compare_strategies, HybridAttentionRunner, StrategyTiming};
+pub use hybrid::HybridAttentionRunner;
 pub use kernels::{
     ComputeKernel, MemoryKernel, ELEMENTS_PER_CTA, ELEMENT_BYTES, MEMORY_KERNEL_PASSES,
 };

@@ -9,8 +9,8 @@
 
 /// Static description of a simulated GPU device.
 ///
-/// Construct one with [`GpuConfig::a100_80gb`] (the paper's hardware) or via
-/// [`GpuConfigBuilder`] for custom devices.
+/// Construct one with [`GpuConfig::a100_80gb`] (the paper's hardware); build
+/// a custom device with struct-update syntax over it.
 ///
 /// # Examples
 ///
@@ -29,8 +29,6 @@ pub struct GpuConfig {
     pub num_sms: usize,
     /// Peak FP16 tensor-core throughput for the whole device, in FLOP/s.
     pub tensor_flops: f64,
-    /// Peak FP32 CUDA-core throughput for the whole device, in FLOP/s.
-    pub cuda_core_flops: f64,
     /// Peak HBM bandwidth in bytes/s.
     pub hbm_bandwidth: f64,
     /// L2 cache capacity in bytes (used by kernel models to decide how much
@@ -61,7 +59,6 @@ impl GpuConfig {
             name: "A100-80GB".to_string(),
             num_sms: 108,
             tensor_flops: 312e12,
-            cuda_core_flops: 19.5e12,
             hbm_bandwidth: 2.039e12,
             l2_cache_bytes: 40 * 1024 * 1024,
             shared_mem_per_sm: 164 * 1024,
@@ -81,24 +78,9 @@ impl GpuConfig {
         }
     }
 
-    /// A builder seeded with the A100 configuration.
-    pub fn builder() -> GpuConfigBuilder {
-        GpuConfigBuilder::new()
-    }
-
     /// Peak tensor-core throughput of a single SM, in FLOP/s.
     pub fn sm_compute_flops(&self) -> f64 {
         self.tensor_flops / self.num_sms as f64
-    }
-
-    /// Time (seconds) to execute `flops` tensor FLOPs at full device peak.
-    pub fn compute_time(&self, flops: f64) -> f64 {
-        flops / self.tensor_flops
-    }
-
-    /// Time (seconds) to move `bytes` to/from HBM at full device bandwidth.
-    pub fn memory_time(&self, bytes: f64) -> f64 {
-        bytes / self.hbm_bandwidth
     }
 
     /// Maximum number of CTAs with the given footprint that can be resident
@@ -128,116 +110,6 @@ impl GpuConfig {
 impl Default for GpuConfig {
     fn default() -> Self {
         GpuConfig::a100_80gb()
-    }
-}
-
-/// Builder for [`GpuConfig`], seeded with the A100-80GB values.
-///
-/// # Examples
-///
-/// ```
-/// use gpu_sim::GpuConfig;
-///
-/// let small = GpuConfig::builder().num_sms(4).name("toy").build();
-/// assert_eq!(small.num_sms, 4);
-/// assert_eq!(small.name, "toy");
-/// ```
-#[derive(Debug, Clone)]
-pub struct GpuConfigBuilder {
-    cfg: GpuConfig,
-}
-
-impl GpuConfigBuilder {
-    /// Create a builder seeded with [`GpuConfig::a100_80gb`].
-    pub fn new() -> Self {
-        GpuConfigBuilder {
-            cfg: GpuConfig::a100_80gb(),
-        }
-    }
-
-    /// Set the device name.
-    pub fn name(mut self, name: &str) -> Self {
-        self.cfg.name = name.to_string();
-        self
-    }
-
-    /// Set the number of SMs.
-    pub fn num_sms(mut self, n: usize) -> Self {
-        self.cfg.num_sms = n;
-        self
-    }
-
-    /// Set peak device tensor throughput in FLOP/s.
-    pub fn tensor_flops(mut self, f: f64) -> Self {
-        self.cfg.tensor_flops = f;
-        self
-    }
-
-    /// Set peak device CUDA-core throughput in FLOP/s.
-    pub fn cuda_core_flops(mut self, f: f64) -> Self {
-        self.cfg.cuda_core_flops = f;
-        self
-    }
-
-    /// Set peak HBM bandwidth in bytes/s.
-    pub fn hbm_bandwidth(mut self, b: f64) -> Self {
-        self.cfg.hbm_bandwidth = b;
-        self
-    }
-
-    /// Set usable shared memory per SM in bytes.
-    pub fn shared_mem_per_sm(mut self, b: usize) -> Self {
-        self.cfg.shared_mem_per_sm = b;
-        self
-    }
-
-    /// Set maximum resident threads per SM.
-    pub fn max_threads_per_sm(mut self, t: usize) -> Self {
-        self.cfg.max_threads_per_sm = t;
-        self
-    }
-
-    /// Set maximum resident CTAs per SM.
-    pub fn max_ctas_per_sm(mut self, c: usize) -> Self {
-        self.cfg.max_ctas_per_sm = c;
-        self
-    }
-
-    /// Set L2 capacity in bytes.
-    pub fn l2_cache_bytes(mut self, b: usize) -> Self {
-        self.cfg.l2_cache_bytes = b;
-        self
-    }
-
-    /// Set HBM capacity in bytes.
-    pub fn hbm_capacity(mut self, b: usize) -> Self {
-        self.cfg.hbm_capacity = b;
-        self
-    }
-
-    /// Finish building the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is degenerate (zero SMs, zero bandwidth or
-    /// zero compute throughput).
-    pub fn build(self) -> GpuConfig {
-        assert!(self.cfg.num_sms > 0, "GPU must have at least one SM");
-        assert!(
-            self.cfg.tensor_flops > 0.0,
-            "tensor throughput must be positive"
-        );
-        assert!(
-            self.cfg.hbm_bandwidth > 0.0,
-            "HBM bandwidth must be positive"
-        );
-        self.cfg
-    }
-}
-
-impl Default for GpuConfigBuilder {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -276,38 +148,11 @@ mod tests {
 
     #[test]
     fn wave_size_scales_with_sms() {
-        let gpu = GpuConfig::builder().num_sms(10).build();
+        let gpu = GpuConfig {
+            num_sms: 10,
+            ..GpuConfig::a100_80gb()
+        };
         assert_eq!(gpu.wave_size(80 * 1024, 128), 20);
-    }
-
-    #[test]
-    fn builder_overrides_fields() {
-        let gpu = GpuConfig::builder()
-            .name("H100-like")
-            .num_sms(132)
-            .tensor_flops(989e12)
-            .hbm_bandwidth(3.35e12)
-            .build();
-        assert_eq!(gpu.num_sms, 132);
-        assert_eq!(gpu.name, "H100-like");
-        assert!(gpu.sm_compute_flops() > GpuConfig::a100_80gb().sm_compute_flops());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one SM")]
-    fn builder_rejects_zero_sms() {
-        let _ = GpuConfig::builder().num_sms(0).build();
-    }
-
-    #[test]
-    fn compute_and_memory_time_are_linear() {
-        let gpu = GpuConfig::a100_80gb();
-        let t1 = gpu.compute_time(1e12);
-        let t2 = gpu.compute_time(2e12);
-        assert!((t2 - 2.0 * t1).abs() < 1e-12);
-        let m1 = gpu.memory_time(1e9);
-        let m2 = gpu.memory_time(3e9);
-        assert!((m2 - 3.0 * m1).abs() < 1e-12);
     }
 
     #[test]

@@ -1174,7 +1174,7 @@ mod tests {
         let d = report.kernel("d").unwrap();
         assert!((p.flops - 40.0 * 3e8).abs() / (40.0 * 3e8) < 1e-9);
         assert!((d.bytes - 60.0 * 2e6).abs() / (60.0 * 2e6) < 1e-9);
-        let pc = report.op_class(OpClass::Prefill).unwrap();
+        let pc = &report.op_classes[&OpClass::Prefill];
         assert!((pc.bytes - 40.0 * 4e5).abs() / (40.0 * 4e5) < 1e-9);
         assert_eq!(pc.ctas, 40);
         assert!(report.intervals > 0);

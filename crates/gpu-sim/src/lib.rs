@@ -53,7 +53,7 @@ mod sm;
 mod stream;
 mod work;
 
-pub use config::{GpuConfig, GpuConfigBuilder};
+pub use config::GpuConfig;
 pub use engine::{Engine, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
 pub use error::SimError;
 pub use kernel::{CtaDispatcher, KernelLaunch, ListDispatcher};

@@ -106,19 +106,6 @@ impl ExecutionReport {
     pub fn kernel(&self, name: &str) -> Option<&KernelReport> {
         self.kernels.iter().find(|k| k.name == name)
     }
-
-    /// Statistics for one operation class, if any work of that class ran.
-    pub fn op_class(&self, op: OpClass) -> Option<&OpClassReport> {
-        self.op_classes.get(&op)
-    }
-
-    /// Average power draw (watts) over the execution.
-    pub fn average_power(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.energy_joules / self.makespan
-    }
 }
 
 /// Activity-based energy model (used for the §5.1 energy results).
@@ -193,7 +180,6 @@ mod tests {
         let r = report();
         assert!((r.compute_utilization() - 0.5).abs() < 1e-12);
         assert!((r.memory_utilization() - 0.5).abs() < 1e-12);
-        assert!((r.average_power() - 250.0).abs() < 1e-12);
     }
 
     #[test]
@@ -210,7 +196,6 @@ mod tests {
         r.makespan = 0.0;
         assert_eq!(r.compute_utilization(), 0.0);
         assert_eq!(r.memory_utilization(), 0.0);
-        assert_eq!(r.average_power(), 0.0);
     }
 
     #[test]

@@ -335,19 +335,6 @@ impl CtaWork {
     pub fn dominant_op(&self) -> OpClass {
         dominant_op(&self.units)
     }
-
-    /// Lower bound on this CTA's execution time (seconds) if it had exclusive
-    /// access to one SM's compute and an equal per-SM share of HBM bandwidth.
-    pub fn isolated_time(&self, sm_flops: f64, sm_bandwidth: f64) -> f64 {
-        self.units
-            .iter()
-            .map(|u| {
-                let tc = u.flops / sm_flops;
-                let tm = u.bytes / sm_bandwidth;
-                tc.max(tm) + u.serial_fraction * tc.min(tm)
-            })
-            .fold(0.0_f64, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -390,18 +377,6 @@ mod tests {
         assert_eq!(u.serial_fraction, 1.0);
         let u = WorkUnit::new(OpClass::Other, 1.0, 1.0).with_serial_fraction(-1.0);
         assert_eq!(u.serial_fraction, 0.0);
-    }
-
-    #[test]
-    fn isolated_time_is_roofline() {
-        let cta = CtaWork::single(OpClass::Prefill, 100.0, 10.0);
-        // compute-bound: 100 flops at 10 flop/s = 10 s vs 10 bytes at 10 B/s = 1 s.
-        assert!((cta.isolated_time(10.0, 10.0) - 10.0).abs() < 1e-12);
-        // serial fraction adds the hidden part back.
-        let cta2 = CtaWork {
-            units: vec![WorkUnit::new(OpClass::Prefill, 100.0, 10.0).with_serial_fraction(1.0)],
-        };
-        assert!((cta2.isolated_time(10.0, 10.0) - 11.0).abs() < 1e-12);
     }
 
     #[test]

@@ -239,7 +239,7 @@ impl KvMigration {
     }
 
     /// End-to-end transfer time for `kv_bytes` bytes (latency + wire).
-    pub fn transfer_secs(&self, kv_bytes: f64) -> f64 {
+    fn transfer_secs(&self, kv_bytes: f64) -> f64 {
         self.latency + self.wire_secs(kv_bytes)
     }
 
@@ -467,7 +467,7 @@ impl ClusterConfig {
     }
 
     /// Whether any replica has a non-colocated role.
-    pub fn is_disaggregated(&self) -> bool {
+    fn is_disaggregated(&self) -> bool {
         self.roles.iter().any(|r| *r != ReplicaRole::Colocated)
     }
 
@@ -1014,11 +1014,6 @@ impl Cluster {
         self.advance_workers = workers.max(1);
     }
 
-    /// Worker threads currently available for the parallel drain.
-    pub fn advance_workers(&self) -> usize {
-        self.advance_workers
-    }
-
     /// Host-side barrier counters of the last [`Cluster::run`] (or
     /// [`Cluster::run_lockstep`]): barriers advanced and the host ns they
     /// and the final drain took. Wall-clock numbers, so they are not part
@@ -1049,7 +1044,7 @@ impl Cluster {
     /// cursor): call it once per request, exactly as [`Cluster::run`] does,
     /// not as a side-effect-free preview. Draining, retired and decode-only
     /// replicas are never picked.
-    pub fn route(&mut self, spec: &RequestSpec) -> usize {
+    fn route(&mut self, spec: &RequestSpec) -> usize {
         let candidates = self.routable_indices();
         self.route_among(&candidates, spec)
     }
@@ -1113,7 +1108,7 @@ impl Cluster {
     /// with arrivals, migration deliveries and autoscaler checks, so only
     /// replicas with work due before a barrier are stepped, on the calling
     /// thread. The final drain is one parallel dispatch across
-    /// [`Cluster::advance_workers`] threads.
+    /// [`Cluster::set_advance_workers`] threads.
     /// Outcomes are bit-for-bit identical to the sequential full-sweep loop
     /// ([`Cluster::run_lockstep`]) for every worker count: the event queue
     /// changes when host work happens, never what virtual time things

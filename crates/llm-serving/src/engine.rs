@@ -1014,11 +1014,6 @@ impl ServingEngine {
         );
     }
 
-    /// Migrated-in requests whose transfer or residency is still pending.
-    pub fn pending_imports(&self) -> usize {
-        self.state.pending_imports.len()
-    }
-
     /// Whether every submitted request has finished (including any parked
     /// handoffs being picked up and any migrated-in arrivals being served).
     pub fn is_drained(&self) -> bool {

@@ -80,26 +80,6 @@ impl JsonValue {
         out
     }
 
-    /// Stream the pretty serialization (byte-identical to
-    /// [`JsonValue::to_string_pretty`], trailing newline included) straight
-    /// into an [`io::Write`] sink, so multi-MB trace and bench files never
-    /// build one giant in-memory `String`.
-    pub fn write_pretty<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        use fmt::Write as _;
-        let mut adapter = IoFmt {
-            inner: w,
-            err: None,
-        };
-        let done = self
-            .write_fmt_value(&mut adapter, Some(0))
-            .and_then(|()| adapter.write_char('\n'));
-        match (done, adapter.err) {
-            (_, Some(e)) => Err(e),
-            (Err(_), None) => unreachable!("fmt failure without an io error"),
-            (Ok(()), None) => Ok(()),
-        }
-    }
-
     /// Stream the compact serialization (byte-identical to
     /// [`JsonValue::to_string_compact`], no trailing newline) into an
     /// [`io::Write`] sink.
@@ -825,13 +805,6 @@ mod tests {
             ]),
         ];
         for v in &docs {
-            let mut streamed = Vec::new();
-            v.write_pretty(&mut streamed).expect("Vec sink cannot fail");
-            assert_eq!(
-                String::from_utf8(streamed).unwrap(),
-                v.to_string_pretty(),
-                "pretty bytes diverge for {v:?}"
-            );
             let mut compact = Vec::new();
             v.write_compact(&mut compact).expect("Vec sink cannot fail");
             assert_eq!(
@@ -880,7 +853,7 @@ mod tests {
         }
         let v = JsonValue::obj(vec![("key", JsonValue::str("a long enough value"))]);
         let err = v
-            .write_pretty(&mut FailAfter(4))
+            .write_compact(&mut FailAfter(4))
             .expect_err("a full sink surfaces the io error");
         assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }

@@ -687,7 +687,7 @@ pub(crate) struct ReportAccumulator {
 }
 
 impl ReportAccumulator {
-    /// An empty accumulator with default-accuracy sketches.
+    /// An empty accumulator with 1%-accuracy sketches.
     pub(crate) fn sketch() -> Self {
         Self::with_store(SampleStore::Sketch(QuantileSketch::new()))
     }
@@ -780,9 +780,9 @@ impl ReportAccumulator {
         }
         if let Some(slo) = r.spec.slo {
             let ttft_ok = r.meets_ttft();
-            // `max_gap` doubles as the TBT criterion (NEG_INFINITY = no
-            // decode gaps = trivially met), equivalent to
-            // [`Request::meets_tbt`] without re-walking the token times.
+            // `max_gap` doubles as the TBT criterion: every decode gap
+            // must be at most the target (NEG_INFINITY = no decode gaps =
+            // trivially met).
             let tbt_ok = max_gap <= slo.tbt_target;
             let met = usize::from(ttft_ok && tbt_ok);
             if let Some(s) = r.ttft_slack() {
@@ -1090,6 +1090,32 @@ mod tests {
             classes[0].get("class"),
             Some(&JsonValue::str("interactive"))
         );
+    }
+
+    #[test]
+    fn tbt_target_is_inclusive_and_a_request_without_slo_is_goodput() {
+        use crate::request::SloSpec;
+        let slo = SloSpec::new("interactive", 1.0, 0.25);
+        // Gap exactly at the target (0.25 is exact in binary): met.
+        let mut at = Request::new(0, RequestSpec::new(0.0, 10, 2).with_slo(slo));
+        at.record_prefill(10, 0.5);
+        at.record_decode_token(0.75);
+        // One ulp later: the gap is just above the target, and missed.
+        let mut above = Request::new(1, RequestSpec::new(0.0, 10, 2).with_slo(slo));
+        above.record_prefill(10, 0.5);
+        above.record_decode_token(f64::from_bits(0.75f64.to_bits() + 1));
+        assert!(above.token_times[1] - above.token_times[0] > 0.25);
+        // No SLO, with a long stall: still goodput.
+        let mut plain = Request::new(2, RequestSpec::new(0.0, 10, 2));
+        plain.record_prefill(10, 0.5);
+        plain.record_decode_token(9.0);
+
+        let report = ServingReport::from_requests("test", &[at, above, plain], 60.0, 3, 3);
+        assert_eq!(report.slo_requests, 2);
+        assert_eq!(report.slo_met, 1);
+        assert_eq!(report.slo_ttft_violations, 0);
+        assert_eq!(report.slo_tbt_violations, 1);
+        assert_eq!(report.goodput_requests(), 2);
     }
 
     #[test]

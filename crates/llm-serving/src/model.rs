@@ -52,15 +52,6 @@ impl ModelConfig {
         }
     }
 
-    /// All three paper models.
-    pub fn paper_models() -> Vec<ModelConfig> {
-        vec![
-            ModelConfig::yi_6b(),
-            ModelConfig::llama2_7b(),
-            ModelConfig::llama3_8b(),
-        ]
-    }
-
     /// Number of transformer layers.
     pub fn num_layers(&self) -> usize {
         self.attention.num_layers
@@ -136,7 +127,7 @@ mod tests {
         let l3 = ModelConfig::llama3_8b();
         assert_eq!(l3.tensor_parallel(), 2);
         assert_eq!(l3.num_layers(), 32);
-        assert_eq!(ModelConfig::paper_models().len(), 3);
+        assert_eq!(ModelConfig::llama2_7b().tensor_parallel(), 2);
     }
 
     #[test]

@@ -544,17 +544,6 @@ impl Request {
         self.finish_time.map(|t| t - self.spec.arrival)
     }
 
-    /// Time-between-tokens samples (gaps between consecutive output tokens).
-    pub fn tbts(&self) -> Vec<f64> {
-        self.token_times.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
-    /// Whether any decode gap exceeded `threshold` seconds (a generation
-    /// stall in the paper's terminology).
-    pub fn has_stall(&self, threshold: f64) -> bool {
-        self.tbts().iter().any(|&t| t > threshold)
-    }
-
     /// TTFT slack against this request's SLO: deadline minus achieved TTFT
     /// (positive = met with room to spare). `None` when the request has no
     /// SLO or no first token yet.
@@ -571,22 +560,6 @@ impl Request {
             None => true,
             Some(slo) => self.ttft().is_some_and(|t| t <= slo.ttft_deadline),
         }
-    }
-
-    /// Whether every decode gap stayed within the TBT target (the stall-free
-    /// criterion). Vacuously true for requests without an SLO.
-    pub fn meets_tbt(&self) -> bool {
-        match self.spec.slo {
-            None => true,
-            Some(slo) => !self.has_stall(slo.tbt_target),
-        }
-    }
-
-    /// Whether the request met both halves of its SLO — the per-request
-    /// goodput criterion. Vacuously true without an SLO (every completed
-    /// request is good throughput when nothing was promised).
-    pub fn meets_slo(&self) -> bool {
-        self.meets_ttft() && self.meets_tbt()
     }
 }
 
@@ -609,17 +582,21 @@ mod tests {
         r.record_decode_token(4.5);
         assert_eq!(r.phase(), Phase::Finished);
         assert_eq!(r.latency(), Some(3.5));
-        assert_eq!(r.tbts(), vec![0.5, 1.0]);
+        assert_eq!(r.token_times, vec![3.0, 3.5, 4.5]);
     }
 
+    /// A decode gap is a stall once it exceeds the threshold: the report
+    /// grader reads it from the request's token times.
     #[test]
     fn stall_detection() {
-        let mut r = Request::new(0, RequestSpec::new(0.0, 10, 3));
+        let slo = SloSpec::new("interactive", 10.0, 2.0);
+        let mut r = Request::new(0, RequestSpec::new(0.0, 10, 3).with_slo(slo));
         r.record_prefill(10, 1.0);
         r.record_decode_token(1.1);
-        r.record_decode_token(2.5);
-        assert!(r.has_stall(0.5));
-        assert!(!r.has_stall(2.0));
+        r.record_decode_token(2.5); // gap 1.4: a stall at 0.5 s, not at 2 s
+        let report = crate::metrics::ServingReport::from_requests("t", &[r], 3.0, 3, 0);
+        assert_eq!(report.stall_fraction_500ms, 1.0);
+        assert_eq!(report.slo_tbt_violations, 0);
     }
 
     #[test]
@@ -686,7 +663,7 @@ mod tests {
         r.record_decode_token(2.6);
         assert_eq!(r.generated, 4);
         // The preemption gap is visible in the TBT samples.
-        assert!(r.tbts().iter().any(|&g| g > 1.0));
+        assert!(r.token_times.windows(2).any(|w| w[1] - w[0] > 1.0));
         assert_eq!(r.ttft(), Some(1.0), "TTFT is from the first residency");
     }
 
@@ -726,22 +703,17 @@ mod tests {
     fn slo_compliance_is_graded_per_target() {
         let slo = SloSpec::new("interactive", 2.0, 0.3);
         let mut r = Request::new(0, RequestSpec::new(1.0, 10, 3).with_slo(slo));
-        // No first token yet: TTFT unmet, TBT vacuously met (no gaps).
+        // No first token yet: TTFT unmet.
         assert!(!r.meets_ttft());
         assert!(r.ttft_slack().is_none());
         r.record_prefill(10, 2.5); // TTFT = 1.5 <= 2.0
-        r.record_decode_token(2.7);
-        r.record_decode_token(3.2); // gap 0.5 > 0.3: TBT violated
         assert!(r.meets_ttft());
         assert!((r.ttft_slack().unwrap() - 0.5).abs() < 1e-12);
-        assert!(!r.meets_tbt());
-        assert!(!r.meets_slo());
 
-        // Without an SLO every criterion is vacuously met.
+        // Without an SLO the deadline is vacuously met.
         let mut plain = Request::new(1, RequestSpec::new(0.0, 10, 2));
         plain.record_prefill(10, 100.0);
-        plain.record_decode_token(200.0);
-        assert!(plain.meets_slo());
+        assert!(plain.meets_ttft());
         assert!(plain.ttft_slack().is_none());
     }
 
@@ -752,8 +724,6 @@ mod tests {
         r.record_prefill(10, 1.5);
         r.record_decode_token(1.6);
         assert!(!r.meets_ttft());
-        assert!(r.meets_tbt());
-        assert!(!r.meets_slo());
         assert!(r.ttft_slack().unwrap() < 0.0);
     }
 
@@ -856,6 +826,6 @@ mod tests {
         r.record_prefill(4, 2.0);
         assert_eq!(r.phase(), Phase::Finished);
         assert_eq!(r.latency(), Some(2.0));
-        assert!(r.tbts().is_empty());
+        assert_eq!(r.token_times, vec![2.0]);
     }
 }

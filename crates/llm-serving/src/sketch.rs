@@ -10,9 +10,8 @@
 //!
 //! # Error bound
 //!
-//! For a sketch built with relative accuracy `alpha` (default
-//! [`DEFAULT_RELATIVE_ERROR`]), `quantile(q)` over `n` samples returns a
-//! value within `alpha * |x|` of `x`, where `x` is the sample at rank
+//! With relative accuracy `alpha = 0.01`, `quantile(q)` over `n` samples
+//! returns a value within `alpha * |x|` of `x`, where `x` is the sample at rank
 //! `round(q * (n - 1))` of the sorted samples — an adjacent rank of the
 //! exact interpolated percentile. (Magnitudes at or below the zero band
 //! `1e-12` collapse to exactly `0.0`.) Unlike the exact
@@ -34,36 +33,13 @@
 use crate::metrics::SummaryStats;
 use std::collections::BTreeMap;
 
-/// Default relative accuracy of a [`QuantileSketch`]: 1%.
-pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
+/// Relative accuracy `alpha` of every [`QuantileSketch`]: 1%.
+const RELATIVE_ERROR: f64 = 0.01;
 
 /// Magnitudes at or below this collapse into the sketch's zero band and are
 /// reported as exactly `0.0`. Latency samples are in seconds; a picosecond
 /// resolution floor is far below anything the cost model produces.
 const ZERO_BAND: f64 = 1e-12;
-
-/// Error returned by [`QuantileSketch::try_merge`] when the two sketches
-/// were built with different relative-error accuracies: their exponential
-/// bucket bases differ, so their counters cannot be meaningfully added.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SketchMergeError {
-    /// `alpha` of the sketch being merged into.
-    pub ours: f64,
-    /// `alpha` of the sketch being merged from.
-    pub theirs: f64,
-}
-
-impl std::fmt::Display for SketchMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "sketch accuracies differ (alpha {} vs {})",
-            self.ours, self.theirs
-        )
-    }
-}
-
-impl std::error::Error for SketchMergeError {}
 
 /// A mergeable, deterministic quantile sketch with a relative error bound.
 ///
@@ -72,7 +48,6 @@ impl std::error::Error for SketchMergeError {}
 /// the approximate buckets, so means and extremes stay exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    alpha: f64,
     gamma: f64,
     ln_gamma: f64,
     /// Bucket counters for positive magnitudes, keyed by
@@ -95,25 +70,10 @@ impl Default for QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// A sketch with the default relative accuracy
-    /// ([`DEFAULT_RELATIVE_ERROR`]).
+    /// An empty sketch with 1% relative accuracy per bucket.
     pub fn new() -> Self {
-        Self::with_relative_error(DEFAULT_RELATIVE_ERROR)
-    }
-
-    /// A sketch guaranteeing `alpha` relative accuracy per bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha < 1`.
-    pub fn with_relative_error(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "relative error must be in (0, 1)"
-        );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let gamma = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR);
         QuantileSketch {
-            alpha,
             gamma,
             ln_gamma: gamma.ln(),
             pos: BTreeMap::new(),
@@ -124,11 +84,6 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// The configured relative accuracy.
-    pub fn relative_error(&self) -> f64 {
-        self.alpha
     }
 
     /// Number of samples observed.
@@ -164,12 +119,6 @@ impl QuantileSketch {
         self.max
     }
 
-    /// Number of buckets currently resident — the memory footprint is
-    /// O(buckets), independent of sample count.
-    pub fn buckets(&self) -> usize {
-        self.pos.len() + self.neg.len() + usize::from(self.zero > 0)
-    }
-
     /// Record one sample.
     ///
     /// # Panics
@@ -199,31 +148,7 @@ impl QuantileSketch {
 
     /// Fold another sketch into this one: bucket-wise counter addition, so
     /// the result is independent of merge order (see module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sketches were built with different accuracies
-    /// (their buckets would not line up). Use
-    /// [`QuantileSketch::try_merge`] where a mismatch should be handled
-    /// instead of aborting.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        self.try_merge(other).unwrap_or_else(|e| {
-            panic!("cannot merge sketches with different relative errors: {e}")
-        });
-    }
-
-    /// Fallible [`QuantileSketch::merge`]: rejects a merge between sketches
-    /// built with different relative-error accuracies. Their bucket keys are
-    /// computed against different `gamma` bases, so adding the counters
-    /// would silently misplace every sample of the finer sketch — this
-    /// returns the mismatch instead, leaving `self` untouched.
-    pub fn try_merge(&mut self, other: &QuantileSketch) -> Result<(), SketchMergeError> {
-        if self.alpha != other.alpha {
-            return Err(SketchMergeError {
-                ours: self.alpha,
-                theirs: other.alpha,
-            });
-        }
         for (&k, &c) in &other.pos {
             *self.pos.entry(k).or_insert(0) += c;
         }
@@ -235,7 +160,6 @@ impl QuantileSketch {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        Ok(())
     }
 
     /// Approximate quantile: the representative of the bucket holding the
@@ -314,7 +238,7 @@ mod tests {
         let rank = (q * (sorted.len() - 1) as f64).round() as usize;
         let exact = sorted[rank];
         let got = sketch.quantile(q);
-        let tol = sketch.relative_error() * exact.abs() + ZERO_BAND;
+        let tol = RELATIVE_ERROR * exact.abs() + ZERO_BAND;
         assert!(
             (got - exact).abs() <= tol,
             "q={q}: sketch {got} vs exact rank-{rank} sample {exact} (tol {tol})"
@@ -473,43 +397,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different relative errors")]
-    fn mismatched_accuracy_merge_rejected() {
-        let mut a = QuantileSketch::with_relative_error(0.01);
-        let b = QuantileSketch::with_relative_error(0.02);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn try_merge_rejects_mismatch_without_mutating() {
-        let mut a = QuantileSketch::with_relative_error(0.01);
-        a.observe(1.0);
-        a.observe(2.0);
-        let baseline = a.clone();
-        let mut b = QuantileSketch::with_relative_error(0.02);
-        b.observe(100.0);
-        let err = a
-            .try_merge(&b)
-            .expect_err("alpha mismatch must be rejected");
-        assert_eq!(
-            err,
-            SketchMergeError {
-                ours: 0.01,
-                theirs: 0.02
-            }
-        );
-        assert!(err.to_string().contains("0.01"));
-        assert_eq!(a, baseline, "a failed try_merge must leave self untouched");
-
-        // And a matching merge through the fallible path behaves like merge.
-        let mut c = QuantileSketch::with_relative_error(0.01);
-        c.observe(3.0);
-        a.try_merge(&c).expect("matching accuracies merge fine");
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 3.0);
-    }
-
-    #[test]
     fn bucket_count_is_bounded_by_value_range_not_sample_count() {
         let mut sketch = QuantileSketch::new();
         for i in 0..100_000u64 {
@@ -519,16 +406,17 @@ mod tests {
         // Buckets are bounded by the magnitude range (here 0.001..1.001,
         // about log_gamma(1000) ~ 346 buckets), independent of sample count.
         let key_span = ((1.001f64 / 0.001).ln() / sketch.ln_gamma).ceil() as usize + 2;
+        let buckets = |s: &QuantileSketch| s.pos.len() + s.neg.len() + usize::from(s.zero > 0);
         assert!(
-            sketch.buckets() <= key_span,
+            buckets(&sketch) <= key_span,
             "{} buckets exceeds range bound {key_span}",
-            sketch.buckets()
+            buckets(&sketch)
         );
         // Doubling the sample count stays under the same range bound: the
         // footprint converges to the occupied key range, not to n.
         for i in 100_000..200_000u64 {
             sketch.observe(0.001 + unit(9, i));
         }
-        assert!(sketch.buckets() <= key_span);
+        assert!(buckets(&sketch) <= key_span);
     }
 }

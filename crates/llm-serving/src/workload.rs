@@ -666,16 +666,6 @@ impl RateSchedule {
         RateSchedule::new(segments)
     }
 
-    /// Duration of one full cycle in seconds.
-    pub fn cycle_secs(&self) -> f64 {
-        self.cycle
-    }
-
-    /// Arrival rate at time `t` (cyclic).
-    pub fn rate_at(&self, t: f64) -> f64 {
-        self.rate_and_boundary(t).0
-    }
-
     /// The rate at `t` and the time remaining until the next segment
     /// boundary.
     fn rate_and_boundary(&self, t: f64) -> (f64, f64) {
@@ -828,8 +818,8 @@ mod tests {
             "expected most arrivals inside bursts, got {frac:.2}"
         );
         // The empirical rate inside bursts is far above the base rate.
-        assert!(schedule.rate_at(55.0) > schedule.rate_at(5.0) * 10.0);
-        assert_eq!(schedule.cycle_secs(), 60.0);
+        assert!(schedule.rate_and_boundary(55.0).0 > schedule.rate_and_boundary(5.0).0 * 10.0);
+        assert_eq!(schedule.cycle, 60.0);
     }
 
     #[test]
@@ -852,8 +842,8 @@ mod tests {
     fn diurnal_schedule_peaks_mid_cycle() {
         let schedule = RateSchedule::diurnal(0.5, 4.0, 3600.0, 24);
         // Trough at the cycle edges, peak half-way through.
-        assert!(schedule.rate_at(10.0) < 1.0);
-        assert!(schedule.rate_at(1800.0) > 3.5);
+        assert!(schedule.rate_and_boundary(10.0).0 < 1.0);
+        assert!(schedule.rate_and_boundary(1800.0).0 > 3.5);
         let reqs = Workload::arxiv().generate_trace(500, &schedule, 13);
         assert!(reqs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
         // Deterministic per seed.

@@ -121,11 +121,16 @@ impl PodAttention {
     fn resolve(&self, batch: &HybridBatch) -> (LaunchPlan, PrefillKernel) {
         let split = self.effective_split_policy(batch);
         let prefill_kernel_for = |mode| self.options.prefill_kernel(mode).with_split_policy(split);
+        let prefill_ctas_of = |kernel: &PrefillKernel| {
+            batch
+                .prefill
+                .as_ref()
+                .map_or(0, |chunk| kernel.num_ctas(chunk, &self.cfg, &self.gpu))
+        };
         // Resolve the CTAs-per-SM mode from the balance of the batch, using
         // the 2-CTA tile as the reference for counting prefill CTAs.
         let probe = prefill_kernel_for(CtasPerSm::Two);
-        let probe_prefill = probe.map_ctas(batch, &self.cfg, &self.gpu);
-        let decode_kernel = self.options.decode_kernel();
+        let probe_prefill = prefill_ctas_of(&probe);
         let virtual_decode = batch.decodes.len() * self.cfg.kv_heads_per_gpu();
         let mode = self
             .options
@@ -135,9 +140,12 @@ impl PodAttention {
             (probe, probe_prefill)
         } else {
             let kernel = prefill_kernel_for(mode);
-            (kernel, kernel.map_ctas(batch, &self.cfg, &self.gpu))
+            (kernel, prefill_ctas_of(&kernel))
         };
-        let virtual_decode_ctas = decode_kernel_units(&decode_kernel, batch, &self.cfg, &self.gpu);
+        let virtual_decode_ctas =
+            self.options
+                .decode_kernel()
+                .num_ctas(&batch.decodes, &self.cfg, &self.gpu);
         let decode_slots = virtual_decode_ctas.div_ceil(mode.virtual_decode_factor().max(1));
         let ratio = self.options.policy.ratios(prefill_ctas, decode_slots);
         let plan = LaunchPlan {
@@ -206,25 +214,15 @@ impl PodAttention {
     ///
     /// Returns [`SimError`] if either kernel cannot be scheduled.
     pub fn serial_baseline(&self, batch: &HybridBatch) -> Result<ExecutionReport, SimError> {
-        let engine = Engine::new(self.gpu.clone());
-        let mut kernels = Vec::new();
-        if let Some(chunk) = &batch.prefill {
-            kernels.push(PrefillKernel::flash_attention().launch(
-                "fa2_prefill",
-                chunk,
-                &self.cfg,
-                &self.gpu,
-            ));
-        }
-        if !batch.decodes.is_empty() {
-            kernels.push(DecodeKernel::flash_attention().launch(
-                "fa_decode",
-                &batch.decodes,
-                &self.cfg,
-                &self.gpu,
-            ));
-        }
-        engine.run_serial(kernels)
+        Engine::new(self.gpu.clone()).run_serial(batch.two_kernel_launches(
+            (
+                PrefillKernel::flash_attention(),
+                DecodeKernel::flash_attention(),
+            ),
+            ("fa2_prefill", "fa_decode"),
+            &self.cfg,
+            &self.gpu,
+        ))
     }
 
     /// Attention runtime of the fused kernel (seconds), including the launch
@@ -266,42 +264,6 @@ impl PodAttention {
     /// Perfect-overlap lower bound on this batch's attention time (seconds).
     pub fn oracle_time(&self, batch: &HybridBatch) -> f64 {
         oracle_time(batch, &self.cfg, &self.gpu)
-    }
-}
-
-/// Count the virtual decode CTAs a decode kernel produces for a batch without
-/// materializing the work units twice.
-fn decode_kernel_units(
-    kernel: &DecodeKernel,
-    batch: &HybridBatch,
-    cfg: &AttentionConfig,
-    gpu: &GpuConfig,
-) -> usize {
-    if batch.decodes.is_empty() {
-        return 0;
-    }
-    let max_ctx = batch
-        .decodes
-        .iter()
-        .map(|d| d.context_len)
-        .max()
-        .unwrap_or(1);
-    let splits = kernel.num_splits(batch.decodes.len(), max_ctx, cfg, gpu);
-    batch.decodes.len() * cfg.kv_heads_per_gpu() * splits
-}
-
-/// Extension used by [`PodAttention::plan`] to count prefill CTAs without
-/// building the work units.
-trait PrefillCtaCount {
-    fn map_ctas(&self, batch: &HybridBatch, cfg: &AttentionConfig, gpu: &GpuConfig) -> usize;
-}
-
-impl PrefillCtaCount for PrefillKernel {
-    fn map_ctas(&self, batch: &HybridBatch, cfg: &AttentionConfig, gpu: &GpuConfig) -> usize {
-        match &batch.prefill {
-            Some(chunk) => self.base_ctas(chunk, cfg) * self.num_splits(chunk, cfg, gpu),
-            None => 0,
-        }
     }
 }
 
@@ -352,6 +314,17 @@ mod tests {
                 "batch {i}: POD slower than serial (speedup {speedup:.3})"
             );
         }
+    }
+
+    /// An empty chunk after earlier chunks has no prefill grid, so planning
+    /// it must not ask the split heuristic to divide by its zero CTAs.
+    #[test]
+    fn empty_chunk_with_prior_context_plans_no_prefill_ctas() {
+        let mut batch = HybridBatch::decode_only(4, 1000);
+        batch.prefill = Some(attn_kernels::PrefillChunk::new(0, 100));
+        let plan = pod().plan(&batch);
+        assert_eq!(plan.prefill_ctas, 0);
+        assert!(pod().execute(&batch).unwrap().makespan > 0.0);
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use config::{CtasPerSm, PodOptions};
 pub use kernel::{LaunchPlan, PodAttention};
 pub use oracle::oracle_time;
 pub use policy::SchedulingPolicy;
-pub use scheduler::{BoundOp, SmAwareScheduler};
+pub use scheduler::SmAwareScheduler;

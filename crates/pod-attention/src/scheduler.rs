@@ -22,10 +22,8 @@ use gpu_sim::{CtaDispatcher, UnitRuns, WorkUnit};
 
 /// Which operation a CTA slot was bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundOp {
-    /// The slot executed prefill work.
+enum BoundOp {
     Prefill,
-    /// The slot executed decode work.
     Decode,
 }
 
@@ -53,11 +51,6 @@ pub struct SmAwareScheduler {
     /// Count of dispatches where the ticket-selected operation was exhausted
     /// and the slot fell through to the other operation.
     fallthroughs: usize,
-    /// Full per-SM op log, kept only when [`with_binding_log`] enabled it.
-    /// Unbounded in the grid size, so it is off on the hot path.
-    ///
-    /// [`with_binding_log`]: SmAwareScheduler::with_binding_log
-    binding_log: Option<Vec<Vec<BoundOp>>>,
 }
 
 impl SmAwareScheduler {
@@ -93,7 +86,6 @@ impl SmAwareScheduler {
             decode_ratio,
             bound_counts: vec![(0, 0); num_sms],
             fallthroughs: 0,
-            binding_log: None,
         }
     }
 
@@ -108,21 +100,6 @@ impl SmAwareScheduler {
         assert!(units > 0, "a decode CTA slot packs at least one unit");
         self.decode_units_per_cta = units;
         self
-    }
-
-    /// Enable the full per-SM op log (used by tests and co-location
-    /// analyses). The log grows with the grid, so it is opt-in; the cheap
-    /// [`bound_counts`](SmAwareScheduler::bound_counts) are always available.
-    pub fn with_binding_log(mut self) -> Self {
-        self.binding_log = Some(vec![Vec::new(); self.sm_counters.len()]);
-        self
-    }
-
-    /// Operations bound on each SM so far, in dispatch order. Empty unless
-    /// the scheduler was built with
-    /// [`with_binding_log`](SmAwareScheduler::with_binding_log).
-    pub fn bindings(&self) -> &[Vec<BoundOp>] {
-        self.binding_log.as_deref().unwrap_or(&[])
     }
 
     /// Per-SM `(prefill, decode)` counts of executed operations.
@@ -182,7 +159,7 @@ impl CtaDispatcher for SmAwareScheduler {
         self.sm_counters[sm] += 1;
         let chosen = self.op_for_ticket(ticket);
         // Lines 10–18: if the chosen operation is exhausted, switch. All
-        // bookkeeping below records the *executed* operation, so counts, log
+        // bookkeeping below records the *executed* operation, so the counts
         // and the dispatched work always agree.
         let op = match chosen {
             BoundOp::Prefill if self.prefill_work.is_empty() => BoundOp::Decode,
@@ -204,9 +181,6 @@ impl CtaDispatcher for SmAwareScheduler {
         };
         assert!(!work.is_empty(), "dispatch called with no remaining work");
         work.take_into(per_cta, units);
-        if let Some(log) = &mut self.binding_log {
-            log[sm].push(op);
-        }
     }
 }
 
@@ -247,29 +221,24 @@ mod tests {
 
     #[test]
     fn fifty_fifty_alternates_per_sm() {
-        let mut s = SmAwareScheduler::new(prefill(4), decode(4), 2, 1, 1).with_binding_log();
+        let mut s = SmAwareScheduler::new(prefill(4), decode(4), 2, 1, 1);
         // Four CTAs land on SM 0, four on SM 1.
-        let ops: Vec<BoundOp> = (0..8).map(|i| dispatch_op(&mut s, i % 2)).collect();
+        let mut per_sm = vec![Vec::new(); 2];
+        for i in 0..8 {
+            per_sm[i % 2].push(dispatch_op(&mut s, i % 2));
+        }
         // Each SM alternates prefill, decode, prefill, decode.
-        assert_eq!(
-            s.bindings()[0],
-            vec![
-                BoundOp::Prefill,
-                BoundOp::Decode,
-                BoundOp::Prefill,
-                BoundOp::Decode
-            ]
-        );
-        assert_eq!(
-            s.bindings()[1],
-            vec![
-                BoundOp::Prefill,
-                BoundOp::Decode,
-                BoundOp::Prefill,
-                BoundOp::Decode
-            ]
-        );
-        assert_eq!(ops.iter().filter(|o| **o == BoundOp::Prefill).count(), 4);
+        for ops in &per_sm {
+            assert_eq!(
+                *ops,
+                vec![
+                    BoundOp::Prefill,
+                    BoundOp::Decode,
+                    BoundOp::Prefill,
+                    BoundOp::Decode
+                ]
+            );
+        }
     }
 
     #[test]
@@ -311,14 +280,13 @@ mod tests {
     #[test]
     fn every_sm_gets_both_operations() {
         let num_sms = 8;
-        let mut s =
-            SmAwareScheduler::new(prefill(16), decode(16), num_sms, 1, 1).with_binding_log();
+        let mut s = SmAwareScheduler::new(prefill(16), decode(16), num_sms, 1, 1);
         // Round-robin placement across SMs, 4 CTAs each.
+        let mut per_sm = vec![Vec::new(); num_sms];
         for i in 0..32 {
-            dispatch_op(&mut s, i % num_sms);
+            per_sm[i % num_sms].push(dispatch_op(&mut s, i % num_sms));
         }
-        for sm in 0..num_sms {
-            let ops = &s.bindings()[sm];
+        for (sm, ops) in per_sm.iter().enumerate() {
             assert!(ops.contains(&BoundOp::Prefill), "SM {sm} never ran prefill");
             assert!(ops.contains(&BoundOp::Decode), "SM {sm} never ran decode");
         }
@@ -343,23 +311,20 @@ mod tests {
 
     #[test]
     fn out_of_range_sm_ids_wrap() {
-        let mut s = SmAwareScheduler::new(prefill(2), decode(2), 2, 1, 1).with_binding_log();
+        let mut s = SmAwareScheduler::new(prefill(2), decode(2), 2, 1, 1);
         // SM id 5 wraps to SM 1.
         dispatch_op(&mut s, 5);
-        assert_eq!(s.bindings()[1].len(), 1);
-        assert_eq!(s.bound_counts()[1].0 + s.bound_counts()[1].1, 1);
+        assert_eq!(s.bound_counts(), [(0, 0), (1, 0)]);
     }
 
-    /// Without the opt-in log the scheduler keeps only O(num_sms) counts, and
-    /// the counts always reflect the operation that actually executed — also
-    /// across fall-throughs.
+    /// The per-SM counts always reflect the operation that actually executed
+    /// — also across fall-throughs.
     #[test]
     fn counts_track_executed_ops_across_fallthroughs() {
         let mut s = SmAwareScheduler::new(prefill(2), decode(6), 1, 1, 1);
         for _ in 0..8 {
             dispatch_op(&mut s, 0);
         }
-        assert!(s.bindings().is_empty(), "log must be off by default");
         assert_eq!(s.bound_counts()[0], (2, 6));
         // 50:50 tickets would have selected prefill 4 times, but only 2
         // prefill CTAs exist: two dispatches fell through to decode.

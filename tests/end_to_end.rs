@@ -2,7 +2,7 @@
 //! the kernel level all the way up to the serving stack.
 
 use attn_kernels::{AttentionConfig, AttentionStrategy, HybridBatch};
-use fusion_lab::{compare_strategies, HybridAttentionRunner};
+use fusion_lab::HybridAttentionRunner;
 use gpu_sim::GpuConfig;
 use llm_serving::{offline_long_context, ModelConfig, ServingConfig, ServingEngine, Workload};
 use pod_attention::PodAttention;
@@ -48,13 +48,7 @@ fn pod_speedup_distribution_matches_paper_shape() {
 fn strategy_ranking_on_a_balanced_long_context_batch() {
     let runner = HybridAttentionRunner::new(AttentionConfig::llama3_8b(), GpuConfig::a100_80gb());
     let batch = HybridBatch::uniform(2048, 16 * 1024, 128, 16 * 1024);
-    let rows = compare_strategies(&runner, &batch).expect("all strategies run");
-    let time_of = |s: AttentionStrategy| {
-        rows.iter()
-            .find(|r| r.strategy == s)
-            .expect("strategy present")
-            .time
-    };
+    let time_of = |s: AttentionStrategy| runner.time(&batch, s).expect("all strategies run");
     let pod = time_of(AttentionStrategy::Pod);
     assert!(pod <= time_of(AttentionStrategy::FaSerial));
     assert!(pod <= time_of(AttentionStrategy::FaStreams));
