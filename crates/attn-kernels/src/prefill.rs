@@ -96,7 +96,8 @@ impl PrefillKernel {
     /// Splitting along the KV dimension (FlashDecoding-style) only applies to
     /// *chunked* prefills — chunks appended to an existing KV cache — which is
     /// when the query grid alone is too small to fill the GPU. A full prompt
-    /// processed from scratch uses the regular unsplit kernel.
+    /// processed from scratch uses the regular unsplit kernel. A zero-token
+    /// chunk has no grid to split and gets 1.
     pub fn num_splits(
         &self,
         chunk: &PrefillChunk,
@@ -104,6 +105,9 @@ impl PrefillKernel {
         gpu: &GpuConfig,
     ) -> usize {
         let base = self.base_ctas(chunk, cfg);
+        if base == 0 {
+            return 1;
+        }
         let fp = self.footprint(cfg);
         let wave = gpu.wave_size(fp.shared_mem, fp.threads).max(1);
         let max_by_kv = self.tile.kv_tiles(chunk.context_len()).max(1);
@@ -349,6 +353,18 @@ mod tests {
         assert!(limited >= 1);
         // Vanilla splitting of a small chunk produces a lot of extra CTAs.
         assert!(vanilla > limited);
+    }
+
+    /// A zero-token chunk with prior context has no grid: the split
+    /// heuristics must not divide by its empty base grid.
+    #[test]
+    fn empty_chunk_with_prior_context_gets_one_split() {
+        let chunk = PrefillChunk::new(0, 100);
+        for policy in [SplitPolicy::Vanilla, SplitPolicy::LimitedToTwoWaves] {
+            let k = PrefillKernel::flash_attention().with_split_policy(policy);
+            assert_eq!(k.num_splits(&chunk, &cfg(), &gpu()), 1, "{policy:?}");
+            assert_eq!(k.num_ctas(&chunk, &cfg(), &gpu()), 0, "{policy:?}");
+        }
     }
 
     #[test]

@@ -28,22 +28,44 @@
 //! active stream is entered into a min-heap keyed by
 //! `accumulator-at-entry + remaining-work`. The stream with the smallest key
 //! is always the next to drain, so finding the end of an interval is a peek
-//! into one global memory heap, one heap per SM with compute demand, and a
-//! heap of pending barrier tails — instead of the full rescan of every
-//! resident unit that a naive implementation performs four times per
-//! interval. Per-unit work is attributed to kernels and op-classes once, at
+//! into one global memory heap, the earliest of the per-SM compute drain
+//! times, and a heap of pending barrier tails — instead of the full rescan
+//! of every resident unit that a naive implementation performs four times
+//! per interval. Per-unit work is attributed to kernels and op-classes once, at
 //! drain time, which is exact because shares are piecewise constant.
 //!
-//! An SM's share, its total FLOP rate and its heap-top key change only when
-//! its heap is pushed (a CTA lands) or popped (a stream drains), so each SM
-//! keeps them in a flat `SmPool` refreshed at exactly those points, and a
-//! bitset marks the SMs whose heap is non-empty. An interval walks only those
-//! busy SMs, in ascending SM order, and touches an SM's heap only when its
-//! cached top says something drains there. Skipping an idle SM skips no
-//! arithmetic, and the busy SMs are visited in the order a scan of all SMs
-//! would visit them, so the interval-`flops` sum, every accumulator and
-//! every report field stay bit-identical to that scan. Op-class totals live
-//! in a fixed array and become the report's map once, at the end of the run.
+//! # Lazy per-SM drain clocks
+//!
+//! An SM's share changes only when its heap is pushed (a CTA lands) or
+//! popped (a stream drains), so each SM's `SmPool` keeps its accumulator as
+//! of a time `since` and brings it up to date (`fold`: `drained +=
+//! share * (now - since)`) only at those points, never per interval. An idle
+//! SM folds without moving its accumulator. After its heap changes, the SM's
+//! absolute drain time, `since + (top - drained) / share`, goes into
+//! `SmEvents`: per-SM times in blocks of eight SMs, with each block's
+//! minimum and the overall minimum recomputed once per fill for the stale
+//! blocks only. The next SM event is that minimum, and an interval that
+//! ends on an SM drain ends at exactly that time. The SMs a fill or an
+//! interval changed are synced once, when the fill closes.
+//!
+//! An interval folds only the SMs `SmEvents` reports due by its end, within a
+//! margin of twice the work-space epsilon in time, and settles them in
+//! ascending SM order with the work-space test `top - drained <= WORK_EPS +
+//! |drained| * ACC_REL_EPS`. Settling an SM touches no other SM, so units
+//! drain, and kernel and op-class sums accumulate, in the order of a scan of
+//! all SMs. The interval's FLOPs are the busy SMs' total rate times its
+//! length; the rate is recomputed from a histogram of busy SMs by demand
+//! whenever that changes, so it never drifts through `+=`/`-=`. Op-class
+//! totals live in a fixed array and become the report's map once, at the
+//! end of the run.
+//!
+//! The numeric contract: interval and CTA counts, placements, the drain
+//! order and every per-kernel and per-op-class FLOP and byte total are those
+//! of an engine that advances every busy SM's accumulator each interval.
+//! The other float fields (makespan, kernel and op-class times,
+//! `total_flops`, `total_bytes`, energy) differ from it by float
+//! association alone: in `tests/gpu_sim_golden.rs`, by at most about 2e-15
+//! relative, and that test bounds them at 1e-12.
 //!
 //! # Run-length drain heaps
 //!
@@ -65,8 +87,7 @@
 //! them, so popping runs in `(key, first_uid)` order and walking each run's
 //! ids in ascending order visits units exactly in the `(key, uid)` order of
 //! one entry per unit. Every per-unit update (`busy_*`, the kernel and
-//! op-class sums, `maybe_finish_unit`) still runs once per unit, in that
-//! order, so every report field is unchanged.
+//! op-class sums, `maybe_finish_unit`) runs once per unit, in that order.
 //!
 //! # Incremental placement
 //!
@@ -192,21 +213,166 @@ impl OpTotals {
     }
 }
 
-/// One SM's compute pool: its drained-work accumulator, plus the per-unit
-/// share, total FLOP rate and smallest pending drain key that hold until its
-/// heap is next pushed or popped.
+/// One SM's compute pool with its own lazy drain clock: the drained-work
+/// accumulator as of `since`, plus the per-unit share that holds until the
+/// SM's heap is next pushed or popped.
 #[derive(Debug, Clone, Copy, Default)]
 struct SmPool {
-    /// FLOPs drained per compute-active unit on this SM.
+    /// FLOPs drained per compute-active unit on this SM, as of `since`.
     drained: f64,
+    /// The time `drained` was last brought up to date.
+    since: f64,
     /// Compute-active units on this SM: the run lengths in its heap.
     demand: usize,
-    /// `Shares::compute_share(demand)`.
+    /// `demand` as of the last sync: the SM's bucket in [`RateHistogram`],
+    /// zero while the SM is idle.
+    synced_demand: usize,
+    /// `Shares::compute_share(synced_demand)`.
     share: f64,
-    /// `demand * share`.
-    rate: f64,
-    /// Key at the top of the SM's compute heap.
-    top: f64,
+    /// True while the SM waits in [`ActiveSet::unsynced`].
+    unsynced: bool,
+}
+
+impl SmPool {
+    /// Bring the accumulator up to `now`. An idle SM's accumulator stays put.
+    fn fold(&mut self, now: f64) {
+        if self.synced_demand > 0 {
+            self.drained += self.share * (now - self.since);
+        }
+        self.since = now;
+    }
+}
+
+/// SMs per block of [`SmEvents`].
+const EVENT_BLOCK: usize = 8;
+
+/// Every SM's next compute drain, as `[due, early]`: the absolute time at
+/// which the top of the SM's heap drains at its current share, and a time
+/// before which the work-space test cannot pass the SM (`+inf` for an idle
+/// SM). SMs sit in blocks of [`EVENT_BLOCK`], each with the minima of its
+/// SMs; `set` only marks its block stale, and `refresh` recomputes the stale
+/// blocks and the overall minimum once per fill.
+#[derive(Debug)]
+struct SmEvents {
+    sms: Vec<[f64; 2]>,
+    blocks: Vec<[f64; 2]>,
+    stale: Vec<bool>,
+    any_stale: bool,
+    min: [f64; 2],
+}
+
+impl SmEvents {
+    fn new(num_sms: usize) -> Self {
+        let blocks = num_sms.div_ceil(EVENT_BLOCK);
+        SmEvents {
+            sms: vec![[f64::INFINITY; 2]; blocks * EVENT_BLOCK],
+            blocks: vec![[f64::INFINITY; 2]; blocks],
+            stale: vec![false; blocks],
+            any_stale: false,
+            min: [f64::INFINITY; 2],
+        }
+    }
+
+    fn set(&mut self, sm: usize, due: f64, early: f64) {
+        self.sms[sm] = [due, early];
+        self.stale[sm / EVENT_BLOCK] = true;
+        self.any_stale = true;
+    }
+
+    /// Recompute the minima of the stale blocks and of the whole device.
+    fn refresh(&mut self) {
+        if !self.any_stale {
+            return;
+        }
+        let mut min = [f64::INFINITY; 2];
+        for (b, block) in self.blocks.iter_mut().enumerate() {
+            if self.stale[b] {
+                self.stale[b] = false;
+                *block = self.sms[b * EVENT_BLOCK..(b + 1) * EVENT_BLOCK]
+                    .iter()
+                    .fold([f64::INFINITY; 2], |[d, e], &[sd, se]| {
+                        [d.min(sd), e.min(se)]
+                    });
+            }
+            min = [min[0].min(block[0]), min[1].min(block[1])];
+        }
+        self.any_stale = false;
+        self.min = min;
+    }
+
+    /// The earliest drain time over all SMs.
+    fn next_due(&self) -> f64 {
+        debug_assert!(!self.any_stale, "SM events read before a refresh");
+        self.min[0]
+    }
+
+    fn due(&self, sm: usize) -> f64 {
+        self.sms[sm][0]
+    }
+
+    /// Replace `out` with the SMs whose `early` is at most `t`, ascending.
+    fn collect(&self, t: f64, out: &mut Vec<usize>) {
+        debug_assert!(!self.any_stale, "SM events read before a refresh");
+        out.clear();
+        if self.min[1] > t {
+            return;
+        }
+        for (b, block) in self.blocks.iter().enumerate() {
+            if block[1] <= t {
+                let first = b * EVENT_BLOCK;
+                let sms = &self.sms[first..first + EVENT_BLOCK];
+                out.extend(
+                    (first..)
+                        .zip(sms)
+                        .filter(|(_, e)| e[1] <= t)
+                        .map(|(sm, _)| sm),
+                );
+            }
+        }
+    }
+}
+
+/// Busy SMs counted by compute demand, and the total FLOP rate they sum to,
+/// recomputed from the counts (ascending demand) after any change.
+#[derive(Debug, Default)]
+struct RateHistogram {
+    /// Busy SMs at each demand; slot 0 (idle) stays empty.
+    counts: Vec<usize>,
+    /// The total rate, or `None` after a change.
+    rate: Option<f64>,
+}
+
+impl RateHistogram {
+    /// Move one SM from demand `from` to demand `to`; zero means idle.
+    fn shift(&mut self, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        self.rate = None;
+        if from > 0 {
+            self.counts[from] -= 1;
+        }
+        if to > 0 {
+            if to >= self.counts.len() {
+                self.counts.resize(to + 1, 0);
+            }
+            self.counts[to] += 1;
+        }
+    }
+
+    /// FLOPs per second over all busy SMs: `demand * share` per SM.
+    fn rate(&mut self, shares: &Shares) -> f64 {
+        *self.rate.get_or_insert_with(|| {
+            (1..self.counts.len())
+                .filter(|&d| self.counts[d] > 0)
+                .map(|d| self.counts[d] as f64 * (d as f64 * shares.compute_share(d)))
+                .sum()
+        })
+    }
+
+    fn is_empty(&self) -> bool {
+        self.counts.iter().all(|&n| n == 0)
+    }
 }
 
 /// One CTA resident on (or retired from) the device.
@@ -230,10 +396,17 @@ struct ActiveSet {
     ctas: Vec<CtaRec>,
     /// Bytes drained per memory-active unit since the start of the run.
     mem_drained: f64,
-    /// Per-SM compute pools, kept current by [`ActiveSet::sync_sm`].
+    /// Per-SM compute pools, each on its own lazy clock.
     pools: Vec<SmPool>,
-    /// Bitset of SMs with compute demand (a non-empty compute heap).
-    busy: Vec<u64>,
+    /// Every SM's next drain time, kept current by [`ActiveSet::sync_sm`].
+    events: SmEvents,
+    /// Busy SMs by demand, for the interval FLOP rate.
+    rates: RateHistogram,
+    /// The SMs an interval settles, reused across intervals.
+    due_sms: Vec<usize>,
+    /// SMs whose compute heap changed since the last fill closed, synced
+    /// by [`ActiveSet::close_fill`].
+    unsynced: Vec<usize>,
     /// Pending compute drain runs per SM.
     compute_heaps: Vec<BinaryHeap<Reverse<Run>>>,
     /// Pending memory drain runs.
@@ -242,7 +415,7 @@ struct ActiveSet {
     /// `mem_open`.
     mem_demand: usize,
     /// The memory run still growing in the current fill; pushed onto
-    /// `mem_heap` by [`ActiveSet::close_mem_run`] before the fill returns.
+    /// `mem_heap` by [`ActiveSet::close_fill`] before the fill returns.
     mem_open: Option<Run>,
     /// Pending barrier-tail expiries, keyed by absolute time.
     tail_heap: BinaryHeap<Reverse<Key>>,
@@ -253,18 +426,6 @@ struct ActiveSet {
     op_classes: OpTotals,
 }
 
-/// The set bits of word `w` of a bitset, as ascending indices. The word is
-/// copied, so the bitset may change while the bits are walked.
-fn set_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            w * 64 + bit
-        })
-    })
-}
-
 impl ActiveSet {
     fn new(num_sms: usize, shares: Shares) -> Self {
         ActiveSet {
@@ -273,7 +434,10 @@ impl ActiveSet {
             ctas: Vec::new(),
             mem_drained: 0.0,
             pools: vec![SmPool::default(); num_sms],
-            busy: vec![0; num_sms.div_ceil(64)],
+            events: SmEvents::new(num_sms),
+            rates: RateHistogram::default(),
+            due_sms: Vec::new(),
+            unsynced: Vec::new(),
             compute_heaps: (0..num_sms).map(|_| BinaryHeap::new()).collect(),
             mem_heap: BinaryHeap::new(),
             mem_demand: 0,
@@ -285,21 +449,28 @@ impl ActiveSet {
         }
     }
 
-    /// Refresh `sm`'s pool and busy bit after its compute heap changed.
+    /// Refresh `sm`'s share, rate bucket and drain time after its compute
+    /// heap changed; the pool must already be folded to the current time.
     fn sync_sm(&mut self, sm: usize) {
-        let bit = 1u64 << (sm % 64);
-        match self.compute_heaps[sm].peek() {
+        let pool = &mut self.pools[sm];
+        self.rates.shift(pool.synced_demand, pool.demand);
+        pool.synced_demand = pool.demand;
+        let (due, early) = match self.compute_heaps[sm].peek() {
             Some(&Reverse(Run {
-                key: Key(tok, _), ..
+                key: Key(top, _), ..
             })) => {
-                let pool = &mut self.pools[sm];
                 pool.share = self.shares.compute_share(pool.demand);
-                pool.rate = pool.demand as f64 * pool.share;
-                pool.top = tok;
-                self.busy[sm / 64] |= bit;
+                let due = pool.since + (top - pool.drained).max(0.0) / pool.share;
+                // The work-space test passes at `t` only if
+                // `share * (due - t)` is within its epsilon, up to a few
+                // ulps of rounding; twice that margin is safely early.
+                let margin = 2.0 * (WORK_EPS + top.abs() * ACC_REL_EPS) / pool.share
+                    + 4.0 * f64::EPSILON * due.abs();
+                (due, due - margin)
             }
-            None => self.busy[sm / 64] &= !bit,
-        }
+            None => (f64::INFINITY, f64::INFINITY),
+        };
+        self.events.set(sm, due, early);
     }
 
     /// Enter a freshly-dispatched CTA, performing `units`, into the active
@@ -345,6 +516,11 @@ impl ActiveSet {
             if u.flops > WORK_EPS {
                 rec.compute_pending = true;
                 let pool = &mut self.pools[sm];
+                if !pool.unsynced {
+                    pool.fold(now);
+                    pool.unsynced = true;
+                    self.unsynced.push(sm);
+                }
                 pool.demand += 1;
                 let tok = pool.drained + u.flops;
                 enter_run(&mut compute_open, &mut self.compute_heaps[sm], tok, uid);
@@ -361,14 +537,20 @@ impl ActiveSet {
         if let Some(run) = compute_open {
             self.compute_heaps[sm].push(Reverse(run));
         }
-        self.sync_sm(sm);
     }
 
-    /// Push the open memory run onto the heap; called before a fill returns.
-    fn close_mem_run(&mut self) {
+    /// Push the open memory run onto the heap and sync every SM whose
+    /// compute heap changed since the last fill; called before a fill
+    /// returns.
+    fn close_fill(&mut self) {
         if let Some(run) = self.mem_open.take() {
             self.mem_heap.push(Reverse(run));
         }
+        while let Some(sm) = self.unsynced.pop() {
+            self.pools[sm].unsynced = false;
+            self.sync_sm(sm);
+        }
+        self.events.refresh();
     }
 
     /// If both resource streams of `uid` have drained, charge the
@@ -393,10 +575,15 @@ impl ActiveSet {
         }
     }
 
-    /// Time until the next drain/expiry event given the current shares, or
-    /// `0.0` if nothing is pending (only instantly-complete CTAs remain).
-    fn next_event_dt(&self, now: f64) -> f64 {
-        debug_assert!(self.mem_open.is_none(), "memory run left open by the fill");
+    /// The next drain/expiry event given the current shares: the interval
+    /// length and the time it ends. The interval is empty if nothing is
+    /// pending (only instantly-complete CTAs remain). An interval that ends
+    /// on an SM drain ends at exactly that SM's drain time.
+    fn next_event(&self, now: f64) -> (f64, f64) {
+        debug_assert!(
+            self.mem_open.is_none() && self.unsynced.is_empty(),
+            "fill left a memory run open or an SM unsynced"
+        );
         let mut dt = f64::INFINITY;
         if let Some(&Reverse(Run {
             key: Key(tok, _), ..
@@ -405,32 +592,30 @@ impl ActiveSet {
             let share = self.shares.mem_share(self.mem_demand);
             dt = dt.min((tok - self.mem_drained).max(0.0) / share);
         }
-        for (w, &word) in self.busy.iter().enumerate() {
-            for sm in set_bits(w, word) {
-                let p = &self.pools[sm];
-                dt = dt.min((p.top - p.drained).max(0.0) / p.share);
-            }
-        }
         if let Some(&Reverse(Key(t, _))) = self.tail_heap.peek() {
             dt = dt.min((t - now).max(0.0));
         }
-        if dt.is_finite() {
-            dt
+        let due = self.events.next_due();
+        if due.is_finite() && due - now <= dt {
+            let end = due.max(now);
+            (end - now, end)
+        } else if dt.is_finite() {
+            (dt, now + dt)
         } else {
-            0.0
+            (0.0, now)
         }
     }
 
-    /// Advance all drained-work accumulators by `dt`, pop every stream/tail
-    /// that drained by `now` (attributing the finished work to its kernel and
+    /// Advance the memory accumulator by `dt`, pop every stream/tail that
+    /// drained by `now` (attributing the finished work to its kernel and
     /// op-class), and return the `(flops, bytes)` moved during the interval.
     ///
-    /// One pass over the busy SMs, ascending: each SM's accumulator advances
-    /// just before its heap is settled. Settling an SM touches no other SM's
-    /// heap, so every share, and the SM-ordered `flops` sum, is what separate
-    /// advance and settle passes over all SMs would compute.
+    /// The interval's FLOPs are the busy SMs' total rate times `dt`. Only
+    /// the SMs [`SmEvents`] reports due by `now` are folded and tested,
+    /// in ascending SM order; settling an SM touches no other SM, so the
+    /// drains run in the order a scan of all SMs would run them.
     fn advance(&mut self, dt: f64, now: f64, kernels: &mut [KernelState]) -> (f64, f64) {
-        let mut flops = 0.0;
+        let flops = self.rates.rate(&self.shares) * dt;
         let mut bytes = 0.0;
         let m = self.mem_demand;
         if m > 0 {
@@ -458,38 +643,52 @@ impl ActiveSet {
                 self.maybe_finish_unit(uid, now);
             }
         }
-        for w in 0..self.busy.len() {
-            for sm in set_bits(w, self.busy[w]) {
-                let p = &mut self.pools[sm];
-                p.drained += p.share * dt;
-                flops += p.rate * dt;
-                let drained = p.drained;
-                let eps = WORK_EPS + drained.abs() * ACC_REL_EPS;
-                if p.top - drained > eps {
-                    continue;
-                }
-                while let Some(&Reverse(Run {
-                    key: Key(tok, first),
-                    len,
-                })) = self.compute_heaps[sm].peek()
-                {
-                    if tok - drained > eps {
-                        break;
-                    }
-                    self.compute_heaps[sm].pop();
-                    self.pools[sm].demand -= len;
-                    for uid in first..first + len {
-                        let u = &mut self.units[uid];
-                        u.compute_pending = false;
-                        u.busy_compute = now - u.start;
-                        kernels[self.ctas[u.cta].kernel_id].flops += u.flops;
-                        self.op_classes.at(u.op).flops += u.flops;
-                        self.maybe_finish_unit(uid, now);
-                    }
-                }
-                self.sync_sm(sm);
+        let mut due_sms = std::mem::take(&mut self.due_sms);
+        self.events.collect(now, &mut due_sms);
+        for &sm in &due_sms {
+            let Some(&Reverse(Run {
+                key: Key(top, _), ..
+            })) = self.compute_heaps[sm].peek()
+            else {
+                unreachable!("an idle SM has no drain time");
+            };
+            let p = &mut self.pools[sm];
+            p.fold(now);
+            if self.events.due(sm) <= now {
+                // Rounding in `now - since` can leave the accumulator a few
+                // ulps short of the key whose drain time has come.
+                p.drained = p.drained.max(top);
             }
+            let drained = p.drained;
+            let eps = WORK_EPS + drained.abs() * ACC_REL_EPS;
+            if top - drained > eps {
+                continue;
+            }
+            while let Some(&Reverse(Run {
+                key: Key(tok, first),
+                len,
+            })) = self.compute_heaps[sm].peek()
+            {
+                if tok - drained > eps {
+                    break;
+                }
+                self.compute_heaps[sm].pop();
+                self.pools[sm].demand -= len;
+                for uid in first..first + len {
+                    let u = &mut self.units[uid];
+                    u.compute_pending = false;
+                    u.busy_compute = now - u.start;
+                    kernels[self.ctas[u.cta].kernel_id].flops += u.flops;
+                    self.op_classes.at(u.op).flops += u.flops;
+                    self.maybe_finish_unit(uid, now);
+                }
+            }
+            // Synced by the next fill's `close_fill`, once with any CTA
+            // that lands here.
+            self.pools[sm].unsynced = true;
+            self.unsynced.push(sm);
         }
+        self.due_sms = due_sms;
         while let Some(&Reverse(Key(t, uid))) = self.tail_heap.peek() {
             if t - now > TIME_EPS {
                 break;
@@ -740,8 +939,8 @@ impl Engine {
 
             // --- advance to the next drain/expiry event, settle drained
             // streams and expired tails, release completed CTAs ---
-            let dt = active.next_event_dt(time);
-            time += dt;
+            let (dt, end) = active.next_event(time);
+            time = end;
             let (interval_flops, interval_bytes) = active.advance(dt, time, &mut kernels);
             intervals += 1;
             energy += energy_model.interval_energy(dt, interval_flops, interval_bytes);
@@ -755,6 +954,10 @@ impl Engine {
         debug_assert!(
             active.mem_demand == 0 && active.pools.iter().all(|p| p.demand == 0),
             "drain demand left after the last interval"
+        );
+        debug_assert!(
+            active.events.next_due() == f64::INFINITY && active.rates.is_empty(),
+            "an SM drain event left after the last interval"
         );
 
         let kernel_reports = kernels
@@ -920,7 +1123,7 @@ impl Engine {
                 }
             }
         }
-        active.close_mem_run();
+        active.close_fill();
         placement.released.clear();
         Ok(())
     }
@@ -1301,11 +1504,11 @@ mod tests {
         // Until the fill closes it, the open run is not in the heap.
         assert_eq!(mem_runs(&active), [(0, 3), (3, 1)]);
         assert_eq!(active.mem_demand, 5);
-        active.close_mem_run();
+        active.close_fill();
         assert_eq!(mem_runs(&active), [(0, 3), (3, 1), (4, 1)]);
         // The next fill: same key, next id, new run.
         active.add_cta(&[unit], 0, 4, fp, OpClass::Decode, 0.0);
-        active.close_mem_run();
+        active.close_fill();
         assert_eq!(mem_runs(&active), [(0, 3), (3, 1), (4, 1), (5, 1)]);
         assert_eq!(active.mem_demand, 6);
         // SM 0 holds one compute run of the packed CTA's two units.
@@ -1315,6 +1518,78 @@ mod tests {
             .collect();
         assert_eq!(sm0, [2]);
         assert_eq!(active.pools[0].demand, 2);
+    }
+
+    /// Lazy clocks against a hand-worked case, with `c` the per-unit cap
+    /// (0.9 of the SM's peak `P`). SM 0 runs unit A (`4 µs · c`) alone at
+    /// `c`; SM 1 runs unit C (`1 µs · c`), which drains at 1 µs, and then
+    /// idles. At 2 µs unit B (`5 µs · c`) lands on SM 0 and unit D
+    /// (`1 µs · c`) on SM 1. A has `2 µs · c` left, drained at `P / 2`: it
+    /// ends at 5.6 µs. By then B has `2.7 µs · P` left, drained at `c`: it
+    /// ends at 8.6 µs. D drains alone at `c` and ends at 3 µs; SM 1's
+    /// accumulator does not move while it idles.
+    #[test]
+    fn lazy_clocks_match_the_hand_worked_case() {
+        let g = gpu();
+        let peak = g.sm_compute_flops();
+        let c = MAX_CTA_COMPUTE_FRACTION * peak;
+        let unit = |flops: f64| [WorkUnit::new(OpClass::Prefill, flops, 0.0)];
+        let fp = Footprint::default();
+        let mut active = active_set();
+        let mut kernels = vec![KernelState {
+            name: Arc::from("k"),
+            footprint: fp,
+            cap: None,
+            dispatched: 0,
+            completed: 0,
+            fully_dispatched: false,
+            start: None,
+            end: 0.0,
+            flops: 0.0,
+            bytes: 0.0,
+        }];
+        // One interval to the next event; returns its end and FLOPs.
+        fn step(active: &mut ActiveSet, kernels: &mut [KernelState], now: f64) -> (f64, f64) {
+            let (dt, end) = active.next_event(now);
+            let (flops, _) = active.advance(dt, end, kernels);
+            active.close_fill();
+            (end, flops)
+        }
+        let close = |got: f64, want: f64| {
+            assert!((got - want).abs() <= want * 1e-12, "{got} vs {want}");
+        };
+
+        active.add_cta(&unit(4e-6 * c), 0, 0, fp, OpClass::Prefill, 0.0); // A
+        active.add_cta(&unit(1e-6 * c), 0, 1, fp, OpClass::Prefill, 0.0); // C
+        active.close_fill();
+        let (t, flops) = step(&mut active, &mut kernels, 0.0);
+        close(t, 1e-6);
+        close(flops, 2.0 * c * 1e-6);
+        assert!(!active.units[1].compute_pending && active.units[0].compute_pending);
+        let idle = active.pools[1].drained;
+
+        // No event before 2 µs: SM 0 keeps draining A, SM 1 idles.
+        let (flops, _) = active.advance(2e-6 - t, 2e-6, &mut kernels);
+        close(flops, c * (2e-6 - t));
+        active.close_fill();
+        active.add_cta(&unit(5e-6 * c), 0, 0, fp, OpClass::Prefill, 2e-6); // B
+        active.add_cta(&unit(1e-6 * c), 0, 1, fp, OpClass::Prefill, 2e-6); // D
+        active.close_fill();
+        assert_eq!(active.pools[1].drained.to_bits(), idle.to_bits());
+        assert_eq!(active.pools[1].since, 2e-6);
+
+        let (t, flops) = step(&mut active, &mut kernels, 2e-6);
+        close(t, 3e-6);
+        close(flops, (peak + c) * 1e-6);
+        assert!(!active.units[3].compute_pending);
+        let (t, _) = step(&mut active, &mut kernels, t);
+        close(t, 5.6e-6);
+        assert!(!active.units[0].compute_pending && active.units[2].compute_pending);
+        let (t, _) = step(&mut active, &mut kernels, t);
+        close(t, 8.6e-6);
+        assert!(!active.units[2].compute_pending);
+        assert_eq!(active.events.next_due(), f64::INFINITY);
+        assert!(active.rates.is_empty());
     }
 
     #[test]

@@ -88,27 +88,54 @@ impl PodAttention {
     /// limit only removes useful prefill parallelism, so POD falls back to
     /// the vanilla split heuristic — part of picking "the most suitable
     /// configuration at runtime".
+    ///
+    /// The decode side's memory time comes from each request's unit run
+    /// (count × unit bytes); only a batch within 1e-9 relative of the limit
+    /// is re-summed unit by unit, so the decision is the unit-by-unit one.
     fn effective_split_policy(&self, batch: &HybridBatch) -> attn_kernels::SplitPolicy {
         use attn_kernels::SplitPolicy;
         if self.options.prefill_splits != SplitPolicy::LimitedToTwoWaves {
             return self.options.prefill_splits;
         }
-        let Some(chunk) = &batch.prefill else {
+        let Some(limit) = self.split_limit(batch) else {
             return SplitPolicy::Vanilla;
         };
-        let prefill_compute = PrefillKernel::flash_attention()
-            .total_flops(chunk, &self.cfg, &self.gpu)
-            / self.gpu.tensor_flops;
-        let decode_memory =
-            self.options
-                .decode_kernel()
-                .total_bytes(&batch.decodes, &self.cfg, &self.gpu)
-                / self.gpu.hbm_bandwidth;
-        if decode_memory < 0.2 * prefill_compute {
+        let mut decode_memory = self.decode_memory(batch, false);
+        if (decode_memory - limit).abs() <= 1e-9 * limit {
+            decode_memory = self.decode_memory(batch, true);
+        }
+        if decode_memory < limit {
             SplitPolicy::Vanilla
         } else {
             SplitPolicy::LimitedToTwoWaves
         }
+    }
+
+    /// The decode memory time below which POD lifts the split limit: a fifth
+    /// of the prefill chunk's compute time. `None` without a prefill chunk.
+    fn split_limit(&self, batch: &HybridBatch) -> Option<f64> {
+        let chunk = batch.prefill.as_ref()?;
+        let prefill_compute = PrefillKernel::flash_attention()
+            .total_flops(chunk, &self.cfg, &self.gpu)
+            / self.gpu.tensor_flops;
+        Some(0.2 * prefill_compute)
+    }
+
+    /// HBM time of the decode grid: per request run (count × unit bytes),
+    /// or, if `unit_by_unit`, summed over every CTA in launch order.
+    fn decode_memory(&self, batch: &HybridBatch, unit_by_unit: bool) -> f64 {
+        let kernel = self.options.decode_kernel();
+        let bytes = if unit_by_unit {
+            kernel.total_bytes(&batch.decodes, &self.cfg, &self.gpu)
+        } else {
+            kernel
+                .unit_runs(&batch.decodes, &self.cfg, &self.gpu)
+                .runs()
+                .iter()
+                .map(|(unit, count)| *count as f64 * unit.bytes)
+                .sum()
+        };
+        bytes / self.gpu.hbm_bandwidth
     }
 
     /// Compute the launch plan (CTA counts, resolved mode, ratio) for a batch.
@@ -276,6 +303,34 @@ mod tests {
 
     fn pod() -> PodAttention {
         PodAttention::new(AttentionConfig::llama3_8b(), GpuConfig::a100_80gb())
+    }
+
+    /// The closed-form decode memory time decides the split limit exactly
+    /// as the unit-by-unit sum does on the whole Figure 11 quick grid.
+    #[test]
+    fn closed_form_split_decision_matches_the_unit_by_unit_sum() {
+        for cfg in [
+            AttentionConfig::yi_6b(),
+            AttentionConfig::llama2_7b(),
+            AttentionConfig::llama3_8b(),
+        ] {
+            let pod = PodAttention::new(cfg, GpuConfig::a100_80gb());
+            for kib in [4, 12, 20] {
+                for chunk in [512, 1024, 2048] {
+                    for decodes in [16, 48, 96, 160, 224] {
+                        let batch = HybridBatch::uniform(chunk, kib * 1024, decodes, kib * 1024);
+                        let limit = pod.split_limit(&batch).unwrap();
+                        let closed = pod.decode_memory(&batch, false);
+                        let exact = pod.decode_memory(&batch, true);
+                        assert_eq!(closed < limit, exact < limit, "{cfg:?} {batch:?}");
+                        assert!(
+                            (closed - exact).abs() <= exact * 1e-12,
+                            "{closed} vs {exact}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

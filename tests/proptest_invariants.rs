@@ -100,6 +100,55 @@ fn engine_conserves_work() {
     }
 }
 
+/// The engine's interval totals agree with its drain-time attribution:
+/// `total_flops` sums the busy SMs' total rate times each interval's length,
+/// while each kernel is charged its units' FLOPs when they drain, so the two
+/// must agree on random multi-stream launches (mixed units, fused CTAs,
+/// per-SM caps, serial tails). The same holds for bytes.
+#[test]
+fn interval_totals_match_drain_attribution() {
+    let mut rng = SplitMix64::seed_from_u64(0x1A2F);
+    let gpu = GpuConfig::a100_80gb();
+    let ops = [OpClass::Prefill, OpClass::Decode, OpClass::Other];
+    for case in 0..CASES {
+        let streams = (0..1 + rng.next_usize(3))
+            .map(|s| {
+                let ctas = (0..1 + rng.next_usize(400))
+                    .map(|_| {
+                        let units = (0..1 + rng.next_usize(3))
+                            .map(|_| {
+                                let flops = rng.next_f64() * 2.0e9;
+                                let bytes = rng.next_f64() * 2.0e7;
+                                WorkUnit::new(ops[rng.next_usize(3)], flops, bytes)
+                                    .with_serial_fraction(rng.next_f64() * 0.5)
+                            })
+                            .collect();
+                        CtaWork::fused(units)
+                    })
+                    .collect();
+                let fp = Footprint::new(128, (8 + rng.next_usize(56)) * 1024);
+                let mut launch = KernelLaunch::from_ctas(&format!("k{s}"), fp, ctas);
+                if rng.next_f64() < 0.5 {
+                    launch = launch.limit_ctas_per_sm(1 + rng.next_usize(4));
+                }
+                gpu_sim::Stream::with_kernel(&format!("s{s}"), launch)
+            })
+            .collect();
+        let report = Engine::new(gpu.clone()).run(streams).expect("launch runs");
+        let charged_flops: f64 = report.kernels.iter().map(|k| k.flops).sum();
+        let charged_bytes: f64 = report.kernels.iter().map(|k| k.bytes).sum();
+        for (what, total, charged) in [
+            ("flops", report.total_flops, charged_flops),
+            ("bytes", report.total_bytes, charged_bytes),
+        ] {
+            assert!(
+                (total - charged).abs() <= 1e-9 * charged,
+                "case {case}: interval {what} {total} vs drained {charged}"
+            );
+        }
+    }
+}
+
 /// The kernel work-models scale monotonically: more context or more decodes
 /// never means less work.
 #[test]
