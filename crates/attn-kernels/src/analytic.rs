@@ -22,12 +22,13 @@ use gpu_sim::{GpuConfig, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
 /// Quantize a token (or CTA) count to ~1.5% relative resolution: 64 steps per
 /// power of two, exact below 64. Used to form pricing keys for batch shapes
 /// whose cost is smooth in the quantized quantity.
+///
+/// The step is `g = max(x.next_power_of_two() / 64, 1)`, a power of two, and
+/// `x` rounds half up to a multiple of it; both are shifts.
 pub fn quantize_tokens(x: usize) -> usize {
-    if x == 0 {
-        return 0;
-    }
-    let g = (x.next_power_of_two() / 64).max(1);
-    ((x + g / 2) / g) * g
+    let shift = x.next_power_of_two().trailing_zeros().saturating_sub(6);
+    let half = (1usize << shift) >> 1;
+    ((x + half) >> shift) << shift
 }
 
 /// `(compute time, memory time, flops, bytes)` of one side of a hybrid batch.
@@ -656,6 +657,26 @@ mod tests {
             quantized.estimate(&spec, strategy);
             let after = quantized.estimate(&base, strategy).total_time;
             assert_eq!(before.to_bits(), after.to_bits(), "{strategy}");
+        }
+    }
+
+    /// The shift form equals the division form it replaced, exhaustively
+    /// below `2^20` and on both sides of every power of two up to `2^40`.
+    #[test]
+    fn quantize_tokens_matches_the_division_form() {
+        let by_division = |x: usize| {
+            if x == 0 {
+                return 0;
+            }
+            let g = (x.next_power_of_two() / 64).max(1);
+            ((x + g / 2) / g) * g
+        };
+        let edges = (1..=40).flat_map(|k| {
+            let p = 1usize << k;
+            [p - 1, p, p + 1]
+        });
+        for x in (0..1usize << 20).chain(edges) {
+            assert_eq!(quantize_tokens(x), by_division(x), "x = {x}");
         }
     }
 

@@ -142,6 +142,7 @@ fn main() {
         },
     );
     let wide_decode_secs_per_call = r_wide.secs_per_iter();
+    let wide_decode_calls_per_sec = r_wide.iters_per_sec();
     results.push(r_wide);
 
     // --- closed-form estimator (quantized and exact) ---
@@ -323,6 +324,15 @@ fn main() {
                         (
                             "fa_serial_llama2_wide_decode_host_secs_per_call",
                             Json::Num(wide_decode_secs_per_call),
+                        ),
+                        // The same two launches as rates, for the gate.
+                        (
+                            "pod_c0_calls_per_sec",
+                            Json::Num(results[0].iters_per_sec()),
+                        ),
+                        (
+                            "fa_serial_llama2_wide_decode_calls_per_sec",
+                            Json::Num(wide_decode_calls_per_sec),
                         ),
                     ]),
                 ),

@@ -33,6 +33,12 @@ enum Rule {
 /// fleet speedups and trace overhead compare two legs of one run.
 const HOST_GATES: &[(&str, &str, Rule)] = &[
     ("engine", "engine.intervals_per_sec", Slack),
+    ("engine", "engine.pod_c0_calls_per_sec", Slack),
+    (
+        "engine",
+        "engine.fa_serial_llama2_wide_decode_calls_per_sec",
+        Slack,
+    ),
     ("engine", "pricing.batches_priced_per_sec_memoized", Slack),
     ("engine", "kv_pool.blocks_per_sec", Slack),
     ("engine", "kv_pool.wide_blocks_per_sec", Slack),

@@ -46,11 +46,11 @@
 //! total order over `(last_use, node id)`, and no hash-map iteration order
 //! ever reaches a decision.
 
+use crate::fasthash::FastMap;
 use crate::request::PromptContent;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BinaryHeap, HashSet};
 
 /// Tokens per KV-cache block (the paged-attention page size).
 pub const BLOCK_TOKENS: usize = 16;
@@ -162,35 +162,9 @@ impl BlockKey {
     }
 }
 
-/// A multiply-rotate hasher for trie edges: their keys are a node id and
-/// workload tags, so SipHash's flooding resistance buys nothing here.
-#[derive(Default)]
-struct EdgeHasher(u64);
-
-impl Hasher for EdgeHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the low bits weakest; the table indexes by them.
-        self.0.rotate_left(26)
-    }
-}
-
 /// Child node by `(parent node, block key)`; the parent of a root child is
 /// [`NO_NODE`].
-type EdgeMap = HashMap<(u32, BlockKey), u32, BuildHasherDefault<EdgeHasher>>;
+type EdgeMap = FastMap<(u32, BlockKey), u32>;
 
 /// One radix-trie node: a full block of tokens extending its parent's prefix.
 #[derive(Debug, Clone)]

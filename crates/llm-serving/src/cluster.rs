@@ -1029,67 +1029,19 @@ impl Cluster {
             .collect()
     }
 
-    /// Indices of replicas fresh prompts may be routed to: active, and not
-    /// decode-only.
-    fn routable_indices(&self) -> Vec<usize> {
-        (0..self.replicas.len())
-            .filter(|&i| {
-                self.lifecycle[i].state == ReplicaState::Active && self.roles[i].accepts_prompts()
-            })
-            .collect()
-    }
-
     /// Pick the replica for `spec` given current replica state, without
     /// submitting it. This **advances router state** (the round-robin
     /// cursor): call it once per request, exactly as [`Cluster::run`] does,
-    /// not as a side-effect-free preview. Draining, retired and decode-only
-    /// replicas are never picked.
+    /// not as a side-effect-free preview. Only active replicas that accept
+    /// prompts are candidates: draining, retired and decode-only replicas
+    /// are never picked.
     fn route(&mut self, spec: &RequestSpec) -> usize {
-        let candidates = self.routable_indices();
-        self.route_among(&candidates, spec)
-    }
-
-    /// Route among an explicit candidate set (the active replicas).
-    fn route_among(&mut self, candidates: &[usize], spec: &RequestSpec) -> usize {
-        assert!(!candidates.is_empty(), "no active replica to route to");
-        match self.config.router {
-            RouterPolicy::RoundRobin => {
-                let idx = candidates[self.rr_next % candidates.len()];
-                self.rr_next = (self.rr_next + 1) % candidates.len();
-                idx
-            }
-            RouterPolicy::LeastOutstandingTokens => {
-                argmin_by_key(&self.replicas, candidates, |r| {
-                    (r.outstanding_tokens(), 0usize)
-                })
-            }
-            RouterPolicy::DecodeAware {
-                long_prefill_tokens,
-            } => {
-                if spec.prompt_tokens >= long_prefill_tokens {
-                    // A heavy prompt queues behind the existing prefill
-                    // backlog; among equally clear queues it lands where it
-                    // disturbs the fewest generation streams.
-                    argmin_by_key(&self.replicas, candidates, |r| {
-                        (r.queued_prefill_tokens(), r.running_decodes())
-                    })
-                } else {
-                    argmin_by_key(&self.replicas, candidates, |r| {
-                        (r.outstanding_tokens(), r.queued_prefill_tokens())
-                    })
-                }
-            }
-            RouterPolicy::PrefixAffinity => {
-                // Longest cached prefix wins; ties (notably the all-cold
-                // case) fall back to least outstanding work.
-                argmin_by_key(&self.replicas, candidates, |r| {
-                    (
-                        std::cmp::Reverse(r.cached_prefix_tokens_for(spec)),
-                        r.outstanding_tokens(),
-                    )
-                })
-            }
-        }
+        let (lifecycle, roles) = (&self.lifecycle, &self.roles);
+        let routable = (0..self.replicas.len()).filter(move |&i| {
+            lifecycle[i].state == ReplicaState::Active && roles[i].accepts_prompts()
+        });
+        let router = self.config.router;
+        route_among(router, &self.replicas, &mut self.rr_next, routable, spec)
     }
 
     /// Reset the fleet to its initial state (fresh engines, router cursor,
@@ -1347,7 +1299,10 @@ impl Cluster {
             fleet.prompt.notify(victim, &self.replicas);
             let survivors = self.active_indices();
             for spec in reclaimed {
-                let target = self.route_among(&survivors, &spec);
+                let router = self.config.router;
+                let candidates = survivors.iter().copied();
+                let target =
+                    route_among(router, &self.replicas, &mut self.rr_next, candidates, &spec);
                 self.assign(target, spec, &mut fleet.prompt);
             }
         }
@@ -1455,16 +1410,67 @@ impl Cluster {
     }
 }
 
+/// Route `spec` among `candidates` (replica indices in ascending order,
+/// walked without collecting them) under `router`, advancing the
+/// round-robin cursor `rr_next`.
+fn route_among(
+    router: RouterPolicy,
+    replicas: &[ServingEngine],
+    rr_next: &mut usize,
+    candidates: impl Iterator<Item = usize> + Clone,
+    spec: &RequestSpec,
+) -> usize {
+    match router {
+        RouterPolicy::RoundRobin => {
+            let n = candidates.clone().count();
+            assert!(n > 0, "no active replica to route to");
+            let idx = candidates
+                .clone()
+                .nth(*rr_next % n)
+                .expect("the cursor is below the candidate count");
+            *rr_next = (*rr_next + 1) % n;
+            idx
+        }
+        RouterPolicy::LeastOutstandingTokens => {
+            argmin_by_key(replicas, candidates, |r| (r.outstanding_tokens(), 0usize))
+        }
+        RouterPolicy::DecodeAware {
+            long_prefill_tokens,
+        } => {
+            if spec.prompt_tokens >= long_prefill_tokens {
+                // A heavy prompt queues behind the existing prefill backlog;
+                // among equally clear queues it lands where it disturbs the
+                // fewest generation streams.
+                argmin_by_key(replicas, candidates, |r| {
+                    (r.queued_prefill_tokens(), r.running_decodes())
+                })
+            } else {
+                argmin_by_key(replicas, candidates, |r| {
+                    (r.outstanding_tokens(), r.queued_prefill_tokens())
+                })
+            }
+        }
+        RouterPolicy::PrefixAffinity => {
+            // Longest cached prefix wins; ties (notably the all-cold case)
+            // fall back to least outstanding work.
+            argmin_by_key(replicas, candidates, |r| {
+                (
+                    std::cmp::Reverse(r.cached_prefix_tokens_for(spec)),
+                    r.outstanding_tokens(),
+                )
+            })
+        }
+    }
+}
+
 /// Index (among `candidates`) of the replica minimizing `key` (first wins
 /// ties, so routing is deterministic).
 fn argmin_by_key<K: Ord>(
     replicas: &[ServingEngine],
-    candidates: &[usize],
+    candidates: impl Iterator<Item = usize>,
     key: impl Fn(&ServingEngine) -> K,
 ) -> usize {
     candidates
-        .iter()
-        .copied()
         .min_by_key(|&i| key(&replicas[i]))
         .expect("cluster has at least one active replica")
 }

@@ -13,6 +13,7 @@
 
 use crate::blocks::{blocks_for, BlockId, BlockPool, Cursor, KvChain, PrefixMatch, BLOCK_TOKENS};
 use crate::fairness::{victim, FairQueue, FairQueueConfig};
+use crate::fasthash::FastMap;
 use crate::linear::IterationCostModel;
 use crate::metrics::{ReportAccumulator, ServingCounters, ServingReport};
 use crate::model::ModelConfig;
@@ -22,7 +23,7 @@ use crate::speculative::{AcceptanceModel, DecodeMode};
 use crate::trace::{FlightRecording, TraceConfig, TraceEventKind, TraceRecorder};
 use attn_kernels::{AttentionStrategy, DecodeRequest, HybridBatch};
 use gpu_sim::GpuConfig;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How the engine manages KV-cache residency. Both policies hold blocks in
 /// one [`crate::BlockPool`] through the same admission, adoption, growth,
@@ -541,6 +542,12 @@ struct EngineState {
     /// Migrated-in requests waiting on transfer completion / residency,
     /// ordered by `available_at` (ties keep insertion order).
     pending_imports: VecDeque<PendingImport>,
+    /// Remaining tokens (prompt + output) of every request in `arrivals`,
+    /// `waiting`, `running` and `pending_imports`, kept as a running count:
+    /// [`ServingEngine::outstanding_tokens`] reads it in O(1), and debug
+    /// builds check it against [`EngineState::scan_outstanding`] after
+    /// every step and every call that moves it.
+    outstanding: usize,
     /// Streaming-metrics accumulator (`Some` exactly when the config's
     /// `streaming_metrics` is on): finished and shed requests fold in here
     /// the moment they happen, after which their token-time buffers are
@@ -575,6 +582,7 @@ impl EngineState {
             counters: ServingCounters::default(),
             pending_export: Vec::new(),
             pending_imports: VecDeque::new(),
+            outstanding: 0,
             accumulator: config.streaming_metrics.then(ReportAccumulator::sketch),
             live_token_samples: 0,
             peak_token_samples: 0,
@@ -591,6 +599,31 @@ impl EngineState {
         if let Some(rec) = self.recorder.as_mut() {
             rec.record(t, kind());
         }
+    }
+
+    /// The remaining tokens [`EngineState::outstanding`] counts, summed from
+    /// the queues: the oracle the running count is checked against.
+    fn scan_outstanding(&self) -> usize {
+        self.arrivals
+            .iter()
+            .chain(self.waiting.iter())
+            .chain(self.running.iter())
+            .map(|&r| self.requests[r].remaining_tokens())
+            .sum::<usize>()
+            + self
+                .pending_imports
+                .iter()
+                .map(|imp| imp.request.remaining_tokens())
+                .sum::<usize>()
+    }
+
+    /// Debug builds: the running count equals the scan.
+    fn debug_check_outstanding(&self) {
+        debug_assert_eq!(
+            self.outstanding,
+            self.scan_outstanding(),
+            "outstanding-token count drifted from its queues"
+        );
     }
 
     /// Return `rid`'s whole grant, named and counted alike, to the pool,
@@ -622,7 +655,10 @@ impl EngineState {
         let t = self.clock;
         self.trace(t, || TraceEventKind::Preempt { request: rid });
         self.free_residency(rid);
+        // The reclaimed KV is owed again: recompute raises the remaining work.
+        let before = self.requests[rid].remaining_tokens();
         self.requests[rid].preempt();
+        self.outstanding += self.requests[rid].remaining_tokens() - before;
         self.running.retain(|&r| r != rid);
         // Re-queue ahead of unadmitted work but *behind* any already-admitted
         // (mid-prefill) request: that one holds blocks, and only the queue
@@ -673,7 +709,7 @@ impl EngineState {
     /// the growth set, the Sarathi decode cap and the LIFO preemption victim
     /// all consistent with the co-batched order.
     fn cobatch_shared_prefixes(&mut self) {
-        let mut group_of: HashMap<(usize, BlockId), usize> = HashMap::new();
+        let mut group_of: FastMap<(usize, BlockId), usize> = FastMap::default();
         let mut next_group = 0usize;
         let mut ranked: Vec<(usize, usize, usize)> = Vec::with_capacity(self.running.len());
         for (i, &rid) in self.running.iter().enumerate() {
@@ -701,7 +737,7 @@ impl EngineState {
     /// tokens` summed over those groups. Requests whose admission acquired
     /// no cached blocks (`shared == 0`) never group.
     fn shared_decode_dedup(&self, decodes: &[usize]) -> (usize, usize) {
-        let mut chains: HashMap<(usize, BlockId), usize> = HashMap::new();
+        let mut chains: FastMap<(usize, BlockId), usize> = FastMap::default();
         for &rid in decodes {
             let table = &self.tables[rid];
             if table.shared == 0 {
@@ -908,7 +944,9 @@ impl ServingEngine {
     pub fn submit(&mut self, spec: RequestSpec) -> usize {
         assert!(!spec.arrival.is_nan(), "arrival times must not be NaN");
         let id = self.state.requests.len();
-        self.state.requests.push(Request::new(id, spec));
+        let request = Request::new(id, spec);
+        self.state.outstanding += request.remaining_tokens();
+        self.state.requests.push(request);
         self.state.tables.push(Residency::default());
         // Keep the pending-arrival queue sorted; insertion after equal
         // arrivals preserves submission order for ties, matching the stable
@@ -918,6 +956,7 @@ impl ServingEngine {
             .arrivals
             .partition_point(|&r| self.state.requests[r].spec.arrival <= spec.arrival);
         self.state.arrivals.insert(at, id);
+        self.state.debug_check_outstanding();
         id
     }
 
@@ -942,15 +981,18 @@ impl ServingEngine {
                 kept.push_back(rid);
             } else {
                 st.requests[rid].reassigned = true;
+                st.outstanding -= st.requests[rid].remaining_tokens();
                 specs.push(st.requests[rid].spec);
             }
         }
         st.waiting = kept;
         for &rid in &st.arrivals {
             st.requests[rid].reassigned = true;
+            st.outstanding -= st.requests[rid].remaining_tokens();
             specs.push(st.requests[rid].spec);
         }
         st.arrivals.clear();
+        st.debug_check_outstanding();
         specs
     }
 
@@ -1004,6 +1046,7 @@ impl ServingEngine {
             .state
             .pending_imports
             .partition_point(|imp| imp.available_at <= available_at);
+        self.state.outstanding += handoff.request.remaining_tokens();
         self.state.pending_imports.insert(
             at,
             PendingImport {
@@ -1012,6 +1055,7 @@ impl ServingEngine {
                 chain: handoff.chain,
             },
         );
+        self.state.debug_check_outstanding();
     }
 
     /// Whether every submitted request has finished (including any parked
@@ -1047,21 +1091,13 @@ impl ServingEngine {
     /// Total tokens of work (prompt + output) still to be processed across
     /// every unfinished request this replica owns, including ones that have
     /// not arrived yet. The load signal the least-outstanding router uses.
+    ///
+    /// Migrated-in requests still in flight count too: without them,
+    /// simultaneous deliveries would all dogpile onto the same decode
+    /// replica. Parked prefill exports do not (they belong to the decode
+    /// side once picked up). O(1): the engine keeps it as a running count.
     pub fn outstanding_tokens(&self) -> usize {
-        let st = &self.state;
-        st.arrivals
-            .iter()
-            .chain(st.waiting.iter())
-            .chain(st.running.iter())
-            .map(|&r| st.requests[r].remaining_tokens())
-            .sum::<usize>()
-            // Migrated-in requests still in flight are committed work too —
-            // without them, simultaneous deliveries would all dogpile onto
-            // the same decode replica.
-            + st.pending_imports
-                .iter()
-                .map(|imp| imp.request.remaining_tokens())
-                .sum::<usize>()
+        self.state.outstanding
     }
 
     /// Fraction of the KV cache currently held by resident requests.
@@ -1243,6 +1279,7 @@ impl ServingEngine {
         }
         let plan = self.plan();
         if plan.is_empty() {
+            self.state.debug_check_outstanding();
             return self.idle_outcome();
         }
         let dt = self.price(&plan);
@@ -1251,6 +1288,7 @@ impl ServingEngine {
         self.finish_and_stream(&finished);
         self.export_prefill(&plan);
         self.trace_iteration(&plan, &stats, evicted_before);
+        self.state.debug_check_outstanding();
         IterationOutcome::Ran(stats)
     }
 
@@ -1372,6 +1410,9 @@ impl ServingEngine {
                 grant_spec_k,
                 now: st.clock,
             };
+            // Admission may skip the queue front's cached prefix.
+            let front = st.waiting.front().copied();
+            let front_before = front.map_or(0, |r| st.requests[r].remaining_tokens());
             let (pool, tables) = (&mut st.pool, &mut st.tables);
             let (counters, recorder) = (&mut st.counters, &mut st.recorder);
             let plan = plan_batch(
@@ -1383,9 +1424,13 @@ impl ServingEngine {
                 config.max_batch_size,
                 config.decode_mode.spec_k(),
             );
+            if let Some(r) = front {
+                st.outstanding -= front_before - st.requests[r].remaining_tokens();
+            }
             let Some(rid) = plan.shed else {
                 return plan;
             };
+            st.outstanding -= st.requests[rid].remaining_tokens();
             st.requests[rid].shed_time = Some(st.clock);
             let t = st.clock;
             st.trace(t, || TraceEventKind::Shed { request: rid });
@@ -1540,9 +1585,10 @@ impl ServingEngine {
                 .collect(),
         };
 
-        let prefill_tt_before = plan
-            .prefill
-            .map(|(rid, _)| st.requests[rid].token_times.len());
+        let prefill_before = plan.prefill.map(|(rid, _)| {
+            let req = &st.requests[rid];
+            (req.token_times.len(), req.remaining_tokens())
+        });
         let finished = apply_plan(
             plan,
             &spec_outcomes,
@@ -1560,11 +1606,15 @@ impl ServingEngine {
             spec_outcomes.iter().map(|o| o.minted).sum()
         };
         // Resident-sample accounting: every decode minted its net tokens,
-        // and a prefill completion may have minted the first one.
-        st.live_token_samples += decode_tokens
-            + plan.prefill.map_or(0, |(rid, _)| {
-                st.requests[rid].token_times.len() - prefill_tt_before.unwrap_or(0)
-            });
+        // and a prefill completion may have minted the first one. The same
+        // tokens, plus the prefilled chunk, leave the outstanding count.
+        if let (Some((rid, _)), Some((samples, remaining))) = (plan.prefill, prefill_before) {
+            let req = &st.requests[rid];
+            st.live_token_samples += req.token_times.len() - samples;
+            st.outstanding -= remaining - req.remaining_tokens();
+        }
+        st.live_token_samples += decode_tokens;
+        st.outstanding -= decode_tokens;
         if st.live_token_samples > st.peak_token_samples {
             st.peak_token_samples = st.live_token_samples;
         }
@@ -1696,6 +1746,7 @@ impl ServingEngine {
             return;
         }
         st.running.retain(|&r| r != rid);
+        st.outstanding -= st.requests[rid].remaining_tokens();
         let tokens = st.requests[rid].context_len();
         let table = st.release_residency(rid);
         // The chain carries the context's blocks. A fresh prefill's named

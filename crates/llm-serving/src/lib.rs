@@ -97,6 +97,7 @@ mod blocks;
 mod cluster;
 mod engine;
 mod fairness;
+mod fasthash;
 mod json;
 mod linear;
 mod metrics;

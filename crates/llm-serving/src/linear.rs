@@ -7,13 +7,13 @@
 //! tokens *and* the decode tokens, so the cost model takes the total number
 //! of query tokens in the batch.
 
+use crate::fasthash::FastMap;
 use crate::model::ModelConfig;
 use attn_kernels::{
     canonical_decodes, quantize_tokens, AttentionEstimator, AttentionStrategy, DecodeRequest,
     HybridBatch, PrefillChunk,
 };
 use gpu_sim::GpuConfig;
-use std::collections::HashMap;
 
 /// Achieved fraction of tensor-core peak for dense GEMMs (cuBLAS-like).
 const GEMM_COMPUTE_EFFICIENCY: f64 = 0.75;
@@ -154,7 +154,7 @@ pub struct IterationCostModel {
     estimator: AttentionEstimator,
     /// Iteration prices by quantized batch signature; stays empty on an
     /// exact model.
-    prices: HashMap<BatchSignature, f64>,
+    prices: FastMap<BatchSignature, f64>,
 }
 
 impl IterationCostModel {
@@ -167,7 +167,7 @@ impl IterationCostModel {
             model,
             gpu,
             estimator,
-            prices: HashMap::new(),
+            prices: FastMap::default(),
         }
     }
 

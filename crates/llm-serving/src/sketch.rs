@@ -19,19 +19,31 @@
 //! happens; with one sample per bucket the clamp makes small-n queries
 //! exact at the extremes.
 //!
+//! # Bucket store
+//!
+//! Each sign's buckets are plain `u64` counters in a dense store (DDSketch's
+//! dense store): one `Vec` over the contiguous key range from the lowest to
+//! the highest key seen, empty until the first sample, grown at either end
+//! when a sample or a merge lands outside it. Latency keys cluster in a few
+//! hundred adjacent buckets, so recording a sample is one index and add,
+//! and the footprint is bounded by the value range, not the sample count.
+//!
 //! # Determinism and merging
 //!
-//! Buckets are plain `u64` counters in a `BTreeMap`, so
-//! [`QuantileSketch::merge`] is bucket-wise integer addition: exactly
-//! associative and commutative. Merging per-replica sketches in any order
-//! yields bit-identical bucket contents, hence bit-identical quantiles,
-//! regardless of replica ordering or worker-thread count. (Only the running
-//! `sum` used for the mean is a float accumulation; the cluster always
-//! merges in replica-index order, so means are deterministic for a fixed
-//! fleet too.)
+//! [`QuantileSketch::merge`] widens the range to cover both stores and adds
+//! the counters bucket by bucket: integer addition, exactly associative and
+//! commutative. Merging per-replica sketches in any order yields
+//! bit-identical bucket contents, hence bit-identical quantiles, regardless
+//! of replica ordering or worker-thread count. (Only the running `sum` used
+//! for the mean is a float accumulation; the cluster always merges in
+//! replica-index order, so means are deterministic for a fixed fleet too.)
+//!
+//! Two sketches are equal when their non-empty buckets and their exact
+//! tallies are: how far a store's range happens to extend over empty
+//! buckets (which depends on the order samples and merges arrived in) is
+//! not part of a sketch's value.
 
 use crate::metrics::SummaryStats;
-use std::collections::BTreeMap;
 
 /// Relative accuracy `alpha` of every [`QuantileSketch`]: 1%.
 const RELATIVE_ERROR: f64 = 0.01;
@@ -40,6 +52,68 @@ const RELATIVE_ERROR: f64 = 0.01;
 /// reported as exactly `0.0`. Latency samples are in seconds; a picosecond
 /// resolution floor is far below anything the cost model produces.
 const ZERO_BAND: f64 = 1e-12;
+
+/// Bucket counters over one contiguous key range: `counts[i]` holds key
+/// `offset + i`.
+#[derive(Debug, Clone, Default)]
+struct DenseStore {
+    offset: i32,
+    counts: Vec<u64>,
+}
+
+impl DenseStore {
+    /// Widen the range to cover `lo..=hi`.
+    fn cover(&mut self, lo: i32, hi: i32) {
+        if self.counts.is_empty() {
+            self.offset = lo;
+            self.counts.resize((hi - lo) as usize + 1, 0);
+            return;
+        }
+        if lo < self.offset {
+            let grow = (self.offset - lo) as usize;
+            self.counts.splice(0..0, std::iter::repeat(0).take(grow));
+            self.offset = lo;
+        }
+        let end = (hi - self.offset) as usize + 1;
+        if end > self.counts.len() {
+            self.counts.resize(end, 0);
+        }
+    }
+
+    /// Add `n` to bucket `key`.
+    fn add(&mut self, key: i32, n: u64) {
+        self.cover(key, key);
+        self.counts[(key - self.offset) as usize] += n;
+    }
+
+    /// Add every bucket of `other`.
+    fn merge(&mut self, other: &DenseStore) {
+        if other.counts.is_empty() {
+            return;
+        }
+        let other_hi = other.offset + (other.counts.len() - 1) as i32;
+        self.cover(other.offset, other_hi);
+        let start = (other.offset - self.offset) as usize;
+        for (mine, &theirs) in self.counts[start..].iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+    }
+
+    /// Non-empty `(key, count)` buckets in ascending key order.
+    fn buckets(&self) -> impl DoubleEndedIterator<Item = (i32, u64)> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (self.offset + i as i32, c))
+    }
+}
+
+impl PartialEq for DenseStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.buckets().eq(other.buckets())
+    }
+}
 
 /// A mergeable, deterministic quantile sketch with a relative error bound.
 ///
@@ -52,9 +126,9 @@ pub struct QuantileSketch {
     ln_gamma: f64,
     /// Bucket counters for positive magnitudes, keyed by
     /// `ceil(log_gamma(v / ZERO_BAND))`.
-    pos: BTreeMap<i32, u64>,
+    pos: DenseStore,
     /// Bucket counters for negative magnitudes (same keying on `|v|`).
-    neg: BTreeMap<i32, u64>,
+    neg: DenseStore,
     /// Samples with `|v| <= ZERO_BAND`.
     zero: u64,
     count: u64,
@@ -76,8 +150,8 @@ impl QuantileSketch {
         QuantileSketch {
             gamma,
             ln_gamma: gamma.ln(),
-            pos: BTreeMap::new(),
-            neg: BTreeMap::new(),
+            pos: DenseStore::default(),
+            neg: DenseStore::default(),
             zero: 0,
             count: 0,
             sum: 0.0,
@@ -142,19 +216,15 @@ impl QuantileSketch {
             } else {
                 &mut self.neg
             };
-            *store.entry(key).or_insert(0) += 1;
+            store.add(key, 1);
         }
     }
 
     /// Fold another sketch into this one: bucket-wise counter addition, so
     /// the result is independent of merge order (see module docs).
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&k, &c) in &other.pos {
-            *self.pos.entry(k).or_insert(0) += c;
-        }
-        for (&k, &c) in &other.neg {
-            *self.neg.entry(k).or_insert(0) += c;
-        }
+        self.pos.merge(&other.pos);
+        self.neg.merge(&other.neg);
         self.zero += other.zero;
         self.count += other.count;
         self.sum += other.sum;
@@ -175,7 +245,7 @@ impl QuantileSketch {
         let mut cum = 0u64;
         // Ascending value order: most-negative first (descending |v| keys),
         // then the zero band, then positives (ascending |v| keys).
-        for (&k, &c) in self.neg.iter().rev() {
+        for (k, c) in self.neg.buckets().rev() {
             cum += c;
             if cum > rank {
                 return (-self.representative(k)).clamp(self.min, self.max);
@@ -185,7 +255,7 @@ impl QuantileSketch {
         if cum > rank {
             return 0.0f64.clamp(self.min, self.max);
         }
-        for (&k, &c) in self.pos.iter() {
+        for (k, c) in self.pos.buckets() {
             cum += c;
             if cum > rank {
                 return self.representative(k).clamp(self.min, self.max);
@@ -226,6 +296,7 @@ impl QuantileSketch {
 mod tests {
     use super::*;
     use crate::rng::mix64;
+    use std::collections::BTreeMap;
 
     /// Deterministic uniform f64 in [0, 1) from a counter.
     fn unit(seed: u64, i: u64) -> f64 {
@@ -396,6 +467,234 @@ mod tests {
         QuantileSketch::new().observe(f64::NAN);
     }
 
+    /// The ordered bucket store the dense store replaced: one `BTreeMap`
+    /// entry per occupied key, per sign.
+    #[derive(Clone, Default)]
+    struct ReferenceSketch {
+        pos: BTreeMap<i32, u64>,
+        neg: BTreeMap<i32, u64>,
+        zero: u64,
+        count: u64,
+        min: f64,
+        max: f64,
+    }
+
+    impl ReferenceSketch {
+        fn new() -> Self {
+            ReferenceSketch {
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+                ..ReferenceSketch::default()
+            }
+        }
+
+        fn observe(&mut self, keys: &QuantileSketch, value: f64) {
+            self.count += 1;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+            if value.abs() <= ZERO_BAND {
+                self.zero += 1;
+                return;
+            }
+            let store = if value > 0.0 {
+                &mut self.pos
+            } else {
+                &mut self.neg
+            };
+            *store.entry(keys.key_for(value.abs())).or_insert(0) += 1;
+        }
+
+        fn merge(&mut self, other: &ReferenceSketch) {
+            for (&k, &c) in &other.pos {
+                *self.pos.entry(k).or_insert(0) += c;
+            }
+            for (&k, &c) in &other.neg {
+                *self.neg.entry(k).or_insert(0) += c;
+            }
+            self.zero += other.zero;
+            self.count += other.count;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+
+        fn quantile(&self, keys: &QuantileSketch, q: f64) -> f64 {
+            if self.count == 0 {
+                return 0.0;
+            }
+            let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
+            let mut cum = 0u64;
+            for (&k, &c) in self.neg.iter().rev() {
+                cum += c;
+                if cum > rank {
+                    return (-keys.representative(k)).clamp(self.min, self.max);
+                }
+            }
+            cum += self.zero;
+            if cum > rank {
+                return 0.0f64.clamp(self.min, self.max);
+            }
+            for (&k, &c) in &self.pos {
+                cum += c;
+                if cum > rank {
+                    return keys.representative(k).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+    }
+
+    /// Assert the dense sketch holds exactly the reference's buckets and
+    /// answers every quantile with the same bits.
+    fn assert_matches_reference(sketch: &QuantileSketch, reference: &ReferenceSketch, case: &str) {
+        let listed = |m: &BTreeMap<i32, u64>| m.iter().map(|(&k, &c)| (k, c)).collect::<Vec<_>>();
+        assert_eq!(
+            sketch.pos.buckets().collect::<Vec<_>>(),
+            listed(&reference.pos),
+            "{case}"
+        );
+        assert_eq!(
+            sketch.neg.buckets().collect::<Vec<_>>(),
+            listed(&reference.neg),
+            "{case}"
+        );
+        assert_eq!(sketch.zero, reference.zero, "{case}");
+        assert_eq!(sketch.count, reference.count, "{case}");
+        for i in 0..=100 {
+            let q = f64::from(i) / 100.0;
+            assert_eq!(
+                sketch.quantile(q).to_bits(),
+                reference.quantile(sketch, q).to_bits(),
+                "{case}: q={q}"
+            );
+        }
+        let summary = sketch.summary();
+        if reference.count > 0 {
+            assert_eq!(
+                summary.p50.to_bits(),
+                reference.quantile(sketch, 0.5).to_bits()
+            );
+            assert_eq!(
+                summary.p99.to_bits(),
+                reference.quantile(sketch, 0.99).to_bits()
+            );
+            assert_eq!(summary.max.to_bits(), reference.max.to_bits());
+        }
+    }
+
+    /// One random sample: mostly latency-like positives, some negatives
+    /// (slack), some inside the zero band, and a wide tail so the key span
+    /// exceeds 1,000 buckets.
+    fn arb_sample(rng: &mut crate::rng::SplitMix64) -> f64 {
+        let magnitude = match rng.next_usize(8) {
+            0 => ZERO_BAND * rng.next_f64(),
+            1 => 1e-9 * (1.0 + rng.next_f64()),
+            2 => 1e3 * (1.0 + rng.next_f64()),
+            _ => 0.001 + 5.0 * rng.next_f64(),
+        };
+        if rng.next_usize(4) == 0 {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    #[test]
+    fn dense_store_matches_the_ordered_map_under_random_observe_and_merge() {
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0x5EED);
+        for case in 0..40 {
+            let mut sketches: Vec<(QuantileSketch, ReferenceSketch)> = (0..4)
+                .map(|_| (QuantileSketch::new(), ReferenceSketch::new()))
+                .collect();
+            for _ in 0..400 {
+                let i = rng.next_usize(sketches.len());
+                if rng.next_usize(10) == 0 {
+                    // Merge one shard into another (possibly itself,
+                    // through a snapshot).
+                    let j = rng.next_usize(sketches.len());
+                    let (from, from_ref) = (sketches[j].0.clone(), sketches[j].1.clone());
+                    sketches[i].0.merge(&from);
+                    sketches[i].1.merge(&from_ref);
+                } else {
+                    let v = arb_sample(&mut rng);
+                    let (sk, reference) = &mut sketches[i];
+                    sk.observe(v);
+                    reference.observe(sk, v);
+                }
+            }
+            for (i, (sk, reference)) in sketches.iter().enumerate() {
+                assert_matches_reference(sk, reference, &format!("case {case}, shard {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_store_spans_more_than_a_thousand_buckets() {
+        let mut sketch = QuantileSketch::new();
+        let mut reference = ReferenceSketch::new();
+        for i in 0..5_000u64 {
+            // 1e-9 .. 1e3: twelve decades, about 1,400 keys.
+            let v = 1e-9 * 10f64.powf(12.0 * unit(11, i));
+            for v in [v, -v] {
+                sketch.observe(v);
+                reference.observe(&sketch, v);
+            }
+        }
+        assert!(
+            sketch.pos.counts.len() > 1_000,
+            "span {}",
+            sketch.pos.counts.len()
+        );
+        assert_matches_reference(&sketch, &reference, "wide span");
+    }
+
+    #[test]
+    fn disjoint_ranges_merge_identically_in_both_orders() {
+        let fill = |lo: f64, seed: u64| {
+            let mut sketch = QuantileSketch::new();
+            let mut reference = ReferenceSketch::new();
+            for i in 0..1_000u64 {
+                let v = lo * (1.0 + unit(seed, i));
+                sketch.observe(v);
+                reference.observe(&sketch, v);
+            }
+            (sketch, reference)
+        };
+        let (low, low_ref) = fill(0.001, 12);
+        let (high, high_ref) = fill(100.0, 13);
+        // Neither range touches the other: merging widens the store at the
+        // top one way and at the bottom the other.
+        let mut up = low.clone();
+        up.merge(&high);
+        let mut down = high.clone();
+        down.merge(&low);
+        let mut reference = low_ref;
+        reference.merge(&high_ref);
+        assert_matches_reference(&up, &reference, "low then high");
+        assert_matches_reference(&down, &reference, "high then low");
+        assert_eq!(up, down);
+        // Merging an empty sketch either way changes nothing.
+        let mut empty = QuantileSketch::new();
+        empty.merge(&up);
+        assert_eq!(empty, up);
+        let before = up.clone();
+        up.merge(&QuantileSketch::new());
+        assert_eq!(up, before);
+    }
+
+    /// Equality reads only the non-empty buckets: a store whose range was
+    /// widened over empty keys equals one that never was.
+    #[test]
+    fn equality_ignores_empty_range_ends() {
+        let mut narrow = DenseStore::default();
+        narrow.add(10, 3);
+        let mut wide = DenseStore::default();
+        wide.cover(5, 20);
+        wide.add(10, 3);
+        assert_eq!(narrow, wide);
+        wide.add(20, 1);
+        assert_ne!(narrow, wide);
+    }
+
     #[test]
     fn bucket_count_is_bounded_by_value_range_not_sample_count() {
         let mut sketch = QuantileSketch::new();
@@ -406,7 +705,8 @@ mod tests {
         // Buckets are bounded by the magnitude range (here 0.001..1.001,
         // about log_gamma(1000) ~ 346 buckets), independent of sample count.
         let key_span = ((1.001f64 / 0.001).ln() / sketch.ln_gamma).ceil() as usize + 2;
-        let buckets = |s: &QuantileSketch| s.pos.len() + s.neg.len() + usize::from(s.zero > 0);
+        let buckets =
+            |s: &QuantileSketch| s.pos.counts.len() + s.neg.counts.len() + usize::from(s.zero > 0);
         assert!(
             buckets(&sketch) <= key_span,
             "{} buckets exceeds range bound {key_span}",

@@ -13,8 +13,9 @@ use attn_kernels::{
 use gpu_sim::CtaDispatcher;
 use gpu_sim::{CtaWork, Engine, Footprint, GpuConfig, KernelLaunch, OpClass, UnitRuns, WorkUnit};
 use llm_serving::{
-    blocks_for, offline_long_context, BlockPool, ModelConfig, ServingConfig, ServingEngine,
-    SplitMix64, SummaryStats, Workload,
+    blocks_for, offline_long_context, AcceptanceModel, AdmissionPolicy, BlockPool,
+    DraftModelConfig, ModelConfig, Phase, PromptContent, RequestSpec, ServingConfig, ServingEngine,
+    SloSpec, SplitMix64, SummaryStats, Workload,
 };
 use pod_attention::{PodAttention, SchedulingPolicy, SmAwareScheduler};
 
@@ -419,4 +420,132 @@ fn summary_stats_are_ordered() {
         );
         assert_eq!(s.count, samples.len(), "case {case}");
     }
+}
+
+/// Outstanding tokens recomputed from the public request records: every
+/// request not finished, shed, reassigned or migrated out (on an exporting
+/// replica, not parked for pickup either), plus the imports not yet
+/// adopted. `imports` lists each import's remaining tokens in delivery
+/// order; the engine adopts them front first.
+fn scanned_outstanding(engine: &ServingEngine, exporting: bool, imports: &[(f64, usize)]) -> usize {
+    let live: usize = engine
+        .requests()
+        .iter()
+        .filter(|r| {
+            r.finish_time.is_none()
+                && r.shed_time.is_none()
+                && !r.reassigned
+                && !r.migrated_out
+                && !(exporting && r.phase() == Phase::Decoding)
+        })
+        .map(|r| r.remaining_tokens())
+        .sum();
+    let adopted = engine.requests().iter().filter(|r| r.migrated_in).count();
+    live + imports[adopted..].iter().map(|&(_, t)| t).sum::<usize>()
+}
+
+/// `outstanding_tokens()` is a running count: after every submit, step,
+/// reclaim and import — across preemption, speculative rollback, shedding,
+/// cached-prefix admission and prefill export — it equals the sum over the
+/// replica's queues.
+#[test]
+fn outstanding_tokens_tracks_the_queues() {
+    let mut rng = SplitMix64::seed_from_u64(0x0070_7374);
+    let gpu = GpuConfig::a100_80gb();
+    // Requests that were preempted, rolled back, shed, admitted on a cached
+    // prefix, reclaimed and migrated in, over all cases.
+    let mut seen = [0usize; 6];
+    for case in 0..8 {
+        let base = ServingConfig::sarathi_pod(ModelConfig::llama3_8b(), gpu.clone(), 512)
+            .with_paged_kv(true)
+            .with_admission(AdmissionPolicy::DeadlineShed);
+        // The prefill side exports every completed prompt.
+        let mut source = ServingEngine::new(base.clone());
+        source.set_export_prefills(true);
+        // The decode side is small enough to preempt, and decodes
+        // speculatively with dedup on.
+        let mut sink_config = base.with_decode_dedup(true).with_speculative(
+            1 + rng.next_usize(4),
+            DraftModelConfig::scaled(0.1),
+            AcceptanceModel::new(0.3 + 0.6 * rng.next_f64(), rng.next_u64()),
+        );
+        sink_config.kv_capacity_tokens = Some(6 * 1024);
+        let mut sink = ServingEngine::new(sink_config);
+        let mut imports: Vec<(f64, usize)> = Vec::new();
+        let check = |source: &ServingEngine, sink: &ServingEngine, imports: &[(f64, usize)], op| {
+            assert_eq!(
+                source.outstanding_tokens(),
+                scanned_outstanding(source, true, &[]),
+                "case {case}: prefill side after {op}"
+            );
+            assert_eq!(
+                sink.outstanding_tokens(),
+                scanned_outstanding(sink, false, imports),
+                "case {case}: decode side after {op}"
+            );
+        };
+        for _ in 0..400 {
+            let now = source.clock().max(sink.clock());
+            let op = match rng.next_usize(25) {
+                0..=6 => {
+                    let prompt = 16 + rng.next_usize(2000);
+                    let output = 1 + rng.next_usize(160);
+                    let content = if rng.next_usize(2) == 0 {
+                        PromptContent::shared(rng.next_usize(3) as u64, 256, rng.next_u64())
+                    } else {
+                        PromptContent::unique(rng.next_u64())
+                    };
+                    let mut spec = RequestSpec::new(now + 0.05 * rng.next_f64(), prompt, output)
+                        .with_content(content);
+                    if rng.next_usize(3) == 0 {
+                        spec = spec.with_slo(SloSpec::new("tight", 0.02, 1.0));
+                    }
+                    if rng.next_usize(2) == 0 {
+                        source.submit(spec);
+                    } else {
+                        sink.submit(spec);
+                    }
+                    "submit"
+                }
+                7..=19 => {
+                    let engine = if rng.next_usize(2) == 0 {
+                        &mut source
+                    } else {
+                        &mut sink
+                    };
+                    let at = engine.next_event_time().unwrap_or(engine.clock());
+                    engine.step(at);
+                    "step"
+                }
+                20 => {
+                    if rng.next_usize(2) == 0 {
+                        source.reclaim_unstarted();
+                    } else {
+                        sink.reclaim_unstarted();
+                    }
+                    "reclaim_unstarted"
+                }
+                _ => {
+                    for handoff in source.take_ready_handoffs() {
+                        let at = handoff.export_time + 0.01 * rng.next_f64();
+                        let slot = imports.partition_point(|&(t, _)| t <= at);
+                        imports.insert(slot, (at, handoff.request.remaining_tokens()));
+                        sink.import_handoff(handoff, at);
+                        check(&source, &sink, &imports, "import_handoff");
+                    }
+                    "take_ready_handoffs"
+                }
+            };
+            check(&source, &sink, &imports, op);
+        }
+        // Tally the transitions this case drove, over both replicas.
+        let all = || source.requests().iter().chain(sink.requests());
+        seen[0] += all().filter(|r| r.restarts > 0).count();
+        seen[1] += all().filter(|r| r.draft_rejected > 0).count();
+        seen[2] += all().filter(|r| r.shed_time.is_some()).count();
+        seen[3] += all().filter(|r| r.cached_prompt_tokens > 0).count();
+        seen[4] += all().filter(|r| r.reassigned).count();
+        seen[5] += all().filter(|r| r.migrated_in).count();
+    }
+    assert!(seen.iter().all(|&n| n > 0), "transitions driven: {seen:?}");
 }
