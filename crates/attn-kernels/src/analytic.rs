@@ -509,7 +509,9 @@ mod tests {
         assert!(!exact_estimator().is_quantized());
         let mut heterogeneous = HybridBatch::uniform(1024, 9 * 1024, 0, 0);
         for i in 0..70 {
-            heterogeneous.push_decode(4 * 1024 + 137 * i);
+            heterogeneous
+                .decodes
+                .push(DecodeRequest::new(4 * 1024 + 137 * i));
         }
         for batch in [
             HybridBatch::config_c0(),
@@ -558,10 +560,17 @@ mod tests {
         let est = estimator();
         let base = HybridBatch::uniform(1024, 12 * 1024, 80, 12 * 1024);
         // 40 of the 80 decodes share a 4K-token prefix: 39 redundant passes.
-        let deduped = base.clone().with_kv_dedup(39 * 4096);
+        let deduped = HybridBatch {
+            kv_dedup_tokens: 39 * 4096,
+            ..base.clone()
+        };
         for strategy in SERVED {
             let plain = est.estimate(&base, strategy);
-            let inert = est.estimate(&base.clone().with_kv_dedup(0), strategy);
+            let inert = HybridBatch {
+                kv_dedup_tokens: 0,
+                ..base.clone()
+            };
+            let inert = est.estimate(&inert, strategy);
             assert_eq!(plain.total_time.to_bits(), inert.total_time.to_bits());
             assert_eq!(plain.bytes.to_bits(), inert.bytes.to_bits());
             let shared = est.estimate(&deduped, strategy);
@@ -586,12 +595,23 @@ mod tests {
     fn memoized_dedup_estimates_track_exact_estimates() {
         let mut heterogeneous = HybridBatch::uniform(512, 4096, 0, 0);
         for i in 0..48 {
-            heterogeneous.push_decode(6 * 1024 + 211 * i);
+            heterogeneous
+                .decodes
+                .push(DecodeRequest::new(6 * 1024 + 211 * i));
         }
         for batch in [
-            HybridBatch::config_c0().with_kv_dedup(40 * 4096),
-            HybridBatch::uniform(512, 5000, 33, 7777).with_kv_dedup(16 * 2048),
-            heterogeneous.with_kv_dedup(24 * 1024),
+            HybridBatch {
+                kv_dedup_tokens: 40 * 4096,
+                ..HybridBatch::config_c0()
+            },
+            HybridBatch {
+                kv_dedup_tokens: 16 * 2048,
+                ..HybridBatch::uniform(512, 5000, 33, 7777)
+            },
+            HybridBatch {
+                kv_dedup_tokens: 24 * 1024,
+                ..heterogeneous
+            },
         ] {
             assert_tracks_exact(&batch);
         }
@@ -608,10 +628,17 @@ mod tests {
         // Compute-sensitive shape: large decode batch at long context.
         let base = HybridBatch::uniform(1024, 12 * 1024, 220, 12 * 1024);
         // 220 decodes each verifying 4 drafts: 3 extra queries per decode.
-        let spec = base.clone().with_spec_verify(220 * 3);
+        let spec = HybridBatch {
+            spec_verify_tokens: 220 * 3,
+            ..base.clone()
+        };
         for strategy in SERVED {
             let plain = est.estimate(&base, strategy);
-            let inert = est.estimate(&base.clone().with_spec_verify(0), strategy);
+            let inert = HybridBatch {
+                spec_verify_tokens: 0,
+                ..base.clone()
+            };
+            let inert = est.estimate(&inert, strategy);
             assert_eq!(plain.total_time.to_bits(), inert.total_time.to_bits());
             assert_eq!(plain.flops.to_bits(), inert.flops.to_bits());
             let verify = est.estimate(&spec, strategy);
@@ -650,7 +677,10 @@ mod tests {
     fn memoized_spec_estimates_track_exact_estimates() {
         let quantized = estimator();
         let base = HybridBatch::uniform(512, 5000, 33, 7777);
-        let spec = base.clone().with_spec_verify(33 * 5);
+        let spec = HybridBatch {
+            spec_verify_tokens: 33 * 5,
+            ..base.clone()
+        };
         assert_tracks_exact(&spec);
         for strategy in SERVED {
             let before = quantized.estimate(&base, strategy).total_time;

@@ -206,25 +206,6 @@ impl HybridBatch {
         }
         launches
     }
-
-    /// Add one decode request.
-    pub fn push_decode(&mut self, context_len: usize) {
-        self.decodes.push(DecodeRequest::new(context_len));
-    }
-
-    /// The same batch declaring `tokens` decode KV tokens as deduped by
-    /// shared-prefix grouping (see [`HybridBatch::kv_dedup_tokens`]).
-    pub fn with_kv_dedup(mut self, tokens: usize) -> Self {
-        self.kv_dedup_tokens = tokens;
-        self
-    }
-
-    /// The same batch declaring `tokens` extra speculative-verify query
-    /// tokens on the decode side (see [`HybridBatch::spec_verify_tokens`]).
-    pub fn with_spec_verify(mut self, tokens: usize) -> Self {
-        self.spec_verify_tokens = tokens;
-        self
-    }
 }
 
 impl Default for HybridBatch {
@@ -267,7 +248,10 @@ mod tests {
         let b = HybridBatch::uniform(512, 2048, 10, 4096);
         assert_eq!(b.total_query_tokens(), 522);
         // Speculative-verify tokens count as query tokens.
-        let s = b.with_spec_verify(30);
+        let s = HybridBatch {
+            spec_verify_tokens: 30,
+            ..b
+        };
         assert_eq!(s.total_query_tokens(), 552);
     }
 
@@ -285,14 +269,5 @@ mod tests {
     #[should_panic(expected = "larger than prefill context")]
     fn uniform_rejects_inconsistent_chunk() {
         let _ = HybridBatch::uniform(2048, 1024, 0, 0);
-    }
-
-    #[test]
-    fn push_decode_extends_batch() {
-        let mut b = HybridBatch::new();
-        b.push_decode(128);
-        b.push_decode(256);
-        assert_eq!(b.decode_batch_size(), 2);
-        assert_eq!(b.decodes[1], DecodeRequest::new(256));
     }
 }

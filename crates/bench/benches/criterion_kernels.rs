@@ -19,14 +19,15 @@
 //! Run with `cargo bench -p pod-bench --bench criterion_kernels`.
 
 use attn_kernels::{AttentionConfig, AttentionEstimator, AttentionStrategy, HybridBatch};
+use fusion_lab::HybridAttentionRunner;
 use gpu_sim::GpuConfig;
 use llm_serving::{
     offline_long_context, BlockPool, IterationCostModel, ModelConfig, PromptContent,
     QuantileSketch, ServingConfig, ServingEngine, ServingReport, SummaryStats, BLOCK_TOKENS,
 };
-use pod_attention::PodAttention;
-use pod_bench::microbench::{bench, repo_root_path, BenchResult, Json};
-use pod_bench::{heading, par_map};
+use pod_bench::heading;
+use pod_bench::microbench::{bench, BenchResult, Json};
+use pod_bench::online::write_json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -111,7 +112,8 @@ fn main() {
     let mut results: Vec<BenchResult> = Vec::new();
 
     // --- contention-engine throughput ---
-    let pod = PodAttention::new(cfg, gpu.clone());
+    let runner = HybridAttentionRunner::new(cfg, gpu.clone());
+    let pod = runner.pod();
     let pod_intervals = pod.execute(&c0_like).expect("POD executes").intervals;
     let r_pod = bench("engine/pod_simulate_c0_like_batch", BUDGET, 10, || {
         pod.execute(black_box(&c0_like)).expect("POD executes")
@@ -123,13 +125,14 @@ fn main() {
         BUDGET,
         10,
         || {
-            pod.serial_baseline(black_box(&c0_like))
+            runner
+                .execute(black_box(&c0_like), AttentionStrategy::FaSerial)
                 .expect("serial executes")
         },
     ));
     // The per-CTA path: a Llama-2-7B FA_Serial pair whose decode kernel
     // issues 3,584 one-unit CTAs behind a short prefill.
-    let llama2 = PodAttention::new(AttentionConfig::llama2_7b(), gpu.clone());
+    let llama2 = HybridAttentionRunner::new(AttentionConfig::llama2_7b(), gpu.clone());
     let wide_decode = HybridBatch::uniform(512, 4096, 224, 4096);
     let r_wide = bench(
         "engine/fa_serial_simulate_llama2_wide_decode",
@@ -137,7 +140,7 @@ fn main() {
         10,
         || {
             llama2
-                .serial_baseline(black_box(&wide_decode))
+                .execute(black_box(&wide_decode), AttentionStrategy::FaSerial)
                 .expect("serial executes")
         },
     );
@@ -285,13 +288,6 @@ fn main() {
         "cached and uncached serving makespans must agree within 2%"
     );
 
-    // Demonstrate the parallel sweep helper on the same jobs (what the
-    // figure harnesses use), for the summary line only.
-    let par_start = Instant::now();
-    let _ = par_map(vec![true, true, true], |cache| run_fig12_quick(cache).0);
-    let par_secs = par_start.elapsed().as_secs_f64() / 3.0;
-    println!("  cached sweep amortized under par_map x3: {par_secs:.3} s");
-
     // --- trend file: deterministic values at the top level, wall-clock
     // timings under `host` ---
     let json = Json::obj(vec![
@@ -387,7 +383,5 @@ fn main() {
             ]),
         ),
     ]);
-    let path = repo_root_path("BENCH_engine.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_engine.json");
-    println!("\nwrote {}", path.display());
+    write_json("BENCH_engine.json", &json);
 }

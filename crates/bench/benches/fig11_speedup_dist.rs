@@ -7,7 +7,7 @@
 use attn_kernels::{AttentionConfig, AttentionStrategy, HybridBatch};
 use fusion_lab::HybridAttentionRunner;
 use gpu_sim::GpuConfig;
-use pod_bench::{heading, par_map, print_table, scaled, Distribution};
+use pod_bench::{heading, par_map, print_table, Distribution};
 
 fn sweep_batches(step: usize) -> Vec<(AttentionConfig, HybridBatch)> {
     let models = [
@@ -37,7 +37,6 @@ fn main() {
     // Quick mode: 4K/8K/12K/16K/20K in steps of 8K; full mode: every 4K.
     let step = if pod_bench::full_eval() { 4 } else { 8 };
     let batches = sweep_batches(step);
-    let _ = scaled(0, 0);
 
     heading(
         "Figure 11: distribution of attention speedup over FA_Serial",

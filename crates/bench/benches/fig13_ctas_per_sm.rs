@@ -3,7 +3,8 @@
 //! Prefill-dominant (long-context) batches prefer 2 CTAs/SM and its larger
 //! tiles; decode-dominant batches prefer 4 CTAs/SM and its finer interleave.
 
-use attn_kernels::{AttentionConfig, HybridBatch};
+use attn_kernels::{AttentionConfig, AttentionStrategy, HybridBatch};
+use fusion_lab::HybridAttentionRunner;
 use gpu_sim::GpuConfig;
 use pod_attention::{CtasPerSm, PodAttention, PodOptions};
 use pod_bench::{heading, print_table};
@@ -16,11 +17,11 @@ fn main() {
     let contexts_kib = [1usize, 2, 4, 8, 16];
 
     let pod_with = |mode: CtasPerSm| {
-        PodAttention::with_options(
+        HybridAttentionRunner::with_pod(PodAttention::with_options(
             cfg,
             gpu.clone(),
             PodOptions::recommended().with_ctas_per_sm(mode),
-        )
+        ))
     };
     let two = pod_with(CtasPerSm::Two);
     let four = pod_with(CtasPerSm::Four);
@@ -36,8 +37,12 @@ fn main() {
         let mut row = vec![format!("{ctx_kib}K")];
         for &bs in &batch_sizes {
             let batch = HybridBatch::uniform(chunk.min(context), context, bs, context);
-            let t2 = two.attention_time(&batch).expect("2 CTAs/SM runs");
-            let t4 = four.attention_time(&batch).expect("4 CTAs/SM runs");
+            let t2 = two
+                .time(&batch, AttentionStrategy::Pod)
+                .expect("2 CTAs/SM runs");
+            let t4 = four
+                .time(&batch, AttentionStrategy::Pod)
+                .expect("4 CTAs/SM runs");
             row.push(format!("{:.2}", t2 / t4));
         }
         rows.push(row);

@@ -2,7 +2,8 @@
 //! proportional) on POD-Attention latency, for Yi-6B and Llama-3-8B at 8K
 //! context and increasing decode batch sizes.
 
-use attn_kernels::{AttentionConfig, HybridBatch};
+use attn_kernels::{AttentionConfig, AttentionStrategy, HybridBatch};
+use fusion_lab::HybridAttentionRunner;
 use gpu_sim::GpuConfig;
 use pod_attention::{PodAttention, PodOptions, SchedulingPolicy};
 use pod_bench::{heading, ms, par_map, print_table};
@@ -29,21 +30,18 @@ fn main() {
         .flat_map(|(name, cfg)| batch_sizes.iter().map(move |&bs| (*name, *cfg, bs)))
         .collect();
     let rows = par_map(jobs, |(name, cfg, bs)| {
-        let fifty = PodAttention::with_options(
-            cfg,
-            gpu.clone(),
-            PodOptions::recommended().with_policy(SchedulingPolicy::FiftyFifty),
-        );
-        let proportional = PodAttention::with_options(
-            cfg,
-            gpu.clone(),
-            PodOptions::recommended().with_policy(SchedulingPolicy::Proportional),
-        );
         let batch = HybridBatch::uniform(chunk, context, bs, context);
-        let t50 = fifty.attention_time(&batch).expect("50:50 runs");
-        let tp = proportional
-            .attention_time(&batch)
-            .expect("proportional runs");
+        let time_under = |policy| {
+            HybridAttentionRunner::with_pod(PodAttention::with_options(
+                cfg,
+                gpu.clone(),
+                PodOptions::recommended().with_policy(policy),
+            ))
+            .time(&batch, AttentionStrategy::Pod)
+            .expect("POD runs")
+        };
+        let t50 = time_under(SchedulingPolicy::FiftyFifty);
+        let tp = time_under(SchedulingPolicy::Proportional);
         vec![
             name.to_string(),
             format!("{bs}"),

@@ -16,12 +16,9 @@
 //! Run with `cargo bench -p pod-bench --bench fig16_cluster_scaling`.
 
 use gpu_sim::GpuConfig;
-use llm_serving::{
-    ClusterReport, JsonValue, ModelConfig, RateSchedule, RouterPolicy, ServingConfig, Workload,
-};
-use pod_bench::microbench::repo_root_path;
-use pod_bench::online::{print_cluster_table, run_cluster};
-use pod_bench::{heading, par_map, scaled};
+use llm_serving::{ClusterReport, JsonValue, ModelConfig, RateSchedule, RouterPolicy, Workload};
+use pod_bench::online::{backends, print_cluster_table, run_cluster, write_trend, Sweep};
+use pod_bench::{heading, scaled};
 
 const REPLICA_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const ROUTERS: [RouterPolicy; 3] = [
@@ -31,13 +28,6 @@ const ROUTERS: [RouterPolicy; 3] = [
         long_prefill_tokens: 8 * 1024,
     },
 ];
-
-fn backends(model: &ModelConfig, gpu: &GpuConfig) -> [ServingConfig; 2] {
-    [
-        ServingConfig::sarathi(model.clone(), gpu.clone(), 1024),
-        ServingConfig::sarathi_pod(model.clone(), gpu.clone(), 1024),
-    ]
-}
 
 fn main() {
     let model = ModelConfig::llama3_8b();
@@ -55,31 +45,21 @@ fn main() {
         "Bursty trace (0.3 qps base, 20 s bursts at 8 qps); Llama-3-8B, chunk 1024.",
     );
 
-    // One job per (replicas, router, backend): every fleet simulation is
-    // independent, so the whole sweep fans out through par_map.
-    let jobs: Vec<(usize, usize, usize)> = REPLICA_COUNTS
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, _)| {
-            (0..ROUTERS.len()).flat_map(move |pi| (0..2).map(move |bi| (ri, pi, bi)))
-        })
+    // One cell per (replicas, router, backend): every fleet simulation is
+    // independent.
+    let cells: Vec<(usize, usize, usize)> = (0..REPLICA_COUNTS.len())
+        .flat_map(|ri| (0..ROUTERS.len()).flat_map(move |pi| (0..2).map(move |bi| (ri, pi, bi))))
         .collect();
-    let reports: Vec<ClusterReport> = par_map(jobs.clone(), |(ri, pi, bi)| {
+    let sweep = Sweep::run(cells, |(ri, pi, bi)| {
         let base = backends(&model, &gpu)[bi].clone();
         run_cluster(base, REPLICA_COUNTS[ri], ROUTERS[pi], &trace)
     });
-    let report_of = |ri: usize, pi: usize, bi: usize| -> &ClusterReport {
-        let idx = jobs
-            .iter()
-            .position(|&j| j == (ri, pi, bi))
-            .expect("every sweep cell was simulated");
-        &reports[idx]
-    };
 
     for (ri, &replicas) in REPLICA_COUNTS.iter().enumerate() {
         println!("-- {replicas} replica(s), {num_requests} requests --");
         let block: Vec<&ClusterReport> = (0..ROUTERS.len())
-            .flat_map(|pi| (0..2).map(move |bi| report_of(ri, pi, bi)))
+            .flat_map(|pi| (0..2).map(move |bi| (ri, pi, bi)))
+            .map(|cell| sweep.get(cell))
             .collect();
         print_cluster_table(&block);
         println!();
@@ -89,8 +69,8 @@ fn main() {
     // mean request latency and fleet makespan.
     for (ri, &replicas) in REPLICA_COUNTS.iter().enumerate() {
         for (pi, router) in ROUTERS.iter().enumerate() {
-            let sarathi = report_of(ri, pi, 0);
-            let pod = report_of(ri, pi, 1);
+            let sarathi = sweep.get((ri, pi, 0));
+            let pod = sweep.get((ri, pi, 1));
             assert_eq!(pod.aggregate.completed, num_requests);
             assert!(
                 pod.aggregate.request_latency.mean <= sarathi.aggregate.request_latency.mean,
@@ -113,8 +93,8 @@ fn main() {
     // round-robin on tail TTFT (equal on one replica, where routing is
     // moot), with the POD backend.
     for (ri, &replicas) in REPLICA_COUNTS.iter().enumerate() {
-        let rr = report_of(ri, 0, 1);
-        let da = report_of(ri, 2, 1);
+        let rr = sweep.get((ri, 0, 1));
+        let da = sweep.get((ri, 2, 1));
         assert!(
             da.aggregate.ttft.p99 <= rr.aggregate.ttft.p99,
             "{replicas} replicas: decode-aware TTFT P99 {} vs round-robin {}",
@@ -127,34 +107,26 @@ fn main() {
          decode-aware <= round-robin (TTFT P99, every replica count)."
     );
 
-    // Machine-readable sweep output, one entry per cell, in the shared
-    // report JSON format.
-    let cells: Vec<JsonValue> = jobs
-        .iter()
-        .zip(&reports)
-        .map(|(&(ri, _, _), report)| {
-            JsonValue::obj(vec![
-                ("replicas", JsonValue::Num(REPLICA_COUNTS[ri] as f64)),
-                ("report", report.to_json()),
-            ])
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("internal/bursty")),
-                ("base_qps", JsonValue::Num(0.3)),
-                ("burst_qps", JsonValue::Num(8.0)),
-                ("calm_secs", JsonValue::Num(40.0)),
-                ("burst_secs", JsonValue::Num(20.0)),
-                ("num_requests", JsonValue::Num(num_requests as f64)),
-                ("seed", JsonValue::Num(5.0)),
-            ]),
-        ),
-        ("cells", JsonValue::Arr(cells)),
-    ]);
-    let path = repo_root_path("BENCH_cluster.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_cluster.json");
-    println!("\nwrote {}", path.display());
+    write_trend(
+        "BENCH_cluster.json",
+        vec![
+            ("trace", JsonValue::str("internal/bursty")),
+            ("base_qps", JsonValue::Num(0.3)),
+            ("burst_qps", JsonValue::Num(8.0)),
+            ("calm_secs", JsonValue::Num(40.0)),
+            ("burst_secs", JsonValue::Num(20.0)),
+            ("num_requests", JsonValue::Num(num_requests as f64)),
+            ("seed", JsonValue::Num(5.0)),
+        ],
+        vec![],
+        sweep
+            .iter()
+            .map(|((ri, _, _), report)| {
+                vec![
+                    ("replicas", JsonValue::Num(REPLICA_COUNTS[ri] as f64)),
+                    ("report", report.to_json()),
+                ]
+            })
+            .collect(),
+    );
 }

@@ -18,31 +18,18 @@
 //! Run with `cargo bench -p pod-bench --bench fig17_prefix_caching`.
 
 use gpu_sim::GpuConfig;
-use llm_serving::{
-    JsonValue, ModelConfig, ServingConfig, ServingReport, SharedPrefixWorkload, Workload,
-};
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, par_map, pct, print_table, scaled, secs};
-
-const SHARE_RATIOS: [f64; 4] = [0.0, 0.3, 0.6, 0.9];
-const GROUPS: usize = 4;
-// Deliberately not a multiple of BLOCK_TOKENS: real system prompts are not
-// block-aligned, and the misalignment exercises the copy-on-write path
-// (divergence mid-block against a cached block).
-const PREFIX_TOKENS: usize = 2043;
-const FOLLOWUP_RATIO: f64 = 0.35;
-
-fn backends(model: &ModelConfig, gpu: &GpuConfig) -> [ServingConfig; 2] {
-    [
-        ServingConfig::sarathi(model.clone(), gpu.clone(), 1024),
-        ServingConfig::sarathi_pod(model.clone(), gpu.clone(), 1024),
-    ]
-}
+use llm_serving::{JsonValue, ModelConfig, ServingEngine};
+use pod_bench::online::{backends, write_trend, SharedPrefixTrace, Sweep, SHARE_RATIOS};
+use pod_bench::{heading, pct, scaled, secs};
 
 fn main() {
     let model = ModelConfig::llama3_8b();
     let gpu = GpuConfig::a100_80gb();
     let num_requests = scaled(96, 480);
+    let workload = SharedPrefixTrace {
+        num_requests,
+        qps: 1.0,
+    };
 
     heading(
         "Figure 17: prefix caching — share ratio x backend x caching",
@@ -50,50 +37,14 @@ fn main() {
          paged KV engine; Llama-3-8B, chunk 1024.",
     );
 
-    // One job per (share ratio, backend, caching); every cell generates the
-    // same trace for its ratio, so on/off pairs are directly comparable.
-    let jobs: Vec<(usize, usize, bool)> = (0..SHARE_RATIOS.len())
-        .flat_map(|si| (0..2).flat_map(move |bi| [true, false].map(move |on| (si, bi, on))))
-        .collect();
-    let reports: Vec<ServingReport> = par_map(jobs.clone(), |(si, bi, caching)| {
-        let workload = SharedPrefixWorkload::new(
-            Workload::internal(),
-            GROUPS,
-            PREFIX_TOKENS,
-            SHARE_RATIOS[si],
-            FOLLOWUP_RATIO,
-        );
-        let specs = workload.generate(num_requests, 1.0, 7);
+    // Every cell generates the same trace for its ratio, so on/off pairs
+    // are directly comparable.
+    let sweep = Sweep::run(SharedPrefixTrace::cells(), |(si, bi, caching)| {
         let config = backends(&model, &gpu)[bi].clone().with_paged_kv(caching);
-        llm_serving::ServingEngine::new(config).run(specs)
+        ServingEngine::new(config).run(workload.generate(SHARE_RATIOS[si]))
     });
-    let report_of = |si: usize, bi: usize, on: bool| -> &ServingReport {
-        let idx = jobs
-            .iter()
-            .position(|&j| j == (si, bi, on))
-            .expect("every sweep cell was simulated");
-        &reports[idx]
-    };
 
-    let rows: Vec<Vec<String>> = jobs
-        .iter()
-        .zip(&reports)
-        .map(|(&(si, _, _), r)| {
-            vec![
-                format!("{:.1}", SHARE_RATIOS[si]),
-                r.system.clone(),
-                secs(r.ttft.mean),
-                secs(r.ttft.p99),
-                secs(r.request_latency.mean),
-                format!("{}", r.prefill_tokens_scheduled),
-                pct(r.prefix_hit_rate()),
-                format!("{}", r.blocks_reused),
-                format!("{}", r.cow_copies),
-                format!("{}", r.preemptions),
-            ]
-        })
-        .collect();
-    print_table(
+    sweep.print_rows(
         &[
             "Share",
             "System",
@@ -106,15 +57,28 @@ fn main() {
             "CoW",
             "Preempt",
         ],
-        &rows,
+        |(si, _, _), r| {
+            vec![
+                format!("{:.1}", SHARE_RATIOS[si]),
+                r.system.clone(),
+                secs(r.ttft.mean),
+                secs(r.ttft.p99),
+                secs(r.request_latency.mean),
+                format!("{}", r.prefill_tokens_scheduled),
+                pct(r.prefix_hit_rate()),
+                format!("{}", r.blocks_reused),
+                format!("{}", r.cow_copies),
+                format!("{}", r.preemptions),
+            ]
+        },
     );
 
     // Ordering 1: at every positive share ratio, caching strictly reduces
     // mean TTFT and scheduled prefill tokens, on both backends.
     for (si, &ratio) in SHARE_RATIOS.iter().enumerate() {
         for bi in 0..2 {
-            let on = report_of(si, bi, true);
-            let off = report_of(si, bi, false);
+            let on = sweep.get((si, bi, true));
+            let off = sweep.get((si, bi, false));
             assert_eq!(on.completed, num_requests);
             assert_eq!(off.completed, num_requests);
             if ratio > 0.0 {
@@ -143,8 +107,8 @@ fn main() {
 
     // Ordering 3: the hit rate grows with the share ratio (POD backend).
     for si in 1..SHARE_RATIOS.len() {
-        let prev = report_of(si - 1, 1, true).prefix_hit_rate();
-        let here = report_of(si, 1, true).prefix_hit_rate();
+        let prev = sweep.get((si - 1, 1, true)).prefix_hit_rate();
+        let here = sweep.get((si, 1, true)).prefix_hit_rate();
         assert!(
             here > prev,
             "hit rate must grow with share ratio: {here:.3} vs {prev:.3}"
@@ -155,33 +119,19 @@ fn main() {
          positive share ratio, is bit-for-bit inert at ratio 0, and hit rate grows with sharing."
     );
 
-    let cells: Vec<JsonValue> = jobs
-        .iter()
-        .zip(&reports)
-        .map(|(&(si, _, caching), report)| {
-            JsonValue::obj(vec![
-                ("share_ratio", JsonValue::Num(SHARE_RATIOS[si])),
-                ("prefix_caching", JsonValue::Bool(caching)),
-                ("report", report.to_json()),
-            ])
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("internal/shared-prefix")),
-                ("groups", JsonValue::Num(GROUPS as f64)),
-                ("prefix_tokens", JsonValue::Num(PREFIX_TOKENS as f64)),
-                ("followup_ratio", JsonValue::Num(FOLLOWUP_RATIO)),
-                ("qps", JsonValue::Num(1.0)),
-                ("num_requests", JsonValue::Num(num_requests as f64)),
-                ("seed", JsonValue::Num(7.0)),
-            ]),
-        ),
-        ("cells", JsonValue::Arr(cells)),
-    ]);
-    let path = repo_root_path("BENCH_prefix.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_prefix.json");
-    println!("wrote {}", path.display());
+    write_trend(
+        "BENCH_prefix.json",
+        workload.fields(),
+        vec![],
+        sweep
+            .iter()
+            .map(|((si, _, caching), report)| {
+                vec![
+                    ("share_ratio", JsonValue::Num(SHARE_RATIOS[si])),
+                    ("prefix_caching", JsonValue::Bool(caching)),
+                    ("report", report.to_json()),
+                ]
+            })
+            .collect(),
+    );
 }

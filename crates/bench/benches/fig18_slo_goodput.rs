@@ -28,11 +28,10 @@
 
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    AdmissionPolicy, AutoscalerConfig, Cluster, ClusterConfig, ClusterReport, JsonValue,
-    ModelConfig, RouterPolicy, ServingConfig, SloMix, Workload,
+    AdmissionPolicy, AutoscalerConfig, Cluster, ClusterConfig, JsonValue, ModelConfig, RouterPolicy,
 };
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, par_map, pct, print_table, scaled, secs};
+use pod_bench::online::{backends, slo_trace, write_trend, Sweep};
+use pod_bench::{heading, pct, scaled, secs};
 
 /// Arrival rates in queries/second: comfortably under, at, and well past the
 /// two-replica fleet's saturation point (~1 req/s per simulated replica).
@@ -40,27 +39,18 @@ const LOADS: [f64; 4] = [1.0, 2.5, 4.0, 6.0];
 const REPLICAS: usize = 2;
 const MAX_REPLICAS: usize = 6;
 const SEED: u64 = 18;
+/// Fleet modes per (load, backend): `(autoscaled, shedding)`, admit-all
+/// fixed and autoscaled fleets, then a fixed fleet with deadline shedding.
+const MODES: [(bool, bool); 3] = [(false, false), (true, false), (false, true)];
 
-#[derive(Clone, Copy, PartialEq)]
-struct Cell {
-    load: usize,
-    backend: usize, // 0 = Sarathi, 1 = Sarathi+POD
-    autoscaled: bool,
-    shedding: bool,
-}
-
-fn backends(model: &ModelConfig, gpu: &GpuConfig) -> [ServingConfig; 2] {
-    [
-        ServingConfig::sarathi(model.clone(), gpu.clone(), 1024),
-        ServingConfig::sarathi_pod(model.clone(), gpu.clone(), 1024),
-    ]
-}
+/// One sweep cell: load index, backend index (0 = Sarathi, 1 =
+/// Sarathi+POD), autoscaled, shedding.
+type Cell = (usize, usize, bool, bool);
 
 fn main() {
     let model = ModelConfig::llama3_8b();
     let gpu = GpuConfig::a100_80gb();
     let num_requests = scaled(96, 480);
-    let mix = SloMix::interactive_batch();
 
     heading(
         "Figure 18: SLO goodput — load x backend x autoscaling",
@@ -68,66 +58,40 @@ fn main() {
          2-replica fleet (autoscaler up to 6), decode-aware router; Llama-3-8B, chunk 1024.",
     );
 
-    // The full grid: every load × backend × {fixed, autoscaled} with
-    // admit-all admission, plus a shedding variant per load on both
-    // backends (fixed fleet) for the admission-control comparison.
-    let mut cells: Vec<Cell> = Vec::new();
-    for load in 0..LOADS.len() {
-        for backend in 0..2 {
-            for autoscaled in [false, true] {
-                cells.push(Cell {
-                    load,
-                    backend,
-                    autoscaled,
-                    shedding: false,
-                });
-            }
-            cells.push(Cell {
-                load,
-                backend,
-                autoscaled: false,
-                shedding: true,
-            });
+    // The full grid: every load × backend × fleet mode; the shedding
+    // variant is for the admission-control comparison.
+    let cells: Vec<Cell> = (0..LOADS.len())
+        .flat_map(|load| {
+            (0..2).flat_map(move |backend| {
+                MODES.map(|(autoscaled, shedding)| (load, backend, autoscaled, shedding))
+            })
+        })
+        .collect();
+    let fleet = |backend: usize, replicas| {
+        let base = backends(&model, &gpu)[backend].clone();
+        ClusterConfig::new(base, replicas, RouterPolicy::decode_aware())
+    };
+    let sweep = Sweep::run(cells, |(load, backend, autoscaled, shedding)| {
+        let mut config = fleet(backend, REPLICAS);
+        if shedding {
+            config.base = config.base.with_admission(AdmissionPolicy::DeadlineShed);
         }
-    }
-
-    let reports: Vec<ClusterReport> = par_map(cells.clone(), |cell| {
-        let specs = mix.apply(
-            Workload::internal().generate(num_requests, LOADS[cell.load], SEED),
-            SEED,
-        );
-        let mut base = backends(&model, &gpu)[cell.backend].clone();
-        if cell.shedding {
-            base = base.with_admission(AdmissionPolicy::DeadlineShed);
-        }
-        let mut config = ClusterConfig::new(base, REPLICAS, RouterPolicy::decode_aware());
-        if cell.autoscaled {
+        if autoscaled {
             config = config.with_autoscaler(AutoscalerConfig::new(REPLICAS, MAX_REPLICAS));
         }
-        Cluster::new(config).run(specs)
+        Cluster::new(config).run(slo_trace(num_requests, LOADS[load], SEED))
     });
-    let report_of = |load: usize, backend: usize, autoscaled: bool, shedding: bool| {
-        let want = Cell {
-            load,
-            backend,
-            autoscaled,
-            shedding,
-        };
-        let idx = cells
-            .iter()
-            .position(|&c| c == want)
-            .expect("every sweep cell was simulated");
-        &reports[idx]
-    };
 
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .zip(&reports)
-        .map(|(&cell, r)| {
+    sweep.print_rows(
+        &[
+            "QPS", "System", "Fleet", "Goodput", "Good/min", "Attain", "Shed", "Peak", "Repl-sec",
+            "TTFT P99",
+        ],
+        |(load, _, autoscaled, _), r| {
             vec![
-                format!("{:.1}", LOADS[cell.load]),
+                format!("{:.1}", LOADS[load]),
                 r.aggregate.system.clone(),
-                if cell.autoscaled { "auto" } else { "fixed" }.to_string(),
+                if autoscaled { "auto" } else { "fixed" }.to_string(),
                 format!("{}", r.aggregate.goodput_requests()),
                 format!("{:.1}", r.aggregate.goodput_per_minute()),
                 pct(r.aggregate.slo_attainment()),
@@ -136,23 +100,16 @@ fn main() {
                 secs(r.replica_seconds),
                 secs(r.aggregate.ttft.p99),
             ]
-        })
-        .collect();
-    print_table(
-        &[
-            "QPS", "System", "Fleet", "Goodput", "Good/min", "Attain", "Shed", "Peak", "Repl-sec",
-            "TTFT P99",
-        ],
-        &rows,
+        },
     );
 
     // Ordering 1: POD goodput >= Sarathi at every load point, in every fleet
     // mode — the paper's speedups must convert into deadline-meeting
     // completions, not just lower raw latency.
     for (li, &qps) in LOADS.iter().enumerate() {
-        for (autoscaled, shedding) in [(false, false), (true, false), (false, true)] {
-            let sarathi = report_of(li, 0, autoscaled, shedding);
-            let pod = report_of(li, 1, autoscaled, shedding);
+        for (autoscaled, shedding) in MODES {
+            let sarathi = sweep.get((li, 0, autoscaled, shedding));
+            let pod = sweep.get((li, 1, autoscaled, shedding));
             assert!(
                 pod.aggregate.goodput_requests() >= sarathi.aggregate.goodput_requests(),
                 "qps {qps} (auto={autoscaled}, shed={shedding}): POD goodput {} < Sarathi {}",
@@ -167,8 +124,8 @@ fn main() {
     // load it strictly gains on both backends.
     for (li, &qps) in LOADS.iter().enumerate() {
         for backend in 0..2 {
-            let served = report_of(li, backend, false, false);
-            let shed = report_of(li, backend, false, true);
+            let served = sweep.get((li, backend, false, false));
+            let shed = sweep.get((li, backend, false, true));
             assert!(
                 shed.aggregate.goodput_requests() >= served.aggregate.goodput_requests(),
                 "qps {qps} backend {backend}: shedding lost goodput ({} vs {})",
@@ -179,16 +136,22 @@ fn main() {
     }
     let top = LOADS.len() - 1;
     assert!(
-        report_of(top, 1, false, true).aggregate.goodput_requests()
-            > report_of(top, 1, false, false).aggregate.goodput_requests(),
+        sweep
+            .get((top, 1, false, true))
+            .aggregate
+            .goodput_requests()
+            > sweep
+                .get((top, 1, false, false))
+                .aggregate
+                .goodput_requests(),
         "at saturation, shedding must strictly improve POD goodput"
     );
 
     // Ordering 3: at the highest load the autoscaler improves attainment on
     // the POD backend, and costs fewer replica-seconds than pinning the
     // fleet at its maximum the whole run.
-    let fixed_top = report_of(top, 1, false, false);
-    let auto_top = report_of(top, 1, true, false);
+    let fixed_top = sweep.get((top, 1, false, false));
+    let auto_top = sweep.get((top, 1, true, false));
     assert!(
         auto_top.scale_out_events > 0,
         "saturation must trigger scale-out"
@@ -199,15 +162,8 @@ fn main() {
         auto_top.aggregate.slo_attainment(),
         fixed_top.aggregate.slo_attainment()
     );
-    let max_pinned = Cluster::new(ClusterConfig::new(
-        backends(&model, &gpu)[1].clone(),
-        MAX_REPLICAS,
-        RouterPolicy::decode_aware(),
-    ))
-    .run(mix.apply(
-        Workload::internal().generate(num_requests, LOADS[top], SEED),
-        SEED,
-    ));
+    let max_pinned =
+        Cluster::new(fleet(1, MAX_REPLICAS)).run(slo_trace(num_requests, LOADS[top], SEED));
     assert!(
         auto_top.replica_seconds < max_pinned.replica_seconds,
         "autoscaled fleet ({:.0} replica-seconds) must cost less than max-pinned ({:.0})",
@@ -219,25 +175,11 @@ fn main() {
     // to running without one — the inertness contract behind every
     // fixed-fleet golden in the repo.
     for (li, backend) in [(0usize, 0usize), (top, 1)] {
-        let specs = mix.apply(
-            Workload::internal().generate(num_requests, LOADS[li], SEED),
-            SEED,
-        );
-        let plain = Cluster::new(ClusterConfig::new(
-            backends(&model, &gpu)[backend].clone(),
-            REPLICAS,
-            RouterPolicy::decode_aware(),
-        ))
-        .run(specs.clone());
+        let plain = sweep.get((li, backend, false, false));
         let pinned = Cluster::new(
-            ClusterConfig::new(
-                backends(&model, &gpu)[backend].clone(),
-                REPLICAS,
-                RouterPolicy::decode_aware(),
-            )
-            .with_autoscaler(AutoscalerConfig::new(REPLICAS, REPLICAS)),
+            fleet(backend, REPLICAS).with_autoscaler(AutoscalerConfig::new(REPLICAS, REPLICAS)),
         )
-        .run(specs);
+        .run(slo_trace(num_requests, LOADS[li], SEED));
         assert_eq!(
             plain.to_json().to_string_pretty(),
             pinned.to_json().to_string_pretty(),
@@ -251,35 +193,28 @@ fn main() {
          replica-seconds cost than max-pinning; a pinned autoscaler is bit-for-bit inert."
     );
 
-    // Machine-readable sweep output in the shared report JSON format; the
-    // CI perf gate consumes mean aggregate goodput across these cells.
-    let cell_json: Vec<JsonValue> = cells
-        .iter()
-        .zip(&reports)
-        .map(|(&cell, report)| {
-            JsonValue::obj(vec![
-                ("qps", JsonValue::Num(LOADS[cell.load])),
-                ("autoscaled", JsonValue::Bool(cell.autoscaled)),
-                ("shedding", JsonValue::Bool(cell.shedding)),
-                ("report", report.to_json()),
-            ])
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("internal/slo-mix")),
-                ("slo_mix", JsonValue::str("interactive(70%) + batch(30%)")),
-                ("num_requests", JsonValue::Num(num_requests as f64)),
-                ("replicas", JsonValue::Num(REPLICAS as f64)),
-                ("max_replicas", JsonValue::Num(MAX_REPLICAS as f64)),
-                ("seed", JsonValue::Num(SEED as f64)),
-            ]),
-        ),
-        ("cells", JsonValue::Arr(cell_json)),
-    ]);
-    let path = repo_root_path("BENCH_slo.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_slo.json");
-    println!("wrote {}", path.display());
+    // The CI perf gate consumes mean aggregate goodput across these cells.
+    write_trend(
+        "BENCH_slo.json",
+        vec![
+            ("trace", JsonValue::str("internal/slo-mix")),
+            ("slo_mix", JsonValue::str("interactive(70%) + batch(30%)")),
+            ("num_requests", JsonValue::Num(num_requests as f64)),
+            ("replicas", JsonValue::Num(REPLICAS as f64)),
+            ("max_replicas", JsonValue::Num(MAX_REPLICAS as f64)),
+            ("seed", JsonValue::Num(SEED as f64)),
+        ],
+        vec![],
+        sweep
+            .iter()
+            .map(|((load, _, autoscaled, shedding), report)| {
+                vec![
+                    ("qps", JsonValue::Num(LOADS[load])),
+                    ("autoscaled", JsonValue::Bool(autoscaled)),
+                    ("shedding", JsonValue::Bool(shedding)),
+                    ("report", report.to_json()),
+                ]
+            })
+            .collect(),
+    );
 }

@@ -28,12 +28,9 @@
 //! Run with `cargo bench -p pod-bench --bench fig19_disaggregation`.
 
 use gpu_sim::GpuConfig;
-use llm_serving::{
-    Cluster, ClusterConfig, ClusterReport, JsonValue, KvMigration, ModelConfig, RouterPolicy,
-    ServingConfig, SloMix, Workload,
-};
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, par_map, pct, print_table, scaled, secs};
+use llm_serving::{Cluster, ClusterConfig, JsonValue, KvMigration, ModelConfig, RouterPolicy};
+use pod_bench::online::{backends, slo_trace, write_trend, Sweep};
+use pod_bench::{heading, pct, scaled, secs};
 
 /// Arrival rates in queries/second: comfortably under, near, and past the
 /// 4-replica fleet's saturation point.
@@ -45,7 +42,7 @@ const SEED: u64 = 19;
 
 /// Fleet shapes swept per (load, backend) cell: colocated, then
 /// disaggregated across three migration links.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Colocated,
     /// Disaggregated with the `migrations()[i]` link.
@@ -62,25 +59,14 @@ fn migrations() -> [KvMigration; 3] {
     ]
 }
 
-#[derive(Clone, Copy, PartialEq)]
-struct Cell {
-    load: usize,
-    backend: usize, // 0 = Sarathi, 1 = Sarathi+POD
-    mode: Mode,
-}
-
-fn backends(model: &ModelConfig, gpu: &GpuConfig) -> [ServingConfig; 2] {
-    [
-        ServingConfig::sarathi(model.clone(), gpu.clone(), 1024),
-        ServingConfig::sarathi_pod(model.clone(), gpu.clone(), 1024),
-    ]
-}
+/// One sweep cell: load index, backend index (0 = Sarathi, 1 =
+/// Sarathi+POD) and fleet shape.
+type Cell = (usize, usize, Mode);
 
 fn main() {
     let model = ModelConfig::llama3_8b();
     let gpu = GpuConfig::a100_80gb();
     let num_requests = scaled(96, 480);
-    let mix = SloMix::interactive_batch();
 
     heading(
         "Figure 19: disaggregated prefill/decode vs POD colocation",
@@ -88,31 +74,17 @@ fn main() {
          25 GB/s IB, free; 70/30 interactive/batch SLO mix; Llama-3-8B, chunk 1024.",
     );
 
-    let mut cells: Vec<Cell> = Vec::new();
-    for load in 0..LOADS.len() {
-        for backend in 0..2 {
-            cells.push(Cell {
-                load,
-                backend,
-                mode: Mode::Colocated,
-            });
-            for link in 0..migrations().len() {
-                cells.push(Cell {
-                    load,
-                    backend,
-                    mode: Mode::Disaggregated(link),
-                });
-            }
-        }
-    }
+    let modes =
+        std::iter::once(Mode::Colocated).chain((0..migrations().len()).map(Mode::Disaggregated));
+    let cells: Vec<Cell> = (0..LOADS.len())
+        .flat_map(|load| (0..2).map(move |backend| (load, backend)))
+        .flat_map(|(load, backend)| modes.clone().map(move |mode| (load, backend, mode)))
+        .collect();
 
-    let reports: Vec<ClusterReport> = par_map(cells.clone(), |cell| {
-        let specs = mix.apply(
-            Workload::internal().generate(num_requests, LOADS[cell.load], SEED),
-            SEED,
-        );
-        let base = backends(&model, &gpu)[cell.backend].clone();
-        let config = match cell.mode {
+    let sweep = Sweep::run(cells, |(load, backend, mode)| {
+        let specs = slo_trace(num_requests, LOADS[load], SEED);
+        let base = backends(&model, &gpu)[backend].clone();
+        let config = match mode {
             Mode::Colocated => ClusterConfig::new(base, REPLICAS, RouterPolicy::decode_aware()),
             Mode::Disaggregated(link) => ClusterConfig::disaggregated(
                 base,
@@ -124,40 +96,8 @@ fn main() {
         };
         Cluster::new(config).run(specs)
     });
-    let report_of = |load: usize, backend: usize, mode: Mode| {
-        let want = Cell {
-            load,
-            backend,
-            mode,
-        };
-        let idx = cells
-            .iter()
-            .position(|&c| c == want)
-            .expect("every sweep cell was simulated");
-        &reports[idx]
-    };
 
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .zip(&reports)
-        .map(|(&cell, r)| {
-            vec![
-                format!("{:.1}", LOADS[cell.load]),
-                r.aggregate.system.clone(),
-                match cell.mode {
-                    Mode::Colocated => "colocated".to_string(),
-                    Mode::Disaggregated(_) => format!("2P+2D {}", r.migration),
-                },
-                format!("{}", r.aggregate.goodput_requests()),
-                format!("{:.1}", r.aggregate.goodput_per_minute()),
-                pct(r.aggregate.slo_attainment()),
-                secs(r.aggregate.ttft.p99),
-                secs(r.aggregate.tbt.max),
-                secs(r.aggregate.migration_stall_time),
-            ]
-        })
-        .collect();
-    print_table(
+    sweep.print_rows(
         &[
             "QPS",
             "System",
@@ -169,7 +109,22 @@ fn main() {
             "TBT max",
             "Mig stall",
         ],
-        &rows,
+        |(load, _, mode), r| {
+            vec![
+                format!("{:.1}", LOADS[load]),
+                r.aggregate.system.clone(),
+                match mode {
+                    Mode::Colocated => "colocated".to_string(),
+                    Mode::Disaggregated(_) => format!("2P+2D {}", r.migration),
+                },
+                format!("{}", r.aggregate.goodput_requests()),
+                format!("{:.1}", r.aggregate.goodput_per_minute()),
+                pct(r.aggregate.slo_attainment()),
+                secs(r.aggregate.ttft.p99),
+                secs(r.aggregate.tbt.max),
+                secs(r.aggregate.migration_stall_time),
+            ]
+        },
     );
 
     // Ordering 1 — the paper's argument: at realistic migration bandwidth,
@@ -177,8 +132,8 @@ fn main() {
     // point. Realistic = both non-free links.
     for (li, &qps) in LOADS.iter().enumerate() {
         for link in 0..2 {
-            let colocated = report_of(li, 1, Mode::Colocated);
-            let disagg = report_of(li, 1, Mode::Disaggregated(link));
+            let colocated = sweep.get((li, 1, Mode::Colocated));
+            let disagg = sweep.get((li, 1, Mode::Disaggregated(link)));
             assert!(
                 colocated.aggregate.goodput_requests() >= disagg.aggregate.goodput_requests(),
                 "qps {qps}, link {}: POD colocated goodput {} < disaggregated {}",
@@ -195,8 +150,8 @@ fn main() {
     // itself costs nothing; only the link and the partition do.
     let free = migrations().len() - 1;
     for backend in 0..2 {
-        let colocated = report_of(0, backend, Mode::Colocated);
-        let disagg = report_of(0, backend, Mode::Disaggregated(free));
+        let colocated = sweep.get((0, backend, Mode::Colocated));
+        let disagg = sweep.get((0, backend, Mode::Disaggregated(free)));
         assert_eq!(
             colocated.aggregate.completed, disagg.aggregate.completed,
             "free-migration disaggregation must serve every request"
@@ -216,7 +171,7 @@ fn main() {
     }
 
     // Sanity: the realistic links actually exercised the migration path.
-    let exercised = report_of(0, 1, Mode::Disaggregated(0));
+    let exercised = sweep.get((0, 1, Mode::Disaggregated(0)));
     assert!(exercised.aggregate.migrated_out_requests > 0);
     assert!(exercised.aggregate.migration_stall_time > 0.0);
 
@@ -225,40 +180,31 @@ fn main() {
          every load; zero-cost migration at light load matches colocation within 10%."
     );
 
-    // Machine-readable sweep output in the shared report JSON format; the
-    // CI perf gate consumes mean aggregate goodput across these cells.
-    let cell_json: Vec<JsonValue> = cells
-        .iter()
-        .zip(&reports)
-        .map(|(&cell, report)| {
-            JsonValue::obj(vec![
-                ("qps", JsonValue::Num(LOADS[cell.load])),
-                (
-                    "fleet",
-                    JsonValue::str(match cell.mode {
-                        Mode::Colocated => "colocated",
-                        Mode::Disaggregated(_) => "disaggregated",
-                    }),
-                ),
-                ("migration", JsonValue::str(&report.migration)),
-                ("report", report.to_json()),
-            ])
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("internal/slo-mix")),
-                ("slo_mix", JsonValue::str("interactive(70%) + batch(30%)")),
-                ("num_requests", JsonValue::Num(num_requests as f64)),
-                ("replicas", JsonValue::Num(REPLICAS as f64)),
-                ("seed", JsonValue::Num(SEED as f64)),
-            ]),
-        ),
-        ("cells", JsonValue::Arr(cell_json)),
-    ]);
-    let path = repo_root_path("BENCH_disagg.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_disagg.json");
-    println!("wrote {}", path.display());
+    // The CI perf gate consumes mean aggregate goodput across these cells.
+    write_trend(
+        "BENCH_disagg.json",
+        vec![
+            ("trace", JsonValue::str("internal/slo-mix")),
+            ("slo_mix", JsonValue::str("interactive(70%) + batch(30%)")),
+            ("num_requests", JsonValue::Num(num_requests as f64)),
+            ("replicas", JsonValue::Num(REPLICAS as f64)),
+            ("seed", JsonValue::Num(SEED as f64)),
+        ],
+        vec![],
+        sweep
+            .iter()
+            .map(|((load, _, mode), report)| {
+                let fleet = match mode {
+                    Mode::Colocated => "colocated",
+                    Mode::Disaggregated(_) => "disaggregated",
+                };
+                vec![
+                    ("qps", JsonValue::Num(LOADS[load])),
+                    ("fleet", JsonValue::str(fleet)),
+                    ("migration", JsonValue::str(&report.migration)),
+                    ("report", report.to_json()),
+                ]
+            })
+            .collect(),
+    );
 }

@@ -29,11 +29,11 @@
 
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    Cluster, ClusterConfig, ClusterReport, FairQueueConfig, JsonValue, ModelConfig, RouterPolicy,
+    ClusterReport, FairQueueConfig, JsonValue, ModelConfig, RequestSpec, RouterPolicy,
     ServingConfig, ServingEngine, TenantId, TenantMix,
 };
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, par_map, pct, print_table, scaled, secs};
+use pod_bench::online::{run_cluster, write_trend, Sweep};
+use pod_bench::{heading, par_map, pct, scaled, secs};
 
 const SEED: u64 = 20;
 /// Well-behaved tenants in the noisy-neighbor and prompt-bomb mixes.
@@ -42,7 +42,7 @@ const WELL_BEHAVED: usize = 3;
 /// tenant's resident decodes create real pressure for preemption to relieve.
 const INVERSION_KV_TOKENS: usize = 40_000;
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Policy {
     Fcfs,
     Fair,
@@ -69,11 +69,8 @@ impl Policy {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-struct Cell {
-    scenario: usize, // index into scenarios()
-    policy: Policy,
-}
+/// One sweep cell: an index into `scenarios()` and a queueing policy.
+type Cell = (usize, Policy);
 
 fn scenarios(count_each: usize) -> Vec<(&'static str, TenantMix)> {
     vec![
@@ -113,61 +110,33 @@ fn main() {
          over queued prefill work, priority preemption through the paged preemption path.",
     );
 
-    let mut cells: Vec<Cell> = Vec::new();
-    for scenario in 0..scenarios.len() {
-        for policy in [Policy::Fcfs, Policy::Fair, Policy::FairPrio] {
-            cells.push(Cell { scenario, policy });
-        }
-    }
-
-    let run_inputs: Vec<(Cell, TenantMix, ServingConfig)> = cells
-        .iter()
-        .map(|&cell| {
-            (
-                cell,
-                scenarios[cell.scenario].1.clone(),
-                cell.policy.apply(base_config(&model, &gpu, cell.scenario)),
-            )
+    let cells: Vec<Cell> = (0..scenarios.len())
+        .flat_map(|scenario| {
+            [Policy::Fcfs, Policy::Fair, Policy::FairPrio].map(|policy| (scenario, policy))
         })
         .collect();
-    let reports: Vec<ClusterReport> = par_map(run_inputs, |(_, mix, config)| {
-        Cluster::new(ClusterConfig::new(config, 1, RouterPolicy::RoundRobin))
-            .run(mix.generate(SEED))
+    let replica =
+        |config, specs: &[RequestSpec]| run_cluster(config, 1, RouterPolicy::RoundRobin, specs);
+    let sweep = Sweep::run(cells, |(scenario, policy)| {
+        let config = policy.apply(base_config(&model, &gpu, scenario));
+        replica(config, &scenarios[scenario].1.generate(SEED))
     });
-    let report_of = |scenario: usize, policy: Policy| -> &ClusterReport {
-        let want = Cell { scenario, policy };
-        let idx = cells
-            .iter()
-            .position(|&c| c == want)
-            .expect("every sweep cell was simulated");
-        &reports[idx]
-    };
 
     // Solo baselines: each well-behaved tenant of the noisy-neighbor mix
     // with the replica to itself, on the FCFS config (one tenant, so fair
     // queueing would be bit-for-bit identical anyway — see the pin below).
     let noisy_mix = &scenarios[0].1;
-    let solo_goodput: Vec<usize> = par_map(
-        (0..WELL_BEHAVED)
-            .map(|t| {
-                (
-                    noisy_mix.solo(TenantId(t as u32), SEED),
-                    base_config(&model, &gpu, 0),
-                )
-            })
-            .collect(),
-        |(specs, config)| {
-            Cluster::new(ClusterConfig::new(config, 1, RouterPolicy::RoundRobin))
-                .run(specs)
-                .aggregate
-                .goodput_requests()
-        },
-    );
+    let solo_goodput: Vec<usize> = par_map((0..WELL_BEHAVED).collect(), |t| {
+        let specs = noisy_mix.solo(TenantId(t as u32), SEED);
+        let solo = replica(base_config(&model, &gpu, 0), &specs);
+        solo.aggregate.goodput_requests()
+    });
 
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .zip(&reports)
-        .map(|(&cell, r)| {
+    sweep.print_rows(
+        &[
+            "Scenario", "Policy", "Goodput", "Req/min", "Attain", "WorstTen", "Preempt", "TTFT P99",
+        ],
+        |(scenario, policy), r| {
             let agg = &r.aggregate;
             let worst = agg
                 .tenants
@@ -175,8 +144,8 @@ fn main() {
                 .map(|t| t.attainment())
                 .fold(1.0_f64, f64::min);
             vec![
-                scenarios[cell.scenario].0.to_string(),
-                cell.policy.label().to_string(),
+                scenarios[scenario].0.to_string(),
+                policy.label().to_string(),
                 format!("{}", agg.goodput_requests()),
                 format!("{:.1}", agg.requests_per_minute()),
                 pct(agg.slo_attainment()),
@@ -184,13 +153,7 @@ fn main() {
                 format!("{}", agg.preemptions),
                 secs(agg.ttft.p99),
             ]
-        })
-        .collect();
-    print_table(
-        &[
-            "Scenario", "Policy", "Goodput", "Req/min", "Attain", "WorstTen", "Preempt", "TTFT P99",
-        ],
-        &rows,
+        },
     );
 
     let tenant_goodput = |r: &ClusterReport, t: usize| -> usize {
@@ -205,8 +168,8 @@ fn main() {
     // Isolation claim (a): under the noisy-neighbor mix, fair queueing holds
     // every well-behaved tenant at >= 90% of its solo goodput, while FCFS
     // drops at least one below 50%.
-    let fcfs = report_of(0, Policy::Fcfs);
-    let fair = report_of(0, Policy::Fair);
+    let fcfs = sweep.get((0, Policy::Fcfs));
+    let fair = sweep.get((0, Policy::Fair));
     let mut fcfs_starved = false;
     for (t, &solo) in solo_goodput.iter().enumerate() {
         assert!(
@@ -240,8 +203,8 @@ fn main() {
 
     // Prompt bomb: fair queueing must not lose aggregate goodput and must
     // lift the worst well-behaved tenant.
-    let bomb_fcfs = report_of(1, Policy::Fcfs);
-    let bomb_fair = report_of(1, Policy::Fair);
+    let bomb_fcfs = sweep.get((1, Policy::Fcfs));
+    let bomb_fair = sweep.get((1, Policy::Fair));
     let worst_wb = |r: &ClusterReport| {
         (0..WELL_BEHAVED)
             .map(|t| tenant_goodput(r, t))
@@ -258,9 +221,9 @@ fn main() {
     // Priority inversion: the high-priority tenant's TTFT must improve
     // under priority-aware fair queueing, and further (or at least as much)
     // with preemption; the preemption cell attributes its evictions.
-    let inv_fcfs = report_of(2, Policy::Fcfs);
-    let inv_fair = report_of(2, Policy::Fair);
-    let inv_prio = report_of(2, Policy::FairPrio);
+    let inv_fcfs = sweep.get((2, Policy::Fcfs));
+    let inv_fair = sweep.get((2, Policy::Fair));
+    let inv_prio = sweep.get((2, Policy::FairPrio));
     let high_ttft = |r: &ClusterReport| {
         r.aggregate
             .tenants
@@ -305,50 +268,43 @@ fn main() {
          priority inversion, and is bit-for-bit inert with a single tenant."
     );
 
-    // Machine-readable sweep output; the CI perf gate consumes mean
-    // aggregate goodput across these cells.
-    let cell_json: Vec<JsonValue> = cells
-        .iter()
-        .zip(&reports)
-        .map(|(&cell, report)| {
-            JsonValue::obj(vec![
-                ("scenario", JsonValue::str(scenarios[cell.scenario].0)),
-                ("policy", JsonValue::str(cell.policy.label())),
-                ("report", report.to_json()),
-            ])
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("tenant-mix/adversarial")),
-                (
-                    "scenarios",
-                    JsonValue::Arr(
-                        scenarios
-                            .iter()
-                            .map(|(name, _)| JsonValue::str(name))
-                            .collect(),
-                    ),
+    // The CI perf gate consumes mean aggregate goodput across these cells.
+    write_trend(
+        "BENCH_fairness.json",
+        vec![
+            ("trace", JsonValue::str("tenant-mix/adversarial")),
+            (
+                "scenarios",
+                JsonValue::Arr(
+                    scenarios
+                        .iter()
+                        .map(|(name, _)| JsonValue::str(name))
+                        .collect(),
                 ),
-                ("well_behaved", JsonValue::Num(WELL_BEHAVED as f64)),
-                ("count_each", JsonValue::Num(count_each as f64)),
-                (
-                    "solo_goodput",
-                    JsonValue::Arr(
-                        solo_goodput
-                            .iter()
-                            .map(|&g| JsonValue::Num(g as f64))
-                            .collect(),
-                    ),
+            ),
+            ("well_behaved", JsonValue::Num(WELL_BEHAVED as f64)),
+            ("count_each", JsonValue::Num(count_each as f64)),
+            (
+                "solo_goodput",
+                JsonValue::Arr(
+                    solo_goodput
+                        .iter()
+                        .map(|&g| JsonValue::Num(g as f64))
+                        .collect(),
                 ),
-                ("seed", JsonValue::Num(SEED as f64)),
-            ]),
-        ),
-        ("cells", JsonValue::Arr(cell_json)),
-    ]);
-    let path = repo_root_path("BENCH_fairness.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_fairness.json");
-    println!("wrote {}", path.display());
+            ),
+            ("seed", JsonValue::Num(SEED as f64)),
+        ],
+        vec![],
+        sweep
+            .iter()
+            .map(|((scenario, policy), report)| {
+                vec![
+                    ("scenario", JsonValue::str(scenarios[scenario].0)),
+                    ("policy", JsonValue::str(policy.label())),
+                    ("report", report.to_json()),
+                ]
+            })
+            .collect(),
+    );
 }

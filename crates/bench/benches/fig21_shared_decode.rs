@@ -20,42 +20,18 @@
 //! Run with `cargo bench -p pod-bench --bench fig21_shared_decode`.
 
 use gpu_sim::GpuConfig;
-use llm_serving::{
-    JsonValue, ModelConfig, ServingConfig, ServingEngine, ServingReport, SharedPrefixWorkload,
-    Workload,
-};
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, par_map, pct, print_table, scaled, secs};
-
-const SHARE_RATIOS: [f64; 4] = [0.0, 0.3, 0.6, 0.9];
-const GROUPS: usize = 4;
-// Not a multiple of BLOCK_TOKENS on purpose: misaligned prefixes exercise
-// the partial-block boundary of the shared-chain grouping key.
-const PREFIX_TOKENS: usize = 2043;
-const FOLLOWUP_RATIO: f64 = 0.35;
-
-fn backends(model: &ModelConfig, gpu: &GpuConfig) -> [ServingConfig; 2] {
-    [
-        ServingConfig::sarathi(model.clone(), gpu.clone(), 1024),
-        ServingConfig::sarathi_pod(model.clone(), gpu.clone(), 1024),
-    ]
-}
-
-fn specs_for(ratio: f64, num_requests: usize) -> Vec<llm_serving::RequestSpec> {
-    SharedPrefixWorkload::new(
-        Workload::internal(),
-        GROUPS,
-        PREFIX_TOKENS,
-        ratio,
-        FOLLOWUP_RATIO,
-    )
-    .generate(num_requests, 3.0, 7)
-}
+use llm_serving::{JsonValue, ModelConfig, ServingConfig, ServingEngine};
+use pod_bench::online::{backends, write_trend, SharedPrefixTrace, Sweep, SHARE_RATIOS};
+use pod_bench::{heading, pct, scaled, secs};
 
 fn main() {
     let model = ModelConfig::llama3_8b();
     let gpu = GpuConfig::a100_80gb();
     let num_requests = scaled(96, 480);
+    let workload = SharedPrefixTrace {
+        num_requests,
+        qps: 3.0,
+    };
 
     heading(
         "Figure 21: shared-prefix decode — share ratio x backend x dedup",
@@ -63,44 +39,17 @@ fn main() {
          paged prefix-caching engine; Llama-3-8B, chunk 1024.",
     );
 
-    // One job per (share ratio, backend, dedup); every cell generates the
-    // same trace for its ratio, so on/off pairs are directly comparable.
-    let jobs: Vec<(usize, usize, bool)> = (0..SHARE_RATIOS.len())
-        .flat_map(|si| (0..2).flat_map(move |bi| [true, false].map(move |on| (si, bi, on))))
-        .collect();
-    let reports: Vec<ServingReport> = par_map(jobs.clone(), |(si, bi, dedup)| {
-        let specs = specs_for(SHARE_RATIOS[si], num_requests);
+    // Every cell generates the same trace for its ratio, so on/off pairs
+    // are directly comparable.
+    let sweep = Sweep::run(SharedPrefixTrace::cells(), |(si, bi, dedup)| {
+        let specs = workload.generate(SHARE_RATIOS[si]);
         let config = backends(&model, &gpu)[bi]
             .clone()
             .with_paged_kv(true)
             .with_decode_dedup(dedup);
         ServingEngine::new(config).run(specs)
     });
-    let report_of = |si: usize, bi: usize, on: bool| -> &ServingReport {
-        let idx = jobs
-            .iter()
-            .position(|&j| j == (si, bi, on))
-            .expect("every sweep cell was simulated");
-        &reports[idx]
-    };
-
-    let rows: Vec<Vec<String>> = jobs
-        .iter()
-        .zip(&reports)
-        .map(|(&(si, _, _), r)| {
-            vec![
-                format!("{:.1}", SHARE_RATIOS[si]),
-                r.system.clone(),
-                secs(r.tbt.mean),
-                secs(r.tbt.p99),
-                secs(r.makespan),
-                format!("{}", r.decode_kv_tokens_deduped),
-                pct(r.prefix_hit_rate()),
-                format!("{}", r.preemptions),
-            ]
-        })
-        .collect();
-    print_table(
+    sweep.print_rows(
         &[
             "Share",
             "System",
@@ -111,15 +60,26 @@ fn main() {
             "Hit rate",
             "Preempt",
         ],
-        &rows,
+        |(si, _, _), r| {
+            vec![
+                format!("{:.1}", SHARE_RATIOS[si]),
+                r.system.clone(),
+                secs(r.tbt.mean),
+                secs(r.tbt.p99),
+                secs(r.makespan),
+                format!("{}", r.decode_kv_tokens_deduped),
+                pct(r.prefix_hit_rate()),
+                format!("{}", r.preemptions),
+            ]
+        },
     );
 
     // Ordering 1: at every positive share ratio, dedup strictly reduces
     // makespan (decode cost) and mean TBT, on both backends.
     for (si, &ratio) in SHARE_RATIOS.iter().enumerate() {
         for bi in 0..2 {
-            let on = report_of(si, bi, true);
-            let off = report_of(si, bi, false);
+            let on = sweep.get((si, bi, true));
+            let off = sweep.get((si, bi, false));
             assert_eq!(on.completed, num_requests);
             assert_eq!(off.completed, num_requests);
             assert_eq!(off.decode_kv_tokens_deduped, 0, "dedup off never dedups");
@@ -155,8 +115,8 @@ fn main() {
 
     // Ordering 3: deduped KV volume grows with the share ratio (POD backend).
     for si in 1..SHARE_RATIOS.len() {
-        let prev = report_of(si - 1, 1, true).decode_kv_tokens_deduped;
-        let here = report_of(si, 1, true).decode_kv_tokens_deduped;
+        let prev = sweep.get((si - 1, 1, true)).decode_kv_tokens_deduped;
+        let here = sweep.get((si, 1, true)).decode_kv_tokens_deduped;
         assert!(
             here > prev,
             "deduped KV must grow with share ratio: {here} vs {prev}"
@@ -168,8 +128,8 @@ fn main() {
     let max_share = SHARE_RATIOS[SHARE_RATIOS.len() - 1];
     let conservative = ServingConfig::sarathi(model.clone(), gpu.clone(), 1024);
     let cons_on = ServingEngine::new(conservative.clone().with_decode_dedup(true))
-        .run(specs_for(max_share, num_requests));
-    let cons_off = ServingEngine::new(conservative).run(specs_for(max_share, num_requests));
+        .run(workload.generate(max_share));
+    let cons_off = ServingEngine::new(conservative).run(workload.generate(max_share));
     assert_eq!(cons_on, cons_off, "conservative policy must ignore dedup");
     assert_eq!(cons_on.decode_kv_tokens_deduped, 0);
 
@@ -183,42 +143,21 @@ fn main() {
     // the highest share ratio, plus the deduped-KV volume for the trend.
     let max_si = SHARE_RATIOS.len() - 1;
     let mean_tbt_speedup = (0..2)
-        .map(|bi| report_of(max_si, bi, false).tbt.mean / report_of(max_si, bi, true).tbt.mean)
+        .map(|bi| sweep.get((max_si, bi, false)).tbt.mean / sweep.get((max_si, bi, true)).tbt.mean)
         .sum::<f64>()
         / 2.0;
     let kv_tokens_deduped: usize = (0..2)
-        .map(|bi| report_of(max_si, bi, true).decode_kv_tokens_deduped)
+        .map(|bi| sweep.get((max_si, bi, true)).decode_kv_tokens_deduped)
         .sum();
     println!(
         "mean TBT speedup at share {max_share}: {mean_tbt_speedup:.4}x \
          ({kv_tokens_deduped} KV tokens deduped)"
     );
 
-    let cells: Vec<JsonValue> = jobs
-        .iter()
-        .zip(&reports)
-        .map(|(&(si, _, dedup), report)| {
-            JsonValue::obj(vec![
-                ("share_ratio", JsonValue::Num(SHARE_RATIOS[si])),
-                ("decode_dedup", JsonValue::Bool(dedup)),
-                ("report", report.to_json()),
-            ])
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("internal/shared-prefix")),
-                ("groups", JsonValue::Num(GROUPS as f64)),
-                ("prefix_tokens", JsonValue::Num(PREFIX_TOKENS as f64)),
-                ("followup_ratio", JsonValue::Num(FOLLOWUP_RATIO)),
-                ("qps", JsonValue::Num(3.0)),
-                ("num_requests", JsonValue::Num(num_requests as f64)),
-                ("seed", JsonValue::Num(7.0)),
-            ]),
-        ),
-        (
+    write_trend(
+        "BENCH_decode.json",
+        workload.fields(),
+        vec![(
             "decode",
             JsonValue::obj(vec![
                 ("mean_tbt_speedup", JsonValue::Num(mean_tbt_speedup)),
@@ -227,10 +166,16 @@ fn main() {
                     JsonValue::Num(kv_tokens_deduped as f64),
                 ),
             ]),
-        ),
-        ("cells", JsonValue::Arr(cells)),
-    ]);
-    let path = repo_root_path("BENCH_decode.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_decode.json");
-    println!("wrote {}", path.display());
+        )],
+        sweep
+            .iter()
+            .map(|((si, _, dedup), report)| {
+                vec![
+                    ("share_ratio", JsonValue::Num(SHARE_RATIOS[si])),
+                    ("decode_dedup", JsonValue::Bool(dedup)),
+                    ("report", report.to_json()),
+                ]
+            })
+            .collect(),
+    );
 }

@@ -26,11 +26,10 @@
 
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    AcceptanceModel, DraftModelConfig, JsonValue, ModelConfig, ServingConfig, ServingEngine,
-    ServingReport, Workload,
+    AcceptanceModel, DraftModelConfig, JsonValue, ModelConfig, ServingEngine, Workload,
 };
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, par_map, print_table, scaled, secs};
+use pod_bench::online::{backends, write_trend, Sweep};
+use pod_bench::{heading, scaled, secs};
 
 const ACCEPT_RATES: [f64; 4] = [0.0, 0.4, 0.7, 0.95];
 const KS: [usize; 2] = [2, 4];
@@ -43,13 +42,6 @@ const SEED: u64 = 21;
 /// depth `KS[ki]` with acceptance `ACCEPT_RATES[ri]`, on a free draft model
 /// when `free` (the pricing-honesty twin of the scaled-draft cell).
 type Job = (usize, usize, Option<(usize, usize, bool)>);
-
-fn backends(model: &ModelConfig, gpu: &GpuConfig) -> [ServingConfig; 2] {
-    [
-        ServingConfig::sarathi(model.clone(), gpu.clone(), 1024),
-        ServingConfig::sarathi_pod(model.clone(), gpu.clone(), 1024),
-    ]
-}
 
 fn main() {
     let model = ModelConfig::llama3_8b();
@@ -79,7 +71,7 @@ fn main() {
             }
         }
     }
-    let reports: Vec<ServingReport> = par_map(jobs.clone(), |(qi, bi, spec)| {
+    let sweep = Sweep::run(jobs, |(qi, bi, spec)| {
         let specs = Workload::internal().generate(num_requests, QPS[qi], SEED);
         let mut config = backends(&model, &gpu)[bi].clone();
         if let Some((ki, ri, free)) = spec {
@@ -96,18 +88,12 @@ fn main() {
         }
         ServingEngine::new(config).run(specs)
     });
-    let report_of = |job: Job| -> &ServingReport {
-        let idx = jobs
-            .iter()
-            .position(|&j| j == job)
-            .expect("every sweep cell was simulated");
-        &reports[idx]
-    };
-
-    let rows: Vec<Vec<String>> = jobs
-        .iter()
-        .zip(&reports)
-        .map(|(&(qi, _, spec), r)| {
+    sweep.print_rows(
+        &[
+            "QPS", "System", "k", "Accept", "Draft", "Makespan", "TBT mean", "Rounds", "Accepted",
+            "Rejected",
+        ],
+        |(qi, _, spec), r| {
             let (k, rate, draft) = match spec {
                 None => ("-".to_string(), "-".to_string(), "-".to_string()),
                 Some((ki, ri, free)) => (
@@ -132,17 +118,10 @@ fn main() {
                 format!("{}", r.draft_tokens_accepted),
                 format!("{}", r.draft_tokens_rejected),
             ]
-        })
-        .collect();
-    print_table(
-        &[
-            "QPS", "System", "k", "Accept", "Draft", "Makespan", "TBT mean", "Rounds", "Accepted",
-            "Rejected",
-        ],
-        &rows,
+        },
     );
 
-    for (&job, r) in jobs.iter().zip(&reports) {
+    for (job, r) in sweep.iter() {
         assert_eq!(r.completed, num_requests, "cell {job:?} lost requests");
         match job.2 {
             None => assert_eq!(r.spec_rounds, 0, "AR baseline must not speculate"),
@@ -163,8 +142,8 @@ fn main() {
             if rate < 0.7 {
                 continue;
             }
-            let ar = report_of((1, 1, None));
-            let sp = report_of((1, 1, Some((ki, ri, false))));
+            let ar = sweep.get((1, 1, None));
+            let sp = sweep.get((1, 1, Some((ki, ri, false))));
             assert!(
                 sp.makespan < ar.makespan,
                 "k={} accept={}: spec makespan {} vs AR {}",
@@ -190,8 +169,8 @@ fn main() {
     for (qi, &qps) in QPS.iter().enumerate() {
         for bi in 0..2 {
             for (ki, &k) in KS.iter().enumerate() {
-                let ar = report_of((qi, bi, None));
-                let sp = report_of((qi, bi, Some((ki, 0, false))));
+                let ar = sweep.get((qi, bi, None));
+                let sp = sweep.get((qi, bi, Some((ki, 0, false))));
                 assert!(
                     sp.makespan >= ar.makespan,
                     "qps={} backend={} k={}: zero-acceptance speculation must \
@@ -211,8 +190,8 @@ fn main() {
     // than its own verify work.
     for (ki, &k) in KS.iter().enumerate() {
         for (ri, &rate) in ACCEPT_RATES.iter().enumerate() {
-            let real = report_of((1, 1, Some((ki, ri, false))));
-            let free = report_of((1, 1, Some((ki, ri, true))));
+            let real = sweep.get((1, 1, Some((ki, ri, false))));
+            let free = sweep.get((1, 1, Some((ki, ri, true))));
             assert!(
                 real.makespan >= free.makespan,
                 "k={} accept={}: priced draft ({}) cheaper than free draft ({})",
@@ -227,8 +206,8 @@ fn main() {
     // Ordering 4: more acceptance, more win — the saturated POD makespan at
     // acceptance 0.95 strictly beats the acceptance-0 cell at every depth.
     for (ki, &k) in KS.iter().enumerate() {
-        let lo = report_of((1, 1, Some((ki, 0, false))));
-        let hi = report_of((1, 1, Some((ki, ACCEPT_RATES.len() - 1, false))));
+        let lo = sweep.get((1, 1, Some((ki, 0, false))));
+        let hi = sweep.get((1, 1, Some((ki, ACCEPT_RATES.len() - 1, false))));
         assert!(
             hi.makespan < lo.makespan,
             "k={}: acceptance 0.95 ({}) must beat acceptance 0 ({})",
@@ -247,7 +226,7 @@ fn main() {
         AcceptanceModel::new(1.0, SEED),
     ))
     .run(specs);
-    let ar = report_of((1, 1, None));
+    let ar = sweep.get((1, 1, None));
     assert_eq!(degenerate.makespan.to_bits(), ar.makespan.to_bits());
     assert_eq!(degenerate.tbt.mean.to_bits(), ar.tbt.mean.to_bits());
     assert_eq!(degenerate.ttft.p99.to_bits(), ar.ttft.p99.to_bits());
@@ -264,11 +243,11 @@ fn main() {
     let max_ri = ACCEPT_RATES.len() - 1;
     let makespan_speedup = (0..KS.len())
         .map(|ki| {
-            report_of((1, 1, None)).makespan / report_of((1, 1, Some((ki, max_ri, false)))).makespan
+            sweep.get((1, 1, None)).makespan / sweep.get((1, 1, Some((ki, max_ri, false)))).makespan
         })
         .sum::<f64>()
         / KS.len() as f64;
-    let best = report_of((1, 1, Some((KS.len() - 1, max_ri, false))));
+    let best = sweep.get((1, 1, Some((KS.len() - 1, max_ri, false))));
     let acceptance_observed = best.draft_tokens_accepted as f64
         / (best.draft_tokens_accepted + best.draft_tokens_rejected).max(1) as f64;
     println!(
@@ -277,47 +256,40 @@ fn main() {
         ACCEPT_RATES[max_ri]
     );
 
-    let cells: Vec<JsonValue> = jobs
-        .iter()
-        .zip(&reports)
-        .map(|(&(qi, _, spec), report)| {
-            let mut fields = vec![("qps", JsonValue::Num(QPS[qi]))];
-            match spec {
-                None => fields.push(("mode", JsonValue::str("autoregressive"))),
-                Some((ki, ri, free)) => {
-                    fields.push(("mode", JsonValue::str("speculative")));
-                    fields.push(("k", JsonValue::Num(KS[ki] as f64)));
-                    fields.push(("acceptance", JsonValue::Num(ACCEPT_RATES[ri])));
-                    fields.push((
-                        "draft_scale",
-                        JsonValue::Num(if free { 0.0 } else { DRAFT_SCALE }),
-                    ));
-                }
-            }
-            fields.push(("report", report.to_json()));
-            JsonValue::obj(fields)
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("internal")),
-                ("num_requests", JsonValue::Num(num_requests as f64)),
-                ("seed", JsonValue::Num(SEED as f64)),
-                ("draft_scale", JsonValue::Num(DRAFT_SCALE)),
-            ]),
-        ),
-        (
+    write_trend(
+        "BENCH_spec.json",
+        vec![
+            ("trace", JsonValue::str("internal")),
+            ("num_requests", JsonValue::Num(num_requests as f64)),
+            ("seed", JsonValue::Num(SEED as f64)),
+            ("draft_scale", JsonValue::Num(DRAFT_SCALE)),
+        ],
+        vec![(
             "spec",
             JsonValue::obj(vec![
                 ("makespan_speedup", JsonValue::Num(makespan_speedup)),
                 ("acceptance_observed", JsonValue::Num(acceptance_observed)),
             ]),
-        ),
-        ("cells", JsonValue::Arr(cells)),
-    ]);
-    let path = repo_root_path("BENCH_spec.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_spec.json");
-    println!("wrote {}", path.display());
+        )],
+        sweep
+            .iter()
+            .map(|((qi, _, spec), report)| {
+                let mut fields = vec![("qps", JsonValue::Num(QPS[qi]))];
+                match spec {
+                    None => fields.push(("mode", JsonValue::str("autoregressive"))),
+                    Some((ki, ri, free)) => {
+                        fields.push(("mode", JsonValue::str("speculative")));
+                        fields.push(("k", JsonValue::Num(KS[ki] as f64)));
+                        fields.push(("acceptance", JsonValue::Num(ACCEPT_RATES[ri])));
+                        fields.push((
+                            "draft_scale",
+                            JsonValue::Num(if free { 0.0 } else { DRAFT_SCALE }),
+                        ));
+                    }
+                }
+                fields.push(("report", report.to_json()));
+                fields
+            })
+            .collect(),
+    );
 }

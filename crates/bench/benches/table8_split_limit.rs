@@ -17,17 +17,15 @@ fn main() {
     let context = 16 * 1024usize;
     let chunks = context / chunk;
 
-    let runner = HybridAttentionRunner::new(cfg, gpu.clone());
-    let vanilla = PodAttention::with_options(
-        cfg,
-        gpu.clone(),
-        PodOptions::recommended().with_prefill_splits(SplitPolicy::Vanilla),
-    );
-    let limited = PodAttention::with_options(
-        cfg,
-        gpu.clone(),
-        PodOptions::recommended().with_prefill_splits(SplitPolicy::LimitedToTwoWaves),
-    );
+    let runner_with = |splits| {
+        HybridAttentionRunner::with_pod(PodAttention::with_options(
+            cfg,
+            gpu.clone(),
+            PodOptions::recommended().with_prefill_splits(splits),
+        ))
+    };
+    let vanilla = runner_with(SplitPolicy::Vanilla);
+    let limited = runner_with(SplitPolicy::LimitedToTwoWaves);
 
     heading(
         "Table 8: per-layer attention runtime (ms) of the last four prefill chunks",
@@ -37,14 +35,14 @@ fn main() {
     let mut rows = Vec::new();
     for chunk_id in (chunks - 4)..chunks {
         let batch = HybridBatch::uniform(chunk, (chunk_id + 1) * chunk, decode_bs, context);
-        let fa = runner
+        let fa = limited
             .time(&batch, AttentionStrategy::FaSerial)
             .expect("FA serial runs");
         let t_vanilla = vanilla
-            .attention_time(&batch)
+            .time(&batch, AttentionStrategy::Pod)
             .expect("vanilla-split POD runs");
         let t_limited = limited
-            .attention_time(&batch)
+            .time(&batch, AttentionStrategy::Pod)
             .expect("limited-split POD runs");
         rows.push(vec![
             format!("{chunk_id}"),

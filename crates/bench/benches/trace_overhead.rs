@@ -27,84 +27,26 @@
 //!
 //! Run with `cargo bench -p pod-bench --bench trace_overhead`.
 
-use gpu_sim::GpuConfig;
-use llm_serving::{
-    Cluster, ClusterConfig, JsonValue, ModelConfig, RateSchedule, RateSegment, RouterPolicy,
-    ServingConfig, TraceConfig, Workload,
-};
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, scaled};
+use llm_serving::{JsonValue, ServingConfig, TraceConfig};
+use pod_bench::heading;
+use pod_bench::microbench::{median, repo_root_path};
+use pod_bench::online::{write_json, FleetReplay};
 use std::time::Instant;
 
-const REPLICAS: usize = 16;
-const CHUNK: usize = 1024;
-const SEED: u64 = 42;
 /// Off/on leg pairs; the gated overhead is the median of their ratios.
 const LEG_PAIRS: usize = 3;
 
-/// Median of `xs` (sorted in place; the upper middle for an even count).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// The `trace_replay` diurnal-with-bursts schedule (same constants), so the
-/// off-leg of this bench replays the exact fleet `perf_gate`'s fleet rows time.
-fn diurnal_with_bursts(
-    trough_qps: f64,
-    peak_qps: f64,
-    period_secs: f64,
-    steps: usize,
-    burst_qps: f64,
-    burst_secs: f64,
-) -> RateSchedule {
-    let step_secs = period_secs / steps as f64;
-    assert!(burst_secs < step_secs, "burst must fit inside one step");
-    let mut segments = Vec::with_capacity(2 * steps);
-    for i in 0..steps {
-        let phase = 2.0 * std::f64::consts::PI * (i as f64 + 0.5) / steps as f64;
-        let qps = trough_qps + (peak_qps - trough_qps) * 0.5 * (1.0 - phase.cos());
-        segments.push(RateSegment {
-            duration: step_secs - burst_secs,
-            qps,
-        });
-        segments.push(RateSegment {
-            duration: burst_secs,
-            qps: qps + burst_qps,
-        });
-    }
-    RateSchedule::new(segments)
-}
-
-/// Interactive chat traffic, as in `trace_replay`: per-request host cost is
-/// dominated by bookkeeping, which is exactly where trace emission overhead
-/// would show.
-fn chat_workload() -> Workload {
-    Workload {
-        name: "chat-small".to_string(),
-        mean_context: 320.0,
-        context_range: (64, 2048),
-        mean_decode: 8.0,
-        min_decode: 2,
-    }
-}
-
 fn main() {
-    let model = ModelConfig::llama3_8b();
-    let gpu = GpuConfig::a100_80gb();
-    let workload = chat_workload();
-    let schedule = diurnal_with_bursts(60.0, 200.0, 3600.0, 12, 80.0, 10.0);
-    let num_requests = scaled(2_000_000, 4_000_000);
-
     heading(
         "Tracing overhead: fleet replay with the flight recorder off vs on",
         "16 replicas, diurnal chat trace; ring capacity 8192/replica, 60 s timeline samples.",
     );
 
-    println!("generating {num_requests}-request trace ...");
-    let trace = workload.generate_trace(num_requests, &schedule, SEED);
-
-    let base_off = ServingConfig::sarathi_pod(model, gpu, CHUNK).with_streaming_metrics(true);
+    let FleetReplay {
+        num_requests,
+        trace,
+        base: base_off,
+    } = FleetReplay::generate();
     // The flight-recorder configuration under test: a bounded ring per
     // replica (most-recent 8192 events survive) and a timeline sample per
     // virtual minute. Capacity does not change emission cost — every event
@@ -114,17 +56,16 @@ fn main() {
         .with_capacity(8192)
         .with_timeline_interval(60.0);
     let base_on = base_off.clone().with_tracing(trace_cfg);
-    let router = RouterPolicy::LeastOutstandingTokens;
 
     // Span-fidelity spot check on a prefix, with a ring big enough that
     // nothing is overwritten: the recorded terminal events must reconstruct
     // the report's outcome counts exactly, and the traced report must be
     // bit-identical to the untraced one.
-    let prefix: Vec<_> = trace.iter().take(scaled(20_000, 50_000)).cloned().collect();
+    let prefix = FleetReplay::spot_check_prefix(&trace);
     let spot_cfg = base_off
         .clone()
         .with_tracing(TraceConfig::new().with_capacity(1 << 22));
-    let mut spot = Cluster::new(ClusterConfig::new(spot_cfg, 4, router));
+    let mut spot = FleetReplay::cluster(spot_cfg, 4);
     let spot_report = spot.run(prefix.clone());
     let recording = spot
         .flight_recording()
@@ -141,7 +82,7 @@ fn main() {
         outcomes.migrated_in,
         spot_report.aggregate.migrated_in_requests
     );
-    let mut untraced = Cluster::new(ClusterConfig::new(base_off.clone(), 4, router));
+    let mut untraced = FleetReplay::cluster(base_off.clone(), 4);
     assert_eq!(
         untraced.run(prefix),
         spot_report,
@@ -166,7 +107,7 @@ fn main() {
     // One timed replay on a fresh cluster, dropped before the next leg starts
     // so no leg runs beside another leg's replicas.
     let leg = |base: &ServingConfig| {
-        let mut cluster = Cluster::new(ClusterConfig::new(base.clone(), REPLICAS, router));
+        let mut cluster = FleetReplay::cluster(base.clone(), FleetReplay::REPLICAS);
         let start = Instant::now();
         let report = cluster.run(trace.clone());
         (
@@ -220,9 +161,9 @@ fn main() {
         (
             "trace",
             JsonValue::obj(vec![
-                ("replicas", JsonValue::Num(REPLICAS as f64)),
+                ("replicas", JsonValue::Num(FleetReplay::REPLICAS as f64)),
                 ("requests", JsonValue::Num(num_requests as f64)),
-                ("seed", JsonValue::Num(SEED as f64)),
+                ("seed", JsonValue::Num(FleetReplay::SEED as f64)),
                 ("ring_capacity", JsonValue::Num(8192.0)),
                 ("timeline_interval_secs", JsonValue::Num(60.0)),
                 ("events", JsonValue::Num(events as f64)),
@@ -247,7 +188,5 @@ fn main() {
             ]),
         ),
     ]);
-    let path = repo_root_path("BENCH_trace.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_trace.json");
-    println!("\nwrote {}", path.display());
+    write_json("BENCH_trace.json", &json);
 }

@@ -34,86 +34,26 @@
 //!
 //! Run with `cargo bench -p pod-bench --bench trace_replay`.
 
-use gpu_sim::GpuConfig;
-use llm_serving::{
-    Cluster, ClusterConfig, JsonValue, ModelConfig, RateSchedule, RateSegment, RouterPolicy,
-    ServingConfig, Workload,
-};
-use pod_bench::microbench::repo_root_path;
-use pod_bench::{heading, scaled};
+use llm_serving::JsonValue;
+use pod_bench::heading;
+use pod_bench::online::{write_json, FleetReplay};
 use std::time::Instant;
 
-const REPLICAS: usize = 16;
-const CHUNK: usize = 1024;
-const SEED: u64 = 42;
 /// Worker counts the replay runs at. Every count must give the 1-worker
 /// report bit for bit, and `perf_gate` gates each point.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Diurnal rate curve with a flash burst spliced into every step: `steps`
-/// cosine-shaped segments per `period_secs` cycle, each ending in
-/// `burst_secs` at `burst_qps` above the local base rate. The shape of a
-/// day of production traffic with periodic flash crowds.
-fn diurnal_with_bursts(
-    trough_qps: f64,
-    peak_qps: f64,
-    period_secs: f64,
-    steps: usize,
-    burst_qps: f64,
-    burst_secs: f64,
-) -> RateSchedule {
-    let step_secs = period_secs / steps as f64;
-    assert!(burst_secs < step_secs, "burst must fit inside one step");
-    let mut segments = Vec::with_capacity(2 * steps);
-    for i in 0..steps {
-        let phase = 2.0 * std::f64::consts::PI * (i as f64 + 0.5) / steps as f64;
-        let qps = trough_qps + (peak_qps - trough_qps) * 0.5 * (1.0 - phase.cos());
-        segments.push(RateSegment {
-            duration: step_secs - burst_secs,
-            qps,
-        });
-        segments.push(RateSegment {
-            duration: burst_secs,
-            qps: qps + burst_qps,
-        });
-    }
-    RateSchedule::new(segments)
-}
-
-/// Interactive chat traffic: short prompts, short answers — the request
-/// shape where fleet-scale *counts* (not per-request length) dominate host
-/// cost, which is exactly what this bench stresses.
-fn chat_workload() -> Workload {
-    Workload {
-        name: "chat-small".to_string(),
-        mean_context: 320.0,
-        context_range: (64, 2048),
-        mean_decode: 8.0,
-        min_decode: 2,
-    }
-}
-
 fn main() {
-    let model = ModelConfig::llama3_8b();
-    let gpu = GpuConfig::a100_80gb();
-    let workload = chat_workload();
-    // Trough 60 qps, peak 200 qps over a one-hour cycle, plus 10-second
-    // bursts at +80 qps — mean ~133 qps, so 2M requests span ~4.2 virtual
-    // hours (several full diurnal cycles). Peak-with-burst is ~280 qps
-    // across 16 replicas, comfortably below fleet capacity: the backlog
-    // drains every cycle instead of compounding.
-    let (trough, peak, period, steps, burst_qps, burst_secs) =
-        (60.0, 200.0, 3600.0, 12, 80.0, 10.0);
-    let schedule = diurnal_with_bursts(trough, peak, period, steps, burst_qps, burst_secs);
-    let num_requests = scaled(2_000_000, 4_000_000);
-
     heading(
         "Fleet trace replay: event-driven core, streaming metrics",
         "16 replicas, diurnal 60-200 qps + 10 s bursts at +80 qps; Llama-3-8B, chunk 1024.",
     );
 
-    println!("generating {num_requests}-request trace ...");
-    let trace = workload.generate_trace(num_requests, &schedule, SEED);
+    let FleetReplay {
+        num_requests,
+        trace,
+        base,
+    } = FleetReplay::generate();
     let virtual_span = trace.last().expect("non-empty trace").arrival;
     println!(
         "trace spans {:.2} virtual hours ({:.1} qps mean)",
@@ -121,14 +61,11 @@ fn main() {
         num_requests as f64 / virtual_span
     );
 
-    let base = ServingConfig::sarathi_pod(model, gpu, CHUNK).with_streaming_metrics(true);
-    let router = RouterPolicy::LeastOutstandingTokens;
-
     // Check 1: lockstep-oracle spot check on a prefix. The event-driven run
     // must be bit-for-bit the lockstep sweep's outcome — the heap changes
     // when host work happens, never what virtual time things happen at.
-    let prefix: Vec<_> = trace.iter().take(scaled(20_000, 50_000)).cloned().collect();
-    let mut spot = Cluster::new(ClusterConfig::new(base.clone(), 4, router));
+    let prefix = FleetReplay::spot_check_prefix(&trace);
+    let mut spot = FleetReplay::cluster(base.clone(), 4);
     let event = spot.run(prefix.clone());
     let lockstep = spot.run_lockstep(prefix);
     assert_eq!(
@@ -148,7 +85,7 @@ fn main() {
     let mut runs = Vec::with_capacity(WORKER_COUNTS.len());
     let mut peak_samples = 0;
     for workers in WORKER_COUNTS {
-        let mut cluster = Cluster::new(ClusterConfig::new(base.clone(), REPLICAS, router));
+        let mut cluster = FleetReplay::cluster(base.clone(), FleetReplay::REPLICAS);
         cluster.set_advance_workers(workers);
         let specs = trace.clone();
         let start = Instant::now();
@@ -238,24 +175,11 @@ fn main() {
     );
 
     let json = JsonValue::obj(vec![
-        (
-            "workload",
-            JsonValue::obj(vec![
-                ("trace", JsonValue::str("chat-small/diurnal+bursts")),
-                ("trough_qps", JsonValue::Num(trough)),
-                ("peak_qps", JsonValue::Num(peak)),
-                ("period_secs", JsonValue::Num(period)),
-                ("steps", JsonValue::Num(steps as f64)),
-                ("burst_qps", JsonValue::Num(burst_qps)),
-                ("burst_secs", JsonValue::Num(burst_secs)),
-                ("num_requests", JsonValue::Num(num_requests as f64)),
-                ("seed", JsonValue::Num(SEED as f64)),
-            ]),
-        ),
+        ("workload", FleetReplay::workload_json(num_requests)),
         (
             "fleet",
             JsonValue::obj(vec![
-                ("replicas", JsonValue::Num(REPLICAS as f64)),
+                ("replicas", JsonValue::Num(FleetReplay::REPLICAS as f64)),
                 ("requests", JsonValue::Num(num_requests as f64)),
                 (
                     "virtual_span_secs",
@@ -278,7 +202,5 @@ fn main() {
             JsonValue::obj(vec![("scaling", JsonValue::Obj(scaling))]),
         ),
     ]);
-    let path = repo_root_path("BENCH_fleet.json");
-    std::fs::write(&path, json.to_string_pretty()).expect("write BENCH_fleet.json");
-    println!("\nwrote {}", path.display());
+    write_json("BENCH_fleet.json", &json);
 }

@@ -1,8 +1,9 @@
 //! # pod-bench: harnesses that regenerate the paper's tables and figures
 //!
 //! Every table and figure in the evaluation of *POD-Attention* (ASPLOS 2025)
-//! has a corresponding bench target in this crate (see `DESIGN.md` for the
-//! experiment index). The targets are registered with `harness = false`, so
+//! has a corresponding bench target in this crate (the experiment index is
+//! the "Bench → paper-figure index" section of `docs/ARCHITECTURE.md`). The
+//! targets are registered with `harness = false`, so
 //! `cargo bench --workspace` runs them all and prints the same rows/series
 //! the paper reports; each can also be run individually, e.g.
 //!

@@ -69,8 +69,13 @@ fn median_secs_per_iter(slices: &[(u64, Duration)]) -> f64 {
         .iter()
         .map(|(iters, elapsed)| elapsed.as_secs_f64() / (*iters).max(1) as f64)
         .collect();
-    per_iter.sort_by(f64::total_cmp);
-    per_iter[per_iter.len() / 2]
+    median(&mut per_iter)
+}
+
+/// Median of `xs` (sorted in place; the upper middle for an even count).
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Time `f`, discarding a warmup phase, in [`SLICES`] timed slices that each

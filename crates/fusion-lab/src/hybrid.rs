@@ -37,13 +37,21 @@ pub struct HybridAttentionRunner {
 }
 
 impl HybridAttentionRunner {
-    /// Create a runner for a model/device pair.
+    /// Create a runner for a model/device pair, with POD-Attention at the
+    /// paper's recommended options.
     pub fn new(cfg: AttentionConfig, gpu: GpuConfig) -> Self {
+        HybridAttentionRunner::with_pod(PodAttention::new(cfg, gpu))
+    }
+
+    /// Create a runner whose [`AttentionStrategy::Pod`] is `pod` (e.g. built
+    /// with non-default [`pod_attention::PodOptions`]), on `pod`'s model and
+    /// device.
+    pub fn with_pod(pod: PodAttention) -> Self {
         HybridAttentionRunner {
-            cfg,
-            gpu: gpu.clone(),
-            engine: Engine::new(gpu.clone()),
-            pod: PodAttention::new(cfg, gpu),
+            cfg: *pod.config(),
+            gpu: pod.gpu().clone(),
+            engine: Engine::new(pod.gpu().clone()),
+            pod,
         }
     }
 
@@ -180,9 +188,121 @@ impl HybridAttentionRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use attn_kernels::SplitPolicy;
+    use pod_attention::{PodOptions, SchedulingPolicy};
 
     fn runner() -> HybridAttentionRunner {
         HybridAttentionRunner::new(AttentionConfig::llama3_8b(), GpuConfig::a100_80gb())
+    }
+
+    /// POD's attention time for `cfg` on the A100 under `options`.
+    fn pod_time(cfg: AttentionConfig, options: PodOptions, batch: &HybridBatch) -> f64 {
+        let pod = PodAttention::with_options(cfg, GpuConfig::a100_80gb(), options);
+        HybridAttentionRunner::with_pod(pod)
+            .time(batch, AttentionStrategy::Pod)
+            .unwrap()
+    }
+
+    #[test]
+    fn pod_beats_serial_on_table1_configs() {
+        let r = runner();
+        for (name, batch) in [
+            ("C0", HybridBatch::config_c0()),
+            ("C1", HybridBatch::config_c1()),
+            ("C2", HybridBatch::config_c2()),
+        ] {
+            let speedup = r
+                .speedup_over_fa_serial(&batch, AttentionStrategy::Pod)
+                .unwrap();
+            assert!(
+                speedup > 1.1,
+                "{name}: expected a clear win, got speedup {speedup:.3}"
+            );
+            assert!(
+                speedup < 2.5,
+                "{name}: speedup {speedup:.3} is implausibly large"
+            );
+        }
+    }
+
+    #[test]
+    fn pod_never_loses_to_serial() {
+        let r = runner();
+        let batches = [
+            HybridBatch::uniform(512, 4096, 16, 4096),
+            HybridBatch::uniform(2048, 16 * 1024, 8, 2048),
+            HybridBatch::uniform(1024, 20 * 1024, 200, 16 * 1024),
+            HybridBatch::uniform(256, 1024, 4, 1024),
+        ];
+        for (i, batch) in batches.iter().enumerate() {
+            let speedup = r
+                .speedup_over_fa_serial(batch, AttentionStrategy::Pod)
+                .unwrap();
+            assert!(
+                speedup > 0.97,
+                "batch {i}: POD slower than serial (speedup {speedup:.3})"
+            );
+        }
+    }
+
+    /// Degenerate batches gain nothing but must not lose much either (only
+    /// the second launch overhead is saved).
+    #[test]
+    fn degenerate_batches_gain_little_over_serial() {
+        let s = runner()
+            .speedup_over_fa_serial(
+                &HybridBatch::prefill_only(2048, 2048),
+                AttentionStrategy::Pod,
+            )
+            .unwrap();
+        assert!(s > 0.9 && s < 1.3, "speedup {s}");
+    }
+
+    #[test]
+    fn pod_time_is_bounded_below_by_the_oracle() {
+        let r = runner();
+        for batch in [
+            HybridBatch::config_c0(),
+            HybridBatch::uniform(1024, 8 * 1024, 64, 8 * 1024),
+        ] {
+            let t = r.time(&batch, AttentionStrategy::Pod).unwrap();
+            let oracle = r.pod().oracle_time(&batch);
+            assert!(t >= oracle * 0.98, "pod {t} below oracle {oracle}");
+        }
+    }
+
+    #[test]
+    fn policies_produce_similar_but_not_identical_times() {
+        let cfg = AttentionConfig::yi_6b();
+        let batch = HybridBatch::uniform(2048, 8 * 1024, 128, 8 * 1024);
+        let with = |policy| pod_time(cfg, PodOptions::recommended().with_policy(policy), &batch);
+        let fifty = with(SchedulingPolicy::FiftyFifty);
+        let prop = with(SchedulingPolicy::Proportional);
+        let ratio = fifty / prop;
+        assert!(
+            (0.7..1.4).contains(&ratio),
+            "50:50 {fifty} vs proportional {prop}"
+        );
+    }
+
+    #[test]
+    fn limited_splits_beat_vanilla_splits_for_small_chunks() {
+        let cfg = AttentionConfig::llama3_8b();
+        // Last chunk of a 16K prompt with 64 decodes (the Table 8 setup).
+        let batch = HybridBatch::uniform(512, 16 * 1024, 64, 16 * 1024);
+        let with = |splits| {
+            pod_time(
+                cfg,
+                PodOptions::recommended().with_prefill_splits(splits),
+                &batch,
+            )
+        };
+        let limited = with(SplitPolicy::LimitedToTwoWaves);
+        let vanilla = with(SplitPolicy::Vanilla);
+        assert!(
+            limited <= vanilla * 1.02,
+            "limited splits {limited} should not be slower than vanilla {vanilla}"
+        );
     }
 
     #[test]

@@ -16,31 +16,21 @@ pub enum CtasPerSm {
     Two,
     /// Four fused CTAs per SM, prefill tile (64, 32).
     Four,
-    /// Pick automatically per batch based on its prefill/decode balance
-    /// (the behaviour the paper describes: "POD-Attention automatically picks
-    /// the most suitable configuration at runtime").
-    Auto,
 }
 
 impl CtasPerSm {
-    /// The concrete per-SM CTA limit for a resolved (non-`Auto`) mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on [`CtasPerSm::Auto`]; resolve it first with
-    /// [`PodOptions::resolve_ctas_per_sm`].
+    /// The per-SM CTA limit of this mode.
     pub fn limit(self) -> usize {
         match self {
             CtasPerSm::Two => 2,
             CtasPerSm::Four => 4,
-            CtasPerSm::Auto => panic!("CtasPerSm::Auto must be resolved before use"),
         }
     }
 
     /// Prefill tile used in this mode.
     pub fn prefill_tile(self) -> TileShape {
         match self {
-            CtasPerSm::Two | CtasPerSm::Auto => TileShape::pod_prefill_2cta(),
+            CtasPerSm::Two => TileShape::pod_prefill_2cta(),
             CtasPerSm::Four => TileShape::pod_prefill_4cta(),
         }
     }
@@ -50,7 +40,7 @@ impl CtasPerSm {
     /// share the slot's shared memory; with small slots only two fit.
     pub fn virtual_decode_factor(self) -> usize {
         match self {
-            CtasPerSm::Two | CtasPerSm::Auto => 4,
+            CtasPerSm::Two => 4,
             CtasPerSm::Four => 2,
         }
     }
@@ -61,7 +51,6 @@ impl std::fmt::Display for CtasPerSm {
         match self {
             CtasPerSm::Two => f.write_str("2 CTAs/SM"),
             CtasPerSm::Four => f.write_str("4 CTAs/SM"),
-            CtasPerSm::Auto => f.write_str("auto"),
         }
     }
 }
@@ -71,8 +60,11 @@ impl std::fmt::Display for CtasPerSm {
 pub struct PodOptions {
     /// SM-local operation binding policy.
     pub policy: SchedulingPolicy,
-    /// Concurrent CTAs per SM.
-    pub ctas_per_sm: CtasPerSm,
+    /// Concurrent CTAs per SM; `None` picks per batch from its
+    /// prefill/decode balance (the behaviour the paper describes:
+    /// "POD-Attention automatically picks the most suitable configuration at
+    /// runtime").
+    pub ctas_per_sm: Option<CtasPerSm>,
     /// KV-split policy for the chunked prefill inside the fused kernel.
     pub prefill_splits: SplitPolicy,
 }
@@ -84,7 +76,7 @@ impl PodOptions {
     pub fn recommended() -> Self {
         PodOptions {
             policy: SchedulingPolicy::Proportional,
-            ctas_per_sm: CtasPerSm::Auto,
+            ctas_per_sm: None,
             prefill_splits: SplitPolicy::LimitedToTwoWaves,
         }
     }
@@ -97,7 +89,7 @@ impl PodOptions {
 
     /// Use a specific CTAs-per-SM mode.
     pub fn with_ctas_per_sm(mut self, mode: CtasPerSm) -> Self {
-        self.ctas_per_sm = mode;
+        self.ctas_per_sm = Some(mode);
         self
     }
 
@@ -108,23 +100,18 @@ impl PodOptions {
         self
     }
 
-    /// Resolve [`CtasPerSm::Auto`] for a specific hybrid batch: prefill-heavy
-    /// batches get 2 CTAs/SM (bigger tiles), decode-heavy batches get 4.
+    /// The CTAs-per-SM mode for a specific hybrid batch: the fixed mode if
+    /// one is set, else 2 CTAs/SM (bigger tiles) for prefill-heavy batches
+    /// and 4 for decode-heavy ones.
     ///
     /// The balance test compares the chunk's compute demand against the
     /// decode batch's memory demand, which is how the paper characterizes the
     /// crossover in Figure 13.
     pub fn resolve_ctas_per_sm(&self, prefill_ctas: usize, decode_ctas: usize) -> CtasPerSm {
         match self.ctas_per_sm {
-            CtasPerSm::Two => CtasPerSm::Two,
-            CtasPerSm::Four => CtasPerSm::Four,
-            CtasPerSm::Auto => {
-                if prefill_ctas >= decode_ctas {
-                    CtasPerSm::Two
-                } else {
-                    CtasPerSm::Four
-                }
-            }
+            Some(mode) => mode,
+            None if prefill_ctas >= decode_ctas => CtasPerSm::Two,
+            None => CtasPerSm::Four,
         }
     }
 
@@ -166,12 +153,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "resolved")]
-    fn auto_limit_panics() {
-        let _ = CtasPerSm::Auto.limit();
-    }
-
-    #[test]
     fn four_cta_mode_uses_smaller_tiles() {
         let cfg = AttentionConfig::llama3_8b();
         let two = CtasPerSm::Two.prefill_tile().shared_mem_bytes(&cfg);
@@ -197,13 +178,13 @@ mod tests {
     fn recommended_options_match_paper() {
         let o = PodOptions::recommended();
         assert_eq!(o.policy, SchedulingPolicy::Proportional);
-        assert_eq!(o.ctas_per_sm, CtasPerSm::Auto);
+        assert_eq!(o.ctas_per_sm, None);
         assert_eq!(o.prefill_splits, SplitPolicy::LimitedToTwoWaves);
     }
 
     #[test]
     fn display_labels() {
         assert_eq!(CtasPerSm::Two.to_string(), "2 CTAs/SM");
-        assert_eq!(CtasPerSm::Auto.to_string(), "auto");
+        assert_eq!(CtasPerSm::Four.to_string(), "4 CTAs/SM");
     }
 }

@@ -3,14 +3,15 @@
 use crate::config::{CtasPerSm, PodOptions};
 use crate::oracle::oracle_time;
 use crate::scheduler::SmAwareScheduler;
-use attn_kernels::{
-    AttentionConfig, DecodeKernel, HybridBatch, PrefillKernel, KERNEL_LAUNCH_OVERHEAD,
-};
+use attn_kernels::{AttentionConfig, HybridBatch, PrefillKernel};
 use gpu_sim::{Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, SimError, UnitRuns};
 
 /// POD-Attention: computes the prefill and decode attention of a hybrid batch
 /// in a single fused kernel whose CTAs bind to an operation at runtime, after
 /// the hardware scheduler has placed them on an SM.
+///
+/// `fusion_lab::HybridAttentionRunner::with_pod` times a `PodAttention`
+/// against the FA_Serial baseline and the other fusion methods.
 ///
 /// # Examples
 ///
@@ -21,8 +22,10 @@ use gpu_sim::{Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, SimEr
 ///
 /// let pod = PodAttention::new(AttentionConfig::llama3_8b(), GpuConfig::a100_80gb());
 /// let batch = HybridBatch::uniform(1024, 8 * 1024, 64, 8 * 1024);
-/// let speedup = pod.speedup_over_serial(&batch)?;
-/// assert!(speedup >= 1.0);
+/// let plan = pod.plan(&batch);
+/// assert!(plan.prefill_ctas > 0 && plan.decode_slots > 0);
+/// let report = pod.execute(&batch)?;
+/// assert_eq!(report.total_ctas, plan.prefill_ctas + plan.decode_slots);
 /// # Ok::<(), gpu_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -234,60 +237,6 @@ impl PodAttention {
         Engine::new(self.gpu.clone()).run_kernel(self.build_launch(batch))
     }
 
-    /// Execute the FlashAttention serial baseline (prefill kernel followed by
-    /// decode kernel) for the same batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if either kernel cannot be scheduled.
-    pub fn serial_baseline(&self, batch: &HybridBatch) -> Result<ExecutionReport, SimError> {
-        Engine::new(self.gpu.clone()).run_serial(batch.two_kernel_launches(
-            (
-                PrefillKernel::flash_attention(),
-                DecodeKernel::flash_attention(),
-            ),
-            ("fa2_prefill", "fa_decode"),
-            &self.cfg,
-            &self.gpu,
-        ))
-    }
-
-    /// Attention runtime of the fused kernel (seconds), including the launch
-    /// overhead of the single fused kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if the launch cannot be scheduled.
-    pub fn attention_time(&self, batch: &HybridBatch) -> Result<f64, SimError> {
-        Ok(self.execute(batch)?.makespan + KERNEL_LAUNCH_OVERHEAD)
-    }
-
-    /// Serial-baseline attention runtime (seconds), including one launch
-    /// overhead per kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if either kernel cannot be scheduled.
-    pub fn serial_time(&self, batch: &HybridBatch) -> Result<f64, SimError> {
-        let kernels = batch.has_prefill() as usize + batch.has_decode() as usize;
-        Ok(self.serial_baseline(batch)?.makespan + kernels as f64 * KERNEL_LAUNCH_OVERHEAD)
-    }
-
-    /// Speedup of POD-Attention over the FlashAttention serial baseline
-    /// (`serial_time / pod_time`; 1.0 means no gain).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if either execution cannot be scheduled.
-    pub fn speedup_over_serial(&self, batch: &HybridBatch) -> Result<f64, SimError> {
-        let serial = self.serial_time(batch)?;
-        let pod = self.attention_time(batch)?;
-        if pod <= 0.0 {
-            return Ok(1.0);
-        }
-        Ok(serial / pod)
-    }
-
     /// Perfect-overlap lower bound on this batch's attention time (seconds).
     pub fn oracle_time(&self, batch: &HybridBatch) -> f64 {
         oracle_time(batch, &self.cfg, &self.gpu)
@@ -297,8 +246,6 @@ impl PodAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::SchedulingPolicy;
-    use attn_kernels::SplitPolicy;
     use gpu_sim::{CtaDispatcher, WorkUnit};
 
     fn pod() -> PodAttention {
@@ -334,46 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn pod_beats_serial_on_table1_configs() {
-        let pod = pod();
-        for (name, batch) in [
-            ("C0", HybridBatch::config_c0()),
-            ("C1", HybridBatch::config_c1()),
-            ("C2", HybridBatch::config_c2()),
-        ] {
-            let speedup = pod.speedup_over_serial(&batch).unwrap();
-            assert!(
-                speedup > 1.1,
-                "{name}: expected a clear win, got speedup {speedup:.3}"
-            );
-            assert!(
-                speedup < 2.5,
-                "{name}: speedup {speedup:.3} is implausibly large"
-            );
-        }
-    }
-
-    #[test]
-    fn pod_never_loses_to_serial() {
-        let pod = pod();
-        let batches = [
-            HybridBatch::uniform(512, 4096, 16, 4096),
-            HybridBatch::uniform(2048, 16 * 1024, 8, 2048),
-            HybridBatch::uniform(1024, 20 * 1024, 200, 16 * 1024),
-            HybridBatch::uniform(256, 1024, 4, 1024),
-        ];
-        for (i, batch) in batches.iter().enumerate() {
-            let speedup = pod.speedup_over_serial(batch).unwrap();
-            assert!(
-                speedup > 0.97,
-                "batch {i}: POD slower than serial (speedup {speedup:.3})"
-            );
-        }
-    }
-
-    /// An empty chunk after earlier chunks has no prefill grid, so planning
-    /// it must not ask the split heuristic to divide by its zero CTAs.
-    #[test]
     fn empty_chunk_with_prior_context_plans_no_prefill_ctas() {
         let mut batch = HybridBatch::decode_only(4, 1000);
         batch.prefill = Some(attn_kernels::PrefillChunk::new(0, 100));
@@ -399,19 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn pod_time_is_bounded_below_by_the_oracle() {
-        let pod = pod();
-        for batch in [
-            HybridBatch::config_c0(),
-            HybridBatch::uniform(1024, 8 * 1024, 64, 8 * 1024),
-        ] {
-            let t = pod.attention_time(&batch).unwrap();
-            let oracle = pod.oracle_time(&batch);
-            assert!(t >= oracle * 0.98, "pod {t} below oracle {oracle}");
-        }
-    }
-
-    #[test]
     fn plan_reports_consistent_counts() {
         let pod = pod();
         let batch = HybridBatch::uniform(1024, 8 * 1024, 64, 8 * 1024);
@@ -433,10 +327,6 @@ mod tests {
         let decode_only = HybridBatch::decode_only(32, 4096);
         assert!(pod.execute(&prefill_only).unwrap().makespan > 0.0);
         assert!(pod.execute(&decode_only).unwrap().makespan > 0.0);
-        // Degenerate batches gain nothing but must not lose much either
-        // (only the second launch overhead is saved).
-        let s = pod.speedup_over_serial(&prefill_only).unwrap();
-        assert!(s > 0.9 && s < 1.3, "speedup {s}");
     }
 
     #[test]
@@ -462,58 +352,6 @@ mod tests {
             let launch = pod.build_launch(&batch);
             assert_eq!(launch.max_ctas_per_sm, Some(limit));
         }
-    }
-
-    #[test]
-    fn policies_produce_similar_but_not_identical_times() {
-        let cfg = AttentionConfig::yi_6b();
-        let gpu = GpuConfig::a100_80gb();
-        let batch = HybridBatch::uniform(2048, 8 * 1024, 128, 8 * 1024);
-        let fifty = PodAttention::with_options(
-            cfg,
-            gpu.clone(),
-            PodOptions::recommended().with_policy(SchedulingPolicy::FiftyFifty),
-        )
-        .attention_time(&batch)
-        .unwrap();
-        let prop = PodAttention::with_options(
-            cfg,
-            gpu.clone(),
-            PodOptions::recommended().with_policy(SchedulingPolicy::Proportional),
-        )
-        .attention_time(&batch)
-        .unwrap();
-        let ratio = fifty / prop;
-        assert!(
-            (0.7..1.4).contains(&ratio),
-            "50:50 {fifty} vs proportional {prop}"
-        );
-    }
-
-    #[test]
-    fn limited_splits_beat_vanilla_splits_for_small_chunks() {
-        let cfg = AttentionConfig::llama3_8b();
-        let gpu = GpuConfig::a100_80gb();
-        // Last chunk of a 16K prompt with 64 decodes (the Table 8 setup).
-        let batch = HybridBatch::uniform(512, 16 * 1024, 64, 16 * 1024);
-        let limited = PodAttention::with_options(
-            cfg,
-            gpu.clone(),
-            PodOptions::recommended().with_prefill_splits(SplitPolicy::LimitedToTwoWaves),
-        )
-        .attention_time(&batch)
-        .unwrap();
-        let vanilla = PodAttention::with_options(
-            cfg,
-            gpu.clone(),
-            PodOptions::recommended().with_prefill_splits(SplitPolicy::Vanilla),
-        )
-        .attention_time(&batch)
-        .unwrap();
-        assert!(
-            limited <= vanilla * 1.02,
-            "limited splits {limited} should not be slower than vanilla {vanilla}"
-        );
     }
 
     /// The fused grid as it was built before unit runs: one CTA per prefill

@@ -21,7 +21,8 @@
 //!   from co-located prefill.
 //! * **Virtual decode CTAs** (§4.2.3): several warp-sized decode work items
 //!   share one fused CTA slot so decode does not over-allocate shared memory.
-//! * **2 vs 4 CTAs per SM** ([`CtasPerSm`], §4.2.2) with automatic selection.
+//! * **2 vs 4 CTAs per SM** ([`CtasPerSm`], §4.2.2), chosen per batch unless
+//!   [`PodOptions::ctas_per_sm`] fixes one.
 //! * **Limited prefill splits** (§4.2.4): chunked-prefill KV splits are capped
 //!   at two waves so the extra traffic does not starve co-running decodes.
 //!
@@ -36,11 +37,14 @@
 //! // A hybrid batch: a 1K-token prefill chunk (12K context) + 80 decodes.
 //! let batch = HybridBatch::config_c0();
 //! let report = pod.execute(&batch)?;
-//! let serial = pod.serial_baseline(&batch)?;
-//! println!("POD {:.3} ms vs serial {:.3} ms",
-//!          report.makespan * 1e3, serial.makespan * 1e3);
+//! println!("POD {:.3} ms vs the perfect-overlap bound {:.3} ms",
+//!          report.makespan * 1e3, pod.oracle_time(&batch) * 1e3);
 //! # Ok::<(), gpu_sim::SimError>(())
 //! ```
+//!
+//! Timing POD against the FA_Serial baseline (and the other fusion methods)
+//! goes through `fusion_lab::HybridAttentionRunner`, whose `with_pod` takes
+//! a `PodAttention` built with non-default [`PodOptions`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

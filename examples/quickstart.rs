@@ -7,9 +7,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use attn_kernels::{AttentionConfig, HybridBatch};
+use attn_kernels::{AttentionConfig, AttentionStrategy, HybridBatch};
+use fusion_lab::HybridAttentionRunner;
 use gpu_sim::{GpuConfig, SimError};
-use pod_attention::PodAttention;
 
 fn main() -> Result<(), SimError> {
     // The paper's main configuration: Llama-3-8B served with tensor
@@ -22,15 +22,15 @@ fn main() -> Result<(), SimError> {
     // (configuration C0 from Table 1 of the paper).
     let batch = HybridBatch::config_c0();
 
-    let pod = PodAttention::new(cfg, gpu);
-    let plan = pod.plan(&batch);
+    let runner = HybridAttentionRunner::new(cfg, gpu);
+    let plan = runner.pod().plan(&batch);
     println!(
         "fused launch: {} prefill CTAs + {} decode slots ({}), ratio {}:{}",
         plan.prefill_ctas, plan.decode_slots, plan.ctas_per_sm, plan.ratio.0, plan.ratio.1
     );
 
-    let fused = pod.execute(&batch)?;
-    let serial = pod.serial_baseline(&batch)?;
+    let fused = runner.execute(&batch, AttentionStrategy::Pod)?;
+    let serial = runner.execute(&batch, AttentionStrategy::FaSerial)?;
 
     println!();
     println!(
@@ -43,7 +43,7 @@ fn main() -> Result<(), SimError> {
     );
     println!(
         "speedup                       : {:.2}x",
-        pod.speedup_over_serial(&batch)?
+        runner.speedup_over_fa_serial(&batch, AttentionStrategy::Pod)?
     );
     println!();
     println!(

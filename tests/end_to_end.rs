@@ -64,14 +64,16 @@ fn strategy_ranking_on_a_balanced_long_context_batch() {
 fn analytic_estimator_tracks_the_cta_level_simulation() {
     let cfg = AttentionConfig::llama3_8b();
     let gpu = GpuConfig::a100_80gb();
-    let pod = PodAttention::new(cfg, gpu.clone());
+    let runner = HybridAttentionRunner::new(cfg, gpu.clone());
     let est = attn_kernels::AttentionEstimator::new(cfg, gpu);
     for batch in [
         HybridBatch::config_c0(),
         HybridBatch::uniform(1024, 8 * 1024, 64, 8 * 1024),
         HybridBatch::uniform(512, 16 * 1024, 128, 16 * 1024),
     ] {
-        let sim_speedup = pod.speedup_over_serial(&batch).expect("sim runs");
+        let sim_speedup = runner
+            .speedup_over_fa_serial(&batch, AttentionStrategy::Pod)
+            .expect("sim runs");
         let serial = est.estimate(&batch, AttentionStrategy::FaSerial).total_time;
         let fused = est.estimate(&batch, AttentionStrategy::Pod).total_time;
         let analytic_speedup = serial / fused;

@@ -9,7 +9,8 @@
 //! deliberate model change re-records it (a mismatch prints the new digest).
 
 use attn_kernels::{
-    AnalyticCost, AttentionConfig, AttentionEstimator, AttentionStrategy, HybridBatch,
+    AnalyticCost, AttentionConfig, AttentionEstimator, AttentionStrategy, DecodeRequest,
+    HybridBatch,
 };
 use gpu_sim::GpuConfig;
 
@@ -51,11 +52,15 @@ fn fig11_grid() -> Vec<HybridBatch> {
 fn extra_cases() -> Vec<HybridBatch> {
     let mut heterogeneous = HybridBatch::uniform(1024, 9 * 1024, 0, 0);
     for i in 0..70 {
-        heterogeneous.push_decode(4 * 1024 + 137 * i);
+        heterogeneous
+            .decodes
+            .push(DecodeRequest::new(4 * 1024 + 137 * i));
     }
     let mut decode_only_mixed = HybridBatch::new();
     for i in 0..41 {
-        decode_only_mixed.push_decode(1000 + 311 * i);
+        decode_only_mixed
+            .decodes
+            .push(DecodeRequest::new(1000 + 311 * i));
     }
     vec![
         HybridBatch::prefill_only(2048, 8192),
@@ -64,14 +69,31 @@ fn extra_cases() -> Vec<HybridBatch> {
         HybridBatch::decode_only(217, 2085),
         decode_only_mixed.clone(),
         heterogeneous.clone(),
-        HybridBatch::uniform(1024, 12 * 1024, 80, 12 * 1024).with_kv_dedup(39 * 4096),
-        heterogeneous.clone().with_kv_dedup(24 * 1024),
-        decode_only_mixed.with_kv_dedup(10_000),
-        HybridBatch::uniform(1024, 12 * 1024, 220, 12 * 1024).with_spec_verify(220 * 3),
-        HybridBatch::uniform(512, 5000, 33, 7777).with_spec_verify(33 * 5),
-        heterogeneous
-            .with_kv_dedup(16 * 1024)
-            .with_spec_verify(70 * 2),
+        HybridBatch {
+            kv_dedup_tokens: 39 * 4096,
+            ..HybridBatch::uniform(1024, 12 * 1024, 80, 12 * 1024)
+        },
+        HybridBatch {
+            kv_dedup_tokens: 24 * 1024,
+            ..heterogeneous.clone()
+        },
+        HybridBatch {
+            kv_dedup_tokens: 10_000,
+            ..decode_only_mixed
+        },
+        HybridBatch {
+            spec_verify_tokens: 220 * 3,
+            ..HybridBatch::uniform(1024, 12 * 1024, 220, 12 * 1024)
+        },
+        HybridBatch {
+            spec_verify_tokens: 33 * 5,
+            ..HybridBatch::uniform(512, 5000, 33, 7777)
+        },
+        HybridBatch {
+            kv_dedup_tokens: 16 * 1024,
+            spec_verify_tokens: 70 * 2,
+            ..heterogeneous
+        },
     ]
 }
 

@@ -10,6 +10,7 @@ use attn_kernels::{
     AttentionConfig, AttentionEstimator, AttentionStrategy, DecodeKernel, HybridBatch,
     PrefillChunk, PrefillKernel,
 };
+use fusion_lab::HybridAttentionRunner;
 use gpu_sim::CtaDispatcher;
 use gpu_sim::{CtaWork, Engine, Footprint, GpuConfig, KernelLaunch, OpClass, UnitRuns, WorkUnit};
 use llm_serving::{
@@ -17,7 +18,7 @@ use llm_serving::{
     DraftModelConfig, ModelConfig, Phase, PromptContent, RequestSpec, ServingConfig, ServingEngine,
     SloSpec, SplitMix64, SummaryStats, Workload,
 };
-use pod_attention::{PodAttention, SchedulingPolicy, SmAwareScheduler};
+use pod_attention::{SchedulingPolicy, SmAwareScheduler};
 
 /// Number of random cases per property (kept close to the old
 /// `ProptestConfig::with_cases(24)` budget).
@@ -194,14 +195,18 @@ fn pod_bounded_by_serial_and_oracle() {
     for case in 0..CASES {
         let cfg = arb_config(&mut rng);
         let batch = arb_batch(&mut rng);
-        let pod = PodAttention::new(cfg, gpu.clone());
-        let speedup = pod.speedup_over_serial(&batch).expect("POD runs");
+        let runner = HybridAttentionRunner::new(cfg, gpu.clone());
+        let speedup = runner
+            .speedup_over_fa_serial(&batch, AttentionStrategy::Pod)
+            .expect("POD runs");
         assert!(
             speedup >= 0.75,
             "case {case} ({batch:?}): POD slower than serial: {speedup}"
         );
-        let t = pod.attention_time(&batch).expect("POD runs");
-        let oracle = pod.oracle_time(&batch);
+        let t = runner
+            .time(&batch, AttentionStrategy::Pod)
+            .expect("POD runs");
+        let oracle = runner.pod().oracle_time(&batch);
         assert!(
             t >= oracle * 0.98,
             "case {case}: POD {t} beat the oracle {oracle}"
