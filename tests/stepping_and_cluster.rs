@@ -8,10 +8,10 @@
 
 use gpu_sim::GpuConfig;
 use llm_serving::{
-    offline_long_context, AutoscalerConfig, Cluster, ClusterConfig, ClusterReport, FairQueueConfig,
-    FlightRecording, IterationOutcome, KvMigration, ModelConfig, Priority, RateSchedule,
-    ReplicaRole, RequestSpec, RouterPolicy, ServingConfig, ServingEngine, ServingReport,
-    SharedPrefixWorkload, TenantId, TenantMix, TraceConfig, Workload,
+    offline_long_context, AdmissionPolicy, AutoscalerConfig, Cluster, ClusterConfig, ClusterReport,
+    FairQueueConfig, FlightRecording, IterationOutcome, KvMigration, ModelConfig, Priority,
+    RateSchedule, ReplicaRole, RequestSpec, RouterPolicy, ServingConfig, ServingEngine,
+    ServingReport, SharedPrefixWorkload, SloMix, TenantId, TenantMix, TraceConfig, Workload,
 };
 use llm_serving::{AcceptanceModel, DraftModelConfig};
 use std::collections::BTreeMap;
@@ -174,8 +174,8 @@ fn disaggregated_case(base: ServingConfig, specs: Vec<RequestSpec>) -> Golden {
 /// engine bit-for-bit on an online Sarathi+POD workload, and every KV
 /// residency path — paged growth and preemption, prefix caching with
 /// eviction, speculative rollback, disaggregated export and adoption under
-/// each policy, and priority preemption — keeps its pinned outputs and
-/// trace-event counts. One case prices every iteration exactly
+/// each policy, priority preemption, and deadline shedding under both
+/// schedulers — keeps its pinned outputs and trace-event counts. One case prices every iteration exactly
 /// (`price_cache` off) with dedup and speculative verify live. Two fleet
 /// cases pin the cluster loop itself: an
 /// autoscaled fleet that grows and shrinks, and a mixed fleet whose
@@ -341,6 +341,27 @@ fn run_reproduces_pre_stepping_reports_bit_for_bit() {
         engine_case(weighted, noisy),
         WEIGHTED_FAIR_CONSERVATIVE,
     ));
+
+    // Deadline shedding on an SLO-carrying bursty trace, under both
+    // schedulers, on a pool small enough that admission also defers: a shed
+    // frees the prefill slot for the next queue front in the same
+    // iteration, so the Shed/Defer/Admit counts pin that retry.
+    let slo_burst = SloMix::interactive_batch().apply(
+        Workload::internal().generate_trace(72, &RateSchedule::bursty(1.0, 8.0, 20.0, 10.0), 61),
+        61,
+    );
+    let mut shed_pod = ServingConfig::sarathi_pod(llama3(), gpu(), 1024)
+        .with_admission(AdmissionPolicy::DeadlineShed);
+    shed_pod.kv_capacity_tokens = Some(60_000);
+    cases.push((
+        "sarathi_pod_shed",
+        engine_case(shed_pod, slo_burst.clone()),
+        SARATHI_POD_SHED,
+    ));
+    let mut shed_vllm =
+        ServingConfig::vllm(llama3(), gpu()).with_admission(AdmissionPolicy::DeadlineShed);
+    shed_vllm.kv_capacity_tokens = Some(60_000);
+    cases.push(("vllm_shed", engine_case(shed_vllm, slo_burst), VLLM_SHED));
 
     // An autoscaled colocated fleet: a burst scales it out from one
     // replica, the calm tail drains replicas back in.
@@ -529,6 +550,66 @@ const SARATHI_POD_ONLINE: Golden = Golden {
     migrated_tokens: 0,
     migration_stall: 0,
     trace: "",
+};
+
+const SARATHI_POD_SHED: Golden = Golden {
+    makespan: 4632829712616072722,
+    completed: 38,
+    iterations: 4718,
+    hybrid: 430,
+    ttft_p50: 4612889882368337556,
+    ttft_p99: 4626753481605889316,
+    tbt_p50: 4575559097553666048,
+    tbt_max: 4589692904292057856,
+    lat_p50: 4621128525291042789,
+    stall200: 0,
+    hits: 4212,
+    misses: 506,
+    prefill_tokens: 455709,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=38 defer=2017 enqueue=72 finish=38 iteration=4718 shed=34 timeline=54",
+};
+
+const VLLM_SHED: Golden = Golden {
+    makespan: 4632903345939021457,
+    completed: 38,
+    iterations: 4497,
+    hybrid: 0,
+    ttft_p50: 4613126477303315444,
+    ttft_p99: 4627161792600977163,
+    tbt_p50: 4575559097553666048,
+    tbt_max: 4608828177212957584,
+    lat_p50: 4621606474067332501,
+    stall200: 4604812103206664515,
+    hits: 4391,
+    misses: 106,
+    prefill_tokens: 455709,
+    preemptions: 0,
+    inflicted: 0,
+    blocks_evicted: 0,
+    cached_prefix_tokens: 0,
+    blocks_reused: 0,
+    cow_copies: 0,
+    deduped: 0,
+    spec_rounds: 0,
+    draft_rejected: 0,
+    migrated_out: 0,
+    migrated_in: 0,
+    migrated_tokens: 0,
+    migration_stall: 0,
+    trace: "admit=38 defer=2285 enqueue=72 finish=38 iteration=4497 shed=34 timeline=53",
 };
 
 const SARATHI_OFFLINE: Golden = Golden {
