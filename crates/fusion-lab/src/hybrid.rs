@@ -115,6 +115,7 @@ impl HybridAttentionRunner {
     }
 
     /// Speedup of `strategy` over FA_Serial for this batch (>1 means faster).
+    /// A batch with no work takes no time either way, which is 1.0.
     ///
     /// # Errors
     ///
@@ -126,7 +127,11 @@ impl HybridAttentionRunner {
     ) -> Result<f64, SimError> {
         let base = self.time(batch, AttentionStrategy::FaSerial)?;
         let t = self.time(batch, strategy)?;
-        Ok(base / t)
+        Ok(if base == 0.0 && t == 0.0 {
+            1.0
+        } else {
+            base / t
+        })
     }
 
     fn launch_count(&self, batch: &HybridBatch, strategy: AttentionStrategy) -> usize {
@@ -256,6 +261,17 @@ mod tests {
             )
             .unwrap();
         assert!(s > 0.9 && s < 1.3, "speedup {s}");
+        // A batch with no prefill and no decodes costs nothing either way.
+        let empty = HybridBatch {
+            prefill: None,
+            decodes: Vec::new(),
+            kv_dedup_tokens: 0,
+            spec_verify_tokens: 0,
+        };
+        for strategy in AttentionStrategy::all() {
+            let s = runner().speedup_over_fa_serial(&empty, strategy).unwrap();
+            assert_eq!(s, 1.0, "{strategy}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::linear::IterationCostModel;
 use crate::metrics::{ReportAccumulator, ServingCounters, ServingReport};
 use crate::model::ModelConfig;
 use crate::request::{Phase, Priority, Request, RequestSpec, TenantId};
-use crate::scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
+use crate::scheduler::{BatchPlan, SchedulerKind};
 use crate::speculative::{AcceptanceModel, DecodeMode};
 use crate::trace::{FlightRecording, TraceConfig, TraceEventKind, TraceRecorder};
 use attn_kernels::{AttentionStrategy, DecodeRequest, HybridBatch};
@@ -198,8 +198,6 @@ pub struct ServingConfig {
     /// strategies the closed-form estimator prices (see
     /// [`ServingEngine::new`]).
     pub attention: AttentionStrategy,
-    /// Maximum concurrent requests in the decode phase.
-    pub max_batch_size: usize,
     /// Override for the KV-cache capacity in tokens (defaults to what fits in
     /// HBM after weights).
     pub kv_capacity_tokens: Option<usize>,
@@ -265,7 +263,6 @@ impl ServingConfig {
             gpu,
             scheduler: SchedulerKind::Vllm,
             attention: AttentionStrategy::FaSerial,
-            max_batch_size: 256,
             kv_capacity_tokens: None,
             price_cache: true,
             kv_policy: KvCachePolicy::Conservative,
@@ -671,6 +668,91 @@ impl EngineState {
             .count();
         self.waiting.insert(at, rid);
         self.counters.preemptions += 1;
+    }
+
+    /// Admit `rid`, the unadmitted front of the waiting queue, under either
+    /// KV policy: match the prompt against the prefix index (when enabled),
+    /// take the uncached rest of the policy grant, and skip the matched
+    /// tokens. Without room it defers, taking nothing. A counted grant emits
+    /// no KV alloc event.
+    fn admit(&mut self, policy: KvCachePolicy, grant_spec_k: usize, rid: usize) -> bool {
+        let now = self.clock;
+        let req = &self.requests[rid];
+        // Feasibility: to *finish*, the request must at some point hold
+        // blocks for its whole prompt + output. Admitting one that never can
+        // would decode until growth exhausts the pool and then
+        // preempt/recompute forever; deferring it surfaces the Blocked
+        // outcome with the same total-tokens sizing number under both
+        // policies.
+        if blocks_for(req.spec.total_tokens()) > self.pool.capacity_blocks() {
+            self.trace(now, || TraceEventKind::Defer { request: rid });
+            return false;
+        }
+        // Match the prompt (or, after a preemption, the full recompute
+        // target) against the prefix index, capped one below the target so
+        // at least one token is always computed; then take the uncached rest
+        // of the grant.
+        let grant = policy.grant(req, None, grant_spec_k);
+        let m = if policy.prefix_caching() {
+            self.pool
+                .acquire_prefix(req.spec.content, req.target_prefill() - 1)
+        } else {
+            PrefixMatch::default()
+        };
+        let (reused, cow, cached_tokens) = (m.blocks.len(), m.cow_source, m.cached_tokens);
+        let needed = grant.blocks - reused;
+        let table = &mut self.tables[rid];
+        table.blocks = m.blocks;
+        let admitted = table.take(&mut self.pool, needed, grant.named);
+        if admitted {
+            table.shared = reused;
+            table.indexed = reused;
+            table.cursor = m.cursor;
+            self.counters.cached_prefix_tokens += cached_tokens;
+            self.counters.blocks_reused += reused;
+            self.counters.cow_copies += usize::from(cow.is_some());
+            self.trace(now, || TraceEventKind::Admit {
+                request: rid,
+                cached_tokens,
+            });
+            if grant.named {
+                self.trace(now, || TraceEventKind::KvAlloc {
+                    request: rid,
+                    blocks: needed,
+                    reused,
+                    cow: cow.is_some(),
+                });
+            }
+            // Chunking starts at the matched offset; the skipped tokens
+            // leave the outstanding count.
+            self.requests[rid].note_cached_prefix(cached_tokens);
+            self.outstanding -= cached_tokens;
+        } else {
+            // Roll back the prefix acquisition; the request retries next
+            // iteration.
+            self.pool.release(&std::mem::take(&mut table.blocks));
+            self.trace(now, || TraceEventKind::Defer { request: rid });
+        }
+        // The CoW source was pinned by acquire_prefix so the grant above
+        // could not evict it mid-admission; the copy has now happened (or
+        // the admission was rolled back), so drop the pin either way.
+        if let Some(cow) = cow {
+            self.pool.release(&[cow]);
+        }
+        admitted
+    }
+
+    /// Drop the front of the waiting queue unserved: its deadline is
+    /// already unmeetable (SLO-aware admission control).
+    fn shed_front(&mut self) {
+        let rid = self.waiting.pop_front().expect("a front to shed");
+        self.outstanding -= self.requests[rid].remaining_tokens();
+        self.requests[rid].shed_time = Some(self.clock);
+        let t = self.clock;
+        self.trace(t, || TraceEventKind::Shed { request: rid });
+        if let Some(acc) = self.accumulator.as_mut() {
+            acc.observe(&self.requests[rid]);
+        }
     }
 
     /// Ensure every request that will decode this iteration has a block for
@@ -1375,74 +1457,52 @@ impl ServingEngine {
     /// Phase: co-batching and decode growth, before batch formation.
     ///
     /// Co-batch same-prefix decodes so dedup groups actually form under the
-    /// Sarathi decode cap (taking the first `max_batch_size` of an
+    /// Sarathi decode cap (taking the first `MAX_BATCH_SIZE` of an
     /// interleaved running set would split groups). This precedes growth so
     /// the growth set matches the co-batched decode set. Growth then gives
     /// every request that will decode this iteration blocks for its next
     /// token, preempting the newest decodes if the pool is exhausted. The
-    /// growth set must match the scheduler's decode set exactly: Sarathi
-    /// caps decodes at `max_batch_size`, while the vLLM policy decodes every
-    /// running request.
+    /// growth set must match the scheduler's decode set exactly, so both
+    /// take [`SchedulerKind::decode_cap`].
     fn cobatch_and_grow(&mut self) {
         if self.dedup_on() && self.state.running.len() > 1 {
             self.state.cobatch_shared_prefixes();
         }
-        let decode_cap = match self.config.scheduler {
-            SchedulerKind::Vllm => usize::MAX,
-            SchedulerKind::Sarathi { .. } => self.config.max_batch_size,
-        };
-        self.state
-            .grow_decode_blocks(decode_cap, self.config.decode_mode.spec_k());
+        self.state.grow_decode_blocks(
+            self.config.scheduler.decode_cap(),
+            self.config.decode_mode.spec_k(),
+        );
     }
 
-    /// Phase: plan the iteration, consulting [`admit`] for the front of the
-    /// waiting queue. Shedding re-plans without advancing time: a shed frees
-    /// the prefill slot, so the next waiting request gets its admission
-    /// consult in the *same* iteration (each shed strictly shrinks the
-    /// waiting queue, so the loop terminates).
+    /// Phase: plan the iteration. The scheduler picks the decodes and the
+    /// prefill budget; admission then consults the front of the waiting
+    /// queue. A front that holds its grant (mid-prefill) takes the prefill
+    /// slot. An unadmitted one is shed (its deadline is already unmeetable)
+    /// and the next front consulted in the same iteration, or is admitted
+    /// into the slot, or defers, leaving the slot empty.
     fn plan(&mut self) -> BatchPlan {
         let grant_spec_k = self.grant_spec_k();
         let config = &self.config;
         let st = &mut self.state;
-        loop {
-            let ctx = AdmitCtx {
-                config,
-                grant_spec_k,
-                now: st.clock,
-            };
-            // Admission may skip the queue front's cached prefix.
-            let front = st.waiting.front().copied();
-            let front_before = front.map_or(0, |r| st.requests[r].remaining_tokens());
-            let (pool, tables) = (&mut st.pool, &mut st.tables);
-            let (counters, recorder) = (&mut st.counters, &mut st.recorder);
-            let plan = plan_batch(
-                config.scheduler,
-                &mut st.requests,
-                &st.waiting,
-                &st.running,
-                &mut |req: &Request| admit(ctx, pool, &mut tables[req.id], counters, recorder, req),
-                config.max_batch_size,
-                config.decode_mode.spec_k(),
-            );
-            if let Some(r) = front {
-                st.outstanding -= front_before - st.requests[r].remaining_tokens();
+        let spec_k = config.decode_mode.spec_k();
+        let (mut plan, budget) = config.scheduler.plan(&st.requests, &st.running, spec_k);
+        let Some(budget) = budget else {
+            return plan;
+        };
+        while let Some(&front) = st.waiting.front() {
+            if !st.tables[front].is_held() {
+                if config.admission.should_shed(&st.requests[front], st.clock) {
+                    st.shed_front();
+                    continue;
+                }
+                if !st.admit(config.kv_policy, grant_spec_k, front) {
+                    break;
+                }
             }
-            let Some(rid) = plan.shed else {
-                return plan;
-            };
-            st.outstanding -= st.requests[rid].remaining_tokens();
-            st.requests[rid].shed_time = Some(st.clock);
-            let t = st.clock;
-            st.trace(t, || TraceEventKind::Shed { request: rid });
-            if let Some(acc) = st.accumulator.as_mut() {
-                acc.observe(&st.requests[rid]);
-            }
-            st.waiting.retain(|&r| r != rid);
-            // Always re-plan: the freed prefill slot must be offered to the
-            // next waiting request in this same iteration (dropping only the
-            // shed request from an otherwise-formed plan would waste the
-            // whole chunk budget on a decodes-only batch).
+            plan.add_prefill(config.scheduler, &st.requests[front], budget);
+            break;
         }
+        plan
     }
 
     /// Phase: why an empty plan ran nothing — idle until the next arrival or
@@ -1585,18 +1645,53 @@ impl ServingEngine {
                 .collect(),
         };
 
-        let prefill_before = plan.prefill.map(|(rid, _)| {
-            let req = &st.requests[rid];
-            (req.token_times.len(), req.remaining_tokens())
-        });
-        let finished = apply_plan(
-            plan,
-            &spec_outcomes,
-            st.clock,
-            &mut st.requests,
-            &mut st.waiting,
-            &mut st.running,
-        );
+        // Request lifecycles. `finished` lists the requests that finished:
+        // a prefill completion first, then decodes in plan order (a
+        // deterministic release order). Every minted token is a resident
+        // sample, and it leaves the outstanding count with the prefilled
+        // chunk.
+        let mut finished = Vec::new();
+        if let Some((rid, chunk)) = plan.prefill {
+            let req = &mut st.requests[rid];
+            let (samples, remaining) = (req.token_times.len(), req.remaining_tokens());
+            req.record_prefill(chunk, st.clock);
+            st.live_token_samples += req.token_times.len() - samples;
+            st.outstanding -= remaining - req.remaining_tokens();
+            // A completed prompt minted its first token (or, after a
+            // preemption, finished its recompute) and moves to running.
+            match req.phase() {
+                Phase::Decoding => {
+                    st.waiting.retain(|&r| r != rid);
+                    st.running.push(rid);
+                }
+                Phase::Finished => {
+                    st.waiting.retain(|&r| r != rid);
+                    finished.push(rid);
+                }
+                _ => {}
+            }
+        }
+        // A speculative decode optimistically mints its whole drafted width
+        // (`width <= remaining output`, so it never overshoots the budget),
+        // then rolls the rejected suffix back through [`Request::rollback`]:
+        // the mint-then-truncate lifecycle a real draft-then-verify engine
+        // follows.
+        for (i, &rid) in plan.decodes.iter().enumerate() {
+            let req = &mut st.requests[rid];
+            match spec_outcomes.get(i) {
+                None => req.record_decode_token(st.clock),
+                Some(o) => {
+                    for _ in 0..o.width {
+                        req.record_decode_token(st.clock);
+                    }
+                    req.rollback(o.width - o.minted);
+                }
+            }
+            if req.phase() == Phase::Finished {
+                st.running.retain(|&r| r != rid);
+                finished.push(rid);
+            }
+        }
         // Net decode tokens minted this iteration: one per decode
         // autoregressively; the accepted prefix plus correction token per
         // speculative round (optimistic mints beyond that were rolled back).
@@ -1605,14 +1700,6 @@ impl ServingEngine {
         } else {
             spec_outcomes.iter().map(|o| o.minted).sum()
         };
-        // Resident-sample accounting: every decode minted its net tokens,
-        // and a prefill completion may have minted the first one. The same
-        // tokens, plus the prefilled chunk, leave the outstanding count.
-        if let (Some((rid, _)), Some((samples, remaining))) = (plan.prefill, prefill_before) {
-            let req = &st.requests[rid];
-            st.live_token_samples += req.token_times.len() - samples;
-            st.outstanding -= remaining - req.remaining_tokens();
-        }
         st.live_token_samples += decode_tokens;
         st.outstanding -= decode_tokens;
         if st.live_token_samples > st.peak_token_samples {
@@ -1652,9 +1739,7 @@ impl ServingEngine {
             });
         }
 
-        // Token accounting via the plan's own budget arithmetic, so the
-        // stats and the Sarathi chunk accounting can never drift apart.
-        let prefill_tokens = plan.scheduled_tokens() - plan.decodes.len() - plan.spec_tokens;
+        let prefill_tokens = plan.prefill.map_or(0, |(_, chunk)| chunk);
         st.counters.prefill_tokens_scheduled += prefill_tokens;
         if let (Some(fair), Some((rid, _))) = (st.fair.as_mut(), plan.prefill) {
             fair.bill(st.requests[rid].spec.tenant, prefill_tokens);
@@ -1825,36 +1910,36 @@ impl ServingEngine {
     ///
     /// Panics if a queued request can never fit in the KV cache.
     pub fn advance_to(&mut self, t: f64) {
-        let mut now = self.state.clock;
-        while now < t {
-            match self.step(now) {
-                IterationOutcome::Ran(stats) => now = stats.completed_at,
-                IterationOutcome::IdleUntil(u) if u < t => now = u,
-                IterationOutcome::IdleUntil(_) | IterationOutcome::Drained => break,
-                IterationOutcome::Blocked {
-                    needed_tokens,
-                    capacity_tokens,
-                } => panic_blocked(needed_tokens, capacity_tokens),
-            }
-        }
+        self.step_until(Some(t));
     }
 
-    /// Step until every submitted request has finished.
+    /// Step until every submitted request has finished, including any that
+    /// arrive at `+∞` (which `advance_to(f64::INFINITY)` leaves queued: no
+    /// iteration starts before `+∞` once the clock reaches it).
     ///
     /// # Panics
     ///
     /// Panics if a queued request can never fit in the KV cache.
     pub fn run_until_drained(&mut self) {
+        self.step_until(None);
+    }
+
+    /// The one step loop: run every iteration that starts before `t`, or,
+    /// with no bound, until drained.
+    fn step_until(&mut self, t: Option<f64>) {
+        let before = |u: f64| t.map_or(true, |t| u < t);
         let mut now = self.state.clock;
-        loop {
+        while before(now) {
             match self.step(now) {
                 IterationOutcome::Ran(stats) => now = stats.completed_at,
-                IterationOutcome::IdleUntil(t) => now = t,
-                IterationOutcome::Drained => break,
+                IterationOutcome::IdleUntil(u) if before(u) => now = u,
+                IterationOutcome::IdleUntil(_) | IterationOutcome::Drained => break,
                 IterationOutcome::Blocked {
                     needed_tokens,
                     capacity_tokens,
-                } => panic_blocked(needed_tokens, capacity_tokens),
+                } => panic!(
+                    "serving deadlock: a request needs more KV-cache capacity ({needed_tokens} tokens) than the GPU offers ({capacity_tokens} tokens)"
+                ),
             }
         }
     }
@@ -1911,119 +1996,6 @@ impl ServingEngine {
     }
 }
 
-/// The replica-wide inputs of an [`admit`] consult: the configuration, the
-/// draft width grants reserve ([`ServingEngine::grant_spec_k`]) and the
-/// clock.
-#[derive(Clone, Copy)]
-struct AdmitCtx<'a> {
-    config: &'a ServingConfig,
-    grant_spec_k: usize,
-    now: f64,
-}
-
-/// Admission consult for the front of the waiting queue, under either KV
-/// policy: a request that holds its grant stays admitted; otherwise it is
-/// shed (its deadline is already unmeetable), takes its policy grant —
-/// after matching the prefix index, when enabled — or defers until the pool
-/// has room. A counted grant emits no KV alloc event.
-fn admit(
-    ctx: AdmitCtx,
-    pool: &mut BlockPool,
-    table: &mut Residency,
-    counters: &mut ServingCounters,
-    recorder: &mut Option<TraceRecorder>,
-    req: &Request,
-) -> AdmissionDecision {
-    let AdmitCtx {
-        config,
-        grant_spec_k,
-        now,
-    } = ctx;
-    if table.is_held() {
-        return AdmissionDecision::Admit { cached_tokens: 0 };
-    }
-    if config.admission.should_shed(req, now) {
-        return AdmissionDecision::Shed;
-    }
-    let defer = |recorder: &mut Option<TraceRecorder>| {
-        if let Some(rec) = recorder.as_mut() {
-            rec.record(now, TraceEventKind::Defer { request: req.id });
-        }
-        AdmissionDecision::Defer
-    };
-    // Feasibility: to *finish*, the request must at some point hold blocks
-    // for its whole prompt + output. Admitting one that never can would
-    // decode until growth exhausts the pool and then preempt/recompute
-    // forever; deferring it surfaces the Blocked outcome with the same
-    // total-tokens sizing number under both policies.
-    if blocks_for(req.spec.total_tokens()) > pool.capacity_blocks() {
-        return defer(recorder);
-    }
-    // Match the prompt (or, after a preemption, the full recompute target)
-    // against the prefix index, capped one below the target so at least one
-    // token is always computed; then take the uncached rest of the grant.
-    let grant = config.kv_policy.grant(req, None, grant_spec_k);
-    let m = if config.kv_policy.prefix_caching() {
-        pool.acquire_prefix(req.spec.content, req.target_prefill() - 1)
-    } else {
-        PrefixMatch::default()
-    };
-    let (reused, cow) = (m.blocks.len(), m.cow_source);
-    let needed = grant.blocks - reused;
-    table.blocks = m.blocks;
-    let decision = if table.take(pool, needed, grant.named) {
-        counters.cached_prefix_tokens += m.cached_tokens;
-        counters.blocks_reused += reused;
-        counters.cow_copies += usize::from(cow.is_some());
-        if let Some(rec) = recorder.as_mut() {
-            rec.record(
-                now,
-                TraceEventKind::Admit {
-                    request: req.id,
-                    cached_tokens: m.cached_tokens,
-                },
-            );
-            if grant.named {
-                rec.record(
-                    now,
-                    TraceEventKind::KvAlloc {
-                        request: req.id,
-                        blocks: needed,
-                        reused,
-                        cow: cow.is_some(),
-                    },
-                );
-            }
-        }
-        table.shared = reused;
-        table.indexed = reused;
-        table.cursor = m.cursor;
-        AdmissionDecision::Admit {
-            cached_tokens: m.cached_tokens,
-        }
-    } else {
-        // Roll back the prefix acquisition; the request retries next
-        // iteration.
-        pool.release(&std::mem::take(&mut table.blocks));
-        defer(recorder)
-    };
-    // The CoW source was pinned by acquire_prefix so the grant above could
-    // not evict it mid-admission; the copy has now happened (or the
-    // admission was rolled back), so drop the pin either way.
-    if let Some(cow) = cow {
-        pool.release(&[cow]);
-    }
-    decision
-}
-
-/// The historical deadlock panic, shared by `run_until_drained` and
-/// `advance_to` so the message stays identical to the closed-world engine's.
-fn panic_blocked(needed_tokens: usize, capacity_tokens: usize) -> ! {
-    panic!(
-        "serving deadlock: a request needs more KV-cache capacity ({needed_tokens} tokens) than the GPU offers ({capacity_tokens} tokens)"
-    );
-}
-
 /// One decode's speculative-round outcome, drawn before the mint.
 #[derive(Debug, Clone, Copy)]
 struct SpecOutcome {
@@ -2065,61 +2037,6 @@ fn draft_proposal_time(
         spec_verify_tokens: 0,
     };
     spec_k as f64 * cost.iteration_time(&batch, attention)
-}
-
-/// Apply one iteration's effects to the request lifecycles and queues,
-/// returning the ids that finished (prefill-completions first, then decodes,
-/// in plan order — a deterministic release order). KV-cache effects are the
-/// caller's job, since they depend on the residency policy.
-///
-/// `spec` is empty in autoregressive mode (each decode mints exactly one
-/// token); in speculative mode it is parallel to `plan.decodes` and each
-/// decode optimistically mints its whole drafted width, then rolls the
-/// rejected suffix back through [`Request::rollback`] — the same
-/// mint-then-truncate lifecycle a real draft-then-verify engine follows.
-fn apply_plan(
-    plan: &BatchPlan,
-    spec: &[SpecOutcome],
-    clock: f64,
-    requests: &mut [Request],
-    waiting: &mut VecDeque<usize>,
-    running: &mut Vec<usize>,
-) -> Vec<usize> {
-    let mut finished = Vec::new();
-    if let Some((rid, chunk)) = plan.prefill {
-        requests[rid].record_prefill(chunk, clock);
-        match requests[rid].phase() {
-            Phase::Decoding => {
-                // Prompt finished: first token produced (or, after a
-                // preemption, recompute complete), move to running.
-                waiting.retain(|&r| r != rid);
-                running.push(rid);
-            }
-            Phase::Finished => {
-                waiting.retain(|&r| r != rid);
-                finished.push(rid);
-            }
-            _ => {}
-        }
-    }
-    for (i, &rid) in plan.decodes.iter().enumerate() {
-        match spec.get(i) {
-            None => requests[rid].record_decode_token(clock),
-            Some(o) => {
-                // `width <= remaining output`, so the optimistic mint never
-                // overshoots the request's budget.
-                for _ in 0..o.width {
-                    requests[rid].record_decode_token(clock);
-                }
-                requests[rid].rollback(o.width - o.minted);
-            }
-        }
-        if requests[rid].phase() == Phase::Finished {
-            running.retain(|&r| r != rid);
-            finished.push(rid);
-        }
-    }
-    finished
 }
 
 #[cfg(test)]
@@ -2367,6 +2284,83 @@ mod tests {
         assert_eq!(report.completed, 1);
         assert_eq!(report.shed_requests, 6);
         assert_eq!(report.slo_classes[0].shed, 6);
+    }
+
+    #[test]
+    fn shed_front_is_reported_without_occupying_the_prefill_slot() {
+        use crate::request::SloSpec;
+        use crate::trace::TraceConfig;
+        // One request decoding, then two hopeless SLO'd fronts ahead of a
+        // servable one: the same iteration sheds both and gives the prefill
+        // slot to the third, in queue order.
+        let slo = SloSpec::new("interactive", 0.001, 0.2);
+        for base in [
+            ServingConfig::vllm(llama3(), gpu()),
+            ServingConfig::sarathi(llama3(), gpu(), 1024),
+        ] {
+            let hybrid = base.scheduler != SchedulerKind::Vllm;
+            let config = base
+                .with_admission(AdmissionPolicy::DeadlineShed)
+                .with_tracing(TraceConfig::new());
+            let mut engine = ServingEngine::new(config);
+            engine.submit(RequestSpec::new(0.0, 512, 64));
+            assert!(matches!(engine.step(0.0), IterationOutcome::Ran(_)));
+            assert_eq!(engine.running_decodes(), 1);
+            engine.submit(RequestSpec::new(0.0, 2_000, 32).with_slo(slo));
+            engine.submit(RequestSpec::new(0.0, 2_000, 32).with_slo(slo));
+            engine.submit(RequestSpec::new(0.0, 2_000, 32));
+            let IterationOutcome::Ran(stats) = engine.step(engine.clock()) else {
+                panic!("the servable front runs");
+            };
+            assert_eq!(stats.hybrid, hybrid);
+            assert_eq!(stats.prefill_tokens, if hybrid { 1023 } else { 2_000 });
+            let requests = engine.requests();
+            assert!(requests[1].shed_time.is_some() && requests[2].shed_time.is_some());
+            assert!(requests[3].prefill_start_time.is_some());
+            let recording = engine.flight_recording().expect("tracing configured");
+            let admission: Vec<&TraceEventKind> = recording.replicas[0]
+                .iter()
+                .map(|ev| &ev.kind)
+                .filter(|k| {
+                    matches!(
+                        k,
+                        TraceEventKind::Shed { .. } | TraceEventKind::Admit { .. }
+                    )
+                })
+                .collect();
+            let admit = |request| TraceEventKind::Admit {
+                request,
+                cached_tokens: 0,
+            };
+            assert_eq!(
+                admission,
+                [
+                    &admit(0),
+                    &TraceEventKind::Shed { request: 1 },
+                    &TraceEventKind::Shed { request: 2 },
+                    &admit(3),
+                ]
+            );
+            assert_eq!(engine.outstanding_tokens(), engine.state.scan_outstanding());
+        }
+    }
+
+    #[test]
+    fn requests_arriving_at_infinity_drain_but_do_not_advance() {
+        // `+∞` is a legal arrival: `advance_to(+∞)` runs every iteration that
+        // starts before it and leaves the request queued, while
+        // `run_until_drained` serves it with the clock at `+∞`.
+        let mut engine = ServingEngine::new(ServingConfig::sarathi(llama3(), gpu(), 1024));
+        engine.submit(RequestSpec::new(0.0, 2_000, 8));
+        engine.submit(RequestSpec::new(f64::INFINITY, 2_000, 8));
+        engine.advance_to(f64::INFINITY);
+        assert!(engine.requests()[0].finish_time.is_some());
+        assert!(!engine.is_drained());
+        assert_eq!(engine.next_event_time(), Some(f64::INFINITY));
+        engine.run_until_drained();
+        assert!(engine.is_drained());
+        assert!(engine.requests()[1].finish_time.is_some());
+        assert_eq!(engine.clock(), f64::INFINITY);
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub use metrics::{percentile, ServingReport, SloClassReport, SummaryStats, Tenan
 pub use model::{ModelConfig, ParamCounts};
 pub use request::{Phase, Priority, PromptContent, Request, RequestSpec, SloSpec, TenantId};
 pub use rng::SplitMix64;
-pub use scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
+pub use scheduler::SchedulerKind;
 pub use sketch::QuantileSketch;
 pub use speculative::{AcceptanceModel, DecodeMode, DraftModelConfig};
 pub use trace::{

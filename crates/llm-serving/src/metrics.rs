@@ -364,7 +364,8 @@ impl ServingReport {
     /// graded in list order with exact percentiles by the same grader the
     /// engine and cluster use. Engine-side counters other than the
     /// iteration counts are zero.
-    pub fn from_requests(
+    #[cfg(test)]
+    pub(crate) fn from_requests(
         system: &str,
         requests: &[Request],
         makespan: f64,
@@ -654,10 +655,9 @@ impl SampleStore {
 /// stall fractions, SLO attainment and the shed and tenant tallies.
 ///
 /// One grader, two sample stores. [`ReportAccumulator::exact`] keeps every
-/// sample and selects exact percentiles: [`ServingReport::from_requests`],
-/// the engine's default report and the cluster aggregate fold request
-/// records into it in list order, and the golden tests pin that output bit
-/// for bit. [`ReportAccumulator::sketch`] backs the four distributions and
+/// sample and selects exact percentiles: the engine's default report and
+/// the cluster aggregate fold request records into it in list order, and
+/// the golden tests pin that output bit for bit. [`ReportAccumulator::sketch`] backs the four distributions and
 /// each tenant's TTFT with [`QuantileSketch`]es instead. With
 /// [`ServingConfig::streaming_metrics`](crate::ServingConfig::streaming_metrics)
 /// the engine feeds it each request the moment it finishes or is shed and

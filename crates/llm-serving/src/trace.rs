@@ -502,7 +502,7 @@ impl TraceEvent {
 #[derive(Debug, Clone)]
 pub struct TimelineSummary {
     /// Running requests (resident, in their decode phase) per sample: a
-    /// count of requests, not a fraction of `max_batch_size`. It can exceed
+    /// count of requests, not a fraction of the decode cap. It can exceed
     /// the decode batch when the scheduler caps decodes per iteration.
     pub running_requests: QuantileSketch,
     /// KV pool utilization per sample: the fraction in `[0, 1]` of pool
