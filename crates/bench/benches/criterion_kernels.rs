@@ -10,7 +10,8 @@
 //! every wall-clock number (engine intervals/second, batches priced/second,
 //! KV blocks allocated/second under eviction, host seconds per simulate
 //! call, including a wide Llama-2-7B decode that loads the per-CTA path
-//! where the C0 batch loads the per-interval one, the cached-vs-uncached
+//! where the C0 batch loads the per-interval one, host seconds per launch
+//! over podbench's `kernel_sweep` grid at seed 1, the cached-vs-uncached
 //! sweep speedup) sits under `host`, so future
 //! changes have a perf trajectory to compare against. Each timed subject
 //! reads the median of five slices of its budget, so one slice disturbed by
@@ -23,7 +24,8 @@ use fusion_lab::HybridAttentionRunner;
 use gpu_sim::GpuConfig;
 use llm_serving::{
     offline_long_context, BlockPool, IterationCostModel, ModelConfig, PromptContent,
-    QuantileSketch, ServingConfig, ServingEngine, ServingReport, SummaryStats, BLOCK_TOKENS,
+    QuantileSketch, ServingConfig, ServingEngine, ServingReport, SplitMix64, SummaryStats,
+    BLOCK_TOKENS,
 };
 use pod_bench::heading;
 use pod_bench::microbench::{bench, BenchResult, Json};
@@ -35,6 +37,32 @@ use std::time::{Duration, Instant};
 /// median is the reading. The numbers feed a trend file, not a paper, so a
 /// few hundred milliseconds per subject is plenty.
 const BUDGET: Duration = Duration::from_millis(300);
+
+/// Timed budget of a subject that runs a whole 135-batch grid per
+/// iteration, so each of its slices spans several sweeps.
+const GRID_BUDGET: Duration = Duration::from_secs(1);
+
+/// Podbench's `kernel_sweep` grid (`podbench/src/kernel.rs`, repeated here
+/// because podbench is its own workspace): the Figure 11 shapes, 3 models x
+/// context 4K/12K/20K x chunk 512/1K/2K x decode batch 16-224, with each
+/// context jittered by +-1K tokens and each decode batch by +-10%.
+fn kernel_sweep_grid(seed: u64) -> Vec<(usize, HybridBatch)> {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut out = Vec::new();
+    for model in 0..3 {
+        for kib in [4, 12, 20] {
+            for chunk in [512, 1024, 2048] {
+                for bs in [16, 48, 96, 160, 224] {
+                    let context = kib * 1024 + rng.next_usize(2048) - 1024;
+                    let decodes = (bs as f64 * (0.9 + 0.2 * rng.next_f64())).round() as usize;
+                    let batch = HybridBatch::uniform(chunk, context, decodes, context);
+                    out.push((model, batch));
+                }
+            }
+        }
+    }
+    out
+}
 
 fn fig12_quick_setups() -> Vec<(ModelConfig, usize, usize, usize)> {
     vec![
@@ -147,6 +175,40 @@ fn main() {
     let wide_decode_secs_per_call = r_wide.secs_per_iter();
     let wide_decode_calls_per_sec = r_wide.iters_per_sec();
     results.push(r_wide);
+    // One launch on the `kernel_sweep` grid, as the sweep runs it: a POD
+    // launch (build + simulate) and an FA_Serial pair per batch.
+    let grid = kernel_sweep_grid(1);
+    let grid_runners: Vec<HybridAttentionRunner> = [
+        AttentionConfig::yi_6b(),
+        AttentionConfig::llama2_7b(),
+        AttentionConfig::llama3_8b(),
+    ]
+    .into_iter()
+    .map(|cfg| HybridAttentionRunner::new(cfg, gpu.clone()))
+    .collect();
+    let mut per_grid_launch = |name, strategy| {
+        let r = bench(name, GRID_BUDGET, 5, || {
+            for (model, batch) in &grid {
+                let runner = &grid_runners[*model];
+                black_box(
+                    runner
+                        .execute(black_box(batch), strategy)
+                        .expect("grid launch"),
+                );
+            }
+        });
+        let secs = r.secs_per_iter() / grid.len() as f64;
+        results.push(r);
+        secs
+    };
+    let grid_pod_secs = per_grid_launch(
+        "engine/pod_launch_x135_kernel_sweep_grid",
+        AttentionStrategy::Pod,
+    );
+    let grid_fa_serial_secs = per_grid_launch(
+        "engine/fa_serial_pair_x135_kernel_sweep_grid",
+        AttentionStrategy::FaSerial,
+    );
 
     // --- closed-form estimator (quantized and exact) ---
     let est_quantized = AttentionEstimator::new(cfg, gpu.clone());
@@ -329,6 +391,16 @@ fn main() {
                         (
                             "fa_serial_llama2_wide_decode_calls_per_sec",
                             Json::Num(wide_decode_calls_per_sec),
+                        ),
+                        // Per launch over the seed-1 `kernel_sweep` grid;
+                        // not gated by `perf_gate`.
+                        (
+                            "kernel_sweep_grid_pod_host_secs_per_launch",
+                            Json::Num(grid_pod_secs),
+                        ),
+                        (
+                            "kernel_sweep_grid_fa_serial_host_secs_per_pair",
+                            Json::Num(grid_fa_serial_secs),
                         ),
                     ]),
                 ),

@@ -31,7 +31,6 @@ use pod_attention::PodAttention;
 #[derive(Debug, Clone)]
 pub struct HybridAttentionRunner {
     cfg: AttentionConfig,
-    gpu: GpuConfig,
     engine: Engine,
     pod: PodAttention,
 }
@@ -49,7 +48,6 @@ impl HybridAttentionRunner {
     pub fn with_pod(pod: PodAttention) -> Self {
         HybridAttentionRunner {
             cfg: *pod.config(),
-            gpu: pod.gpu().clone(),
             engine: Engine::new(pod.gpu().clone()),
             pod,
         }
@@ -62,7 +60,7 @@ impl HybridAttentionRunner {
 
     /// The device configuration.
     pub fn gpu(&self) -> &GpuConfig {
-        &self.gpu
+        self.engine.gpu()
     }
 
     /// The POD-Attention instance used for [`AttentionStrategy::Pod`].
@@ -87,7 +85,7 @@ impl HybridAttentionRunner {
                 (PrefillKernel::flashinfer(), DecodeKernel::flashinfer()),
                 ("fi_prefill", "fi_decode"),
                 &self.cfg,
-                &self.gpu,
+                self.gpu(),
             )),
             AttentionStrategy::FiBatched => {
                 self.engine
@@ -95,7 +93,7 @@ impl HybridAttentionRunner {
                         "fi_batched",
                         batch,
                         &self.cfg,
-                        &self.gpu,
+                        self.gpu(),
                     ))
             }
             AttentionStrategy::FaHFuse => self.engine.run_kernel(self.hfuse_launch(batch)),
@@ -153,7 +151,7 @@ impl HybridAttentionRunner {
             ),
             ("fa2_prefill", "fa_decode"),
             &self.cfg,
-            &self.gpu,
+            self.gpu(),
         )
     }
 
@@ -164,11 +162,11 @@ impl HybridAttentionRunner {
         let prefill_kernel = PrefillKernel::flash_attention();
         let decode_kernel = DecodeKernel::flash_attention();
         let prefill_units: Vec<WorkUnit> = match &batch.prefill {
-            Some(chunk) => prefill_kernel.build_units(chunk, &self.cfg, &self.gpu),
+            Some(chunk) => prefill_kernel.build_units(chunk, &self.cfg, self.gpu()),
             None => Vec::new(),
         };
         let decode_units: Vec<WorkUnit> =
-            decode_kernel.build_units(&batch.decodes, &self.cfg, &self.gpu);
+            decode_kernel.build_units(&batch.decodes, &self.cfg, self.gpu());
 
         let prefill_op = Operation::new(
             "prefill",

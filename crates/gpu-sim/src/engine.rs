@@ -104,7 +104,22 @@
 //! Both walk their candidates in the same rotated order from the cursor and
 //! advance it once per pass, so every placement, every
 //! [`CtaDispatcher::dispatch`](crate::CtaDispatcher::dispatch) call and the
-//! cursor match a scan of all SMs exactly.
+//! cursor match a scan of all SMs exactly. The released SMs are marked in a
+//! bitset and read out in ascending order when the fill starts.
+//!
+//! # Reused run state
+//!
+//! Each thread keeps the active set and placement of its last run that
+//! returned a report, and [`Engine::run`] on that thread resets them rather
+//! than building new ones. The reset sets every field to what a new state
+//! holds and keeps only the capacity of its buffers: the unit and CTA slabs,
+//! the drain heaps (one per SM) and each SM's per-kernel residency list. No
+//! value carries over, and capacity decides only where a buffer lives, never
+//! what it holds or the order a heap pops, so every output is that of a new
+//! state. A saved state for another SM count is rebuilt. A run that returns
+//! an error or panics drops its state, so the next run on that thread starts
+//! from a new one. A warm launch thus allocates per kernel and per report,
+//! never per CTA.
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
@@ -113,6 +128,7 @@ use crate::metrics::{EnergyModel, ExecutionReport, KernelReport, OpClassReport};
 use crate::sm::SmState;
 use crate::stream::Stream;
 use crate::work::{dominant_op, Footprint, OpClass, WorkUnit};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -271,6 +287,15 @@ impl SmEvents {
             any_stale: false,
             min: [f64::INFINITY; 2],
         }
+    }
+
+    /// Back to the state `new` builds for the same SM count.
+    fn reset(&mut self) {
+        self.sms.fill([f64::INFINITY; 2]);
+        self.blocks.fill([f64::INFINITY; 2]);
+        self.stale.fill(false);
+        self.any_stale = false;
+        self.min = [f64::INFINITY; 2];
     }
 
     fn set(&mut self, sm: usize, due: f64, early: f64) {
@@ -447,6 +472,49 @@ impl ActiveSet {
             live_ctas: 0,
             op_classes: OpTotals::default(),
         }
+    }
+
+    /// Back to the state `new` builds for the same SM count and `shares`,
+    /// keeping every buffer's capacity. Every field is named, so a new one
+    /// cannot be left out.
+    fn reset(&mut self, shares: Shares) {
+        let ActiveSet {
+            shares: old_shares,
+            units,
+            ctas,
+            mem_drained,
+            pools,
+            events,
+            rates,
+            due_sms,
+            unsynced,
+            compute_heaps,
+            mem_heap,
+            mem_demand,
+            mem_open,
+            tail_heap,
+            retire_queue,
+            live_ctas,
+            op_classes,
+        } = self;
+        *old_shares = shares;
+        units.clear();
+        ctas.clear();
+        *mem_drained = 0.0;
+        pools.fill(SmPool::default());
+        events.reset();
+        rates.counts.clear();
+        rates.rate = None;
+        due_sms.clear();
+        unsynced.clear();
+        compute_heaps.iter_mut().for_each(BinaryHeap::clear);
+        mem_heap.clear();
+        *mem_demand = 0;
+        *mem_open = None;
+        tail_heap.clear();
+        retire_queue.clear();
+        *live_ctas = 0;
+        *op_classes = OpTotals::default();
     }
 
     /// Refresh `sm`'s share, rate bucket and drain time after its compute
@@ -742,9 +810,10 @@ struct Placement {
     cursor: usize,
     /// Every SM id, ascending: where a kernel activated in this `fill` may fit.
     all: Vec<usize>,
-    /// SMs that released a CTA since the last `fill` (ascending and
-    /// deduplicated once `fill` starts placing): the only SMs where a kernel
-    /// that was already blocked can fit now.
+    /// One bit per SM, set when the SM released a CTA since the last `fill`.
+    released_bits: Vec<u64>,
+    /// The SMs marked in `released_bits` when `fill` started, ascending: the
+    /// only SMs where a kernel that was already blocked can fit now.
     released: Vec<usize>,
     /// The units of the CTA being dispatched, reused for every CTA.
     units: Vec<WorkUnit>,
@@ -756,15 +825,95 @@ impl Placement {
             sms: vec![SmState::default(); num_sms],
             cursor: 0,
             all: (0..num_sms).collect(),
+            released_bits: vec![0; num_sms.div_ceil(64)],
             released: Vec::new(),
             units: Vec::new(),
         }
     }
 
+    /// Back to the state `new` builds for the same SM count, keeping every
+    /// buffer's capacity, each SM's per-kernel list included.
+    fn reset(&mut self) {
+        let Placement {
+            sms,
+            cursor,
+            all: _,
+            released_bits,
+            released,
+            units,
+        } = self;
+        for sm in sms.iter_mut() {
+            let mut per_kernel = std::mem::take(&mut sm.per_kernel);
+            per_kernel.clear();
+            *sm = SmState {
+                per_kernel,
+                ..SmState::default()
+            };
+        }
+        *cursor = 0;
+        released_bits.fill(0);
+        released.clear();
+        units.clear();
+    }
+
     /// Return one CTA's resources to `sm` and mark the SM for the next fill.
     fn release(&mut self, sm: usize, footprint: &Footprint, kernel_id: usize) {
         self.sms[sm].release(footprint, kernel_id);
-        self.released.push(sm);
+        self.released_bits[sm / 64] |= 1 << (sm % 64);
+    }
+
+    /// Replace `released` with the marked SMs, ascending, and clear the marks.
+    fn drain_released(&mut self) {
+        self.released.clear();
+        for (word, bits) in self.released_bits.iter_mut().enumerate() {
+            let mut left = std::mem::take(bits);
+            while left != 0 {
+                self.released
+                    .push(word * 64 + left.trailing_zeros() as usize);
+                left &= left - 1;
+            }
+        }
+    }
+}
+
+/// Everything a run works in besides its kernels and totals. One per
+/// thread is kept between runs (see "Reused run state" in the module docs).
+#[derive(Debug)]
+struct RunState {
+    active: ActiveSet,
+    placement: Placement,
+}
+
+thread_local! {
+    /// This thread's state from its last run that returned a report.
+    static SAVED_STATE: Cell<Option<RunState>> = const { Cell::new(None) };
+}
+
+impl RunState {
+    fn new(num_sms: usize, shares: Shares) -> Self {
+        RunState {
+            active: ActiveSet::new(num_sms, shares),
+            placement: Placement::new(num_sms),
+        }
+    }
+
+    /// This thread's saved state, reset for a run on `num_sms` SMs at
+    /// `shares`, or a new state if none is saved for that SM count.
+    fn take(num_sms: usize, shares: Shares) -> Self {
+        match SAVED_STATE.try_with(Cell::take).ok().flatten() {
+            Some(mut state) if state.placement.sms.len() == num_sms => {
+                state.active.reset(shares);
+                state.placement.reset();
+                state
+            }
+            _ => RunState::new(num_sms, shares),
+        }
+    }
+
+    /// Keep this state for the thread's next run.
+    fn save(self) {
+        // During thread teardown the slot is gone; the state is dropped.
+        let _ = SAVED_STATE.try_with(|slot| slot.set(Some(self)));
     }
 }
 
@@ -779,6 +928,15 @@ struct Shares {
 }
 
 impl Shares {
+    fn new(gpu: &GpuConfig) -> Self {
+        Shares {
+            sm_peak: gpu.sm_compute_flops(),
+            compute_cap: MAX_CTA_COMPUTE_FRACTION * gpu.sm_compute_flops(),
+            hbm: gpu.hbm_bandwidth,
+            mem_cap: MAX_CTA_BANDWIDTH_FRACTION * gpu.hbm_bandwidth,
+        }
+    }
+
     fn compute_share(&self, demand: usize) -> f64 {
         (self.sm_peak / demand as f64).min(self.compute_cap)
     }
@@ -886,7 +1044,6 @@ impl Engine {
     pub fn run(&self, streams: Vec<Stream>) -> Result<ExecutionReport, SimError> {
         let mut streams = streams;
         let num_sms = self.gpu.num_sms;
-        let mut placement = Placement::new(num_sms);
         let mut kernels: Vec<KernelState> = Vec::new();
         let mut head_kernel: Vec<Option<usize>> = vec![None; streams.len()];
         let mut time = 0.0_f64;
@@ -898,21 +1055,17 @@ impl Engine {
         let mut total_ctas = 0usize;
         let mut intervals = 0usize;
 
-        let shares = Shares {
-            sm_peak: self.gpu.sm_compute_flops(),
-            compute_cap: MAX_CTA_COMPUTE_FRACTION * self.gpu.sm_compute_flops(),
-            hbm: self.gpu.hbm_bandwidth,
-            mem_cap: MAX_CTA_BANDWIDTH_FRACTION * self.gpu.hbm_bandwidth,
-        };
-        let mut active = ActiveSet::new(num_sms, shares);
+        // An early return or a panic drops the state rather than saving it.
+        let mut state = RunState::take(num_sms, Shares::new(&self.gpu));
+        let RunState { active, placement } = &mut state;
 
         loop {
             self.fill(
                 &mut streams,
                 &mut head_kernel,
                 &mut kernels,
-                &mut placement,
-                &mut active,
+                placement,
+                active,
                 &mut total_ctas,
                 time,
             )?;
@@ -946,7 +1099,7 @@ impl Engine {
             energy += energy_model.interval_energy(dt, interval_flops, interval_bytes);
             total_flops += interval_flops;
             total_bytes += interval_bytes;
-            active.retire_complete(time, &mut placement, &mut kernels);
+            active.retire_complete(time, placement, &mut kernels);
 
             // --- pop finished kernels off their streams ---
             Self::pop_finished(&mut streams, &mut head_kernel, &kernels);
@@ -972,18 +1125,20 @@ impl Engine {
             })
             .collect();
 
-        Ok(ExecutionReport {
+        let report = ExecutionReport {
             makespan: time,
             total_flops,
             total_bytes,
             energy_joules: energy,
             kernels: kernel_reports,
-            op_classes: active.op_classes.into_map(),
+            op_classes: std::mem::take(&mut active.op_classes).into_map(),
             peak_flops: self.gpu.tensor_flops,
             peak_bandwidth: self.gpu.hbm_bandwidth,
             total_ctas,
             intervals,
-        })
+        };
+        state.save();
+        Ok(report)
     }
 
     /// Pop every stream whose head kernel has fully dispatched and completed
@@ -1072,8 +1227,7 @@ impl Engine {
         // a later kernel only receives SMs the earlier kernels left idle,
         // which is why CUDA streams alone do not guarantee SM-level
         // co-location (§3.1 of the paper).
-        placement.released.sort_unstable();
-        placement.released.dedup();
+        placement.drain_released();
         for si in 0..streams.len() {
             let Some(kid) = head_kernel[si] else { continue };
             if kernels[kid].fully_dispatched {
@@ -1124,7 +1278,6 @@ impl Engine {
             }
         }
         active.close_fill();
-        placement.released.clear();
         Ok(())
     }
 }
@@ -1466,15 +1619,45 @@ mod tests {
 
     fn active_set() -> ActiveSet {
         let g = gpu();
-        ActiveSet::new(
-            g.num_sms,
-            Shares {
-                sm_peak: g.sm_compute_flops(),
-                compute_cap: MAX_CTA_COMPUTE_FRACTION * g.sm_compute_flops(),
-                hbm: g.hbm_bandwidth,
-                mem_cap: MAX_CTA_BANDWIDTH_FRACTION * g.hbm_bandwidth,
-            },
-        )
+        ActiveSet::new(g.num_sms, Shares::new(&g))
+    }
+
+    /// A saved state, once reset, holds exactly what a new state holds
+    /// (compared through `Debug`, which prints every value and no
+    /// capacity) but keeps its buffers; another SM count gets a new state.
+    #[test]
+    fn reset_state_matches_a_new_one() {
+        let g = gpu();
+        let shares = Shares::new(&g);
+        let fresh = format!("{:?}", RunState::new(g.num_sms, shares));
+        let ctas = vec![CtaWork::single(OpClass::Decode, 1e6, 4e6); 500];
+        let kernel = KernelLaunch::from_ctas("k", Footprint::default(), ctas);
+        Engine::new(g.clone()).run_kernel(kernel).unwrap();
+        let state = RunState::take(g.num_sms, shares);
+        assert_eq!(format!("{state:?}"), fresh);
+        assert!(state.active.units.capacity() >= 500);
+        assert!(state.active.compute_heaps[0].capacity() > 0);
+        assert!(state.placement.sms[0].per_kernel.capacity() > 0);
+        state.save();
+        let other = RunState::take(g.num_sms + 1, shares);
+        assert_eq!(other.placement.sms.len(), g.num_sms + 1);
+        assert_eq!(other.active.units.capacity(), 0);
+    }
+
+    /// The released SMs come out ascending and once each, and the marks
+    /// are cleared.
+    #[test]
+    fn released_sms_drain_ascending_without_repeats() {
+        let fp = Footprint::default();
+        let mut placement = Placement::new(130);
+        for sm in [129, 3, 64, 3, 0, 63, 129] {
+            placement.sms[sm].allocate(&fp, 0);
+            placement.release(sm, &fp, 0);
+        }
+        placement.drain_released();
+        assert_eq!(placement.released, [0, 3, 63, 64, 129]);
+        placement.drain_released();
+        assert!(placement.released.is_empty());
     }
 
     fn mem_runs(active: &ActiveSet) -> Vec<(usize, usize)> {

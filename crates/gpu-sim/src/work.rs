@@ -225,7 +225,11 @@ impl UnitRuns {
         while want > 0 {
             let (unit, count) = &mut self.runs[self.head];
             let k = want.min(*count);
-            out.extend(std::iter::repeat(*unit).take(k));
+            if k == 1 {
+                out.push(*unit);
+            } else {
+                out.extend(std::iter::repeat(*unit).take(k));
+            }
             *count -= k;
             want -= k;
             if *count == 0 {

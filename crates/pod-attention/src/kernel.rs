@@ -31,7 +31,7 @@ use gpu_sim::{Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, SimEr
 #[derive(Debug, Clone)]
 pub struct PodAttention {
     cfg: AttentionConfig,
-    gpu: GpuConfig,
+    engine: Engine,
     options: PodOptions,
 }
 
@@ -56,16 +56,16 @@ pub struct LaunchPlan {
 impl PodAttention {
     /// Create a POD-Attention instance with the paper's recommended options.
     pub fn new(cfg: AttentionConfig, gpu: GpuConfig) -> Self {
-        PodAttention {
-            cfg,
-            gpu,
-            options: PodOptions::recommended(),
-        }
+        PodAttention::with_options(cfg, gpu, PodOptions::recommended())
     }
 
     /// Create a POD-Attention instance with explicit options.
     pub fn with_options(cfg: AttentionConfig, gpu: GpuConfig, options: PodOptions) -> Self {
-        PodAttention { cfg, gpu, options }
+        PodAttention {
+            cfg,
+            engine: Engine::new(gpu),
+            options,
+        }
     }
 
     /// The options in effect.
@@ -80,7 +80,7 @@ impl PodAttention {
 
     /// The device configuration.
     pub fn gpu(&self) -> &GpuConfig {
-        &self.gpu
+        self.engine.gpu()
     }
 
     /// The prefill split policy actually used for `batch`.
@@ -118,9 +118,9 @@ impl PodAttention {
     /// of the prefill chunk's compute time. `None` without a prefill chunk.
     fn split_limit(&self, batch: &HybridBatch) -> Option<f64> {
         let chunk = batch.prefill.as_ref()?;
-        let prefill_compute = PrefillKernel::flash_attention()
-            .total_flops(chunk, &self.cfg, &self.gpu)
-            / self.gpu.tensor_flops;
+        let prefill_compute =
+            PrefillKernel::flash_attention().total_flops(chunk, &self.cfg, self.gpu())
+                / self.gpu().tensor_flops;
         Some(0.2 * prefill_compute)
     }
 
@@ -129,16 +129,16 @@ impl PodAttention {
     fn decode_memory(&self, batch: &HybridBatch, unit_by_unit: bool) -> f64 {
         let kernel = self.options.decode_kernel();
         let bytes = if unit_by_unit {
-            kernel.total_bytes(&batch.decodes, &self.cfg, &self.gpu)
+            kernel.total_bytes(&batch.decodes, &self.cfg, self.gpu())
         } else {
             kernel
-                .unit_runs(&batch.decodes, &self.cfg, &self.gpu)
+                .unit_runs(&batch.decodes, &self.cfg, self.gpu())
                 .runs()
                 .iter()
                 .map(|(unit, count)| *count as f64 * unit.bytes)
                 .sum()
         };
-        bytes / self.gpu.hbm_bandwidth
+        bytes / self.gpu().hbm_bandwidth
     }
 
     /// Compute the launch plan (CTA counts, resolved mode, ratio) for a batch.
@@ -155,7 +155,7 @@ impl PodAttention {
             batch
                 .prefill
                 .as_ref()
-                .map_or(0, |chunk| kernel.num_ctas(chunk, &self.cfg, &self.gpu))
+                .map_or(0, |chunk| kernel.num_ctas(chunk, &self.cfg, self.gpu()))
         };
         // Resolve the CTAs-per-SM mode from the balance of the batch, using
         // the 2-CTA tile as the reference for counting prefill CTAs.
@@ -175,7 +175,7 @@ impl PodAttention {
         let virtual_decode_ctas =
             self.options
                 .decode_kernel()
-                .num_ctas(&batch.decodes, &self.cfg, &self.gpu);
+                .num_ctas(&batch.decodes, &self.cfg, self.gpu());
         let decode_slots = virtual_decode_ctas.div_ceil(mode.virtual_decode_factor().max(1));
         let ratio = self.options.policy.ratios(prefill_ctas, decode_slots);
         let plan = LaunchPlan {
@@ -209,17 +209,17 @@ impl PodAttention {
     fn scheduler(&self, batch: &HybridBatch) -> (SmAwareScheduler, LaunchPlan) {
         let (plan, prefill_kernel) = self.resolve(batch);
         let prefill = match &batch.prefill {
-            Some(chunk) => prefill_kernel.unit_runs(chunk, &self.cfg, &self.gpu),
+            Some(chunk) => prefill_kernel.unit_runs(chunk, &self.cfg, self.gpu()),
             None => UnitRuns::new(),
         };
         let decode = self
             .options
             .decode_kernel()
-            .unit_runs(&batch.decodes, &self.cfg, &self.gpu);
+            .unit_runs(&batch.decodes, &self.cfg, self.gpu());
         let scheduler = SmAwareScheduler::new(
             prefill,
             decode,
-            self.gpu.num_sms,
+            self.gpu().num_sms,
             plan.ratio.0,
             plan.ratio.1,
         )
@@ -234,12 +234,12 @@ impl PodAttention {
     /// Returns [`SimError`] if the launch cannot be scheduled (which would
     /// indicate an invalid tile/occupancy configuration).
     pub fn execute(&self, batch: &HybridBatch) -> Result<ExecutionReport, SimError> {
-        Engine::new(self.gpu.clone()).run_kernel(self.build_launch(batch))
+        self.engine.run_kernel(self.build_launch(batch))
     }
 
     /// Perfect-overlap lower bound on this batch's attention time (seconds).
     pub fn oracle_time(&self, batch: &HybridBatch) -> f64 {
-        oracle_time(batch, &self.cfg, &self.gpu)
+        oracle_time(batch, &self.cfg, self.gpu())
     }
 }
 
@@ -370,13 +370,13 @@ mod tests {
         fn new(pod: &PodAttention, batch: &HybridBatch) -> Self {
             let (plan, prefill_kernel) = pod.resolve(batch);
             let prefill = match &batch.prefill {
-                Some(chunk) => prefill_kernel.build_units(chunk, &pod.cfg, &pod.gpu),
+                Some(chunk) => prefill_kernel.build_units(chunk, &pod.cfg, pod.gpu()),
                 None => Vec::new(),
             };
             let decode =
                 pod.options
                     .decode_kernel()
-                    .build_units(&batch.decodes, &pod.cfg, &pod.gpu);
+                    .build_units(&batch.decodes, &pod.cfg, pod.gpu());
             let factor = plan.ctas_per_sm.virtual_decode_factor().max(1);
             ListScheduler {
                 prefill: prefill
@@ -388,8 +388,8 @@ mod tests {
                     .map(|group| gpu_sim::CtaWork::fused(group.to_vec()))
                     .collect(),
                 ratio: plan.ratio,
-                counters: vec![0; pod.gpu.num_sms],
-                bound_counts: vec![(0, 0); pod.gpu.num_sms],
+                counters: vec![0; pod.gpu().num_sms],
+                bound_counts: vec![(0, 0); pod.gpu().num_sms],
                 fallthroughs: 0,
             }
         }
@@ -463,7 +463,7 @@ mod tests {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let sm = (x >> 33) as usize % pod.gpu.num_sms;
+            let sm = (x >> 33) as usize % pod.gpu().num_sms;
             units.clear();
             runs.dispatch(sm, &mut units);
             let want = lists.dispatch(sm);

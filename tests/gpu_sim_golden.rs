@@ -21,7 +21,8 @@
 use attn_kernels::{AttentionConfig, AttentionStrategy, HybridBatch};
 use fusion_lab::HybridAttentionRunner;
 use gpu_sim::{
-    CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, OpClass, Stream, WorkUnit,
+    CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, OpClass, SimError,
+    Stream, WorkUnit,
 };
 use pod_attention::CtasPerSm;
 
@@ -300,6 +301,94 @@ fn drift_from_the_eager_engine_is_bounded() {
     ];
     for (run, eager) in cases {
         assert_within(&fingerprint(&run()), eager, 1e-12);
+    }
+}
+
+/// The wide decode on a 132-SM device: the engine's reused state must be
+/// rebuilt for the other SM count.
+fn run_fa_serial_wide_decode_132_sms() -> Result<ExecutionReport, SimError> {
+    let gpu = GpuConfig {
+        num_sms: 132,
+        ..GpuConfig::a100_80gb()
+    };
+    HybridAttentionRunner::new(AttentionConfig::llama2_7b(), gpu).execute(
+        &HybridBatch::uniform(512, 4096, 224, 4096),
+        AttentionStrategy::FaSerial,
+    )
+}
+
+/// Stream `s1` runs a short kernel and then `second`, which fails when it
+/// activates, while stream `s0`'s longer kernel still holds CTAs on every
+/// SM: the run returns the error with its heaps, slabs and SMs in use.
+fn run_failing_after(second: KernelLaunch) -> Result<ExecutionReport, SimError> {
+    let fp = Footprint::new(128, 40 * 1024);
+    let ctas = |n, seed, lo, hi| -> Vec<CtaWork> {
+        spread(n, seed, lo, hi)
+            .into_iter()
+            .map(|f| CtaWork::single(OpClass::Prefill, f, f * 1e-2))
+            .collect()
+    };
+    let mut s1 = Stream::with_kernel(
+        "s1",
+        KernelLaunch::from_ctas("short", fp, ctas(108, 9, 1e7, 5e7)),
+    );
+    s1.push(second);
+    engine().run(vec![
+        Stream::with_kernel(
+            "s0",
+            KernelLaunch::from_ctas("long", fp, ctas(300, 10, 1e9, 4e9)).limit_ctas_per_sm(2),
+        ),
+        s1,
+    ])
+}
+
+fn run_stalled() -> Result<ExecutionReport, SimError> {
+    let ctas = vec![CtaWork::single(OpClass::Other, 1e6, 1e6); 4];
+    run_failing_after(
+        KernelLaunch::from_ctas("capped", Footprint::default(), ctas).limit_ctas_per_sm(0),
+    )
+}
+
+fn run_cta_too_large() -> Result<ExecutionReport, SimError> {
+    let ctas = vec![CtaWork::single(OpClass::Other, 1e6, 1e6); 4];
+    run_failing_after(KernelLaunch::from_ctas(
+        "huge",
+        Footprint::new(128, 512 * 1024),
+        ctas,
+    ))
+}
+
+/// The engine keeps each thread's run state between launches. Run launches
+/// of every kind on one thread, errors and another SM count included, and
+/// each must report exactly what it reports on a thread of its own.
+#[test]
+fn reused_run_state_matches_a_fresh_thread() {
+    type Launch = fn() -> Result<ExecutionReport, SimError>;
+    let launches: [(&str, Launch); 9] = [
+        ("wide decode", || Ok(run_fa_serial_wide_decode_llama2())),
+        ("pod", || Ok(run_pod_fused_launch())),
+        // Staggered CTAs, so placement order shows in every field.
+        ("two capped streams", || Ok(run_two_capped_streams())),
+        ("activating mid-run", || Ok(run_kernel_activating_mid_run())),
+        ("132 SMs", run_fa_serial_wide_decode_132_sms),
+        ("108 SMs after 132", || Ok(run_pod_fused_launch())),
+        ("stalled", run_stalled),
+        ("cta too large", run_cta_too_large),
+        ("wide decode again", || {
+            Ok(run_fa_serial_wide_decode_llama2())
+        }),
+    ];
+    let print = |result: Result<ExecutionReport, SimError>| match result {
+        Ok(report) => fingerprint(&report),
+        Err(e) => format!("error {e:?}"),
+    };
+    let warm: Vec<String> = launches.iter().map(|(_, run)| print(run())).collect();
+    assert!(warm[6].starts_with("error Stalled"), "{}", warm[6]);
+    assert!(warm[7].starts_with("error CtaTooLarge"), "{}", warm[7]);
+    for ((name, run), warm) in launches.iter().zip(&warm) {
+        let run = *run;
+        let fresh = std::thread::spawn(move || print(run())).join().unwrap();
+        assert_eq!(warm, &fresh, "{name}: reused state vs a fresh thread");
     }
 }
 
