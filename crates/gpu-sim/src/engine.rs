@@ -53,19 +53,21 @@
 //! ascending SM order with the work-space test `top - drained <= WORK_EPS +
 //! |drained| * ACC_REL_EPS`. Settling an SM touches no other SM, so units
 //! drain, and kernel and op-class sums accumulate, in the order of a scan of
-//! all SMs. The interval's FLOPs are the busy SMs' total rate times its
-//! length; the rate is recomputed from a histogram of busy SMs by demand
-//! whenever that changes, so it never drifts through `+=`/`-=`. Op-class
-//! totals live in a fixed array and become the report's map once, at the
-//! end of the run.
+//! all SMs. Op-class totals live in a fixed array and become the report's
+//! map once, at the end of the run.
 //!
-//! The numeric contract: interval and CTA counts, placements, the drain
-//! order and every per-kernel and per-op-class FLOP and byte total are those
-//! of an engine that advances every busy SM's accumulator each interval.
-//! The other float fields (makespan, kernel and op-class times,
-//! `total_flops`, `total_bytes`, energy) differ from it by float
-//! association alone: in `tests/gpu_sim_golden.rs`, by at most about 2e-15
-//! relative, and that test bounds them at 1e-12.
+//! The run's `total_flops` and `total_bytes` are the per-kernel totals
+//! summed in kernel order (every unit drains completely), and its energy is
+//! a closed form over them and the makespan.
+//!
+//! The numeric contract, against an engine that advances every busy SM's
+//! accumulator each interval: interval and CTA counts and placements are
+//! equal, and so is the drain order, except among units whose keys tie to
+//! within rounding, which the two may drain in either order within one
+//! interval. Every float field differs by float association alone.
+//! `tests/cta_reference.rs` holds that engine as an executable reference
+//! and checks both on random launches: counts and dispatch logs equal,
+//! floats within 1e-12 relative.
 //!
 //! # Run-length drain heaps
 //!
@@ -124,14 +126,13 @@
 use crate::config::GpuConfig;
 use crate::error::SimError;
 use crate::kernel::KernelLaunch;
-use crate::metrics::{EnergyModel, ExecutionReport, KernelReport, OpClassReport};
+use crate::metrics::{energy_joules, ExecutionReport, KernelReport, OpClassReport};
 use crate::sm::SmState;
 use crate::stream::Stream;
 use crate::work::{dominant_op, Footprint, OpClass, WorkUnit};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
 
 /// Work threshold below which remaining FLOPs/bytes are treated as drained.
 const WORK_EPS: f64 = 1e-6;
@@ -240,10 +241,8 @@ struct SmPool {
     since: f64,
     /// Compute-active units on this SM: the run lengths in its heap.
     demand: usize,
-    /// `demand` as of the last sync: the SM's bucket in [`RateHistogram`],
-    /// zero while the SM is idle.
-    synced_demand: usize,
-    /// `Shares::compute_share(synced_demand)`.
+    /// `Shares::compute_share(demand)` as of the last sync, zero while the
+    /// SM is idle.
     share: f64,
     /// True while the SM waits in [`ActiveSet::unsynced`].
     unsynced: bool,
@@ -252,9 +251,7 @@ struct SmPool {
 impl SmPool {
     /// Bring the accumulator up to `now`. An idle SM's accumulator stays put.
     fn fold(&mut self, now: f64) {
-        if self.synced_demand > 0 {
-            self.drained += self.share * (now - self.since);
-        }
+        self.drained += self.share * (now - self.since);
         self.since = now;
     }
 }
@@ -357,49 +354,6 @@ impl SmEvents {
     }
 }
 
-/// Busy SMs counted by compute demand, and the total FLOP rate they sum to,
-/// recomputed from the counts (ascending demand) after any change.
-#[derive(Debug, Default)]
-struct RateHistogram {
-    /// Busy SMs at each demand; slot 0 (idle) stays empty.
-    counts: Vec<usize>,
-    /// The total rate, or `None` after a change.
-    rate: Option<f64>,
-}
-
-impl RateHistogram {
-    /// Move one SM from demand `from` to demand `to`; zero means idle.
-    fn shift(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        self.rate = None;
-        if from > 0 {
-            self.counts[from] -= 1;
-        }
-        if to > 0 {
-            if to >= self.counts.len() {
-                self.counts.resize(to + 1, 0);
-            }
-            self.counts[to] += 1;
-        }
-    }
-
-    /// FLOPs per second over all busy SMs: `demand * share` per SM.
-    fn rate(&mut self, shares: &Shares) -> f64 {
-        *self.rate.get_or_insert_with(|| {
-            (1..self.counts.len())
-                .filter(|&d| self.counts[d] > 0)
-                .map(|d| self.counts[d] as f64 * (d as f64 * shares.compute_share(d)))
-                .sum()
-        })
-    }
-
-    fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&n| n == 0)
-    }
-}
-
 /// One CTA resident on (or retired from) the device.
 #[derive(Debug, Clone)]
 struct CtaRec {
@@ -425,8 +379,6 @@ struct ActiveSet {
     pools: Vec<SmPool>,
     /// Every SM's next drain time, kept current by [`ActiveSet::sync_sm`].
     events: SmEvents,
-    /// Busy SMs by demand, for the interval FLOP rate.
-    rates: RateHistogram,
     /// The SMs an interval settles, reused across intervals.
     due_sms: Vec<usize>,
     /// SMs whose compute heap changed since the last fill closed, synced
@@ -460,7 +412,6 @@ impl ActiveSet {
             mem_drained: 0.0,
             pools: vec![SmPool::default(); num_sms],
             events: SmEvents::new(num_sms),
-            rates: RateHistogram::default(),
             due_sms: Vec::new(),
             unsynced: Vec::new(),
             compute_heaps: (0..num_sms).map(|_| BinaryHeap::new()).collect(),
@@ -485,7 +436,6 @@ impl ActiveSet {
             mem_drained,
             pools,
             events,
-            rates,
             due_sms,
             unsynced,
             compute_heaps,
@@ -503,8 +453,6 @@ impl ActiveSet {
         *mem_drained = 0.0;
         pools.fill(SmPool::default());
         events.reset();
-        rates.counts.clear();
-        rates.rate = None;
         due_sms.clear();
         unsynced.clear();
         compute_heaps.iter_mut().for_each(BinaryHeap::clear);
@@ -517,12 +465,10 @@ impl ActiveSet {
         *op_classes = OpTotals::default();
     }
 
-    /// Refresh `sm`'s share, rate bucket and drain time after its compute
-    /// heap changed; the pool must already be folded to the current time.
+    /// Refresh `sm`'s share and drain time after its compute heap changed;
+    /// the pool must already be folded to the current time.
     fn sync_sm(&mut self, sm: usize) {
         let pool = &mut self.pools[sm];
-        self.rates.shift(pool.synced_demand, pool.demand);
-        pool.synced_demand = pool.demand;
         let (due, early) = match self.compute_heaps[sm].peek() {
             Some(&Reverse(Run {
                 key: Key(top, _), ..
@@ -536,7 +482,10 @@ impl ActiveSet {
                     + 4.0 * f64::EPSILON * due.abs();
                 (due, due - margin)
             }
-            None => (f64::INFINITY, f64::INFINITY),
+            None => {
+                pool.share = 0.0;
+                (f64::INFINITY, f64::INFINITY)
+            }
         };
         self.events.set(sm, due, early);
     }
@@ -674,22 +623,16 @@ impl ActiveSet {
         }
     }
 
-    /// Advance the memory accumulator by `dt`, pop every stream/tail that
-    /// drained by `now` (attributing the finished work to its kernel and
-    /// op-class), and return the `(flops, bytes)` moved during the interval.
+    /// Advance the memory accumulator by `dt` and pop every stream/tail that
+    /// drained by `now`, attributing the finished work to its kernel and
+    /// op-class.
     ///
-    /// The interval's FLOPs are the busy SMs' total rate times `dt`. Only
-    /// the SMs [`SmEvents`] reports due by `now` are folded and tested,
+    /// Only the SMs [`SmEvents`] reports due by `now` are folded and tested,
     /// in ascending SM order; settling an SM touches no other SM, so the
     /// drains run in the order a scan of all SMs would run them.
-    fn advance(&mut self, dt: f64, now: f64, kernels: &mut [KernelState]) -> (f64, f64) {
-        let flops = self.rates.rate(&self.shares) * dt;
-        let mut bytes = 0.0;
-        let m = self.mem_demand;
-        if m > 0 {
-            let share = self.shares.mem_share(m);
-            self.mem_drained += share * dt;
-            bytes = m as f64 * share * dt;
+    fn advance(&mut self, dt: f64, now: f64, kernels: &mut [KernelState]) {
+        if self.mem_demand > 0 {
+            self.mem_drained += self.shares.mem_share(self.mem_demand) * dt;
         }
         let mem_eps = WORK_EPS + self.mem_drained.abs() * ACC_REL_EPS;
         while let Some(&Reverse(Run {
@@ -773,7 +716,6 @@ impl ActiveSet {
                 self.retire_queue.push(cta);
             }
         }
-        (flops, bytes)
     }
 
     /// Release the resources of every CTA whose last unit finished.
@@ -948,8 +890,8 @@ impl Shares {
 
 #[derive(Debug)]
 struct KernelState {
-    /// Interned kernel id; cloned cheaply wherever the engine needs the name.
-    name: Arc<str>,
+    /// The launch's name, moved out of it when the kernel leaves its stream.
+    name: String,
     footprint: Footprint,
     cap: Option<usize>,
     dispatched: usize,
@@ -1048,10 +990,6 @@ impl Engine {
         let mut head_kernel: Vec<Option<usize>> = vec![None; streams.len()];
         let mut time = 0.0_f64;
 
-        let energy_model = EnergyModel::new(&self.gpu);
-        let mut energy = 0.0_f64;
-        let mut total_flops = 0.0_f64;
-        let mut total_bytes = 0.0_f64;
         let mut total_ctas = 0usize;
         let mut intervals = 0usize;
 
@@ -1073,7 +1011,7 @@ impl Engine {
             // Kernels with zero CTAs (or whose CTAs were all instantly
             // complete) finish without ever executing; pop them so the next
             // kernel in their stream can start.
-            if Self::pop_finished(&mut streams, &mut head_kernel, &kernels) {
+            if Self::pop_finished(&mut streams, &mut head_kernel, &mut kernels) {
                 continue;
             }
 
@@ -1094,29 +1032,26 @@ impl Engine {
             // streams and expired tails, release completed CTAs ---
             let (dt, end) = active.next_event(time);
             time = end;
-            let (interval_flops, interval_bytes) = active.advance(dt, time, &mut kernels);
+            active.advance(dt, time, &mut kernels);
             intervals += 1;
-            energy += energy_model.interval_energy(dt, interval_flops, interval_bytes);
-            total_flops += interval_flops;
-            total_bytes += interval_bytes;
             active.retire_complete(time, placement, &mut kernels);
 
             // --- pop finished kernels off their streams ---
-            Self::pop_finished(&mut streams, &mut head_kernel, &kernels);
+            Self::pop_finished(&mut streams, &mut head_kernel, &mut kernels);
         }
         debug_assert!(
             active.mem_demand == 0 && active.pools.iter().all(|p| p.demand == 0),
             "drain demand left after the last interval"
         );
         debug_assert!(
-            active.events.next_due() == f64::INFINITY && active.rates.is_empty(),
+            active.events.next_due() == f64::INFINITY,
             "an SM drain event left after the last interval"
         );
 
-        let kernel_reports = kernels
+        let kernel_reports: Vec<KernelReport> = kernels
             .into_iter()
             .map(|k| KernelReport {
-                name: k.name.as_ref().to_owned(),
+                name: k.name,
                 start: k.start.unwrap_or(0.0),
                 end: k.end,
                 ctas: k.dispatched,
@@ -1125,11 +1060,14 @@ impl Engine {
             })
             .collect();
 
+        // Every unit drained, so the kernels' totals are the run's.
+        let total_flops = kernel_reports.iter().fold(0.0, |sum, k| sum + k.flops);
+        let total_bytes = kernel_reports.iter().fold(0.0, |sum, k| sum + k.bytes);
         let report = ExecutionReport {
             makespan: time,
             total_flops,
             total_bytes,
-            energy_joules: energy,
+            energy_joules: energy_joules(&self.gpu, time, total_flops, total_bytes),
             kernels: kernel_reports,
             op_classes: std::mem::take(&mut active.op_classes).into_map(),
             peak_flops: self.gpu.tensor_flops,
@@ -1142,18 +1080,20 @@ impl Engine {
     }
 
     /// Pop every stream whose head kernel has fully dispatched and completed
-    /// all of its CTAs. Returns true if any kernel was popped.
+    /// all of its CTAs, moving the launch's name into the kernel's state.
+    /// Returns true if any kernel was popped.
     fn pop_finished(
         streams: &mut [Stream],
         head_kernel: &mut [Option<usize>],
-        kernels: &[KernelState],
+        kernels: &mut [KernelState],
     ) -> bool {
         let mut popped = false;
         for (si, stream) in streams.iter_mut().enumerate() {
             if let Some(kid) = head_kernel[si] {
-                let ks = &kernels[kid];
+                let ks = &mut kernels[kid];
                 if ks.fully_dispatched && ks.completed == ks.dispatched {
-                    stream.pop_head();
+                    let launch = stream.pop_head().expect("active head kernel missing");
+                    ks.name = launch.name;
                     head_kernel[si] = None;
                     popped = true;
                 }
@@ -1205,7 +1145,7 @@ impl Engine {
                     });
                 }
                 kernels.push(KernelState {
-                    name: Arc::from(head.name.as_str()),
+                    name: String::new(),
                     footprint: head.footprint,
                     cap: head.max_ctas_per_sm,
                     dispatched: 0,
@@ -1720,7 +1660,7 @@ mod tests {
         let fp = Footprint::default();
         let mut active = active_set();
         let mut kernels = vec![KernelState {
-            name: Arc::from("k"),
+            name: String::new(),
             footprint: fp,
             cap: None,
             dispatched: 0,
@@ -1731,12 +1671,12 @@ mod tests {
             flops: 0.0,
             bytes: 0.0,
         }];
-        // One interval to the next event; returns its end and FLOPs.
-        fn step(active: &mut ActiveSet, kernels: &mut [KernelState], now: f64) -> (f64, f64) {
+        // One interval to the next event; returns its end.
+        fn step(active: &mut ActiveSet, kernels: &mut [KernelState], now: f64) -> f64 {
             let (dt, end) = active.next_event(now);
-            let (flops, _) = active.advance(dt, end, kernels);
+            active.advance(dt, end, kernels);
             active.close_fill();
-            (end, flops)
+            end
         }
         let close = |got: f64, want: f64| {
             assert!((got - want).abs() <= want * 1e-12, "{got} vs {want}");
@@ -1745,15 +1685,13 @@ mod tests {
         active.add_cta(&unit(4e-6 * c), 0, 0, fp, OpClass::Prefill, 0.0); // A
         active.add_cta(&unit(1e-6 * c), 0, 1, fp, OpClass::Prefill, 0.0); // C
         active.close_fill();
-        let (t, flops) = step(&mut active, &mut kernels, 0.0);
+        let t = step(&mut active, &mut kernels, 0.0);
         close(t, 1e-6);
-        close(flops, 2.0 * c * 1e-6);
         assert!(!active.units[1].compute_pending && active.units[0].compute_pending);
         let idle = active.pools[1].drained;
 
         // No event before 2 µs: SM 0 keeps draining A, SM 1 idles.
-        let (flops, _) = active.advance(2e-6 - t, 2e-6, &mut kernels);
-        close(flops, c * (2e-6 - t));
+        active.advance(2e-6 - t, 2e-6, &mut kernels);
         active.close_fill();
         active.add_cta(&unit(5e-6 * c), 0, 0, fp, OpClass::Prefill, 2e-6); // B
         active.add_cta(&unit(1e-6 * c), 0, 1, fp, OpClass::Prefill, 2e-6); // D
@@ -1761,18 +1699,16 @@ mod tests {
         assert_eq!(active.pools[1].drained.to_bits(), idle.to_bits());
         assert_eq!(active.pools[1].since, 2e-6);
 
-        let (t, flops) = step(&mut active, &mut kernels, 2e-6);
+        let t = step(&mut active, &mut kernels, 2e-6);
         close(t, 3e-6);
-        close(flops, (peak + c) * 1e-6);
         assert!(!active.units[3].compute_pending);
-        let (t, _) = step(&mut active, &mut kernels, t);
+        let t = step(&mut active, &mut kernels, t);
         close(t, 5.6e-6);
         assert!(!active.units[0].compute_pending && active.units[2].compute_pending);
-        let (t, _) = step(&mut active, &mut kernels, t);
+        let t = step(&mut active, &mut kernels, t);
         close(t, 8.6e-6);
         assert!(!active.units[2].compute_pending);
         assert_eq!(active.events.next_due(), f64::INFINITY);
-        assert!(active.rates.is_empty());
     }
 
     #[test]

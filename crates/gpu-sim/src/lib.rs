@@ -57,6 +57,6 @@ pub use config::GpuConfig;
 pub use engine::{Engine, MAX_CTA_BANDWIDTH_FRACTION, MAX_CTA_COMPUTE_FRACTION};
 pub use error::SimError;
 pub use kernel::{CtaDispatcher, KernelLaunch, ListDispatcher};
-pub use metrics::{EnergyModel, ExecutionReport, KernelReport, OpClassReport};
+pub use metrics::{ExecutionReport, KernelReport, OpClassReport};
 pub use stream::Stream;
 pub use work::{CtaWork, Footprint, OpClass, UnitRuns, WorkUnit};

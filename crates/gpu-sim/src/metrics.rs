@@ -63,11 +63,15 @@ pub struct OpClassReport {
 pub struct ExecutionReport {
     /// Total simulated wall-clock time (seconds).
     pub makespan: f64,
-    /// Total tensor FLOPs performed.
+    /// Total tensor FLOPs performed: the kernels' `flops` summed in kernel
+    /// order.
     pub total_flops: f64,
-    /// Total HBM bytes moved.
+    /// Total HBM bytes moved: the kernels' `bytes` summed in kernel order.
     pub total_bytes: f64,
-    /// Estimated energy consumed (joules) using the activity-based model.
+    /// Estimated energy consumed (joules) under the activity-based model:
+    /// `static_power_w * makespan + compute_power_w * total_flops /
+    /// peak_flops + memory_power_w * total_bytes / peak_bandwidth`, with the
+    /// powers from the device's [`GpuConfig`].
     pub energy_joules: f64,
     /// Per-kernel summaries, in completion order.
     pub kernels: Vec<KernelReport>,
@@ -108,45 +112,15 @@ impl ExecutionReport {
     }
 }
 
-/// Activity-based energy model (used for the §5.1 energy results).
-///
-/// Energy is integrated per simulation interval as
-/// `static + compute_power * compute_activity + memory_power * memory_activity`,
-/// where the activities are the fraction of peak FLOPs / bandwidth actually
-/// used during that interval.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyModel {
-    compute_power_w: f64,
-    memory_power_w: f64,
-    static_power_w: f64,
-    peak_flops: f64,
-    peak_bandwidth: f64,
-}
-
-impl EnergyModel {
-    /// Build the energy model for a device.
-    pub fn new(gpu: &GpuConfig) -> Self {
-        EnergyModel {
-            compute_power_w: gpu.compute_power_w,
-            memory_power_w: gpu.memory_power_w,
-            static_power_w: gpu.static_power_w,
-            peak_flops: gpu.tensor_flops,
-            peak_bandwidth: gpu.hbm_bandwidth,
-        }
-    }
-
-    /// Energy (joules) consumed during an interval of `dt` seconds in which
-    /// `flops` tensor FLOPs were executed and `bytes` HBM bytes moved.
-    pub fn interval_energy(&self, dt: f64, flops: f64, bytes: f64) -> f64 {
-        if dt <= 0.0 {
-            return 0.0;
-        }
-        let compute_activity = (flops / (self.peak_flops * dt)).min(1.0);
-        let memory_activity = (bytes / (self.peak_bandwidth * dt)).min(1.0);
-        dt * (self.static_power_w
-            + self.compute_power_w * compute_activity
-            + self.memory_power_w * memory_activity)
-    }
+/// Energy (joules) of a run under the activity-based power model used for
+/// the §5.1 energy results: static power over the whole makespan, plus each
+/// resource's dynamic power for the time its work takes at that resource's
+/// peak (`flops / peak_flops` seconds of full tensor activity, `bytes /
+/// peak_bandwidth` seconds of full HBM activity).
+pub(crate) fn energy_joules(gpu: &GpuConfig, makespan: f64, flops: f64, bytes: f64) -> f64 {
+    gpu.static_power_w * makespan
+        + gpu.compute_power_w * flops / gpu.tensor_flops
+        + gpu.memory_power_w * bytes / gpu.hbm_bandwidth
 }
 
 #[cfg(test)]
@@ -199,26 +173,14 @@ mod tests {
     }
 
     #[test]
-    fn energy_model_static_plus_dynamic() {
+    fn energy_is_static_power_plus_work_at_peak() {
         let gpu = GpuConfig::a100_80gb();
-        let m = EnergyModel::new(&gpu);
-        // Idle interval: only static power.
-        let idle = m.interval_energy(1.0, 0.0, 0.0);
-        assert!((idle - gpu.static_power_w).abs() < 1e-9);
-        // Fully busy interval: static + compute + memory.
-        let busy = m.interval_energy(1.0, gpu.tensor_flops, gpu.hbm_bandwidth);
+        // An idle run: static power for the whole makespan.
+        let idle = energy_joules(&gpu, 2.5, 0.0, 0.0);
+        assert!((idle - 2.5 * gpu.static_power_w).abs() < 1e-9);
+        // One second at full tensor and HBM activity: all three powers.
+        let busy = energy_joules(&gpu, 1.0, gpu.tensor_flops, gpu.hbm_bandwidth);
         let expected = gpu.static_power_w + gpu.compute_power_w + gpu.memory_power_w;
         assert!((busy - expected).abs() < 1e-9);
-        // Zero-length interval consumes nothing.
-        assert_eq!(m.interval_energy(0.0, 1.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn energy_model_clamps_activity() {
-        let gpu = GpuConfig::a100_80gb();
-        let m = EnergyModel::new(&gpu);
-        let over = m.interval_energy(1.0, gpu.tensor_flops * 10.0, gpu.hbm_bandwidth * 10.0);
-        let expected = gpu.static_power_w + gpu.compute_power_w + gpu.memory_power_w;
-        assert!((over - expected).abs() < 1e-9);
     }
 }

@@ -1021,10 +1021,13 @@ impl ServingEngine {
     ///
     /// # Panics
     ///
-    /// Panics on a NaN arrival time (it would never compare as due and the
-    /// engine could never drain).
+    /// Panics on a NaN or infinite arrival time: a NaN never compares as
+    /// due, and a request served at `+∞` has no finite latency.
     pub fn submit(&mut self, spec: RequestSpec) -> usize {
-        assert!(!spec.arrival.is_nan(), "arrival times must not be NaN");
+        assert!(
+            spec.arrival.is_finite(),
+            "arrival times must not be NaN or infinite"
+        );
         let id = self.state.requests.len();
         let request = Request::new(id, spec);
         self.state.outstanding += request.remaining_tokens();
@@ -1910,29 +1913,11 @@ impl ServingEngine {
     ///
     /// Panics if a queued request can never fit in the KV cache.
     pub fn advance_to(&mut self, t: f64) {
-        self.step_until(Some(t));
-    }
-
-    /// Step until every submitted request has finished, including any that
-    /// arrive at `+∞` (which `advance_to(f64::INFINITY)` leaves queued: no
-    /// iteration starts before `+∞` once the clock reaches it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a queued request can never fit in the KV cache.
-    pub fn run_until_drained(&mut self) {
-        self.step_until(None);
-    }
-
-    /// The one step loop: run every iteration that starts before `t`, or,
-    /// with no bound, until drained.
-    fn step_until(&mut self, t: Option<f64>) {
-        let before = |u: f64| t.map_or(true, |t| u < t);
         let mut now = self.state.clock;
-        while before(now) {
+        while now < t {
             match self.step(now) {
                 IterationOutcome::Ran(stats) => now = stats.completed_at,
-                IterationOutcome::IdleUntil(u) if before(u) => now = u,
+                IterationOutcome::IdleUntil(u) if u < t => now = u,
                 IterationOutcome::IdleUntil(_) | IterationOutcome::Drained => break,
                 IterationOutcome::Blocked {
                     needed_tokens,
@@ -1942,6 +1927,16 @@ impl ServingEngine {
                 ),
             }
         }
+    }
+
+    /// Step until every submitted request has finished. Every arrival is
+    /// finite, so this is [`advance_to`](Self::advance_to) at `+∞`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a queued request can never fit in the KV cache.
+    pub fn run_until_drained(&mut self) {
+        self.advance_to(f64::INFINITY);
     }
 
     /// Snapshot the aggregated report for everything served so far. Valid
@@ -2346,21 +2341,10 @@ mod tests {
     }
 
     #[test]
-    fn requests_arriving_at_infinity_drain_but_do_not_advance() {
-        // `+∞` is a legal arrival: `advance_to(+∞)` runs every iteration that
-        // starts before it and leaves the request queued, while
-        // `run_until_drained` serves it with the clock at `+∞`.
+    #[should_panic(expected = "arrival times must not be NaN or infinite")]
+    fn infinite_arrivals_are_rejected() {
         let mut engine = ServingEngine::new(ServingConfig::sarathi(llama3(), gpu(), 1024));
-        engine.submit(RequestSpec::new(0.0, 2_000, 8));
         engine.submit(RequestSpec::new(f64::INFINITY, 2_000, 8));
-        engine.advance_to(f64::INFINITY);
-        assert!(engine.requests()[0].finish_time.is_some());
-        assert!(!engine.is_drained());
-        assert_eq!(engine.next_event_time(), Some(f64::INFINITY));
-        engine.run_until_drained();
-        assert!(engine.is_drained());
-        assert!(engine.requests()[1].finish_time.is_some());
-        assert_eq!(engine.clock(), f64::INFINITY);
     }
 
     #[test]

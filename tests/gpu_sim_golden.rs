@@ -4,25 +4,18 @@
 //! placement order, interval boundaries or float summation order shows up as
 //! a failure; the failure message prints the new block verbatim.
 //!
-//! The engine's contract: interval and CTA counts, placements, drain order
-//! and every per-kernel and per-op-class FLOP and byte total are exact. Each
-//! SM's drained-work accumulator runs on its own lazy clock and the
-//! interval FLOPs are a total rate times the interval, so the remaining
-//! float fields (makespan, kernel and op-class times, `total_flops`,
-//! `total_bytes`, energy) may differ from an engine that walks every busy
-//! SM each interval by float association only.
-//! `drift_from_the_eager_engine_is_bounded` keeps that eager engine's blocks
-//! as reference text: integers must match and floats stay within 1e-12
-//! relative (the lazy clocks moved them by at most about 2e-15). A
-//! host-side optimisation leaves the bit-level blocks intact; a deliberate
-//! change of float association re-records them and must pass the drift
-//! bound; a model change re-records both.
+//! A host-side optimisation leaves every block and the digest intact. A
+//! deliberate change of float association re-records them, and must keep
+//! passing `tests/cta_reference.rs`, which runs the engine against a
+//! reference simulator that walks every SM each interval: integers and
+//! dispatch logs equal, floats within 1e-12 relative. A model change
+//! re-records both.
 
 use attn_kernels::{AttentionConfig, AttentionStrategy, HybridBatch};
 use fusion_lab::HybridAttentionRunner;
 use gpu_sim::{
-    CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, OpClass, SimError,
-    Stream, WorkUnit,
+    CtaWork, Engine, ExecutionReport, Footprint, GpuConfig, KernelLaunch, KernelReport, OpClass,
+    SimError, Stream, WorkUnit,
 };
 use pod_attention::CtasPerSm;
 
@@ -243,67 +236,6 @@ fn fa_serial_wide_decode_llama2() {
     );
 }
 
-/// True for a fingerprint token that holds an `f64`'s bits.
-fn is_float_bits(token: &str) -> bool {
-    token.len() == 16 && token.bytes().all(|b| b.is_ascii_hexdigit())
-}
-
-/// Compare two fingerprints field by field: every float within `rel`
-/// relative, every other token (names, counts) equal.
-fn assert_within(got: &str, reference: &str, rel: f64) {
-    let (got_lines, ref_lines): (Vec<_>, Vec<_>) =
-        (got.lines().collect(), reference.lines().collect());
-    assert_eq!(
-        got_lines.len(),
-        ref_lines.len(),
-        "line count; new block:\n{got}"
-    );
-    for (g, r) in got_lines.iter().zip(&ref_lines) {
-        let (g_tokens, r_tokens): (Vec<_>, Vec<_>) = (
-            g.split_whitespace().collect(),
-            r.split_whitespace().collect(),
-        );
-        assert_eq!(g_tokens.len(), r_tokens.len(), "`{g}` vs `{r}`");
-        for (a, b) in g_tokens.iter().zip(&r_tokens) {
-            if is_float_bits(b) {
-                let bits = |t: &str| f64::from_bits(u64::from_str_radix(t, 16).unwrap());
-                let (x, y) = (bits(a), bits(b));
-                assert!((x - y).abs() <= y.abs() * rel, "`{g}` vs `{r}`: {x} vs {y}");
-            } else {
-                assert_eq!(a, b, "`{g}` vs `{r}`");
-            }
-        }
-    }
-}
-
-/// Every pinned case against the eager engine's block: integers equal,
-/// floats within 1e-12 relative.
-#[test]
-fn drift_from_the_eager_engine_is_bounded() {
-    type Case = (fn() -> ExecutionReport, &'static str);
-    let cases: [Case; 7] = [
-        (run_two_capped_streams, EAGER_TWO_CAPPED_STREAMS),
-        (
-            run_kernel_activating_mid_run,
-            EAGER_KERNEL_ACTIVATING_MID_RUN,
-        ),
-        (run_serial_fraction_tails, EAGER_SERIAL_FRACTION_TAILS),
-        (run_pod_fused_launch, EAGER_POD_FUSED_LAUNCH),
-        (run_fa_serial_launch, EAGER_FA_SERIAL_LAUNCH),
-        (
-            run_pod_four_ctas_per_sm_llama2,
-            EAGER_POD_FOUR_CTAS_PER_SM_LLAMA2,
-        ),
-        (
-            run_fa_serial_wide_decode_llama2,
-            EAGER_FA_SERIAL_WIDE_DECODE_LLAMA2,
-        ),
-    ];
-    for (run, eager) in cases {
-        assert_within(&fingerprint(&run()), eager, 1e-12);
-    }
-}
-
 /// The wide decode on a 132-SM device: the engine's reused state must be
 /// rebuilt for the other SM count.
 fn run_fa_serial_wide_decode_132_sms() -> Result<ExecutionReport, SimError> {
@@ -402,6 +334,8 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// Every report field, under all six strategies, over 36 Figure 11 shapes:
 /// 3 models x context 4K/12K/20K x chunk 512/2048 x 16/224 decodes. One
 /// digest stands for 216 fingerprints; a mismatch means some field moved.
+/// Each report's `total_flops` and `total_bytes` are its kernels' totals
+/// summed in kernel order, bit for bit.
 #[test]
 fn fig11_subgrid_digest() {
     let gpu = GpuConfig::a100_80gb();
@@ -419,6 +353,14 @@ fn fig11_subgrid_digest() {
                     let batch = HybridBatch::uniform(chunk, kib * 1024, decodes, kib * 1024);
                     for strategy in AttentionStrategy::all() {
                         let report = runner.execute(&batch, strategy).unwrap();
+                        let sum = |work: fn(&KernelReport) -> f64| {
+                            report.kernels.iter().fold(0.0, |sum, k| sum + work(k))
+                        };
+                        assert_eq!(
+                            (report.total_flops.to_bits(), report.total_bytes.to_bits()),
+                            (sum(|k| k.flops).to_bits(), sum(|k| k.bytes).to_bits()),
+                            "{strategy:?} totals vs kernel sums"
+                        );
                         intervals += report.intervals;
                         hash = fnv1a(hash, fingerprint(&report).as_bytes());
                     }
@@ -437,9 +379,9 @@ const TWO_CAPPED_STREAMS: &str = "\
 makespan 3f54999190813431
 intervals 1800
 total_ctas 900
-total_flops 4249893c1fabc211
-total_bytes 41e26572a2ebe4f9
-energy 3fdbe232c134e55a
+total_flops 4249893c1fabc219
+total_bytes 41e26572a2ebe4f7
+energy 3fdbe232c134e564
 peaks 42f1bc3292b80000 427dabddee600000
 kernel compute ctas 400 start 0000000000000000 end 3f4fab448fcd2453 flops 424967b1b372a504 bytes 41aa03c865d5a6e7
 kernel memory ctas 500 start 0000000000000000 end 3f54999190813431 flops 41d0c5361c8e8a8d bytes 41e0c5361c8e8a89
@@ -450,9 +392,9 @@ const KERNEL_ACTIVATING_MID_RUN: &str = "\
 makespan 3f52fa860aa0a72b
 intervals 566
 total_ctas 520
-total_flops 423b3c9bfdb2561a
-total_bytes 41ddcd2c06abdc8f
-energy 3fd634a4514565b4
+total_flops 423b3c9bfdb25624
+total_bytes 41ddcd2c06abdc8c
+energy 3fd634a4514565b3
 peaks 42f1bc3292b80000 427dabddee600000
 kernel short ctas 70 start 0000000000000000 end 3f1e3de809179309 flops 420a70c8ae7cb454 bytes 415ab3f000000000
 kernel long ctas 150 start 0000000000000000 end 3f52fa860aa0a72b flops 4136e36000000000 bytes 41dccd9656abdc8c
@@ -465,9 +407,9 @@ const SERIAL_FRACTION_TAILS: &str = "\
 makespan 3f5028774f34f6dc
 intervals 1560
 total_ctas 260
-total_flops 4240f9032a075a1d
-total_bytes 41d7d344c166be3f
-energy 3fd4293aa5260962
+total_flops 4240f9032a075a25
+total_bytes 41d7d344c166be40
+energy 3fd4293aa5260964
 peaks 42f1bc3292b80000 427dabddee600000
 kernel tails ctas 260 start 0000000000000000 end 3f5028774f34f6dc flops 4240f9032a075a25 bytes 41d7d344c166be40
 op prefill ctas 260 flops 4240f4abf3c4d9ed bytes 41a153d4e9bf15fc finish 3f5028774f34f6dc
@@ -477,9 +419,9 @@ const POD_FUSED_LAUNCH: &str = "\
 makespan 3f56ef8c55c50448
 intervals 205
 total_ctas 480
-total_flops 424649d89d89d8a5
-total_bytes 41e5444654e08368
-energy 3fdd93eaf7920896
+total_flops 424649d89d89d8c4
+total_bytes 41e5444654e08389
+energy 3fdd93eaf79208ac
 peaks 42f1bc3292b80000 427dabddee600000
 kernel pod_attention ctas 480 start 0000000000000000 end 3f56ef8c55c50448 flops 424649d89d89d8c4 bytes 41e5444654e08389
 op prefill ctas 384 flops 4241c9d89d89d8a6 bytes 4199e1e1e1e1e1f4 finish 3f4bac10833e6046
@@ -489,9 +431,9 @@ const FA_SERIAL_LAUNCH: &str = "\
 makespan 3f5f9ec98a31744a
 intervals 263
 total_ctas 1280
-total_flops 424649d89d89d899
-total_bytes 41e60082911cbfa9
-energy 3fe1f74954884657
+total_flops 424649d89d89d8a7
+total_bytes 41e60082911cbfc5
+energy 3fe1f7495488465e
 peaks 42f1bc3292b80000 427dabddee600000
 kernel fa2_prefill ctas 896 start 0000000000000000 end 3f431d18a5a12e94 flops 4241c9d89d89d8a7 bytes 41a8b4b4b4b4b4d4
 kernel fa_decode ctas 384 start 3f431d18a5a12e94 end 3f5f9ec98a31744a flops 4222000000000000 bytes 41e4753745d17478
@@ -502,9 +444,9 @@ const POD_FOUR_CTAS_PER_SM_LLAMA2: &str = "\
 makespan 3f78a22dec4aa6a1
 intervals 590
 total_ctas 1432
-total_flops 4258ce58469ee587
-total_bytes 4206d6c55cbfa85f
-energy 3ffc83b4db8bc638
+total_flops 4258ce58469ee58a
+total_bytes 4206d6c55cbfa8c1
+energy 3ffc83b4db8bc659
 peaks 42f1bc3292b80000 427dabddee600000
 kernel pod_attention ctas 1432 start 0000000000000000 end 3f78a22dec4aa6a1 flops 4258ce58469ee58a bytes 4206d6c55cbfa8c1
 op prefill ctas 1024 flops 4250d658469ee58b bytes 41e2e92d2d2d2d24 finish 3f761d56b3afc32e
@@ -514,106 +456,14 @@ const FA_SERIAL_WIDE_DECODE_LLAMA2: &str = "\
 makespan 3f71a478b1f147fc
 intervals 268
 total_ctas 4480
-total_flops 4240eec4ec4ec4f3
-total_bytes 42004f93ceb7719d
-energy 3ff31870d0d5a5f7
+total_flops 4240eec4ec4ec4ed
+total_bytes 42004f93ceb770b6
+energy 3ff31870d0d5a5ab
 peaks 42f1bc3292b80000 427dabddee600000
 kernel fa2_prefill ctas 896 start 0000000000000000 end 3f1ee4d1f524bd30 flops 4217762762762765 bytes 41a99696969696a4
 kernel fa_decode ctas 3584 start 3f1ee4d1f524bd30 end 3f71a478b1f147fc flops 423c000000000000 bytes 41ffd272e8ba2cb7
 op prefill ctas 896 flops 4217762762762765 bytes 41a99696969696a4 finish 3f1ee4d1f524bd30
 op decode ctas 3584 flops 423c000000000000 bytes 41ffd272e8ba2cb7 finish 3f71a478b1f147fc
 ";
-const FIG11_SUBGRID_DIGEST: &str = "8c7aaa6a06c8f1f5";
+const FIG11_SUBGRID_DIGEST: &str = "8ea05eadcc3d49a7";
 const FIG11_SUBGRID_INTERVALS: usize = 96947;
-// The same seven cases from the engine that advanced every busy SM's
-// accumulator each interval and summed interval FLOPs SM by SM.
-const EAGER_TWO_CAPPED_STREAMS: &str = "\
-makespan 3f54999190813430
-intervals 1800
-total_ctas 900
-total_flops 4249893c1fabc205
-total_bytes 41e26572a2ebe4f9
-energy 3fdbe232c134e55c
-peaks 42f1bc3292b80000 427dabddee600000
-kernel compute ctas 400 start 0000000000000000 end 3f4fab448fcd2453 flops 424967b1b372a504 bytes 41aa03c865d5a6e7
-kernel memory ctas 500 start 0000000000000000 end 3f54999190813430 flops 41d0c5361c8e8a8d bytes 41e0c5361c8e8a89
-op prefill ctas 400 flops 424967b1b372a504 bytes 41aa03c865d5a6e7 finish 3f4fab448fcd2453
-op decode ctas 500 flops 41d0c5361c8e8a8d bytes 41e0c5361c8e8a89 finish 3f54999190813430
-";
-const EAGER_KERNEL_ACTIVATING_MID_RUN: &str = "\
-makespan 3f52fa860aa0a72b
-intervals 566
-total_ctas 520
-total_flops 423b3c9bfdb25621
-total_bytes 41ddcd2c06abdc8f
-energy 3fd634a4514565af
-peaks 42f1bc3292b80000 427dabddee600000
-kernel short ctas 70 start 0000000000000000 end 3f1e3de809179307 flops 420a70c8ae7cb454 bytes 415ab3f000000000
-kernel long ctas 150 start 0000000000000000 end 3f52fa860aa0a72b flops 4136e36000000000 bytes 41dccd9656abdc8c
-kernel next ctas 300 start 3f1e3de809179307 end 3f45460a82271166 flops 4237ee6c0482bf9a bytes 418c9c3800000000
-op compute ctas 300 flops 4237ee6c0482bf9a bytes 418c9c3800000000 finish 3f45460a82271166
-op memory ctas 150 flops 4136e36000000000 bytes 41dccd9656abdc8c finish 3f52fa860aa0a72b
-op other ctas 70 flops 420a70c8ae7cb454 bytes 415ab3f000000000 finish 3f1e3de809179307
-";
-const EAGER_SERIAL_FRACTION_TAILS: &str = "\
-makespan 3f5028774f34f6dd
-intervals 1560
-total_ctas 260
-total_flops 4240f9032a075a27
-total_bytes 41d7d344c166be3c
-energy 3fd4293aa5260965
-peaks 42f1bc3292b80000 427dabddee600000
-kernel tails ctas 260 start 0000000000000000 end 3f5028774f34f6dd flops 4240f9032a075a25 bytes 41d7d344c166be40
-op prefill ctas 260 flops 4240f4abf3c4d9ed bytes 41a153d4e9bf15fc finish 3f5028774f34f6dd
-op decode ctas 0 flops 41a15cd90a00df22 bytes 41d5a8ca242edb7e finish 0000000000000000
-";
-const EAGER_POD_FUSED_LAUNCH: &str = "\
-makespan 3f56ef8c55c5044a
-intervals 205
-total_ctas 480
-total_flops 424649d89d89d89b
-total_bytes 41e5444654e0836a
-energy 3fdd93eaf7920893
-peaks 42f1bc3292b80000 427dabddee600000
-kernel pod_attention ctas 480 start 0000000000000000 end 3f56ef8c55c5044a flops 424649d89d89d8c4 bytes 41e5444654e08389
-op prefill ctas 384 flops 4241c9d89d89d8a6 bytes 4199e1e1e1e1e1f4 finish 3f4bac10833e6048
-op decode ctas 96 flops 4222000000000000 bytes 41e4753745d17478 finish 3f56ef8c55c5044a
-";
-const EAGER_FA_SERIAL_LAUNCH: &str = "\
-makespan 3f5f9ec98a317445
-intervals 263
-total_ctas 1280
-total_flops 424649d89d89d89e
-total_bytes 41e60082911cbfa8
-energy 3fe1f74954884657
-peaks 42f1bc3292b80000 427dabddee600000
-kernel fa2_prefill ctas 896 start 0000000000000000 end 3f431d18a5a12e8b flops 4241c9d89d89d8a7 bytes 41a8b4b4b4b4b4d4
-kernel fa_decode ctas 384 start 3f431d18a5a12e8b end 3f5f9ec98a317445 flops 4222000000000000 bytes 41e4753745d17478
-op prefill ctas 896 flops 4241c9d89d89d8a7 bytes 41a8b4b4b4b4b4d4 finish 3f431d18a5a12e8b
-op decode ctas 384 flops 4222000000000000 bytes 41e4753745d17478 finish 3f5f9ec98a317445
-";
-const EAGER_POD_FOUR_CTAS_PER_SM_LLAMA2: &str = "\
-makespan 3f78a22dec4aa69f
-intervals 590
-total_ctas 1432
-total_flops 4258ce58469ee57e
-total_bytes 4206d6c55cbfa85d
-energy 3ffc83b4db8bc63f
-peaks 42f1bc3292b80000 427dabddee600000
-kernel pod_attention ctas 1432 start 0000000000000000 end 3f78a22dec4aa69f flops 4258ce58469ee58a bytes 4206d6c55cbfa8c1
-op prefill ctas 1024 flops 4250d658469ee58b bytes 41e2e92d2d2d2d24 finish 3f761d56b3afc32c
-op decode ctas 408 flops 423fe00000000000 bytes 42021c7a11745d1c finish 3f78a22dec4aa69f
-";
-const EAGER_FA_SERIAL_WIDE_DECODE_LLAMA2: &str = "\
-makespan 3f71a478b1f147fd
-intervals 268
-total_ctas 4480
-total_flops 4240eec4ec4ec4ec
-total_bytes 42004f93ceb7719c
-energy 3ff31870d0d5a5f9
-peaks 42f1bc3292b80000 427dabddee600000
-kernel fa2_prefill ctas 896 start 0000000000000000 end 3f1ee4d1f524bd23 flops 4217762762762765 bytes 41a99696969696a4
-kernel fa_decode ctas 3584 start 3f1ee4d1f524bd23 end 3f71a478b1f147fd flops 423c000000000000 bytes 41ffd272e8ba2cb7
-op prefill ctas 896 flops 4217762762762765 bytes 41a99696969696a4 finish 3f1ee4d1f524bd23
-op decode ctas 3584 flops 423c000000000000 bytes 41ffd272e8ba2cb7 finish 3f71a478b1f147fd
-";

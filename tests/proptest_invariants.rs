@@ -102,10 +102,9 @@ fn engine_conserves_work() {
     }
 }
 
-/// The engine's interval totals agree with its drain-time attribution:
-/// `total_flops` sums the busy SMs' total rate times each interval's length,
-/// while each kernel is charged its units' FLOPs when they drain, so the two
-/// must agree on random multi-stream launches (mixed units, fused CTAs,
+/// The engine's totals agree with its drain-time attribution: each kernel
+/// is charged its units' FLOPs when they drain, and `total_flops` must equal
+/// their sum on random multi-stream launches (mixed units, fused CTAs,
 /// per-SM caps, serial tails). The same holds for bytes.
 #[test]
 fn interval_totals_match_drain_attribution() {
