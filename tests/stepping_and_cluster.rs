@@ -36,6 +36,8 @@ struct Golden {
     ttft_p50: u64,
     ttft_p99: u64,
     tbt_p50: u64,
+    tbt_p99: u64,
+    tbt_mean: u64,
     tbt_max: u64,
     lat_p50: u64,
     stall200: u64,
@@ -78,6 +80,8 @@ impl Golden {
             ttft_p50: r.ttft.p50.to_bits(),
             ttft_p99: r.ttft.p99.to_bits(),
             tbt_p50: r.tbt.p50.to_bits(),
+            tbt_p99: r.tbt.p99.to_bits(),
+            tbt_mean: r.tbt.mean.to_bits(),
             tbt_max: r.tbt.max.to_bits(),
             lat_p50: r.request_latency.p50.to_bits(),
             stall200: r.stall_fraction_200ms.to_bits(),
@@ -530,6 +534,8 @@ const SARATHI_POD_ONLINE: Golden = Golden {
     ttft_p50: 4602988723638504496,
     ttft_p99: 4609199801803860468,
     tbt_p50: 4575574502164525056,
+    tbt_p99: 4587915247411156992,
+    tbt_mean: 4577633616097130510,
     tbt_max: 4589340709345344256,
     lat_p50: 4614310424491164702,
     stall200: 0,
@@ -560,6 +566,8 @@ const SARATHI_POD_SHED: Golden = Golden {
     ttft_p50: 4612889882368337556,
     ttft_p99: 4626753481605889316,
     tbt_p50: 4575559097553666048,
+    tbt_p99: 4588074170998674944,
+    tbt_mean: 4577256114175701431,
     tbt_max: 4589692904292057856,
     lat_p50: 4621128525291042789,
     stall200: 0,
@@ -590,6 +598,8 @@ const VLLM_SHED: Golden = Golden {
     ttft_p50: 4613126477303315444,
     ttft_p99: 4627161792600977163,
     tbt_p50: 4575559097553666048,
+    tbt_p99: 4575831462271492096,
+    tbt_mean: 4577684078027737803,
     tbt_max: 4608828177212957584,
     lat_p50: 4621606474067332501,
     stall200: 4604812103206664515,
@@ -620,6 +630,8 @@ const SARATHI_OFFLINE: Golden = Golden {
     ttft_p50: 4614167509303138966,
     ttft_p99: 4618387286776373393,
     tbt_p50: 4578181879319054848,
+    tbt_p99: 4587707149233108736,
+    tbt_mean: 4583365486693364285,
     tbt_max: 4587707149233108736,
     lat_p50: 4619086305298313794,
     stall200: 0,
@@ -650,6 +662,8 @@ const VLLM_ONLINE: Golden = Golden {
     ttft_p50: 4602566335034308640,
     ttft_p99: 4608898658765648423,
     tbt_p50: 4575480349117739008,
+    tbt_p99: 4576966094478307328,
+    tbt_mean: 4578291105481452334,
     tbt_max: 4611104788700718688,
     lat_p50: 4615029678595120562,
     stall200: 4604705439004963635,
@@ -680,6 +694,8 @@ const CONSERVATIVE_PRESSURE: Golden = Golden {
     ttft_p50: 4625976219281987470,
     ttft_p99: 4631772851862895228,
     tbt_p50: 4574416414983069696,
+    tbt_p99: 4586099007344686878,
+    tbt_mean: 4575107612270111466,
     tbt_max: 4589031357706799104,
     lat_p50: 4628520706565468904,
     stall200: 0,
@@ -710,6 +726,8 @@ const PAGED_PRESSURE: Golden = Golden {
     ttft_p50: 4625976219281987470,
     ttft_p99: 4631586472104870607,
     tbt_p50: 4574437975031570432,
+    tbt_p99: 4586295642421334016,
+    tbt_mean: 4575847468896070739,
     tbt_max: 4617786616112900696,
     lat_p50: 4628606680690652952,
     stall200: 4590669220166325589,
@@ -740,6 +758,8 @@ const PREFIX_EVICTION: Golden = Golden {
     ttft_p50: 4625791673946745778,
     ttft_p99: 4629963154123422690,
     tbt_p50: 4575127896583626752,
+    tbt_p99: 4587664559033828352,
+    tbt_mean: 4576688132845037754,
     tbt_max: 4608991773680649280,
     lat_p50: 4626761908984330748,
     stall200: 4592170420042115755,
@@ -770,6 +790,8 @@ const SPEC_ROLLBACK: Golden = Golden {
     ttft_p50: 4619384128612208908,
     ttft_p99: 4625307685856591944,
     tbt_p50: 4576275344155054080,
+    tbt_p99: 4579925247812177920,
+    tbt_mean: 4574393403893315173,
     tbt_max: 4611593503160407468,
     lat_p50: 4622582098858966936,
     stall200: 4599676419421066581,
@@ -800,6 +822,8 @@ const EXACT_PRICING: Golden = Golden {
     ttft_p50: 4610809630484653962,
     ttft_p99: 4620259213792254144,
     tbt_p50: 0,
+    tbt_p99: 4588311514543180124,
+    tbt_mean: 4575061606939346565,
     tbt_max: 4589547127536512000,
     lat_p50: 4617904552587825253,
     stall200: 0,
@@ -830,6 +854,8 @@ const DISAGG_CONSERVATIVE: Golden = Golden {
     ttft_p50: 4602853702193872688,
     ttft_p99: 4609163844361065542,
     tbt_p50: 4575041656389623808,
+    tbt_p99: 4575917702465499136,
+    tbt_mean: 4575065511304517743,
     tbt_max: 4590616695810963072,
     lat_p50: 4612869624169559430,
     stall200: 0,
@@ -860,6 +886,8 @@ const DISAGG_PAGED: Golden = Golden {
     ttft_p50: 4610722349576007736,
     ttft_p99: 4614659146477686989,
     tbt_p50: 4575035006820933632,
+    tbt_p99: 4575272661485502464,
+    tbt_mean: 4583143221405340441,
     tbt_max: 4624120738626411160,
     lat_p50: 4622024028899963706,
     stall200: 4606431818862122325,
@@ -890,6 +918,8 @@ const PRIORITY_PREEMPT: Golden = Golden {
     ttft_p50: 4594255050578604110,
     ttft_p99: 4599765216640900495,
     tbt_p50: 4574272986401641984,
+    tbt_p99: 4585956779345270016,
+    tbt_mean: 4575785761320340435,
     tbt_max: 4614224602180227008,
     lat_p50: 4618385554244683163,
     stall200: 4593671619917905920,
@@ -920,6 +950,8 @@ const WEIGHTED_FAIR_CONSERVATIVE: Golden = Golden {
     ttft_p50: 4608972774368238252,
     ttft_p99: 4622205617579386921,
     tbt_p50: 4584769785596925440,
+    tbt_p99: 4587566324224022912,
+    tbt_mean: 4583254620295910950,
     tbt_max: 4588173783389538688,
     lat_p50: 4617766519523793695,
     stall200: 0,
@@ -951,6 +983,8 @@ const AUTOSCALED_FLEET: FleetGolden = FleetGolden {
         ttft_p50: 4616643717078714059,
         ttft_p99: 4622351515999618822,
         tbt_p50: 4578206938503688192,
+        tbt_p99: 4589178777156486912,
+        tbt_mean: 4582631452325444848,
         tbt_max: 4589803572165877760,
         lat_p50: 4622520214831960356,
         stall200: 0,
@@ -988,6 +1022,8 @@ const MIXED_FLEET: FleetGolden = FleetGolden {
         ttft_p50: 4602382807125809130,
         ttft_p99: 4609556886268376896,
         tbt_p50: 4574912296098611200,
+        tbt_p99: 4576704849191866368,
+        tbt_mean: 4575335062640619194,
         tbt_max: 4590377300693439104,
         lat_p50: 4611759150536120619,
         stall200: 0,
