@@ -252,10 +252,10 @@ fn main() {
     results.push(r_price_exact);
 
     // --- report summarization: shared-select stats and the quantile sketch ---
-    // 500K latency-like samples, the size of a large serving run's token-gap
-    // buffer. `from_samples` does one shared O(n) selection pass for p50/p99;
-    // the sketch is the streaming (constant-memory) alternative the cluster
-    // layer uses at fleet scale.
+    // 500K latency-like samples, the size of a large serving run's token
+    // gaps. `from_samples` selects p50/p99 by rank over the slice without
+    // copying it; the sketch is the streaming (constant-memory) alternative
+    // the cluster layer uses at fleet scale.
     let samples: Vec<f64> = {
         let mut x = 0x9e3779b97f4a7c15_u64;
         (0..500_000)

@@ -1128,15 +1128,16 @@ impl Engine {
                 continue;
             }
             if let Some(head) = streams[si].head() {
-                if self
-                    .gpu
-                    .occupancy(head.footprint.shared_mem, head.footprint.threads)
-                    == 0
+                let fp = head.footprint;
+                // `occupancy` ignores registers (wave pricing reads it), so
+                // the register file is checked here too.
+                if self.gpu.occupancy(fp.shared_mem, fp.threads) == 0
+                    || fp.threads * fp.registers_per_thread > self.gpu.registers_per_sm
                 {
                     return Err(SimError::CtaTooLarge {
                         kernel: head.name.clone(),
-                        shared_mem: head.footprint.shared_mem,
-                        threads: head.footprint.threads,
+                        shared_mem: fp.shared_mem,
+                        threads: fp.threads,
                     });
                 }
                 if head.max_ctas_per_sm == Some(0) && head.remaining() > 0 {
@@ -1401,6 +1402,30 @@ mod tests {
         );
         let err = Engine::new(g).run_kernel(kernel).unwrap_err();
         assert!(matches!(err, SimError::CtaTooLarge { .. }));
+    }
+
+    /// 1024 threads × 128 registers is twice an A100 SM's register file:
+    /// the CTA can never be placed, whatever its shared memory.
+    #[test]
+    fn register_bound_cta_is_too_large() {
+        let kernel = KernelLaunch::from_ctas(
+            "regs",
+            Footprint {
+                threads: 1024,
+                shared_mem: 1024,
+                registers_per_thread: 128,
+            },
+            vec![CtaWork::single(OpClass::Other, 1.0, 1.0)],
+        );
+        let err = Engine::new(gpu()).run_kernel(kernel).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::CtaTooLarge {
+                kernel: "regs".into(),
+                shared_mem: 1024,
+                threads: 1024,
+            }
+        );
     }
 
     #[test]

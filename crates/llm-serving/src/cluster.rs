@@ -1337,9 +1337,7 @@ impl Cluster {
             }
             acc
         } else {
-            let mut acc = ReportAccumulator::exact();
-            acc.observe_all(idxs.iter().flat_map(|&i| self.replicas[i].requests()));
-            acc
+            ReportAccumulator::exact(idxs.iter().flat_map(|&i| self.replicas[i].requests()))
         };
         let label = self.replicas[0].config().system_label();
         acc.finalize(&label, makespan, &counters)

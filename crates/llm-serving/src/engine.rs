@@ -224,8 +224,10 @@ pub struct ServingConfig {
     /// are already unmeetable). Defaults to [`AdmissionPolicy::AdmitAll`].
     pub admission: AdmissionPolicy,
     /// Which sample store the report's one grader uses. Off (the default):
-    /// requests keep their token times and are graded at report time into
-    /// exact stores, the output the golden tests pin bit for bit. On:
+    /// requests keep their token times and are graded at report time with
+    /// exact percentiles, the output the golden tests pin bit for bit; the
+    /// token gaps are read from the records, not copied, so the token
+    /// samples are held once. On:
     /// each request is graded into [`crate::QuantileSketch`] stores the
     /// moment it finishes or is shed, and its per-token sample buffer is
     /// dropped, so memory stays constant in trace length. Counts, means,
@@ -314,7 +316,9 @@ impl ServingConfig {
     }
 
     /// The same configuration with streaming constant-memory metrics on or
-    /// off (see [`ServingConfig::streaming_metrics`]).
+    /// off (see [`ServingConfig::streaming_metrics`]). Off, memory grows
+    /// with the tokens generated: each request keeps one output-sized
+    /// token-time buffer, which exact reports read in place.
     pub fn with_streaming_metrics(mut self, streaming: bool) -> Self {
         self.streaming_metrics = streaming;
         self
@@ -1097,7 +1101,10 @@ impl ServingEngine {
                 .expect("exported requests completed their prefill");
             let prefill_window =
                 export_time - st.requests[rid].prefill_start_time.unwrap_or(export_time);
-            let request = st.requests[rid].clone();
+            // The handoff takes the output-sized token buffer; the record
+            // left here keeps a copy of its one token time.
+            let mut request = st.requests[rid].clone();
+            std::mem::swap(&mut request.token_times, &mut st.requests[rid].token_times);
             st.requests[rid].migrated_out = true;
             st.counters.migrated_out_requests += 1;
             st.counters.migrated_tokens += chain.tokens;
@@ -1947,11 +1954,7 @@ impl ServingEngine {
             // Streaming mode: the accumulator already folded every finished
             // and shed request (token buffers are gone).
             Some(acc) => acc.clone(),
-            None => {
-                let mut acc = ReportAccumulator::exact();
-                acc.observe_all(&st.requests);
-                acc
-            }
+            None => ReportAccumulator::exact(&st.requests),
         };
         acc.finalize(&self.config.system_label(), st.clock, &self.counters())
     }

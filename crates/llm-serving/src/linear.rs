@@ -32,26 +32,37 @@ const ALLREDUCE_BANDWIDTH: f64 = 250e9;
 const PRICE_CACHE_MAX_ENTRIES: usize = 1 << 16;
 
 /// Quantized signature of a hybrid batch, the key of the batch-price memo.
+/// Token counts are `u32`, which halves a memo entry; a batch too large for
+/// that panics rather than aliasing another signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BatchSignature {
     /// The attention strategy the batch is priced under.
     strategy: AttentionStrategy,
     /// Prefill chunk length (0 when the batch has no prefill).
-    chunk_len: usize,
+    chunk_len: u32,
     /// Quantized prior context of the prefill chunk.
-    prior_bucket: usize,
+    prior_bucket: u32,
     /// Number of decode requests.
-    decode_count: usize,
+    decode_count: u32,
     /// Quantized total decode context (the dominant decode cost term).
-    decode_total_bucket: usize,
+    decode_total_bucket: u32,
     /// Quantized maximum decode context (drives decode-kernel splits).
-    decode_max_bucket: usize,
+    decode_max_bucket: u32,
     /// Quantized shared-prefix decode KV tokens deduped this iteration
     /// (always 0 when dedup is off).
-    decode_dedup_bucket: usize,
+    decode_dedup_bucket: u32,
     /// Quantized extra speculative-verify query tokens carried by the
     /// decode side (always 0 in autoregressive mode).
-    spec_bucket: usize,
+    spec_bucket: u32,
+}
+
+/// `x` as a signature field.
+///
+/// # Panics
+///
+/// Panics if `x` does not fit in `u32`.
+fn field(x: usize) -> u32 {
+    u32::try_from(x).expect("batch signature field exceeds u32")
 }
 
 impl BatchSignature {
@@ -74,13 +85,13 @@ impl BatchSignature {
         }
         BatchSignature {
             strategy,
-            chunk_len,
-            prior_bucket,
-            decode_count,
-            decode_total_bucket: quantize_tokens(total_ctx),
-            decode_max_bucket: quantize_tokens(max_ctx),
-            decode_dedup_bucket: quantize_tokens(kv_dedup_tokens),
-            spec_bucket: quantize_tokens(spec_verify_tokens),
+            chunk_len: field(chunk_len),
+            prior_bucket: field(prior_bucket),
+            decode_count: field(decode_count),
+            decode_total_bucket: field(quantize_tokens(total_ctx)),
+            decode_max_bucket: field(quantize_tokens(max_ctx)),
+            decode_dedup_bucket: field(quantize_tokens(kv_dedup_tokens)),
+            spec_bucket: field(quantize_tokens(spec_verify_tokens)),
         }
     }
 
@@ -89,16 +100,17 @@ impl BatchSignature {
     /// [`canonical_decodes`], the same equivalence-class definition the
     /// quantized estimator prices in closed form.
     fn canonical_batch(&self) -> HybridBatch {
+        let tokens = |x: u32| x as usize;
         HybridBatch {
             prefill: (self.chunk_len > 0)
-                .then(|| PrefillChunk::new(self.chunk_len, self.prior_bucket)),
+                .then(|| PrefillChunk::new(tokens(self.chunk_len), tokens(self.prior_bucket))),
             decodes: canonical_decodes(
-                self.decode_count,
-                self.decode_total_bucket,
-                self.decode_max_bucket,
+                tokens(self.decode_count),
+                tokens(self.decode_total_bucket),
+                tokens(self.decode_max_bucket),
             ),
-            kv_dedup_tokens: self.decode_dedup_bucket,
-            spec_verify_tokens: self.spec_bucket,
+            kv_dedup_tokens: tokens(self.decode_dedup_bucket),
+            spec_verify_tokens: tokens(self.spec_bucket),
         }
     }
 }

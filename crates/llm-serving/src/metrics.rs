@@ -23,7 +23,8 @@ pub struct SummaryStats {
 impl SummaryStats {
     /// Compute summary statistics of `samples` (order not required).
     ///
-    /// Percentiles are computed with O(n) selection rather than a full sort —
+    /// The mean sums the samples in slice order. Percentiles are selected
+    /// by rank, without sorting or copying the slice (see [`Tally`]):
     /// serving sweeps summarize hundreds of thousands of token-gap samples
     /// per run, and this pass is on the bench hot path.
     ///
@@ -33,30 +34,10 @@ impl SummaryStats {
     /// into reports and trend files; NaN sums to a NaN mean, so one O(1)
     /// check at the aggregate covers every sample).
     pub fn from_samples(samples: &[f64]) -> Self {
-        Self::from_samples_in_place(&mut samples.to_vec())
-    }
-
-    /// [`SummaryStats::from_samples`] without the copy: reorders `samples`.
-    pub(crate) fn from_samples_in_place(samples: &mut [f64]) -> Self {
-        if samples.is_empty() {
-            return SummaryStats::default();
-        }
-        let mut sum = 0.0;
-        let mut max = f64::NEG_INFINITY;
-        for &v in samples.iter() {
-            sum += v;
-            max = max.max(v);
-        }
-        let mean = sum / samples.len() as f64;
-        assert!(!mean.is_nan(), "latency samples must not be NaN");
-        let (p50, p99) = percentile_pair(samples, 0.50, 0.99);
-        SummaryStats {
-            count: samples.len(),
-            mean,
-            p50,
-            p99,
-            max,
-        }
+        let mut tally = Tally::for_len(samples.len());
+        samples.iter().for_each(|&v| tally.add(v));
+        tally.select(|| samples.iter().copied());
+        tally.summary()
     }
 
     /// Serialize as a JSON object (`count`, `mean`, `p50`, `p99`, `max`).
@@ -71,58 +52,243 @@ impl SummaryStats {
     }
 }
 
-/// Two percentiles of an unsorted slice (`q_lo <= q_hi`) using nearest-rank
-/// interpolation, in one shared selection pass: `select_nth_unstable`
-/// partitions the buffer once for the lower quantile, then the higher
-/// quantile is selected inside the (much smaller) right partition instead of
-/// re-partitioning the whole buffer. Produces bit-identical results to two
-/// independent selections — both read the same order statistics — which the
-/// golden report tests rely on. O(n), reorders `samples`.
-fn percentile_pair(samples: &mut [f64], q_lo: f64, q_hi: f64) -> (f64, f64) {
-    debug_assert!(!samples.is_empty());
-    debug_assert!(q_lo <= q_hi);
-    let span = (samples.len() - 1) as f64;
-    let pos_a = q_lo.clamp(0.0, 1.0) * span;
-    let (lo_a, hi_a) = (pos_a.floor() as usize, pos_a.ceil() as usize);
-    let pos_b = q_hi.clamp(0.0, 1.0) * span;
-    let (lo_b, hi_b) = (pos_b.floor() as usize, pos_b.ceil() as usize);
+/// The two percentiles every summary reports.
+const QUANTILES: [f64; 2] = [0.50, 0.99];
 
-    let (_, &mut val_a, right) = samples.select_nth_unstable_by(lo_a, |a, b| a.total_cmp(b));
-    if lo_b > lo_a {
-        // The higher quantile's floor rank lives strictly inside the right
-        // partition: select it there (global rank lo_b = right[lo_b-lo_a-1]).
-        let (left_b, &mut val_b, right_b) =
-            right.select_nth_unstable_by(lo_b - lo_a - 1, |a, b| a.total_cmp(b));
-        let p_lo = if lo_a == hi_a {
-            val_a
-        } else {
-            // Rank lo_a+1 is the minimum of the right partition, all of
-            // which now sits in `left_b` and `val_b`.
-            let hi_v = left_b.iter().copied().fold(val_b, f64::min);
-            let frac = pos_a - lo_a as f64;
-            val_a * (1.0 - frac) + hi_v * frac
-        };
-        let p_hi = if lo_b == hi_b {
-            val_b
-        } else {
-            let hi_v = right_b.iter().copied().fold(f64::INFINITY, f64::min);
-            let frac = pos_b - lo_b as f64;
-            val_b * (1.0 - frac) + hi_v * frac
-        };
-        (p_lo, p_hi)
+/// Streams of at most this many samples are selected from one copy of all
+/// their keys, with no bucket counts first.
+const SMALL_STREAM: usize = 1 << 12;
+
+/// Order-key bits one counting pass resolves.
+const DIGIT_BITS: u32 = 16;
+
+/// `v` as an unsigned integer that orders as [`f64::total_cmp`] orders
+/// `v`: the sign bit flipped for positives, every bit for negatives.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
     } else {
-        // Tiny sample counts: both quantiles straddle the same pair of ranks.
-        let hi_v = right.iter().copied().fold(f64::INFINITY, f64::min);
-        let interp = |pos: f64, lo: usize, hi: usize| {
-            if lo == hi {
-                val_a
+        bits | 1 << 63
+    }
+}
+
+/// The sample whose [`order_key`] is `key`.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Count, sum and maximum of a stream of samples, and its two
+/// percentiles once [`Tally::select`] has read the stream again.
+///
+/// The sum folds in stream order, so the mean's bits depend on that order
+/// alone. Selection never copies the stream: it narrows the order-key
+/// range that holds each wanted rank, 16 bits per counting pass, until at
+/// most an eighth of the samples (or [`SMALL_STREAM`]) lie in it, then
+/// collects only that window's keys and runs `select_nth_unstable` on
+/// them. Ranks ⌊q(n−1)⌋ and ⌈q(n−1)⌉ interpolate as [`percentile`] does
+/// on a slice sorted by [`f64::total_cmp`], bit for bit. A stream longer
+/// than [`SMALL_STREAM`] counts its top 16 key bits as it is added, which
+/// saves the first pass.
+#[derive(Debug, Clone, PartialEq)]
+struct Tally {
+    count: usize,
+    sum: f64,
+    max: f64,
+    /// Samples per top-16-bit order-key bucket; empty for short streams.
+    top: Vec<u32>,
+    /// `(p50, p99)`, once selected.
+    percentiles: Option<(f64, f64)>,
+}
+
+impl Tally {
+    /// An empty tally for a stream of about `len` samples.
+    fn for_len(len: usize) -> Self {
+        Tally {
+            count: 0,
+            sum: 0.0,
+            max: f64::NEG_INFINITY,
+            top: if len > SMALL_STREAM {
+                vec![0; 1 << DIGIT_BITS]
             } else {
-                let frac = pos - lo as f64;
-                val_a * (1.0 - frac) + hi_v * frac
+                Vec::new()
+            },
+            percentiles: None,
+        }
+    }
+
+    fn add(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+        if let Some(bucket) = self
+            .top
+            .get_mut((order_key(v) >> (64 - DIGIT_BITS)) as usize)
+        {
+            *bucket += 1;
+        }
+    }
+
+    /// Select the percentiles from `stream`, which yields the samples
+    /// added (in any order) each time it is called.
+    fn select<I: Iterator<Item = f64>>(&mut self, stream: impl Fn() -> I) {
+        let n = self.count;
+        if n == 0 {
+            return;
+        }
+        assert!(
+            u32::try_from(n).is_ok(),
+            "rank selection counts in u32: at most u32::MAX samples"
+        );
+        let pos = QUANTILES.map(|q| q * (n - 1) as f64);
+        let ranks = [pos[0].floor(), pos[0].ceil(), pos[1].floor(), pos[1].ceil()];
+        let ranks = ranks.map(|r| r as usize);
+        let all = KeyWindow {
+            prefix: 0,
+            bits: 0,
+            below: 0,
+            count: n,
+        };
+        let starts = ranks.map(|r| {
+            if self.top.is_empty() {
+                all
+            } else {
+                all.narrow(&self.top, r)
+            }
+        });
+        // Free the bucket counts before any pass allocates.
+        self.top = Vec::new();
+        let values = select_ranks(n, starts, ranks, stream).map(from_order_key);
+        let at = |i: usize| {
+            let (lo, hi) = (ranks[2 * i], ranks[2 * i + 1]);
+            if lo == hi {
+                values[2 * i]
+            } else {
+                let frac = pos[i] - lo as f64;
+                values[2 * i] * (1.0 - frac) + values[2 * i + 1] * frac
             }
         };
-        (interp(pos_a, lo_a, hi_a), interp(pos_b, lo_b, hi_b))
+        self.percentiles = Some((at(0), at(1)));
     }
+
+    /// The summary, after [`Tally::select`].
+    fn summary(&self) -> SummaryStats {
+        if self.count == 0 {
+            return SummaryStats::default();
+        }
+        let mean = self.sum / self.count as f64;
+        assert!(!mean.is_nan(), "latency samples must not be NaN");
+        let (p50, p99) = self.percentiles.expect("percentiles are selected");
+        SummaryStats {
+            count: self.count,
+            mean,
+            p50,
+            p99,
+            max: self.max,
+        }
+    }
+}
+
+/// The order keys whose top `bits` bits are `prefix`: `below` of a
+/// stream's keys sort under them and `count` are among them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct KeyWindow {
+    prefix: u64,
+    bits: u32,
+    below: usize,
+    count: usize,
+}
+
+impl KeyWindow {
+    fn contains(&self, key: u64) -> bool {
+        key.checked_shr(64 - self.bits).unwrap_or(0) == self.prefix
+    }
+
+    /// The next [`DIGIT_BITS`] of `key` below this window's prefix.
+    fn digit(&self, key: u64) -> usize {
+        (key >> (64 - DIGIT_BITS - self.bits)) as usize & ((1 << DIGIT_BITS) - 1)
+    }
+
+    /// The sub-window holding `rank`, given this window's keys counted
+    /// by [`KeyWindow::digit`].
+    fn narrow(&self, counts: &[u32], rank: usize) -> KeyWindow {
+        let mut below = self.below;
+        for (digit, &count) in counts.iter().enumerate() {
+            let count = count as usize;
+            if rank < below + count {
+                return KeyWindow {
+                    prefix: self.prefix << DIGIT_BITS | digit as u64,
+                    bits: self.bits + DIGIT_BITS,
+                    below,
+                    count,
+                };
+            }
+            below += count;
+        }
+        unreachable!("rank {rank} lies outside its window")
+    }
+}
+
+/// The order keys of `ranks` among the `n` samples `stream` yields, each
+/// rank's search starting from its window in `starts` (see [`Tally`]).
+/// Two ranks' windows are always equal or disjoint, so each pass serves
+/// every distinct window at once: counting passes narrow the wide ones by
+/// one digit, and a last pass collects the keys of the rest.
+fn select_ranks<I: Iterator<Item = f64>>(
+    n: usize,
+    starts: [KeyWindow; 4],
+    ranks: [usize; 4],
+    stream: impl Fn() -> I,
+) -> [u64; 4] {
+    /// The distinct windows of `windows` that `keep` accepts.
+    fn distinct(windows: &[KeyWindow; 4], keep: impl Fn(&KeyWindow) -> bool) -> Vec<KeyWindow> {
+        let mut out: Vec<KeyWindow> = Vec::new();
+        for w in windows.iter().filter(|w| keep(w)) {
+            if !out.contains(w) {
+                out.push(*w);
+            }
+        }
+        out
+    }
+    let limit = (n / 8).max(SMALL_STREAM);
+    let mut windows = starts;
+    loop {
+        let wide = distinct(&windows, |w| w.count > limit && w.bits < 64);
+        if wide.is_empty() {
+            break;
+        }
+        let mut counts = vec![vec![0u32; 1 << DIGIT_BITS]; wide.len()];
+        stream().map(order_key).for_each(|key| {
+            if let Some(j) = wide.iter().position(|w| w.contains(key)) {
+                counts[j][wide[j].digit(key)] += 1;
+            }
+        });
+        for (w, &rank) in windows.iter_mut().zip(&ranks) {
+            if let Some(j) = wide.iter().position(|x| x == w) {
+                *w = w.narrow(&counts[j], rank);
+            }
+        }
+    }
+    // A full-width window holds equal keys: nothing to collect there.
+    let narrow = distinct(&windows, |w| w.bits < 64);
+    let mut keys: Vec<Vec<u64>> = narrow.iter().map(|w| Vec::with_capacity(w.count)).collect();
+    stream().map(order_key).for_each(|key| {
+        if let Some(j) = narrow.iter().position(|w| w.contains(key)) {
+            keys[j].push(key);
+        }
+    });
+    debug_assert!(
+        narrow.iter().zip(&keys).all(|(w, k)| k.len() == w.count),
+        "the stream changed between passes"
+    );
+    std::array::from_fn(|i| match narrow.iter().position(|w| *w == windows[i]) {
+        Some(j) => *keys[j].select_nth_unstable(ranks[i] - windows[i].below).1,
+        None => windows[i].prefix,
+    })
 }
 
 /// `num / den`, or `empty` when nothing was counted (`den == 0`).
@@ -372,8 +538,7 @@ impl ServingReport {
         iterations: usize,
         hybrid_iterations: usize,
     ) -> Self {
-        let mut acc = ReportAccumulator::exact();
-        acc.observe_all(requests);
+        let acc = ReportAccumulator::exact(requests);
         let counters = ServingCounters {
             iterations,
             hybrid_iterations,
@@ -597,11 +762,16 @@ impl AddAssign for ServingCounters {
     }
 }
 
-/// One distribution's samples: kept whole for exact selection, or folded
-/// into a mergeable [`QuantileSketch`] for constant memory.
+/// One distribution's samples: kept whole for exact selection, tallied
+/// while the request records keep them, or folded into a mergeable
+/// [`QuantileSketch`] for constant memory.
 #[derive(Debug, Clone, PartialEq)]
 enum SampleStore {
     Exact(Vec<f64>),
+    /// Exact statistics of samples that stay in the request records:
+    /// [`ReportAccumulator::exact`] tallies them in its grading walk and
+    /// reads the records again to select the percentiles.
+    Tally(Tally),
     Sketch(QuantileSketch),
 }
 
@@ -610,6 +780,7 @@ impl SampleStore {
     fn empty_like(&self) -> Self {
         match self {
             SampleStore::Exact(_) => SampleStore::Exact(Vec::new()),
+            SampleStore::Tally(_) => SampleStore::Tally(Tally::for_len(0)),
             SampleStore::Sketch(_) => SampleStore::Sketch(QuantileSketch::new()),
         }
     }
@@ -617,11 +788,12 @@ impl SampleStore {
     fn observe(&mut self, value: f64) {
         match self {
             SampleStore::Exact(samples) => samples.push(value),
+            SampleStore::Tally(tally) => tally.add(value),
             SampleStore::Sketch(sketch) => sketch.observe(value),
         }
     }
 
-    /// Make room for `additional` more samples (a no-op for sketches).
+    /// Make room for `additional` more samples (a no-op unless exact).
     fn reserve(&mut self, additional: usize) {
         if let SampleStore::Exact(samples) = self {
             samples.reserve_exact(additional);
@@ -641,24 +813,40 @@ impl SampleStore {
         }
     }
 
-    /// Exact stores select their percentiles in place; sketches read theirs
+    /// Exact stores select their percentiles by rank; sketches read theirs
     /// from the buckets.
-    fn summary(self) -> SummaryStats {
+    fn summary(&self) -> SummaryStats {
         match self {
-            SampleStore::Exact(mut samples) => SummaryStats::from_samples_in_place(&mut samples),
+            SampleStore::Exact(samples) => SummaryStats::from_samples(samples),
+            SampleStore::Tally(tally) => tally.summary(),
             SampleStore::Sketch(sketch) => sketch.summary(),
         }
     }
 }
 
+/// The decode gaps of `r`'s token stream, in token order.
+fn decode_gaps(r: &Request) -> impl Iterator<Item = f64> + '_ {
+    r.token_times.windows(2).map(|w| w[1] - w[0])
+}
+
+/// Whether the grader grades `r`: finished and not shed.
+fn is_graded(r: &Request) -> bool {
+    r.shed_time.is_none() && r.finish_time.is_some()
+}
+
 /// The one grader of serving requests: TTFT, TBT and latency distributions,
 /// stall fractions, SLO attainment and the shed and tenant tallies.
 ///
-/// One grader, two sample stores. [`ReportAccumulator::exact`] keeps every
-/// sample and selects exact percentiles: the engine's default report and
-/// the cluster aggregate fold request records into it in list order, and
-/// the golden tests pin that output bit for bit. [`ReportAccumulator::sketch`] backs the four distributions and
-/// each tenant's TTFT with [`QuantileSketch`]es instead. With
+/// One grader, two kinds of sample store. [`ReportAccumulator::exact`]
+/// grades a list of request records in order and selects exact
+/// percentiles: the engine's default report and the cluster aggregate are
+/// built this way, and the golden tests pin that output bit for bit. It
+/// keeps the O(requests) TTFT, latency and slack samples, but each token
+/// gap only as a [`Tally`]: the records keep the token times, and the
+/// grader reads them again to select the gap percentiles, so exact mode
+/// holds the token samples once, not twice. [`ReportAccumulator::sketch`]
+/// backs the four distributions and each tenant's TTFT with
+/// [`QuantileSketch`]es instead. With
 /// [`ServingConfig::streaming_metrics`](crate::ServingConfig::streaming_metrics)
 /// the engine feeds it each request the moment it finishes or is shed and
 /// then drops the request's per-token buffer, so memory stays O(sketch
@@ -692,9 +880,36 @@ impl ReportAccumulator {
         Self::with_store(SampleStore::Sketch(QuantileSketch::new()))
     }
 
-    /// An empty accumulator that keeps every sample.
-    pub(crate) fn exact() -> Self {
-        Self::with_store(SampleStore::Exact(Vec::new()))
+    /// Grade `requests` in order with exact percentiles. The accumulator
+    /// is complete: only sketch accumulators observe more requests.
+    pub(crate) fn exact<'a, I>(requests: I) -> Self
+    where
+        I: IntoIterator<Item = &'a Request>,
+        I::IntoIter: Clone,
+    {
+        let requests = requests.into_iter();
+        let (graded, gaps) = requests
+            .clone()
+            .filter(|r| is_graded(r))
+            .fold((0, 0), |(n, gaps), r| {
+                (n + 1, gaps + r.token_times.len().saturating_sub(1))
+            });
+        let mut acc = Self::with_store(SampleStore::Exact(Vec::new()));
+        acc.ttft.reserve(graded);
+        acc.latency.reserve(graded);
+        acc.tbt = SampleStore::Tally(Tally::for_len(gaps));
+        for r in requests.clone() {
+            acc.observe(r);
+        }
+        if let SampleStore::Tally(tally) = &mut acc.tbt {
+            tally.select(|| {
+                requests
+                    .clone()
+                    .filter(|r| is_graded(r))
+                    .flat_map(decode_gaps)
+            });
+        }
+        acc
     }
 
     fn with_store(store: SampleStore) -> Self {
@@ -752,7 +967,7 @@ impl ReportAccumulator {
             self.tenants[ti].0.shed += 1;
             return;
         }
-        if r.finish_time.is_none() {
+        if !is_graded(r) {
             return;
         }
         let ti = self.tenant_entry(r.spec.tenant);
@@ -768,8 +983,7 @@ impl ReportAccumulator {
             self.latency.observe(l);
         }
         let mut max_gap = f64::NEG_INFINITY;
-        for w in r.token_times.windows(2) {
-            let gap = w[1] - w[0];
+        for gap in decode_gaps(r) {
             max_gap = max_gap.max(gap);
             self.tbt.observe(gap);
         }
@@ -797,28 +1011,6 @@ impl ReportAccumulator {
             let tenant = &mut self.tenants[ti].0;
             tenant.slo_requests += 1;
             tenant.slo_met += met;
-        }
-    }
-
-    /// [`ReportAccumulator::observe`] each of `requests` in order, after
-    /// sizing exact sample buffers for all of them so none regrows.
-    pub(crate) fn observe_all<'a, I>(&mut self, requests: I)
-    where
-        I: IntoIterator<Item = &'a Request>,
-        I::IntoIter: Clone,
-    {
-        let requests = requests.into_iter();
-        let (graded, gaps) = requests
-            .clone()
-            .filter(|r| r.shed_time.is_none() && r.finish_time.is_some())
-            .fold((0, 0), |(n, gaps), r| {
-                (n + 1, gaps + r.token_times.len().saturating_sub(1))
-            });
-        self.ttft.reserve(graded);
-        self.latency.reserve(graded);
-        self.tbt.reserve(gaps);
-        for r in requests {
-            self.observe(r);
         }
     }
 
@@ -858,7 +1050,6 @@ impl ReportAccumulator {
     }
 
     /// Produce the report, its engine-side fields taken from `counters`.
-    /// Consumes the accumulator, so exact stores select in place.
     pub(crate) fn finalize(
         self,
         system: &str,
@@ -938,6 +1129,124 @@ mod tests {
         assert!((s.p50 - 2.5).abs() < 1e-12);
         assert_eq!(s.max, 4.0);
         assert_eq!(SummaryStats::from_samples(&[]).count, 0);
+    }
+
+    /// The oracle the rank selection must match bit for bit: sum in slice
+    /// order, sort by `total_cmp`, interpolate with [`percentile`].
+    fn sorted_summary(samples: &[f64]) -> [u64; 5] {
+        if samples.is_empty() {
+            return summary_bits(&SummaryStats::default());
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        summary_bits(&SummaryStats {
+            count: samples.len(),
+            mean: samples.iter().fold(0.0, |sum, v| sum + v) / samples.len() as f64,
+            p50: percentile(&sorted, 0.50),
+            p99: percentile(&sorted, 0.99),
+            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        })
+    }
+
+    fn summary_bits(s: &SummaryStats) -> [u64; 5] {
+        [
+            s.count as u64,
+            s.mean.to_bits(),
+            s.p50.to_bits(),
+            s.p99.to_bits(),
+            s.max.to_bits(),
+        ]
+    }
+
+    /// A stream of `n` samples of one of the shapes selection must get
+    /// right: spread latencies, few-valued ties, one repeated value, +0.0
+    /// among positives, subnormals, one dense bucket of 1000 values holding
+    /// most samples, and values of both signs.
+    fn shaped_stream(rng: &mut crate::SplitMix64, shape: usize, n: usize) -> Vec<f64> {
+        let pool: Vec<f64> = (0..1 + rng.next_usize(4))
+            .map(|_| 1e-3 + rng.next_f64())
+            .collect();
+        (0..n)
+            .map(|_| match shape {
+                0 => 1e-3 + rng.next_f64(),
+                1 => pool[rng.next_usize(pool.len())],
+                2 => pool[0],
+                3 if rng.next_usize(3) == 0 => 0.0,
+                3 => rng.next_f64(),
+                4 => {
+                    f64::from_bits(rng.next_usize(1 << 20) as u64) * [1.0, 1e300][rng.next_usize(2)]
+                }
+                5 if rng.next_usize(10) < 9 => 0.0085 + rng.next_usize(1000) as f64 * 1e-8,
+                5 => rng.next_f64(),
+                _ => rng.next_f64() - 0.5,
+            })
+            .collect()
+    }
+
+    /// Rank selection agrees bit for bit with a full sort on every shape,
+    /// at n = 1, 2, 3, at random small sizes, and at sizes large enough to
+    /// count buckets, narrow a dense bucket and reach a window of equal
+    /// keys.
+    #[test]
+    fn rank_selection_matches_a_sort_bit_for_bit() {
+        let mut rng = crate::SplitMix64::seed_from_u64(39);
+        for case in 0..3_000 {
+            let shape = case % 7;
+            let n = match case / 7 % 6 {
+                0 => 1,
+                1 => 2,
+                2 => 3,
+                _ => 1 + rng.next_usize(300),
+            };
+            let samples = shaped_stream(&mut rng, shape, n);
+            let got = summary_bits(&SummaryStats::from_samples(&samples));
+            assert_eq!(got, sorted_summary(&samples), "case {case}: {samples:?}");
+        }
+        for shape in 0..7 {
+            for n in [SMALL_STREAM, SMALL_STREAM + 1, 50_000] {
+                let samples = shaped_stream(&mut rng, shape, n);
+                let got = summary_bits(&SummaryStats::from_samples(&samples));
+                assert_eq!(got, sorted_summary(&samples), "shape {shape}, n = {n}");
+            }
+        }
+    }
+
+    /// Exact reports select gap percentiles by reading the records again:
+    /// the result equals a sort of the gaps of exactly the graded requests.
+    #[test]
+    fn exact_gap_percentiles_reread_only_graded_requests() {
+        let mut requests = Vec::new();
+        let mut gaps = Vec::new();
+        for i in 0..60usize {
+            let mut r = Request::new(i, RequestSpec::new(0.0, 10, 150));
+            match i % 10 {
+                // Shed, or left mid-decode: no gap is graded.
+                0 => r.shed_time = Some(1.0),
+                1 => {
+                    r.record_prefill(10, 1.0);
+                    r.record_decode_token(9.0);
+                }
+                _ => {
+                    r.record_prefill(10, 1.0);
+                    let mut t = 1.0;
+                    for tok in 1..150 {
+                        // Mostly one repeated gap: a dense bucket.
+                        let gap = if tok % 13 == 0 {
+                            0.05 * (i % 7) as f64
+                        } else {
+                            0.0085
+                        };
+                        gaps.push((t + gap) - t);
+                        t += gap;
+                        r.record_decode_token(t);
+                    }
+                }
+            }
+            requests.push(r);
+        }
+        assert!(gaps.len() > SMALL_STREAM);
+        let report = ServingReport::from_requests("test", &requests, 60.0, 1, 0);
+        assert_eq!(summary_bits(&report.tbt), sorted_summary(&gaps));
     }
 
     #[test]

@@ -312,6 +312,8 @@ pub struct Request {
     /// Time the first output token became available (TTFT reference).
     pub first_token_time: Option<f64>,
     /// Completion times of every generated token (including the first).
+    /// Sized for the whole output when the first token is stamped, and
+    /// never longer.
     pub token_times: Vec<f64>,
     /// Time all output tokens were generated.
     pub finish_time: Option<f64>,
@@ -455,6 +457,7 @@ impl Request {
         if self.prefilled >= self.target_prefill() && self.first_token_time.is_none() {
             self.first_token_time = Some(time);
             self.generated = 1;
+            self.token_times.reserve_exact(self.spec.output_tokens);
             self.token_times.push(time);
             self.check_finished(time);
         }
@@ -489,6 +492,7 @@ impl Request {
         debug_assert_eq!(self.phase(), Phase::Decoding);
         self.generated += 1;
         self.token_times.push(time);
+        debug_assert!(self.token_times.len() <= self.spec.output_tokens);
         self.check_finished(time);
     }
 

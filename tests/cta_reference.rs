@@ -248,7 +248,9 @@ impl Reference {
                 continue;
             };
             let fp = launch.footprint;
-            if self.gpu.occupancy(fp.shared_mem, fp.threads) == 0 {
+            if self.gpu.occupancy(fp.shared_mem, fp.threads) == 0
+                || fp.threads * fp.registers_per_thread > self.gpu.registers_per_sm
+            {
                 return Err(SimError::CtaTooLarge {
                     kernel: launch.name.clone(),
                     shared_mem: fp.shared_mem,
@@ -833,6 +835,15 @@ fn errors_match_the_reference() {
     for (name, bad_fp, cap) in [
         ("capped", fp, Some(0)),
         ("huge", Footprint::new(128, 512 * 1024), None),
+        (
+            "regs",
+            Footprint {
+                threads: 1024,
+                shared_mem: 1024,
+                registers_per_thread: 128,
+            },
+            None,
+        ),
     ] {
         let err = check(name, &gpu, || {
             vec![

@@ -13,7 +13,7 @@ use llm_serving::{
     RateSchedule, ReplicaRole, RequestSpec, RouterPolicy, ServingConfig, ServingEngine,
     ServingReport, SharedPrefixWorkload, SloMix, TenantId, TenantMix, TraceConfig, Workload,
 };
-use llm_serving::{AcceptanceModel, DraftModelConfig};
+use llm_serving::{percentile, AcceptanceModel, DraftModelConfig, SummaryStats};
 use std::collections::BTreeMap;
 
 fn llama3() -> ModelConfig {
@@ -523,6 +523,63 @@ fn pod_advantage_survives_scaling_out() {
             pod.aggregate.request_latency.mean,
             sarathi.aggregate.request_latency.mean
         );
+    }
+}
+
+/// The report's exact TBT is a summary of the gaps in the request records,
+/// bit for bit, on runs whose token streams speculate and roll back, are
+/// preempted and restored, or start from a shared prefix. Every token
+/// buffer is sized once, for the whole output.
+#[test]
+fn exact_tbt_summarizes_the_recorded_gaps() {
+    let mut spec = ServingConfig::sarathi_pod(llama3(), gpu(), 512)
+        .with_paged_kv(true)
+        .with_speculative(
+            6,
+            DraftModelConfig::scaled(0.2),
+            AcceptanceModel::new(0.35, 99),
+        );
+    spec.kv_capacity_tokens = Some(5_000);
+    let mut short =
+        SharedPrefixWorkload::new(Workload::internal(), 2, 257, 0.6, 0.3).generate(24, 3.0, 11);
+    for s in &mut short {
+        s.prompt_tokens = s.prompt_tokens.min(1_024);
+        s.output_tokens = 600;
+    }
+    let mut paged = ServingConfig::sarathi_pod(llama3(), gpu(), 1024).with_paged_kv(false);
+    paged.kv_capacity_tokens = Some(29_000);
+    let mut prefix = ServingConfig::sarathi_pod(llama3(), gpu(), 1024).with_paged_kv(true);
+    prefix.kv_capacity_tokens = Some(40_000);
+    let shared =
+        SharedPrefixWorkload::new(Workload::internal(), 4, 2050, 0.6, 0.35).generate(48, 2.0, 21);
+    for (tag, config, specs) in [
+        ("speculative", spec, short),
+        (
+            "preempting",
+            paged,
+            Workload::internal().generate(24, 2.0, 5),
+        ),
+        ("prefix_sharing", prefix, shared),
+    ] {
+        let (report, requests) = ServingEngine::new(config).run_detailed(specs);
+        let exercised = match tag {
+            "speculative" => report.draft_tokens_rejected,
+            "preempting" => report.preemptions,
+            _ => report.cached_prefix_tokens,
+        };
+        assert!(exercised > 0, "{tag}: the run must exercise its path");
+        let mut gaps = Vec::new();
+        for r in requests.iter().filter(|r| r.finish_time.is_some()) {
+            assert_eq!(r.token_times.capacity(), r.spec.output_tokens, "{tag}");
+            gaps.extend(r.token_times.windows(2).map(|w| w[1] - w[0]));
+        }
+        let want = SummaryStats::from_samples(&gaps);
+        let bits = |s: &SummaryStats| [s.mean, s.p50, s.p99, s.max].map(f64::to_bits);
+        assert_eq!(report.tbt.count, want.count, "{tag}");
+        assert_eq!(bits(&report.tbt), bits(&want), "{tag}");
+        gaps.sort_by(f64::total_cmp);
+        assert_eq!(report.tbt.p50, percentile(&gaps, 0.50), "{tag}");
+        assert_eq!(report.tbt.p99, percentile(&gaps, 0.99), "{tag}");
     }
 }
 
